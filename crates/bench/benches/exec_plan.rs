@@ -85,7 +85,7 @@ fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok();
     let n = if quick { 200 } else { 1_000 };
     let st = join_db(n);
-    let all = PlanOptions::all();
+    let all = PlanOptions::default();
     let base = PlanOptions::baseline();
 
     let mut suite = Suite::new("exec_plan");

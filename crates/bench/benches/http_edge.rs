@@ -22,9 +22,7 @@
 //! leaving the server process with just its 10 000 accepted sockets.
 //! Quick mode scales everything down for CI.
 
-use dbgw_cgi::{
-    FnSource, Gateway, HttpClient, HttpConnection, HttpServer, ServerConfig, TraceOptions,
-};
+use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpConnection, HttpServer, ServerConfig};
 use dbgw_core::db::{Database, DbRows, FnDatabase};
 use dbgw_testkit::bench::Suite;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
@@ -74,8 +72,7 @@ fn report_gateway(rows: usize) -> Gateway {
                 affected: 0,
             })
         })) as Box<dyn Database + Send>
-    }))
-    .with_trace(TraceOptions::disabled());
+    }));
     // The paper's flagship report: a hyperlink list rendered row by row
     // through a %ROW template (variable frames + substitution per row).
     gw.add_macro(

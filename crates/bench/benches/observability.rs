@@ -33,7 +33,7 @@ fn main() {
         let mut group = suite.group("E9_trace_overhead");
         group.sample_size(20);
 
-        let off = build_gateway(TraceOptions::disabled());
+        let off = build_gateway(TraceOptions::default());
         group.bench("trace_off", || {
             let resp = off.get("urlquery.d2w", "report", black_box(QUERY));
             assert_eq!(resp.status, 200);

@@ -92,10 +92,10 @@ fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok();
     let (n, fanout) = if quick { (300, 6) } else { (1_000, 10) };
     let st = star_db(n, fanout);
-    let reordered = PlanOptions::all();
+    let reordered = PlanOptions::default();
     let syntactic = PlanOptions {
         reorder: false,
-        ..PlanOptions::all()
+        ..PlanOptions::default()
     };
 
     let mut suite = Suite::new("planner");

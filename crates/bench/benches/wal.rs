@@ -10,7 +10,7 @@
 //! Three series, single-row UPDATE commits against a hot table:
 //!
 //! * **wal_off** — the in-memory engine (no persistence), the ceiling;
-//! * **wal_on** — durable, fsync on, no linger (`DBGW_GROUP_COMMIT_US=0`):
+//! * **wal_on** — durable, fsync on, no linger (`group_commit_us: 0`):
 //!   batching only from natural concurrency;
 //! * **wal_on_linger** — durable with a 200 µs group-commit window.
 //!

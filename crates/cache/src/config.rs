@@ -1,20 +1,14 @@
-//! The `DBGW_CACHE*` environment knobs, parsed once and passed around.
+//! The caching subsystem's settings, passed to whoever builds a cache.
 
-/// Configuration for the caching subsystem.
-///
-/// Read from the environment with [`CacheConfig::from_env`]:
-///
-/// | Variable             | Meaning                                   | Default |
-/// |----------------------|-------------------------------------------|---------|
-/// | `DBGW_CACHE`         | `0` disables every cache layer            | enabled |
-/// | `DBGW_CACHE_BYTES`   | total result-cache byte budget            | 4 MiB   |
-/// | `DBGW_CACHE_TTL_MS`  | entry time-to-live in ms (`0` = no TTL)   | no TTL  |
+/// Configuration for the caching subsystem. The gateway fills the first
+/// three fields from `DBGW_CACHE`, `DBGW_CACHE_BYTES` and `DBGW_CACHE_TTL_MS`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Master switch; when false the gateway behaves exactly as if this
-    /// subsystem did not exist (`DBGW_CACHE=0`).
+    /// subsystem did not exist.
     pub enabled: bool,
-    /// Total byte budget across all shards of the result cache.
+    /// Total byte budget across all shards of the result cache (4 MiB by
+    /// default).
     pub max_bytes: usize,
     /// Optional time-to-live for cached entries, in milliseconds. `None`
     /// means entries live until evicted or invalidated. Correctness never
@@ -25,19 +19,13 @@ pub struct CacheConfig {
     pub shards: usize,
 }
 
-/// Default total byte budget for the result cache: 4 MiB.
-pub const DEFAULT_CACHE_BYTES: usize = 4 * 1024 * 1024;
-
-/// Default shard count.
-pub const DEFAULT_SHARDS: usize = 8;
-
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             enabled: true,
-            max_bytes: DEFAULT_CACHE_BYTES,
+            max_bytes: 4 * 1024 * 1024,
             ttl_ms: None,
-            shards: DEFAULT_SHARDS,
+            shards: 8,
         }
     }
 }
@@ -49,81 +37,5 @@ impl CacheConfig {
             enabled: false,
             ..CacheConfig::default()
         }
-    }
-
-    /// Read the `DBGW_CACHE*` variables from the process environment.
-    pub fn from_env() -> CacheConfig {
-        Self::from_lookup(|name| std::env::var(name).ok())
-    }
-
-    /// Like [`from_env`](CacheConfig::from_env), but with an injectable
-    /// variable source so tests can exercise the parsing without mutating
-    /// process-global environment state.
-    pub fn from_lookup<F>(lookup: F) -> CacheConfig
-    where
-        F: Fn(&str) -> Option<String>,
-    {
-        let mut config = CacheConfig::default();
-        if let Some(v) = lookup("DBGW_CACHE") {
-            config.enabled = v.trim() != "0";
-        }
-        if let Some(n) = lookup("DBGW_CACHE_BYTES").and_then(|v| v.trim().parse::<usize>().ok()) {
-            config.max_bytes = n;
-        }
-        if let Some(n) = lookup("DBGW_CACHE_TTL_MS").and_then(|v| v.trim().parse::<u64>().ok()) {
-            config.ttl_ms = if n == 0 { None } else { Some(n) };
-        }
-        config
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lookup<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| (*v).to_owned())
-        }
-    }
-
-    #[test]
-    fn defaults_when_unset() {
-        let c = CacheConfig::from_lookup(|_| None);
-        assert!(c.enabled);
-        assert_eq!(c.max_bytes, DEFAULT_CACHE_BYTES);
-        assert_eq!(c.ttl_ms, None);
-        assert_eq!(c.shards, DEFAULT_SHARDS);
-    }
-
-    #[test]
-    fn dbgw_cache_zero_disables() {
-        let c = CacheConfig::from_lookup(lookup(&[("DBGW_CACHE", "0")]));
-        assert!(!c.enabled);
-        let c = CacheConfig::from_lookup(lookup(&[("DBGW_CACHE", "1")]));
-        assert!(c.enabled);
-    }
-
-    #[test]
-    fn bytes_and_ttl_parse() {
-        let c = CacheConfig::from_lookup(lookup(&[
-            ("DBGW_CACHE_BYTES", "65536"),
-            ("DBGW_CACHE_TTL_MS", "1500"),
-        ]));
-        assert_eq!(c.max_bytes, 65_536);
-        assert_eq!(c.ttl_ms, Some(1_500));
-    }
-
-    #[test]
-    fn zero_ttl_means_no_ttl_and_garbage_is_ignored() {
-        let c = CacheConfig::from_lookup(lookup(&[
-            ("DBGW_CACHE_TTL_MS", "0"),
-            ("DBGW_CACHE_BYTES", "not a number"),
-        ]));
-        assert_eq!(c.ttl_ms, None);
-        assert_eq!(c.max_bytes, DEFAULT_CACHE_BYTES);
     }
 }

@@ -13,7 +13,7 @@
 //!   while `SELECT 'a  B'` and `SELECT 'a b'` never alias.
 //! * [`fnv1a_64`] — a tiny stable content hash, used for shard selection
 //!   here and for deterministic HTTP `ETag`s in the gateway.
-//! * [`CacheConfig`] — the `DBGW_CACHE*` environment knobs in one place.
+//! * [`CacheConfig`] — the subsystem's switch, byte budget, TTL and shard count.
 //!
 //! The crate deliberately depends only on `dbgw-sync` (lock wrappers) and
 //! `dbgw-obs` (the injectable [`Clock`](dbgw_obs::Clock) that makes TTL

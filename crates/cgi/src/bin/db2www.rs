@@ -8,15 +8,18 @@
 //! * `QUERY_STRING` — GET variables,
 //! * `CONTENT_LENGTH` + standard input — POST variables.
 //!
-//! Configuration comes from two more variables, mirroring the product's
+//! Configuration comes from more variables, mirroring the product's
 //! initialization file:
 //!
 //! * `DTW_MACRO_DIR` — directory holding `.d2w` macro files (default
 //!   `./macros`),
 //! * `DTW_DB_SCRIPT` — path to a SQL script that builds the database,
-//! * `DBGW_DATA_DIR` — when set, the database is durable: opened from (and
-//!   recovered into) that directory's write-ahead log, with `DTW_DB_SCRIPT`
-//!   run only the first time, when the recovered database is empty.
+//! * the `DBGW_*` settings of [`dbgw_cgi::Config`], validated before anything
+//!   else runs: a misspelt or malformed one ends the process with status 2
+//!   and the variable's name on stderr. Among them `DBGW_DATA_DIR` — when
+//!   set, the database is durable: opened from (and recovered into) that
+//!   directory's write-ahead log, with `DTW_DB_SCRIPT` run only the first
+//!   time, when the recovered database is empty.
 //!
 //! Without `DBGW_DATA_DIR` the DBMS substrate is in-process and each
 //! invocation rebuilds the database from the script — fine for demonstrating
@@ -28,19 +31,23 @@
 //! page. Errors still produce a page (status is in the `Status:` header, as
 //! CGI prescribes).
 
-use dbgw_cgi::{trace_comment, CgiRequest, CgiResponse, Gateway, Method, TraceOptions};
+use dbgw_cgi::{trace_comment, CgiRequest, CgiResponse, Config, Gateway, Method};
 use std::io::Read;
 use std::sync::Arc;
 
 fn main() {
+    let config = Config::from_env().unwrap_or_else(|e| {
+        eprintln!("db2www: {e}");
+        std::process::exit(2);
+    });
     // The binary owns the request trace (DBGW_TRACE / DBGW_TRACE_FILE), so
     // the spans cover the whole invocation — database build, macro load and
     // parse, then the gateway dispatch nested inside.
-    let trace = TraceOptions::from_env();
+    let trace = &config.trace;
     let request_id = dbgw_obs::next_request_id();
     let owned = trace.tracing()
         && dbgw_obs::trace::start_trace(Arc::new(dbgw_obs::StdClock::new()), request_id);
-    let mut response = run(request_id);
+    let mut response = run(&config, request_id);
     if owned {
         if let Some(t) = dbgw_obs::trace::finish_trace() {
             if let Some(path) = &trace.trace_file {
@@ -63,7 +70,7 @@ fn main() {
     print!("{head}\r\n{}", response.body);
 }
 
-fn run(request_id: u64) -> CgiResponse {
+fn run(config: &Config, request_id: u64) -> CgiResponse {
     let env = |name: &str| std::env::var(name).unwrap_or_default();
 
     let method = match env("REQUEST_METHOD").to_ascii_uppercase().as_str() {
@@ -92,7 +99,7 @@ fn run(request_id: u64) -> CgiResponse {
     // Open the database: durable under DBGW_DATA_DIR (recovering any prior
     // log), purely in-memory otherwise. The build script then runs only
     // against a *fresh* database — a recovered one already has its tables.
-    let db = match minisql::Database::open_from_env() {
+    let db = match config.open_database() {
         Ok(db) => db,
         Err(e) => {
             return CgiResponse::error_for_request(
@@ -144,7 +151,7 @@ fn run(request_id: u64) -> CgiResponse {
     if !dbgw_core::security::safe_macro_name(&macro_name) {
         return CgiResponse::error_for_request(400, "invalid macro file name", request_id);
     }
-    let gateway = Gateway::new(db);
+    let gateway = Gateway::from_config(db, config);
     let macro_path = std::path::Path::new(&macro_dir).join(&macro_name);
     match std::fs::read_to_string(&macro_path) {
         Ok(source) => {

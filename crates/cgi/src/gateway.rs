@@ -5,6 +5,7 @@
 //! variables from the request, and returns the generated page.
 
 use crate::bridge::MiniSqlDatabase;
+use crate::config::Config;
 use crate::log::{SlowQuery, SlowQueryLog};
 use crate::request::{CgiRequest, CgiResponse, Method};
 use crate::session::{SessionManager, END_VAR, SESSION_ID_VAR, SESSION_VAR};
@@ -98,9 +99,9 @@ where
     }
 }
 
-/// Per-request tracing and slow-query configuration.
-///
-/// The defaults come from the environment, so the stock binaries honor:
+/// Per-request tracing and slow-query configuration, everything off by
+/// default. The stock binaries fill it from the environment
+/// ([`crate::Config`]):
 ///
 /// * `DBGW_TRACE=1` — append each request's trace to the page as an HTML
 ///   comment (and record it at all);
@@ -119,24 +120,6 @@ pub struct TraceOptions {
 }
 
 impl TraceOptions {
-    /// Read `DBGW_TRACE`, `DBGW_TRACE_FILE`, and `DBGW_SLOW_MS`.
-    pub fn from_env() -> TraceOptions {
-        TraceOptions {
-            annotate: std::env::var("DBGW_TRACE")
-                .map(|v| v == "1")
-                .unwrap_or(false),
-            trace_file: std::env::var("DBGW_TRACE_FILE").ok().map(PathBuf::from),
-            slow_ms: std::env::var("DBGW_SLOW_MS")
-                .ok()
-                .and_then(|v| v.parse().ok()),
-        }
-    }
-
-    /// Everything off, regardless of the environment.
-    pub fn disabled() -> TraceOptions {
-        TraceOptions::default()
-    }
-
     /// Should requests record a trace at all?
     pub fn tracing(&self) -> bool {
         self.annotate || self.trace_file.is_some()
@@ -214,17 +197,20 @@ pub struct Gateway {
     slow_log: SlowQueryLog,
     deadline_ms: Option<u64>,
     /// Answer conditional GETs with deterministic `ETag`s / `304`s and emit
-    /// `Cache-Control` derived from the macro's cacheability. Follows
-    /// `DBGW_CACHE` (the whole subsystem's master switch) by default.
+    /// `Cache-Control` derived from the macro's cacheability. On by default;
+    /// [`Gateway::from_config`] follows `DBGW_CACHE` (the whole subsystem's
+    /// master switch).
     http_cache: bool,
     /// `DBGW_CACHE_TTL_MS`, echoed to clients as `Cache-Control: max-age`.
     cache_ttl_ms: Option<u64>,
     /// Metric time series, ticked opportunistically after each request on
-    /// the gateway's clock (`DBGW_SAMPLE_MS` / `DBGW_SAMPLE_CAP`).
+    /// the gateway's clock.
     sampler: Arc<dbgw_obs::series::Sampler>,
     /// SLO objectives evaluated against the sampler's ring on `/stats`
     /// (`DBGW_SLO_P99_MS` / `DBGW_SLO_ERROR_BUDGET`).
     slo: dbgw_obs::slo::SloConfig,
+    /// The configuration the process booted with, for display on `/stats`.
+    boot_config: Option<Arc<Config>>,
 }
 
 impl Gateway {
@@ -233,56 +219,64 @@ impl Gateway {
         Gateway::with_config(source, EngineConfig::default())
     }
 
-    /// Gateway with explicit engine configuration. Trace options come from
-    /// the environment (see [`TraceOptions::from_env`]).
+    /// Gateway with explicit engine configuration: tracing and the slow log
+    /// off, no deadline, HTTP caching on without a TTL, no SLO objectives.
     pub fn with_config(source: impl ConnectionSource + 'static, config: EngineConfig) -> Gateway {
-        let cache_config = dbgw_cache::CacheConfig::from_env();
-        let trace = TraceOptions::from_env();
-        if trace.slow_ms.is_some() {
-            // Collect plan actuals for every SELECT so slow-log entries can
-            // carry an EXPLAIN ANALYZE summary. Enable-only: another gateway
-            // in the process may rely on it too.
-            minisql::analyze::set_passive_capture(true);
-        }
         Gateway {
             macros: RwLock::new(HashMap::new()),
             config,
             source: Box::new(source),
             sessions: None,
-            trace,
+            trace: TraceOptions::default(),
             clock: Arc::new(StdClock::new()),
             slow_log: SlowQueryLog::new(),
-            deadline_ms: deadline_ms_from_env(),
-            http_cache: cache_config.enabled,
-            cache_ttl_ms: cache_config.ttl_ms,
-            sampler: Arc::new(dbgw_obs::series::Sampler::from_env()),
-            slo: dbgw_obs::slo::SloConfig::from_env(),
+            deadline_ms: None,
+            http_cache: true,
+            cache_ttl_ms: None,
+            sampler: Arc::default(),
+            slo: dbgw_obs::slo::SloConfig::default(),
+            boot_config: None,
         }
     }
 
-    /// Override the HTTP conditional-GET layer (`ETag`/`304`/`Cache-Control`)
-    /// independently of the environment.
+    /// Gateway set up as the boot [`Config`] says: trace options, deadline,
+    /// SLO objectives, and the HTTP caching layer following the cache switch
+    /// and TTL. Keeps the configuration for the `/stats` page.
+    pub fn from_config(source: impl ConnectionSource + 'static, config: &Config) -> Gateway {
+        let mut gateway = Gateway::new(source)
+            .with_trace(config.trace.clone())
+            .with_deadline_ms(config.deadline_ms)
+            .with_slo(config.slo)
+            .with_http_cache(config.cache.enabled);
+        gateway.cache_ttl_ms = config.cache.ttl_ms;
+        gateway.boot_config = Some(Arc::new(config.clone()));
+        gateway
+    }
+
+    /// The configuration [`Gateway::from_config`] was given, if any.
+    pub fn boot_config(&self) -> Option<&Config> {
+        self.boot_config.as_deref()
+    }
+
+    /// Switch the HTTP conditional-GET layer (`ETag`/`304`/`Cache-Control`).
     pub fn with_http_cache(mut self, enabled: bool) -> Gateway {
         self.http_cache = enabled;
         self
     }
 
-    /// Override the per-request wall-clock deadline (`None` disables it).
-    /// The default comes from `DBGW_DEADLINE_MS`.
+    /// Set the per-request wall-clock deadline (`None`, the default,
+    /// disables it).
     pub fn with_deadline_ms(mut self, deadline_ms: Option<u64>) -> Gateway {
         self.deadline_ms = deadline_ms;
         self
     }
 
-    /// The per-request deadline in milliseconds, if one is configured.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
-    }
-
-    /// Override the trace/slow-query configuration (benches force
-    /// [`TraceOptions::disabled`]; tests force specific settings).
+    /// Set the trace/slow-query configuration.
     pub fn with_trace(mut self, trace: TraceOptions) -> Gateway {
         if trace.slow_ms.is_some() {
+            // Collect plan actuals for every SELECT so slow-log entries can
+            // carry an EXPLAIN ANALYZE summary. Enable-only: another gateway
+            // in the process may rely on it too.
             minisql::analyze::set_passive_capture(true);
         }
         self.trace = trace;
@@ -296,7 +290,7 @@ impl Gateway {
         self
     }
 
-    /// Override the SLO objectives independently of the environment.
+    /// Set the SLO objectives.
     pub fn with_slo(mut self, slo: dbgw_obs::slo::SloConfig) -> Gateway {
         self.slo = slo;
         self
@@ -421,50 +415,25 @@ impl Gateway {
         self.handle_with_ctx(req, &self.make_ctx(req.request_id))
     }
 
-    /// Handle one CGI invocation under the caller's request context (the
-    /// HTTP server builds the context at the edge so cancellation covers the
-    /// whole request, not just macro processing): dispatch under metrics +
-    /// (optionally) a trace owned by this call, unless an enclosing binary
-    /// already owns one.
+    /// Handle one CGI invocation under the caller's request context, fully
+    /// buffered: [`Gateway::handle_streaming`] over the `String` sink, which
+    /// never commits, so the answer is always a complete response.
     pub fn handle_with_ctx(&self, req: &CgiRequest, ctx: &Arc<RequestCtx>) -> CgiResponse {
-        let m = dbgw_obs::metrics();
-        m.requests.inc();
-        let _id_guard = dbgw_obs::set_request_id(req.request_id);
-        let start_ns = self.clock.now_ns();
-        let owned = self.trace.tracing()
-            && dbgw_obs::trace::start_trace(self.clock.clone(), req.request_id);
-        let mut response = {
-            let _span = dbgw_obs::trace::span("request");
-            dbgw_obs::trace::note("path", &req.path_info);
-            self.dispatch(req, ctx)
-        };
-        self.apply_http_caching(req, &mut response);
-        let end_ns = self.clock.now_ns();
-        m.request_latency_ns
-            .observe_ns(end_ns.saturating_sub(start_ns));
-        if response.status >= 400 {
-            m.request_errors.inc();
+        match self.handle_streaming(req, ctx, &mut String::new()) {
+            Handled::Full(response) => response,
+            Handled::Streamed { .. } => unreachable!("a String sink never commits"),
         }
-        // Offer the sampler the current time; it snapshots at most once per
-        // configured interval (no background thread — the request path is
-        // the scheduler, exactly like the 1996 CGI model's "do work only
-        // when a request arrives").
-        self.sampler.tick(end_ns / 1_000_000, m);
-        if owned {
-            if let Some(trace) = dbgw_obs::trace::finish_trace() {
-                self.emit_trace(&trace, &mut response);
-            }
-        }
-        response
     }
 
-    /// Handle one CGI invocation with a streaming body sink: the same
-    /// bookkeeping as [`Gateway::handle_with_ctx`], but report rows flush to
-    /// the client as the executor yields them once the sink's watermark is
-    /// crossed. Pages that stay under the watermark — and every error that
-    /// strikes before the first flush — come back as [`Handled::Full`] with
-    /// the usual caching/`ETag` treatment, so small pages are byte-identical
-    /// to the buffered path.
+    /// Handle one CGI invocation with a streaming body sink, under the
+    /// caller's request context (the HTTP server builds the context at the
+    /// edge so cancellation covers the whole request, not just macro
+    /// processing): dispatch under metrics + (optionally) a trace owned by
+    /// this call, unless an enclosing binary already owns one. Report rows
+    /// flush to the client as the executor yields them once the sink's
+    /// watermark is crossed. Pages that stay under the watermark — and
+    /// every error that strikes before the first flush — come back as
+    /// [`Handled::Full`] with the usual caching/`ETag` treatment.
     pub fn handle_streaming<S: BodySink>(
         &self,
         req: &CgiRequest,
@@ -513,45 +482,35 @@ impl Gateway {
         let end_ns = self.clock.now_ns();
         m.request_latency_ns
             .observe_ns(end_ns.saturating_sub(start_ns));
-        let status = match &handled {
-            Handled::Full(response) => response.status,
-            Handled::Streamed { failed } => {
-                if *failed {
-                    500
-                } else {
-                    200
-                }
-            }
+        let errored = match &handled {
+            Handled::Full(response) => response.status >= 400,
+            Handled::Streamed { failed } => *failed,
         };
-        if status >= 400 {
+        if errored {
             m.request_errors.inc();
         }
+        // Offer the sampler the current time; it snapshots at most once per
+        // configured interval (no background thread — the request path is
+        // the scheduler, exactly like the 1996 CGI model's "do work only
+        // when a request arrives").
         self.sampler.tick(end_ns / 1_000_000, m);
+        // Export the finished trace per the configured sinks.
         if let Some(trace) = trace {
-            match &mut handled {
-                Handled::Full(response) => self.emit_trace(&trace, response),
-                Handled::Streamed { .. } => {
-                    if let Some(path) = &self.trace.trace_file {
-                        let _ = trace.append_jsonl(path);
-                    }
-                    if self.trace.annotate {
+            if let Some(path) = &self.trace.trace_file {
+                let _ = trace.append_jsonl(path);
+            }
+            if self.trace.annotate {
+                match &mut handled {
+                    // A 304 must stay body-less; the JSONL sink still records it.
+                    Handled::Full(response) if response.status == 304 => {}
+                    Handled::Full(response) => response.body.push_str(&trace_comment(&trace)),
+                    Handled::Streamed { .. } => {
                         let _ = sink.push(&trace_comment(&trace));
                     }
                 }
             }
         }
         handled
-    }
-
-    /// Export one finished trace per the configured sinks.
-    fn emit_trace(&self, trace: &Trace, response: &mut CgiResponse) {
-        if let Some(path) = &self.trace.trace_file {
-            let _ = trace.append_jsonl(path);
-        }
-        // A 304 must stay body-less; the JSONL sink above still records it.
-        if self.trace.annotate && response.status != 304 {
-            response.body.push_str(&trace_comment(trace));
-        }
     }
 
     /// The HTTP caching layer: on a cacheable 200 GET, attach a deterministic
@@ -622,14 +581,6 @@ impl Gateway {
             Mode::Input => true,
             Mode::Report => mac.sql_sections().all(|s| is_select(&s.command)),
         })
-    }
-
-    fn dispatch(&self, req: &CgiRequest, ctx: &Arc<RequestCtx>) -> CgiResponse {
-        let mut body = String::new();
-        match self.dispatch_into(req, ctx, &mut body) {
-            Ok(()) => CgiResponse::html(body),
-            Err(response) => response,
-        }
     }
 
     /// Resolve and process the requested macro, rendering into `sink`.
@@ -797,14 +748,6 @@ fn is_select(command: &str) -> bool {
 /// the comma-separated validator list may match our `ETag` exactly.
 fn etag_matches(header: &str, etag: &str) -> bool {
     header.trim() == "*" || header.split(',').any(|candidate| candidate.trim() == etag)
-}
-
-/// `DBGW_DEADLINE_MS`: per-request wall-clock deadline; unset or 0 disables.
-fn deadline_ms_from_env() -> Option<u64> {
-    std::env::var("DBGW_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&ms| ms > 0)
 }
 
 /// Map a macro-processing error to a response. Cancellation gets its own
@@ -975,7 +918,6 @@ mod tests {
                 })
             })) as Box<dyn Database + Send>
         }))
-        .with_trace(TraceOptions::disabled())
         .with_clock(clock)
         .with_deadline_ms(Some(20));
         gw.add_macro("t.d2w", "%SQL{ SLOW %}\n%HTML_REPORT{%EXEC_SQL%}")
@@ -1011,7 +953,6 @@ mod tests {
                 })
             })) as Box<dyn Database + Send>
         }))
-        .with_trace(TraceOptions::disabled())
         .with_clock(clock)
         .with_deadline_ms(Some(20));
         gw.add_macro(

@@ -11,7 +11,7 @@
 //!
 //! Responses are HTTP/1.1. Small pages go out with `Content-Length` exactly
 //! as before; a CGI report that crosses the streaming watermark
-//! (`DBGW_STREAM_WATERMARK`) switches to `Transfer-Encoding: chunked` and
+//! ([`ServerConfig::stream_watermark`]) switches to `Transfer-Encoding: chunked` and
 //! flushes rows as the executor yields them, so time-to-first-byte on a large
 //! report no longer pays the full render. HTTP/1.0 clients (and conditional
 //! GETs, which need the whole body for the `ETag`) keep the buffered path.
@@ -40,8 +40,9 @@ pub const CGI_PREFIX: &str = "/cgi-bin/db2www";
 /// `?format=prometheus`.
 pub const STATS_PATH: &str = "/stats";
 
-/// Worker-pool, connection, and socket limits.
-#[derive(Debug, Clone)]
+/// Worker-pool, connection, and socket limits. The variables named below are
+/// read by [`crate::Config`]; the other fields are set in code.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads serving requests (`DBGW_WORKERS`).
     pub workers: usize,
@@ -59,15 +60,14 @@ pub struct ServerConfig {
     /// How long an idle keep-alive connection may stay parked before the
     /// server closes it (`DBGW_KEEPALIVE_MS`).
     pub keepalive: Duration,
-    /// Requests served on one connection before it is closed
-    /// (`DBGW_MAX_REQUESTS`).
+    /// Requests served on one connection before it is closed.
     pub max_requests: u64,
     /// Open-connection cap (`DBGW_MAX_CONNS`); connections beyond it are
     /// refused with 503 at accept time.
     pub max_conns: usize,
     /// Bytes of rendered page buffered before a CGI response commits to
-    /// chunked streaming (`DBGW_STREAM_WATERMARK`). Pages that finish under
-    /// the watermark are sent with `Content-Length` as before.
+    /// chunked streaming. Pages that finish under the watermark are sent
+    /// with `Content-Length` as before.
     pub stream_watermark: usize,
 }
 
@@ -85,41 +85,6 @@ impl Default for ServerConfig {
             stream_watermark: 16 * 1024,
         }
     }
-}
-
-impl ServerConfig {
-    /// Defaults overridden by `DBGW_WORKERS`, `DBGW_QUEUE`, `DBGW_MAX_BODY`,
-    /// `DBGW_KEEPALIVE_MS`, `DBGW_MAX_REQUESTS`, `DBGW_MAX_CONNS`, and
-    /// `DBGW_STREAM_WATERMARK`.
-    pub fn from_env() -> ServerConfig {
-        let mut config = ServerConfig::default();
-        if let Some(n) = env_usize("DBGW_WORKERS") {
-            config.workers = n.max(1);
-        }
-        if let Some(n) = env_usize("DBGW_QUEUE") {
-            config.queue = n.max(1);
-        }
-        if let Some(n) = env_usize("DBGW_MAX_BODY") {
-            config.max_body = n;
-        }
-        if let Some(ms) = env_usize("DBGW_KEEPALIVE_MS") {
-            config.keepalive = Duration::from_millis(ms as u64);
-        }
-        if let Some(n) = env_usize("DBGW_MAX_REQUESTS") {
-            config.max_requests = (n as u64).max(1);
-        }
-        if let Some(n) = env_usize("DBGW_MAX_CONNS") {
-            config.max_conns = n.max(1);
-        }
-        if let Some(n) = env_usize("DBGW_STREAM_WATERMARK") {
-            config.stream_watermark = n.max(1);
-        }
-        config
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// A running server.
@@ -149,9 +114,9 @@ pub(crate) struct ServerInner {
 
 impl HttpServer {
     /// Bind to `127.0.0.1:port` (0 picks a free port) and start accepting,
-    /// with the pool configuration from the environment.
+    /// with the default pool configuration.
     pub fn start(gateway: Gateway, port: u16) -> std::io::Result<HttpServer> {
-        HttpServer::start_with_config(gateway, port, ServerConfig::from_env())
+        HttpServer::start_with_config(gateway, port, ServerConfig::default())
     }
 
     /// Bind and start with an explicit pool configuration.
@@ -355,17 +320,6 @@ fn peer_ip(stream: &TcpStream) -> String {
         .unwrap_or_else(|_| "-".into())
 }
 
-/// How the CGI path answered (local to [`serve_request`]; exists so the
-/// streaming sink's borrow of the connection ends before the buffered write).
-enum CgiOutcome {
-    Full(CgiResponse),
-    Streamed {
-        failed: bool,
-        finished: bool,
-        bytes: usize,
-    },
-}
-
 /// Serve one request on `conn`. Returns whether the connection may be kept
 /// alive for another request.
 fn serve_request(inner: &ServerInner, conn: &mut Conn, req: HttpRequest) -> bool {
@@ -376,31 +330,14 @@ fn serve_request(inner: &ServerInner, conn: &mut Conn, req: HttpRequest) -> bool
         && conn.served + 1 < inner.config.max_requests
         && !inner.stop.load(Ordering::SeqCst);
     let streamable = req.version == Version::H11;
-    match route(inner, req) {
+    // Either a complete response still to send, or — once the CGI path has
+    // streamed the body itself — nothing but the log line.
+    let (response, user, realm) = match route(inner, req) {
         Routed::Done {
             response,
             user,
             realm,
-        } => {
-            let sent = write_response_timed(
-                &mut conn.stream,
-                &response,
-                realm.as_deref(),
-                None,
-                wants_keep,
-                started,
-            )
-            .is_ok();
-            inner.log.record(LogEntry {
-                remote,
-                user,
-                timestamp: 0,
-                request_line,
-                status: response.status,
-                bytes: response.body.len(),
-            });
-            wants_keep && sent
-        }
+        } => (response, user, realm),
         Routed::Cgi { cgi, user } => {
             // The request context is created here, at the HTTP edge, so the
             // deadline covers the whole request.
@@ -413,62 +350,47 @@ fn serve_request(inner: &ServerInner, conn: &mut Conn, req: HttpRequest) -> bool
             } else {
                 inner.config.stream_watermark
             };
-            let outcome = {
-                let mut sink =
-                    ResponseSink::new(&mut conn.stream, &ctx, watermark, wants_keep, started);
-                match inner.gateway.handle_streaming(&cgi, &ctx, &mut sink) {
-                    Handled::Full(response) => CgiOutcome::Full(response),
-                    Handled::Streamed { failed } => {
-                        let finished = sink.finish().is_ok();
-                        CgiOutcome::Streamed {
-                            failed,
-                            finished,
-                            bytes: sink.bytes_out(),
-                        }
-                    }
-                }
-            };
-            match outcome {
-                CgiOutcome::Full(response) => {
-                    let sent = write_response_timed(
-                        &mut conn.stream,
-                        &response,
-                        None,
-                        None,
-                        wants_keep,
-                        started,
-                    )
-                    .is_ok();
-                    inner.log.record(LogEntry {
-                        remote,
-                        user,
-                        timestamp: 0,
-                        request_line,
-                        status: response.status,
-                        bytes: response.body.len(),
-                    });
-                    wants_keep && sent
-                }
-                CgiOutcome::Streamed {
-                    failed,
-                    finished,
-                    bytes,
-                } => {
+            let mut sink =
+                ResponseSink::new(&mut conn.stream, &ctx, watermark, wants_keep, started);
+            match inner.gateway.handle_streaming(&cgi, &ctx, &mut sink) {
+                Handled::Full(response) => (response, user, None),
+                Handled::Streamed { failed } => {
+                    let finished = sink.finish().is_ok();
                     inner.log.record(LogEntry {
                         remote,
                         user,
                         timestamp: 0,
                         request_line,
                         status: 200,
-                        bytes,
+                        bytes: sink.bytes_out(),
                     });
                     // A truncated stream must not be reused: the client would
                     // misparse the next response as the tail of this one.
-                    wants_keep && finished && !failed
+                    return wants_keep && finished && !failed;
                 }
             }
         }
-    }
+    };
+    dbgw_obs::metrics()
+        .ttfb_ns
+        .observe_ns(started.elapsed().as_nanos() as u64);
+    let sent = write_response(
+        &mut conn.stream,
+        &response,
+        realm.as_deref(),
+        None,
+        wants_keep,
+    )
+    .is_ok();
+    inner.log.record(LogEntry {
+        remote,
+        user,
+        timestamp: 0,
+        request_line,
+        status: response.status,
+        bytes: response.body.len(),
+    });
+    wants_keep && sent
 }
 
 /// The protocol version of a request.
@@ -776,6 +698,7 @@ fn stats_response(inner: &ServerInner, query: &str) -> CgiResponse {
     push_digest_table(&mut body);
     push_series_section(&mut body, &points, inner.gateway.sampler().interval_ms());
     push_slo_section(&mut body, &slo);
+    push_config_section(&mut body, inner.gateway.boot_config());
     let codes = m.sqlcode_errors.snapshot();
     if !codes.is_empty() {
         body.push_str("<H2>SQLCODEs</H2>\n<TABLE BORDER=1>\n");
@@ -923,6 +846,24 @@ fn push_slo_section(body: &mut String, slo: &dbgw_obs::slo::SloReport) {
     body.push_str("</TABLE>\n");
 }
 
+/// The configuration the process booted with: every accepted `DBGW_*` name,
+/// its effective value, and whether the environment set it.
+fn push_config_section(body: &mut String, config: Option<&crate::Config>) {
+    let Some(config) = config else { return };
+    body.push_str(
+        "<H2>Configuration</H2>\n<TABLE BORDER=1>\n\
+         <TR><TH>variable</TH><TH>value</TH><TH>origin</TH></TR>\n",
+    );
+    for (name, value, set) in config.settings() {
+        body.push_str(&format!(
+            "<TR><TD>{name}</TD><TD>{}</TD><TD>{}</TD></TR>\n",
+            dbgw_html::escape_text(&value),
+            if set { "set" } else { "default" }
+        ));
+    }
+    body.push_str("</TABLE>\n");
+}
+
 /// How a response body is framed on the wire.
 pub(crate) enum Framing {
     /// `Content-Length: n` — the complete-body path.
@@ -1013,21 +954,6 @@ pub(crate) fn write_response(
     wire.extend_from_slice(resp.body.as_bytes());
     stream.write_all(&wire)?;
     stream.flush()
-}
-
-/// [`write_response`] plus the time-to-first-byte observation.
-fn write_response_timed(
-    stream: &mut TcpStream,
-    resp: &CgiResponse,
-    challenge_realm: Option<&str>,
-    retry_after: Option<u64>,
-    keep_alive: bool,
-    started: Instant,
-) -> std::io::Result<()> {
-    dbgw_obs::metrics()
-        .ttfb_ns
-        .observe_ns(started.elapsed().as_nanos() as u64);
-    write_response(stream, resp, challenge_realm, retry_after, keep_alive)
 }
 
 /// The streaming response writer: a [`PageSink`] over the connection.
@@ -1256,18 +1182,6 @@ mod tests {
         let raw = client.raw(&req).unwrap();
         assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
         server.shutdown();
-    }
-
-    #[test]
-    fn config_from_env_defaults() {
-        let config = ServerConfig::default();
-        assert_eq!(config.workers, 4);
-        assert_eq!(config.queue, 64);
-        assert_eq!(config.max_body, 1 << 20);
-        assert_eq!(config.keepalive, Duration::from_secs(5));
-        assert_eq!(config.max_requests, 1000);
-        assert_eq!(config.max_conns, 10_000);
-        assert_eq!(config.stream_watermark, 16 * 1024);
     }
 
     #[test]

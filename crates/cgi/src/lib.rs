@@ -6,6 +6,7 @@
 //! * [`query`] — `QUERY_STRING` multimap parsing (§2.2/§2.3 of the paper),
 //! * [`request`] — the CGI request/response boundary (Figure 4),
 //! * [`bridge`] — the [`minisql`] adapter behind [`dbgw_core::Database`],
+//! * [`config`] — every `DBGW_*` variable, parsed and validated once at boot,
 //! * [`gateway`] — the `db2www` program: macro store + dispatch (§4),
 //! * [`http`] — an evented HTTP/1.1 server standing in for httpd: epoll
 //!   keep-alive multiplexing, pipelining, and chunked streaming of reports,
@@ -17,6 +18,7 @@
 pub mod auth;
 pub mod bridge;
 pub mod client;
+pub mod config;
 mod evloop;
 pub mod gateway;
 pub mod http;
@@ -34,6 +36,7 @@ pub use dbgw_sync as sync;
 pub use auth::{base64_decode, base64_encode, AuthDecision, BasicAuth};
 pub use bridge::MiniSqlDatabase;
 pub use client::{FormFill, HttpClient, HttpConnection};
+pub use config::Config;
 pub use gateway::{
     trace_comment, BodySink, ConnectionSource, FnSource, Gateway, Handled, TraceOptions,
     REQUEST_ID_VAR,

@@ -10,7 +10,12 @@
 use crate::sync::Mutex;
 use dbgw_obs::clock::format_clf;
 use dbgw_obs::{SystemWallClock, WallClock};
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Entries the access log keeps: the most recent ones, so a long-running
+/// server's log costs a fixed amount of memory.
+pub const ACCESS_LOG_CAPACITY: usize = 1024;
 
 /// One logged request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,10 +52,11 @@ impl LogEntry {
     }
 }
 
-/// A shared, thread-safe access log.
+/// A shared, thread-safe access log: a ring of the last
+/// [`ACCESS_LOG_CAPACITY`] requests.
 #[derive(Clone)]
 pub struct AccessLog {
-    entries: Arc<Mutex<Vec<LogEntry>>>,
+    entries: Arc<Mutex<VecDeque<LogEntry>>>,
     clock: Arc<dyn WallClock>,
 }
 
@@ -78,23 +84,27 @@ impl AccessLog {
     /// [`dbgw_obs::TestWallClock`] for deterministic timestamps).
     pub fn with_clock(clock: Arc<dyn WallClock>) -> AccessLog {
         AccessLog {
-            entries: Arc::new(Mutex::new(Vec::new())),
+            entries: Arc::new(Mutex::new(VecDeque::new())),
             clock,
         }
     }
 
-    /// Record one request, stamping it with the log's clock.
+    /// Record one request, stamping it with the log's clock; once the ring
+    /// is full the oldest entry makes room.
     pub fn record(&self, mut entry: LogEntry) {
         entry.timestamp = self.clock.epoch_secs();
-        self.entries.lock().push(entry);
+        let mut entries = self.entries.lock();
+        let _evicted = (entries.len() == ACCESS_LOG_CAPACITY).then(|| entries.pop_front());
+        entries.push_back(entry);
+        drop(entries); // the evicted entry's strings are freed outside the lock
     }
 
-    /// Snapshot of all entries.
+    /// Snapshot of the entries the ring holds, oldest first.
     pub fn entries(&self) -> Vec<LogEntry> {
-        self.entries.lock().clone()
+        self.entries.lock().iter().cloned().collect()
     }
 
-    /// Number of recorded requests.
+    /// Number of entries the ring holds.
     pub fn len(&self) -> usize {
         self.entries.lock().len()
     }
@@ -249,6 +259,18 @@ mod tests {
         assert_eq!(log.len(), 1);
         log.clear();
         assert!(clone.is_empty());
+    }
+
+    #[test]
+    fn ring_keeps_only_the_most_recent_entries() {
+        let log = AccessLog::with_clock(Arc::new(TestWallClock::at(0)));
+        for bytes in 0..ACCESS_LOG_CAPACITY + 5 {
+            log.record(LogEntry { bytes, ..entry() });
+        }
+        assert_eq!(log.len(), ACCESS_LOG_CAPACITY);
+        let held: Vec<usize> = log.entries().iter().map(|e| e.bytes).collect();
+        let expected: Vec<usize> = (5..ACCESS_LOG_CAPACITY + 5).collect();
+        assert_eq!(held, expected, "the oldest 5 are gone, order kept");
     }
 
     #[test]

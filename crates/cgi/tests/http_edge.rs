@@ -6,9 +6,7 @@
 //! assertion on counters is a before/after delta with `>=`, never equality.
 
 use dbgw_cgi::client::{decode_chunked, encode_chunked, ChunkStatus};
-use dbgw_cgi::{
-    FnSource, Gateway, HttpClient, HttpConnection, HttpServer, ServerConfig, TraceOptions,
-};
+use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpConnection, HttpServer, ServerConfig};
 use dbgw_core::db::{Database, DbRows, FnDatabase};
 use dbgw_testkit::gen::{bytes, vec_of};
 use dbgw_testkit::{prop_assert, prop_assert_eq, props};
@@ -24,7 +22,7 @@ fn minisql_gateway() -> Gateway {
                                   ('http://www.eso.org', 'ESO');",
     )
     .unwrap();
-    let gw = Gateway::new(db).with_trace(TraceOptions::disabled());
+    let gw = Gateway::new(db);
     gw.add_macro(
         "q.d2w",
         "%SQL{ SELECT url, title FROM urldb ORDER BY title %}\n\
@@ -48,7 +46,6 @@ fn big_report_gateway(rows: usize) -> Gateway {
             })
         })) as Box<dyn Database + Send>
     }))
-    .with_trace(TraceOptions::disabled())
     .with_http_cache(true);
     gw.add_macro(
         "big.d2w",

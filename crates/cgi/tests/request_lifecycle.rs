@@ -4,7 +4,7 @@
 //! The process-wide metrics registry is shared across tests, so every
 //! assertion on counters is a before/after delta with `>=`, never equality.
 
-use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpServer, ServerConfig, TraceOptions};
+use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpServer, ServerConfig};
 use dbgw_core::db::{Database, DbRows, FnDatabase};
 use dbgw_obs::TestClock;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +19,7 @@ fn minisql_gateway() -> Gateway {
                                   ('http://www.eso.org', 'ESO');",
     )
     .unwrap();
-    let gw = Gateway::new(db).with_trace(TraceOptions::disabled());
+    let gw = Gateway::new(db);
     gw.add_macro(
         "q.d2w",
         "%SQL{ SELECT url, title FROM urldb ORDER BY title %}\n\
@@ -81,8 +81,7 @@ fn blocking_gateway(blocker: Arc<Blocker>) -> Gateway {
                 affected: 0,
             })
         })) as Box<dyn Database + Send>
-    }))
-    .with_trace(TraceOptions::disabled());
+    }));
     gw.add_macro("slow.d2w", "%SQL{ SLOW %}\n%HTML_REPORT{ok %EXEC_SQL%}")
         .unwrap();
     gw
@@ -245,7 +244,6 @@ fn deadline_expiry_returns_timeout_page_deterministically() {
             })
         })) as Box<dyn Database + Send>
     }))
-    .with_trace(TraceOptions::disabled())
     .with_clock(clock)
     .with_deadline_ms(Some(20));
     gw.add_macro("slow.d2w", "%SQL{ SLOW %}\n%HTML_REPORT{%EXEC_SQL%}")

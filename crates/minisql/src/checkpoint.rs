@@ -30,7 +30,7 @@
 //! the checkpoint keeps addressing the same rows.
 //!
 //! A background daemon (spawned by [`Database::open`]) checkpoints whenever
-//! the log exceeds `DBGW_CHECKPOINT_BYTES`; [`Database::checkpoint_now`]
+//! the log exceeds [`crate::wal::DurabilityConfig::checkpoint_bytes`]; [`Database::checkpoint_now`]
 //! forces one.
 //!
 //! [`RowId`]: crate::storage::RowId

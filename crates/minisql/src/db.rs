@@ -293,7 +293,7 @@ impl DbCore {
 pub struct Database {
     core: Arc<DbCore>,
     /// Statement + result caches shared by every connection; `None` when
-    /// the subsystem is disabled (`DBGW_CACHE=0`).
+    /// the subsystem is disabled ([`CacheConfig::enabled`] false).
     caches: Option<Arc<DbCaches>>,
 }
 
@@ -304,13 +304,9 @@ impl Default for Database {
 }
 
 impl Database {
-    /// Create an empty database, with caching configured from the
-    /// `DBGW_CACHE*` environment variables (enabled by default).
+    /// Create an empty database with the default cache configuration.
     pub fn new() -> Database {
-        Database::with_cache_config(
-            &CacheConfig::from_env(),
-            Arc::new(dbgw_obs::StdClock::new()),
-        )
+        Database::with_cache_config(&CacheConfig::default(), Arc::new(dbgw_obs::StdClock::new()))
     }
 
     /// Create an empty database with an explicit cache configuration and
@@ -335,20 +331,18 @@ impl Database {
     /// Open a **durable** database rooted at `dir` (created if absent):
     /// recover the state from `dir/wal.log` (truncating any torn tail),
     /// then arrange for every subsequent committed statement to be logged
-    /// and fsynced before it is published. Durability knobs (`DBGW_FSYNC`,
-    /// `DBGW_GROUP_COMMIT_US`, `DBGW_CHECKPOINT_BYTES`) and the cache
-    /// configuration are read from the environment.
+    /// and fsynced before it is published, under the default durability
+    /// and cache configuration.
     pub fn open(dir: impl AsRef<Path>) -> SqlResult<Database> {
         Database::open_with_config(
             dir,
-            &DurabilityConfig::from_env(),
-            &CacheConfig::from_env(),
+            &DurabilityConfig::default(),
+            &CacheConfig::default(),
             Arc::new(dbgw_obs::StdClock::new()),
         )
     }
 
-    /// [`Database::open`] with explicit durability/cache configuration
-    /// (tests pin knobs without touching the environment).
+    /// [`Database::open`] with explicit durability/cache configuration.
     pub fn open_with_config(
         dir: impl AsRef<Path>,
         durability: &DurabilityConfig,
@@ -392,18 +386,8 @@ impl Database {
         })
     }
 
-    /// Open from `DBGW_DATA_DIR` when it is set and non-empty; otherwise a
-    /// plain in-memory [`Database::new`]. The one-line boot path for the
-    /// gateway binaries and examples.
-    pub fn open_from_env() -> SqlResult<Database> {
-        match std::env::var("DBGW_DATA_DIR") {
-            Ok(dir) if !dir.trim().is_empty() => Database::open(dir.trim()),
-            _ => Ok(Database::new()),
-        }
-    }
-
     /// Rewrite the log as a base snapshot right now (the background daemon
-    /// does this automatically past `DBGW_CHECKPOINT_BYTES`). No-op for
+    /// does this automatically past `checkpoint_bytes`). No-op for
     /// in-memory databases.
     pub fn checkpoint_now(&self) -> SqlResult<()> {
         crate::checkpoint::checkpoint_now(&self.core)
@@ -535,7 +519,7 @@ impl Connection {
     /// additionally go through the table-version-validated result cache.
     ///
     /// Every statement is also folded into the process-wide query digest
-    /// table (unless `DBGW_DIGESTS=0`): latency on this connection's request
+    /// table (unless recording is switched off): latency on this connection's request
     /// clock, rows returned and scanned, errors, result-cache outcome, and
     /// latch wait, keyed by the literal-masked statement shape.
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> SqlResult<ExecResult> {

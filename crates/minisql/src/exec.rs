@@ -75,7 +75,7 @@ pub fn run_select(
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<ResultSet> {
-    run_select_with_options(state, sel, params, ctx, &PlanOptions::from_env())
+    run_select_with_options(state, sel, params, ctx, &PlanOptions::default())
 }
 
 /// Like [`run_select`], but with explicit [`PlanOptions`] — benches and the
@@ -223,6 +223,27 @@ fn dedup_rows(rows: &mut Vec<Row>) {
     });
 }
 
+/// The one prepare step behind both execution and EXPLAIN, so the join order
+/// EXPLAIN prints is the order that runs: cost-based join reordering on the
+/// original AST (the SELECT comes back owned when the order changed), then
+/// the FROM-clause scope (unknown tables error here). Both callers hand the
+/// pair to [`plan::plan_select`].
+fn prepare<'a>(
+    state: &DbState,
+    sel: &'a Select,
+    params: &[Value],
+    opts: &PlanOptions,
+) -> SqlResult<(Cow<'a, Select>, Bindings)> {
+    let reordered = if opts.reorder {
+        crate::cost::reorder_select(state, sel, params)
+    } else {
+        None
+    };
+    let sel = reordered.map_or(Cow::Borrowed(sel), Cow::Owned);
+    let bindings = full_bindings(state, &sel)?;
+    Ok((sel, bindings))
+}
+
 fn run_single(
     state: &DbState,
     sel: &Select,
@@ -234,54 +255,37 @@ fn run_single(
     // One EXPLAIN ANALYZE block; subqueries re-entering run_single nest to
     // depth ≥ 2 and are excluded from the outer block's actuals.
     let _analyze_block = analyze::enter_block();
-    // Cost-based join reordering first, on the original AST: EXPLAIN applies
-    // the identical rewrite to the identical AST, so the order it prints is
-    // the order that runs.
-    let reordered;
-    let sel = if opts.reorder {
-        match crate::cost::reorder_select(state, sel, params) {
-            Some(r) => {
-                dbgw_obs::metrics().join_reorders.inc();
-                reordered = r;
-                &reordered
-            }
-            None => sel,
-        }
-    } else {
-        sel
-    };
+    let (mut sel, bindings) = prepare(state, sel, params, opts)?;
+    if matches!(sel, Cow::Owned(_)) {
+        dbgw_obs::metrics().join_reorders.inc();
+    }
     // Pre-execute any (uncorrelated) subqueries, replacing them with literal
-    // lists/values, so the scalar evaluator never needs database access.
-    let rewritten;
-    let sel = if select_has_subqueries(sel) {
-        rewritten = rewrite_select_subqueries(state, sel, params, ctx)?;
-        &rewritten
-    } else {
-        sel
-    };
+    // lists/values, so the scalar evaluator never needs database access. The
+    // rewrite leaves FROM and JOIN tables alone, so the scope still holds.
+    if select_has_subqueries(&sel) {
+        sel = Cow::Owned(rewrite_select_subqueries(state, &sel, params, ctx)?);
+    }
+    let (sel, bindings) = (&*sel, &bindings);
 
-    // 1. Resolve the FROM-clause scope (unknown tables error here).
-    let bindings = full_bindings(state, sel)?;
-
-    // 1b. Bind-time column validation: unknown columns must error even when
+    // 1. Bind-time column validation: unknown columns must error even when
     // the table is empty (DB2 validated names at PREPARE).
     for item in &sel.items {
         if let SelectItem::Expr { expr, .. } = item {
-            validate_columns(expr, &bindings)?;
+            validate_columns(expr, bindings)?;
         }
     }
     if let Some(w) = &sel.where_clause {
-        validate_columns(w, &bindings)?;
+        validate_columns(w, bindings)?;
     }
     for g in &sel.group_by {
-        validate_columns(g, &bindings)?;
+        validate_columns(g, bindings)?;
     }
     if let Some(h) = &sel.having {
-        validate_columns(h, &bindings)?;
+        validate_columns(h, bindings)?;
     }
 
     // 2. Plan, then scan + join accordingly.
-    let sel_plan = plan::plan_select(sel, &bindings, opts);
+    let sel_plan = plan::plan_select(sel, bindings, opts);
     if dbgw_obs::trace::trace_active() {
         dbgw_obs::trace::note("plan", plan_note(state, sel, &sel_plan, params, opts));
     }
@@ -300,7 +304,7 @@ fn run_single(
             if i % CANCEL_STRIDE == 0 {
                 check_cancel(ctx)?;
             }
-            if passes_all(&sel_plan.residual, &bindings, &row, params)? {
+            if passes_all(&sel_plan.residual, bindings, &row, params)? {
                 kept.push(row);
             }
         }
@@ -319,9 +323,9 @@ fn run_single(
         || sel.order_by.iter().any(|k| k.expr.contains_aggregate());
 
     if grouped {
-        run_grouped(sel, &bindings, rows, params, ctx, sel_plan.topk)
+        run_grouped(sel, bindings, rows, params, ctx, sel_plan.topk)
     } else {
-        run_plain(sel, &bindings, rows, params, ctx, sel_plan.topk)
+        run_plain(sel, bindings, rows, params, ctx, sel_plan.topk)
     }
 }
 
@@ -2051,7 +2055,7 @@ pub fn explain_select(state: &DbState, sel: &Select, params: &[Value]) -> SqlRes
         params,
         0,
         &mut lines,
-        &PlanOptions::from_env(),
+        &PlanOptions::default(),
         None,
     )?;
     Ok(lines)
@@ -2067,7 +2071,7 @@ pub fn explain_analyze_select(
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<String>> {
-    let opts = PlanOptions::from_env();
+    let opts = PlanOptions::default();
     let clock = std::sync::Arc::clone(ctx.clock());
     let t0 = clock.now_ns();
     let (result, actuals) = analyze::collect(std::sync::Arc::clone(&clock), || {
@@ -2133,22 +2137,10 @@ fn explain_into(
         }
         return Ok(());
     }
-    // Apply the identical cost-based rewrite the executor applies, so the
-    // join order EXPLAIN prints is the join order that runs — and annotate
-    // scan/join lines with the cost model's row estimates (`est rows`),
-    // which EXPLAIN ANALYZE pairs with the measured `actual rows`.
-    let reordered;
-    let sel = if opts.reorder {
-        match crate::cost::reorder_select(state, sel, params) {
-            Some(r) => {
-                reordered = r;
-                &reordered
-            }
-            None => sel,
-        }
-    } else {
-        sel
-    };
+    let (sel, bindings) = prepare(state, sel, params, opts)?;
+    let sel = &*sel;
+    // Annotate scan/join lines with the cost model's row estimates (`est
+    // rows`), which EXPLAIN ANALYZE pairs with the measured `actual rows`.
     let est = crate::cost::estimate_steps(state, sel, params);
     let est_note = |step: usize| -> String {
         match est.as_ref().and_then(|v| v.get(step)) {
@@ -2156,7 +2148,6 @@ fn explain_into(
             None => String::new(),
         }
     };
-    let bindings = full_bindings(state, sel)?;
     let sel_plan = plan::plan_select(sel, &bindings, opts);
     match &sel.from {
         None => lines.push(format!("{pad}VALUES (table-less SELECT)")),
@@ -2849,7 +2840,7 @@ mod tests {
             "SELECT c.name, o.price FROM customers c JOIN orders o \
              ON c.custid = o.custid AND o.price > 20",
         ] {
-            let fast = q_opts(&st, sql, &PlanOptions::all());
+            let fast = q_opts(&st, sql, &PlanOptions::default());
             let slow = q_opts(&st, sql, &PlanOptions::baseline());
             assert_eq!(fast, slow, "plans diverge for {sql}");
         }
@@ -2861,7 +2852,7 @@ mod tests {
         let sql = "SELECT c.name, o.product_name FROM customers c \
                    LEFT JOIN orders o ON c.custid = o.custid \
                    WHERE o.product_name IS NULL ORDER BY 1";
-        let fast = q_opts(&st, sql, &PlanOptions::all());
+        let fast = q_opts(&st, sql, &PlanOptions::default());
         let slow = q_opts(&st, sql, &PlanOptions::baseline());
         assert_eq!(fast, slow);
         // NULL custid and unmatched 10900 both appear padded; no NULL=NULL match.
@@ -2881,7 +2872,7 @@ mod tests {
         q_opts(
             &st,
             "SELECT c.name FROM customers c JOIN orders o ON c.custid = o.custid",
-            &PlanOptions::all(),
+            &PlanOptions::default(),
         );
         assert!(dbgw_obs::metrics().join_hash.get() > before);
     }
@@ -2895,7 +2886,7 @@ mod tests {
                    JOIN customers c ON o.custid = c.custid \
                    WHERE o.custid = 10100 ORDER BY 1";
         plan::reset_thread_stats();
-        let fast = q_opts(&st, sql, &PlanOptions::all());
+        let fast = q_opts(&st, sql, &PlanOptions::default());
         let probed = plan::thread_stats().rows_scanned;
         plan::reset_thread_stats();
         let slow = q_opts(&st, sql, &PlanOptions::baseline());
@@ -2919,7 +2910,7 @@ mod tests {
             "SELECT product_name FROM orders ORDER BY custid, 1 LIMIT 3 OFFSET 1",
             "SELECT product_name FROM orders ORDER BY 1 LIMIT 10", // k > n
         ] {
-            let fast = q_opts(&st, sql, &PlanOptions::all());
+            let fast = q_opts(&st, sql, &PlanOptions::default());
             let slow = q_opts(&st, sql, &PlanOptions::baseline());
             assert_eq!(fast, slow, "top-k diverges for {sql}");
         }
@@ -2933,7 +2924,7 @@ mod tests {
         let fast = q_opts(
             &st,
             "SELECT product_name FROM orders ORDER BY custid LIMIT 3",
-            &PlanOptions::all(),
+            &PlanOptions::default(),
         );
         let slow = q_opts(
             &st,
@@ -2964,7 +2955,7 @@ mod tests {
             "SELECT * FROM customers c LEFT JOIN orders o ON c.custid = o.custid",
             "SELECT * FROM orders o LEFT JOIN customers c ON o.custid = c.custid",
         ] {
-            let fast = q_opts(&st, sql, &PlanOptions::all());
+            let fast = q_opts(&st, sql, &PlanOptions::default());
             let slow = q_opts(&st, sql, &PlanOptions::baseline());
             assert_eq!(fast, slow, "empty-side diverges for {sql}");
         }
@@ -2981,7 +2972,7 @@ mod tests {
         .unwrap();
         let sql = "SELECT c.name, o.product_name FROM customers c \
                    JOIN orders o ON c.custid = o.custid ORDER BY 1, 2";
-        let fast = q_opts(&st, sql, &PlanOptions::all());
+        let fast = q_opts(&st, sql, &PlanOptions::default());
         let slow = q_opts(&st, sql, &PlanOptions::baseline());
         assert_eq!(fast, slow);
         assert!(fast.rows.iter().any(|r| r[0] == Value::Text("Dot".into())));

@@ -29,11 +29,11 @@ use crate::ast::{BinOp, Expr, Select};
 use crate::eval::Bindings;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 /// Which optimizations the executor may use for one SELECT.
 ///
-/// The default enables everything; [`PlanOptions::baseline`] disables
+/// The default enables everything (the production configuration);
+/// [`PlanOptions::baseline`] disables
 /// everything, reproducing the naive pre-planner executor (full scans,
 /// nested-loop joins, full sorts). Benches and the equivalence property
 /// suite run the same query under both and compare.
@@ -64,11 +64,6 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// Everything on (the production configuration).
-    pub fn all() -> PlanOptions {
-        PlanOptions::default()
-    }
-
     /// Everything off: full scans, nested-loop joins, full sorts. This is
     /// the reference executor the optimized plans are checked against.
     pub fn baseline() -> PlanOptions {
@@ -79,29 +74,6 @@ impl PlanOptions {
             topk: false,
             reorder: false,
         }
-    }
-
-    /// The process-wide options, read once from the environment: set
-    /// `DBGW_HASH_JOIN`, `DBGW_PUSHDOWN`, `DBGW_INDEX_PATHS`, `DBGW_TOPK` or
-    /// `DBGW_REORDER` to `0`/`off`/`false` to disable an optimization for
-    /// A/B comparison.
-    pub fn from_env() -> PlanOptions {
-        static OPTS: OnceLock<PlanOptions> = OnceLock::new();
-        *OPTS.get_or_init(|| {
-            let on = |var: &str| {
-                !matches!(
-                    std::env::var(var).as_deref(),
-                    Ok("0") | Ok("off") | Ok("false")
-                )
-            };
-            PlanOptions {
-                hash_join: on("DBGW_HASH_JOIN"),
-                pushdown: on("DBGW_PUSHDOWN"),
-                index_paths: on("DBGW_INDEX_PATHS"),
-                topk: on("DBGW_TOPK"),
-                reorder: on("DBGW_REORDER"),
-            }
-        })
     }
 }
 
@@ -527,7 +499,7 @@ mod tests {
             "SELECT * FROM a JOIN b ON a.x = b.x AND b.z > 2 AND a.y < 9 \
              WHERE a.y = 1 AND b.z < 100 AND a.x + b.z = 5",
         );
-        let plan = plan_select(&sel, &b, &PlanOptions::all());
+        let plan = plan_select(&sel, &b, &PlanOptions::default());
         assert_eq!(plan.joins[0].keys.len(), 1);
         assert!(plan.joins[0].use_hash);
         assert_eq!(plan.joins[0].scan.filters.len(), 2); // b.z > 2, b.z < 100
@@ -542,7 +514,7 @@ mod tests {
     fn left_outer_blocks_pushdown_of_nullable_side() {
         let b = two_table_bindings();
         let sel = select("SELECT * FROM a LEFT JOIN b ON a.x = b.x AND a.y = 1 WHERE b.z IS NULL");
-        let plan = plan_select(&sel, &b, &PlanOptions::all());
+        let plan = plan_select(&sel, &b, &PlanOptions::default());
         // The WHERE predicate over the nullable side becomes a post-filter.
         assert!(plan.joins[0].scan.filters.is_empty());
         assert_eq!(plan.joins[0].post_filters.len(), 1);
@@ -568,7 +540,7 @@ mod tests {
     fn where_equi_conjunct_becomes_hash_key_for_inner_join() {
         let b = two_table_bindings();
         let sel = select("SELECT * FROM a JOIN b WHERE a.x = b.x");
-        let plan = plan_select(&sel, &b, &PlanOptions::all());
+        let plan = plan_select(&sel, &b, &PlanOptions::default());
         assert!(plan.joins[0].use_hash);
         assert_eq!(plan.joins[0].keys.len(), 1);
         assert!(plan.residual.is_empty());
@@ -578,7 +550,7 @@ mod tests {
     fn topk_bound_includes_offset() {
         let b = Bindings::single("a", vec!["x".into()]);
         let sel = select("SELECT x FROM a ORDER BY x LIMIT 10 OFFSET 5");
-        let plan = plan_select(&sel, &b, &PlanOptions::all());
+        let plan = plan_select(&sel, &b, &PlanOptions::default());
         assert_eq!(plan.topk, Some(15));
         let plan = plan_select(&sel, &b, &PlanOptions::baseline());
         assert_eq!(plan.topk, None);

@@ -30,7 +30,7 @@ pub struct TableData {
     /// Names (lowercased) of indexes over this table.
     pub index_names: Vec<String>,
     /// Planner statistics (see [`crate::stats`]); `None` until the first
-    /// write builds them, or always when `DBGW_STATS=0`.
+    /// write builds them.
     pub stats: Option<TableStats>,
 }
 
@@ -38,11 +38,8 @@ impl TableData {
     /// Fold one successful row mutation into the table's statistics: update
     /// incrementally while fresh, rebuild from the heap once the write
     /// threshold has passed (the mutated row is already in/out of the heap
-    /// when this runs, so a rebuild sees it). Disabled stats stay `None`.
+    /// when this runs, so a rebuild sees it).
     fn stats_note(&mut self, row: &Row, inserted: bool) {
-        if !crate::stats::config().enabled {
-            return;
-        }
         match self.stats.as_mut() {
             Some(s) if !s.stale() => {
                 if inserted {
@@ -57,9 +54,6 @@ impl TableData {
 
     /// Rebuild this table's statistics from its heap in one pass.
     pub fn rebuild_stats(&mut self) {
-        if !crate::stats::config().enabled {
-            return;
-        }
         self.stats = Some(TableStats::build(&self.schema, &self.heap));
         dbgw_obs::metrics().stats_refreshes.inc();
     }
@@ -281,14 +275,8 @@ impl DbState {
     /// calls this next to [`DbState::rebuild_indexes`] so a reopened
     /// database plans with the same statistics a live one would.
     pub fn rebuild_stats(&mut self) {
-        if !crate::stats::config().enabled {
-            return;
-        }
-        let names: Vec<String> = self.tables.keys().cloned().collect();
-        for name in names {
-            if let Some(t) = self.tables.get_mut(&name) {
-                Arc::make_mut(t).rebuild_stats();
-            }
+        for table in self.tables.values_mut() {
+            Arc::make_mut(table).rebuild_stats();
         }
     }
 

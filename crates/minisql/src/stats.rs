@@ -6,7 +6,7 @@
 //! numeric columns. Statistics are **maintained incrementally** on every
 //! insert/delete (cheap counter and bucket updates) and **rebuilt from the
 //! heap** once the number of writes since the last build passes a threshold
-//! (`DBGW_STATS_REFRESH`, default 256) — incremental maintenance can only
+//! ([`REFRESH_THRESHOLD`]) — incremental maintenance can only
 //! drift (deletes cannot shrink min/max or un-set estimator bits), so the
 //! periodic rebuild bounds the error.
 //!
@@ -27,45 +27,15 @@
 use crate::schema::TableSchema;
 use crate::storage::Heap;
 use crate::types::Value;
-use std::sync::OnceLock;
 
 /// Bits in the per-column distinct estimator (must be a power of two).
 const ESTIMATOR_BITS: usize = 2048;
 
-/// Statistics configuration, read once from the environment.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsConfig {
-    /// Whether statistics are maintained at all (`DBGW_STATS=0` disables).
-    pub enabled: bool,
-    /// Writes since the last build that trigger a full rebuild
-    /// (`DBGW_STATS_REFRESH`, default 256).
-    pub refresh_threshold: u64,
-    /// Equi-width histogram bucket count (`DBGW_STATS_BUCKETS`, default 16).
-    pub buckets: usize,
-}
+/// Writes since the last build that trigger a full rebuild from the heap.
+pub const REFRESH_THRESHOLD: u64 = 256;
 
-/// The process-wide [`StatsConfig`].
-pub fn config() -> &'static StatsConfig {
-    static CONFIG: OnceLock<StatsConfig> = OnceLock::new();
-    CONFIG.get_or_init(|| {
-        let enabled = !matches!(
-            std::env::var("DBGW_STATS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        let parse = |var: &str, default: u64| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
-        };
-        StatsConfig {
-            enabled,
-            refresh_threshold: parse("DBGW_STATS_REFRESH", 256),
-            buckets: parse("DBGW_STATS_BUCKETS", 16) as usize,
-        }
-    })
-}
+/// Equi-width histogram bucket count.
+pub const HISTOGRAM_BUCKETS: usize = 16;
 
 /// Equi-width histogram over a numeric column's `[lo, hi]` range.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,7 +242,7 @@ pub struct TableStats {
     /// Per-column stats, schema order.
     pub columns: Vec<ColumnStats>,
     /// Writes folded in incrementally since the last full build; past
-    /// [`StatsConfig::refresh_threshold`] the owner rebuilds from the heap.
+    /// [`REFRESH_THRESHOLD`] the owner rebuilds from the heap.
     pub writes_since_build: u64,
 }
 
@@ -291,7 +261,6 @@ impl TableStats {
         }
         // Second pass fills equi-width histograms, now that the numeric
         // range of each column is known.
-        let buckets = config().buckets;
         for col in columns.iter_mut() {
             let (Some(lo), Some(hi)) = (
                 col.min.as_ref().and_then(numeric),
@@ -302,7 +271,7 @@ impl TableStats {
             col.histogram = Some(Histogram {
                 lo,
                 hi,
-                buckets: vec![0; buckets],
+                buckets: vec![0; HISTOGRAM_BUCKETS],
             });
         }
         if columns.iter().any(|c| c.histogram.is_some()) {
@@ -343,7 +312,7 @@ impl TableStats {
 
     /// Has incremental drift accumulated past the rebuild threshold?
     pub fn stale(&self) -> bool {
-        self.writes_since_build >= config().refresh_threshold
+        self.writes_since_build >= REFRESH_THRESHOLD
     }
 }
 
@@ -459,7 +428,7 @@ mod tests {
         let heap = heap_with(&[(1, "a")]);
         let mut stats = TableStats::build(&schema(), &heap);
         assert!(!stats.stale());
-        for i in 0..config().refresh_threshold {
+        for i in 0..REFRESH_THRESHOLD {
             stats.note_insert(&[Value::Int(i as i64), Value::Null]);
         }
         assert!(stats.stale());

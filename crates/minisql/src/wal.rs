@@ -33,11 +33,11 @@
 //! Writers append their encoded record to a shared pending buffer and block
 //! until the **group-commit daemon** has written and fsynced a batch
 //! covering their sequence number. The daemon wakes when work arrives,
-//! optionally lingers `DBGW_GROUP_COMMIT_US` microseconds so concurrent
+//! optionally lingers [`DurabilityConfig::group_commit_us`] microseconds so concurrent
 //! writers pile into the same batch, then issues one `write` + one
 //! `fdatasync` for the whole group. With the default 0µs window batching
 //! still emerges under load: while one fsync is in flight, every arriving
-//! writer queues behind it and rides the next one. `DBGW_FSYNC=0` skips the
+//! writer queues behind it and rides the next one. `fsync: false` skips the
 //! fsync (group acknowledgment then means "in the page cache").
 //!
 //! # Crash points
@@ -67,18 +67,18 @@ pub const FRAME_LEN: usize = 12;
 /// Name of the log file inside a data directory.
 pub const LOG_FILE: &str = "wal.log";
 
-/// Durability knobs, read from the environment at open time.
-#[derive(Debug, Clone)]
+/// Durability settings, fixed at open time.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Fsync each group before acknowledging it (`DBGW_FSYNC`, default on;
-    /// `0` disables — commits are then only as durable as the page cache).
+    /// Fsync each group before acknowledging it (default on; the gateway's
+    /// `DBGW_FSYNC=0` disables — commits are then only as durable as the
+    /// page cache).
     pub fsync: bool,
     /// Microseconds the group-commit daemon lingers collecting writers into
-    /// one batch before flushing (`DBGW_GROUP_COMMIT_US`, default 0: flush
-    /// immediately; batching still emerges while an fsync is in flight).
+    /// one batch before flushing (default 0: flush immediately; batching
+    /// still emerges while an fsync is in flight).
     pub group_commit_us: u64,
-    /// Log size that triggers a background checkpoint
-    /// (`DBGW_CHECKPOINT_BYTES`, default 4 MiB).
+    /// Log size that triggers a background checkpoint (default 4 MiB).
     pub checkpoint_bytes: u64,
 }
 
@@ -88,24 +88,6 @@ impl Default for DurabilityConfig {
             fsync: true,
             group_commit_us: 0,
             checkpoint_bytes: 4 * 1024 * 1024,
-        }
-    }
-}
-
-impl DurabilityConfig {
-    /// Read `DBGW_FSYNC` / `DBGW_GROUP_COMMIT_US` / `DBGW_CHECKPOINT_BYTES`.
-    pub fn from_env() -> DurabilityConfig {
-        let num = |name: &str, default: u64| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        };
-        let default = DurabilityConfig::default();
-        DurabilityConfig {
-            fsync: std::env::var("DBGW_FSYNC").map_or(true, |v| v.trim() != "0"),
-            group_commit_us: num("DBGW_GROUP_COMMIT_US", default.group_commit_us),
-            checkpoint_bytes: num("DBGW_CHECKPOINT_BYTES", default.checkpoint_bytes),
         }
     }
 }
@@ -422,7 +404,7 @@ impl Wal {
     }
 
     /// Append one record and block until it is durable (written and — unless
-    /// `DBGW_FSYNC=0` — fsynced as part of some group). Returns SQLCODE −904
+    /// `fsync` is off — fsynced as part of some group). Returns SQLCODE −904
     /// if the log is wedged by an earlier I/O failure or this batch's flush
     /// fails; the caller must then *not* publish its snapshot.
     pub fn commit(&self, ops: &[WalOp]) -> SqlResult<()> {

@@ -158,7 +158,7 @@ fn canon(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
 /// rows in nested-loop/full-sort order, so everything except hash-grouped
 /// output is compared exactly.
 fn assert_plans_agree(state: &DbState, sql: &str, exact: bool) -> Result<(), String> {
-    let fast = run_opts(state, sql, &PlanOptions::all());
+    let fast = run_opts(state, sql, &PlanOptions::default());
     let slow = run_opts(state, sql, &PlanOptions::baseline());
     let (fast, slow) = if exact {
         (fast, slow)
@@ -239,7 +239,7 @@ fn pinned_null_keys_never_match_in_either_join() {
     let outer = run_opts(
         &st,
         "SELECT a.v, b.w FROM a LEFT JOIN b ON a.k = b.k ORDER BY 1",
-        &PlanOptions::all(),
+        &PlanOptions::default(),
     );
     // NULL key row is padded, never matched against the NULL on the right.
     assert_eq!(
@@ -260,7 +260,7 @@ fn pinned_is_null_probe_right_of_left_join_stays_above_join() {
     let rows = run_opts(
         &st,
         "SELECT a.v FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NULL",
-        &PlanOptions::all(),
+        &PlanOptions::default(),
     );
     assert_eq!(rows, vec![vec![Value::Int(2)]]);
     assert_plans_agree(
@@ -288,7 +288,7 @@ fn pinned_cross_type_numeric_keys_hash_alike() {
     let sql = "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k";
     assert_plans_agree(&st, sql, true).unwrap();
     assert_eq!(
-        run_opts(&st, sql, &PlanOptions::all()),
+        run_opts(&st, sql, &PlanOptions::default()),
         vec![vec![Value::Int(1), Value::Int(10)]]
     );
 }
@@ -300,7 +300,7 @@ fn pinned_empty_build_side() {
     let outer = run_opts(
         &st,
         "SELECT a.v, b.w FROM a LEFT JOIN b ON a.k = b.k ORDER BY 1",
-        &PlanOptions::all(),
+        &PlanOptions::default(),
     );
     assert_eq!(
         outer,
@@ -486,7 +486,7 @@ fn pinned_pushdown_survives_three_way_join() {
                WHERE c.u > 100 AND a.v < 10";
     assert_plans_agree(&st, sql, true).unwrap();
     assert_eq!(
-        run_opts(&st, sql, &PlanOptions::all()),
+        run_opts(&st, sql, &PlanOptions::default()),
         vec![vec![Value::Int(2), Value::Int(20), Value::Int(200)]]
     );
 }
@@ -504,7 +504,7 @@ fn pinned_pushdown_survives_three_way_join() {
 
 /// `PlanOptions::all` with only the cost-based reordering disabled.
 fn no_reorder() -> PlanOptions {
-    let mut opts = PlanOptions::all();
+    let mut opts = PlanOptions::default();
     opts.reorder = false;
     opts
 }
@@ -512,7 +512,7 @@ fn no_reorder() -> PlanOptions {
 /// Assert that optimized (reordered), optimized-unreordered, and baseline
 /// plans agree as multisets for one query.
 fn assert_orders_agree(state: &DbState, sql: &str) -> Result<(), String> {
-    let reordered = canon(run_opts(state, sql, &PlanOptions::all()));
+    let reordered = canon(run_opts(state, sql, &PlanOptions::default()));
     let syntactic = canon(run_opts(state, sql, &no_reorder()));
     let baseline = canon(run_opts(state, sql, &PlanOptions::baseline()));
     if reordered != syntactic {
@@ -632,7 +632,7 @@ fn pinned_reorder_ineligible_shapes_run_unchanged() {
     let star = canon(run_opts(
         &st,
         "SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k",
-        &PlanOptions::all(),
+        &PlanOptions::default(),
     ));
     let star_base = canon(run_opts(
         &st,
@@ -742,12 +742,12 @@ props! {
             for all in [false, true] {
                 let kw = if all { format!("{op} ALL") } else { op.to_string() };
                 let sql = format!("SELECT k, v FROM l {kw} SELECT k, v FROM r");
-                let got = canon(run_opts(&st, &sql, &PlanOptions::all()));
+                let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
                 let want = canon(ref_set_op(op, all, &lv, &rv));
                 prop_assert_eq!(got, want, "{kw} diverged from reference");
                 // And plan options must not matter for set operations.
                 let base = canon(run_opts(&st, &sql, &PlanOptions::baseline()));
-                let fast = canon(run_opts(&st, &sql, &PlanOptions::all()));
+                let fast = canon(run_opts(&st, &sql, &PlanOptions::default()));
                 prop_assert_eq!(fast, base, "{kw} plan-sensitive");
             }
         }
@@ -778,7 +778,7 @@ props! {
         }
         let st = db.snapshot();
         let sql = "SELECT k, v FROM l UNION ALL SELECT k, v FROM r EXCEPT SELECT k, v FROM s";
-        let got = canon(run_opts(&st, sql, &PlanOptions::all()));
+        let got = canon(run_opts(&st, sql, &PlanOptions::default()));
         let mut union_all = int_rows(&l);
         union_all.extend(int_rows(&r));
         let want = canon(ref_set_op("EXCEPT", false, &union_all, &int_rows(&s)));
@@ -799,7 +799,7 @@ fn pinned_set_op_empty_branches() {
         ("SELECT k, v FROM r EXCEPT ALL SELECT k, v FROM l", 0),
     ] {
         assert_eq!(
-            run_opts(&st, sql, &PlanOptions::all()).len(),
+            run_opts(&st, sql, &PlanOptions::default()).len(),
             expect_rows,
             "{sql}"
         );
@@ -865,12 +865,12 @@ props! {
                    RANK() OVER (PARTITION BY k ORDER BY v), \
                    SUM(v) OVER (PARTITION BY k ORDER BY v) \
                    FROM l";
-        let got = canon(run_opts(&st, sql, &PlanOptions::all()));
+        let got = canon(run_opts(&st, sql, &PlanOptions::default()));
         let want = canon(ref_windows(&rows));
         prop_assert_eq!(got, want, "window reference diverged");
         // Plan options must not matter for window computation.
         let base = canon(run_opts(&st, sql, &PlanOptions::baseline()));
-        let fast = canon(run_opts(&st, sql, &PlanOptions::all()));
+        let fast = canon(run_opts(&st, sql, &PlanOptions::default()));
         prop_assert_eq!(fast, base);
     }
 
@@ -880,7 +880,7 @@ props! {
         let st = set_op_state(&rows, &[]);
         // No ORDER BY in OVER: the frame is the entire partition.
         let sql = "SELECT k, v, SUM(v) OVER (PARTITION BY k) FROM l";
-        let got = canon(run_opts(&st, sql, &PlanOptions::all()));
+        let got = canon(run_opts(&st, sql, &PlanOptions::default()));
         let want = canon(
             rows.iter()
                 .map(|(k, v)| {
@@ -900,7 +900,7 @@ fn pinned_window_edge_cases() {
     assert!(run_opts(
         &st,
         "SELECT ROW_NUMBER() OVER (ORDER BY v) FROM l",
-        &PlanOptions::all()
+        &PlanOptions::default()
     )
     .is_empty());
 
@@ -909,7 +909,7 @@ fn pinned_window_edge_cases() {
         run_opts(
             &st,
             "SELECT k, ROW_NUMBER() OVER (ORDER BY v), RANK() OVER (ORDER BY v) FROM l",
-            &PlanOptions::all()
+            &PlanOptions::default()
         ),
         vec![vec![Value::Int(7), Value::Int(1), Value::Int(1)]]
     );
@@ -919,7 +919,7 @@ fn pinned_window_edge_cases() {
     let rows = canon(run_opts(
         &st,
         "SELECT k, ROW_NUMBER() OVER (ORDER BY v), RANK() OVER (ORDER BY v) FROM l",
-        &PlanOptions::all(),
+        &PlanOptions::default(),
     ));
     assert_eq!(
         rows.iter().map(|r| r[2].clone()).collect::<Vec<_>>(),
@@ -948,7 +948,7 @@ props! {
         let got = canon(run_opts(
             &st,
             "SELECT k, v FROM l WHERE v > (SELECT MAX(v) FROM r)",
-            &PlanOptions::all(),
+            &PlanOptions::default(),
         ));
         let max_r = r.iter().map(|(_, v)| *v).max();
         let want: Vec<Vec<Value>> = match max_r {
@@ -963,7 +963,7 @@ props! {
 
         // IN subquery with an inner filter.
         let sql = format!("SELECT k, v FROM l WHERE k IN (SELECT k FROM r WHERE v > {cut})");
-        let got = canon(run_opts(&st, &sql, &PlanOptions::all()));
+        let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
         let keys: Vec<i64> = r.iter().filter(|(_, v)| *v > cut).map(|(k, _)| *k).collect();
         let want: Vec<Vec<Value>> = l
             .iter()
@@ -974,7 +974,7 @@ props! {
 
         // NOT IN over a non-NULL inner set.
         let sql = format!("SELECT k, v FROM l WHERE k NOT IN (SELECT k FROM r WHERE v > {cut})");
-        let got = canon(run_opts(&st, &sql, &PlanOptions::all()));
+        let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
         let want: Vec<Vec<Value>> = l
             .iter()
             .filter(|(k, _)| !keys.contains(k))
@@ -984,7 +984,7 @@ props! {
 
         // Uncorrelated EXISTS: all-or-nothing.
         let sql = format!("SELECT k, v FROM l WHERE EXISTS (SELECT 1 FROM r WHERE v > {cut})");
-        let got = canon(run_opts(&st, &sql, &PlanOptions::all()));
+        let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
         let want = if keys.is_empty() { Vec::new() } else { int_rows(&l) };
         prop_assert_eq!(got, canon(want), "EXISTS diverged");
     }
@@ -1063,7 +1063,7 @@ fn reordered_joins_and_new_operators_agree_on_churning_snapshots() {
                 "SELECT k, v FROM a EXCEPT ALL SELECT k, v FROM b",
                 "SELECT k, v FROM a INTERSECT SELECT k, v FROM c",
             ] {
-                let fast = canon(run_opts(&pinned, sql, &PlanOptions::all()));
+                let fast = canon(run_opts(&pinned, sql, &PlanOptions::default()));
                 let slow = canon(run_opts(&pinned, sql, &PlanOptions::baseline()));
                 if fast != slow {
                     return Err(format!("plan-sensitive on snapshot: {sql}"));

@@ -165,8 +165,7 @@ impl DigestStore {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn recording on or off (benches measure both sides; `DBGW_DIGESTS=0`
-    /// sets the process default).
+    /// Turn recording on or off (benches measure both sides).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -285,20 +284,15 @@ impl DigestStore {
     }
 }
 
-/// The process-wide digest store. Capacity comes from `DBGW_DIGEST_MAX`
-/// (default 512 digests); recording defaults on and `DBGW_DIGESTS=0`
-/// disables it.
+/// Distinct statement shapes the process-wide store tracks before evicting
+/// the least recently used.
+const DIGEST_CAPACITY: usize = 512;
+
+/// The process-wide digest store, recording until
+/// [`DigestStore::set_enabled`] switches it off.
 pub fn digests() -> &'static DigestStore {
     static STORE: OnceLock<DigestStore> = OnceLock::new();
-    STORE.get_or_init(|| {
-        let cap = std::env::var("DBGW_DIGEST_MAX")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(512);
-        let enabled = std::env::var("DBGW_DIGESTS").map_or(true, |v| v != "0");
-        DigestStore::with_capacity(cap, enabled)
-    })
+    STORE.get_or_init(|| DigestStore::with_capacity(DIGEST_CAPACITY, true))
 }
 
 // ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ pub struct Sampler {
     inner: Mutex<Inner>,
 }
 
+/// One point per second, two minutes of history.
+impl Default for Sampler {
+    fn default() -> Sampler {
+        Sampler::new(1_000, 120)
+    }
+}
+
 impl Sampler {
     /// A sampler emitting one point per `interval_ms`, keeping the last
     /// `capacity` points.
@@ -94,23 +101,6 @@ impl Sampler {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner::default()),
         }
-    }
-
-    /// Configuration from the environment: `DBGW_SAMPLE_MS` (default
-    /// 1000 ms) and `DBGW_SAMPLE_CAP` (default 120 points — two minutes of
-    /// history at the default interval).
-    pub fn from_env() -> Sampler {
-        let interval = std::env::var("DBGW_SAMPLE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(1_000);
-        let cap = std::env::var("DBGW_SAMPLE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(120);
-        Sampler::new(interval, cap)
     }
 
     /// The configured sampling interval, ms.

@@ -1,6 +1,6 @@
 //! SLO evaluation over the sampled time series.
 //!
-//! Two targets, both optional, both from the environment:
+//! Two targets, both optional (the gateway sets them from its environment):
 //!
 //! * **`DBGW_SLO_P99_MS`** — the latency objective: the per-interval p99
 //!   (from [`crate::series::SamplePoint::p99_ms`]) should stay at or under
@@ -26,28 +26,6 @@ pub struct SloConfig {
     pub p99_target_ms: Option<f64>,
     /// Availability target: allowed error fraction in `(0, 1]`.
     pub error_budget: Option<f64>,
-}
-
-impl SloConfig {
-    /// Read `DBGW_SLO_P99_MS` / `DBGW_SLO_ERROR_BUDGET`. Unset, empty, or
-    /// non-positive values disable the corresponding objective.
-    pub fn from_env() -> SloConfig {
-        let num = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|&v| v > 0.0 && v.is_finite())
-        };
-        SloConfig {
-            p99_target_ms: num("DBGW_SLO_P99_MS"),
-            error_budget: num("DBGW_SLO_ERROR_BUDGET"),
-        }
-    }
-
-    /// Is at least one objective set?
-    pub fn is_configured(&self) -> bool {
-        self.p99_target_ms.is_some() || self.error_budget.is_some()
-    }
 }
 
 /// The result of evaluating the ring against an [`SloConfig`].
@@ -177,6 +155,5 @@ mod tests {
         assert_eq!(r.errors, 5);
         assert!((r.error_rate - 0.5).abs() < 1e-9);
         assert!(r.burn_rate.is_none() && r.latency_attainment_pct.is_none());
-        assert!(!SloConfig::default().is_configured());
     }
 }

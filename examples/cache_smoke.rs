@@ -7,17 +7,10 @@
 //! `cache_smoke PASS` and exits 0 on success; panics (nonzero exit) on any
 //! violated guarantee.
 
-use dbgw_cache::CacheConfig;
 use dbgw_cgi::{Gateway, HttpClient, HttpServer, ServerConfig};
-use std::sync::Arc;
 
 fn main() {
-    // Explicit cache configuration so the smoke is deterministic no matter
-    // what DBGW_CACHE* the environment carries.
-    let db = minisql::Database::with_cache_config(
-        &CacheConfig::default(),
-        Arc::new(dbgw_obs::StdClock::new()),
-    );
+    let db = minisql::Database::new();
     db.run_script(
         "CREATE TABLE urldb (url VARCHAR(255), title VARCHAR(80));
          INSERT INTO urldb VALUES ('http://www.ibm.com', 'IBM');

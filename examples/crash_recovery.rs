@@ -21,6 +21,7 @@
 //!   transfers preserve: `SUM(balance)` is exactly
 //!   `ACCOUNTS * SEED_BALANCE`. Exit code 0 means recovery held.
 
+use dbgw_cgi::Config;
 use std::io::Write;
 
 /// Number of accounts in the seeded `bank` table.
@@ -30,16 +31,17 @@ const SEED_BALANCE: i64 = 1000;
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
-    if std::env::var("DBGW_DATA_DIR")
-        .unwrap_or_default()
-        .is_empty()
-    {
+    let config = Config::from_env().unwrap_or_else(|e| {
+        eprintln!("crash_recovery: {e}");
+        std::process::exit(2);
+    });
+    if config.data_dir.is_none() {
         eprintln!("crash_recovery: set DBGW_DATA_DIR to a scratch directory");
         std::process::exit(2);
     }
     match mode.as_str() {
-        "workload" => workload(),
-        "verify" => verify(),
+        "workload" => workload(&config),
+        "verify" => verify(&config),
         _ => {
             eprintln!("usage: crash_recovery <workload|verify>");
             std::process::exit(2);
@@ -47,8 +49,8 @@ fn main() {
     }
 }
 
-fn workload() {
-    let db = minisql::Database::open_from_env().expect("open durable database");
+fn workload(config: &Config) {
+    let db = config.open_database().expect("open durable database");
     if db.pin().tables.is_empty() {
         let mut script =
             String::from("CREATE TABLE bank (id INTEGER PRIMARY KEY, balance INTEGER);\n");
@@ -89,8 +91,8 @@ fn workload() {
     }
 }
 
-fn verify() {
-    let db = minisql::Database::open_from_env().expect("recover durable database");
+fn verify(config: &Config) {
+    let db = config.open_database().expect("recover durable database");
     let mut conn = db.connect();
     let result = conn
         .execute("SELECT SUM(balance) FROM bank")

@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example overload`. Prints `overload PASS` and
 //! exits 0 on success; panics (nonzero exit) on any violated guarantee.
 
-use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpServer, ServerConfig, TraceOptions};
+use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpServer, ServerConfig};
 use dbgw_core::db::{Database, DbRows, FnDatabase};
 use std::time::Duration;
 
@@ -21,8 +21,7 @@ fn main() {
                 affected: 0,
             })
         })) as Box<dyn Database + Send>
-    }))
-    .with_trace(TraceOptions::disabled());
+    }));
     gw.add_macro("slow.d2w", "%SQL{ SLOW %}\n%HTML_REPORT{ok %EXEC_SQL%}")
         .unwrap();
 

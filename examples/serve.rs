@@ -10,10 +10,12 @@
 //!
 //! With `DBGW_DATA_DIR` set, writes survive restarts: the demo tables are
 //! seeded only on first boot (when recovery finds an empty database), and
-//! every later run picks up where the log left off.
+//! every later run picks up where the log left off. The first line on
+//! stderr is the effective configuration — every `DBGW_*` name, its value,
+//! and whether the environment set it; `/stats` shows the same table.
 
 use dbgw_baselines::URLQUERY_MACRO;
-use dbgw_cgi::{Gateway, HttpServer};
+use dbgw_cgi::{Config, Gateway, HttpServer};
 use dbgw_workload::{shop::Shop, UrlDirectory};
 
 const ORDER_MACRO: &str = include_str!("../macros/orders.d2w");
@@ -21,6 +23,11 @@ const GUESTBOOK_MACRO: &str = include_str!("../macros/guestbook.d2w");
 const TRANSFER_MACRO: &str = include_str!("../macros/transfer.d2w");
 
 fn main() {
+    let config = Config::from_env().unwrap_or_else(|e| {
+        eprintln!("serve: {e}");
+        std::process::exit(2);
+    });
+    eprintln!("{config}");
     let mut args = std::env::args().skip(1);
     let port: u16 = args.next().and_then(|a| a.parse().ok()).unwrap_or(8080);
     let run_secs: Option<u64> = args.next().and_then(|a| a.parse().ok());
@@ -28,7 +35,7 @@ fn main() {
     // One database, all four applications' tables. With DBGW_DATA_DIR set
     // this is durable (WAL + recovery); seed only when recovery came back
     // empty, so restarts keep the accumulated guestbook entries and orders.
-    let db = minisql::Database::open_from_env().expect("open database");
+    let db = config.open_database().expect("open database");
     if let Some(dir) = db.data_dir() {
         println!("durable data dir: {}", dir.display());
     }
@@ -44,13 +51,14 @@ fn main() {
         .expect("guestbook + transfer tables");
     }
 
-    let gateway = Gateway::new(db).enable_sessions(std::time::Duration::from_secs(300));
+    let gateway =
+        Gateway::from_config(db, &config).enable_sessions(std::time::Duration::from_secs(300));
     gateway.add_macro("urlquery.d2w", URLQUERY_MACRO).unwrap();
     gateway.add_macro("orders.d2w", ORDER_MACRO).unwrap();
     gateway.add_macro("guestbook.d2w", GUESTBOOK_MACRO).unwrap();
     gateway.add_macro("transfer.d2w", TRANSFER_MACRO).unwrap();
 
-    let server = HttpServer::start(gateway, port).expect("bind");
+    let server = HttpServer::start_with_config(gateway, port, config.server.clone()).expect("bind");
     server.add_static_page(
         "/",
         "<HTML><HEAD><TITLE>DB2 WWW Connection (reproduction)</TITLE></HEAD>\n\

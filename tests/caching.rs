@@ -10,7 +10,7 @@ use minisql::{Database, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// A database with the cache explicitly on (immune to ambient `DBGW_CACHE*`).
+/// A database with the cache explicitly on.
 fn cached_db() -> Database {
     Database::with_cache_config(&CacheConfig::default(), Arc::new(dbgw_obs::StdClock::new()))
 }
@@ -197,12 +197,9 @@ fn ttl_expires_entries_on_the_test_clock() {
 
 #[test]
 fn dbgw_cache_zero_disables_everything() {
-    let config = CacheConfig::from_lookup(|name| match name {
-        "DBGW_CACHE" => Some("0".to_owned()),
-        _ => None,
-    });
-    assert!(!config.enabled);
-    let db = Database::with_cache_config(&config, Arc::new(dbgw_obs::StdClock::new()));
+    let config = dbgw_cgi::Config::from_lookup([("DBGW_CACHE", "0")]).unwrap();
+    assert!(!config.cache.enabled);
+    let db = config.open_database().unwrap();
     seed_urldb(&db);
     assert!(db.cache_stats().is_none(), "disabled cache keeps no state");
     // Repeated queries still work, just uncached.
@@ -211,7 +208,7 @@ fn dbgw_cache_zero_disables_everything() {
     assert_eq!(first_cell(&db, sql), Value::Int(2));
 
     // And the HTTP layer stops emitting validators.
-    let gw = Gateway::new(db).with_http_cache(false);
+    let gw = Gateway::from_config(db, &config);
     gw.add_macro(
         "q.d2w",
         "%SQL{ SELECT title FROM urldb %}\n%HTML_REPORT{%EXEC_SQL%}",

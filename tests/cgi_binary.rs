@@ -125,3 +125,21 @@ fn traversal_attempt_is_400() {
     let out = invoke(&dir.0, "GET", "/../setup.sql/input", "", "");
     assert!(out.starts_with("Status: 400"), "{out}");
 }
+
+#[test]
+fn unknown_dbgw_variable_is_a_startup_error_naming_it() {
+    let dir = fixture_dir();
+    setup(&dir.0);
+    let out = Command::new(binary())
+        .env("REQUEST_METHOD", "GET")
+        .env("PATH_INFO", "/q.d2w/input")
+        .env("DTW_MACRO_DIR", &dir.0)
+        .env("DTW_DB_SCRIPT", dir.0.join("setup.sql"))
+        .env("DBGW_BOGUS", "1")
+        .output()
+        .expect("spawn db2www");
+    assert!(!out.status.success(), "a misspelt knob must not be ignored");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("DBGW_BOGUS"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no page is served");
+}

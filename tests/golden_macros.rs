@@ -10,7 +10,7 @@
 //! To bless an intentional change: `UPDATE_GOLDEN=1 cargo test --test
 //! golden_macros` (or `scripts/update_golden.sh`), then review the diff.
 
-use dbgw_cgi::{CgiRequest, Gateway, Method, TraceOptions};
+use dbgw_cgi::{CgiRequest, Gateway, Method};
 use std::path::{Path, PathBuf};
 
 /// The fixed dataset every fixture renders against.
@@ -40,9 +40,7 @@ fn repo_path(relative: &str) -> PathBuf {
 /// A fresh gateway per case (report modes write), with tracing off and the
 /// HTTP cache layer off so the body is the only output under test.
 fn gateway(macro_file: &str) -> Gateway {
-    let gw = Gateway::new(seed_database())
-        .with_trace(TraceOptions::disabled())
-        .with_http_cache(false);
+    let gw = Gateway::new(seed_database()).with_http_cache(false);
     let source = std::fs::read_to_string(repo_path(&format!("macros/{macro_file}")))
         .unwrap_or_else(|e| panic!("read macros/{macro_file}: {e}"));
     gw.add_macro(macro_file, &source).unwrap();

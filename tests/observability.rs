@@ -3,7 +3,7 @@
 //! request ids correlate, and the trace sinks (HTML comment, JSON lines)
 //! carry the same trace.
 
-use dbgw_cgi::{CgiRequest, Gateway, HttpClient, HttpServer, TraceOptions};
+use dbgw_cgi::{CgiRequest, Config, Gateway, HttpClient, HttpServer, TraceOptions};
 use dbgw_obs::{trace, StdClock, TestClock};
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ fn gateway(trace: TraceOptions) -> Gateway {
 /// exec_sql, and render_report spans, nested plausibly.
 #[test]
 fn traced_request_produces_the_expected_span_tree() {
-    let gw = gateway(TraceOptions::disabled());
+    let gw = gateway(TraceOptions::default());
     let req = CgiRequest::get("/u.d2w/report", "SEARCH=IB");
     // Own the trace from outside, as the db2www binary does: the gateway
     // nests its `request` span (and re-parses the macro) under it.
@@ -179,7 +179,7 @@ fn slow_query_log_correlates_by_request_id() {
 
 #[test]
 fn request_id_reaches_error_pages_and_macro_text() {
-    let gw = gateway(TraceOptions::disabled());
+    let gw = gateway(TraceOptions::default());
     // Error page: carries the correlation id.
     let req = CgiRequest::get("/nope.d2w/report", "");
     let resp = gw.handle(&req);
@@ -195,7 +195,7 @@ fn request_id_reaches_error_pages_and_macro_text() {
 
 #[test]
 fn stats_page_reports_the_traffic_it_serves() {
-    let gw = gateway(TraceOptions::disabled());
+    let gw = gateway(TraceOptions::default());
     let server = HttpServer::start(gw, 0).unwrap();
     let client = HttpClient::new(server.addr());
     let resp = client
@@ -229,6 +229,47 @@ fn stats_page_reports_the_traffic_it_serves() {
     server.shutdown();
 }
 
+/// A gateway booted from a `Config` shows it on `/stats`: every accepted name
+/// with its effective value and whether the environment set it — and the
+/// settings reach the layers they govern (here the cache TTL, echoed to
+/// clients as `max-age`). The Prometheus text carries no such section.
+#[test]
+fn stats_page_shows_the_boot_configuration() {
+    let config = Config::from_lookup([("DBGW_CACHE_TTL_MS", "3000"), ("DBGW_WORKERS", "2")])
+        .expect("valid configuration");
+    let db = config.open_database().unwrap();
+    db.run_script("CREATE TABLE urldb (url VARCHAR(255), title VARCHAR(80))")
+        .unwrap();
+    let gw = Gateway::from_config(db, &config);
+    gw.add_macro("u.d2w", MACRO).unwrap();
+    let server = HttpServer::start_with_config(gw, 0, config.server.clone()).unwrap();
+    let client = HttpClient::new(server.addr());
+
+    let page = client.get("/cgi-bin/db2www/u.d2w/input").unwrap();
+    assert_eq!(page.header("Cache-Control"), Some("max-age=3"));
+
+    let html = client.get("/stats").unwrap().body;
+    assert!(html.contains("<H2>Configuration</H2>"), "{html}");
+    for name in dbgw_cgi::config::NAMES {
+        assert!(html.contains(&format!("<TD>{name}</TD>")), "{name} missing");
+    }
+    assert!(
+        html.contains("<TD>DBGW_CACHE_TTL_MS</TD><TD>3000</TD><TD>set</TD>"),
+        "{html}"
+    );
+    assert!(
+        html.contains("<TD>DBGW_WORKERS</TD><TD>2</TD><TD>set</TD>"),
+        "{html}"
+    );
+    assert!(
+        html.contains("<TD>DBGW_FSYNC</TD><TD>1</TD><TD>default</TD>"),
+        "{html}"
+    );
+    let prom = client.get("/stats?format=prometheus").unwrap().body;
+    assert!(!prom.contains("DBGW_WORKERS"), "{prom}");
+    server.shutdown();
+}
+
 /// The tentpole's time-series + SLO layer, driven deterministically: a
 /// `TestClock` paces the sampler, fat latency observations pin the sampled
 /// p99, and a burst of error pages burns the error budget. The assertions
@@ -246,7 +287,6 @@ fn stats_reports_sampled_p99_and_slo_burn_rate() {
     )
     .unwrap();
     let gw = Gateway::new(db)
-        .with_trace(TraceOptions::disabled())
         .with_clock(clock.clone())
         .with_sampler(sampler.clone())
         .with_slo(dbgw_obs::slo::SloConfig {
