@@ -151,7 +151,7 @@ fn run(config: &Config, request_id: u64) -> CgiResponse {
     if !dbgw_core::security::safe_macro_name(&macro_name) {
         return CgiResponse::error_for_request(400, "invalid macro file name", request_id);
     }
-    let gateway = Gateway::from_config(db, config);
+    let gateway = Gateway::new(db).configured(config);
     let macro_path = std::path::Path::new(&macro_dir).join(&macro_name);
     match std::fs::read_to_string(&macro_path) {
         Ok(source) => {

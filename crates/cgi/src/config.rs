@@ -4,8 +4,8 @@
 //!
 //! The boot sites (`db2www`, `examples/serve`, `examples/crash_recovery`)
 //! call [`Config::from_env`] and pass the parts down
-//! ([`Config::open_database`], [`crate::Gateway::from_config`],
-//! [`crate::HttpServer::start_with_config`]); library constructors mean their
+//! ([`Config::open_database`], [`crate::Gateway::configured`],
+//! [`crate::HttpServer::start_from_config`]); library constructors mean their
 //! `Default` and never look at the process environment. A name is accepted
 //! only if it is a deployment setting an operator chooses per site — a path,
 //! a capacity limit, a durability or observability switch. Ablation switches
@@ -23,24 +23,32 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Every name [`Config::from_lookup`] accepts, in display order.
-pub const NAMES: [&str; 16] = [
-    "DBGW_DATA_DIR",
-    "DBGW_FSYNC",
-    "DBGW_WORKERS",
-    "DBGW_QUEUE",
-    "DBGW_MAX_CONNS",
-    "DBGW_MAX_BODY",
-    "DBGW_KEEPALIVE_MS",
-    "DBGW_DEADLINE_MS",
-    "DBGW_CACHE",
-    "DBGW_CACHE_BYTES",
-    "DBGW_CACHE_TTL_MS",
-    "DBGW_TRACE",
-    "DBGW_TRACE_FILE",
-    "DBGW_SLOW_MS",
-    "DBGW_SLO_P99_MS",
-    "DBGW_SLO_ERROR_BUDGET",
+/// Every variable [`Config::from_lookup`] accepts, in display order, and how
+/// the field it governs ([`Config::apply`]) is shown back.
+type Show = fn(&Config) -> String;
+const SETTINGS: [(&str, Show); 16] = [
+    ("DBGW_DATA_DIR", |c| {
+        shown(c.data_dir.as_ref().map(|p| p.display()))
+    }),
+    ("DBGW_FSYNC", |c| (c.durability.fsync as u8).to_string()),
+    ("DBGW_WORKERS", |c| c.server.workers.to_string()),
+    ("DBGW_QUEUE", |c| c.server.queue.to_string()),
+    ("DBGW_MAX_CONNS", |c| c.server.max_conns.to_string()),
+    ("DBGW_MAX_BODY", |c| c.server.max_body.to_string()),
+    ("DBGW_KEEPALIVE_MS", |c| {
+        c.server.keepalive.as_millis().to_string()
+    }),
+    ("DBGW_DEADLINE_MS", |c| shown(c.deadline_ms)),
+    ("DBGW_CACHE", |c| (c.cache.enabled as u8).to_string()),
+    ("DBGW_CACHE_BYTES", |c| c.cache.max_bytes.to_string()),
+    ("DBGW_CACHE_TTL_MS", |c| shown(c.cache.ttl_ms)),
+    ("DBGW_TRACE", |c| (c.trace.annotate as u8).to_string()),
+    ("DBGW_TRACE_FILE", |c| {
+        shown(c.trace.trace_file.as_ref().map(|p| p.display()))
+    }),
+    ("DBGW_SLOW_MS", |c| shown(c.trace.slow_ms)),
+    ("DBGW_SLO_P99_MS", |c| shown(c.slo.p99_target_ms)),
+    ("DBGW_SLO_ERROR_BUDGET", |c| shown(c.slo.error_budget)),
 ];
 
 /// Names that used to be read from the environment, and what replaced them.
@@ -119,7 +127,7 @@ impl Config {
             let Some(suffix) = name.strip_prefix("DBGW_") else {
                 continue;
             };
-            let Some(&known) = NAMES.iter().find(|n| **n == name) else {
+            let Some(&(known, _)) = SETTINGS.iter().find(|(n, _)| *n == name) else {
                 let removed = REMOVED.iter().find(|(old, _)| old.contains(&suffix));
                 return Err(match removed {
                     Some((_, now)) => format!("{name}: no longer an environment variable: {now}"),
@@ -160,39 +168,17 @@ impl Config {
             "DBGW_SLO_ERROR_BUDGET" => {
                 self.slo.error_budget = Some(up_to(1.0, value, "an error fraction in (0, 1]")?)
             }
-            _ => unreachable!("{name} is in NAMES but has no field"),
+            _ => unreachable!("{name} is in SETTINGS but has no field"),
         }
         Ok(())
     }
 
-    /// Every accepted name in [`NAMES`] order, as `(name, effective value,
-    /// set by the environment?)`; `-` stands for an absent setting.
-    pub fn settings(&self) -> Vec<(&'static str, String, bool)> {
-        fn show<T: ToString>(value: Option<T>) -> String {
-            value.map_or("-".to_owned(), |v| v.to_string())
-        }
-        let path = |p: &Option<PathBuf>| show(p.as_ref().map(|p| p.display()));
-        let values = [
-            path(&self.data_dir),
-            show(Some(self.durability.fsync as u8)),
-            show(Some(self.server.workers)),
-            show(Some(self.server.queue)),
-            show(Some(self.server.max_conns)),
-            show(Some(self.server.max_body)),
-            show(Some(self.server.keepalive.as_millis())),
-            show(self.deadline_ms),
-            show(Some(self.cache.enabled as u8)),
-            show(Some(self.cache.max_bytes)),
-            show(self.cache.ttl_ms),
-            show(Some(self.trace.annotate as u8)),
-            path(&self.trace.trace_file),
-            show(self.trace.slow_ms),
-            show(self.slo.p99_target_ms),
-            show(self.slo.error_budget),
-        ];
-        std::iter::zip(NAMES, values)
-            .map(|(name, value)| (name, value, self.set.contains(&name)))
-            .collect()
+    /// Every accepted name in display order, as `(name, effective value, set
+    /// by the environment?)`.
+    pub fn settings(&self) -> impl Iterator<Item = (&'static str, String, bool)> + '_ {
+        SETTINGS
+            .iter()
+            .map(|(name, show)| (*name, show(self), self.set.contains(name)))
     }
 
     /// Open the database this configuration describes: durable under
@@ -216,6 +202,10 @@ impl fmt::Display for Config {
         }
         Ok(())
     }
+}
+
+fn shown<T: ToString>(value: Option<T>) -> String {
+    value.map_or("-".to_owned(), |v| v.to_string())
 }
 
 fn switch(value: &str) -> Result<bool, &'static str> {
@@ -247,54 +237,53 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)] // most assignments reach into nested structs
     fn from_lookup_accepts_validates_and_ignores() {
         let parse = |name: &str, value: &str| Config::from_lookup([(name, value)]);
         let no_vars: [(&str, &str); 0] = [];
         assert_eq!(Config::from_lookup(no_vars), Ok(Config::default()));
 
-        // Every accepted name lands a non-default value in its own field…
-        let pairs = [
-            ("DBGW_DATA_DIR", "/var/dbgw"),
-            ("DBGW_FSYNC", "0"),
-            ("DBGW_WORKERS", "9"),
-            ("DBGW_QUEUE", "7"),
-            ("DBGW_MAX_CONNS", "123"),
-            ("DBGW_MAX_BODY", "4096"),
-            ("DBGW_KEEPALIVE_MS", "250"),
-            ("DBGW_DEADLINE_MS", "1500"),
-            ("DBGW_CACHE", "0"),
-            ("DBGW_CACHE_BYTES", "65536"),
-            ("DBGW_CACHE_TTL_MS", "2500"),
-            ("DBGW_TRACE", "1"),
-            ("DBGW_TRACE_FILE", "/tmp/t.jsonl"),
-            ("DBGW_SLOW_MS", "40"),
-            ("DBGW_SLO_P99_MS", "350"),
-            ("DBGW_SLO_ERROR_BUDGET", "0.01"),
+        // Every accepted name lands a non-default value in its own field and,
+        // alone, shows it back marked as set beside fifteen defaults.
+        type Landed = fn(&Config) -> bool;
+        let landings: [(&str, &str, Landed); 16] = [
+            ("DBGW_DATA_DIR", "/var/dbgw", |c| {
+                c.data_dir == Some("/var/dbgw".into())
+            }),
+            ("DBGW_FSYNC", "0", |c| !c.durability.fsync),
+            ("DBGW_WORKERS", "9", |c| c.server.workers == 9),
+            ("DBGW_QUEUE", "7", |c| c.server.queue == 7),
+            ("DBGW_MAX_CONNS", "123", |c| c.server.max_conns == 123),
+            ("DBGW_MAX_BODY", "4096", |c| c.server.max_body == 4096),
+            ("DBGW_KEEPALIVE_MS", "250", |c| {
+                c.server.keepalive == Duration::from_millis(250)
+            }),
+            ("DBGW_DEADLINE_MS", "1500", |c| c.deadline_ms == Some(1500)),
+            ("DBGW_CACHE", "0", |c| !c.cache.enabled),
+            ("DBGW_CACHE_BYTES", "65536", |c| c.cache.max_bytes == 65_536),
+            ("DBGW_CACHE_TTL_MS", "2500", |c| {
+                c.cache.ttl_ms == Some(2500)
+            }),
+            ("DBGW_TRACE", "1", |c| c.trace.annotate),
+            ("DBGW_TRACE_FILE", "/tmp/t.jsonl", |c| {
+                c.trace.trace_file == Some("/tmp/t.jsonl".into())
+            }),
+            ("DBGW_SLOW_MS", "40", |c| c.trace.slow_ms == Some(40)),
+            ("DBGW_SLO_P99_MS", "350", |c| {
+                c.slo.p99_target_ms == Some(350.0)
+            }),
+            ("DBGW_SLO_ERROR_BUDGET", "0.01", |c| {
+                c.slo.error_budget == Some(0.01)
+            }),
         ];
-        assert_eq!(pairs.map(|(name, _)| name), NAMES, "one pair per name");
-        let mut all = Config::default();
-        all.data_dir = Some("/var/dbgw".into());
-        all.durability.fsync = false;
-        all.server.workers = 9;
-        all.server.queue = 7;
-        all.server.max_conns = 123;
-        all.server.max_body = 4096;
-        all.server.keepalive = Duration::from_millis(250);
-        all.deadline_ms = Some(1500);
-        all.cache.enabled = false;
-        all.cache.max_bytes = 65_536;
-        all.cache.ttl_ms = Some(2500);
-        all.trace.annotate = true;
-        all.trace.trace_file = Some("/tmp/t.jsonl".into());
-        all.trace.slow_ms = Some(40);
-        all.slo.p99_target_ms = Some(350.0);
-        all.slo.error_budget = Some(0.01);
-        all.set = NAMES.to_vec();
-        assert_eq!(Config::from_lookup(pairs), Ok(all));
-        // …and, alone, shows it back marked as set beside fifteen defaults.
-        for (name, value) in pairs {
-            for (shown, shown_value, set) in parse(name, value).unwrap().settings() {
+        let accepted = SETTINGS.iter().map(|row| row.0);
+        assert!(
+            accepted.eq(landings.iter().map(|row| row.0)),
+            "one row per name"
+        );
+        for (name, value, landed) in landings {
+            let config = parse(name, value).unwrap();
+            assert!(landed(&config) && !landed(&Config::default()), "{name}");
+            for (shown, shown_value, set) in config.settings() {
                 assert_eq!(set, shown == name, "{shown}");
                 assert!(shown != name || shown_value == value, "{shown}");
             }

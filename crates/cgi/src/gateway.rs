@@ -198,7 +198,7 @@ pub struct Gateway {
     deadline_ms: Option<u64>,
     /// Answer conditional GETs with deterministic `ETag`s / `304`s and emit
     /// `Cache-Control` derived from the macro's cacheability. On by default;
-    /// [`Gateway::from_config`] follows `DBGW_CACHE` (the whole subsystem's
+    /// [`Gateway::configured`] follows `DBGW_CACHE` (the whole subsystem's
     /// master switch).
     http_cache: bool,
     /// `DBGW_CACHE_TTL_MS`, echoed to clients as `Cache-Control: max-age`.
@@ -209,8 +209,6 @@ pub struct Gateway {
     /// SLO objectives evaluated against the sampler's ring on `/stats`
     /// (`DBGW_SLO_P99_MS` / `DBGW_SLO_ERROR_BUDGET`).
     slo: dbgw_obs::slo::SloConfig,
-    /// The configuration the process booted with, for display on `/stats`.
-    boot_config: Option<Arc<Config>>,
 }
 
 impl Gateway {
@@ -235,27 +233,17 @@ impl Gateway {
             cache_ttl_ms: None,
             sampler: Arc::default(),
             slo: dbgw_obs::slo::SloConfig::default(),
-            boot_config: None,
         }
     }
 
-    /// Gateway set up as the boot [`Config`] says: trace options, deadline,
-    /// SLO objectives, and the HTTP caching layer following the cache switch
-    /// and TTL. Keeps the configuration for the `/stats` page.
-    pub fn from_config(source: impl ConnectionSource + 'static, config: &Config) -> Gateway {
-        let mut gateway = Gateway::new(source)
-            .with_trace(config.trace.clone())
+    /// Apply the boot [`Config`]: trace options, deadline, SLO objectives,
+    /// and the HTTP caching layer following the cache switch and TTL.
+    pub fn configured(mut self, config: &Config) -> Gateway {
+        self.cache_ttl_ms = config.cache.ttl_ms;
+        self.with_trace(config.trace.clone())
             .with_deadline_ms(config.deadline_ms)
             .with_slo(config.slo)
-            .with_http_cache(config.cache.enabled);
-        gateway.cache_ttl_ms = config.cache.ttl_ms;
-        gateway.boot_config = Some(Arc::new(config.clone()));
-        gateway
-    }
-
-    /// The configuration [`Gateway::from_config`] was given, if any.
-    pub fn boot_config(&self) -> Option<&Config> {
-        self.boot_config.as_deref()
+            .with_http_cache(config.cache.enabled)
     }
 
     /// Switch the HTTP conditional-GET layer (`ETag`/`304`/`Cache-Control`).

@@ -98,6 +98,8 @@ pub struct HttpServer {
 pub(crate) struct ServerInner {
     pub(crate) gateway: Gateway,
     pub(crate) config: ServerConfig,
+    /// What [`HttpServer::start_from_config`] applied, for display on `/stats`.
+    boot_config: RwLock<Option<crate::Config>>,
     pub(crate) static_pages: RwLock<HashMap<String, String>>,
     pub(crate) auth: RwLock<Option<BasicAuth>>,
     pub(crate) log: AccessLog,
@@ -131,6 +133,7 @@ impl HttpServer {
         let inner = Arc::new(ServerInner {
             gateway,
             config,
+            boot_config: RwLock::new(None),
             static_pages: RwLock::new(HashMap::new()),
             auth: RwLock::new(None),
             log: AccessLog::new(),
@@ -154,6 +157,21 @@ impl HttpServer {
             evloop_thread: Some(evloop_thread),
             workers,
         })
+    }
+
+    /// Bind and start as the boot [`crate::Config`] says: its settings are
+    /// applied to `gateway` ([`Gateway::configured`]) and to the pool, and the
+    /// same object is what `/stats` displays, so the page cannot disagree
+    /// with what is in force.
+    pub fn start_from_config(
+        gateway: Gateway,
+        port: u16,
+        config: &crate::Config,
+    ) -> std::io::Result<HttpServer> {
+        let gateway = gateway.configured(config);
+        let server = HttpServer::start_with_config(gateway, port, config.server.clone())?;
+        *server.inner.boot_config.write() = Some(config.clone());
+        Ok(server)
     }
 
     /// The bound address.
@@ -698,7 +716,7 @@ fn stats_response(inner: &ServerInner, query: &str) -> CgiResponse {
     push_digest_table(&mut body);
     push_series_section(&mut body, &points, inner.gateway.sampler().interval_ms());
     push_slo_section(&mut body, &slo);
-    push_config_section(&mut body, inner.gateway.boot_config());
+    push_config_section(&mut body, inner.boot_config.read().as_ref());
     let codes = m.sqlcode_errors.snapshot();
     if !codes.is_empty() {
         body.push_str("<H2>SQLCODEs</H2>\n<TABLE BORDER=1>\n");

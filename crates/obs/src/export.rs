@@ -369,9 +369,7 @@ fn histogram_block(out: &mut String, name: &str, help: &str, h: &crate::metrics:
     cumulative += counts[BUCKET_BOUNDS_NS.len()];
     out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
     out.push_str(&format!("{name}_sum {}\n", h.sum_ns() as f64 / 1e9));
-    // The bucket snapshot's own total, not `h.count()`: observations land
-    // while we render, and a scrape must have `_count` equal its `+Inf` bucket.
-    out.push_str(&format!("{name}_count {cumulative}\n"));
+    out.push_str(&format!("{name}_count {}\n", h.count()));
 }
 
 /// Age in milliseconds of the most recently published database snapshot

@@ -51,14 +51,13 @@ fn main() {
         .expect("guestbook + transfer tables");
     }
 
-    let gateway =
-        Gateway::from_config(db, &config).enable_sessions(std::time::Duration::from_secs(300));
+    let gateway = Gateway::new(db).enable_sessions(std::time::Duration::from_secs(300));
     gateway.add_macro("urlquery.d2w", URLQUERY_MACRO).unwrap();
     gateway.add_macro("orders.d2w", ORDER_MACRO).unwrap();
     gateway.add_macro("guestbook.d2w", GUESTBOOK_MACRO).unwrap();
     gateway.add_macro("transfer.d2w", TRANSFER_MACRO).unwrap();
 
-    let server = HttpServer::start_with_config(gateway, port, config.server.clone()).expect("bind");
+    let server = HttpServer::start_from_config(gateway, port, &config).expect("bind");
     server.add_static_page(
         "/",
         "<HTML><HEAD><TITLE>DB2 WWW Connection (reproduction)</TITLE></HEAD>\n\

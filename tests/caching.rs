@@ -208,7 +208,7 @@ fn dbgw_cache_zero_disables_everything() {
     assert_eq!(first_cell(&db, sql), Value::Int(2));
 
     // And the HTTP layer stops emitting validators.
-    let gw = Gateway::from_config(db, &config);
+    let gw = Gateway::new(db).configured(&config);
     gw.add_macro(
         "q.d2w",
         "%SQL{ SELECT title FROM urldb %}\n%HTML_REPORT{%EXEC_SQL%}",

@@ -12,7 +12,7 @@
 
 use dbgw_testkit::stress::{self, StressConfig};
 use dbgw_testkit::{prop_assert, prop_assert_eq};
-use minisql::{Database, ExecResult, Value};
+use minisql::{Database, ExecResult, SqlCode, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -380,14 +380,15 @@ fn drop_recreate_under_readers_is_snapshot_consistent() {
             if w.thread != 0 {
                 // One DDL writer is enough; the rest hammer row DML — which,
                 // like the reader below, may land between DROP and CREATE.
+                // "Table not found" is the one error that race explains.
                 let mut conn = writer_db.connect();
-                if let Err(e) = conn.execute_with_params(
+                return match conn.execute_with_params(
                     "UPDATE flip SET gen = gen WHERE gen >= ?",
                     &[Value::Int(0)],
                 ) {
-                    prop_assert!(e.to_string().contains("flip"), "unexpected error: {e}");
-                }
-                return Ok(());
+                    Err(e) if e.code != SqlCode::UNDEFINED_OBJECT => Err(e.to_string()),
+                    _ => Ok(()),
+                };
             }
             let mut conn = writer_db.connect();
             let generation = w.iter as i64 + 1;

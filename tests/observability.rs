@@ -206,6 +206,8 @@ fn stats_page_reports_the_traffic_it_serves() {
     let stats = client.get("/stats").unwrap();
     assert_eq!(stats.status, 200);
     assert!(stats.body.contains("Gateway Statistics"));
+    // No `Config` was applied at start, so none is claimed to be in force.
+    assert!(!stats.body.contains("<H2>Configuration</H2>"));
 
     let prom = client.get("/stats?format=prometheus").unwrap();
     assert_eq!(prom.status, 200);
@@ -229,10 +231,11 @@ fn stats_page_reports_the_traffic_it_serves() {
     server.shutdown();
 }
 
-/// A gateway booted from a `Config` shows it on `/stats`: every accepted name
-/// with its effective value and whether the environment set it — and the
-/// settings reach the layers they govern (here the cache TTL, echoed to
-/// clients as `max-age`). The Prometheus text carries no such section.
+/// A server booted from a `Config` shows it on `/stats`: every accepted name
+/// with its effective value and whether the environment set it — and what is
+/// shown is what is in force, over whatever the gateway was built with (here
+/// the cache TTL, echoed to clients as `max-age`, and the deadline). The
+/// Prometheus text carries no such section.
 #[test]
 fn stats_page_shows_the_boot_configuration() {
     let config = Config::from_lookup([("DBGW_CACHE_TTL_MS", "3000"), ("DBGW_WORKERS", "2")])
@@ -240,9 +243,9 @@ fn stats_page_shows_the_boot_configuration() {
     let db = config.open_database().unwrap();
     db.run_script("CREATE TABLE urldb (url VARCHAR(255), title VARCHAR(80))")
         .unwrap();
-    let gw = Gateway::from_config(db, &config);
+    let gw = Gateway::new(db).with_deadline_ms(Some(1));
     gw.add_macro("u.d2w", MACRO).unwrap();
-    let server = HttpServer::start_with_config(gw, 0, config.server.clone()).unwrap();
+    let server = HttpServer::start_from_config(gw, 0, &config).unwrap();
     let client = HttpClient::new(server.addr());
 
     let page = client.get("/cgi-bin/db2www/u.d2w/input").unwrap();
@@ -250,7 +253,7 @@ fn stats_page_shows_the_boot_configuration() {
 
     let html = client.get("/stats").unwrap().body;
     assert!(html.contains("<H2>Configuration</H2>"), "{html}");
-    for name in dbgw_cgi::config::NAMES {
+    for (name, _, _) in config.settings() {
         assert!(html.contains(&format!("<TD>{name}</TD>")), "{name} missing");
     }
     assert!(
@@ -259,6 +262,10 @@ fn stats_page_shows_the_boot_configuration() {
     );
     assert!(
         html.contains("<TD>DBGW_WORKERS</TD><TD>2</TD><TD>set</TD>"),
+        "{html}"
+    );
+    assert!(
+        html.contains("<TD>DBGW_DEADLINE_MS</TD><TD>-</TD><TD>default</TD>"),
         "{html}"
     );
     assert!(
