@@ -9,6 +9,9 @@ pub struct ColumnRef {
     pub table: Option<String>,
     /// Column name as written.
     pub column: String,
+    /// Tuple position in the scope the expression runs in, filled in by
+    /// [`crate::eval::Bindings::bind`]; `None` as parsed.
+    pub slot: Option<usize>,
 }
 
 impl ColumnRef {
@@ -17,6 +20,7 @@ impl ColumnRef {
         ColumnRef {
             table: None,
             column: column.into(),
+            slot: None,
         }
     }
 }
@@ -1026,7 +1030,8 @@ mod tests {
         assert_eq!(
             ColumnRef {
                 table: Some("t".into()),
-                column: "x".into()
+                column: "x".into(),
+                slot: None,
             }
             .to_string(),
             "t.x"

@@ -1205,7 +1205,7 @@ pub(crate) fn apply_mutation(
                 let mut row = vec![Value::Null; width];
                 for (expr, &ordinal) in tuple.iter().zip(&ordinals) {
                     let expr = crate::exec::rewrite_expr_subqueries(state, expr, params, ctx)?;
-                    row[ordinal] = eval(&expr, &Bindings::empty(), &[], params, &NoAggregates)?;
+                    row[ordinal] = eval(&expr, &[], params, &NoAggregates)?;
                 }
                 let row = schema.check_row(row)?;
                 let id = state.insert_row(&table, row)?;
@@ -1228,12 +1228,19 @@ pub(crate) fn apply_mutation(
                 .iter()
                 .map(|(c, _)| schema.require_column(c))
                 .collect::<SqlResult<_>>()?;
+            // Subqueries run, and columns bind, once — before the row loop
+            // and so against the table as it was before the statement.
+            let exprs = (assignments.iter())
+                .map(|(_, e)| {
+                    let mut e = crate::exec::rewrite_expr_subqueries(state, e, params, ctx)?;
+                    bindings.bind(&mut e).map(|()| e)
+                })
+                .collect::<SqlResult<Vec<_>>>()?;
             let mut updated = 0usize;
             for (id, old_row) in targets {
                 let mut new_row = old_row.clone();
-                for ((_, expr), &ordinal) in assignments.iter().zip(&ordinals) {
-                    let expr = crate::exec::rewrite_expr_subqueries(state, expr, params, ctx)?;
-                    new_row[ordinal] = eval(&expr, &bindings, &old_row, params, &NoAggregates)?;
+                for (expr, &ordinal) in exprs.iter().zip(&ordinals) {
+                    new_row[ordinal] = eval(expr, &old_row, params, &NoAggregates)?;
                 }
                 let new_row = schema.check_row(new_row)?;
                 let old = state.update_row(&table, id, new_row)?;
@@ -1403,17 +1410,19 @@ fn collect_targets(
         table,
         schema.columns.iter().map(|c| c.name.clone()).collect(),
     );
-    let predicate = match predicate {
-        Some(p) => Some(crate::exec::rewrite_expr_subqueries(state, p, params, ctx)?),
-        None => None,
-    };
+    let predicate = predicate
+        .map(|p| {
+            let mut p = crate::exec::rewrite_expr_subqueries(state, p, params, ctx)?;
+            bindings.bind(&mut p).map(|()| p)
+        })
+        .transpose()?;
     let mut targets = Vec::new();
     for (i, (id, row)) in t.heap.iter().enumerate() {
         if i % 128 == 0 {
             ctx.check().map_err(SqlError::cancelled)?;
         }
         let keep = match &predicate {
-            Some(p) => eval_truth(p, &bindings, row, params, &NoAggregates)?.passes(),
+            Some(p) => eval_truth(p, row, params, &NoAggregates)?.passes(),
             None => true,
         };
         if keep {
@@ -1825,5 +1834,50 @@ mod tests {
         assert_eq!(db.table_len("b").unwrap(), 50);
         assert_eq!(db.table_version("a"), 51); // CREATE + 50 inserts
         assert_eq!(db.table_version("b"), 51);
+    }
+
+    /// Columns resolve once per (expression, scope) per statement, never per
+    /// row: `Bindings::resolve` is called as often on 10 000 rows as on 10.
+    #[test]
+    fn columns_resolve_once_per_statement() {
+        let resolves = |n: usize| -> Vec<u64> {
+            let db = Database::new();
+            db.run_script(
+                "CREATE TABLE a (id INTEGER, n INTEGER, x VARCHAR(20));
+                 CREATE TABLE b (id INTEGER, y INTEGER);",
+            )
+            .unwrap();
+            for lo in (0..n).step_by(500) {
+                let tuples = |f: &dyn Fn(usize) -> String| {
+                    (lo..n.min(lo + 500)).map(f).collect::<Vec<_>>().join(",")
+                };
+                db.run_script(&format!(
+                    "INSERT INTO a VALUES {}; INSERT INTO b VALUES {};",
+                    tuples(&|i| format!("({i}, {}, 'r{i}')", i % 7)),
+                    tuples(&|i| format!("({i}, {})", i % 5)),
+                ))
+                .unwrap();
+            }
+            assert_eq!(db.table_len("a").unwrap(), n);
+            let mut conn = db.connect();
+            [
+                "SELECT id FROM a WHERE x LIKE '%1%' OR n = 3",
+                "SELECT a.x, b.y FROM a JOIN b ON a.id = b.id AND a.n > b.y WHERE a.n + b.y > 1",
+                "SELECT x, n FROM a ORDER BY n DESC, x",
+                "SELECT n, COUNT(*) FROM a GROUP BY n HAVING MIN(id) >= 0 ORDER BY 2",
+                "UPDATE a SET n = n + id WHERE x LIKE 'r1%'",
+                "DELETE FROM a WHERE n = 2",
+            ]
+            .iter()
+            .map(|sql| {
+                let before = crate::eval::RESOLVES.with(|c| c.get());
+                conn.execute(sql).unwrap();
+                crate::eval::RESOLVES.with(|c| c.get()) - before
+            })
+            .collect()
+        };
+        let small = resolves(10);
+        assert!(small.iter().all(|&c| c > 0), "{small:?}");
+        assert_eq!(small, resolves(10_000));
     }
 }

@@ -1,15 +1,19 @@
 //! Scalar expression evaluation.
 //!
-//! Expressions evaluate against a *binding environment* (which column names
-//! resolve to which positions of the current tuple), a tuple of values, and
-//! an optional parameter vector. Aggregate sub-expressions are resolved
-//! through an [`AggSource`] supplied by the grouping executor; in any other
-//! context they are an error.
+//! Column names resolve once per statement: [`Bindings::bind`] writes each
+//! reference's tuple position into its [`ColumnRef::slot`] for the scope the
+//! expression will run in, before any row loop. Evaluation then reads slots,
+//! a tuple of values and an optional parameter vector, and borrows column,
+//! literal and parameter operands rather than cloning them; only computed
+//! values are owned. Aggregate sub-expressions are resolved through an
+//! [`AggSource`] supplied by the grouping executor; in any other context they
+//! are an error.
 
-use crate::ast::{BinOp, ColumnRef, Expr};
+use crate::ast::{BinOp, ColumnRef, Expr, WindowFunc};
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::like::like_match;
 use crate::types::{Truth, Value};
+use std::borrow::Cow;
 
 /// Column-name resolution for one query scope.
 ///
@@ -95,6 +99,8 @@ impl Bindings {
     /// Unqualified names must be unambiguous across the scope's tables; the
     /// qualified form restricts the search to one table.
     pub fn resolve(&self, col: &ColumnRef) -> SqlResult<usize> {
+        #[cfg(test)]
+        RESOLVES.with(|n| n.set(n.get() + 1));
         let mut found = None;
         let mut offset = 0;
         for (table, cols) in &self.tables {
@@ -118,6 +124,74 @@ impl Bindings {
         }
         found.ok_or_else(|| SqlError::no_such_column(&col.to_string()))
     }
+
+    /// A copy of `expr` with every column reference resolved against this
+    /// scope — unknown or ambiguous names error here, however many rows will
+    /// flow. Subqueries are skipped: they bind their own scopes when they run.
+    pub fn bound(&self, expr: &Expr) -> SqlResult<Expr> {
+        let mut expr = expr.clone();
+        self.bind(&mut expr)?;
+        Ok(expr)
+    }
+
+    /// [`Bindings::bound`] in place.
+    pub fn bind(&self, expr: &mut Expr) -> SqlResult<()> {
+        match expr {
+            Expr::Column(c) => c.slot = Some(self.resolve(c)?),
+            Expr::Literal(_) | Expr::Param(_) | Expr::Subquery(_) | Expr::Exists { .. } => {}
+            Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => self.bind(e)?,
+            Expr::Cast { expr: e, .. } | Expr::InSelect { expr: e, .. } => self.bind(e)?,
+            Expr::Binary { lhs, rhs, .. }
+            | Expr::Like {
+                expr: lhs,
+                pattern: rhs,
+                ..
+            } => {
+                self.bind(lhs)?;
+                self.bind(rhs)?;
+            }
+            Expr::InList { expr, list, .. } => {
+                self.bind(expr)?;
+                list.iter_mut().try_for_each(|e| self.bind(e))?;
+            }
+            Expr::Between { expr, lo, hi, .. } => {
+                self.bind(expr)?;
+                self.bind(lo)?;
+                self.bind(hi)?;
+            }
+            Expr::Func { args, .. } => args.iter_mut().try_for_each(|e| self.bind(e))?,
+            Expr::Agg { arg, .. } => arg.iter_mut().try_for_each(|a| self.bind(a))?,
+            Expr::Case {
+                operand,
+                arms,
+                otherwise,
+            } => {
+                operand.iter_mut().try_for_each(|o| self.bind(o))?;
+                for (w, t) in arms {
+                    self.bind(w)?;
+                    self.bind(t)?;
+                }
+                otherwise.iter_mut().try_for_each(|e| self.bind(e))?;
+            }
+            Expr::Window(w) => {
+                if let WindowFunc::Agg { arg: Some(a), .. } = &mut w.func {
+                    self.bind(a)?;
+                }
+                w.partition_by.iter_mut().try_for_each(|e| self.bind(e))?;
+                w.order_by
+                    .iter_mut()
+                    .try_for_each(|k| self.bind(&mut k.expr))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Bindings::resolve`] calls on this thread: the bind-once tests check
+    /// it does not grow with the table.
+    pub(crate) static RESOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Provider of pre-computed aggregate values during HAVING / aggregate-SELECT
@@ -143,69 +217,80 @@ impl AggSource for NoAggregates {
     }
 }
 
-/// Evaluate `expr` to a value.
+/// Evaluate `expr` (its columns bound by [`Bindings::bind`]) to a value.
 pub fn eval(
     expr: &Expr,
-    bindings: &Bindings,
     row: &[Value],
     params: &[Value],
     aggs: &dyn AggSource,
 ) -> SqlResult<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
+    eval_ref(expr, row, params, aggs).map(Cow::into_owned)
+}
+
+/// The evaluator: column, literal and parameter values come back borrowed
+/// from `row`, the expression and `params`; computed values are owned.
+pub fn eval_ref<'a>(
+    expr: &'a Expr,
+    row: &'a [Value],
+    params: &'a [Value],
+    aggs: &dyn AggSource,
+) -> SqlResult<Cow<'a, Value>> {
+    static NULL: Value = Value::Null;
+    let computed = match expr {
+        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
         Expr::Column(c) => {
-            let idx = bindings.resolve(c)?;
-            Ok(row.get(idx).cloned().unwrap_or(Value::Null))
+            let slot = c
+                .slot
+                .ok_or_else(|| SqlError::no_such_column(&c.to_string()))?;
+            return Ok(Cow::Borrowed(row.get(slot).unwrap_or(&NULL)));
         }
-        Expr::Param(i) => params
-            .get(i - 1)
-            .cloned()
-            .ok_or_else(|| SqlError::syntax(format!("no value bound for parameter marker ?{i}"))),
-        Expr::Neg(inner) => match eval(inner, bindings, row, params, aggs)? {
+        Expr::Param(i) => {
+            return params.get(i - 1).map(Cow::Borrowed).ok_or_else(|| {
+                SqlError::syntax(format!("no value bound for parameter marker ?{i}"))
+            })
+        }
+        Expr::Neg(inner) => match eval(inner, row, params, aggs)? {
             Value::Null => Ok(Value::Null),
             Value::Int(i) => Ok(Value::Int(-i)),
             Value::Double(d) => Ok(Value::Double(-d)),
             other => Err(SqlError::type_mismatch(format!("cannot negate {other}"))),
         },
         Expr::Not(inner) => {
-            let t = eval_truth(inner, bindings, row, params, aggs)?;
+            let t = eval_truth(inner, row, params, aggs)?;
             Ok(truth_to_value(t.not()))
         }
         Expr::Binary { op, lhs, rhs } => match op {
             BinOp::And | BinOp::Or => {
-                let t = eval_truth(expr, bindings, row, params, aggs)?;
+                let t = eval_truth(expr, row, params, aggs)?;
                 Ok(truth_to_value(t))
             }
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let t = eval_truth(expr, bindings, row, params, aggs)?;
+                let t = eval_truth(expr, row, params, aggs)?;
                 Ok(truth_to_value(t))
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let l = eval(lhs, bindings, row, params, aggs)?;
-                let r = eval(rhs, bindings, row, params, aggs)?;
+                let l = eval(lhs, row, params, aggs)?;
+                let r = eval(rhs, row, params, aggs)?;
                 arithmetic(*op, l, r)
             }
             BinOp::Concat => {
-                let l = eval(lhs, bindings, row, params, aggs)?;
-                let r = eval(rhs, bindings, row, params, aggs)?;
+                let l = eval_ref(lhs, row, params, aggs)?;
+                let r = eval_ref(rhs, row, params, aggs)?;
                 if l.is_null() || r.is_null() {
-                    return Ok(Value::Null);
+                    Ok(Value::Null)
+                } else {
+                    Ok(Value::Text(format!("{}{}", l.as_text(), r.as_text())))
                 }
-                Ok(Value::Text(format!(
-                    "{}{}",
-                    l.to_display_string(),
-                    r.to_display_string()
-                )))
             }
         },
         Expr::Like { .. } | Expr::IsNull { .. } | Expr::InList { .. } | Expr::Between { .. } => {
-            let t = eval_truth(expr, bindings, row, params, aggs)?;
+            let t = eval_truth(expr, row, params, aggs)?;
             Ok(truth_to_value(t))
         }
         Expr::Func { name, args } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(a, bindings, row, params, aggs)?);
+                vals.push(eval(a, row, params, aggs)?);
             }
             scalar_function(name, vals)
         }
@@ -221,24 +306,24 @@ pub fn eval(
                 let hit = match operand {
                     // Simple CASE: operand = when (NULL never matches).
                     Some(op) => {
-                        let lhs = eval(op, bindings, row, params, aggs)?;
-                        let rhs = eval(when, bindings, row, params, aggs)?;
+                        let lhs = eval_ref(op, row, params, aggs)?;
+                        let rhs = eval_ref(when, row, params, aggs)?;
                         lhs.sql_eq(&rhs) == Truth::True
                     }
                     // Searched CASE: when is a predicate.
-                    None => eval_truth(when, bindings, row, params, aggs)?.passes(),
+                    None => eval_truth(when, row, params, aggs)?.passes(),
                 };
                 if hit {
-                    return eval(then, bindings, row, params, aggs);
+                    return eval_ref(then, row, params, aggs);
                 }
             }
             match otherwise {
-                Some(e) => eval(e, bindings, row, params, aggs),
+                Some(e) => return eval_ref(e, row, params, aggs),
                 None => Ok(Value::Null),
             }
         }
         Expr::Cast { expr, ty } => {
-            let v = eval(expr, bindings, row, params, aggs)?;
+            let v = eval(expr, row, params, aggs)?;
             cast_value(v, *ty)
         }
         // Subqueries are pre-executed and replaced with literals by the
@@ -252,7 +337,8 @@ pub fn eval(
         Expr::Window(_) => aggs
             .window_value(expr)
             .ok_or_else(|| SqlError::syntax("window function not allowed in this context")),
-    }
+    };
+    computed.map(Cow::Owned)
 }
 
 /// CAST semantics: numeric↔numeric truncates toward zero; text parses to
@@ -299,7 +385,6 @@ fn cast_value(v: Value, ty: crate::types::SqlType) -> SqlResult<Value> {
 /// Evaluate `expr` as a predicate under three-valued logic.
 pub fn eval_truth(
     expr: &Expr,
-    bindings: &Bindings,
     row: &[Value],
     params: &[Value],
     aggs: &dyn AggSource,
@@ -310,34 +395,34 @@ pub fn eval_truth(
             lhs,
             rhs,
         } => {
-            let l = eval_truth(lhs, bindings, row, params, aggs)?;
+            let l = eval_truth(lhs, row, params, aggs)?;
             // Short-circuit only on definite False — Unknown must still
             // combine per 3VL.
             if l == Truth::False {
                 return Ok(Truth::False);
             }
-            Ok(l.and(eval_truth(rhs, bindings, row, params, aggs)?))
+            Ok(l.and(eval_truth(rhs, row, params, aggs)?))
         }
         Expr::Binary {
             op: BinOp::Or,
             lhs,
             rhs,
         } => {
-            let l = eval_truth(lhs, bindings, row, params, aggs)?;
+            let l = eval_truth(lhs, row, params, aggs)?;
             if l == Truth::True {
                 return Ok(Truth::True);
             }
-            Ok(l.or(eval_truth(rhs, bindings, row, params, aggs)?))
+            Ok(l.or(eval_truth(rhs, row, params, aggs)?))
         }
-        Expr::Not(inner) => Ok(eval_truth(inner, bindings, row, params, aggs)?.not()),
+        Expr::Not(inner) => Ok(eval_truth(inner, row, params, aggs)?.not()),
         Expr::Binary { op, lhs, rhs }
             if matches!(
                 op,
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
             ) =>
         {
-            let l = eval(lhs, bindings, row, params, aggs)?;
-            let r = eval(rhs, bindings, row, params, aggs)?;
+            let l = eval_ref(lhs, row, params, aggs)?;
+            let r = eval_ref(rhs, row, params, aggs)?;
             if l.is_null() || r.is_null() {
                 return Ok(Truth::Unknown);
             }
@@ -357,7 +442,7 @@ pub fn eval_truth(
             }))
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, bindings, row, params, aggs)?;
+            let v = eval_ref(expr, row, params, aggs)?;
             Ok(Truth::from_bool(v.is_null() != *negated))
         }
         Expr::Like {
@@ -366,14 +451,12 @@ pub fn eval_truth(
             escape,
             negated,
         } => {
-            let v = eval(expr, bindings, row, params, aggs)?;
-            let p = eval(pattern, bindings, row, params, aggs)?;
+            let v = eval_ref(expr, row, params, aggs)?;
+            let p = eval_ref(pattern, row, params, aggs)?;
             if v.is_null() || p.is_null() {
                 return Ok(Truth::Unknown);
             }
-            let text = v.to_display_string();
-            let pat = p.to_display_string();
-            let hit = like_match(&text, &pat, *escape);
+            let hit = like_match(&v.as_text(), &p.as_text(), *escape);
             Ok(Truth::from_bool(hit != *negated))
         }
         Expr::InList {
@@ -381,13 +464,13 @@ pub fn eval_truth(
             list,
             negated,
         } => {
-            let v = eval(expr, bindings, row, params, aggs)?;
+            let v = eval_ref(expr, row, params, aggs)?;
             if v.is_null() {
                 return Ok(Truth::Unknown);
             }
             let mut saw_null = false;
             for item in list {
-                let w = eval(item, bindings, row, params, aggs)?;
+                let w = eval_ref(item, row, params, aggs)?;
                 match v.sql_eq(&w) {
                     Truth::True => return Ok(Truth::from_bool(!*negated)),
                     Truth::Unknown => saw_null = true,
@@ -406,9 +489,9 @@ pub fn eval_truth(
             hi,
             negated,
         } => {
-            let v = eval(expr, bindings, row, params, aggs)?;
-            let l = eval(lo, bindings, row, params, aggs)?;
-            let h = eval(hi, bindings, row, params, aggs)?;
+            let v = eval_ref(expr, row, params, aggs)?;
+            let l = eval_ref(lo, row, params, aggs)?;
+            let h = eval_ref(hi, row, params, aggs)?;
             if v.is_null() || l.is_null() || h.is_null() {
                 return Ok(Truth::Unknown);
             }
@@ -421,8 +504,8 @@ pub fn eval_truth(
         }
         // Everything else: evaluate as a value, nonzero/non-null-true.
         other => {
-            let v = eval(other, bindings, row, params, aggs)?;
-            Ok(match v {
+            let v = eval_ref(other, row, params, aggs)?;
+            Ok(match *v {
                 Value::Null => Truth::Unknown,
                 Value::Int(i) => Truth::from_bool(i != 0),
                 Value::Double(d) => Truth::from_bool(d != 0.0),
@@ -834,7 +917,7 @@ mod tests {
         let SelectItem::Expr { expr, .. } = &s.items[0] else {
             panic!()
         };
-        eval(expr, &Bindings::empty(), &[], &[], &NoAggregates)
+        eval(expr, &[], &[], &NoAggregates)
     }
 
     #[test]
@@ -942,7 +1025,8 @@ mod tests {
         assert_eq!(
             b.resolve(&ColumnRef {
                 table: Some("b".into()),
-                column: "ID".into()
+                column: "ID".into(),
+                slot: None,
             })
             .unwrap(),
             2
@@ -967,15 +1051,8 @@ mod tests {
         let SelectItem::Expr { expr, .. } = &s.items[0] else {
             panic!()
         };
-        let v = eval(
-            expr,
-            &Bindings::empty(),
-            &[],
-            &[Value::Int(40), Value::Int(2)],
-            &NoAggregates,
-        )
-        .unwrap();
+        let v = eval(expr, &[], &[Value::Int(40), Value::Int(2)], &NoAggregates).unwrap();
         assert_eq!(v, Value::Int(42));
-        assert!(eval(expr, &Bindings::empty(), &[], &[], &NoAggregates).is_err());
+        assert!(eval(expr, &[], &[], &NoAggregates).is_err());
     }
 }

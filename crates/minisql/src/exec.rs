@@ -18,7 +18,7 @@ use crate::ast::{
     AggFunc, BinOp, ColumnRef, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, WindowFunc,
 };
 use crate::error::{SqlError, SqlResult};
-use crate::eval::{eval, eval_truth, AggSource, Bindings, NoAggregates};
+use crate::eval::{eval, eval_ref, eval_truth, AggSource, Bindings, NoAggregates};
 use crate::like::{is_exact, literal_prefix};
 use crate::plan::{self, JoinPlan, PlanOptions, SelectPlan};
 use crate::state::DbState;
@@ -265,24 +265,28 @@ fn run_single(
     if select_has_subqueries(&sel) {
         sel = Cow::Owned(rewrite_select_subqueries(state, &sel, params, ctx)?);
     }
-    let (sel, bindings) = (&*sel, &bindings);
-
-    // 1. Bind-time column validation: unknown columns must error even when
-    // the table is empty (DB2 validated names at PREPARE).
-    for item in &sel.items {
+    // 1. Bind: the SELECT list, GROUP BY, HAVING and ORDER BY resolve their
+    // columns against the FROM scope here, once — unknown columns error even
+    // when the table is empty (DB2 validated names at PREPARE) and no row
+    // loop looks a name up again. WHERE and ON conjuncts bind where the plan
+    // runs them, in that stage's scope.
+    let mut sel = sel.into_owned();
+    for item in &mut sel.items {
         if let SelectItem::Expr { expr, .. } = item {
-            validate_columns(expr, bindings)?;
+            bindings.bind(expr)?;
         }
     }
-    if let Some(w) = &sel.where_clause {
-        validate_columns(w, bindings)?;
+    for e in sel.group_by.iter_mut().chain(&mut sel.having) {
+        bindings.bind(e)?;
     }
-    for g in &sel.group_by {
-        validate_columns(g, bindings)?;
+    for key in &mut sel.order_by {
+        let bound = bindings.bind(&mut key.expr);
+        // A bare name that is no source column may be an output alias.
+        if !matches!(&key.expr, Expr::Column(c) if c.table.is_none()) {
+            bound?;
+        }
     }
-    if let Some(h) = &sel.having {
-        validate_columns(h, bindings)?;
-    }
+    let (sel, bindings) = (&sel, &bindings);
 
     // 2. Plan, then scan + join accordingly.
     let sel_plan = plan::plan_select(sel, bindings, opts);
@@ -293,18 +297,19 @@ fn run_single(
         dbgw_obs::metrics().pushdown_applied.inc();
         plan::record(|s| s.pushed_conjuncts += sel_plan.pushed_where as u64);
     }
+    let residual = bind_all(&sel_plan.residual, bindings)?;
     let mut rows = execute_source(state, sel, &sel_plan, params, ctx, opts)?;
 
     // 3. Residual WHERE conjuncts (everything the planner did not push).
     let filter_in = rows.len() as u64;
     let filter_t0 = analyze::start();
-    if !sel_plan.residual.is_empty() {
+    if !residual.is_empty() {
         let mut kept = Vec::with_capacity(rows.len());
         for (i, row) in rows.into_iter().enumerate() {
             if i % CANCEL_STRIDE == 0 {
                 check_cancel(ctx)?;
             }
-            if passes_all(&sel_plan.residual, bindings, &row, params)? {
+            if passes_all(&residual, &row, params)? {
                 kept.push(row);
             }
         }
@@ -331,84 +336,18 @@ fn run_single(
 
 /// True when every conjunct evaluates to TRUE for `row` (3-valued logic:
 /// FALSE and UNKNOWN both reject, exactly as the AND of the conjuncts would).
-fn passes_all(
-    conjuncts: &[&Expr],
-    bindings: &Bindings,
-    row: &[Value],
-    params: &[Value],
-) -> SqlResult<bool> {
+fn passes_all(conjuncts: &[Expr], row: &[Value], params: &[Value]) -> SqlResult<bool> {
     for conj in conjuncts {
-        if !eval_truth(conj, bindings, row, params, &NoAggregates)?.passes() {
+        if !eval_truth(conj, row, params, &NoAggregates)?.passes() {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// Resolve every column reference in `expr`, erroring on unknown names —
-/// independent of how many rows will flow.
-fn validate_columns(expr: &Expr, bindings: &Bindings) -> SqlResult<()> {
-    match expr {
-        Expr::Column(c) => bindings.resolve(c).map(|_| ()),
-        Expr::Literal(_) | Expr::Param(_) => Ok(()),
-        Expr::Neg(i) | Expr::Not(i) => validate_columns(i, bindings),
-        Expr::Binary { lhs, rhs, .. } => {
-            validate_columns(lhs, bindings)?;
-            validate_columns(rhs, bindings)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            validate_columns(expr, bindings)?;
-            validate_columns(pattern, bindings)
-        }
-        Expr::IsNull { expr, .. } => validate_columns(expr, bindings),
-        Expr::InList { expr, list, .. } => {
-            validate_columns(expr, bindings)?;
-            list.iter().try_for_each(|e| validate_columns(e, bindings))
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            validate_columns(expr, bindings)?;
-            validate_columns(lo, bindings)?;
-            validate_columns(hi, bindings)
-        }
-        Expr::Func { args, .. } => args.iter().try_for_each(|e| validate_columns(e, bindings)),
-        Expr::Agg { arg, .. } => match arg {
-            Some(a) => validate_columns(a, bindings),
-            None => Ok(()),
-        },
-        Expr::Case {
-            operand,
-            arms,
-            otherwise,
-        } => {
-            if let Some(o) = operand {
-                validate_columns(o, bindings)?;
-            }
-            for (w, t) in arms {
-                validate_columns(w, bindings)?;
-                validate_columns(t, bindings)?;
-            }
-            if let Some(e) = otherwise {
-                validate_columns(e, bindings)?;
-            }
-            Ok(())
-        }
-        Expr::Cast { expr, .. } => validate_columns(expr, bindings),
-        // Subqueries validate their own scopes when they execute.
-        Expr::Subquery(_) | Expr::Exists { .. } => Ok(()),
-        Expr::InSelect { expr, .. } => validate_columns(expr, bindings),
-        Expr::Window(w) => {
-            if let WindowFunc::Agg { arg: Some(a), .. } = &w.func {
-                validate_columns(a, bindings)?;
-            }
-            for e in &w.partition_by {
-                validate_columns(e, bindings)?;
-            }
-            for key in &w.order_by {
-                validate_columns(&key.expr, bindings)?;
-            }
-            Ok(())
-        }
-    }
+/// The plan's conjuncts for one stage, bound to that stage's scope.
+fn bind_all(conjuncts: &[&Expr], scope: &Bindings) -> SqlResult<Vec<Expr>> {
+    conjuncts.iter().map(|c| scope.bound(c)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +397,7 @@ fn scan_table<'a>(
     let analyze_t0 = analyze::start();
     let table = state.table(table_name)?;
     let local = Bindings::single(effective, column_names(state, table_name)?);
+    let filters = bind_all(filters, &local)?;
     // A probe is only attempted for conjuncts the cost model estimates as
     // selective; a predicate keeping most of the table scans faster flat.
     let probed = if opts.index_paths {
@@ -479,7 +419,7 @@ fn scan_table<'a>(
                     check_cancel(ctx)?;
                 }
                 scanned += 1;
-                if passes_all(filters, &local, row, params)? {
+                if passes_all(&filters, row, params)? {
                     out.push(row);
                 }
             }
@@ -490,7 +430,7 @@ fn scan_table<'a>(
                     check_cancel(ctx)?;
                 }
                 scanned += 1;
-                if passes_all(filters, &local, row, params)? {
+                if passes_all(&filters, row, params)? {
                     out.push(row);
                 }
             }
@@ -597,13 +537,19 @@ fn join_step<'a>(
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
-    if !jp.left_filters.is_empty() {
+    let left_filters = bind_all(&jp.left_filters, bindings)?;
+    let residual = bind_all(&jp.residual, bindings)?;
+    let post_filters = bind_all(&jp.post_filters, bindings)?;
+    let keys = (jp.keys.iter())
+        .map(|(l, r)| Ok((bindings.bound(l)?, right_local.bound(r)?)))
+        .collect::<SqlResult<Vec<_>>>()?;
+    if !left_filters.is_empty() {
         let mut kept = Vec::with_capacity(left.len());
         for (i, row) in left.into_iter().enumerate() {
             if i % CANCEL_STRIDE == 0 {
                 check_cancel(ctx)?;
             }
-            if passes_all(&jp.left_filters, bindings, &row, params)? {
+            if passes_all(&left_filters, &row, params)? {
                 kept.push(row);
             }
         }
@@ -625,10 +571,9 @@ fn join_step<'a>(
         hash_join(
             left,
             &right_rows,
-            jp,
+            &keys,
+            &residual,
             left_outer,
-            bindings,
-            right_local,
             right_width,
             params,
             ctx,
@@ -637,22 +582,21 @@ fn join_step<'a>(
         nested_join(
             left,
             &right_rows,
-            jp,
+            &residual,
             left_outer,
-            bindings,
             left_width,
             right_width,
             params,
             ctx,
         )?
     };
-    if !jp.post_filters.is_empty() {
+    if !post_filters.is_empty() {
         let mut kept = Vec::with_capacity(joined.len());
         for (i, row) in joined.into_iter().enumerate() {
             if i % CANCEL_STRIDE == 0 {
                 check_cancel(ctx)?;
             }
-            if passes_all(&jp.post_filters, bindings, &row, params)? {
+            if passes_all(&post_filters, &row, params)? {
                 kept.push(row);
             }
         }
@@ -677,17 +621,16 @@ fn key_excluded(v: &Value) -> bool {
 fn hash_join<'a>(
     left: Vec<SrcRow<'a>>,
     right_rows: &[&'a Row],
-    jp: &JoinPlan<'_>,
+    keys: &[(Expr, Expr)],
+    residual: &[Expr],
     left_outer: bool,
-    bindings: &Bindings,
-    right_local: &Bindings,
     right_width: usize,
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
     dbgw_obs::metrics().join_hash.inc();
     plan::record(|s| s.hash_joins += 1);
-    let nkeys = jp.keys.len();
+    let nkeys = keys.len();
     // Right-side key tuples, evaluated once per right row against the bare
     // heap row (table-local bindings); None = contains NULL/NaN, never joins.
     let mut right_keys: Vec<Option<Vec<Value>>> = Vec::with_capacity(right_rows.len());
@@ -696,8 +639,8 @@ fn hash_join<'a>(
             check_cancel(ctx)?;
         }
         let mut key = Vec::with_capacity(nkeys);
-        for (_, right_expr) in &jp.keys {
-            let v = eval(right_expr, right_local, row, params, &NoAggregates)?;
+        for (_, right_expr) in keys {
+            let v = eval(right_expr, row, params, &NoAggregates)?;
             if key_excluded(&v) {
                 key.clear();
                 break;
@@ -708,8 +651,8 @@ fn hash_join<'a>(
     }
     let left_key = |row: &[Value]| -> SqlResult<Option<Vec<Value>>> {
         let mut key = Vec::with_capacity(nkeys);
-        for (left_expr, _) in &jp.keys {
-            let v = eval(left_expr, bindings, row, params, &NoAggregates)?;
+        for (left_expr, _) in keys {
+            let v = eval(left_expr, row, params, &NoAggregates)?;
             if key_excluded(&v) {
                 return Ok(None);
             }
@@ -746,7 +689,7 @@ fn hash_join<'a>(
                 }
                 let mut combined = left[li as usize].to_vec();
                 combined.extend(rrow.iter().cloned());
-                if passes_all(&jp.residual, bindings, &combined, params)? {
+                if passes_all(residual, &combined, params)? {
                     matches.push((li, ri as u32, combined));
                 }
             }
@@ -776,7 +719,7 @@ fn hash_join<'a>(
                         }
                         let mut combined = lrow.to_vec();
                         combined.extend(right_rows[ri as usize].iter().cloned());
-                        if passes_all(&jp.residual, bindings, &combined, params)? {
+                        if passes_all(residual, &combined, params)? {
                             matched = true;
                             out.push(Cow::Owned(combined));
                         }
@@ -800,9 +743,8 @@ fn hash_join<'a>(
 fn nested_join<'a>(
     left: Vec<SrcRow<'a>>,
     right_rows: &[&'a Row],
-    jp: &JoinPlan<'_>,
+    residual: &[Expr],
     left_outer: bool,
-    bindings: &Bindings,
     left_width: usize,
     right_width: usize,
     params: &[Value],
@@ -824,7 +766,7 @@ fn nested_join<'a>(
             }
             buf.truncate(left_width);
             buf.extend(rrow.iter().cloned());
-            if passes_all(&jp.residual, bindings, &buf, params)? {
+            if passes_all(residual, &buf, params)? {
                 matched = true;
                 out.push(Cow::Owned(buf.clone()));
             }
@@ -955,7 +897,7 @@ fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
     if has_column(expr) {
         return None;
     }
-    eval(expr, &Bindings::empty(), &[], params, &NoAggregates).ok()
+    eval(expr, &[], params, &NoAggregates).ok()
 }
 
 fn column_of<'a>(expr: &'a Expr, effective: &str) -> Option<&'a ColumnRef> {
@@ -1157,7 +1099,6 @@ fn default_label(expr: &Expr, position: usize) -> String {
 
 fn project(
     cols: &[OutCol],
-    bindings: &Bindings,
     row: &[Value],
     params: &[Value],
     aggs: &dyn AggSource,
@@ -1166,7 +1107,7 @@ fn project(
     for col in cols {
         out.push(match col {
             OutCol::Position(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-            OutCol::Expr(e) => eval(e, bindings, row, params, aggs)?,
+            OutCol::Expr(e) => eval(e, row, params, aggs)?,
         });
     }
     Ok(out)
@@ -1195,7 +1136,7 @@ fn run_plain(
     let window_values = if windows.is_empty() {
         None
     } else {
-        Some(compute_windows(&windows, bindings, &rows, params, ctx)?)
+        Some(compute_windows(&windows, &rows, params, ctx)?)
     };
     let mut pairs: Vec<(SrcRow<'_>, Row)> = Vec::with_capacity(rows.len()); // (src, out)
     for (i, src) in rows.into_iter().enumerate() {
@@ -1208,13 +1149,13 @@ fn run_plain(
                     exprs: &windows,
                     values: values.iter().map(|per_row| per_row[i].clone()).collect(),
                 };
-                project(&cols, bindings, &src, params, &source)?
+                project(&cols, &src, params, &source)?
             }
-            None => project(&cols, bindings, &src, params, &NoAggregates)?,
+            None => project(&cols, &src, params, &NoAggregates)?,
         };
         pairs.push((src, out));
     }
-    finish_pipeline(sel, bindings, &labels, pairs, params, None, topk)
+    finish_pipeline(sel, &labels, pairs, params, None, topk)
 }
 
 /// Collect the distinct window expressions in `expr` (windows cannot nest).
@@ -1305,7 +1246,6 @@ impl AggSource for WindowRowSource<'_> {
 /// current row's last peer; without one, the whole partition.
 fn compute_windows(
     windows: &[Expr],
-    bindings: &Bindings,
     rows: &[SrcRow<'_>],
     params: &[Value],
     ctx: &RequestCtx,
@@ -1327,7 +1267,7 @@ fn compute_windows(
             }
             let mut key = Vec::with_capacity(w.partition_by.len());
             for e in &w.partition_by {
-                key.push(eval(e, bindings, row, params, &NoAggregates)?);
+                key.push(eval(e, row, params, &NoAggregates)?);
             }
             if !parts.contains_key(&key) {
                 part_order.push(key.clone());
@@ -1342,7 +1282,7 @@ fn compute_windows(
             for &i in &idxs {
                 let mut key = Vec::with_capacity(w.order_by.len());
                 for ok in &w.order_by {
-                    key.push(eval(&ok.expr, bindings, &rows[i], params, &NoAggregates)?);
+                    key.push(eval(&ok.expr, &rows[i], params, &NoAggregates)?);
                 }
                 keyed.push((key, i));
             }
@@ -1376,12 +1316,7 @@ fn compute_windows(
                             arg: arg.clone(),
                             distinct: false,
                         };
-                        Some(compute_agg(
-                            &agg_expr,
-                            bindings,
-                            &sorted_rows[..frame_end],
-                            params,
-                        )?)
+                        Some(compute_agg(&agg_expr, &sorted_rows[..frame_end], params)?)
                     }
                     _ => None,
                 };
@@ -1477,12 +1412,7 @@ fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-fn compute_agg(
-    agg: &Expr,
-    bindings: &Bindings,
-    rows: &[SrcRow<'_>],
-    params: &[Value],
-) -> SqlResult<Value> {
+fn compute_agg(agg: &Expr, rows: &[SrcRow<'_>], params: &[Value]) -> SqlResult<Value> {
     let Expr::Agg {
         func,
         arg,
@@ -1500,7 +1430,7 @@ fn compute_agg(
         }
         Some(arg) => {
             for row in rows {
-                let v = eval(arg, bindings, row, params, &NoAggregates)?;
+                let v = eval(arg, row, params, &NoAggregates)?;
                 if !v.is_null() {
                     values.push(v);
                 }
@@ -1601,7 +1531,7 @@ fn run_grouped<'a>(
             }
             let mut key = Vec::with_capacity(sel.group_by.len());
             for g in &sel.group_by {
-                key.push(eval(g, bindings, &row, params, &NoAggregates)?);
+                key.push(eval(g, &row, params, &NoAggregates)?);
             }
             if !groups.contains_key(&key) {
                 group_order.push(key.clone());
@@ -1633,10 +1563,7 @@ fn run_grouped<'a>(
         let group_rows = groups.remove(&key).expect("group key recorded");
         let mut computed = Vec::with_capacity(agg_exprs.len());
         for agg in &agg_exprs {
-            computed.push((
-                agg.clone(),
-                compute_agg(agg, bindings, &group_rows, params)?,
-            ));
+            computed.push((agg.clone(), compute_agg(agg, &group_rows, params)?));
         }
         let aggs = GroupAggs(computed);
         // Representative row: the first row of the group, or all-NULL for the
@@ -1647,36 +1574,26 @@ fn run_grouped<'a>(
             .unwrap_or_else(|| Cow::Owned(vec![Value::Null; width]));
         if let Some(h) = &sel.having {
             let having_t0 = analyze::start();
-            let pass = eval_truth(h, bindings, &rep, params, &aggs)?.passes();
+            let pass = eval_truth(h, &rep, params, &aggs)?.passes();
             analyze::record(OpId::Having, having_t0, 1, u64::from(pass));
             if !pass {
                 continue;
             }
         }
-        let out = project(&cols, bindings, &rep, params, &aggs)?;
+        let out = project(&cols, &rep, params, &aggs)?;
         pairs.push((rep, out));
         agg_sources.push(aggs);
     }
     analyze::record(OpId::Aggregate, agg_t0, agg_in, n_groups);
-    finish_pipeline(
-        sel,
-        bindings,
-        &labels,
-        pairs,
-        params,
-        Some(agg_sources),
-        topk,
-    )
+    finish_pipeline(sel, &labels, pairs, params, Some(agg_sources), topk)
 }
 
 // ---------------------------------------------------------------------------
 // Shared tail: DISTINCT → ORDER BY → OFFSET/LIMIT.
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn finish_pipeline(
     sel: &Select,
-    bindings: &Bindings,
     labels: &[String],
     mut pairs: Vec<(SrcRow<'_>, Row)>,
     params: &[Value],
@@ -1716,25 +1633,13 @@ fn finish_pipeline(
     if !sel.order_by.is_empty() {
         let sort_in = pairs.len() as u64;
         let sort_t0 = analyze::start();
-        let keys: Vec<Vec<Value>> = pairs
-            .iter()
-            .enumerate()
+        // Keys borrow the output or source value they name; only computed
+        // keys are owned.
+        let keys: Vec<Vec<Cow<'_, Value>>> = (pairs.iter().enumerate())
             .map(|(row_idx, (src, out))| {
-                sel.order_by
-                    .iter()
-                    .map(|k| {
-                        order_key_value(
-                            k,
-                            bindings,
-                            labels,
-                            src,
-                            out,
-                            params,
-                            row_idx,
-                            &agg_sources,
-                        )
-                    })
-                    .collect::<SqlResult<Vec<Value>>>()
+                (sel.order_by.iter())
+                    .map(|k| order_key_value(k, labels, src, out, params, row_idx, &agg_sources))
+                    .collect::<SqlResult<Vec<_>>>()
             })
             .collect::<SqlResult<Vec<_>>>()?;
         let cmp = |a: usize, b: usize| -> std::cmp::Ordering {
@@ -1789,22 +1694,20 @@ fn finish_pipeline(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn order_key_value(
-    key: &OrderKey,
-    bindings: &Bindings,
+fn order_key_value<'a>(
+    key: &'a OrderKey,
     labels: &[String],
-    src: &[Value],
-    out: &[Value],
-    params: &[Value],
+    src: &'a [Value],
+    out: &'a [Value],
+    params: &'a [Value],
     row_idx: usize,
     agg_sources: &Option<Vec<GroupAggs>>,
-) -> SqlResult<Value> {
+) -> SqlResult<Cow<'a, Value>> {
     // SQL-92 positional sort: ORDER BY 2.
     if let Expr::Literal(Value::Int(n)) = &key.expr {
         let n = *n;
         if n >= 1 && (n as usize) <= out.len() {
-            return Ok(out[n as usize - 1].clone());
+            return Ok(Cow::Borrowed(&out[n as usize - 1]));
         }
         return Err(SqlError::syntax(format!(
             "ORDER BY position {n} is out of range"
@@ -1817,7 +1720,7 @@ fn order_key_value(
                 .iter()
                 .position(|l| l.eq_ignore_ascii_case(&c.column))
             {
-                return Ok(out[pos].clone());
+                return Ok(Cow::Borrowed(&out[pos]));
             }
         }
     }
@@ -1825,7 +1728,7 @@ fn order_key_value(
         Some(sources) => &sources[row_idx],
         None => &NoAggregates,
     };
-    eval(&key.expr, bindings, src, params, aggs)
+    eval_ref(&key.expr, src, params, aggs)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 //! `%` matches any run of characters (including empty), `_` matches exactly
 //! one character, and an optional `ESCAPE` character makes the next pattern
 //! character literal. Matching is case-sensitive, as in DB2 with default
-//! collation. The matcher runs in O(text × pattern) worst case using the
-//! classic two-pointer backtracking algorithm (no allocation).
+//! collation. Matching never allocates: a pattern that is one literal with
+//! at most a leading and a trailing `%` (and no `_` or escape character) is
+//! a plain `==` / `starts_with` / `ends_with` / `contains`; every other
+//! pattern runs the classic two-pointer backtracking matcher in place over
+//! both strings, O(text × pattern) worst case.
 
 /// Does `text` match the LIKE `pattern`?
 ///
@@ -16,98 +19,97 @@
 /// assert!(!like_match("Bikes", "bikes%", None));
 /// ```
 pub fn like_match(text: &str, pattern: &str, escape: Option<char>) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<PatTok> = compile(pattern, escape);
-    matches(&t, &p)
+    let literal = pattern.trim_matches('%');
+    if literal.contains(['%', '_']) || escape.is_some_and(|e| pattern.contains(e)) {
+        return backtrack(text, pattern, escape);
+    }
+    match (pattern.starts_with('%'), pattern.ends_with('%')) {
+        (false, false) => text == literal,
+        (false, true) => text.starts_with(literal),
+        (true, false) => text.ends_with(literal),
+        (true, true) => text.contains(literal),
+    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum PatTok {
     AnyRun, // %
     AnyOne, // _
     Lit(char),
 }
 
-fn compile(pattern: &str, escape: Option<char>) -> Vec<PatTok> {
-    let mut out = Vec::with_capacity(pattern.len());
-    let mut chars = pattern.chars().peekable();
-    while let Some(c) = chars.next() {
-        if Some(c) == escape {
-            // Escaped character is literal; a trailing escape is itself literal
-            // (DB2 raised an error; being lenient here only loosens tests we
-            // never rely on).
-            match chars.next() {
-                Some(next) => out.push(PatTok::Lit(next)),
-                None => out.push(PatTok::Lit(c)),
-            }
-        } else if c == '%' {
-            // Collapse consecutive % runs.
-            if out.last() != Some(&PatTok::AnyRun) {
-                out.push(PatTok::AnyRun);
-            }
-        } else if c == '_' {
-            out.push(PatTok::AnyOne);
-        } else {
-            out.push(PatTok::Lit(c));
+/// The pattern token starting at byte `at`, and the byte offset after it.
+fn token(pattern: &str, at: usize, escape: Option<char>) -> Option<(PatTok, usize)> {
+    let mut chars = pattern[at..].chars();
+    let c = chars.next()?;
+    let tok = if Some(c) == escape {
+        // Escaped character is literal; a trailing escape is itself literal
+        // (DB2 raised an error; being lenient here only loosens tests we
+        // never rely on).
+        match chars.next() {
+            Some(next) => return Some((PatTok::Lit(next), at + c.len_utf8() + next.len_utf8())),
+            None => PatTok::Lit(c),
         }
-    }
-    out
+    } else if c == '%' {
+        PatTok::AnyRun
+    } else if c == '_' {
+        PatTok::AnyOne
+    } else {
+        PatTok::Lit(c)
+    };
+    Some((tok, at + c.len_utf8()))
 }
 
-fn matches(text: &[char], pat: &[PatTok]) -> bool {
-    let (mut ti, mut pi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pat idx after %, text idx at %)
-    while ti < text.len() {
-        match pat.get(pi) {
-            Some(PatTok::Lit(c)) if *c == text[ti] => {
-                ti += 1;
-                pi += 1;
-            }
-            Some(PatTok::AnyOne) => {
-                ti += 1;
-                pi += 1;
-            }
-            Some(PatTok::AnyRun) => {
-                star = Some((pi + 1, ti));
-                pi += 1;
-            }
+/// The pattern's tokens in order.
+fn tokens(pattern: &str, escape: Option<char>) -> impl Iterator<Item = PatTok> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let (tok, next) = token(pattern, at, escape)?;
+        at = next;
+        Some(tok)
+    })
+}
+
+fn backtrack(text: &str, pattern: &str, escape: Option<char>) -> bool {
+    let (mut ti, mut pi) = (0usize, 0usize); // byte offsets
+    let mut star: Option<(usize, usize)> = None; // (pattern after %, text at %)
+    while let Some(tc) = text[ti..].chars().next() {
+        match token(pattern, pi, escape) {
+            Some((PatTok::Lit(c), next)) if c == tc => (ti, pi) = (ti + tc.len_utf8(), next),
+            Some((PatTok::AnyOne, next)) => (ti, pi) = (ti + tc.len_utf8(), next),
+            Some((PatTok::AnyRun, next)) => (star, pi) = (Some((next, ti)), next),
             _ => match star {
                 // Backtrack: let the last % swallow one more character.
                 Some((sp, st)) => {
-                    pi = sp;
-                    ti = st + 1;
-                    star = Some((sp, st + 1));
+                    let st = st + text[st..].chars().next().map_or(1, char::len_utf8);
+                    (ti, pi, star) = (st, sp, Some((sp, st)));
                 }
                 None => return false,
             },
         }
     }
-    while pat.get(pi) == Some(&PatTok::AnyRun) {
-        pi += 1;
+    while let Some((PatTok::AnyRun, next)) = token(pattern, pi, escape) {
+        pi = next;
     }
-    pi == pat.len()
+    pi == pattern.len()
 }
 
 /// If the pattern has a non-empty literal prefix before any wildcard, return
 /// it. The planner uses this to turn `col LIKE 'abc%'` into a B-tree range
 /// scan.
 pub fn literal_prefix(pattern: &str, escape: Option<char>) -> String {
-    let mut prefix = String::new();
-    for tok in compile(pattern, escape) {
-        match tok {
-            PatTok::Lit(c) => prefix.push(c),
-            _ => break,
-        }
-    }
-    prefix
+    tokens(pattern, escape)
+        .map_while(|tok| match tok {
+            PatTok::Lit(c) => Some(c),
+            _ => None,
+        })
+        .collect()
 }
 
 /// True when the pattern contains no wildcards at all (so LIKE degenerates to
 /// equality against the unescaped literal).
 pub fn is_exact(pattern: &str, escape: Option<char>) -> bool {
-    compile(pattern, escape)
-        .iter()
-        .all(|t| matches!(t, PatTok::Lit(_)))
+    tokens(pattern, escape).all(|t| matches!(t, PatTok::Lit(_)))
 }
 
 #[cfg(test)]
@@ -176,6 +178,33 @@ mod tests {
     fn multibyte_chars_count_as_one() {
         assert!(like_match("héllo", "h_llo", None));
         assert!(like_match("☃", "_", None));
+    }
+
+    #[test]
+    fn every_shape() {
+        let cases: &[(&str, &str, Option<char>, bool)] = &[
+            ("", "", None, true),
+            ("a", "", None, false),
+            ("", "%", None, true),
+            ("é日", "%", None, true),
+            ("", "%%", None, true),
+            ("xyz", "%%", None, true),
+            ("abc", "a%b%c", None, true),
+            ("a-b-c-", "a%b%c", None, false),
+            ("é", "_", None, true),
+            ("é", "__", None, false),
+            ("ab!", "ab!", Some('!'), true),
+            ("ab", "ab!", Some('!'), false),
+            ("100%", "100%%", Some('%'), true),
+            ("1000", "100%%", Some('%'), false),
+        ];
+        for &(text, pattern, escape, want) in cases {
+            assert_eq!(
+                like_match(text, pattern, escape),
+                want,
+                "{text:?} LIKE {pattern:?}"
+            );
+        }
     }
 
     #[test]

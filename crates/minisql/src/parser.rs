@@ -988,6 +988,7 @@ impl Parser {
             Ok(Expr::Column(ColumnRef {
                 table: Some(first),
                 column,
+                slot: None,
             }))
         } else {
             Ok(Expr::Column(ColumnRef::bare(first)))

@@ -205,6 +205,14 @@ impl Value {
             Value::Date(d) => crate::date::format_date(*d),
         }
     }
+
+    /// [`Value::to_display_string`], borrowed when the value is already text.
+    pub fn as_text(&self) -> std::borrow::Cow<'_, str> {
+        match self {
+            Value::Text(t) => std::borrow::Cow::Borrowed(t),
+            other => std::borrow::Cow::Owned(other.to_display_string()),
+        }
+    }
 }
 
 /// Format a double the way DB2's CHAR() did, without trailing `.0` noise for

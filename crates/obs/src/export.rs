@@ -369,7 +369,10 @@ fn histogram_block(out: &mut String, name: &str, help: &str, h: &crate::metrics:
     cumulative += counts[BUCKET_BOUNDS_NS.len()];
     out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
     out.push_str(&format!("{name}_sum {}\n", h.sum_ns() as f64 / 1e9));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
+    // `_count` is the `+Inf` bucket by definition; printing it from this
+    // read rather than a second `h.count()` keeps a concurrent observe from
+    // splitting the two.
+    out.push_str(&format!("{name}_count {cumulative}\n"));
 }
 
 /// Age in milliseconds of the most recently published database snapshot

@@ -130,6 +130,20 @@ BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_http.json" \
     cargo bench --offline -p dbgw-bench --bench http_edge
 grep -q 'http_ttfb_speedup' "$OBS_TMP/bench_http.json"
 
+echo "== load rig (quick rounds of all four workloads + the rig's own tests) =="
+# The benchmark PRs are judged by (BENCHMARK.json, benchmark/): two short
+# rounds per workload with every response checked by the rig's oracle (row
+# counts, read-your-writes, acknowledged updates survive SIGKILL); a run that
+# is not correct exits non-zero. An executor change that breaks the oracle or
+# the rig's build fails here rather than in the pipeline.
+for w in small_page scan_report big_report write_mix; do
+    bash benchmark/run.sh --workload "$w" --quick \
+        > "$OBS_TMP/rig-$w.json" 2> "$OBS_TMP/rig-$w.log" \
+        || { cat "$OBS_TMP/rig-$w.log"; exit 1; }
+    grep -q '^{"correct":true,' "$OBS_TMP/rig-$w.json"
+done
+(cd benchmark && cargo test --offline)
+
 echo "== crash-recovery smoke (kill -9 mid-commit-stream) =="
 # Durability's acceptance test, end to end on the release binary: run the
 # transfer workload against a durable data dir, kill -9 once commits are

@@ -138,27 +138,62 @@ props! {
         prop_assert_eq!(got, want);
     }
 
-    /// MiniSQL: a LIKE predicate evaluated by the engine agrees with the
-    /// standalone matcher on stored data.
-    fn engine_like_agrees_with_matcher(
-        texts in vec_of(charset("abc", 0..=6), 1..=19),
-        pattern in charset("abc%_", 0..=6),
+    /// MiniSQL: the engine's LIKE agrees with a naive reference matcher —
+    /// not `minisql::like` — on multi-byte text with wildcards in the data,
+    /// with an ESCAPE character, over NULLs (neither LIKE nor NOT LIKE), and
+    /// on an INTEGER column, which matches its display string.
+    fn engine_like_agrees_with_reference(
+        rows in vec_of((option_of(charset("aé日%_!", 0..=6)), ints(0..200)), 1..=19),
+        pattern in charset("aé日%_!", 0..=6),
+        int_pattern in charset("12%_", 0..=4),
     ) {
         let db = minisql::Database::new();
-        db.run_script("CREATE TABLE t (s VARCHAR(20))").unwrap();
+        db.run_script("CREATE TABLE t (s VARCHAR(20), n INTEGER)").unwrap();
         let mut conn = db.connect();
-        for t in &texts {
-            conn.execute_with_params("INSERT INTO t VALUES (?)",
-                &[minisql::Value::Text(t.clone())]).unwrap();
+        for (s, n) in &rows {
+            let s = s.clone().map_or(minisql::Value::Null, minisql::Value::Text);
+            conn.execute_with_params("INSERT INTO t VALUES (?, ?)", &[s, minisql::Value::Int(*n)])
+                .unwrap();
         }
-        let r = conn.execute_with_params(
-            "SELECT COUNT(*) FROM t WHERE s LIKE ?",
-            &[minisql::Value::Text(pattern.clone())]).unwrap();
-        let minisql::ExecResult::Rows(rs) = r else { panic!() };
-        let expected = texts.iter()
-            .filter(|t| minisql::like::like_match(t, &pattern, None))
-            .count() as i64;
-        prop_assert_eq!(rs.rows[0][0].clone(), minisql::Value::Int(expected));
+        let texts: Vec<&str> = rows.iter().filter_map(|(s, _)| s.as_deref()).collect();
+        for (esc, clause) in [(None, ""), (Some('!'), " ESCAPE '!'")] {
+            let hits = texts.iter().filter(|s| like_ref(s, &pattern, esc)).count();
+            let like = count_where(&mut conn, &format!("s LIKE ?{clause}"), &pattern);
+            prop_assert_eq!(like, hits, "s LIKE {:?}{}", pattern, clause);
+            let unlike = count_where(&mut conn, &format!("s NOT LIKE ?{clause}"), &pattern);
+            prop_assert_eq!(unlike, texts.len() - hits, "s NOT LIKE {:?}{}", pattern, clause);
+        }
+        for p in [int_pattern.as_str(), "1%"] {
+            let hits = rows.iter().filter(|(_, n)| like_ref(&n.to_string(), p, None)).count();
+            prop_assert_eq!(count_where(&mut conn, "n LIKE ?", p), hits, "n LIKE {:?}", p);
+        }
+    }
+}
+
+/// Reference LIKE: naive recursion over chars, independent of
+/// `minisql::like` (a trailing escape character is itself a literal).
+fn like_ref(text: &str, pattern: &str, esc: Option<char>) -> bool {
+    fn go(t: &[char], p: &[char], esc: Option<char>) -> bool {
+        let lit = |c: char, rest: &[char]| t.first() == Some(&c) && go(&t[1..], rest, esc);
+        match p {
+            [] => t.is_empty(),
+            [e, c, rest @ ..] if Some(*e) == esc => lit(*c, rest),
+            ['%', rest @ ..] => (0..=t.len()).any(|i| go(&t[i..], rest, esc)),
+            ['_', rest @ ..] => !t.is_empty() && go(&t[1..], rest, esc),
+            [c, rest @ ..] => lit(*c, rest),
+        }
+    }
+    let chars = |s: &str| s.chars().collect::<Vec<_>>();
+    go(&chars(text), &chars(pattern), esc)
+}
+
+/// `SELECT COUNT(*) FROM t WHERE <cond>` with `param` bound to its `?`.
+fn count_where(conn: &mut minisql::Connection, cond: &str, param: &str) -> usize {
+    let sql = format!("SELECT COUNT(*) FROM t WHERE {cond}");
+    let r = conn.execute_with_params(&sql, &[minisql::Value::Text(param.into())]);
+    match r.unwrap().rows().unwrap().rows[0][0] {
+        minisql::Value::Int(n) => n as usize,
+        ref other => panic!("COUNT(*) gave {other:?}"),
     }
 }
 
