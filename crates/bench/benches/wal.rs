@@ -23,7 +23,6 @@ use dbgw_testkit::bench::Suite;
 use minisql::wal::DurabilityConfig;
 use minisql::{Database, Value};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 const HOT_ROWS: i64 = 256;
@@ -68,13 +67,7 @@ fn durable_db(dir: &std::path::Path, group_commit_us: u64) -> Database {
         // Never checkpoint mid-run: this measures the append path alone.
         checkpoint_bytes: u64::MAX,
     };
-    Database::open_with_config(
-        dir,
-        &config,
-        &dbgw_cache::CacheConfig::default(),
-        Arc::new(dbgw_obs::StdClock::new()),
-    )
-    .unwrap()
+    Database::open_with_config(dir, &config, &dbgw_cache::CacheConfig::default()).unwrap()
 }
 
 /// `threads` writers, each committing `ops_per_thread` single-row UPDATEs

@@ -1,4 +1,4 @@
-//! A sharded, byte-budgeted LRU cache with optional TTL.
+//! A sharded, byte-budgeted LRU cache.
 //!
 //! Each shard is an independent LRU behind its own mutex, holding an equal
 //! slice of the total byte budget. Entries are charged their caller-supplied
@@ -13,9 +13,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use dbgw_obs::Clock;
 use dbgw_sync::Mutex;
 
 use crate::config::CacheConfig;
@@ -25,19 +23,12 @@ use crate::key::fnv1a_64;
 /// approximating the slab + hash-map overhead per entry.
 const ENTRY_OVERHEAD: usize = 64;
 
+/// Number of shards; each gets an equal slice of the byte budget and its
+/// own mutex.
+const SHARDS: usize = 8;
+
 /// Sentinel index for "no link".
 const NIL: usize = usize::MAX;
-
-/// Outcome of a [`ShardedCache::get`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup<V> {
-    /// The key was present and fresh; here is a clone of the value.
-    Hit(V),
-    /// The key was not present.
-    Miss,
-    /// The key was present but past its TTL; it has been removed.
-    Expired,
-}
 
 /// Outcome of a [`ShardedCache::put`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,16 +44,12 @@ pub struct Stored {
 /// `/stats`. All counts are since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
-    /// Fresh lookups that found a value.
+    /// Lookups that found a value.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Lookups that found a value past its TTL.
-    pub expirations: u64,
     /// Entries pushed out to make room for newer ones.
     pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
     /// Bytes currently charged against the budget.
     pub bytes: usize,
 }
@@ -71,7 +58,6 @@ struct Entry<V> {
     key: String,
     value: V,
     charge: usize,
-    stored_ns: u64,
     prev: usize,
     next: usize,
 }
@@ -170,31 +156,27 @@ impl<V> Shard<V> {
 }
 
 /// A sharded LRU cache mapping `String` keys to clonable values, with a
-/// total byte budget split evenly across shards and an optional TTL driven
-/// by an injectable [`Clock`].
+/// total byte budget split evenly across its shards.
 pub struct ShardedCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     shard_budget: usize,
-    ttl_ns: Option<u64>,
-    clock: Arc<dyn Clock>,
     hits: AtomicU64,
     misses: AtomicU64,
-    expirations: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<V: Clone> ShardedCache<V> {
-    /// Build a cache from `config`, with TTL measured on `clock`.
-    pub fn new(config: &CacheConfig, clock: Arc<dyn Clock>) -> ShardedCache<V> {
-        let n = config.shards.max(1);
+    /// Build a cache holding at most `config.max_bytes`.
+    pub fn new(config: &CacheConfig) -> ShardedCache<V> {
+        ShardedCache::with_shards(config.max_bytes, SHARDS)
+    }
+
+    fn with_shards(max_bytes: usize, shards: usize) -> ShardedCache<V> {
         ShardedCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_budget: config.max_bytes / n,
-            ttl_ns: config.ttl_ms.map(|ms| ms.saturating_mul(1_000_000)),
-            clock,
+            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            shard_budget: max_bytes / shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -204,26 +186,17 @@ impl<V: Clone> ShardedCache<V> {
         &self.shards[h % self.shards.len()]
     }
 
-    /// Look up `key`, refreshing its recency on a hit. An entry past its
-    /// TTL is removed and reported as [`Lookup::Expired`].
-    pub fn get(&self, key: &str) -> Lookup<V> {
-        let now = self.clock.now_ns();
+    /// Look up `key`, refreshing its recency on a hit.
+    pub fn get(&self, key: &str) -> Option<V> {
         let mut shard = self.shard_for(key).lock();
         let Some(&idx) = shard.map.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
+            return None;
         };
-        if let Some(ttl) = self.ttl_ns {
-            if now.saturating_sub(shard.entry(idx).stored_ns) >= ttl {
-                shard.remove_index(idx);
-                self.expirations.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Expired;
-            }
-        }
         shard.unlink(idx);
         shard.push_front(idx);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Lookup::Hit(shard.entry(idx).value.clone())
+        Some(shard.entry(idx).value.clone())
     }
 
     /// Insert `key` → `value`, charged at `cost` bytes (plus key length and
@@ -253,7 +226,6 @@ impl<V: Clone> ShardedCache<V> {
             key,
             value,
             charge,
-            stored_ns: self.clock.now_ns(),
             prev: NIL,
             next: NIL,
         });
@@ -305,9 +277,7 @@ impl<V: Clone> ShardedCache<V> {
         CacheStatsSnapshot {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
             bytes: self.bytes(),
         }
     }
@@ -316,59 +286,51 @@ impl<V: Clone> ShardedCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbgw_obs::TestClock;
 
-    fn cache(max_bytes: usize, ttl_ms: Option<u64>) -> (ShardedCache<String>, Arc<TestClock>) {
-        let clock = Arc::new(TestClock::new());
-        let config = CacheConfig {
-            enabled: true,
-            max_bytes,
-            ttl_ms,
-            // One shard makes LRU order deterministic for these tests.
-            shards: 1,
-        };
-        (ShardedCache::new(&config, clock.clone()), clock)
+    /// One shard makes LRU order deterministic for these tests.
+    fn cache(max_bytes: usize) -> ShardedCache<String> {
+        ShardedCache::with_shards(max_bytes, 1)
     }
 
     #[test]
     fn hit_after_put_miss_before() {
-        let (c, _) = cache(4096, None);
-        assert_eq!(c.get("k"), Lookup::Miss);
+        let c = cache(4096);
+        assert_eq!(c.get("k"), None);
         assert!(c.put("k".into(), "v".into(), 10).stored);
-        assert_eq!(c.get("k"), Lookup::Hit("v".into()));
+        assert_eq!(c.get("k"), Some("v".into()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
     fn replaces_existing_key_without_double_charge() {
-        let (c, _) = cache(4096, None);
+        let c = cache(4096);
         c.put("k".into(), "a".into(), 100);
         let before = c.bytes();
         c.put("k".into(), "b".into(), 100);
         assert_eq!(c.bytes(), before);
-        assert_eq!(c.get("k"), Lookup::Hit("b".into()));
+        assert_eq!(c.get("k"), Some("b".into()));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn evicts_least_recently_used_first() {
         // Budget fits exactly two entries of charge 1 + 64 + 100 = 165.
-        let (c, _) = cache(330, None);
+        let c = cache(330);
         c.put("a".into(), "1".into(), 100);
         c.put("b".into(), "2".into(), 100);
         // Touch "a" so "b" is now coldest.
-        assert_eq!(c.get("a"), Lookup::Hit("1".into()));
+        assert_eq!(c.get("a"), Some("1".into()));
         let stored = c.put("c".into(), "3".into(), 100);
         assert_eq!(stored.evicted, 1);
-        assert_eq!(c.get("b"), Lookup::Miss);
-        assert_eq!(c.get("a"), Lookup::Hit("1".into()));
-        assert_eq!(c.get("c"), Lookup::Hit("3".into()));
+        assert_eq!(c.get("b"), None);
+        assert_eq!(c.get("a"), Some("1".into()));
+        assert_eq!(c.get("c"), Some("3".into()));
     }
 
     #[test]
     fn oversized_entry_is_rejected() {
-        let (c, _) = cache(128, None);
+        let c = cache(128);
         let stored = c.put("big".into(), "x".into(), 10_000);
         assert!(!stored.stored);
         assert_eq!(c.len(), 0);
@@ -377,7 +339,7 @@ mod tests {
 
     #[test]
     fn bytes_never_exceed_budget() {
-        let (c, _) = cache(1000, None);
+        let c = cache(1000);
         for i in 0..100 {
             c.put(format!("key-{i}"), "v".repeat(i % 40), i % 200);
             assert!(c.bytes() <= 1000, "bytes {} > budget", c.bytes());
@@ -385,23 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries_on_the_test_clock() {
-        let (c, clock) = cache(4096, Some(100));
-        c.put("k".into(), "v".into(), 10);
-        clock.advance_millis(99);
-        assert_eq!(c.get("k"), Lookup::Hit("v".into()));
-        clock.advance_millis(1);
-        assert_eq!(c.get("k"), Lookup::Expired);
-        // Expired entries are gone: next lookup is a plain miss.
-        assert_eq!(c.get("k"), Lookup::Miss);
-        let s = c.stats();
-        assert_eq!(s.expirations, 1);
-        assert_eq!(s.entries, 0);
-    }
-
-    #[test]
     fn remove_and_clear() {
-        let (c, _) = cache(4096, None);
+        let c = cache(4096);
         c.put("a".into(), "1".into(), 10);
         c.put("b".into(), "2".into(), 10);
         assert!(c.remove("a"));
@@ -414,7 +361,7 @@ mod tests {
 
     #[test]
     fn slab_reuses_freed_slots() {
-        let (c, _) = cache(330, None);
+        let c = cache(330);
         for round in 0..50 {
             c.put(format!("k{}", round % 3), format!("v{round}"), 100);
         }
@@ -424,14 +371,13 @@ mod tests {
 
     #[test]
     fn sharded_cache_spreads_keys() {
-        let clock: Arc<TestClock> = Arc::new(TestClock::new());
-        let c: ShardedCache<u32> = ShardedCache::new(&CacheConfig::default(), clock);
+        let c: ShardedCache<u32> = ShardedCache::new(&CacheConfig::default());
         for i in 0..64 {
             c.put(format!("key-{i}"), i, 16);
         }
         assert_eq!(c.len(), 64);
         for i in 0..64 {
-            assert_eq!(c.get(&format!("key-{i}")), Lookup::Hit(i));
+            assert_eq!(c.get(&format!("key-{i}")), Some(i));
         }
     }
 }

@@ -20,13 +20,12 @@ use minisql::{Database, DurabilityConfig, SqlResult};
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Every variable [`Config::from_lookup`] accepts, in display order, and how
 /// the field it governs ([`Config::apply`]) is shown back.
 type Show = fn(&Config) -> String;
-const SETTINGS: [(&str, Show); 16] = [
+const SETTINGS: [(&str, Show); 14] = [
     ("DBGW_DATA_DIR", |c| {
         shown(c.data_dir.as_ref().map(|p| p.display()))
     }),
@@ -39,9 +38,7 @@ const SETTINGS: [(&str, Show); 16] = [
         c.server.keepalive.as_millis().to_string()
     }),
     ("DBGW_DEADLINE_MS", |c| shown(c.deadline_ms)),
-    ("DBGW_CACHE", |c| (c.cache.enabled as u8).to_string()),
     ("DBGW_CACHE_BYTES", |c| c.cache.max_bytes.to_string()),
-    ("DBGW_CACHE_TTL_MS", |c| shown(c.cache.ttl_ms)),
     ("DBGW_TRACE", |c| (c.trace.annotate as u8).to_string()),
     ("DBGW_TRACE_FILE", |c| {
         shown(c.trace.trace_file.as_ref().map(|p| p.display()))
@@ -52,7 +49,7 @@ const SETTINGS: [(&str, Show); 16] = [
 ];
 
 /// Names that used to be read from the environment, and what replaced them.
-const REMOVED: [(&[&str], &str); 6] = [
+const REMOVED: [(&[&str], &str); 7] = [
     (
         &["HASH_JOIN", "PUSHDOWN", "INDEX_PATHS", "TOPK", "REORDER"],
         "planner switches are `minisql::PlanOptions` fields, set in a bench or test",
@@ -74,6 +71,10 @@ const REMOVED: [(&[&str], &str); 6] = [
         &["GROUP_COMMIT_US", "CHECKPOINT_BYTES"],
         "it is a `DurabilityConfig` field",
     ),
+    (
+        &["CACHE", "CACHE_TTL_MS"],
+        "the result cache is always on; ETag revalidation replaces max-age",
+    ),
 ];
 
 /// The gateway's effective configuration, composed of the typed structs each
@@ -89,7 +90,7 @@ pub struct Config {
     /// `DBGW_WORKERS`, `DBGW_QUEUE`, `DBGW_MAX_CONNS`, `DBGW_MAX_BODY`,
     /// `DBGW_KEEPALIVE_MS`.
     pub server: ServerConfig,
-    /// `DBGW_CACHE`, `DBGW_CACHE_BYTES`, `DBGW_CACHE_TTL_MS`.
+    /// `DBGW_CACHE_BYTES`.
     pub cache: CacheConfig,
     /// `DBGW_DEADLINE_MS`: per-request wall-clock deadline; 0 disables.
     pub deadline_ms: Option<u64>,
@@ -156,9 +157,7 @@ impl Config {
             "DBGW_MAX_BODY" => self.server.max_body = number(value)?,
             "DBGW_KEEPALIVE_MS" => self.server.keepalive = Duration::from_millis(number(value)?),
             "DBGW_DEADLINE_MS" => self.deadline_ms = Some(number(value)?).filter(|&ms| ms > 0),
-            "DBGW_CACHE" => self.cache.enabled = switch(value)?,
             "DBGW_CACHE_BYTES" => self.cache.max_bytes = number(value)?,
-            "DBGW_CACHE_TTL_MS" => self.cache.ttl_ms = Some(number(value)?).filter(|&ms| ms > 0),
             "DBGW_TRACE" => self.trace.annotate = switch(value)?,
             "DBGW_TRACE_FILE" => self.trace.trace_file = Some(value.into()),
             "DBGW_SLOW_MS" => self.trace.slow_ms = Some(number(value)?),
@@ -184,10 +183,9 @@ impl Config {
     /// Open the database this configuration describes: durable under
     /// `data_dir` (recovering any prior log), purely in memory otherwise.
     pub fn open_database(&self) -> SqlResult<Database> {
-        let clock = Arc::new(dbgw_obs::StdClock::new());
         match &self.data_dir {
-            Some(dir) => Database::open_with_config(dir, &self.durability, &self.cache, clock),
-            None => Ok(Database::with_cache_config(&self.cache, clock)),
+            Some(dir) => Database::open_with_config(dir, &self.durability, &self.cache),
+            None => Ok(Database::with_cache_config(&self.cache)),
         }
     }
 }
@@ -243,9 +241,9 @@ mod tests {
         assert_eq!(Config::from_lookup(no_vars), Ok(Config::default()));
 
         // Every accepted name lands a non-default value in its own field and,
-        // alone, shows it back marked as set beside fifteen defaults.
+        // alone, shows it back marked as set beside thirteen defaults.
         type Landed = fn(&Config) -> bool;
-        let landings: [(&str, &str, Landed); 16] = [
+        let landings: [(&str, &str, Landed); 14] = [
             ("DBGW_DATA_DIR", "/var/dbgw", |c| {
                 c.data_dir == Some("/var/dbgw".into())
             }),
@@ -258,11 +256,7 @@ mod tests {
                 c.server.keepalive == Duration::from_millis(250)
             }),
             ("DBGW_DEADLINE_MS", "1500", |c| c.deadline_ms == Some(1500)),
-            ("DBGW_CACHE", "0", |c| !c.cache.enabled),
             ("DBGW_CACHE_BYTES", "65536", |c| c.cache.max_bytes == 65_536),
-            ("DBGW_CACHE_TTL_MS", "2500", |c| {
-                c.cache.ttl_ms == Some(2500)
-            }),
             ("DBGW_TRACE", "1", |c| c.trace.annotate),
             ("DBGW_TRACE_FILE", "/tmp/t.jsonl", |c| {
                 c.trace.trace_file == Some("/tmp/t.jsonl".into())
@@ -292,9 +286,8 @@ mod tests {
         assert!(line.starts_with("config: DBGW_DATA_DIR=- (default) "));
         assert!(line.contains(" DBGW_WORKERS=2 (set) ") && !line.contains('\n'));
 
-        // Zero switches a deadline or TTL off; an empty value is no value.
+        // Zero switches a deadline off; an empty value is no value.
         assert_eq!(parse("DBGW_DEADLINE_MS", "0").unwrap().deadline_ms, None);
-        assert_eq!(parse("DBGW_CACHE_TTL_MS", "0").unwrap().cache.ttl_ms, None);
         assert_eq!(parse("DBGW_WORKERS", ""), Ok(Config::default()));
 
         // Bad values, unknown names and removed names are errors that start
@@ -305,19 +298,21 @@ mod tests {
             ("DBGW_SLO_ERROR_BUDGET", "-1", "(0, 1]"),
             ("DBGW_SLO_ERROR_BUDGET", "1.5", "(0, 1]"),
             ("DBGW_SLO_P99_MS", "inf", "positive"),
-            ("DBGW_CACHE", "maybe", "0 or 1"),
+            ("DBGW_TRACE", "maybe", "0 or 1"),
             ("DBGW_MAX_BODY", "-5", "non-negative"),
             ("DBGW_BOGUS", "1", "not a variable the gateway knows"),
             ("DBGW_HASH_JOIN", "0", "PlanOptions"),
             ("DBGW_STATS", "0", "always maintained"),
             ("DBGW_STREAM_WATERMARK", "1", "ServerConfig"),
+            ("DBGW_CACHE", "0", "always on"),
+            ("DBGW_CACHE_TTL_MS", "2500", "ETag revalidation"),
         ] {
             let err = parse(name, value).unwrap_err();
             assert!(err.starts_with(&format!("{name}: ")), "{err}");
             assert!(err.contains(needle), "{err}");
         }
         let removed: Vec<_> = REMOVED.iter().flat_map(|(names, _)| *names).collect();
-        assert_eq!(removed.len(), 16);
+        assert_eq!(removed.len(), 18);
         for suffix in removed {
             let err = parse(&format!("DBGW_{suffix}"), "1").unwrap_err();
             assert!(err.contains("no longer an environment variable"), "{err}");

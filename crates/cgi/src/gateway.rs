@@ -196,13 +196,6 @@ pub struct Gateway {
     clock: Arc<dyn Clock>,
     slow_log: SlowQueryLog,
     deadline_ms: Option<u64>,
-    /// Answer conditional GETs with deterministic `ETag`s / `304`s and emit
-    /// `Cache-Control` derived from the macro's cacheability. On by default;
-    /// [`Gateway::configured`] follows `DBGW_CACHE` (the whole subsystem's
-    /// master switch).
-    http_cache: bool,
-    /// `DBGW_CACHE_TTL_MS`, echoed to clients as `Cache-Control: max-age`.
-    cache_ttl_ms: Option<u64>,
     /// Metric time series, ticked opportunistically after each request on
     /// the gateway's clock.
     sampler: Arc<dbgw_obs::series::Sampler>,
@@ -218,7 +211,7 @@ impl Gateway {
     }
 
     /// Gateway with explicit engine configuration: tracing and the slow log
-    /// off, no deadline, HTTP caching on without a TTL, no SLO objectives.
+    /// off, no deadline, no SLO objectives.
     pub fn with_config(source: impl ConnectionSource + 'static, config: EngineConfig) -> Gateway {
         Gateway {
             macros: RwLock::new(HashMap::new()),
@@ -229,27 +222,17 @@ impl Gateway {
             clock: Arc::new(StdClock::new()),
             slow_log: SlowQueryLog::new(),
             deadline_ms: None,
-            http_cache: true,
-            cache_ttl_ms: None,
             sampler: Arc::default(),
             slo: dbgw_obs::slo::SloConfig::default(),
         }
     }
 
-    /// Apply the boot [`Config`]: trace options, deadline, SLO objectives,
-    /// and the HTTP caching layer following the cache switch and TTL.
-    pub fn configured(mut self, config: &Config) -> Gateway {
-        self.cache_ttl_ms = config.cache.ttl_ms;
+    /// Apply the boot [`Config`]: trace options, deadline and SLO
+    /// objectives.
+    pub fn configured(self, config: &Config) -> Gateway {
         self.with_trace(config.trace.clone())
             .with_deadline_ms(config.deadline_ms)
             .with_slo(config.slo)
-            .with_http_cache(config.cache.enabled)
-    }
-
-    /// Switch the HTTP conditional-GET layer (`ETag`/`304`/`Cache-Control`).
-    pub fn with_http_cache(mut self, enabled: bool) -> Gateway {
-        self.http_cache = enabled;
-        self
     }
 
     /// Set the per-request wall-clock deadline (`None`, the default,
@@ -502,12 +485,12 @@ impl Gateway {
     }
 
     /// The HTTP caching layer: on a cacheable 200 GET, attach a deterministic
-    /// `ETag` (FNV-1a over the rendered page) and a `Cache-Control` derived
-    /// from the TTL knob; when the client's `If-None-Match` still matches,
-    /// collapse the response to `304 Not Modified`. Non-cacheable macro pages
-    /// are marked `no-store`.
+    /// `ETag` (FNV-1a over the rendered page) and `Cache-Control: no-cache`
+    /// (always revalidate, which the `ETag` makes cheap); when the client's
+    /// `If-None-Match` still matches, collapse the response to `304 Not
+    /// Modified`. Non-cacheable macro pages are marked `no-store`.
     fn apply_http_caching(&self, req: &CgiRequest, response: &mut CgiResponse) {
-        if !self.http_cache || req.method != Method::Get || response.status != 200 {
+        if req.method != Method::Get || response.status != 200 {
             return;
         }
         let Some(cacheable) = self.macro_cacheability(req) else {
@@ -523,12 +506,6 @@ impl Gateway {
             "\"{:016x}\"",
             dbgw_cache::fnv1a_64(response.body.as_bytes())
         );
-        let cache_control = match self.cache_ttl_ms {
-            Some(ms) => format!("max-age={}", ms.div_ceil(1000)),
-            // Without a TTL the entry is always revalidated — which the
-            // ETag makes a cheap 304 round trip.
-            None => "no-cache".to_owned(),
-        };
         if req
             .if_none_match
             .as_deref()
@@ -536,15 +513,12 @@ impl Gateway {
         {
             dbgw_obs::metrics().http_not_modified.inc();
             *response = CgiResponse::not_modified(&etag);
-            response
-                .headers
-                .push(("Cache-Control".into(), cache_control));
-            return;
+        } else {
+            response.headers.push(("ETag".into(), etag));
         }
-        response.headers.push(("ETag".into(), etag));
         response
             .headers
-            .push(("Cache-Control".into(), cache_control));
+            .push(("Cache-Control".into(), "no-cache".into()));
     }
 
     /// Whether the page this request renders may be cached by clients:

@@ -492,19 +492,32 @@ pub(crate) fn parse_request(buf: &mut Vec<u8>, config: &ServerConfig) -> ParseSt
     if method.is_empty() || target.is_empty() {
         return ParseStatus::Malformed;
     }
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut headers = Vec::new();
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if headers.len() >= config.max_headers {
                 return ParseStatus::TooLarge;
             }
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+            let (name, value) = (name.trim(), value.trim());
+            // Where the body ends must be certain, or its bytes would be read
+            // as the next pipelined request (RFC 9112 §6.3): refuse any
+            // transfer coding (we decode none) and any length that is not all
+            // digits, overflows, or disagrees with an earlier one.
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                return ParseStatus::Malformed;
             }
-            headers.push((name.trim().to_owned(), value.trim().to_owned()));
+            if name.eq_ignore_ascii_case("content-length") {
+                let digits = value.bytes().all(|b| b.is_ascii_digit());
+                match value.parse() {
+                    Ok(n) if digits && content_length.unwrap_or(n) == n => content_length = Some(n),
+                    _ => return ParseStatus::Malformed,
+                }
+            }
+            headers.push((name.to_owned(), value.to_owned()));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     // Refuse oversized bodies up front instead of trusting Content-Length to
     // size a buffer: the declared length is a client-controlled number.
     if content_length > config.max_body {
@@ -659,8 +672,6 @@ fn stats_response(inner: &ServerInner, query: &str) -> CgiResponse {
         ("cache misses", m.cache_misses.get()),
         ("cache evictions", m.cache_evictions.get()),
         ("cache invalidations", m.cache_invalidations.get()),
-        ("statement cache hits", m.stmt_cache_hits.get()),
-        ("statement cache misses", m.stmt_cache_misses.get()),
         ("HTTP 304 not modified", m.http_not_modified.get()),
         ("hash joins", m.join_hash.get()),
         ("nested-loop joins", m.join_nested.get()),
@@ -1244,6 +1255,51 @@ mod tests {
         assert_eq!(req.body, "abc");
         assert_eq!(req.version, Version::H10);
         assert!(!req.keep_alive(), "HTTP/1.0 defaults to close");
+    }
+
+    /// A request whose framing headers are `head`, followed by bytes that
+    /// would parse as a second request if the first one's body were read
+    /// as empty, must be refused whole.
+    fn assert_refused(head: &str) {
+        let request = format!("POST /p HTTP/1.1\r\n{head}\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n");
+        let status = parse_request(&mut request.into_bytes(), &ServerConfig::default());
+        assert!(
+            matches!(status, ParseStatus::Malformed),
+            "{head:?} was accepted"
+        );
+    }
+
+    #[test]
+    fn content_length_that_is_not_a_number_is_malformed() {
+        assert_refused("Content-Length: abc");
+    }
+
+    #[test]
+    fn negative_content_length_is_malformed() {
+        assert_refused("Content-Length: -5");
+    }
+
+    #[test]
+    fn overflowing_content_length_is_malformed() {
+        assert_refused("Content-Length: 99999999999999999999999");
+    }
+
+    #[test]
+    fn disagreeing_content_lengths_are_malformed() {
+        assert_refused("Content-Length: 0\r\nContent-Length: 27");
+        // Repeating the same length is unambiguous and still accepted.
+        let mut buf =
+            b"POST /p HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc".to_vec();
+        let ParseStatus::Request(req) = parse_request(&mut buf, &ServerConfig::default()) else {
+            panic!("identical lengths should parse");
+        };
+        assert_eq!(req.body, "abc");
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_malformed() {
+        assert_refused("Transfer-Encoding: chunked");
+        assert_refused("Content-Length: 0\r\nTransfer-Encoding: identity");
     }
 
     #[test]

@@ -45,8 +45,7 @@ fn big_report_gateway(rows: usize) -> Gateway {
                 affected: 0,
             })
         })) as Box<dyn Database + Send>
-    }))
-    .with_http_cache(true);
+    }));
     gw.add_macro(
         "big.d2w",
         "%SQL{ SELECT line FROM big %}\n%HTML_REPORT{%EXEC_SQL%}",

@@ -1,31 +1,25 @@
-//! The engine-side cache layers: prepared statements and SELECT results.
+//! The engine-side cache: SELECT results.
 //!
-//! Both layers live in a [`DbCaches`] instance shared by every connection to
-//! one [`Database`](crate::Database) and sit on the generic
-//! [`ShardedCache`] from `dbgw-cache`:
-//!
-//! * **Statement cache** — normalized SQL text → parsed [`Statement`].
-//!   A hit skips tokenizing and parsing entirely; the AST is shared via
-//!   `Arc`, so SELECTs execute straight off the cached plan and mutating
-//!   statements clone it.
-//! * **Result cache** — (normalized SQL, bind values) → materialized
-//!   [`ResultSet`], for `SELECT` only. Each entry records the version of
-//!   every table the query read (captured under the same read lock that ran
-//!   it); a lookup revalidates those versions under the read lock, so any
-//!   committed — or merely applied — write to a referenced table makes the
-//!   entry invisible immediately. Correctness never depends on the TTL.
+//! The result cache lives in a [`DbCaches`] instance shared by every
+//! connection to one [`Database`](crate::Database) and sits on the generic
+//! [`ShardedCache`] from `dbgw-cache`. It maps (normalized SQL, bind values)
+//! → materialized [`ResultSet`], for `SELECT` only, and is consulted before
+//! the statement is parsed, so a hit skips tokenizing, parsing and
+//! execution alike. Each entry records the version of every table the query
+//! read (captured from the same snapshot that ran it); a lookup revalidates
+//! those versions, so any committed — or merely applied — write to a
+//! referenced table makes the entry invisible immediately.
 //!
 //! Keys are built with [`dbgw_cache::normalize_sql`], which canonicalizes
 //! whitespace/case only *outside* string literals, and bind values are
 //! encoded with explicit type tags and length prefixes so `'1'` and `1`
 //! (or adjacent text params) can never alias.
 
-use crate::ast::{Expr, Select, SelectItem, Statement};
+use crate::ast::{Expr, Select, SelectItem};
 use crate::exec::ResultSet;
 use crate::state::DbState;
 use crate::types::Value;
 use dbgw_cache::{CacheConfig, CacheStatsSnapshot, ShardedCache};
-use dbgw_obs::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,11 +34,10 @@ pub(crate) struct CachedSelect {
     pub deps: Vec<(String, u64)>,
 }
 
-/// The per-database cache pair plus local counters. Shared by all
-/// connections via `Arc`; absent entirely when caching is disabled.
+/// The per-database result cache plus local counters. Shared by all
+/// connections via `Arc`; absent from a
+/// [`Database::without_cache`](crate::Database::without_cache).
 pub struct DbCaches {
-    /// Normalized SQL → parsed statement.
-    pub(crate) stmts: ShardedCache<Arc<Statement>>,
     /// Result-cache entries (see [`CachedSelect`]).
     pub(crate) results: ShardedCache<Arc<CachedSelect>>,
     /// Lookups rejected because a referenced table's version moved.
@@ -52,47 +45,28 @@ pub struct DbCaches {
 }
 
 impl DbCaches {
-    /// Build both layers from one config. The statement cache gets a small
-    /// fixed slice of the budget (ASTs are tiny next to row sets).
-    pub fn new(config: &CacheConfig, clock: Arc<dyn Clock>) -> DbCaches {
-        let stmt_config = CacheConfig {
-            // Statements are not invalidated by writes and parse cheaply;
-            // cap the AST cache at 1/8 of the budget (min 64 KiB).
-            max_bytes: (config.max_bytes / 8).max(64 * 1024),
-            ..config.clone()
-        };
+    /// Build the result cache from `config`.
+    pub fn new(config: &CacheConfig) -> DbCaches {
         DbCaches {
-            stmts: ShardedCache::new(&stmt_config, clock.clone()),
-            results: ShardedCache::new(config, clock),
+            results: ShardedCache::new(config),
             invalidations: AtomicU64::new(0),
         }
     }
 
-    pub(crate) fn record_invalidation(&self) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total bytes resident across both layers.
-    pub fn bytes(&self) -> usize {
-        self.stmts.bytes() + self.results.bytes()
-    }
-
-    /// Snapshot both layers' counters (per-instance, race-free for tests).
+    /// Snapshot the counters (per-instance, race-free for tests).
     pub fn stats(&self) -> DbCacheStats {
         DbCacheStats {
-            statements: self.stmts.stats(),
             results: self.results.stats(),
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Point-in-time counters for one database's cache pair.
+/// Point-in-time counters for one database's result cache.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DbCacheStats {
-    /// Statement-cache counters.
-    pub statements: CacheStatsSnapshot,
-    /// Result-cache counters.
+    /// Result-cache counters. The lookup precedes the parse, so `misses`
+    /// also counts statements that turn out not to be SELECTs.
     pub results: CacheStatsSnapshot,
     /// Result-cache lookups rejected by table-version invalidation.
     pub invalidations: u64,
@@ -288,6 +262,7 @@ fn collect_expr(expr: &Expr, out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Statement;
     use crate::parser::parse;
 
     fn tables_of(sql: &str) -> Vec<String> {

@@ -69,9 +69,10 @@ use crate::storage::{Heap, Row, RowId};
 use crate::sync::{LatchSet, LatchTable, SnapshotCell, CATALOG_LATCH};
 use crate::types::Value;
 use crate::wal::{DurabilityConfig, Wal, WalOp};
-use dbgw_cache::{CacheConfig, Lookup};
-use dbgw_obs::{Clock, RequestCtx};
+use dbgw_cache::CacheConfig;
+use dbgw_obs::RequestCtx;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Outcome of executing one statement.
@@ -292,8 +293,8 @@ impl DbCore {
 #[derive(Clone)]
 pub struct Database {
     core: Arc<DbCore>,
-    /// Statement + result caches shared by every connection; `None` when
-    /// the subsystem is disabled ([`CacheConfig::enabled`] false).
+    /// The result cache shared by every connection; `None` only for
+    /// [`Database::without_cache`].
     caches: Option<Arc<DbCaches>>,
 }
 
@@ -306,26 +307,24 @@ impl Default for Database {
 impl Database {
     /// Create an empty database with the default cache configuration.
     pub fn new() -> Database {
-        Database::with_cache_config(&CacheConfig::default(), Arc::new(dbgw_obs::StdClock::new()))
+        Database::with_cache_config(&CacheConfig::default())
     }
 
-    /// Create an empty database with an explicit cache configuration and
-    /// clock (tests drive TTL expiry with a `TestClock`).
-    pub fn with_cache_config(config: &CacheConfig, clock: Arc<dyn Clock>) -> Database {
+    /// Create an empty database with an explicit result-cache budget.
+    pub fn with_cache_config(config: &CacheConfig) -> Database {
         Database {
             core: Arc::new(DbCore::new()),
-            caches: config
-                .enabled
-                .then(|| Arc::new(DbCaches::new(config, clock))),
+            caches: Some(Arc::new(DbCaches::new(config))),
         }
     }
 
-    /// Create an empty database with every cache layer disabled.
+    /// Create an empty database with no result cache: every statement is
+    /// parsed and executed. The reference the cached path is tested against.
     pub fn without_cache() -> Database {
-        Database::with_cache_config(
-            &CacheConfig::disabled(),
-            Arc::new(dbgw_obs::StdClock::new()),
-        )
+        Database {
+            core: Arc::new(DbCore::new()),
+            caches: None,
+        }
     }
 
     /// Open a **durable** database rooted at `dir` (created if absent):
@@ -334,12 +333,7 @@ impl Database {
     /// and fsynced before it is published, under the default durability
     /// and cache configuration.
     pub fn open(dir: impl AsRef<Path>) -> SqlResult<Database> {
-        Database::open_with_config(
-            dir,
-            &DurabilityConfig::default(),
-            &CacheConfig::default(),
-            Arc::new(dbgw_obs::StdClock::new()),
-        )
+        Database::open_with_config(dir, &DurabilityConfig::default(), &CacheConfig::default())
     }
 
     /// [`Database::open`] with explicit durability/cache configuration.
@@ -347,7 +341,6 @@ impl Database {
         dir: impl AsRef<Path>,
         durability: &DurabilityConfig,
         cache: &CacheConfig,
-        clock: Arc<dyn Clock>,
     ) -> SqlResult<Database> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| SqlError::io("create data directory", &e))?;
@@ -382,7 +375,7 @@ impl Database {
         *std_lock(&persist.checkpointer) = Some(handle);
         Ok(Database {
             core,
-            caches: cache.enabled.then(|| Arc::new(DbCaches::new(cache, clock))),
+            caches: Some(Arc::new(DbCaches::new(cache))),
         })
     }
 
@@ -412,7 +405,8 @@ impl Database {
         }
     }
 
-    /// Per-instance cache counters, or `None` when caching is disabled.
+    /// Per-instance cache counters, or `None` for
+    /// [`Database::without_cache`].
     pub fn cache_stats(&self) -> Option<DbCacheStats> {
         self.caches.as_ref().map(|c| c.stats())
     }
@@ -480,7 +474,7 @@ impl Database {
 /// A session against a [`Database`].
 pub struct Connection {
     core: Arc<DbCore>,
-    /// The owning database's cache pair (`None` when caching is disabled).
+    /// The owning database's result cache (`None` without one).
     caches: Option<Arc<DbCaches>>,
     /// Open explicit transaction's undo log, if any.
     txn: Option<Vec<Undo>>,
@@ -513,10 +507,10 @@ impl Connection {
 
     /// Parse and execute with positional `?` parameters.
     ///
-    /// When the owning database has caching enabled this is the cached
-    /// path: the normalized statement text is looked up in the prepared-
-    /// statement cache (a hit skips `sql_parse` entirely), and SELECTs
-    /// additionally go through the table-version-validated result cache.
+    /// When the owning database has a result cache, the normalized
+    /// statement text and binds are looked up there first: a hit whose
+    /// table versions still hold is returned without parsing. On a miss the
+    /// statement is parsed once; a SELECT runs and its rows are stored.
     ///
     /// Every statement is also folded into the process-wide query digest
     /// table (unless recording is switched off): latency on this connection's request
@@ -564,94 +558,71 @@ impl Connection {
     /// [`execute_with_params`](Self::execute_with_params) without the digest
     /// accounting wrapper.
     fn execute_undigested(&mut self, sql: &str, params: &[Value]) -> SqlResult<ExecResult> {
-        let Some(caches) = self.caches.clone() else {
-            let stmt = {
-                let _span = dbgw_obs::trace::span("sql_parse");
-                parse(sql)?
-            };
-            let _span = dbgw_obs::trace::span("sql_execute");
+        let cached = match self.caches.clone() {
+            Some(caches) => {
+                let key = cache::result_key(&dbgw_cache::normalize_sql(sql), params);
+                if let Some(rows) = self.cache_hit(&caches, &key)? {
+                    return Ok(ExecResult::Rows(rows));
+                }
+                Some((caches, key))
+            }
+            None => None,
+        };
+        let stmt = {
+            let _span = dbgw_obs::trace::span("sql_parse");
+            parse(sql)?
+        };
+        let _span = dbgw_obs::trace::span("sql_execute");
+        let (Statement::Select(sel), Some((caches, key))) = (&stmt, cached) else {
             return self.execute_statement(stmt, params);
         };
         let metrics = dbgw_obs::metrics();
-        let normalized = dbgw_cache::normalize_sql(sql);
-        let stmt: Arc<Statement> = match caches.stmts.get(&normalized) {
-            Lookup::Hit(stmt) => {
-                metrics.stmt_cache_hits.inc();
-                stmt
-            }
-            Lookup::Miss | Lookup::Expired => {
-                metrics.stmt_cache_misses.inc();
-                let parsed = {
-                    let _span = dbgw_obs::trace::span("sql_parse");
-                    parse(sql)?
-                };
-                let stmt = Arc::new(parsed);
-                // ASTs cost roughly a few times their source text; the exact
-                // figure only affects budget accounting, not correctness.
-                caches
-                    .stmts
-                    .put(normalized.clone(), Arc::clone(&stmt), 4 * sql.len());
-                stmt
-            }
+        metrics.cache_misses.inc();
+        dbgw_obs::digest::note_cache_hit(false);
+        // Run the query and capture the referenced tables' versions from the
+        // SAME pinned snapshot, so the dependency set can never race a
+        // concurrent writer.
+        let state = self.pin();
+        let rows = self.run_select_observed(&state, sel, params)?;
+        let deps = cache::capture_deps(&state, sel);
+        let _span = dbgw_obs::trace::span("cache_store");
+        let cost = cache::result_cost(&rows);
+        let entry = Arc::new(CachedSelect {
+            rows: rows.clone(),
+            deps,
+        });
+        metrics
+            .cache_evictions
+            .add(caches.results.put(key, entry, cost).evicted);
+        metrics.cache_bytes.set(caches.results.bytes() as i64);
+        Ok(ExecResult::Rows(rows))
+    }
+
+    /// The rows stored under `key`, if any and every table they were read
+    /// from is still at the version it had then. Only SELECTs are ever
+    /// stored, so a hit needs no parse. A stale entry is dropped.
+    fn cache_hit(&self, caches: &DbCaches, key: &str) -> SqlResult<Option<ResultSet>> {
+        let found = {
+            let _span = dbgw_obs::trace::span("cache_lookup");
+            caches.results.get(key)
         };
-        if let Statement::Select(sel) = &*stmt {
-            let key = cache::result_key(&normalized, params);
-            let lookup = {
-                let _span = dbgw_obs::trace::span("cache_lookup");
-                caches.results.get(&key)
-            };
-            match lookup {
-                Lookup::Hit(cached) => {
-                    let valid = cache::deps_valid(&self.pin(), &cached.deps);
-                    if valid {
-                        // The hit path still honours the request's deadline
-                        // and cancellation, like any statement would.
-                        self.ctx.check().map_err(SqlError::cancelled)?;
-                        metrics.cache_hits.inc();
-                        dbgw_obs::digest::note_cache_hit(true);
-                        return Ok(ExecResult::Rows(cached.rows.clone()));
-                    }
-                    // A referenced table changed since the entry was stored:
-                    // drop it and fall through to a fresh execution.
-                    caches.results.remove(&key);
-                    caches.record_invalidation();
-                    metrics.cache_invalidations.inc();
-                    metrics.cache_misses.inc();
-                }
-                Lookup::Expired => {
-                    metrics.cache_evictions.inc();
-                    metrics.cache_misses.inc();
-                }
-                Lookup::Miss => {
-                    metrics.cache_misses.inc();
-                }
-            }
-            dbgw_obs::digest::note_cache_hit(false);
-            let _span = dbgw_obs::trace::span("sql_execute");
-            // Run the query and capture the referenced tables' versions
-            // from the SAME pinned snapshot, so the dependency set can never
-            // race a concurrent writer.
-            let state = self.pin();
-            let rows = self.run_select_observed(&state, sel, params)?;
-            let deps = cache::capture_deps(&state, sel);
-            {
-                let _span = dbgw_obs::trace::span("cache_store");
-                let cost = cache::result_cost(&rows);
-                let stored = caches.results.put(
-                    key,
-                    Arc::new(CachedSelect {
-                        rows: rows.clone(),
-                        deps,
-                    }),
-                    cost,
-                );
-                metrics.cache_evictions.add(stored.evicted);
-                metrics.cache_bytes.set(caches.bytes() as i64);
-            }
-            return Ok(ExecResult::Rows(rows));
+        let Some(cached) = found else {
+            return Ok(None);
+        };
+        let metrics = dbgw_obs::metrics();
+        if !cache::deps_valid(&self.pin(), &cached.deps) {
+            // A referenced table changed since the entry was stored.
+            caches.results.remove(key);
+            caches.invalidations.fetch_add(1, Ordering::Relaxed);
+            metrics.cache_invalidations.inc();
+            return Ok(None);
         }
-        let _span = dbgw_obs::trace::span("sql_execute");
-        self.execute_statement((*stmt).clone(), params)
+        // The hit path still honours the request's deadline and
+        // cancellation, like any statement would.
+        self.ctx.check().map_err(SqlError::cancelled)?;
+        metrics.cache_hits.inc();
+        dbgw_obs::digest::note_cache_hit(true);
+        Ok(Some(cached.rows.clone()))
     }
 
     /// Run a SELECT, collecting per-operator actuals when request tracing or

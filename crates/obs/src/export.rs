@@ -134,7 +134,7 @@ impl std::fmt::Display for TraceTree<'_> {
 
 /// The gateway's counters, as `(exposition name, help text, field)` — the
 /// single vocabulary shared by [`render_prometheus`] and [`metrics_json`].
-fn counters(m: &Metrics) -> [(&'static str, &'static str, &Counter); 34] {
+fn counters(m: &Metrics) -> [(&'static str, &'static str, &Counter); 32] {
     [
         (
             "dbgw_requests_total",
@@ -193,28 +193,18 @@ fn counters(m: &Metrics) -> [(&'static str, &'static str, &Counter); 34] {
         ),
         (
             "dbgw_cache_misses_total",
-            "SQL result-cache lookups that found nothing usable.",
+            "SELECTs the SQL result cache could not answer.",
             &m.cache_misses,
         ),
         (
             "dbgw_cache_evictions_total",
-            "Result-cache entries pushed out by the byte budget or TTL.",
+            "Result-cache entries pushed out by the byte budget.",
             &m.cache_evictions,
         ),
         (
             "dbgw_cache_invalidations_total",
             "Result-cache entries rejected because a referenced table changed.",
             &m.cache_invalidations,
-        ),
-        (
-            "dbgw_stmt_cache_hits_total",
-            "Prepared-statement cache hits (parse skipped).",
-            &m.stmt_cache_hits,
-        ),
-        (
-            "dbgw_stmt_cache_misses_total",
-            "Prepared-statement cache misses (statement parsed and stored).",
-            &m.stmt_cache_misses,
         ),
         (
             "dbgw_http_not_modified_total",

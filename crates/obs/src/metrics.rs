@@ -263,20 +263,16 @@ pub struct Metrics {
     /// Requests that hit their `RequestCtx` deadline and returned a timeout
     /// page.
     pub request_timeouts: Counter,
-    /// SQL result-cache lookups that returned a fresh row set.
+    /// SQL result-cache lookups that returned a still-valid row set.
     pub cache_hits: Counter,
-    /// SQL result-cache lookups that found nothing usable (absent, expired,
-    /// or invalidated).
+    /// SELECTs the SQL result cache could not answer (absent or
+    /// invalidated), so they were executed.
     pub cache_misses: Counter,
-    /// Result-cache entries pushed out by the byte budget or TTL.
+    /// Result-cache entries pushed out by the byte budget.
     pub cache_evictions: Counter,
     /// Result-cache entries rejected at lookup because a referenced table
     /// changed since the entry was stored.
     pub cache_invalidations: Counter,
-    /// Prepared-statement cache hits (parse skipped).
-    pub stmt_cache_hits: Counter,
-    /// Prepared-statement cache misses (statement parsed and stored).
-    pub stmt_cache_misses: Counter,
     /// Conditional GETs answered `304 Not Modified` from the `ETag`.
     pub http_not_modified: Counter,
     /// Join steps executed with the hash strategy.
@@ -385,8 +381,6 @@ impl Metrics {
             cache_misses: Counter::new(),
             cache_evictions: Counter::new(),
             cache_invalidations: Counter::new(),
-            stmt_cache_hits: Counter::new(),
-            stmt_cache_misses: Counter::new(),
             http_not_modified: Counter::new(),
             join_hash: Counter::new(),
             join_nested: Counter::new(),

@@ -14,7 +14,7 @@ cargo build --release --offline && cargo test -q --offline
 
 echo "== size and configuration surface =="
 # One place reads DBGW_* (crates/cgi/src/config.rs) and it accepts at most
-# the 16 deployment settings; a new knob or a stray env::var fails here.
+# the 14 deployment settings; a new knob or a stray env::var fails here.
 sh scripts/size.sh --check
 
 # Formatting is part of the gate when rustfmt is installed; a bare toolchain
@@ -58,12 +58,6 @@ echo "== overload smoke (worker pool + load shedding) =="
 # Burst a 2-worker server past its queue: expect a mix of 200s and 503s with
 # Retry-After, and a clean drained shutdown (the example asserts all of it).
 cargo run --release --offline --example overload
-
-echo "== cache smoke (result cache + conditional GET) =="
-# Two identical GETs through a live server: the second must be a result-cache
-# hit, the page must carry an ETag, and replaying it as If-None-Match must
-# earn a bodyless 304 (the example asserts all of it, plus invalidation).
-cargo run --release --offline --example cache_smoke
 
 echo "== executor plan bench (quick run, asserted speedup floors) =="
 # E11: hash join vs nested loop and indexed point-lookup join; the bench

@@ -1,18 +1,17 @@
-//! The dbgw-cache stack, exercised at every layer: the shared SQL result
-//! cache (hits, bind-sensitivity, table invalidation, TTL, the off switch),
-//! the prepared-statement cache, HTTP conditional GET, and a concurrency
-//! hammer proving a committed write is never followed by a stale read.
+//! The dbgw-cache stack, exercised at both layers: the shared SQL result
+//! cache (hits before the parser, bind-sensitivity, table invalidation),
+//! HTTP conditional GET, and a concurrency hammer proving a committed write
+//! is never followed by a stale read.
 
-use dbgw_cache::CacheConfig;
-use dbgw_cgi::{CgiRequest, Gateway};
-use dbgw_obs::TestClock;
+use dbgw_cgi::{CgiRequest, Gateway, HttpClient, HttpServer, ServerConfig};
+use dbgw_obs::{trace, StdClock, Trace};
 use minisql::{Database, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// A database with the cache explicitly on.
+/// A database with the result cache (every `Database::new` has one).
 fn cached_db() -> Database {
-    Database::with_cache_config(&CacheConfig::default(), Arc::new(dbgw_obs::StdClock::new()))
+    Database::new()
 }
 
 fn seed_urldb(db: &Database) {
@@ -82,19 +81,41 @@ fn bind_values_key_separate_entries() {
     assert_eq!(db.cache_stats().unwrap().results.hits, 2);
 }
 
+/// The spans `run` records on this thread.
+fn traced(run: impl FnOnce()) -> Trace {
+    assert!(trace::start_trace(Arc::new(StdClock::new()), 1));
+    run();
+    trace::finish_trace().unwrap()
+}
+
 #[test]
-fn statement_cache_skips_reparsing() {
+fn result_cache_hit_skips_the_parser() {
     let db = cached_db();
     seed_urldb(&db);
     let mut conn = db.connect();
     let sql = "SELECT title FROM urldb WHERE url = ?";
-    for i in 0..3 {
-        conn.execute_with_params(sql, &[Value::Text(format!("u{i}"))])
-            .unwrap();
+    let url = [Value::Text("http://www.ibm.com".into())];
+    let cold = traced(|| {
+        conn.execute_with_params(sql, &url).unwrap();
+    });
+    assert_eq!(cold.spans_named("sql_parse").len(), 1);
+
+    // The repeated SELECT is answered from the lookup, before any parse.
+    let warm = traced(|| {
+        conn.execute_with_params(sql, &url).unwrap();
+    });
+    assert_eq!(warm.spans_named("cache_lookup").len(), 1);
+    assert!(warm.spans_named("sql_parse").is_empty(), "{warm:?}");
+    assert_eq!(db.cache_stats().unwrap().results.hits, 1);
+
+    // A write is never stored, so even a repeated one parses every time.
+    let update = "UPDATE urldb SET title = 'Big Blue' WHERE url = 'http://www.ibm.com'";
+    for _ in 0..2 {
+        let write = traced(|| {
+            conn.execute(update).unwrap();
+        });
+        assert_eq!(write.spans_named("sql_parse").len(), 1);
     }
-    let stats = db.cache_stats().unwrap();
-    assert_eq!(stats.statements.misses, 1, "{stats:?}");
-    assert_eq!(stats.statements.hits, 2, "{stats:?}");
 }
 
 #[test]
@@ -171,60 +192,10 @@ fn ddl_invalidates_in_both_directions() {
 }
 
 #[test]
-fn ttl_expires_entries_on_the_test_clock() {
-    let clock = Arc::new(TestClock::new());
-    let config = CacheConfig {
-        ttl_ms: Some(1_000),
-        ..CacheConfig::default()
-    };
-    let db = Database::with_cache_config(&config, clock.clone());
-    seed_urldb(&db);
-    let sql = "SELECT title FROM urldb ORDER BY url";
-    first_cell(&db, sql);
-    clock.advance_millis(999);
-    first_cell(&db, sql);
-    assert_eq!(db.cache_stats().unwrap().results.hits, 1, "within TTL");
-
-    clock.advance_millis(2);
-    first_cell(&db, sql);
-    let stats = db.cache_stats().unwrap();
-    assert_eq!(stats.results.expirations, 1, "{stats:?}");
-    assert_eq!(
-        stats.results.hits, 1,
-        "expired entry must not hit: {stats:?}"
-    );
-}
-
-#[test]
-fn dbgw_cache_zero_disables_everything() {
-    let config = dbgw_cgi::Config::from_lookup([("DBGW_CACHE", "0")]).unwrap();
-    assert!(!config.cache.enabled);
-    let db = config.open_database().unwrap();
-    seed_urldb(&db);
-    assert!(db.cache_stats().is_none(), "disabled cache keeps no state");
-    // Repeated queries still work, just uncached.
-    let sql = "SELECT COUNT(*) FROM urldb";
-    assert_eq!(first_cell(&db, sql), Value::Int(2));
-    assert_eq!(first_cell(&db, sql), Value::Int(2));
-
-    // And the HTTP layer stops emitting validators.
-    let gw = Gateway::new(db).configured(&config);
-    gw.add_macro(
-        "q.d2w",
-        "%SQL{ SELECT title FROM urldb %}\n%HTML_REPORT{%EXEC_SQL%}",
-    )
-    .unwrap();
-    let resp = gw.get("q.d2w", "report", "");
-    assert_eq!(resp.status, 200);
-    assert!(resp.header("ETag").is_none(), "{:?}", resp.headers);
-    assert!(resp.header("Cache-Control").is_none(), "{:?}", resp.headers);
-}
-
-#[test]
 fn conditional_get_round_trip() {
     let db = cached_db();
     seed_urldb(&db);
-    let gw = Gateway::new(db).with_http_cache(true);
+    let gw = Gateway::new(db);
     gw.add_macro(
         "q.d2w",
         "%SQL{ SELECT url, title FROM urldb ORDER BY url %}\n%HTML_REPORT{%EXEC_SQL%}",
@@ -263,6 +234,24 @@ fn conditional_get_round_trip() {
     let post = gw.handle(&CgiRequest::post("/q.d2w/report", ""));
     assert_eq!(post.status, 200);
     assert!(post.header("ETag").is_none());
+
+    // Over a live server the page carries the same validator, and replaying
+    // it on the wire earns a bodyless 304 that echoes it.
+    let server = HttpServer::start_with_config(gw, 0, ServerConfig::default()).unwrap();
+    let client = HttpClient::new(server.addr());
+    let page = client.get("/cgi-bin/db2www/q.d2w/report").unwrap();
+    assert_eq!(page.status, 200);
+    assert_eq!(page.header("ETag"), Some(etag.as_str()));
+    let raw = client
+        .raw(&format!(
+            "GET /cgi-bin/db2www/q.d2w/report HTTP/1.0\r\nIf-None-Match: {etag}\r\n\r\n"
+        ))
+        .unwrap();
+    server.shutdown();
+    assert!(raw.starts_with("HTTP/1.1 304"), "{raw}");
+    let (head, body) = raw.split_once("\r\n\r\n").unwrap();
+    assert!(body.is_empty(), "304 must not carry a body: {body:?}");
+    assert!(head.contains(&etag), "304 must echo the ETag: {head}");
 }
 
 #[test]
@@ -270,7 +259,7 @@ fn reports_that_write_are_not_cacheable() {
     let db = cached_db();
     db.run_script("CREATE TABLE audit (note VARCHAR(250))")
         .unwrap();
-    let gw = Gateway::new(db).with_http_cache(true);
+    let gw = Gateway::new(db);
     gw.add_macro(
         "w.d2w",
         "%SQL{ INSERT INTO audit (note) VALUES ('hit') %}\n\

@@ -9,7 +9,7 @@ use minisql::storage::RowId;
 use minisql::wal::{DurabilityConfig, LOG_FILE};
 use minisql::{Database, Value};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -42,13 +42,7 @@ fn open(dir: &Path) -> Database {
         group_commit_us: 0,
         checkpoint_bytes: u64::MAX,
     };
-    Database::open_with_config(
-        dir,
-        &config,
-        &dbgw_cache::CacheConfig::default(),
-        Arc::new(dbgw_obs::StdClock::new()),
-    )
-    .unwrap()
+    Database::open_with_config(dir, &config, &dbgw_cache::CacheConfig::default()).unwrap()
 }
 
 fn count(db: &Database, table: &str) -> i64 {
@@ -325,13 +319,8 @@ fn fsync_off_still_recovers_cleanly_on_orderly_close() {
             group_commit_us: 0,
             checkpoint_bytes: u64::MAX,
         };
-        let db = Database::open_with_config(
-            &tmp.0,
-            &config,
-            &dbgw_cache::CacheConfig::default(),
-            Arc::new(dbgw_obs::StdClock::new()),
-        )
-        .unwrap();
+        let db = Database::open_with_config(&tmp.0, &config, &dbgw_cache::CacheConfig::default())
+            .unwrap();
         db.run_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1)")
             .unwrap();
         db.close();

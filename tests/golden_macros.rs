@@ -37,10 +37,10 @@ fn repo_path(relative: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(relative)
 }
 
-/// A fresh gateway per case (report modes write), with tracing off and the
-/// HTTP cache layer off so the body is the only output under test.
+/// A fresh gateway per case (report modes write), with tracing off; the
+/// body is the only output under test.
 fn gateway(macro_file: &str) -> Gateway {
-    let gw = Gateway::new(seed_database()).with_http_cache(false);
+    let gw = Gateway::new(seed_database());
     let source = std::fs::read_to_string(repo_path(&format!("macros/{macro_file}")))
         .unwrap_or_else(|e| panic!("read macros/{macro_file}: {e}"));
     gw.add_macro(macro_file, &source).unwrap();

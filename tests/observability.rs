@@ -234,11 +234,11 @@ fn stats_page_reports_the_traffic_it_serves() {
 /// A server booted from a `Config` shows it on `/stats`: every accepted name
 /// with its effective value and whether the environment set it — and what is
 /// shown is what is in force, over whatever the gateway was built with (here
-/// the cache TTL, echoed to clients as `max-age`, and the deadline). The
+/// trace annotation, appended to the page, and the deadline). The
 /// Prometheus text carries no such section.
 #[test]
 fn stats_page_shows_the_boot_configuration() {
-    let config = Config::from_lookup([("DBGW_CACHE_TTL_MS", "3000"), ("DBGW_WORKERS", "2")])
+    let config = Config::from_lookup([("DBGW_TRACE", "1"), ("DBGW_WORKERS", "2")])
         .expect("valid configuration");
     let db = config.open_database().unwrap();
     db.run_script("CREATE TABLE urldb (url VARCHAR(255), title VARCHAR(80))")
@@ -249,7 +249,7 @@ fn stats_page_shows_the_boot_configuration() {
     let client = HttpClient::new(server.addr());
 
     let page = client.get("/cgi-bin/db2www/u.d2w/input").unwrap();
-    assert_eq!(page.header("Cache-Control"), Some("max-age=3"));
+    assert!(page.body.contains("<!-- dbgw trace"), "{}", page.body);
 
     let html = client.get("/stats").unwrap().body;
     assert!(html.contains("<H2>Configuration</H2>"), "{html}");
@@ -257,7 +257,7 @@ fn stats_page_shows_the_boot_configuration() {
         assert!(html.contains(&format!("<TD>{name}</TD>")), "{name} missing");
     }
     assert!(
-        html.contains("<TD>DBGW_CACHE_TTL_MS</TD><TD>3000</TD><TD>set</TD>"),
+        html.contains("<TD>DBGW_TRACE</TD><TD>1</TD><TD>set</TD>"),
         "{html}"
     );
     assert!(

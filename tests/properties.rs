@@ -271,10 +271,7 @@ props! {
     /// cached and an uncached database yields byte-identical results at every
     /// step and identical final states. Caching may only change speed.
     fn cache_is_transparent(ops in vec_of((usizes(0..4), ints(0..40)), 1..=24)) {
-        let cached = minisql::Database::with_cache_config(
-            &dbgw_cache::CacheConfig::default(),
-            std::sync::Arc::new(dbgw_obs::StdClock::new()),
-        );
+        let cached = minisql::Database::with_cache_config(&dbgw_cache::CacheConfig::default());
         let plain = minisql::Database::without_cache();
         for db in [&cached, &plain] {
             db.run_script("CREATE TABLE t (v INTEGER)").unwrap();
@@ -301,15 +298,8 @@ props! {
         entries in vec_of((ident(1..=8), usizes(0..2048)), 0..=40),
         budget in usizes(256..8192),
     ) {
-        let config = dbgw_cache::CacheConfig {
-            max_bytes: budget,
-            shards: 4,
-            ..dbgw_cache::CacheConfig::default()
-        };
-        let cache: dbgw_cache::ShardedCache<String> = dbgw_cache::ShardedCache::new(
-            &config,
-            std::sync::Arc::new(dbgw_obs::StdClock::new()),
-        );
+        let config = dbgw_cache::CacheConfig { max_bytes: budget };
+        let cache: dbgw_cache::ShardedCache<String> = dbgw_cache::ShardedCache::new(&config);
         for (key, cost) in &entries {
             cache.put(key.clone(), "v".into(), *cost);
             prop_assert!(
