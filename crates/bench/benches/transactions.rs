@@ -57,8 +57,9 @@ fn main() {
     }
 
     {
-        // n-1 good inserts then one that violates NOT NULL: single-txn pays
-        // the undo of everything, auto-commit only skips the last.
+        // n-1 good inserts then one that violates NOT NULL: single-txn
+        // drops its private copy of all of them, auto-commit only skips the
+        // last.
         let mut group = suite.group("E6_failure_at_end");
         group.sample_size(10);
         let n = 256usize;

@@ -168,8 +168,8 @@ mod tests {
             })
             .unwrap();
         }
-        // Not yet visible to other connections? (MiniSQL has no isolation —
-        // but the rows are at least uncommitted, so abort removes them.)
+        // Invisible to other connections until the conversation commits.
+        assert_eq!(base.table_len("t").unwrap(), 0);
         mgr.end(&id, true).unwrap().unwrap();
         assert_eq!(base.table_len("t").unwrap(), 2);
         assert_eq!(mgr.live(), 0);

@@ -5,8 +5,8 @@
 //! SQLCODEs, and two transaction modes —
 //!
 //! * **auto-commit** (each statement its own transaction), and
-//! * **explicit** (`BEGIN` … `COMMIT`/`ROLLBACK`, everything undone on
-//!   rollback) — the paper's "all SQL statements in a macro are executed as a
+//! * **explicit** (`BEGIN` … `COMMIT`/`ROLLBACK`, nothing published before
+//!   COMMIT) — the paper's "all SQL statements in a macro are executed as a
 //!   single transaction (i.e., a rollback will occur if any SQL statement
 //!   fails)" mode (§5).
 //!
@@ -36,11 +36,22 @@
 //! without touching the published state. DDL additionally holds the catalog
 //! latch, serialising changes to the *set* of tables and indexes.
 //!
-//! Transactions provide atomicity via an undo log, not cross-statement
-//! isolation — faithful to the original system, where each CGI request was a
-//! short single-threaded process: between the statements of an explicit
-//! transaction, other connections' commits remain visible (read-committed),
-//! and ROLLBACK re-latches the touched tables to undo in reverse.
+//! An explicit transaction is the same design stretched over several
+//! statements: **snapshot isolation** from BEGIN. BEGIN pins the published
+//! state as the transaction's private copy; each statement applies to a
+//! shallow clone of that copy and replaces it only on success, takes no
+//! latch, and is visible to no other connection. Reads inside the
+//! transaction see the private copy (and bypass the result cache). COMMIT
+//! latches the union of the statements' write sets in one sorted
+//! acquisition, then checks **first-committer-wins per table**: every table,
+//! index and version entry the transaction changed must still be the BEGIN
+//! snapshot's entry in the published state. If a concurrent commit got there
+//! first, nothing is published, the transaction ends, and COMMIT reports
+//! SQLCODE −911 (DB2's "unit of work has been rolled back"). Otherwise the
+//! copy is published once, by the same diff-patch as above. ROLLBACK — and
+//! dropping a connection with a transaction open — just drops the copy.
+//! An auto-commit statement is the one-statement case: it latches before it
+//! pins, so its check cannot fail.
 //!
 //! # Durability
 //!
@@ -52,7 +63,9 @@
 //! group-commit daemon acknowledges them as durable does the writer
 //! publish. A statement whose log append fails reports SQLCODE −904 and
 //! publishes nothing — readers can never observe state that would not
-//! survive a crash. ROLLBACK logs its compensating images the same way.
+//! survive a crash. A transaction's statements buffer their redo records and
+//! COMMIT logs the buffer as one checksummed record, so recovery replays all
+//! of a transaction or none of it; ROLLBACK logs nothing.
 //! Recovery ([`crate::recovery`]) and background checkpoints
 //! ([`crate::checkpoint`]) complete the lifecycle.
 
@@ -108,45 +121,34 @@ impl ExecResult {
     }
 }
 
-/// One undo record; applied in reverse on rollback.
-///
-/// Dropped catalog objects are kept behind their original `Arc`s, so holding
-/// an undo log costs pointers, not copies of table data.
-///
-/// The undo log is also the source of the WAL's *redo* records: each entry
-/// names the row or object a statement touched, and [`redo_ops`] pairs it
-/// with the final image from the working copy.
+/// One entry of a statement's change list: the row or catalog object it
+/// touched, by name. [`redo_ops`] pairs each entry with its final image from
+/// the statement's working copy to build the WAL record.
 #[derive(Debug)]
-pub(crate) enum Undo {
-    Insert {
-        table: String,
-        id: RowId,
-    },
-    Update {
-        table: String,
-        id: RowId,
-        old: Row,
-    },
-    Delete {
-        table: String,
-        id: RowId,
-        old: Row,
-    },
-    CreateTable {
-        name: String,
-    },
-    DropTable {
-        name: String,
-        data: Arc<TableData>,
-        indexes: Vec<Arc<Index>>,
-    },
-    CreateIndex {
-        name: String,
-        table: String,
-    },
-    DropIndex {
-        index: Arc<Index>,
-    },
+pub(crate) enum Change {
+    Insert { table: String, id: RowId },
+    Update { table: String, id: RowId },
+    Delete { table: String, id: RowId },
+    CreateTable { name: String },
+    DropTable { name: String },
+    CreateIndex { name: String, table: String },
+    DropIndex { name: String },
+}
+
+/// An open explicit transaction: a private copy of the database that its
+/// statements mutate and COMMIT publishes once.
+struct Txn {
+    /// The published state pinned at BEGIN — the base COMMIT's conflict
+    /// check and publication diff against.
+    begin: Arc<DbState>,
+    /// The private state: `begin` plus every successful statement so far.
+    work: Arc<DbState>,
+    /// The latch names of every successful mutation, acquired together at
+    /// COMMIT.
+    latches: Vec<String>,
+    /// The redo ops of every successful mutation, logged as one record at
+    /// COMMIT (empty for in-memory databases).
+    redo: Vec<WalOp>,
 }
 
 /// Poison-recovering lock on a std mutex (same posture as `dbgw_sync`: a
@@ -228,6 +230,51 @@ impl DbCore {
         }
     }
 
+    /// Commit a writer's working copy: check, log, publish.
+    ///
+    /// `work` was built from `begin`, and the caller holds the latch of every
+    /// entry it changed. First-committer-wins: if a concurrent commit has
+    /// replaced any of those entries since `begin` was pinned, nothing is
+    /// logged or published and the commit fails with SQLCODE −911. An
+    /// auto-commit statement latches before it pins, so for it the check
+    /// cannot fail; an explicit transaction latches only here.
+    fn commit(&self, begin: &Arc<DbState>, work: DbState, redo: &[WalOp]) -> SqlResult<()> {
+        #[cfg(test)]
+        tests::PANIC_BEFORE_PUBLISH.with(|f| {
+            if f.replace(false) {
+                panic!("injected: writer dies before publishing");
+            }
+        });
+        if overtaken(begin, &work, &self.published.load()) {
+            return Err(SqlError::new(
+                SqlCode::ROLLED_BACK,
+                "transaction rolled back: a concurrent commit changed a table it wrote",
+            ));
+        }
+        match &self.persist {
+            Some(p) => {
+                // Durable path: log → fsync-ack → publish, all under the
+                // checkpoint barrier's read side so a checkpoint can never
+                // run between the append and the publish. A failed append
+                // publishes nothing — the commit reports −904 and `work` is
+                // dropped.
+                let _durable = p.barrier.read();
+                p.wal.commit(redo)?;
+                self.publish(begin, work);
+            }
+            None => self.publish(begin, work),
+        }
+        Ok(())
+    }
+
+    /// A statement's redo ops, or none when there is no log to write them to.
+    fn redo(&self, work: &DbState, changes: &[Change]) -> Vec<WalOp> {
+        match self.persist {
+            Some(_) => redo_ops(work, changes),
+            None => Vec::new(),
+        }
+    }
+
     /// Atomically publish a writer's working copy.
     ///
     /// `work` was cloned from `base` and mutated under this writer's latches.
@@ -235,8 +282,9 @@ impl DbCore {
     /// concurrent writers on other tables publish freely) and patches in only
     /// the entries this writer changed, found by diffing `work` against
     /// `base` with `Arc` pointer identity. Safety invariant: every differing
-    /// entry belongs to a table whose latch this writer holds, so no other
-    /// writer can have touched it since `base` was loaded.
+    /// entry belongs to a table whose latch this writer holds, and
+    /// [`DbCore::commit`] checked that no other writer touched it since
+    /// `base` was loaded.
     fn publish(&self, base: &Arc<DbState>, work: DbState) {
         #[cfg(test)]
         tests::PANIC_IN_PUBLISH.with(|f| {
@@ -246,30 +294,8 @@ impl DbCore {
         });
         let epoch = self.published.rcu(move |current| {
             let mut next = (**current).clone();
-            for (name, arc) in &work.tables {
-                if base.tables.get(name).map_or(true, |b| !Arc::ptr_eq(b, arc)) {
-                    next.tables.insert(name.clone(), Arc::clone(arc));
-                }
-            }
-            for name in base.tables.keys() {
-                if !work.tables.contains_key(name) {
-                    next.tables.remove(name);
-                }
-            }
-            for (name, arc) in &work.indexes {
-                if base
-                    .indexes
-                    .get(name)
-                    .map_or(true, |b| !Arc::ptr_eq(b, arc))
-                {
-                    next.indexes.insert(name.clone(), Arc::clone(arc));
-                }
-            }
-            for name in base.indexes.keys() {
-                if !work.indexes.contains_key(name) {
-                    next.indexes.remove(name);
-                }
-            }
+            patch(&mut next.tables, &base.tables, &work.tables);
+            patch(&mut next.indexes, &base.indexes, &work.indexes);
             // Version counters only ever grow and are never removed (a
             // dropped table's counter must survive — see DbState::versions).
             for (name, v) in &work.versions {
@@ -287,6 +313,48 @@ impl DbCore {
         m.snapshot_publish_ms
             .set(dbgw_obs::process_mono_ms() as i64);
     }
+}
+
+type Entries<T> = std::collections::HashMap<String, Arc<T>>;
+
+/// Whether two optional entries are the same object (or both absent).
+fn same<T>(a: Option<&Arc<T>>, b: Option<&Arc<T>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+/// The names whose entry differs between `base` and `work` by `Arc`
+/// identity, including entries present in only one of them.
+fn changed<'a, T>(base: &'a Entries<T>, work: &'a Entries<T>) -> impl Iterator<Item = &'a String> {
+    let dropped = base.keys().filter(|name| !work.contains_key(*name));
+    (work.keys().chain(dropped)).filter(|name| !same(base.get(*name), work.get(*name)))
+}
+
+/// Patch into `next` exactly the entries `work` changed relative to `base`.
+fn patch<T>(next: &mut Entries<T>, base: &Entries<T>, work: &Entries<T>) {
+    for name in changed(base, work) {
+        match work.get(name) {
+            Some(arc) => next.insert(name.clone(), Arc::clone(arc)),
+            None => next.remove(name),
+        };
+    }
+}
+
+/// Whether `current` no longer holds `begin`'s version of some table, index
+/// or version counter that `work` changed — a concurrent commit overtook it.
+fn overtaken(begin: &DbState, work: &DbState, current: &DbState) -> bool {
+    fn stale<T>(begin: &Entries<T>, work: &Entries<T>, current: &Entries<T>) -> bool {
+        changed(begin, work).any(|name| !same(begin.get(name), current.get(name)))
+    }
+    stale(&begin.tables, &work.tables, &current.tables)
+        || stale(&begin.indexes, &work.indexes, &current.indexes)
+        || (work.versions.iter()).any(|(name, v)| {
+            let was = begin.versions.get(name);
+            was != Some(v) && was != current.versions.get(name)
+        })
 }
 
 /// A shared in-memory database.
@@ -476,8 +544,9 @@ pub struct Connection {
     core: Arc<DbCore>,
     /// The owning database's result cache (`None` without one).
     caches: Option<Arc<DbCaches>>,
-    /// Open explicit transaction's undo log, if any.
-    txn: Option<Vec<Undo>>,
+    /// The open explicit transaction, if any. Dropping it — at ROLLBACK, or
+    /// with the connection — rolls it back.
+    txn: Option<Txn>,
     /// The owning request's context (the unbounded context for plain
     /// [`Database::connect`] sessions).
     ctx: Arc<RequestCtx>,
@@ -500,6 +569,15 @@ impl Connection {
         self.core.published.load()
     }
 
+    /// The state this connection's statements read: the open transaction's
+    /// private copy, or else the current committed snapshot.
+    fn read_state(&self) -> Arc<DbState> {
+        match &self.txn {
+            Some(txn) => Arc::clone(&txn.work),
+            None => self.pin(),
+        }
+    }
+
     /// Parse and execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> SqlResult<ExecResult> {
         self.execute_with_params(sql, &[])
@@ -507,10 +585,12 @@ impl Connection {
 
     /// Parse and execute with positional `?` parameters.
     ///
-    /// When the owning database has a result cache, the normalized
-    /// statement text and binds are looked up there first: a hit whose
-    /// table versions still hold is returned without parsing. On a miss the
-    /// statement is parsed once; a SELECT runs and its rows are stored.
+    /// When the owning database has a result cache and no transaction is
+    /// open, the normalized statement text and binds are looked up there
+    /// first: a hit whose table versions still hold is returned without
+    /// parsing. On a miss the statement is parsed once; a SELECT runs and its
+    /// rows are stored. Inside a transaction a SELECT reads the private state
+    /// and neither looks up nor stores.
     ///
     /// Every statement is also folded into the process-wide query digest
     /// table (unless recording is switched off): latency on this connection's request
@@ -558,7 +638,7 @@ impl Connection {
     /// [`execute_with_params`](Self::execute_with_params) without the digest
     /// accounting wrapper.
     fn execute_undigested(&mut self, sql: &str, params: &[Value]) -> SqlResult<ExecResult> {
-        let cached = match self.caches.clone() {
+        let cached = match self.caches.clone().filter(|_| self.txn.is_none()) {
             Some(caches) => {
                 let key = cache::result_key(&dbgw_cache::normalize_sql(sql), params);
                 if let Some(rows) = self.cache_hit(&caches, &key)? {
@@ -660,13 +740,13 @@ impl Connection {
     ) -> SqlResult<ExecResult> {
         match stmt {
             Statement::Select(sel) => {
-                let state = self.pin();
-                Ok(ExecResult::Rows(run_select(
-                    &state, &sel, params, &self.ctx,
-                )?))
+                let state = self.read_state();
+                Ok(ExecResult::Rows(
+                    self.run_select_observed(&state, &sel, params)?,
+                ))
             }
             Statement::Explain { analyze, inner } => {
-                let state = self.pin();
+                let state = self.read_state();
                 let lines = match &*inner {
                     // ANALYZE executes the query under the operator collector
                     // (on this connection's request clock) and annotates the
@@ -724,7 +804,13 @@ impl Connection {
                         "a transaction is already open",
                     ));
                 }
-                self.txn = Some(Vec::new());
+                let begin = self.pin();
+                self.txn = Some(Txn {
+                    work: Arc::clone(&begin),
+                    begin,
+                    latches: Vec::new(),
+                    redo: Vec::new(),
+                });
                 Ok(ExecResult::TxnControl)
             }
             Statement::Commit => {
@@ -739,10 +825,27 @@ impl Connection {
         }
     }
 
-    /// The write path: latch the statement's write set, mutate a working
-    /// copy, publish on success. A failed statement's working copy is simply
-    /// dropped — the published state never sees partial effects.
+    /// The write path. A statement mutates a clone of the state it reads and
+    /// a failed statement's clone is simply dropped, so no state ever sees
+    /// partial effects. Auto-commit: latch the write set, pin, apply, then
+    /// commit. Inside a transaction: apply to a clone of the private state
+    /// and keep it on success, deferring latches and the log to COMMIT.
     fn execute_mutation(&mut self, stmt: Statement, params: &[Value]) -> SqlResult<ExecResult> {
+        if let Some(txn) = &mut self.txn {
+            let names = write_set(&stmt).unwrap_or_else(|| {
+                let table = dropped_index_table(&txn.work, &stmt);
+                std::iter::once(CATALOG_LATCH.to_owned())
+                    .chain(table)
+                    .collect()
+            });
+            let mut work = (*txn.work).clone();
+            let mut changes = Vec::new();
+            let res = apply_mutation(&mut work, stmt, params, &mut changes, &self.ctx)?;
+            txn.redo.extend(self.core.redo(&work, &changes));
+            txn.latches.extend(names);
+            txn.work = Arc::new(work);
+            return Ok(res);
+        }
         let mut held: Vec<LatchSet> = Vec::new();
         match write_set(&stmt) {
             Some(names) => held.push(self.core.latches.acquire(&names)),
@@ -753,115 +856,51 @@ impl Connection {
                 // the table. Incremental acquisition is order-safe because
                 // the catalog latch sorts before every table name and is
                 // never requested while a table latch is held.
-                let Statement::DropIndex { name } = &stmt else {
-                    unreachable!("write_set covers every other mutation");
-                };
                 held.push(self.core.latches.acquire(&[CATALOG_LATCH]));
-                let table = self
-                    .core
-                    .published
-                    .load()
-                    .indexes
-                    .get(&name.to_ascii_lowercase())
-                    .map(|i| i.table.clone());
-                if let Some(table) = table {
+                if let Some(table) = dropped_index_table(&self.pin(), &stmt) {
                     held.push(self.core.latches.acquire(&[table]));
                 }
             }
         }
         record_latch_metrics(&held);
-        let base = self.core.published.load();
+        let base = self.pin();
         let mut work = (*base).clone();
-        let mut undo: Vec<Undo> = Vec::new();
-        let result = apply_mutation(&mut work, stmt, params, &mut undo, &self.ctx);
-        match result {
-            Ok(res) => {
-                #[cfg(test)]
-                tests::PANIC_BEFORE_PUBLISH.with(|f| {
-                    if f.replace(false) {
-                        panic!("injected: writer dies before publishing");
-                    }
-                });
-                match &self.core.persist {
-                    Some(p) => {
-                        // Durable path: log → fsync-ack → publish, all under
-                        // the checkpoint barrier's read side so a checkpoint
-                        // can never run between the append and the publish.
-                        // A failed append publishes nothing — the statement
-                        // reports −904 and `work` is dropped.
-                        let _durable = p.barrier.read();
-                        p.wal.commit(&redo_ops(&work, &undo))?;
-                        self.core.publish(&base, work);
-                    }
-                    None => self.core.publish(&base, work),
-                }
-                // Explicit transaction: keep the records for a possible
-                // ROLLBACK later. Auto-commit: the statement is durable now
-                // and the undo log is discarded.
-                if let Some(log) = self.txn.as_mut() {
-                    log.extend(undo);
-                }
-                Ok(res)
-            }
-            // Nothing was published; dropping `work` is the rollback.
-            Err(e) => Err(e),
-        }
+        let mut changes = Vec::new();
+        let res = apply_mutation(&mut work, stmt, params, &mut changes, &self.ctx)?;
+        let redo = self.core.redo(&work, &changes);
+        self.core.commit(&base, work, &redo)?;
+        Ok(res)
     }
 
-    /// Commit the open transaction (no-op error if none).
+    /// Commit the open transaction: latch everything it wrote, fail with
+    /// SQLCODE −911 if a concurrent commit overtook it, else log and publish
+    /// its private state once. The transaction ends either way; a read-only
+    /// one takes no latch, logs nothing and publishes nothing.
     pub fn commit(&mut self) -> SqlResult<()> {
-        match self.txn.take() {
-            Some(_) => Ok(()),
-            None => Err(SqlError::new(SqlCode::TXN_STATE, "no transaction is open")),
+        let txn = self.txn.take().ok_or_else(no_transaction)?;
+        if txn.latches.is_empty() {
+            return Ok(());
         }
+        let held = [self.core.latches.acquire(&txn.latches)];
+        record_latch_metrics(&held);
+        let work = Arc::unwrap_or_clone(txn.work);
+        self.core.commit(&txn.begin, work, &txn.redo)
     }
 
-    /// Roll back the open transaction (no-op error if none).
+    /// Roll back the open transaction by dropping its private state: no
+    /// latch, no log record, no publication.
     pub fn rollback(&mut self) -> SqlResult<()> {
-        match self.txn.take() {
-            Some(undo) => {
-                if undo.is_empty() {
-                    return Ok(());
-                }
-                // Re-latch every table the transaction touched (and the
-                // catalog, if DDL is being undone), then undo against the
-                // current state and publish the result as one snapshot.
-                let names = undo_latch_names(&undo);
-                let held = [self.core.latches.acquire(&names)];
-                record_latch_metrics(&held);
-                let base = self.core.published.load();
-                let mut work = (*base).clone();
-                apply_undo(&mut work, &undo);
-                match &self.core.persist {
-                    Some(p) => {
-                        // The rollback is itself a logged publication: its
-                        // compensating images go to the WAL as ordinary redo
-                        // ops (recovery stays strictly redo-only).
-                        let _durable = p.barrier.read();
-                        p.wal.commit(&rollback_ops(&work, &undo))?;
-                        self.core.publish(&base, work);
-                    }
-                    None => self.core.publish(&base, work),
-                }
-                Ok(())
-            }
-            None => Err(SqlError::new(SqlCode::TXN_STATE, "no transaction is open")),
-        }
+        self.txn.take().map(drop).ok_or_else(no_transaction)
     }
 }
 
-impl Drop for Connection {
-    /// An abandoned open transaction rolls back, as DB2 connections did.
-    fn drop(&mut self) {
-        if self.txn.is_some() {
-            let _ = self.rollback();
-        }
-    }
+fn no_transaction() -> SqlError {
+    SqlError::new(SqlCode::TXN_STATE, "no transaction is open")
 }
 
 /// The latch names a statement's mutations are confined to, lowercased,
 /// including the catalog latch for DDL. `None` for DROP INDEX, whose owning
-/// table is only known once the catalog latch is held.
+/// table must be resolved first (see [`dropped_index_table`]).
 fn write_set(stmt: &Statement) -> Option<Vec<String>> {
     match stmt {
         Statement::Insert { table, .. }
@@ -884,29 +923,13 @@ fn write_set(stmt: &Statement) -> Option<Vec<String>> {
     }
 }
 
-/// Every latch name a transaction's undo log needs to be re-applied safely.
-fn undo_latch_names(undo: &[Undo]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for record in undo {
-        match record {
-            Undo::Insert { table, .. }
-            | Undo::Update { table, .. }
-            | Undo::Delete { table, .. } => names.push(table.to_ascii_lowercase()),
-            Undo::CreateTable { name } | Undo::DropTable { name, .. } => {
-                names.push(CATALOG_LATCH.to_owned());
-                names.push(name.clone());
-            }
-            Undo::CreateIndex { table, .. } => {
-                names.push(CATALOG_LATCH.to_owned());
-                names.push(table.clone());
-            }
-            Undo::DropIndex { index } => {
-                names.push(CATALOG_LATCH.to_owned());
-                names.push(index.table.clone());
-            }
-        }
-    }
-    names // acquire() sorts and dedups
+/// The table owning the index a DROP INDEX names, if `state` has it.
+fn dropped_index_table(state: &DbState, stmt: &Statement) -> Option<String> {
+    let Statement::DropIndex { name } = stmt else {
+        unreachable!("write_set covers every other mutation");
+    };
+    let index = state.indexes.get(&name.to_ascii_lowercase())?;
+    Some(index.table.clone())
 }
 
 /// Record one write path's latch acquisition in the global metrics: one
@@ -924,73 +947,24 @@ fn record_latch_metrics(held: &[LatchSet]) {
     dbgw_obs::digest::note_latch_wait_ns(total_ns);
 }
 
-fn apply_undo(state: &mut DbState, undo: &[Undo]) {
-    for record in undo.iter().rev() {
-        match record {
-            Undo::Insert { table, id } => {
-                let _ = state.delete_row(table, *id);
-            }
-            Undo::Update { table, id, old } => {
-                let _ = state.update_row(table, *id, old.clone());
-            }
-            Undo::Delete { table, id, old } => {
-                let _ = state.restore_row(table, *id, old.clone());
-            }
-            Undo::CreateTable { name } => {
-                if let Some(t) = state.tables.remove(name) {
-                    for idx in &t.index_names {
-                        state.indexes.remove(idx);
-                    }
-                }
-                state.bump_version(name);
-            }
-            Undo::DropTable {
-                name,
-                data,
-                indexes,
-            } => {
-                state.tables.insert(name.clone(), Arc::clone(data));
-                for idx in indexes {
-                    state
-                        .indexes
-                        .insert(idx.name.to_ascii_lowercase(), Arc::clone(idx));
-                }
-                state.bump_version(name);
-            }
-            Undo::CreateIndex { name, table } => {
-                state.indexes.remove(name);
-                if let Ok(t) = state.table_mut(table) {
-                    t.index_names.retain(|n| n != name);
-                }
-            }
-            Undo::DropIndex { index } => {
-                let key = index.name.to_ascii_lowercase();
-                if let Ok(t) = state.table_mut(&index.table) {
-                    t.index_names.push(key.clone());
-                }
-                state.indexes.insert(key, Arc::clone(index));
-            }
-        }
-    }
-}
-
-/// Derive the WAL record for a committed statement: pair each undo entry
-/// with the **final** image from the statement's working copy. Sound
-/// because a single statement touches each `(table, id)` with at most one
-/// kind of operation, and the per-table latch is held from mutation through
-/// log append to publication — so per table, log order equals publication
-/// order.
-fn redo_ops(work: &DbState, undo: &[Undo]) -> Vec<WalOp> {
-    let mut ops = Vec::with_capacity(undo.len());
+/// Derive the WAL ops of one successful statement: pair each change with
+/// the **final** image from the statement's working copy. Sound because a
+/// single statement touches each `(table, id)` with at most one kind of
+/// operation, and the latches of every table a commit wrote are held from
+/// its conflict check through log append to publication — so per table,
+/// log order equals publication order. A transaction's record is its
+/// statements' ops in statement order.
+fn redo_ops(work: &DbState, changes: &[Change]) -> Vec<WalOp> {
+    let mut ops = Vec::with_capacity(changes.len());
     let image = |table: &str, id: RowId| {
         work.tables
             .get(&table.to_ascii_lowercase())
             .and_then(|t| t.heap.get(id))
             .cloned()
     };
-    for record in undo {
-        match record {
-            Undo::Insert { table, id } => {
+    for change in changes {
+        match change {
+            Change::Insert { table, id } => {
                 if let Some(row) = image(table, *id) {
                     ops.push(WalOp::Insert {
                         table: table.to_ascii_lowercase(),
@@ -999,7 +973,7 @@ fn redo_ops(work: &DbState, undo: &[Undo]) -> Vec<WalOp> {
                     });
                 }
             }
-            Undo::Update { table, id, .. } => {
+            Change::Update { table, id } => {
                 if let Some(row) = image(table, *id) {
                     ops.push(WalOp::Update {
                         table: table.to_ascii_lowercase(),
@@ -1008,24 +982,24 @@ fn redo_ops(work: &DbState, undo: &[Undo]) -> Vec<WalOp> {
                     });
                 }
             }
-            Undo::Delete { table, id, .. } => ops.push(WalOp::Delete {
+            Change::Delete { table, id } => ops.push(WalOp::Delete {
                 table: table.to_ascii_lowercase(),
                 id: *id,
             }),
             // DDL goes to the log as canonical SQL, replayed through the
-            // ordinary DDL path at recovery (`name` keys are lowercased at
-            // undo-record creation).
-            Undo::CreateTable { name } => {
+            // ordinary DDL path at recovery (`name` keys are lowercased
+            // when the change is recorded).
+            Change::CreateTable { name } => {
                 if let Some(t) = work.tables.get(name) {
                     ops.push(WalOp::Ddl {
                         sql: crate::dump::create_table_sql(name, &t.schema),
                     });
                 }
             }
-            Undo::DropTable { name, .. } => ops.push(WalOp::Ddl {
+            Change::DropTable { name } => ops.push(WalOp::Ddl {
                 sql: format!("DROP TABLE {name}"),
             }),
-            Undo::CreateIndex { name, table } => {
+            Change::CreateIndex { name, table } => {
                 if let (Some(idx), Some(t)) = (work.indexes.get(name), work.tables.get(table)) {
                     let column = &t.schema.columns[idx.column].name;
                     ops.push(WalOp::Ddl {
@@ -1033,88 +1007,22 @@ fn redo_ops(work: &DbState, undo: &[Undo]) -> Vec<WalOp> {
                     });
                 }
             }
-            Undo::DropIndex { index } => ops.push(WalOp::Ddl {
-                sql: format!("DROP INDEX {}", index.name),
-            }),
-        }
-    }
-    ops
-}
-
-/// Derive the WAL record for a ROLLBACK: the compensating image of each
-/// undo entry, in the order `apply_undo` applied them (reversed). `work` is
-/// the post-undo state, so restored tables are present for lookups.
-fn rollback_ops(work: &DbState, undo: &[Undo]) -> Vec<WalOp> {
-    let mut ops = Vec::with_capacity(undo.len());
-    for record in undo.iter().rev() {
-        match record {
-            Undo::Insert { table, id } => ops.push(WalOp::Delete {
-                table: table.to_ascii_lowercase(),
-                id: *id,
-            }),
-            Undo::Update { table, id, old } => ops.push(WalOp::Update {
-                table: table.to_ascii_lowercase(),
-                id: *id,
-                row: old.clone(),
-            }),
-            Undo::Delete { table, id, old } => ops.push(WalOp::Insert {
-                table: table.to_ascii_lowercase(),
-                id: *id,
-                row: old.clone(),
-            }),
-            Undo::CreateTable { name } => ops.push(WalOp::Ddl {
-                sql: format!("DROP TABLE {name}"),
-            }),
-            Undo::DropTable {
-                name,
-                data,
-                indexes,
-            } => {
-                // Undoing a DROP TABLE recreates everything: schema (whose
-                // constraints recreate the system indexes), secondary
-                // indexes, then every surviving row at its original id.
-                ops.push(WalOp::Ddl {
-                    sql: crate::dump::create_table_sql(name, &data.schema),
-                });
-                for idx in indexes {
-                    if !crate::dump::implied_by_constraint(idx, &data.schema) {
-                        let column = &data.schema.columns[idx.column].name;
-                        ops.push(WalOp::Ddl {
-                            sql: crate::dump::create_index_sql(idx, column),
-                        });
-                    }
-                }
-                for (id, row) in data.heap.iter() {
-                    ops.push(WalOp::Insert {
-                        table: name.clone(),
-                        id,
-                        row: row.clone(),
-                    });
-                }
-            }
-            Undo::CreateIndex { name, .. } => ops.push(WalOp::Ddl {
+            Change::DropIndex { name } => ops.push(WalOp::Ddl {
                 sql: format!("DROP INDEX {name}"),
             }),
-            Undo::DropIndex { index } => {
-                if let Some(t) = work.tables.get(&index.table) {
-                    let column = &t.schema.columns[index.column].name;
-                    ops.push(WalOp::Ddl {
-                        sql: crate::dump::create_index_sql(index, column),
-                    });
-                }
-            }
         }
     }
     ops
 }
 
-/// Apply one mutation statement to a working state, recording undo entries.
-/// `pub(crate)` so WAL recovery can replay logged DDL through the same path.
+/// Apply one mutation statement to a working state, appending what it
+/// touched to `changes`. `pub(crate)` so WAL recovery can replay logged DDL
+/// through the same path.
 pub(crate) fn apply_mutation(
     state: &mut DbState,
     stmt: Statement,
     params: &[Value],
-    undo: &mut Vec<Undo>,
+    changes: &mut Vec<Change>,
     ctx: &RequestCtx,
 ) -> SqlResult<ExecResult> {
     match stmt {
@@ -1156,7 +1064,7 @@ pub(crate) fn apply_mutation(
                     }
                     let row = schema.check_row(row)?;
                     let id = state.insert_row(&table, row)?;
-                    undo.push(Undo::Insert {
+                    changes.push(Change::Insert {
                         table: table.clone(),
                         id,
                     });
@@ -1180,7 +1088,7 @@ pub(crate) fn apply_mutation(
                 }
                 let row = schema.check_row(row)?;
                 let id = state.insert_row(&table, row)?;
-                undo.push(Undo::Insert {
+                changes.push(Change::Insert {
                     table: table.clone(),
                     id,
                 });
@@ -1214,11 +1122,10 @@ pub(crate) fn apply_mutation(
                     new_row[ordinal] = eval(expr, &old_row, params, &NoAggregates)?;
                 }
                 let new_row = schema.check_row(new_row)?;
-                let old = state.update_row(&table, id, new_row)?;
-                undo.push(Undo::Update {
+                state.update_row(&table, id, new_row)?;
+                changes.push(Change::Update {
                     table: table.clone(),
                     id,
-                    old,
                 });
                 updated += 1;
             }
@@ -1232,11 +1139,10 @@ pub(crate) fn apply_mutation(
                 collect_targets(state, &table, where_clause.as_ref(), params, ctx)?;
             let mut deleted = 0usize;
             for (id, _) in targets {
-                if let Some(old) = state.delete_row(&table, id)? {
-                    undo.push(Undo::Delete {
+                if state.delete_row(&table, id)?.is_some() {
+                    changes.push(Change::Delete {
                         table: table.clone(),
                         id,
-                        old,
                     });
                     deleted += 1;
                 }
@@ -1281,25 +1187,18 @@ pub(crate) fn apply_mutation(
                 }),
             );
             state.bump_version(&key);
-            undo.push(Undo::CreateTable { name: key });
+            changes.push(Change::CreateTable { name: key });
             Ok(ExecResult::Ddl)
         }
         Statement::DropTable { name, if_exists } => {
             let key = name.to_ascii_lowercase();
             match state.tables.remove(&key) {
                 Some(data) => {
-                    let mut indexes = Vec::new();
                     for idx_name in &data.index_names {
-                        if let Some(idx) = state.indexes.remove(idx_name) {
-                            indexes.push(idx);
-                        }
+                        state.indexes.remove(idx_name);
                     }
                     state.bump_version(&key);
-                    undo.push(Undo::DropTable {
-                        name: key,
-                        data,
-                        indexes,
-                    });
+                    changes.push(Change::DropTable { name: key });
                     Ok(ExecResult::Ddl)
                 }
                 None if if_exists => Ok(ExecResult::Ddl),
@@ -1335,7 +1234,7 @@ pub(crate) fn apply_mutation(
             }
             state.indexes.insert(key.clone(), Arc::new(index));
             state.table_mut(&table)?.index_names.push(key.clone());
-            undo.push(Undo::CreateIndex {
+            changes.push(Change::CreateIndex {
                 name: key,
                 table: table_key,
             });
@@ -1352,7 +1251,7 @@ pub(crate) fn apply_mutation(
             if let Ok(t) = state.table_mut(&index.table.clone()) {
                 t.index_names.retain(|n| *n != key);
             }
-            undo.push(Undo::DropIndex { index });
+            changes.push(Change::DropIndex { name: key });
             Ok(ExecResult::Ddl)
         }
         Statement::Select(_)

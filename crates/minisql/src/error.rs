@@ -37,6 +37,9 @@ impl SqlCode {
     pub const DUPLICATE_OBJECT: SqlCode = SqlCode(-601);
     /// Statement not permitted in the current transaction state (DB2 -925).
     pub const TXN_STATE: SqlCode = SqlCode(-925);
+    /// The unit of work has been rolled back (DB2 -911): at COMMIT, a
+    /// concurrent commit had already changed a table this transaction wrote.
+    pub const ROLLED_BACK: SqlCode = SqlCode(-911);
     /// A required resource is unavailable (DB2 -904): the write-ahead log
     /// could not be appended or fsynced, so the statement was not committed.
     pub const RESOURCE: SqlCode = SqlCode(-904);

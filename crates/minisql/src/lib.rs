@@ -16,7 +16,8 @@
 //! * DB2-style SQLCODEs (`0`, `+100`, `-104`, `-204`, `-803`, …) that the
 //!   gateway's `%SQL_MESSAGE` blocks dispatch on;
 //! * two transaction modes (auto-commit and explicit) with statement
-//!   atomicity, via an undo log.
+//!   atomicity; an explicit transaction works on a private snapshot that
+//!   COMMIT publishes once.
 //!
 //! ```
 //! use minisql::{Database, Value};

@@ -130,12 +130,11 @@ fn replay_op(state: &mut DbState, op: &WalOp) -> SqlResult<()> {
                 }
             };
             if !already_applied {
-                let mut undo = Vec::new();
                 crate::db::apply_mutation(
                     state,
                     stmt,
                     &[],
-                    &mut undo,
+                    &mut Vec::new(),
                     &dbgw_obs::RequestCtx::unbounded(),
                 )?;
             }

@@ -279,27 +279,6 @@ impl DbState {
             Arc::make_mut(table).rebuild_stats();
         }
     }
-
-    /// Restore a previously deleted row at its original id (rollback path).
-    pub fn restore_row(&mut self, table: &str, id: RowId, row: Row) -> SqlResult<()> {
-        let key = table.to_ascii_lowercase();
-        let t = self
-            .tables
-            .get_mut(&key)
-            .map(Arc::make_mut)
-            .ok_or_else(|| SqlError::no_such_table(table))?;
-        let index_names = t.index_names.clone();
-        t.heap.restore(id, row.clone());
-        for name in &index_names {
-            let idx = self.index_mut(name).expect("catalog consistency");
-            let value = row.get(idx.column).cloned().unwrap_or_default_null();
-            idx.insert(&value, id)
-                .expect("restored row cannot violate uniqueness");
-        }
-        Arc::make_mut(self.tables.get_mut(&key).unwrap()).stats_note(&row, true);
-        self.bump_version(&key);
-        Ok(())
-    }
 }
 
 /// `Option<Value>` → `Value` treating absence as NULL (short rows never occur
@@ -383,20 +362,6 @@ mod tests {
         assert_eq!(err.code, SqlCode::DUPLICATE_KEY);
         assert_eq!(st.index_on("t", 0).unwrap().lookup(&Value::Int(3)), vec![a]);
         assert_eq!(st.table("t").unwrap().heap.get(a), Some(&row(3, "a")));
-    }
-
-    #[test]
-    fn delete_and_restore_round_trip() {
-        let mut st = state_with_table();
-        let a = st.insert_row("t", row(1, "a")).unwrap();
-        let old = st.delete_row("t", a).unwrap().unwrap();
-        assert!(st
-            .index_on("t", 0)
-            .unwrap()
-            .lookup(&Value::Int(1))
-            .is_empty());
-        st.restore_row("t", a, old).unwrap();
-        assert_eq!(st.index_on("t", 0).unwrap().lookup(&Value::Int(1)), vec![a]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Row storage: a slotted in-memory heap per table.
 //!
 //! Rows live in a `Vec<Option<Arc<Row>>>`; deletion leaves a tombstone so row
-//! ids stay stable for the lifetime of a table (indexes and the transaction
-//! undo log both key on [`RowId`]). A free list recycles tombstoned slots.
+//! ids stay stable for the lifetime of a table (indexes and the write-ahead
+//! log's redo records both key on [`RowId`]). A free list recycles
+//! tombstoned slots.
 //!
 //! Each row sits behind its own `Arc` so cloning a heap — the copy-on-write
 //! step a writer performs before mutating a table that a published snapshot
@@ -62,23 +63,6 @@ impl Heap {
         let id = self.slots.len() as u32;
         self.slots.push(row);
         RowId(id)
-    }
-
-    /// Re-insert a row at a specific id (transaction rollback of a delete).
-    /// Panics if the slot is occupied — that would be an engine bug.
-    pub fn restore(&mut self, id: RowId, row: Row) {
-        let idx = id.0 as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        assert!(
-            self.slots[idx].is_none(),
-            "restore into occupied slot {id:?}"
-        );
-        // Remove from the free list if it was recycled there.
-        self.free.retain(|&f| f != id.0);
-        self.slots[idx] = Some(Arc::new(row));
-        self.live += 1;
     }
 
     /// Force-set the row at `id`, occupied or not — the idempotent primitive
@@ -182,19 +166,6 @@ mod tests {
         let a = h.insert(row(1));
         assert_eq!(h.update(a, row(9)), Some(row(1)));
         assert_eq!(h.get(a), Some(&row(9)));
-    }
-
-    #[test]
-    fn restore_after_delete() {
-        let mut h = Heap::new();
-        let a = h.insert(row(1));
-        h.delete(a);
-        h.restore(a, row(1));
-        assert_eq!(h.get(a), Some(&row(1)));
-        assert_eq!(h.len(), 1);
-        // The restored slot must not be handed out again by the free list.
-        let b = h.insert(row(2));
-        assert_ne!(a, b);
     }
 
     #[test]

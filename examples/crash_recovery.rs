@@ -10,12 +10,15 @@
 //!
 //! * `workload` opens the durable database, seeds `bank` with
 //!   [`ACCOUNTS`] accounts of [`SEED_BALANCE`] each (only when recovery came
-//!   back empty), then commits an endless stream of random transfers. Each
-//!   transfer is one `UPDATE` with a `CASE` expression, so statement
-//!   atomicity makes the transfer atomic: the write-ahead log either has the
-//!   whole transfer or none of it. After every acknowledged commit it prints
-//!   `acked N` (flushed), so the harness knows work really reached the log
-//!   before it pulls the plug.
+//!   back empty), then commits an endless stream of random transfers,
+//!   alternating the paper's two transaction modes (§5). One transfer is a
+//!   single auto-committed `UPDATE` with a `CASE` expression; the next is a
+//!   debit `UPDATE` and a credit `UPDATE` inside `BEGIN` … `COMMIT`, so a
+//!   kill can land between its two statements. Either way the write-ahead
+//!   log has the whole transfer or none of it: a transaction's statements
+//!   reach the log only at COMMIT, as one record. After every acknowledged
+//!   commit it prints `acked N` (flushed), so the harness knows work really
+//!   reached the log before it pulls the plug.
 //! * `verify` reopens the directory — running recovery over whatever the
 //!   kill left behind, torn tail and all — and asserts the invariant
 //!   transfers preserve: `SUM(balance)` is exactly
@@ -76,13 +79,23 @@ fn workload(config: &Config) {
             continue;
         }
         let amount = (rng >> 3) as i64 % 50 + 1;
-        // One statement, one WAL record: the transfer is atomic under crash.
-        conn.execute(&format!(
-            "UPDATE bank SET balance = balance + \
-             CASE id WHEN {from} THEN -{amount} WHEN {to} THEN {amount} ELSE 0 END \
-             WHERE id IN ({from}, {to})"
-        ))
-        .expect("transfer");
+        let statements = if acked.is_multiple_of(2) {
+            vec![format!(
+                "UPDATE bank SET balance = balance + \
+                 CASE id WHEN {from} THEN -{amount} WHEN {to} THEN {amount} ELSE 0 END \
+                 WHERE id IN ({from}, {to})"
+            )]
+        } else {
+            vec![
+                "BEGIN".to_owned(),
+                format!("UPDATE bank SET balance = balance - {amount} WHERE id = {from}"),
+                format!("UPDATE bank SET balance = balance + {amount} WHERE id = {to}"),
+                "COMMIT".to_owned(),
+            ]
+        };
+        for sql in &statements {
+            conn.execute(sql).expect("transfer");
+        }
         acked += 1;
         // Flushed ack line: whoever kills us knows this much is durable.
         let mut out = stdout.lock();

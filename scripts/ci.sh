@@ -144,22 +144,26 @@ echo "== crash-recovery smoke (kill -9 mid-commit-stream) =="
 # flowing (acks are printed after the fsync, so the log provably has work
 # in flight), then reopen and assert the transfer invariant — SUM(balance)
 # is exactly what was seeded. Recovery must also cut any torn tail the kill
-# left in the log without complaint.
+# left in the log without complaint. Every other transfer is two UPDATEs in
+# an explicit transaction, and three kill/verify rounds on the same data dir
+# give a kill more chances to land between them.
 cargo build --release --offline --example crash_recovery
 CRASH_DIR="$OBS_TMP/crash-data"
-DBGW_DATA_DIR="$CRASH_DIR" ./target/release/examples/crash_recovery workload \
-    > "$OBS_TMP/crash-workload.log" 2>&1 &
-CRASH_PID=$!
-for _ in $(seq 1 100); do
-    grep -q 'acked 200' "$OBS_TMP/crash-workload.log" 2>/dev/null && break
-    sleep 0.1
+for round in 1 2 3; do
+    DBGW_DATA_DIR="$CRASH_DIR" ./target/release/examples/crash_recovery workload \
+        > "$OBS_TMP/crash-workload.log" 2>&1 &
+    CRASH_PID=$!
+    for _ in $(seq 1 100); do
+        grep -q 'acked 200' "$OBS_TMP/crash-workload.log" 2>/dev/null && break
+        sleep 0.1
+    done
+    grep -q 'acked 200' "$OBS_TMP/crash-workload.log" \
+        || { echo "crash workload never reached 200 acked commits (round $round)"; kill -9 "$CRASH_PID"; exit 1; }
+    kill -9 "$CRASH_PID"
+    wait "$CRASH_PID" 2>/dev/null || true
+    DBGW_DATA_DIR="$CRASH_DIR" ./target/release/examples/crash_recovery verify
 done
-grep -q 'acked 200' "$OBS_TMP/crash-workload.log" \
-    || { echo "crash workload never reached 200 acked commits"; kill -9 "$CRASH_PID"; exit 1; }
-kill -9 "$CRASH_PID"
-wait "$CRASH_PID" 2>/dev/null || true
-DBGW_DATA_DIR="$CRASH_DIR" ./target/release/examples/crash_recovery verify
-echo "crash-recovery smoke OK (kill -9 survived, balance invariant holds)"
+echo "crash-recovery smoke OK (3 × kill -9 survived, balance invariant holds)"
 
 echo "== /stats smoke (digest table over live HTTP) =="
 # Boot the demo site on an ephemeral port, run one CGI query through it,

@@ -149,25 +149,24 @@ fn any_write_to_the_table_invalidates() {
 }
 
 #[test]
-fn rollback_also_invalidates() {
+fn rolled_back_writes_never_reach_the_cache() {
     let db = cached_db();
     seed_urldb(&db);
     let mut conn = db.connect();
     let sql = "SELECT COUNT(*) FROM urldb";
+    assert_eq!(first_cell(&db, sql), Value::Int(2));
     conn.execute("BEGIN").unwrap();
     conn.execute("INSERT INTO urldb VALUES ('http://x.org', 'X')")
         .unwrap();
     assert_eq!(
         first_cell(&db, sql),
-        Value::Int(3),
-        "uncommitted but visible"
+        Value::Int(2),
+        "uncommitted insert seen"
     );
     conn.execute("ROLLBACK").unwrap();
-    assert_eq!(
-        first_cell(&db, sql),
-        Value::Int(2),
-        "rollback must invalidate the cached count"
-    );
+    assert_eq!(first_cell(&db, sql), Value::Int(2));
+    let stats = db.cache_stats().unwrap();
+    assert_eq!(stats.invalidations, 0, "{stats:?}");
 }
 
 #[test]

@@ -163,6 +163,76 @@ fn balance_sum_invariant_under_concurrent_transfers() {
     assert_eq!(int(&rows[0][0]), ACCOUNTS * OPENING, "final ledger drifted");
 }
 
+/// `SUM(balance)` over the ledger, as one connection reads it.
+fn ledger_sum(conn: &mut minisql::Connection) -> Result<i64, String> {
+    let r = conn
+        .execute("SELECT SUM(balance) FROM accounts")
+        .map_err(|e| e.to_string())?;
+    Ok(int(&rows_of(r)[0][0]))
+}
+
+/// The same ledger with each transfer as two statements in an explicit
+/// transaction: BEGIN, debit, credit, COMMIT, retried when a concurrent
+/// transfer committed first (SQLCODE −911). Readers must never see a debit
+/// without its credit, so every concurrent SUM equals the seed — the
+/// observer's, and the one each worker takes on a second connection between
+/// its own debit and credit.
+#[test]
+fn explicit_transfers_keep_the_sum_for_readers() {
+    const ACCOUNTS: i64 = 8;
+    const OPENING: i64 = 1_000;
+    let db = Database::new();
+    db.run_script("CREATE TABLE accounts (id INTEGER PRIMARY KEY, balance INTEGER NOT NULL)")
+        .unwrap();
+    {
+        let mut conn = db.connect();
+        for id in 0..ACCOUNTS {
+            conn.execute_with_params(
+                "INSERT INTO accounts VALUES (?, ?)",
+                &[Value::Int(id), Value::Int(OPENING)],
+            )
+            .unwrap();
+        }
+    }
+    let writer_db = db.clone();
+    let reader_db = db.clone();
+    let mut config = StressConfig::named("explicit_transfers_keep_the_sum");
+    config.threads = 4;
+    stress::run_observed(
+        &config,
+        move |w| {
+            let (mut conn, mut outside) = (writer_db.connect(), writer_db.connect());
+            let from = w.rng.gen_range(0i64..ACCOUNTS);
+            let to = (from + w.rng.gen_range(1i64..ACCOUNTS)) % ACCOUNTS;
+            let amount = [Value::Int(w.rng.gen_range(1i64..50))];
+            let debit = format!("UPDATE accounts SET balance = balance - ? WHERE id = {from}");
+            let credit = format!("UPDATE accounts SET balance = balance + ? WHERE id = {to}");
+            loop {
+                conn.execute("BEGIN").map_err(|e| e.to_string())?;
+                conn.execute_with_params(&debit, &amount)
+                    .map_err(|e| e.to_string())?;
+                prop_assert_eq!(ledger_sum(&mut outside)?, ACCOUNTS * OPENING);
+                conn.execute_with_params(&credit, &amount)
+                    .map_err(|e| e.to_string())?;
+                match conn.execute("COMMIT") {
+                    Ok(_) => return Ok(()),
+                    Err(e) if e.code == SqlCode::ROLLED_BACK => continue,
+                    Err(e) => return Err(e.to_string()),
+                }
+            }
+        },
+        move || {
+            prop_assert_eq!(ledger_sum(&mut reader_db.connect())?, ACCOUNTS * OPENING);
+            Ok(())
+        },
+    );
+    assert_eq!(
+        ledger_sum(&mut db.connect()).unwrap(),
+        ACCOUNTS * OPENING,
+        "final ledger drifted"
+    );
+}
+
 /// Version counters and the snapshot epoch never go backwards, from any
 /// thread's point of view, while writers churn — and committed writes are
 /// reflected: the final version is at least the number of UPDATE statements.
@@ -295,9 +365,9 @@ fn randomized_multi_table_dml_never_deadlocks() {
     stress::run(&config, move |w| {
         let mut conn = worker_db.connect();
         match w.rng.gen_range(0u32..10) {
-            // Multi-table transaction, rolled back half the time: the
-            // rollback path re-acquires every touched table's latch as one
-            // sorted set.
+            // Multi-table transaction, rolled back half the time: COMMIT
+            // acquires every touched table's latch as one sorted set;
+            // ROLLBACK takes none.
             0..=4 => {
                 conn.execute("BEGIN").map_err(|e| e.to_string())?;
                 let statements = w.rng.gen_range(2u32..5);
@@ -311,7 +381,14 @@ fn randomized_multi_table_dml_never_deadlocks() {
                 } else {
                     "COMMIT"
                 };
-                conn.execute(end).map_err(|e| e.to_string())?;
+                match conn.execute(end) {
+                    // First committer wins: a concurrent commit changed one
+                    // of the same tables since BEGIN.
+                    Err(e) if end == "COMMIT" && e.code == SqlCode::ROLLED_BACK => {}
+                    other => {
+                        other.map_err(|e| e.to_string())?;
+                    }
+                }
             }
             // Cross-table DML in opposite orders from different threads —
             // the classic deadlock shape if latches were held across

@@ -286,6 +286,52 @@ fn torn_batch_crash_point_is_cut_by_recovery() {
 }
 
 #[test]
+fn explicit_transaction_is_durable_whole_or_not_at_all() {
+    let _guard = serial();
+    let tmp = temp_dir("txnatomic");
+    {
+        let db = open(&tmp.0);
+        db.run_script(
+            "CREATE TABLE acct (id INTEGER PRIMARY KEY, n INTEGER NOT NULL);
+             INSERT INTO acct VALUES (1, 100), (2, 100);",
+        )
+        .unwrap();
+        let mut committed = db.connect();
+        for sql in [
+            "BEGIN",
+            "UPDATE acct SET n = n - 5 WHERE id = 1",
+            "UPDATE acct SET n = n + 5 WHERE id = 2",
+            "COMMIT",
+        ] {
+            committed.execute(sql).unwrap();
+        }
+        let mut open_txn = db.connect();
+        for sql in [
+            "BEGIN",
+            "UPDATE acct SET n = n - 30 WHERE id = 1",
+            "UPDATE acct SET n = n + 30 WHERE id = 2",
+        ] {
+            open_txn.execute(sql).unwrap();
+        }
+        // The process dies between the statements and COMMIT: neither
+        // COMMIT nor ROLLBACK (nor the connection's drop) ever runs.
+        std::mem::forget(open_txn);
+        db.close();
+    }
+    let db = open(&tmp.0);
+    let mut conn = db.connect();
+    let r = conn.execute("SELECT id, n FROM acct ORDER BY id").unwrap();
+    assert_eq!(
+        r.rows().unwrap().rows,
+        vec![
+            vec![Value::Int(1), Value::Int(95)],
+            vec![Value::Int(2), Value::Int(105)],
+        ],
+        "the committed transaction survives whole, the open one not at all"
+    );
+}
+
+#[test]
 fn checkpoint_crash_before_rename_preserves_the_old_log() {
     let _guard = serial();
     let tmp = temp_dir("ckptcrash");

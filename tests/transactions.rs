@@ -127,3 +127,109 @@ fn quote_in_message_is_a_contained_failure() {
     assert_eq!(db.table_len("guest").unwrap(), 0);
     assert_eq!(db.table_len("audit").unwrap(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// Isolation and atomicity of an explicit transaction, on minisql connections
+// ---------------------------------------------------------------------------
+
+fn count(conn: &mut minisql::Connection, table: &str) -> i64 {
+    let r = conn
+        .execute(&format!("SELECT COUNT(*) FROM {table}"))
+        .unwrap();
+    match r.rows().unwrap().rows[0][0] {
+        minisql::Value::Int(n) => n,
+        ref v => panic!("unexpected COUNT type: {v:?}"),
+    }
+}
+
+fn ledger() -> minisql::Database {
+    let db = minisql::Database::new();
+    db.run_script(
+        "CREATE TABLE acct (id INTEGER PRIMARY KEY, n INTEGER NOT NULL);
+         INSERT INTO acct VALUES (1, 0), (2, 0);",
+    )
+    .unwrap();
+    db
+}
+
+fn balances(db: &minisql::Database) -> Vec<Vec<minisql::Value>> {
+    let mut conn = db.connect();
+    let r = conn.execute("SELECT id, n FROM acct ORDER BY id").unwrap();
+    r.rows().unwrap().rows.clone()
+}
+
+fn ints(pairs: &[(i64, i64)]) -> Vec<Vec<minisql::Value>> {
+    use minisql::Value::Int;
+    pairs.iter().map(|&(a, b)| vec![Int(a), Int(b)]).collect()
+}
+
+#[test]
+fn uncommitted_writes_are_invisible_to_other_connections() {
+    let db = database();
+    let (mut a, mut b) = (db.connect(), db.connect());
+    assert_eq!(count(&mut b, "guest"), 0);
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO guest VALUES ('Ada', 'hello')")
+        .unwrap();
+    assert_eq!(
+        count(&mut a, "guest"),
+        1,
+        "a transaction reads its own writes"
+    );
+    assert_eq!(count(&mut b, "guest"), 0, "B read A's uncommitted insert");
+    a.execute("COMMIT").unwrap();
+    assert_eq!(count(&mut b, "guest"), 1, "B misses A's committed insert");
+}
+
+#[test]
+fn rollback_never_overwrites_a_concurrent_commit() {
+    let db = ledger();
+    let (mut a, mut b) = (db.connect(), db.connect());
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE acct SET n = n + 1 WHERE id = 1").unwrap();
+    b.execute("UPDATE acct SET n = n + 10 WHERE id = 1")
+        .unwrap();
+    a.execute("ROLLBACK").unwrap();
+    assert_eq!(
+        balances(&db),
+        ints(&[(1, 10), (2, 0)]),
+        "B's commit was lost"
+    );
+}
+
+#[test]
+fn commit_conflict_is_first_committer_wins() {
+    let db = ledger();
+    let (mut a, mut b) = (db.connect(), db.connect());
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE acct SET n = n + 1 WHERE id = 1").unwrap();
+    // B writes another row of the same table: conflicts are per table.
+    b.execute("UPDATE acct SET n = n + 10 WHERE id = 2")
+        .unwrap();
+    let err = a.execute("COMMIT").unwrap_err();
+    assert_eq!(err.code, minisql::SqlCode::ROLLED_BACK, "{err}");
+    assert!(!a.in_transaction(), "a failed COMMIT ends the transaction");
+    assert_eq!(balances(&db), ints(&[(1, 0), (2, 10)]));
+}
+
+#[test]
+fn rollback_publishes_and_logs_nothing() {
+    let dir = std::env::temp_dir().join(format!("dbgw-txn-rollback-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let db = minisql::Database::open(&dir).unwrap();
+        db.run_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1)")
+            .unwrap();
+        let (epoch, wal) = (db.snapshot_epoch(), db.wal_size());
+        let mut conn = db.connect();
+        conn.execute("BEGIN").unwrap();
+        conn.execute("INSERT INTO t VALUES (2)").unwrap();
+        conn.execute("UPDATE t SET n = n + 1").unwrap();
+        conn.execute("ROLLBACK").unwrap();
+        assert_eq!(db.snapshot_epoch(), epoch, "ROLLBACK published a snapshot");
+        assert_eq!(db.wal_size(), wal, "ROLLBACK wrote to the log");
+        assert_eq!(count(&mut conn, "t"), 1);
+        db.close();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
