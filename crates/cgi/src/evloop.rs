@@ -36,6 +36,9 @@ pub(crate) struct Conn {
     /// Bytes read but not yet consumed by the parser (partial request, or
     /// pipelined successors).
     pub(crate) buf: Vec<u8>,
+    /// How much of `buf` the parser has searched for the end of the header
+    /// block (see [`parse_request`]).
+    pub(crate) scanned: usize,
     /// Requests already served on this connection.
     pub(crate) served: u64,
     /// Last accept, read, or hand-back; drives the idle/slowloris sweeps.
@@ -47,6 +50,7 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             served: 0,
             last_activity: Instant::now(),
         }
@@ -159,7 +163,7 @@ fn drive(inner: &Arc<ServerInner>, mut conn: Conn) -> Driven {
             }
         }
     }
-    match parse_request(&mut conn.buf, &inner.config) {
+    match parse_request(&mut conn.buf, &mut conn.scanned, &inner.config) {
         ParseStatus::Incomplete => {
             if conn.buf.len() > buf_cap {
                 let resp = CgiResponse::error(413, "request larger than the configured limit");

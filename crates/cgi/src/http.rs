@@ -24,7 +24,7 @@ use crate::net::Poller;
 use crate::request::{CgiRequest, CgiResponse, Method};
 use crate::sync::{Mutex, RwLock};
 use dbgw_core::PageSink;
-use dbgw_obs::{CancelReason, RequestCtx};
+use dbgw_obs::{export, CancelReason, RequestCtx};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -301,7 +301,7 @@ fn serve_connection(inner: &ServerInner, mut conn: Conn, mut req: HttpRequest) {
             return;
         }
         // Pipelined peer: the next request may already be buffered whole.
-        match parse_request(&mut conn.buf, &inner.config) {
+        match parse_request(&mut conn.buf, &mut conn.scanned, &inner.config) {
             ParseStatus::Request(next) => {
                 m.pipelined_requests.inc();
                 req = next;
@@ -471,9 +471,17 @@ pub(crate) enum ParseStatus {
 }
 
 /// Try to parse one complete request from the front of `buf`, consuming it on
-/// success. Incremental: callers append bytes as they arrive and re-try.
-pub(crate) fn parse_request(buf: &mut Vec<u8>, config: &ServerConfig) -> ParseStatus {
-    let Some(header_end) = find_header_end(buf) else {
+/// success. Incremental: callers append bytes as they arrive and re-try,
+/// passing back `scanned`, the prefix of `buf` already searched for the end
+/// of the header block, so a header dribbled in a few bytes at a time is
+/// scanned once rather than once per arrival. It is reset when a request is
+/// consumed.
+pub(crate) fn parse_request(
+    buf: &mut Vec<u8>,
+    scanned: &mut usize,
+    config: &ServerConfig,
+) -> ParseStatus {
+    let Some(header_end) = find_header_end(buf, scanned) else {
         if buf.len() > 64 * 1024 {
             return ParseStatus::TooLarge; // header flood
         }
@@ -530,6 +538,7 @@ pub(crate) fn parse_request(buf: &mut Vec<u8>, config: &ServerConfig) -> ParseSt
     }
     let body = String::from_utf8_lossy(&buf[body_start..total]).into_owned();
     buf.drain(..total);
+    *scanned = 0;
     ParseStatus::Request(HttpRequest {
         method,
         target,
@@ -539,8 +548,21 @@ pub(crate) fn parse_request(buf: &mut Vec<u8>, config: &ServerConfig) -> ParseSt
     })
 }
 
-pub(crate) fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Offset of the `\r\n\r\n` ending the header block, searching only past
+/// `scanned` (less the 3 bytes a terminator split across reads may have left
+/// there), and recording how far the search got.
+fn find_header_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    match buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(at) => {
+            *scanned = from + at;
+            Some(from + at)
+        }
+        None => {
+            *scanned = buf.len();
+            None
+        }
+    }
 }
 
 /// Where a request goes after auth and method checks.
@@ -636,12 +658,12 @@ fn stats_response(inner: &ServerInner, query: &str) -> CgiResponse {
         .split('&')
         .any(|pair| pair == "format=prometheus" || pair == "format=text")
     {
-        let mut body = dbgw_obs::export::render_prometheus(m);
-        body.push_str(&dbgw_obs::export::digest_prometheus(
+        let mut body = export::render_prometheus(m);
+        body.push_str(&export::digest_prometheus(
             dbgw_obs::digests(),
             STATS_DIGEST_TOP_N,
         ));
-        body.push_str(&dbgw_obs::export::slo_prometheus(&slo));
+        body.push_str(&export::slo_prometheus(&slo));
         return CgiResponse {
             status: 200,
             content_type: "text/plain".into(),
@@ -652,90 +674,40 @@ fn stats_response(inner: &ServerInner, query: &str) -> CgiResponse {
     let mut body = String::from(
         "<HTML><HEAD><TITLE>Gateway Statistics</TITLE></HEAD>\n<BODY><H1>Gateway Statistics</H1>\n",
     );
+    // One row per exported family, labelled for people and named as the
+    // Prometheus text names it, so the two views cannot drift apart.
+    let row = |label: &str, value: String, name: &str| {
+        format!("<TR><TD>{label}</TD><TD>{value}</TD><TD><CODE>{name}</CODE></TD></TR>\n")
+    };
     body.push_str("<H2>Counters</H2>\n<TABLE BORDER=1>\n");
-    for (name, value) in [
-        ("requests", m.requests.get()),
-        ("request errors", m.request_errors.get()),
-        ("requests shed", m.requests_shed.get()),
-        ("request timeouts", m.request_timeouts.get()),
-        ("keep-alive reuses", m.keepalive_reuses.get()),
-        ("pipelined requests", m.pipelined_requests.get()),
-        ("responses streamed", m.responses_streamed.get()),
-        ("client disconnects", m.client_disconnects.get()),
-        ("macro parses", m.macro_parses.get()),
-        ("substitutions", m.substitutions.get()),
-        ("SQL statements", m.sql_statements.get()),
-        ("rows rendered", m.rows_rendered.get()),
-        ("slow queries", m.slow_queries.get()),
-        ("traces recorded", m.traces_recorded.get()),
-        ("cache hits", m.cache_hits.get()),
-        ("cache misses", m.cache_misses.get()),
-        ("cache evictions", m.cache_evictions.get()),
-        ("cache invalidations", m.cache_invalidations.get()),
-        ("HTTP 304 not modified", m.http_not_modified.get()),
-        ("hash joins", m.join_hash.get()),
-        ("nested-loop joins", m.join_nested.get()),
-        ("pushdown applied", m.pushdown_applied.get()),
-        ("rows scanned", m.rows_scanned.get()),
-        ("latch waits", m.latch_waits.get()),
-        ("stats refreshes", m.stats_refreshes.get()),
-        ("join reorders", m.join_reorders.get()),
-        ("snapshots published", m.snapshots_published.get()),
-        ("WAL records", m.wal_records.get()),
-        ("WAL fsyncs", m.wal_fsyncs.get()),
-        ("WAL bytes", m.wal_bytes.get()),
-        ("checkpoints", m.checkpoints.get()),
-    ] {
-        body.push_str(&format!("<TR><TD>{name}</TD><TD>{value}</TD></TR>\n"));
+    for (name, label, _, counter) in export::counters(m) {
+        body.push_str(&row(label, counter.get().to_string(), name));
     }
     body.push_str("</TABLE>\n<H2>Pool</H2>\n<TABLE BORDER=1>\n");
-    for (name, value) in [
-        ("requests in flight", m.requests_in_flight.get()),
-        ("queue depth", m.queue_depth.get()),
-        ("open connections", m.open_connections.get()),
-        ("idle connections", m.idle_connections.get()),
-        ("cache bytes", m.cache_bytes.get()),
-        ("snapshot epoch", m.snapshot_epoch.get()),
-        (
-            "snapshot age ms",
-            dbgw_obs::export::snapshot_age_ms(m) as i64,
-        ),
-        ("WAL size bytes", m.wal_size_bytes.get()),
-        ("checkpoint last bytes", m.checkpoint_last_bytes.get()),
-    ] {
-        body.push_str(&format!("<TR><TD>{name}</TD><TD>{value}</TD></TR>\n"));
+    for (name, label, _, gauge) in export::gauges(m) {
+        body.push_str(&row(label, gauge.get().to_string(), name));
     }
+    let age = export::snapshot_age_ms(m).to_string();
+    body.push_str(&row("snapshot age ms", age, "dbgw_snapshot_age_ms"));
     body.push_str("</TABLE>\n<H2>Latency</H2>\n<TABLE BORDER=1>\n");
-    for (name, h) in [
-        ("request", &m.request_latency_ns),
-        ("ttfb", &m.ttfb_ns),
-        ("sql", &m.sql_latency_ns),
-        ("latch wait", &m.latch_wait_ns),
-        ("group-commit wait", &m.group_commit_wait_ns),
-    ] {
+    for (name, label, _, h) in export::histograms(m) {
         let count = h.count();
-        let mean_ms = if count == 0 {
-            0.0
-        } else {
-            h.sum_ns() as f64 / count as f64 / 1e6
-        };
-        body.push_str(&format!(
-            "<TR><TD>{name}</TD><TD>{count} observations</TD><TD>mean {mean_ms:.3} ms</TD></TR>\n"
-        ));
+        let mean_ms = h.sum_ns() as f64 / count.max(1) as f64 / 1e6;
+        let value = format!("{count} observations, mean {mean_ms:.3} ms");
+        body.push_str(&row(label, value, name));
+    }
+    body.push_str(
+        "</TABLE>\n<H2>SQLCODEs</H2>\n<TABLE BORDER=1>\n\
+         <TR><TH>SQLCODE</TH><TH>errors</TH><TH><CODE>dbgw_sqlcode_errors_total</CODE></TH></TR>\n",
+    );
+    for (code, count) in m.sqlcode_errors.snapshot() {
+        body.push_str(&format!("<TR><TD>{code}</TD><TD>{count}</TD></TR>\n"));
     }
     body.push_str("</TABLE>\n");
     push_digest_table(&mut body);
     push_series_section(&mut body, &points, inner.gateway.sampler().interval_ms());
     push_slo_section(&mut body, &slo);
     push_config_section(&mut body, inner.boot_config.read().as_ref());
-    let codes = m.sqlcode_errors.snapshot();
-    if !codes.is_empty() {
-        body.push_str("<H2>SQLCODEs</H2>\n<TABLE BORDER=1>\n");
-        for (code, count) in codes {
-            body.push_str(&format!("<TR><TD>{code}</TD><TD>{count}</TD></TR>\n"));
-        }
-        body.push_str("</TABLE>\n");
-    }
     let slow = inner.gateway.slow_queries().entries();
     if !slow.is_empty() {
         body.push_str("<H2>Slow queries</H2>\n<UL>\n");
@@ -1216,40 +1188,68 @@ mod tests {
     #[test]
     fn parser_is_incremental_and_pipelined() {
         let config = ServerConfig::default();
+        let mut scanned = 0;
         let mut buf = b"GET /a HT".to_vec();
         assert!(matches!(
-            parse_request(&mut buf, &config),
+            parse_request(&mut buf, &mut scanned, &config),
             ParseStatus::Incomplete
         ));
         buf.extend_from_slice(b"TP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let ParseStatus::Request(a) = parse_request(&mut buf, &config) else {
+        let ParseStatus::Request(a) = parse_request(&mut buf, &mut scanned, &config) else {
             panic!("first request should parse");
         };
         assert_eq!(a.target, "/a");
         assert_eq!(a.version, Version::H11);
         assert!(a.keep_alive());
-        let ParseStatus::Request(b) = parse_request(&mut buf, &config) else {
+        let ParseStatus::Request(b) = parse_request(&mut buf, &mut scanned, &config) else {
             panic!("second (pipelined) request should parse");
         };
         assert_eq!(b.target, "/b");
         assert!(!b.keep_alive());
         assert!(buf.is_empty());
         assert!(matches!(
-            parse_request(&mut buf, &config),
+            parse_request(&mut buf, &mut scanned, &config),
             ParseStatus::Incomplete
         ));
     }
 
     #[test]
+    fn parser_resumes_its_header_scan_across_reads() {
+        let wire = b"POST /a HTTP/1.1\r\nContent-Length: 4\r\n\r\nab\r\n\
+                     GET /b HTTP/1.1\r\nHost: x\r\n\r\n";
+        let config = ServerConfig::default();
+        // The requests `wire` yields when fed `step` bytes per parse attempt.
+        let fed = |step: usize| {
+            let (mut buf, mut scanned, mut out) = (Vec::new(), 0, Vec::new());
+            for piece in wire.chunks(step) {
+                buf.extend_from_slice(piece);
+                while let ParseStatus::Request(r) = parse_request(&mut buf, &mut scanned, &config) {
+                    out.push((r.method, r.target, r.body));
+                }
+            }
+            out
+        };
+        let whole = fed(wire.len());
+        assert_eq!(whole.len(), 2);
+        assert_eq!(whole[0], ("POST".into(), "/a".into(), "ab\r\n".into()));
+        // One byte per call splits every `\r\n\r\n` across calls; two and
+        // three bytes split it at each other offset.
+        for step in 1..=3 {
+            assert_eq!(fed(step), whole, "fed {step} byte(s) at a time");
+        }
+    }
+
+    #[test]
     fn parser_reads_body_and_honors_version_defaults() {
         let config = ServerConfig::default();
+        let mut scanned = 0;
         let mut buf = b"POST /p HTTP/1.0\r\nContent-Length: 3\r\n\r\nab".to_vec();
         assert!(matches!(
-            parse_request(&mut buf, &config),
+            parse_request(&mut buf, &mut scanned, &config),
             ParseStatus::Incomplete
         ));
         buf.push(b'c');
-        let ParseStatus::Request(req) = parse_request(&mut buf, &config) else {
+        let ParseStatus::Request(req) = parse_request(&mut buf, &mut scanned, &config) else {
             panic!("request should parse once the body arrives");
         };
         assert_eq!(req.body, "abc");
@@ -1262,7 +1262,7 @@ mod tests {
     /// as empty, must be refused whole.
     fn assert_refused(head: &str) {
         let request = format!("POST /p HTTP/1.1\r\n{head}\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n");
-        let status = parse_request(&mut request.into_bytes(), &ServerConfig::default());
+        let status = parse_request(&mut request.into_bytes(), &mut 0, &ServerConfig::default());
         assert!(
             matches!(status, ParseStatus::Malformed),
             "{head:?} was accepted"
@@ -1290,7 +1290,8 @@ mod tests {
         // Repeating the same length is unambiguous and still accepted.
         let mut buf =
             b"POST /p HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc".to_vec();
-        let ParseStatus::Request(req) = parse_request(&mut buf, &ServerConfig::default()) else {
+        let ParseStatus::Request(req) = parse_request(&mut buf, &mut 0, &ServerConfig::default())
+        else {
             panic!("identical lengths should parse");
         };
         assert_eq!(req.body, "abc");

@@ -11,10 +11,13 @@
 //!   conjunct and the WHERE clause into one conjunction, so the existing
 //!   pushdown/hash-key classifier in [`crate::plan`] re-derives join keys
 //!   for the new order; plan choices change performance, never results.
-//! * **Access path** — [`probe_worthwhile`] estimates a pushed conjunct's
+//! * **Access path** — [`probe_worthwhile`] estimates a sargable conjunct's
 //!   selectivity and votes against an index probe when the predicate keeps
 //!   more than half the table (a full scan touches each row once; a wide
 //!   probe touches almost all of them *plus* the index).
+//!
+//! Single-table conjuncts are read through [`crate::plan::sargable`], the
+//! same "column op constant" normalizer the access-path choice uses.
 //!
 //! Estimates use equality selectivity `1/NDV`, histogram interpolation for
 //! ranges, and `1/max(NDV_l, NDV_r)` for equi-join edges — the classic
@@ -22,9 +25,11 @@
 
 use crate::ast::{BinOp, Expr, Join, Select, SelectItem, TableRef};
 use crate::eval::Bindings;
-use crate::plan::{conjunct_mask, flatten_and};
-use crate::state::DbState;
+use crate::plan::{column_of, conjunct_mask, flatten_and, sargable, Keys, Sargable};
+use crate::state::{DbState, TableData};
+use crate::stats::{numeric, TableStats};
 use crate::types::Value;
+use std::ops::Bound;
 
 /// Default selectivity for predicates the model cannot estimate.
 const DEFAULT_SEL: f64 = 0.33;
@@ -35,192 +40,100 @@ const LIKE_SEL: f64 = 0.1;
 /// Above this estimated selectivity an index probe loses to the full scan.
 const PROBE_SEL_CEILING: f64 = 0.5;
 
-/// Constant-fold the trivial cases that appear as probe/filter operands
-/// after subquery rewriting: literals, parameters, negated literals.
-fn const_operand(e: &Expr, params: &[Value]) -> Option<Value> {
-    match e {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Param(i) => params.get(i - 1).cloned(),
-        Expr::Neg(inner) => match const_operand(inner, params)? {
-            Value::Int(i) => Some(Value::Int(-i)),
-            Value::Double(d) => Some(Value::Double(-d)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// A value as a histogram coordinate.
-fn numeric(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Double(d) => Some(*d),
-        Value::Date(d) => Some(*d as f64),
-        Value::Null | Value::Text(_) => None,
-    }
-}
-
-/// The column name in `e` if it is a bare reference to `effective`'s table.
-fn local_column<'a>(e: &'a Expr, effective: &str) -> Option<&'a str> {
-    match e {
-        Expr::Column(c)
-            if c.table
-                .as_ref()
-                .is_none_or(|t| t.eq_ignore_ascii_case(effective)) =>
-        {
-            Some(&c.column)
-        }
-        _ => None,
-    }
-}
-
-/// Per-column stats for `column` of `table`, with the table's schema ordinal
-/// resolved.
+/// Per-column stats for `e` when it is a bare column of `table`.
 fn column_stats<'a>(
     state: &'a DbState,
     table: &TableRef,
-    column: &str,
+    e: &Expr,
 ) -> Option<&'a crate::stats::ColumnStats> {
     let t = state.table(&table.name).ok()?;
-    let ordinal = t.schema.column_index(column)?;
+    let ordinal = t
+        .schema
+        .column_index(&column_of(e, table.effective_name())?.column)?;
     t.stats.as_ref()?.columns.get(ordinal)
 }
 
 /// Estimated fraction of `table`'s rows a single-table conjunct keeps.
 fn conj_selectivity(state: &DbState, table: &TableRef, conj: &Expr, params: &[Value]) -> f64 {
-    let effective = table.effective_name();
-    let Some(stats) = state.table(&table.name).ok().and_then(|t| t.stats.as_ref()) else {
+    let Ok(t) = state.table(&table.name) else {
         return DEFAULT_SEL;
     };
-    let rows = stats.rows.max(1) as f64;
-    let col = |e: &Expr| -> Option<&crate::stats::ColumnStats> {
-        column_stats(state, table, local_column(e, effective)?)
+    let Some(stats) = &t.stats else {
+        return DEFAULT_SEL;
     };
+    if let Some(s) = sargable(conj, table.effective_name(), &t.schema, params) {
+        return sargable_selectivity(stats, &s);
+    }
     match conj {
-        Expr::Binary { op, lhs, rhs } => {
-            // Normalize to "column op constant".
-            let (cs, v, op) = if let (Some(cs), Some(v)) = (col(lhs), const_operand(rhs, params)) {
-                (cs, v, *op)
-            } else if let (Some(cs), Some(v)) = (col(rhs), const_operand(lhs, params)) {
-                let flipped = match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::Le => BinOp::Ge,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::Ge => BinOp::Le,
-                    other => *other,
-                };
-                (cs, v, flipped)
-            } else {
-                return DEFAULT_SEL;
-            };
-            if v.is_null() {
-                return 0.0; // col op NULL keeps nothing
-            }
-            let eq_sel = 1.0 / cs.distinct().max(1) as f64;
-            match op {
-                BinOp::Eq => eq_sel,
-                BinOp::Ne => (1.0 - eq_sel).max(0.0),
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let (Some(h), Some(n)) = (cs.histogram.as_ref(), numeric(&v)) else {
-                        return DEFAULT_SEL;
-                    };
-                    let below = h.fraction_below(n);
-                    match op {
-                        BinOp::Lt => below,
-                        BinOp::Le => (below + eq_sel).min(1.0),
-                        BinOp::Gt => ((1.0 - below) - eq_sel).max(0.0),
-                        _ => 1.0 - below,
-                    }
-                }
-                _ => DEFAULT_SEL,
-            }
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            let (Some(cs), Some(lo), Some(hi)) = (
-                col(expr),
-                const_operand(lo, params).as_ref().and_then(numeric),
-                const_operand(hi, params).as_ref().and_then(numeric),
-            ) else {
-                return DEFAULT_SEL;
-            };
-            let Some(h) = cs.histogram.as_ref() else {
-                return DEFAULT_SEL;
-            };
-            let inside = (h.fraction_below(hi) - h.fraction_below(lo)).clamp(0.0, 1.0);
-            if *negated {
-                1.0 - inside
-            } else {
-                inside
-            }
-        }
         Expr::IsNull { expr, negated } => {
-            let Some(cs) = col(expr) else {
+            let Some(cs) = column_stats(state, table, expr) else {
                 return DEFAULT_SEL;
             };
-            let null_frac = cs.nulls as f64 / rows;
+            let null_frac = cs.nulls as f64 / stats.rows.max(1) as f64;
             if *negated {
                 1.0 - null_frac
             } else {
                 null_frac
             }
         }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let Some(cs) = col(expr) else {
-                return DEFAULT_SEL;
-            };
-            let inside = (list.len() as f64 / cs.distinct().max(1) as f64).clamp(0.0, 1.0);
-            if *negated {
-                1.0 - inside
-            } else {
-                inside
-            }
-        }
-        Expr::Like { negated, .. } => {
-            if *negated {
-                1.0 - LIKE_SEL
-            } else {
-                LIKE_SEL
-            }
-        }
+        Expr::Like { negated: true, .. } => 1.0 - LIKE_SEL,
+        Expr::Like { .. } => LIKE_SEL,
         _ => DEFAULT_SEL,
     }
 }
 
-/// Should the executor attempt an index probe for `conj` on `table_name`?
-/// `false` only when statistics exist *and* say the predicate keeps more
-/// than half the table; without stats the pre-existing probe-first behavior
-/// is preserved.
-pub(crate) fn probe_worthwhile(
-    state: &DbState,
-    effective: &str,
-    table_name: &str,
-    conj: &Expr,
-    params: &[Value],
-) -> bool {
-    let table = TableRef {
-        name: table_name.to_owned(),
-        alias: if effective == table_name {
-            None
-        } else {
-            Some(effective.to_owned())
-        },
+/// Estimated fraction of rows a sargable conjunct keeps: `1/NDV` per
+/// equality key, histogram interpolation for ranges, the complement when
+/// negated.
+fn sargable_selectivity(stats: &TableStats, s: &Sargable) -> f64 {
+    let Some(keys) = &s.keys else {
+        return 0.0;
     };
-    let Ok(t) = state.table(table_name) else {
-        return true;
+    let Some(cs) = stats.columns.get(s.ordinal) else {
+        return DEFAULT_SEL;
     };
-    if t.stats.is_none() {
-        return true;
+    let eq_sel = 1.0 / cs.distinct().max(1) as f64;
+    let kept = match keys {
+        Keys::Eq(_) => eq_sel,
+        Keys::In(values) => (values.len() as f64 * eq_sel).min(1.0),
+        Keys::Prefix(_) => LIKE_SEL,
+        Keys::Range(lo, hi) => {
+            let Some(h) = &cs.histogram else {
+                return DEFAULT_SEL;
+            };
+            // Fraction of rows below each end; an included upper (excluded
+            // lower) endpoint's own rows, ~1/NDV, fall inside (outside).
+            let below = |v: &Value, plus_eq: bool| {
+                numeric(v).map(|n| h.fraction_below(n) + if plus_eq { eq_sel } else { 0.0 })
+            };
+            let upper = match hi {
+                Bound::Unbounded => Some(1.0),
+                Bound::Included(v) => below(v, true),
+                Bound::Excluded(v) => below(v, false),
+            };
+            let lower = match lo {
+                Bound::Unbounded => Some(0.0),
+                Bound::Included(v) => below(v, false),
+                Bound::Excluded(v) => below(v, true),
+            };
+            let (Some(upper), Some(lower)) = (upper, lower) else {
+                return DEFAULT_SEL;
+            };
+            (upper.min(1.0) - lower).clamp(0.0, 1.0)
+        }
+    };
+    if s.negated {
+        1.0 - kept
+    } else {
+        kept
     }
-    conj_selectivity(state, &table, conj, params) <= PROBE_SEL_CEILING
+}
+
+/// Should the executor probe an index for the sargable conjunct `s` on
+/// `table`? `false` only when statistics exist *and* say the predicate keeps
+/// more than half the table; without stats a probe is always tried.
+pub(crate) fn probe_worthwhile(table: &TableData, s: &Sargable) -> bool {
+    (table.stats.as_ref()).is_none_or(|stats| sargable_selectivity(stats, s) <= PROBE_SEL_CEILING)
 }
 
 /// The join graph over a SELECT's tables: filtered per-table cardinalities
@@ -235,8 +148,7 @@ struct Graph {
 
 /// Estimated distinct count of `e` when it is a simple column of table `t`.
 fn side_ndv(state: &DbState, tables: &[TableRef], t: usize, e: &Expr) -> Option<f64> {
-    let table = tables.get(t)?;
-    let cs = column_stats(state, table, local_column(e, table.effective_name())?)?;
+    let cs = column_stats(state, tables.get(t)?, e)?;
     Some(cs.distinct().max(1) as f64)
 }
 
@@ -581,9 +493,12 @@ mod tests {
         // id > 5 keeps ~99.5% of big: scanning wins over probing.
         let wide = sel("SELECT id FROM big WHERE id > 5");
         let narrow = sel("SELECT id FROM big WHERE id = 5");
-        let wide_conj = wide.where_clause.unwrap();
-        let narrow_conj = narrow.where_clause.unwrap();
-        assert!(!probe_worthwhile(&snapshot, "big", "big", &wide_conj, &[]));
-        assert!(probe_worthwhile(&snapshot, "big", "big", &narrow_conj, &[]));
+        let big = snapshot.table("big").unwrap();
+        let worthwhile = |s: &Select| {
+            let conj = s.where_clause.as_ref().unwrap();
+            probe_worthwhile(big, &sargable(conj, "big", &big.schema, &[]).unwrap())
+        };
+        assert!(!worthwhile(&wide));
+        assert!(worthwhile(&narrow));
     }
 }

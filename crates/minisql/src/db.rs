@@ -72,7 +72,7 @@
 use crate::ast::Statement;
 use crate::cache::{self, CachedSelect, DbCacheStats, DbCaches};
 use crate::error::{SqlCode, SqlError, SqlResult};
-use crate::eval::{eval, eval_truth, Bindings, NoAggregates};
+use crate::eval::{eval, Bindings, NoAggregates};
 use crate::exec::{run_select, ResultSet};
 use crate::index::Index;
 use crate::parser::{parse, parse_script};
@@ -771,25 +771,23 @@ impl Connection {
                         table,
                         where_clause,
                         ..
-                    } => vec![format!(
-                        "UPDATE {table} via FULL SCAN{}",
-                        if where_clause.is_some() {
-                            " + FILTER"
-                        } else {
-                            ""
-                        }
-                    )],
+                    } => crate::exec::explain_dml(
+                        &state,
+                        format!("UPDATE {table}"),
+                        table,
+                        where_clause.as_ref(),
+                        params,
+                    )?,
                     Statement::Delete {
                         table,
                         where_clause,
-                    } => vec![format!(
-                        "DELETE FROM {table} via FULL SCAN{}",
-                        if where_clause.is_some() {
-                            " + FILTER"
-                        } else {
-                            ""
-                        }
-                    )],
+                    } => crate::exec::explain_dml(
+                        &state,
+                        format!("DELETE FROM {table}"),
+                        table,
+                        where_clause.as_ref(),
+                        params,
+                    )?,
                     other => vec![format!("{other:?}")],
                 };
                 Ok(ExecResult::Rows(ResultSet {
@@ -1266,6 +1264,11 @@ pub(crate) fn apply_mutation(
 
 /// Rows of `table` matching the predicate, as `(id, row)` pairs, plus the
 /// schema and single-table bindings used to evaluate per-row expressions.
+/// Subqueries run first, against the table as it was before the statement;
+/// the rows are then found by the same single-table scan a `SELECT` runs, so
+/// a primary-key predicate probes the index. They come back in row-id
+/// order, so constraint checks and redo records meet them in heap order
+/// whichever access path found them.
 #[allow(clippy::type_complexity)]
 fn collect_targets(
     state: &DbState,
@@ -1274,31 +1277,19 @@ fn collect_targets(
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<(TableSchema, Bindings, Vec<(RowId, Row)>)> {
-    let t = state.table(table)?;
-    let schema = t.schema.clone();
+    let schema = state.table(table)?.schema.clone();
     let bindings = Bindings::single(
         table,
         schema.columns.iter().map(|c| c.name.clone()).collect(),
     );
     let predicate = predicate
-        .map(|p| {
-            let mut p = crate::exec::rewrite_expr_subqueries(state, p, params, ctx)?;
-            bindings.bind(&mut p).map(|()| p)
-        })
+        .map(|p| crate::exec::rewrite_expr_subqueries(state, p, params, ctx))
         .transpose()?;
-    let mut targets = Vec::new();
-    for (i, (id, row)) in t.heap.iter().enumerate() {
-        if i % 128 == 0 {
-            ctx.check().map_err(SqlError::cancelled)?;
-        }
-        let keep = match &predicate {
-            Some(p) => eval_truth(p, row, params, &NoAggregates)?.passes(),
-            None => true,
-        };
-        if keep {
-            targets.push((id, row.clone()));
-        }
-    }
+    let mut targets = crate::exec::scan_where(state, table, predicate.as_ref(), params, ctx)?;
+    targets.sort_unstable_by_key(|&(id, _)| id);
+    let targets = (targets.into_iter())
+        .map(|(id, row)| (id, row.clone()))
+        .collect();
     Ok((schema, bindings, targets))
 }
 

@@ -3,31 +3,32 @@
 //!
 //! Execution follows the plan produced by [`crate::plan::plan_select`]:
 //! WHERE/ON conjuncts are pushed to the scans that can evaluate them, each
-//! scan tries an index probe over its own conjuncts (equality, range, `IN`,
-//! `LIKE 'prefix%'` — on the base of a join as well as its sides), equi-joins
-//! run as hash joins with a nested-loop fallback for everything else, and
+//! scan reads its table by the [`AccessPath`] the plan stored for it (an
+//! index probe for equality, range, `IN` or `LIKE 'prefix%'` — on the base of
+//! a join as well as its sides — a full scan, or nothing), equi-joins run as
+//! hash joins with a nested-loop fallback for everything else, and
 //! `ORDER BY … LIMIT k` keeps a bounded heap instead of sorting. Intermediate
 //! rows are threaded as borrowed [`Cow`] slices so a scan clones nothing and
 //! only rows surviving a join are materialized. Every candidate row is still
 //! checked against the conjuncts that selected it, so plan choice can only
 //! change performance, never results — a property the equivalence suite in
-//! `tests/planner_equivalence.rs` exercises.
+//! `tests/planner_equivalence.rs` exercises. UPDATE and DELETE find their
+//! target rows through the same single-table scan ([`scan_where`]).
 
 use crate::analyze::{self, OpId};
 use crate::ast::{
-    AggFunc, BinOp, ColumnRef, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, WindowFunc,
+    AggFunc, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, TableRef, WindowFunc,
 };
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{eval, eval_ref, eval_truth, AggSource, Bindings, NoAggregates};
-use crate::like::{is_exact, literal_prefix};
-use crate::plan::{self, JoinPlan, PlanOptions, SelectPlan};
+use crate::index::Index;
+use crate::plan::{self, AccessPath, JoinPlan, Keys, PlanOptions, ScanPlan, SelectPlan};
 use crate::state::DbState;
-use crate::storage::Row;
+use crate::storage::{Row, RowId};
 use crate::types::Value;
 use dbgw_obs::RequestCtx;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::ops::Bound;
 
 /// A partially-joined tuple: borrowed straight from a heap until a join (or
 /// NULL padding) forces an owned copy.
@@ -289,16 +290,16 @@ fn run_single(
     let (sel, bindings) = (&sel, &bindings);
 
     // 2. Plan, then scan + join accordingly.
-    let sel_plan = plan::plan_select(sel, bindings, opts);
+    let sel_plan = plan::plan_select(state, sel, bindings, params, opts);
     if dbgw_obs::trace::trace_active() {
-        dbgw_obs::trace::note("plan", plan_note(state, sel, &sel_plan, params, opts));
+        dbgw_obs::trace::note("plan", plan_note(sel, &sel_plan));
     }
     if !sel.joins.is_empty() && sel_plan.pushed_where > 0 {
         dbgw_obs::metrics().pushdown_applied.inc();
         plan::record(|s| s.pushed_conjuncts += sel_plan.pushed_where as u64);
     }
     let residual = bind_all(&sel_plan.residual, bindings)?;
-    let mut rows = execute_source(state, sel, &sel_plan, params, ctx, opts)?;
+    let mut rows = execute_source(state, sel, &sel_plan, params, ctx)?;
 
     // 3. Residual WHERE conjuncts (everything the planner did not push).
     let filter_in = rows.len() as u64;
@@ -319,15 +320,7 @@ fn run_single(
         analyze::record(OpId::WhereFilter, filter_t0, filter_in, rows.len() as u64);
     }
 
-    let grouped = !sel.group_by.is_empty()
-        || sel.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-        || sel.having.as_ref().is_some_and(Expr::contains_aggregate)
-        || sel.order_by.iter().any(|k| k.expr.contains_aggregate());
-
-    if grouped {
+    if sel_plan.grouped {
         run_grouped(sel, bindings, rows, params, ctx, sel_plan.topk)
     } else {
         run_plain(sel, bindings, rows, params, ctx, sel_plan.topk)
@@ -380,66 +373,97 @@ fn full_bindings(state: &DbState, sel: &Select) -> SqlResult<Bindings> {
     Ok(bindings)
 }
 
-/// Scan one table: try an index probe over the pushed conjuncts, fall back
-/// to a heap walk, and keep only rows passing every conjunct. Returns
-/// borrowed rows — nothing is cloned here.
-#[allow(clippy::too_many_arguments)]
-fn scan_table<'a>(
-    state: &'a DbState,
-    effective: &str,
-    table_name: &str,
-    filters: &[&Expr],
-    params: &[Value],
-    ctx: &RequestCtx,
-    opts: &PlanOptions,
-    aop: OpId,
-) -> SqlResult<Vec<&'a Row>> {
-    let analyze_t0 = analyze::start();
-    let table = state.table(table_name)?;
-    let local = Bindings::single(effective, column_names(state, table_name)?);
-    let filters = bind_all(filters, &local)?;
-    // A probe is only attempted for conjuncts the cost model estimates as
-    // selective; a predicate keeping most of the table scans faster flat.
-    let probed = if opts.index_paths {
-        filters.iter().find_map(|conj| {
-            if !crate::cost::probe_worthwhile(state, effective, table_name, conj, params) {
-                return None;
-            }
-            probe_conjunct(state, effective, table_name, &local, conj, params)
-        })
-    } else {
-        None
-    };
-    let mut out = Vec::new();
-    let mut scanned: u64 = 0;
-    match probed {
-        Some(ids) => {
-            for (i, row) in ids.iter().filter_map(|id| table.heap.get(*id)).enumerate() {
-                if i % CANCEL_STRIDE == 0 {
-                    check_cancel(ctx)?;
-                }
-                scanned += 1;
-                if passes_all(&filters, row, params)? {
-                    out.push(row);
-                }
-            }
-        }
-        None => {
-            for (i, (_, row)) in table.heap.iter().enumerate() {
-                if i % CANCEL_STRIDE == 0 {
-                    check_cancel(ctx)?;
-                }
-                scanned += 1;
-                if passes_all(&filters, row, params)? {
-                    out.push(row);
-                }
-            }
+/// The row ids `keys` select from `index`, in index order (an IN list's in
+/// row-id order).
+fn probe<'i>(index: &'i Index, keys: &Keys) -> Cow<'i, [RowId]> {
+    match keys {
+        Keys::Eq(v) => Cow::Borrowed(index.lookup_ref(v)),
+        Keys::Range(lo, hi) => Cow::Owned(index.range(lo.as_ref(), hi.as_ref())),
+        Keys::Prefix(p) => Cow::Owned(index.prefix_scan(p)),
+        Keys::In(values) => {
+            let mut ids: Vec<RowId> = (values.iter())
+                .flat_map(|v| index.lookup_ref(v).iter().copied())
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            Cow::Owned(ids)
         }
     }
+}
+
+/// Scan one table by its planned access path, keeping only the rows that
+/// pass every pushed conjunct. Returns borrowed rows with their ids —
+/// nothing is cloned here.
+fn scan_table<'a>(
+    state: &'a DbState,
+    table: &TableRef,
+    scan: &ScanPlan<'_>,
+    params: &[Value],
+    ctx: &RequestCtx,
+    aop: OpId,
+) -> SqlResult<Vec<(RowId, &'a Row)>> {
+    let analyze_t0 = analyze::start();
+    let heap = &state.table(&table.name)?.heap;
+    let local = Bindings::single(table.effective_name(), column_names(state, &table.name)?);
+    let filters = bind_all(&scan.filters, &local)?;
+    let (out, scanned) = match &scan.access {
+        AccessPath::FullScan { .. } => keep_passing(heap.iter(), &filters, params, ctx)?,
+        AccessPath::Empty { .. } => (Vec::new(), 0),
+        AccessPath::Probe { index, keys, .. } => {
+            let candidates = probe(index, keys);
+            let rows = candidates
+                .iter()
+                .filter_map(|&id| Some((id, heap.get(id)?)));
+            keep_passing(rows, &filters, params, ctx)?
+        }
+    };
     plan::record(|s| s.rows_scanned += scanned);
     dbgw_obs::metrics().rows_scanned.add(scanned);
     analyze::record(aop, analyze_t0, scanned, out.len() as u64);
     Ok(out)
+}
+
+/// The `candidates` that pass every filter, and how many were read.
+fn keep_passing<'a>(
+    candidates: impl Iterator<Item = (RowId, &'a Row)>,
+    filters: &[Expr],
+    params: &[Value],
+    ctx: &RequestCtx,
+) -> SqlResult<(Vec<(RowId, &'a Row)>, u64)> {
+    let mut out = Vec::new();
+    let mut scanned: u64 = 0;
+    for (id, row) in candidates {
+        if scanned.is_multiple_of(CANCEL_STRIDE as u64) {
+            check_cancel(ctx)?;
+        }
+        scanned += 1;
+        if passes_all(filters, row, params)? {
+            out.push((id, row));
+        }
+    }
+    Ok((out, scanned))
+}
+
+/// The single-table scan behind UPDATE and DELETE: the rows of `table` that
+/// pass `predicate` (its subqueries already run), found by the access path a
+/// `SELECT * FROM table WHERE predicate` takes.
+pub(crate) fn scan_where<'a>(
+    state: &'a DbState,
+    table: &str,
+    predicate: Option<&Expr>,
+    params: &[Value],
+    ctx: &RequestCtx,
+) -> SqlResult<Vec<(RowId, &'a Row)>> {
+    let table = TableRef {
+        name: table.to_owned(),
+        alias: None,
+    };
+    let mut filters = Vec::new();
+    if let Some(p) = predicate {
+        plan::flatten_and(p, &mut filters);
+    }
+    let scan = ScanPlan::new(state, &table, filters, params, &PlanOptions::default());
+    scan_table(state, &table, &scan, params, ctx, OpId::Base)
 }
 
 /// Materialize the FROM + JOIN pipeline under `sel_plan`.
@@ -449,25 +473,16 @@ fn execute_source<'a>(
     sel_plan: &SelectPlan<'_>,
     params: &[Value],
     ctx: &RequestCtx,
-    opts: &PlanOptions,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
     let Some(base) = &sel.from else {
         // Table-less SELECT evaluates items once against an empty row.
         return Ok(vec![Cow::Owned(Vec::new())]);
     };
-    let mut rows: Vec<SrcRow<'a>> = scan_table(
-        state,
-        base.effective_name(),
-        &base.name,
-        &sel_plan.base.filters,
-        params,
-        ctx,
-        opts,
-        OpId::Base,
-    )?
-    .into_iter()
-    .map(|r| Cow::Borrowed(r.as_slice()))
-    .collect();
+    let mut rows: Vec<SrcRow<'a>> =
+        scan_table(state, base, &sel_plan.scans[0], params, ctx, OpId::Base)?
+            .into_iter()
+            .map(|(_, r)| Cow::Borrowed(r.as_slice()))
+            .collect();
     // Prefix scope: grows one table per join, so predicate evaluation at
     // join j sees exactly the tables bound so far (a reference to a
     // later table errors, as it did pre-planner).
@@ -492,16 +507,17 @@ fn execute_source<'a>(
             join.table.effective_name(),
             column_names(state, &join.table.name)?,
         );
-        let right_rows = scan_table(
+        let right_rows: Vec<&Row> = (scan_table(
             state,
-            join.table.effective_name(),
-            &join.table.name,
-            &jp.scan.filters,
+            &join.table,
+            &sel_plan.scans[j + 1],
             params,
             ctx,
-            opts,
             OpId::JoinScan(j),
-        )?;
+        )?
+        .into_iter())
+        .map(|(_, r)| r)
+        .collect();
         let join_in = rows.len() as u64;
         let join_t0 = analyze::start();
         rows = join_step(
@@ -684,7 +700,7 @@ fn hash_join<'a>(
             let Some(lis) = table.get(key) else { continue };
             for &li in lis {
                 pairs += 1;
-                if pairs % CANCEL_STRIDE == 0 {
+                if pairs.is_multiple_of(CANCEL_STRIDE) {
                     check_cancel(ctx)?;
                 }
                 let mut combined = left[li as usize].to_vec();
@@ -694,7 +710,7 @@ fn hash_join<'a>(
                 }
             }
         }
-        matches.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        matches.sort_by_key(|m| (m.0, m.1));
         out = matches.into_iter().map(|(_, _, c)| Cow::Owned(c)).collect();
     } else {
         // Build on the right, probe left rows in order.
@@ -714,7 +730,7 @@ fn hash_join<'a>(
                 if let Some(ris) = table.get(&key) {
                     for &ri in ris {
                         pairs += 1;
-                        if pairs % CANCEL_STRIDE == 0 {
+                        if pairs.is_multiple_of(CANCEL_STRIDE) {
                             check_cancel(ctx)?;
                         }
                         let mut combined = lrow.to_vec();
@@ -761,7 +777,7 @@ fn nested_join<'a>(
         buf.extend_from_slice(&lrow);
         for rrow in right_rows {
             pairs += 1;
-            if pairs % CANCEL_STRIDE == 0 {
+            if pairs.is_multiple_of(CANCEL_STRIDE) {
                 check_cancel(ctx)?;
             }
             buf.truncate(left_width);
@@ -781,27 +797,13 @@ fn nested_join<'a>(
 }
 
 /// One-line plan summary for `DBGW_TRACE=1` request traces.
-fn plan_note(
-    state: &DbState,
-    sel: &Select,
-    sel_plan: &SelectPlan<'_>,
-    params: &[Value],
-    opts: &PlanOptions,
-) -> String {
+fn plan_note(sel: &Select, sel_plan: &SelectPlan<'_>) -> String {
     let mut parts: Vec<String> = Vec::new();
     if let Some(base) = &sel.from {
-        let access = scan_description(
-            state,
-            base.effective_name(),
-            &base.name,
-            &sel_plan.base.filters,
-            params,
-            opts,
-        );
         parts.push(format!(
-            "scan {}={}",
+            "scan {}: {}",
             base.effective_name(),
-            if access.is_some() { "index" } else { "full" }
+            sel_plan.scans[0].access
         ));
     }
     for (j, join) in sel.joins.iter().enumerate() {
@@ -811,19 +813,10 @@ fn plan_note(
         } else {
             "nested".to_string()
         };
-        let probe = scan_description(
-            state,
-            join.table.effective_name(),
-            &join.table.name,
-            &jp.scan.filters,
-            params,
-            opts,
-        );
         parts.push(format!(
-            "join {}={}{}",
+            "join {}={strategy}: {}",
             join.table.effective_name(),
-            strategy,
-            if probe.is_some() { "+index" } else { "" }
+            sel_plan.scans[j + 1].access
         ));
     }
     parts.push(format!(
@@ -845,25 +838,8 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
-/// The index-probe description for a scan's conjuncts, if one applies
-/// (shared by EXPLAIN and the trace plan note).
-fn scan_description(
-    state: &DbState,
-    effective: &str,
-    table_name: &str,
-    filters: &[&Expr],
-    params: &[Value],
-    opts: &PlanOptions,
-) -> Option<String> {
-    if !opts.index_paths {
-        return None;
-    }
-    let local = Bindings::single(effective, column_names(state, table_name).ok()?);
-    describe_access_path(state, effective, table_name, &local, filters, params)
-}
-
 /// Constant-fold an expression with no column references.
-fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
+pub(crate) fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
     fn has_column(e: &Expr) -> bool {
         match e {
             Expr::Column(_) => true,
@@ -898,135 +874,6 @@ fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
         return None;
     }
     eval(expr, &[], params, &NoAggregates).ok()
-}
-
-fn column_of<'a>(expr: &'a Expr, effective: &str) -> Option<&'a ColumnRef> {
-    match expr {
-        Expr::Column(c)
-            if c.table
-                .as_ref()
-                .is_none_or(|t| t.eq_ignore_ascii_case(effective)) =>
-        {
-            Some(c)
-        }
-        _ => None,
-    }
-}
-
-fn probe_conjunct(
-    state: &DbState,
-    effective: &str,
-    table_name: &str,
-    bindings: &Bindings,
-    conj: &Expr,
-    params: &[Value],
-) -> Option<Vec<crate::storage::RowId>> {
-    let table = state.table(table_name).ok()?;
-    let col_ordinal = |c: &ColumnRef| -> Option<usize> {
-        // Ensure the reference resolves (catches ambiguity) and then map to
-        // the table-local ordinal.
-        bindings.resolve(c).ok()?;
-        table.schema.column_index(&c.column)
-    };
-    match conj {
-        Expr::Binary { op, lhs, rhs }
-            if matches!(
-                op,
-                BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) =>
-        {
-            // Normalize to "column op constant".
-            let (col, val, op) = if let (Some(c), Some(v)) =
-                (column_of(lhs, effective), const_value(rhs, params))
-            {
-                (c, v, *op)
-            } else if let (Some(c), Some(v)) = (column_of(rhs, effective), const_value(lhs, params))
-            {
-                let flipped = match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::Le => BinOp::Ge,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::Ge => BinOp::Le,
-                    other => *other,
-                };
-                (c, v, flipped)
-            } else {
-                return None;
-            };
-            if val.is_null() {
-                return Some(Vec::new()); // col op NULL selects nothing
-            }
-            let ordinal = col_ordinal(col)?;
-            let index = state.index_on(table_name, ordinal)?;
-            Some(match op {
-                BinOp::Eq => index.lookup(&val),
-                BinOp::Lt => index.range(Bound::Unbounded, Bound::Excluded(&val)),
-                BinOp::Le => index.range(Bound::Unbounded, Bound::Included(&val)),
-                BinOp::Gt => index.range(Bound::Excluded(&val), Bound::Unbounded),
-                BinOp::Ge => index.range(Bound::Included(&val), Bound::Unbounded),
-                _ => unreachable!(),
-            })
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            escape,
-            negated: false,
-        } => {
-            let col = column_of(expr, effective)?;
-            let pat = match const_value(pattern, params)? {
-                Value::Text(t) => t,
-                _ => return None,
-            };
-            let ordinal = col_ordinal(col)?;
-            let index = state.index_on(table_name, ordinal)?;
-            if is_exact(&pat, *escape) {
-                let literal = literal_prefix(&pat, *escape);
-                return Some(index.lookup(&Value::Text(literal)));
-            }
-            let prefix = literal_prefix(&pat, *escape);
-            if prefix.is_empty() {
-                return None; // '%...' gives the index nothing to narrow
-            }
-            Some(index.prefix_scan(&prefix))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated: false,
-        } => {
-            let col = column_of(expr, effective)?;
-            let ordinal = col_ordinal(col)?;
-            let index = state.index_on(table_name, ordinal)?;
-            let mut ids = Vec::new();
-            for item in list {
-                let v = const_value(item, params)?;
-                if !v.is_null() {
-                    ids.extend(index.lookup(&v));
-                }
-            }
-            ids.sort();
-            ids.dedup();
-            Some(ids)
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated: false,
-        } => {
-            let col = column_of(expr, effective)?;
-            let lo = const_value(lo, params)?;
-            let hi = const_value(hi, params)?;
-            if lo.is_null() || hi.is_null() {
-                return Some(Vec::new());
-            }
-            let ordinal = col_ordinal(col)?;
-            let index = state.index_on(table_name, ordinal)?;
-            Some(index.range(Bound::Included(&lo), Bound::Included(&hi)))
-        }
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1320,8 +1167,7 @@ fn compute_windows(
                     }
                     _ => None,
                 };
-                for p in pos..end {
-                    let i = keyed[p].1;
+                for (p, &(_, i)) in keyed.iter().enumerate().take(end).skip(pos) {
                     values[i] = match &w.func {
                         WindowFunc::RowNumber => Value::Int(p as i64 + 1),
                         WindowFunc::Rank => Value::Int(pos as i64 + 1),
@@ -1964,6 +1810,45 @@ pub fn explain_select(state: &DbState, sel: &Select, params: &[Value]) -> SqlRes
     Ok(lines)
 }
 
+/// `EXPLAIN` for UPDATE and DELETE: `head`, then the plan of the target scan
+/// — the access line and `FILTER <where>` of `SELECT * FROM table WHERE …`,
+/// which is the scan [`scan_where`] runs.
+pub(crate) fn explain_dml(
+    state: &DbState,
+    head: String,
+    table: &str,
+    predicate: Option<&Expr>,
+    params: &[Value],
+) -> SqlResult<Vec<String>> {
+    let sel = Select {
+        distinct: false,
+        items: vec![SelectItem::Wildcard],
+        from: Some(TableRef {
+            name: table.to_owned(),
+            alias: None,
+        }),
+        joins: Vec::new(),
+        where_clause: predicate.cloned(),
+        group_by: Vec::new(),
+        having: None,
+        order_by: Vec::new(),
+        limit: None,
+        offset: None,
+        set_ops: Vec::new(),
+    };
+    let mut lines = vec![head];
+    explain_into(
+        state,
+        &sel,
+        params,
+        0,
+        &mut lines,
+        &PlanOptions::default(),
+        None,
+    )?;
+    Ok(lines)
+}
+
 /// `EXPLAIN ANALYZE`: execute `sel` under an operator collector on `ctx`'s
 /// clock, then render the plan tree with the observed actuals (rows in/out,
 /// loops, wall time) appended to each operator's estimated line, plus a
@@ -2051,7 +1936,7 @@ fn explain_into(
             None => String::new(),
         }
     };
-    let sel_plan = plan::plan_select(sel, &bindings, opts);
+    let sel_plan = plan::plan_select(state, sel, &bindings, params, opts);
     match &sel.from {
         None => lines.push(format!("{pad}VALUES (table-less SELECT)")),
         Some(base) => {
@@ -2060,34 +1945,12 @@ fn explain_into(
                 names.extend(sel.joins.iter().map(|j| j.table.effective_name()));
                 lines.push(format!("{pad}JOIN ORDER: {}", names.join(" -> ")));
             }
-            let table = state.table(&base.name)?;
-            let access = scan_description(
-                state,
-                base.effective_name(),
-                &base.name,
-                &sel_plan.base.filters,
-                params,
-                opts,
+            push_plan_line(
+                lines,
+                format!("{pad}{}{}", sel_plan.scans[0].access, est_note(0)),
+                actuals,
+                OpId::Base,
             );
-            match access {
-                Some(desc) => push_plan_line(
-                    lines,
-                    format!("{pad}{desc}{}", est_note(0)),
-                    actuals,
-                    OpId::Base,
-                ),
-                None => push_plan_line(
-                    lines,
-                    format!(
-                        "{pad}FULL SCAN {} ({} rows){}",
-                        base.name,
-                        table.heap.len(),
-                        est_note(0)
-                    ),
-                    actuals,
-                    OpId::Base,
-                ),
-            }
             for (j, join) in sel.joins.iter().enumerate() {
                 let jp = &sel_plan.joins[j];
                 if jp.use_hash {
@@ -2122,15 +1985,14 @@ fn explain_into(
                         OpId::Join(j),
                     );
                 }
-                if let Some(desc) = scan_description(
-                    state,
-                    join.table.effective_name(),
-                    &join.table.name,
-                    &jp.scan.filters,
-                    params,
-                    opts,
-                ) {
-                    push_plan_line(lines, format!("{pad}  {desc}"), actuals, OpId::JoinScan(j));
+                let access = &sel_plan.scans[j + 1].access;
+                if !matches!(access, AccessPath::FullScan { .. }) {
+                    push_plan_line(
+                        lines,
+                        format!("{pad}  {access}"),
+                        actuals,
+                        OpId::JoinScan(j),
+                    );
                 }
             }
         }
@@ -2150,12 +2012,7 @@ fn explain_into(
     {
         push_plan_line(lines, format!("{pad}WINDOW"), actuals, OpId::Window);
     }
-    if !sel.group_by.is_empty()
-        || sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-    {
+    if sel_plan.grouped {
         push_plan_line(
             lines,
             format!("{pad}AGGREGATE (group keys: {})", sel.group_by.len()),
@@ -2198,109 +2055,6 @@ fn explain_into(
         );
     }
     Ok(())
-}
-
-/// Return a human description of the index probe serving `conjuncts`, if any
-/// (used by EXPLAIN and the trace plan note; never touches the heap).
-fn describe_access_path(
-    state: &DbState,
-    effective: &str,
-    table_name: &str,
-    bindings: &Bindings,
-    conjuncts: &[&Expr],
-    params: &[Value],
-) -> Option<String> {
-    let table = state.table(table_name).ok()?;
-    for conj in conjuncts {
-        // Mirror the executor: conjuncts the cost model votes against
-        // probing are described as part of the scan, not as probes.
-        if !crate::cost::probe_worthwhile(state, effective, table_name, conj, params) {
-            continue;
-        }
-        let described = match conj {
-            Expr::Binary { op, lhs, rhs }
-                if matches!(
-                    op,
-                    BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-                ) =>
-            {
-                let col = column_of(lhs, effective)
-                    .filter(|_| const_value(rhs, params).is_some())
-                    .or_else(|| {
-                        column_of(rhs, effective).filter(|_| const_value(lhs, params).is_some())
-                    });
-                col.and_then(|c| {
-                    bindings.resolve(c).ok()?;
-                    let ordinal = table.schema.column_index(&c.column)?;
-                    let index = state.index_on(table_name, ordinal)?;
-                    let kind = if *op == BinOp::Eq {
-                        "equality"
-                    } else {
-                        "range"
-                    };
-                    Some(format!("INDEX {kind} PROBE {} ({})", index.name, c))
-                })
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                escape,
-                negated: false,
-            } => column_of(expr, effective).and_then(|c| {
-                let pat = match const_value(pattern, params)? {
-                    Value::Text(t) => t,
-                    _ => return None,
-                };
-                bindings.resolve(c).ok()?;
-                let ordinal = table.schema.column_index(&c.column)?;
-                let index = state.index_on(table_name, ordinal)?;
-                let prefix = literal_prefix(&pat, *escape);
-                if prefix.is_empty() {
-                    return None;
-                }
-                Some(format!(
-                    "INDEX prefix PROBE {} ({} LIKE '{}%…')",
-                    index.name, c, prefix
-                ))
-            }),
-            Expr::InList {
-                expr,
-                list,
-                negated: false,
-            } => column_of(expr, effective).and_then(|c| {
-                if !list.iter().all(|e| const_value(e, params).is_some()) {
-                    return None;
-                }
-                bindings.resolve(c).ok()?;
-                let ordinal = table.schema.column_index(&c.column)?;
-                let index = state.index_on(table_name, ordinal)?;
-                Some(format!(
-                    "INDEX IN-list PROBE {} ({}, {} keys)",
-                    index.name,
-                    c,
-                    list.len()
-                ))
-            }),
-            Expr::Between {
-                expr,
-                lo,
-                hi,
-                negated: false,
-            } => column_of(expr, effective).and_then(|c| {
-                const_value(lo, params)?;
-                const_value(hi, params)?;
-                bindings.resolve(c).ok()?;
-                let ordinal = table.schema.column_index(&c.column)?;
-                let index = state.index_on(table_name, ordinal)?;
-                Some(format!("INDEX range PROBE {} ({} BETWEEN)", index.name, c))
-            }),
-            _ => None,
-        };
-        if described.is_some() {
-            return described;
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -1,10 +1,16 @@
-//! Cost-aware SELECT planning: conjunct classification, join strategy and
-//! top-k sort selection.
+//! Cost-aware SELECT planning: conjunct classification, access paths, join
+//! strategy and top-k sort selection.
 //!
-//! The planner is deliberately small: it never reorders joins and it never
-//! estimates cardinalities beyond "build the hash table on the smaller side".
-//! What it does decide, per query:
+//! The planner is deliberately small: join order is [`crate::cost`]'s
+//! rewrite, done before planning. What it does decide, per query:
 //!
+//! * **Access paths** — [`ScanPlan::new`] decides once, per scan, how the
+//!   table's rows are found: a full scan, an index probe with its keys, or
+//!   nothing at all when a pushed conjunct can keep no row (a comparison
+//!   with NULL, say). [`sargable`] is the one reader of "column op constant"
+//!   behind that choice and behind the cost model's selectivity estimates.
+//!   The executor, EXPLAIN, the trace plan note and UPDATE/DELETE target
+//!   collection all read the stored [`AccessPath`].
 //! * **Predicate pushdown** — each WHERE conjunct is classified by the set of
 //!   tables it references and attached to the earliest point in the pipeline
 //!   where all of those tables are bound: the base scan, a joined table's
@@ -25,10 +31,17 @@
 //! never results — the property suite in `tests/planner_equivalence.rs`
 //! exercises this.
 
-use crate::ast::{BinOp, Expr, Select};
+use crate::ast::{BinOp, ColumnRef, Expr, Select, SelectItem, TableRef};
 use crate::eval::Bindings;
+use crate::index::Index;
+use crate::like::{is_exact, literal_prefix};
+use crate::schema::TableSchema;
+use crate::state::DbState;
+use crate::types::{SqlType, Value};
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::fmt;
+use std::ops::Bound;
 
 /// Which optimizations the executor may use for one SELECT.
 ///
@@ -123,20 +136,271 @@ pub(crate) fn record(f: impl FnOnce(&mut PlanStats)) {
     STATS.with(|s| f(&mut s.borrow_mut()));
 }
 
-/// One table scan: the conjuncts to evaluate per candidate row. The executor
-/// additionally tries an index probe over these conjuncts.
-#[derive(Debug, Default)]
+/// The index keys a pushed conjunct selects.
+#[derive(Debug)]
+pub(crate) enum Keys {
+    /// `col = v`, or `col LIKE 'v'` with no wildcard in the pattern.
+    Eq(Value),
+    /// `col <, <=, >, >= v`, or `col BETWEEN lo AND hi`.
+    Range(Bound<Value>, Bound<Value>),
+    /// `col LIKE 'p%…'`: text keys starting with the literal prefix `p`.
+    Prefix(String),
+    /// `col IN (v, …)`, its NULL items dropped (they never match).
+    In(Vec<Value>),
+}
+
+/// A pushed conjunct read as "column op constant".
+#[derive(Debug)]
+pub(crate) struct Sargable<'a> {
+    /// The restricted column, as written.
+    pub column: &'a ColumnRef,
+    /// Its ordinal in the table's schema.
+    pub ordinal: usize,
+    /// The rows the comparison keeps, as index keys; `None` when it keeps
+    /// no row (a comparison with NULL, an IN list with no non-NULL item, an
+    /// inverted BETWEEN).
+    pub keys: Option<Keys>,
+    /// `<>`, `NOT IN`, `NOT BETWEEN`, `NOT LIKE`: the conjunct keeps the rows
+    /// `keys` does not (when there are keys). The cost model estimates
+    /// these; no index serves them.
+    pub negated: bool,
+}
+
+/// The column `expr` names if it is a bare reference to the table `effective`.
+pub(crate) fn column_of<'a>(expr: &'a Expr, effective: &str) -> Option<&'a ColumnRef> {
+    match expr {
+        Expr::Column(c)
+            if c.table
+                .as_ref()
+                .is_none_or(|t| t.eq_ignore_ascii_case(effective)) =>
+        {
+            Some(c)
+        }
+        _ => None,
+    }
+}
+
+/// Read `conj` as "column op constant" over the table `effective` names:
+/// the one normalizer behind both the access-path choice and the cost
+/// model's selectivity estimates. Constant operands are folded with
+/// [`crate::exec::const_value`], so `b = 'k' || '1'` reads as `b = 'k1'`.
+/// `None` when the conjunct is not such a comparison.
+pub(crate) fn sargable<'a>(
+    conj: &'a Expr,
+    effective: &str,
+    schema: &TableSchema,
+    params: &[Value],
+) -> Option<Sargable<'a>> {
+    let column = |e: &'a Expr| {
+        let c = column_of(e, effective)?;
+        Some((c, schema.column_index(&c.column)?))
+    };
+    let konst = |e: &Expr| crate::exec::const_value(e, params);
+    let (col, keys, negated) = match conj {
+        Expr::Binary { op, lhs, rhs } => {
+            // Normalize to "column op constant", flipping the operator when
+            // the column is on the right.
+            let (col, v, op) = match column(lhs).zip(konst(rhs)) {
+                Some((col, v)) => (col, v, *op),
+                None => {
+                    let flipped = match op {
+                        BinOp::Lt => BinOp::Gt,
+                        BinOp::Le => BinOp::Ge,
+                        BinOp::Gt => BinOp::Lt,
+                        BinOp::Ge => BinOp::Le,
+                        other => *other,
+                    };
+                    (column(rhs)?, konst(lhs)?, flipped)
+                }
+            };
+            let null = v.is_null(); // col op NULL is never TRUE
+            let keys = match op {
+                BinOp::Eq | BinOp::Ne => Keys::Eq(v),
+                BinOp::Lt => Keys::Range(Bound::Unbounded, Bound::Excluded(v)),
+                BinOp::Le => Keys::Range(Bound::Unbounded, Bound::Included(v)),
+                BinOp::Gt => Keys::Range(Bound::Excluded(v), Bound::Unbounded),
+                BinOp::Ge => Keys::Range(Bound::Included(v), Bound::Unbounded),
+                _ => return None,
+            };
+            (col, (!null).then_some(keys), matches!(op, BinOp::Ne))
+        }
+        Expr::Like {
+            expr,
+            pattern,
+            escape,
+            negated,
+        } => {
+            // Only text keys can match a pattern: on any other column the
+            // index holds values LIKE compares by their display text.
+            let col = column(expr).filter(|c| schema.columns[c.1].ty == SqlType::Varchar)?;
+            let keys = match konst(pattern)? {
+                Value::Null => None,
+                Value::Text(p) if is_exact(&p, *escape) => {
+                    Some(Keys::Eq(Value::Text(literal_prefix(&p, *escape))))
+                }
+                Value::Text(p) => {
+                    let prefix = literal_prefix(&p, *escape);
+                    if prefix.is_empty() {
+                        return None; // '%…' gives an index nothing to narrow
+                    }
+                    Some(Keys::Prefix(prefix))
+                }
+                _ => return None,
+            };
+            (col, keys, *negated)
+        }
+        Expr::Between {
+            expr,
+            lo,
+            hi,
+            negated,
+        } => {
+            let col = column(expr)?;
+            let (lo, hi) = (konst(lo)?, konst(hi)?);
+            // NULL or inverted bounds keep no row; negated, they keep some.
+            let empty = lo.is_null() || hi.is_null() || lo.order_key(&hi).is_gt();
+            if empty && *negated {
+                return None;
+            }
+            let range = Keys::Range(Bound::Included(lo), Bound::Included(hi));
+            (col, (!empty).then_some(range), *negated)
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let col = column(expr)?;
+            let mut values = Vec::with_capacity(list.len());
+            let mut saw_null = false;
+            for item in list {
+                match konst(item)? {
+                    Value::Null => saw_null = true,
+                    v => values.push(v),
+                }
+            }
+            // `x IN (NULL)` keeps nothing, and so does `x NOT IN (…, NULL, …)`.
+            let empty = if *negated {
+                saw_null
+            } else {
+                values.is_empty()
+            };
+            (col, (!empty).then_some(Keys::In(values)), *negated)
+        }
+        _ => return None,
+    };
+    Some(Sargable {
+        column: col.0,
+        ordinal: col.1,
+        keys,
+        negated,
+    })
+}
+
+/// How one scan finds its candidate rows: decided once, by
+/// [`ScanPlan::new`], and read by the executor, EXPLAIN and the trace plan
+/// note alike, all printing it through this type's `Display`.
+#[derive(Debug)]
+pub(crate) enum AccessPath<'a> {
+    /// Read every live row of `table`.
+    FullScan { table: &'a str, rows: usize },
+    /// A pushed conjunct on `column` no row can pass: read nothing.
+    Empty {
+        table: &'a str,
+        column: &'a ColumnRef,
+    },
+    /// Read the rows `index` yields for `keys` on `column`.
+    Probe {
+        index: &'a Index,
+        column: &'a ColumnRef,
+        keys: Keys,
+    },
+}
+
+impl fmt::Display for AccessPath<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AccessPath::FullScan { table, rows } => write!(f, "FULL SCAN {table} ({rows} rows)"),
+            AccessPath::Empty { table, column } => {
+                write!(f, "EMPTY SCAN {table} ({column} matches no row)")
+            }
+            AccessPath::Probe {
+                index,
+                column,
+                keys,
+            } => {
+                let (kind, detail) = match keys {
+                    Keys::Eq(_) => ("equality", String::new()),
+                    Keys::Range(..) => ("range", String::new()),
+                    Keys::Prefix(p) => ("prefix", format!(" LIKE '{p}%…'")),
+                    Keys::In(values) => ("IN-list", format!(", {} keys", values.len())),
+                };
+                write!(f, "INDEX {kind} PROBE {} ({column}{detail})", index.name)
+            }
+        }
+    }
+}
+
+/// One table scan: how its rows are found, and the conjuncts every candidate
+/// row is checked against.
+#[derive(Debug)]
 pub(crate) struct ScanPlan<'a> {
     /// Conjuncts referencing only this table (evaluated with table-local
     /// bindings against the bare heap row).
     pub filters: Vec<&'a Expr>,
+    /// How the candidate rows are found.
+    pub access: AccessPath<'a>,
+}
+
+impl<'a> ScanPlan<'a> {
+    /// Decide how `table`'s rows are found for `filters`. The first conjunct
+    /// that keeps no row, or that an index serves and the cost model thinks
+    /// selective enough to probe, picks the path; otherwise the heap is
+    /// walked. With `index_paths` off every scan is the reference full scan.
+    pub(crate) fn new(
+        state: &'a DbState,
+        table: &'a TableRef,
+        filters: Vec<&'a Expr>,
+        params: &[Value],
+        opts: &PlanOptions,
+    ) -> ScanPlan<'a> {
+        // Unknown tables error in the FROM-clause scope, before planning.
+        let data = state.table(&table.name).ok();
+        let choose = |conj: &&'a Expr| {
+            let data = data?;
+            let s = sargable(conj, table.effective_name(), &data.schema, params)?;
+            if s.keys.is_none() {
+                return Some(AccessPath::Empty {
+                    table: &table.name,
+                    column: s.column,
+                });
+            }
+            let index = state.index_on(&table.name, s.ordinal)?;
+            if s.negated || !crate::cost::probe_worthwhile(data, &s) {
+                return None;
+            }
+            Some(AccessPath::Probe {
+                index,
+                column: s.column,
+                keys: s.keys?,
+            })
+        };
+        let chosen = if opts.index_paths {
+            filters.iter().find_map(choose)
+        } else {
+            None
+        };
+        let access = chosen.unwrap_or(AccessPath::FullScan {
+            table: &table.name,
+            rows: data.map_or(0, |d| d.heap.len()),
+        });
+        ScanPlan { filters, access }
+    }
 }
 
 /// One join step.
 #[derive(Debug, Default)]
 pub(crate) struct JoinPlan<'a> {
-    /// The joined table's scan (pre-filtered by pushed conjuncts).
-    pub scan: ScanPlan<'a>,
     /// Equi-join keys as `(left-side, right-side)` expression pairs. The
     /// left side references only already-bound tables; the right side only
     /// the joined table.
@@ -155,12 +419,14 @@ pub(crate) struct JoinPlan<'a> {
     pub use_hash: bool,
 }
 
-/// A full SELECT plan: where each conjunct runs and which join strategy each
-/// step uses. Borrowed from the (possibly subquery-rewritten) AST.
+/// A full SELECT plan: where each conjunct runs, how each table is read and
+/// which join strategy each step uses. Borrowed from the (possibly
+/// subquery-rewritten) AST.
 #[derive(Debug, Default)]
 pub(crate) struct SelectPlan<'a> {
-    /// The base table scan.
-    pub base: ScanPlan<'a>,
+    /// One scan per FROM-clause table: the base table's first, then the
+    /// table of each `sel.joins` element, in order.
+    pub scans: Vec<ScanPlan<'a>>,
     /// One entry per `sel.joins` element, in order.
     pub joins: Vec<JoinPlan<'a>>,
     /// WHERE conjuncts evaluated on fully-joined rows (the pre-planner
@@ -170,6 +436,9 @@ pub(crate) struct SelectPlan<'a> {
     pub pushed_where: usize,
     /// `ORDER BY` bound: keep only the best `offset + limit` rows.
     pub topk: Option<usize>,
+    /// The query runs through grouping: GROUP BY, or an aggregate in the
+    /// SELECT list, HAVING or ORDER BY.
+    pub grouped: bool,
 }
 
 /// Split a conjunction into its AND-ed parts.
@@ -273,12 +542,15 @@ fn split_equi<'a>(
     }
 }
 
-/// Classify every ON and WHERE conjunct of `sel` and pick join strategies.
+/// Classify every ON and WHERE conjunct of `sel`, decide each table's access
+/// path and pick join strategies.
 ///
 /// `bindings` must be the full FROM-clause scope (base + all joins).
 pub(crate) fn plan_select<'a>(
+    state: &'a DbState,
     sel: &'a Select,
     bindings: &Bindings,
+    params: &[Value],
     opts: &PlanOptions,
 ) -> SelectPlan<'a> {
     let mut plan = SelectPlan {
@@ -290,15 +562,22 @@ pub(crate) fn plan_select<'a>(
     } else {
         None
     };
+    plan.grouped = !sel.group_by.is_empty()
+        || (sel.items.iter())
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+        || sel.having.as_ref().is_some_and(Expr::contains_aggregate)
+        || sel.order_by.iter().any(|k| k.expr.contains_aggregate());
 
     let mut where_conjs = Vec::new();
     if let Some(w) = &sel.where_clause {
         flatten_and(w, &mut where_conjs);
     }
-    if sel.from.is_none() {
+    let Some(base) = &sel.from else {
         plan.residual = where_conjs;
         return plan;
-    }
+    };
+    // Pushed single-table conjuncts, per FROM-clause table.
+    let mut scan_filters: Vec<Vec<&Expr>> = vec![Vec::new(); sel.joins.len() + 1];
 
     // ON conjuncts, per join.
     for (j, join) in sel.joins.iter().enumerate() {
@@ -321,7 +600,7 @@ pub(crate) fn plan_select<'a>(
                 // gets NULL-padded, not whether.
                 Some(m) if m != 0 && m & !right_bit == 0 => {
                     if opts.pushdown {
-                        jp.scan.filters.push(conj);
+                        scan_filters[j + 1].push(conj);
                     } else {
                         jp.residual.push(conj);
                     }
@@ -359,19 +638,15 @@ pub(crate) fn plan_select<'a>(
             continue;
         }
         match conjunct_mask(conj, bindings) {
-            Some(1) => {
-                plan.base.filters.push(conj);
-                plan.pushed_where += 1;
-            }
             Some(m) if m != 0 && m.count_ones() == 1 => {
-                let j = m.trailing_zeros() as usize - 1;
-                if sel.joins[j].left_outer {
+                let t = m.trailing_zeros() as usize;
+                if t > 0 && sel.joins[t - 1].left_outer {
                     // A predicate over the nullable side must see the
                     // NULL-padded rows (think `b.x IS NULL`): apply it right
                     // after the join, never below it.
-                    plan.joins[j].post_filters.push(conj);
+                    plan.joins[t - 1].post_filters.push(conj);
                 } else {
-                    plan.joins[j].scan.filters.push(conj);
+                    scan_filters[t].push(conj);
                 }
                 plan.pushed_where += 1;
             }
@@ -395,6 +670,10 @@ pub(crate) fn plan_select<'a>(
             _ => plan.residual.push(conj),
         }
     }
+    let tables = std::iter::once(base).chain(sel.joins.iter().map(|j| &j.table));
+    plan.scans = (tables.zip(scan_filters))
+        .map(|(table, filters)| ScanPlan::new(state, table, filters, params, opts))
+        .collect();
     plan
 }
 
@@ -470,6 +749,12 @@ mod tests {
         b
     }
 
+    /// A catalog without the queried tables: every scan plans as a full scan.
+    fn no_tables() -> &'static DbState {
+        static EMPTY: std::sync::OnceLock<DbState> = std::sync::OnceLock::new();
+        EMPTY.get_or_init(DbState::default)
+    }
+
     fn select(sql: &str) -> Select {
         match parse(sql).unwrap() {
             Statement::Select(s) => s,
@@ -499,13 +784,13 @@ mod tests {
             "SELECT * FROM a JOIN b ON a.x = b.x AND b.z > 2 AND a.y < 9 \
              WHERE a.y = 1 AND b.z < 100 AND a.x + b.z = 5",
         );
-        let plan = plan_select(&sel, &b, &PlanOptions::default());
+        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
         assert_eq!(plan.joins[0].keys.len(), 1);
         assert!(plan.joins[0].use_hash);
-        assert_eq!(plan.joins[0].scan.filters.len(), 2); // b.z > 2, b.z < 100
+        assert_eq!(plan.scans[1].filters.len(), 2); // b.z > 2, b.z < 100
         assert_eq!(plan.joins[0].left_filters.len(), 1); // a.y < 9
         assert_eq!(plan.joins[0].post_filters.len(), 1); // a.x + b.z = 5 (non-equi)
-        assert_eq!(plan.base.filters.len(), 1); // a.y = 1
+        assert_eq!(plan.scans[0].filters.len(), 1); // a.y = 1
         assert!(plan.residual.is_empty());
         assert_eq!(plan.pushed_where, 3);
     }
@@ -514,9 +799,9 @@ mod tests {
     fn left_outer_blocks_pushdown_of_nullable_side() {
         let b = two_table_bindings();
         let sel = select("SELECT * FROM a LEFT JOIN b ON a.x = b.x AND a.y = 1 WHERE b.z IS NULL");
-        let plan = plan_select(&sel, &b, &PlanOptions::default());
+        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
         // The WHERE predicate over the nullable side becomes a post-filter.
-        assert!(plan.joins[0].scan.filters.is_empty());
+        assert!(plan.scans[1].filters.is_empty());
         assert_eq!(plan.joins[0].post_filters.len(), 1);
         // The left-only ON conjunct stays residual for LEFT OUTER.
         assert!(plan.joins[0].left_filters.is_empty());
@@ -528,7 +813,7 @@ mod tests {
     fn baseline_plan_keeps_everything_residual() {
         let b = two_table_bindings();
         let sel = select("SELECT * FROM a JOIN b ON a.x = b.x WHERE a.y = 1");
-        let plan = plan_select(&sel, &b, &PlanOptions::baseline());
+        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::baseline());
         assert!(!plan.joins[0].use_hash);
         assert!(plan.joins[0].keys.is_empty());
         assert_eq!(plan.joins[0].residual.len(), 1);
@@ -540,7 +825,7 @@ mod tests {
     fn where_equi_conjunct_becomes_hash_key_for_inner_join() {
         let b = two_table_bindings();
         let sel = select("SELECT * FROM a JOIN b WHERE a.x = b.x");
-        let plan = plan_select(&sel, &b, &PlanOptions::default());
+        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
         assert!(plan.joins[0].use_hash);
         assert_eq!(plan.joins[0].keys.len(), 1);
         assert!(plan.residual.is_empty());
@@ -550,9 +835,9 @@ mod tests {
     fn topk_bound_includes_offset() {
         let b = Bindings::single("a", vec!["x".into()]);
         let sel = select("SELECT x FROM a ORDER BY x LIMIT 10 OFFSET 5");
-        let plan = plan_select(&sel, &b, &PlanOptions::default());
+        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
         assert_eq!(plan.topk, Some(15));
-        let plan = plan_select(&sel, &b, &PlanOptions::baseline());
+        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::baseline());
         assert_eq!(plan.topk, None);
     }
 

@@ -156,7 +156,7 @@ fn estimator_bit(v: &Value) -> Option<usize> {
 }
 
 /// A value as a histogram coordinate (numeric and date columns only).
-fn numeric(v: &Value) -> Option<f64> {
+pub(crate) fn numeric(v: &Value) -> Option<f64> {
     match v {
         Value::Int(i) => Some(*i as f64),
         Value::Double(d) => Some(*d),

@@ -104,12 +104,6 @@ impl Heap {
         old.map(into_row)
     }
 
-    /// Iterate borrowed rows for the given ids, skipping tombstones — the
-    /// index-probe fetch path (no cloning; callers materialize survivors).
-    pub fn select<'a>(&'a self, ids: &'a [RowId]) -> impl Iterator<Item = &'a Row> + 'a {
-        ids.iter().filter_map(|id| self.get(*id))
-    }
-
     /// Iterate `(RowId, &Row)` over live rows in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
         self.slots

@@ -385,6 +385,110 @@ fn explain_analyze_aggregate_having_and_limit() {
 }
 
 // ---------------------------------------------------------------------------
+// Access paths: the scan EXPLAIN names is the scan that runs
+// ---------------------------------------------------------------------------
+
+/// 201 rows of `t (a, b)`, `b` cycling through 50 values `k0`..`k49`; only
+/// `b` is indexed.
+fn access_db() -> Database {
+    let db = Database::new();
+    db.run_script("CREATE TABLE t (a INTEGER, b VARCHAR(8)); CREATE INDEX t_b ON t (b)")
+        .unwrap();
+    let values: Vec<String> = (0..201).map(|i| format!("({i}, 'k{}')", i % 50)).collect();
+    db.run_script(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    db
+}
+
+#[test]
+fn null_comparisons_scan_nothing_and_explain_says_so() {
+    let db = access_db();
+    for pred in ["a = NULL", "a BETWEEN NULL AND 5"] {
+        let plan = texts(
+            &db,
+            &format!("EXPLAIN ANALYZE SELECT * FROM t WHERE {pred}"),
+        );
+        let joined = plan.join("\n");
+        assert!(!joined.contains("FULL SCAN"), "{pred}:\n{joined}");
+        assert!(
+            plan[0].starts_with("EMPTY SCAN t (a matches no row)")
+                && plan[0].contains("(actual rows=0 in=0"),
+            "{pred}:\n{joined}"
+        );
+    }
+}
+
+#[test]
+fn empty_like_pattern_names_the_index() {
+    let plan = texts(&access_db(), "EXPLAIN SELECT * FROM t WHERE b LIKE ''");
+    assert!(
+        plan[0].starts_with("INDEX equality PROBE t_b (b)"),
+        "{plan:?}"
+    );
+}
+
+#[test]
+fn exact_like_pattern_prints_an_equality_probe() {
+    let db = access_db();
+    let plan = texts(&db, "EXPLAIN SELECT * FROM t WHERE b LIKE 'k1'");
+    assert!(
+        plan[0].starts_with("INDEX equality PROBE t_b (b)"),
+        "{plan:?}"
+    );
+    assert_eq!(rows(&db, "SELECT a FROM t WHERE b LIKE 'k1'").len(), 4);
+}
+
+#[test]
+fn folded_constant_gets_the_literal_estimate() {
+    let db = access_db();
+    let folded = texts(&db, "EXPLAIN SELECT * FROM t WHERE b = 'k' || '1'");
+    let literal = texts(&db, "EXPLAIN SELECT * FROM t WHERE b = 'k1'");
+    assert_eq!(folded[0], literal[0]);
+    assert!(literal[0].contains("(est rows=4)"), "{literal:?}");
+}
+
+#[test]
+fn having_only_aggregate_explains_its_aggregate() {
+    let plan = texts(&access_db(), "EXPLAIN SELECT 1 FROM t HAVING COUNT(*) > 0");
+    assert!(
+        plan.iter()
+            .any(|l| l.starts_with("AGGREGATE (group keys: 0)")),
+        "{plan:?}"
+    );
+}
+
+#[test]
+fn primary_key_update_probes_the_index() {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE orders (orderid INTEGER PRIMARY KEY, custid INTEGER, quantity INTEGER)",
+    )
+    .unwrap();
+    for chunk in 0..20 {
+        let values: Vec<String> = (chunk * 1000..(chunk + 1) * 1000)
+            .map(|i| format!("({i}, {}, 1)", i % 97))
+            .collect();
+        db.run_script(&format!("INSERT INTO orders VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    let update = "UPDATE orders SET quantity = 5 WHERE orderid = 7";
+    let plan = texts(&db, &format!("EXPLAIN {update}"));
+    assert_eq!(plan[0], "UPDATE orders", "{plan:?}");
+    assert!(
+        plan[1].starts_with("INDEX equality PROBE orders_orderid_unique (orderid)"),
+        "{plan:?}"
+    );
+    minisql::plan::reset_thread_stats();
+    let mut conn = db.connect();
+    assert_eq!(conn.execute(update).unwrap(), ExecResult::Count(1));
+    assert_eq!(minisql::plan::thread_stats().rows_scanned, 1);
+    assert_eq!(
+        rows(&db, "SELECT quantity FROM orders WHERE orderid = 7"),
+        vec![vec![Value::Int(5)]]
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Extended scalar functions
 // ---------------------------------------------------------------------------
 

@@ -13,10 +13,14 @@
 //!    randomized schemas including LEFT OUTER joins, NULL join keys, and
 //!    mixed equi/non-equi ON conditions. Failures found while developing the
 //!    planner are pinned as named regression tests below the properties.
+//! 3. **One access path** — UPDATE and DELETE find their rows by the scan a
+//!    SELECT plans, so an indexed table must end in the same rows as an
+//!    unindexed copy; and the scan EXPLAIN names is the one that runs, as
+//!    counted by `plan::thread_stats().rows_scanned`.
 
 use dbgw_obs::RequestCtx;
-use dbgw_testkit::gen::{charset, ints, option_of, vec_of};
-use dbgw_testkit::{prop_assert_eq, props};
+use dbgw_testkit::gen::{charset, ints, option_of, usizes, vec_of};
+use dbgw_testkit::{prop_assert, prop_assert_eq, props};
 use minisql::ast::Statement;
 use minisql::state::DbState;
 use minisql::{Database, ExecResult, PlanOptions, Value};
@@ -192,7 +196,7 @@ props! {
             format!("SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.v < {d} AND b.w >= {c}"),
             "SELECT a.k FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NULL".to_string(),
             format!("SELECT a.k, a.v FROM a JOIN b ON a.k = b.k WHERE a.k = {c}"),
-            format!("SELECT a.k, a.v FROM a JOIN b ON a.k = b.k ORDER BY a.v, b.w LIMIT 5"),
+            "SELECT a.k, a.v FROM a JOIN b ON a.k = b.k ORDER BY a.v, b.w LIMIT 5".to_string(),
             "SELECT a.v, b.w FROM a JOIN b ON a.v = b.w AND a.k = b.k".to_string(),
         ];
         for q in &exact {
@@ -504,9 +508,10 @@ fn pinned_pushdown_survives_three_way_join() {
 
 /// `PlanOptions::all` with only the cost-based reordering disabled.
 fn no_reorder() -> PlanOptions {
-    let mut opts = PlanOptions::default();
-    opts.reorder = false;
-    opts
+    PlanOptions {
+        reorder: false,
+        ..PlanOptions::default()
+    }
 }
 
 /// Assert that optimized (reordered), optimized-unreordered, and baseline
@@ -1086,4 +1091,159 @@ fn reordered_joins_and_new_operators_agree_on_churning_snapshots() {
             Ok(())
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// One access path: UPDATE/DELETE and EXPLAIN read the scan's stored choice
+// ---------------------------------------------------------------------------
+
+/// One single-table conjunct over `t (k INTEGER, s VARCHAR(16))`, drawn by
+/// `shape` from comparisons (either way round), `<>`, BETWEEN, IN and LIKE,
+/// with NULL constants (`a` = `None`), inverted BETWEEN bounds, exact and
+/// empty LIKE patterns, and constants the planner has to fold.
+fn conjunct(shape: usize, a: Option<i64>, b: i64, text: &str) -> String {
+    let a = a.map_or("NULL".to_string(), |v| v.to_string());
+    match shape {
+        0 => format!("k = {a}"),
+        1 => format!("k < {a}"),
+        2 => format!("{a} <= k"),
+        3 => format!("k > {b} - 1"),
+        4 => format!("k >= {a}"),
+        5 => format!("k <> {a}"),
+        6 => format!("k BETWEEN {a} AND {b}"),
+        7 => format!("k NOT BETWEEN {a} AND {b}"),
+        8 => format!("k IN ({a}, {b})"),
+        9 => format!("k NOT IN ({b}, {a})"),
+        10 => format!("s = '{text}'"),
+        11 => format!("s = 'a' || '{text}'"),
+        12 => format!("s LIKE '{text}'"),
+        13 => format!("s NOT LIKE '{text}'"),
+        14 => format!("s LIKE {a}"),
+        _ => format!("s IN ('{text}', 'b')"),
+    }
+}
+
+/// The rows an index on `k` or `s` yields as candidates for `conjunct(…)`,
+/// worked out from the data alone: keys order NULL first, so a `<` probe
+/// fetches the NULL keys too. `None` for shapes no index may serve.
+fn probe_candidates(
+    rows: &[(Option<i64>, String)],
+    shape: usize,
+    a: Option<i64>,
+    b: i64,
+    text: &str,
+) -> Option<usize> {
+    let on_k = |keep: &dyn Fn(Option<i64>) -> bool| rows.iter().filter(|(k, _)| keep(*k)).count();
+    let on_s = |keep: &dyn Fn(&str) -> bool| rows.iter().filter(|(_, s)| keep(s)).count();
+    let prefix: String = text.chars().take_while(|c| !"%_".contains(*c)).collect();
+    Some(match (shape, a) {
+        (0, Some(a)) => on_k(&|k| k == Some(a)),
+        (1, Some(a)) => on_k(&|k| k.is_none_or(|k| k < a)),
+        (2 | 4, Some(a)) => on_k(&|k| k.is_some_and(|k| k >= a)),
+        (3, _) => on_k(&|k| k.is_some_and(|k| k > b - 1)),
+        (6, Some(a)) => on_k(&|k| k.is_some_and(|k| a <= k && k <= b)),
+        (8, a) => on_k(&|k| k.is_some() && (k == a || k == Some(b))),
+        (10, _) => on_s(&|s| s == text),
+        (11, _) => on_s(&|s| s == format!("a{text}")),
+        (12, _) if prefix.len() == text.len() => on_s(&|s| s == text),
+        (12, _) => on_s(&|s| s.starts_with(&prefix)),
+        (15, _) => on_s(&|s| s == text || s == "b"),
+        _ => return None,
+    })
+}
+
+/// `t` with a nullable `k`, loaded identically into two databases of which
+/// only the first indexes `k` and `s`.
+fn nullable_twins(rows: &[(Option<i64>, String)]) -> (Database, Database) {
+    let make = |with_index: bool| {
+        let db = Database::new();
+        db.run_script("CREATE TABLE t (k INTEGER, s VARCHAR(16))")
+            .unwrap();
+        if with_index {
+            db.run_script("CREATE INDEX t_k ON t (k); CREATE INDEX t_s ON t (s)")
+                .unwrap();
+        }
+        let mut conn = db.connect();
+        for (k, s) in rows {
+            let k = k.map_or(Value::Null, Value::Int);
+            conn.execute_with_params("INSERT INTO t VALUES (?, ?)", &[k, Value::Text(s.clone())])
+                .unwrap();
+        }
+        db
+    };
+    (make(true), make(false))
+}
+
+/// Every live row of `t` with its row id.
+fn rows_by_id(db: &Database) -> Vec<(u32, Vec<Value>)> {
+    let snapshot = db.snapshot();
+    let heap = &snapshot.table("t").unwrap().heap;
+    heap.iter().map(|(id, row)| (id.0, row.clone())).collect()
+}
+
+props! {
+    // Most generated conjuncts plan as full scans; enough cases for every
+    // probe shape to be drawn on data whose statistics let it run.
+    config(cases = 256);
+
+    fn dml_on_indexes_matches_an_unindexed_copy(
+        rows in vec_of((option_of(ints(0..8)), charset("ab", 0..=2)), 0..=30),
+        preds in vec_of((usizes(0..16), option_of(ints(0..8)), ints(0..8), charset("ab%_", 0..=3)), 1..=2),
+    ) {
+        let predicate = (preds.iter())
+            .map(|(shape, a, b, text)| conjunct(*shape, *a, *b, text))
+            .collect::<Vec<_>>()
+            .join(" AND ");
+        let (indexed, plain) = nullable_twins(&rows);
+        let select = format!("SELECT k, s FROM t WHERE {predicate} ORDER BY 1, 2");
+        prop_assert_eq!(query(&indexed, &select), query(&plain, &select), "{select}");
+        let mut counts = Vec::new();
+        for db in [&indexed, &plain] {
+            let mut conn = db.connect();
+            let update = format!("UPDATE t SET k = k + 10, s = s || 'u' WHERE {predicate}");
+            let delete = format!("DELETE FROM t WHERE {predicate}");
+            counts.push((conn.execute(&update).unwrap(), conn.execute(&delete).unwrap()));
+        }
+        prop_assert_eq!(&counts[0], &counts[1], "affected counts for {predicate}");
+        prop_assert_eq!(rows_by_id(&indexed), rows_by_id(&plain), "final rows for {predicate}");
+    }
+
+    fn explain_names_the_scan_that_runs(
+        rows in vec_of((option_of(ints(0..8)), charset("ab", 0..=2)), 0..=30),
+        pred in (usizes(0..16), option_of(ints(0..8)), ints(0..8), charset("ab%_", 0..=3)),
+    ) {
+        let (shape, a, b, text) = pred;
+        let sql = format!("SELECT k, s FROM t WHERE {}", conjunct(shape, a, b, &text));
+        let Statement::Select(sel) = minisql::parse(&sql).unwrap() else {
+            panic!("not a select: {sql}");
+        };
+        let (indexed, _) = nullable_twins(&rows);
+        let state = indexed.snapshot();
+        let access = minisql::exec::explain_select(&state, &sel, &[]).unwrap().remove(0);
+        minisql::plan::reset_thread_stats();
+        minisql::exec::run_select(&state, &sel, &[], &RequestCtx::unbounded()).unwrap();
+        let scanned = minisql::plan::thread_stats().rows_scanned as usize;
+        if access.starts_with("FULL SCAN") {
+            prop_assert_eq!(scanned, rows.len(), "{sql}: {access}");
+        } else if access.starts_with("EMPTY SCAN") {
+            prop_assert_eq!(scanned, 0, "{sql}: {access}");
+        } else {
+            prop_assert!(access.starts_with("INDEX "), "{sql}: {access}");
+            let candidates = probe_candidates(&rows, shape, a, b, &text);
+            prop_assert_eq!(Some(scanned), candidates, "{sql}: {access}");
+        }
+    }
+}
+
+#[test]
+fn pinned_inverted_between_on_an_index_matches_nothing() {
+    // A B-tree range whose start is past its end panics; the predicate keeps
+    // no row, so the plan must read nothing rather than probe.
+    let (indexed, plain) = nullable_twins(&[(Some(1), "a".into()), (Some(5), "b".into())]);
+    let sql = "SELECT k FROM t WHERE k BETWEEN 5 AND 1";
+    assert!(query(&indexed, sql).is_empty());
+    assert!(query(&plain, sql).is_empty());
+    let negated = "SELECT k FROM t WHERE k NOT BETWEEN 5 AND 1 ORDER BY 1";
+    assert_eq!(query(&indexed, negated), query(&plain, negated));
+    assert_eq!(query(&indexed, negated).len(), 2);
 }

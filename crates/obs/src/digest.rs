@@ -83,11 +83,7 @@ pub struct DigestSnapshot {
 impl DigestSnapshot {
     /// Mean execution time, nanoseconds.
     pub fn mean_ns(&self) -> u64 {
-        if self.calls == 0 {
-            0
-        } else {
-            self.total_ns / self.calls
-        }
+        self.total_ns.checked_div(self.calls).unwrap_or(0)
     }
 
     /// Estimated p99 execution time in nanoseconds (upper bound of the

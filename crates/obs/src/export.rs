@@ -6,8 +6,8 @@
 //! consume, and the Prometheus text is the standard exposition format so any
 //! scraper can parse `/stats?format=prometheus`.
 
-use crate::digest::DigestStore;
-use crate::metrics::{Counter, Gauge, Metrics, BUCKET_BOUNDS_NS};
+use crate::digest::{DigestSnapshot, DigestStore};
+use crate::metrics::{Counter, Gauge, Histogram, Metrics, BUCKET_BOUNDS_NS};
 use crate::slo::SloReport;
 use crate::trace::{Span, Trace};
 use std::io::Write;
@@ -132,167 +132,203 @@ impl std::fmt::Display for TraceTree<'_> {
     }
 }
 
-/// The gateway's counters, as `(exposition name, help text, field)` — the
-/// single vocabulary shared by [`render_prometheus`] and [`metrics_json`].
-fn counters(m: &Metrics) -> [(&'static str, &'static str, &Counter); 32] {
+/// One metric family as every view shows it: `(exposition name, row label on
+/// the HTML /stats page, help text, metric)`.
+pub type Family<'m, M> = (&'static str, &'static str, &'static str, &'m M);
+
+/// The gateway's counters — the single vocabulary shared by
+/// [`render_prometheus`], [`metrics_json`] and the HTML `/stats` page.
+pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 32] {
     [
         (
             "dbgw_requests_total",
+            "requests",
             "Requests handled by the gateway.",
             &m.requests,
         ),
         (
             "dbgw_request_errors_total",
+            "request errors",
             "Requests that produced an error page (HTTP status >= 400).",
             &m.request_errors,
         ),
         (
             "dbgw_macro_parses_total",
+            "macro parses",
             "Macro files parsed.",
             &m.macro_parses,
         ),
         (
             "dbgw_substitutions_total",
+            "substitutions",
             "Variable-substitution passes run.",
             &m.substitutions,
         ),
         (
             "dbgw_sql_statements_total",
+            "SQL statements",
             "SQL statements the engine executed.",
             &m.sql_statements,
         ),
         (
             "dbgw_rows_rendered_total",
+            "rows rendered",
             "Report rows rendered into HTML.",
             &m.rows_rendered,
         ),
         (
             "dbgw_slow_queries_total",
+            "slow queries",
             "SQL statements that exceeded the slow-query threshold.",
             &m.slow_queries,
         ),
         (
             "dbgw_traces_recorded_total",
+            "traces recorded",
             "Traces recorded (DBGW_TRACE mode).",
             &m.traces_recorded,
         ),
         (
             "dbgw_requests_shed_total",
+            "requests shed",
             "Connections shed with 503 because the accept queue was full.",
             &m.requests_shed,
         ),
         (
             "dbgw_request_timeouts_total",
+            "request timeouts",
             "Requests that hit their deadline and returned a timeout page.",
             &m.request_timeouts,
         ),
         (
             "dbgw_cache_hits_total",
+            "cache hits",
             "SQL result-cache lookups that returned a fresh row set.",
             &m.cache_hits,
         ),
         (
             "dbgw_cache_misses_total",
+            "cache misses",
             "SELECTs the SQL result cache could not answer.",
             &m.cache_misses,
         ),
         (
             "dbgw_cache_evictions_total",
+            "cache evictions",
             "Result-cache entries pushed out by the byte budget.",
             &m.cache_evictions,
         ),
         (
             "dbgw_cache_invalidations_total",
+            "cache invalidations",
             "Result-cache entries rejected because a referenced table changed.",
             &m.cache_invalidations,
         ),
         (
             "dbgw_http_not_modified_total",
+            "HTTP 304 not modified",
             "Conditional GETs answered 304 Not Modified from the ETag.",
             &m.http_not_modified,
         ),
         (
             "dbgw_join_hash_total",
+            "hash joins",
             "Join steps executed with the hash strategy.",
             &m.join_hash,
         ),
         (
             "dbgw_join_nested_total",
+            "nested-loop joins",
             "Join steps executed with the nested-loop strategy.",
             &m.join_nested,
         ),
         (
             "dbgw_pushdown_applied_total",
+            "pushdown applied",
             "Join queries with at least one WHERE conjunct pushed below the join.",
             &m.pushdown_applied,
         ),
         (
             "dbgw_rows_scanned_total",
+            "rows scanned",
             "Rows fetched from table heaps by scans.",
             &m.rows_scanned,
         ),
         (
             "dbgw_latch_waits_total",
+            "latch waits",
             "Table-latch acquisitions that had to wait for another writer.",
             &m.latch_waits,
         ),
         (
             "dbgw_digest_evictions_total",
+            "digest evictions",
             "Query digests evicted from the bounded digest store.",
             &m.digest_evictions,
         ),
         (
             "dbgw_stats_refreshes_total",
+            "stats refreshes",
             "Full table-statistics rebuilds (initial builds and refreshes).",
             &m.stats_refreshes,
         ),
         (
             "dbgw_join_reorders_total",
+            "join reorders",
             "Multi-way joins reordered by the cost-based planner.",
             &m.join_reorders,
         ),
         (
             "dbgw_snapshots_published_total",
+            "snapshots published",
             "Database snapshots published.",
             &m.snapshots_published,
         ),
         (
             "dbgw_wal_records_total",
+            "WAL records",
             "Logical records appended to the write-ahead log.",
             &m.wal_records,
         ),
         (
             "dbgw_wal_fsyncs_total",
+            "WAL fsyncs",
             "Group-commit flushes fsynced to the write-ahead log.",
             &m.wal_fsyncs,
         ),
         (
             "dbgw_wal_bytes_total",
+            "WAL bytes",
             "Bytes appended to the write-ahead log.",
             &m.wal_bytes,
         ),
         (
             "dbgw_checkpoints_total",
+            "checkpoints",
             "Checkpoints completed (log rewritten as a base snapshot).",
             &m.checkpoints,
         ),
         (
             "dbgw_keepalive_reuses_total",
+            "keep-alive reuses",
             "Requests served over an already-established keep-alive connection.",
             &m.keepalive_reuses,
         ),
         (
             "dbgw_pipelined_requests_total",
+            "pipelined requests",
             "Requests already buffered behind an earlier one on the same connection.",
             &m.pipelined_requests,
         ),
         (
             "dbgw_responses_streamed_total",
+            "responses streamed",
             "Responses sent chunked because the body crossed the streaming watermark.",
             &m.responses_streamed,
         ),
         (
             "dbgw_client_disconnects_total",
+            "client disconnects",
             "Requests aborted because the client vanished mid-response.",
             &m.client_disconnects,
         ),
@@ -300,52 +336,96 @@ fn counters(m: &Metrics) -> [(&'static str, &'static str, &Counter); 32] {
 }
 
 /// The gauges, same shape as [`counters`].
-fn gauges(m: &Metrics) -> [(&'static str, &'static str, &Gauge); 8] {
+pub fn gauges(m: &Metrics) -> [Family<'_, Gauge>; 8] {
     [
         (
             "dbgw_requests_in_flight",
+            "requests in flight",
             "Requests currently being processed by pool workers.",
             &m.requests_in_flight,
         ),
         (
             "dbgw_queue_depth",
+            "queue depth",
             "Accepted connections waiting in the bounded queue for a worker.",
             &m.queue_depth,
         ),
         (
             "dbgw_cache_bytes",
-            "Bytes currently resident in the statement + result caches.",
+            "cache bytes",
+            "Bytes currently resident in the SQL result cache.",
             &m.cache_bytes,
         ),
         (
             "dbgw_snapshot_epoch",
+            "snapshot epoch",
             "Epoch of the most recently published database snapshot.",
             &m.snapshot_epoch,
         ),
         (
             "dbgw_wal_size_bytes",
+            "WAL size bytes",
             "Current size of the write-ahead log file in bytes.",
             &m.wal_size_bytes,
         ),
         (
             "dbgw_checkpoint_last_bytes",
+            "checkpoint last bytes",
             "Size in bytes of the log the most recent checkpoint wrote.",
             &m.checkpoint_last_bytes,
         ),
         (
             "dbgw_open_connections",
+            "open connections",
             "TCP connections currently open on the evented HTTP edge.",
             &m.open_connections,
         ),
         (
             "dbgw_idle_connections",
+            "idle connections",
             "Open connections currently idle between requests.",
             &m.idle_connections,
         ),
     ]
 }
 
-fn histogram_block(out: &mut String, name: &str, help: &str, h: &crate::metrics::Histogram) {
+/// The latency histograms, same shape as [`counters`].
+pub fn histograms(m: &Metrics) -> [Family<'_, Histogram>; 5] {
+    [
+        (
+            "dbgw_request_latency_seconds",
+            "request",
+            "End-to-end gateway request latency.",
+            &m.request_latency_ns,
+        ),
+        (
+            "dbgw_sql_latency_seconds",
+            "sql",
+            "Per-statement SQL latency.",
+            &m.sql_latency_ns,
+        ),
+        (
+            "dbgw_latch_wait_seconds",
+            "latch wait",
+            "Per-write-statement time blocked on table latches.",
+            &m.latch_wait_ns,
+        ),
+        (
+            "dbgw_group_commit_wait_seconds",
+            "group-commit wait",
+            "Time committing writers spent waiting for the group-commit fsync.",
+            &m.group_commit_wait_ns,
+        ),
+        (
+            "dbgw_ttfb_seconds",
+            "ttfb",
+            "Time from accepting a request to the first response byte on the socket.",
+            &m.ttfb_ns,
+        ),
+    ]
+}
+
+fn histogram_block(out: &mut String, name: &str, help: &str, h: &Histogram) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
     let counts = h.bucket_counts();
     let mut cumulative = 0u64;
@@ -382,13 +462,13 @@ pub fn snapshot_age_ms(m: &Metrics) -> u64 {
 /// property suite both require them).
 pub fn render_prometheus(m: &Metrics) -> String {
     let mut out = String::new();
-    for (name, help, counter) in counters(m) {
+    for (name, _, help, counter) in counters(m) {
         out.push_str(&format!(
             "# HELP {name} {help}\n# TYPE {name} counter\n{name} {}\n",
             counter.get()
         ));
     }
-    for (name, help, gauge) in gauges(m) {
+    for (name, _, help, gauge) in gauges(m) {
         out.push_str(&format!(
             "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {}\n",
             gauge.get()
@@ -408,36 +488,9 @@ pub fn render_prometheus(m: &Metrics) -> String {
             "dbgw_sqlcode_errors_total{{code=\"{code}\"}} {count}\n"
         ));
     }
-    histogram_block(
-        &mut out,
-        "dbgw_request_latency_seconds",
-        "End-to-end gateway request latency.",
-        &m.request_latency_ns,
-    );
-    histogram_block(
-        &mut out,
-        "dbgw_sql_latency_seconds",
-        "Per-statement SQL latency.",
-        &m.sql_latency_ns,
-    );
-    histogram_block(
-        &mut out,
-        "dbgw_latch_wait_seconds",
-        "Per-write-statement time blocked on table latches.",
-        &m.latch_wait_ns,
-    );
-    histogram_block(
-        &mut out,
-        "dbgw_group_commit_wait_seconds",
-        "Time committing writers spent waiting for the group-commit fsync.",
-        &m.group_commit_wait_ns,
-    );
-    histogram_block(
-        &mut out,
-        "dbgw_ttfb_seconds",
-        "Time from accepting a request to the first response byte on the socket.",
-        &m.ttfb_ns,
-    );
+    for (name, _, help, h) in histograms(m) {
+        histogram_block(&mut out, name, help, h);
+    }
     out
 }
 
@@ -455,13 +508,16 @@ fn label_escape(s: &str) -> String {
     out
 }
 
+/// A per-digest family: name, help text, and the value it reads.
+type DigestFamily = (&'static str, &'static str, fn(&DigestSnapshot) -> String);
+
 /// Render the top-`n` query digests (by total execution time) as Prometheus
 /// families labelled by digest key and masked statement text — the scraped
 /// counterpart of the `/stats` digest table.
 pub fn digest_prometheus(store: &DigestStore, n: usize) -> String {
     let top = store.top_by_total_time(n);
     let mut out = String::new();
-    let families: [(&str, &str, fn(&crate::digest::DigestSnapshot) -> String); 7] = [
+    let families: [DigestFamily; 7] = [
         (
             "dbgw_digest_calls_total",
             "Executions folded into this query digest.",
@@ -541,20 +597,14 @@ pub fn slo_prometheus(report: &SloReport) -> String {
 /// agree on vocabulary. Histograms export their `_count` and `_sum` (seconds).
 pub fn metrics_json(m: &Metrics) -> String {
     let mut out = String::from("{");
-    for (name, _, counter) in counters(m) {
+    for (name, _, _, counter) in counters(m) {
         out.push_str(&format!("\"{name}\":{},", counter.get()));
     }
-    for (name, _, gauge) in gauges(m) {
+    for (name, _, _, gauge) in gauges(m) {
         out.push_str(&format!("\"{name}\":{},", gauge.get()));
     }
     out.push_str(&format!("\"dbgw_snapshot_age_ms\":{},", snapshot_age_ms(m)));
-    for (name, h) in [
-        ("dbgw_request_latency_seconds", &m.request_latency_ns),
-        ("dbgw_sql_latency_seconds", &m.sql_latency_ns),
-        ("dbgw_latch_wait_seconds", &m.latch_wait_ns),
-        ("dbgw_group_commit_wait_seconds", &m.group_commit_wait_ns),
-        ("dbgw_ttfb_seconds", &m.ttfb_ns),
-    ] {
+    for (name, _, _, h) in histograms(m) {
         out.push_str(&format!(
             "\"{name}_count\":{},\"{name}_sum\":{},",
             h.count(),

@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn catalog_latch_sorts_first() {
         // Just the ordering property the DDL protocol relies on.
-        let mut names = vec!["guest", CATALOG_LATCH, "accounts"];
+        let mut names = ["guest", CATALOG_LATCH, "accounts"];
         names.sort_unstable();
         assert_eq!(names[0], CATALOG_LATCH);
     }

@@ -26,6 +26,14 @@ else
     echo "== fmt == (skipped: rustfmt not installed)"
 fi
 
+# Lints gate the same way: every target of every crate, warnings as errors.
+if cargo clippy --version >/dev/null 2>&1; then
+    echo "== clippy =="
+    cargo clippy --offline --workspace --all-targets -- -D warnings
+else
+    echo "== clippy == (skipped: clippy not installed)"
+fi
+
 echo "== observability smoke (traced CGI request) =="
 # Run one macro request through the release db2www with tracing on and check
 # the JSON-lines sink records the span tree the tentpole promises.

@@ -231,6 +231,23 @@ fn stats_page_reports_the_traffic_it_serves() {
     server.shutdown();
 }
 
+/// The HTML page and the Prometheus text read one metric list: every family
+/// the exposition declares is named on the page.
+#[test]
+fn stats_page_names_every_exported_family() {
+    let server = HttpServer::start(gateway(TraceOptions::default()), 0).unwrap();
+    let html = HttpClient::new(server.addr()).get("/stats").unwrap().body;
+    let prom = dbgw_obs::export::render_prometheus(dbgw_obs::metrics());
+    let families = prom.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+    for family in families.filter_map(|l| l.split(' ').next()) {
+        assert!(
+            html.contains(&format!("<CODE>{family}</CODE>")),
+            "{family} is exported but not on /stats"
+        );
+    }
+    server.shutdown();
+}
+
 /// A server booted from a `Config` shows it on `/stats`: every accepted name
 /// with its effective value and whether the environment set it — and what is
 /// shown is what is in force, over whatever the gateway was built with (here
