@@ -6,7 +6,7 @@
 //! engine (DESIGN.md §11): SELECTs pin an immutable snapshot and run with no
 //! lock held, writers serialize per table through short latches.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! * **E12_engine** — the scaling proof for the snapshot engine itself:
 //!   mixed Zipf point reads (90%) and single-row UPDATEs (10%), plus a
@@ -14,6 +14,12 @@
 //!   read-scaling floor is asserted here (core-scaled — see
 //!   [`read_scaling_floor`] — so a 1-core CI box gates on "threads don't
 //!   collapse throughput" while a many-core box gates on real parallelism).
+//! * **E12 write sweep** — what one write costs as the table grows: median
+//!   single-row UPDATE of an unindexed and of an indexed column, and
+//!   single-row INSERT, at 5k/20k/80k/200k rows of the load rig's `orders`
+//!   schema, in memory. Quick mode asserts that both UPDATE series stay
+//!   within 2× between 5k and 200k rows (a write copies what it changes,
+//!   not the table).
 //! * **E7_throughput** — requests/second through the full gateway with 1–8
 //!   worker threads over a Zipf-skewed 90/10 report/sign mix.
 //! * **pool** — the real worker-pool HTTP server over sockets, recording
@@ -24,7 +30,7 @@ use dbgw_cgi::{CgiRequest, Gateway, HttpClient, HttpServer, ServerConfig};
 use dbgw_testkit::bench::{Suite, Throughput};
 use dbgw_testkit::Rng;
 use dbgw_workload::{UrlDirectory, Zipf};
-use minisql::{Database, Value};
+use minisql::{Connection, Database, Value};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -115,6 +121,130 @@ fn read_scaling_floor() -> f64 {
     } else {
         0.5
     }
+}
+
+/// Table sizes of the write sweep.
+const SWEEP_ROWS: [usize; 4] = [5_000, 20_000, 80_000, 200_000];
+
+/// The load rig's `orders` schema — a primary key and secondary indexes on
+/// `custid` and `product_name` — holding `rows` rows, five per customer.
+/// Loaded in 500-row statements, in memory, without a result cache.
+fn orders_db(rows: usize) -> Database {
+    let db = Database::without_cache();
+    db.run_script(
+        "CREATE TABLE orders (orderid INTEGER PRIMARY KEY, custid INTEGER NOT NULL, \
+         product_name VARCHAR(60), quantity INTEGER, price DOUBLE); \
+         CREATE INDEX orders_cust ON orders (custid); \
+         CREATE INDEX orders_product ON orders (product_name)",
+    )
+    .unwrap();
+    let mut conn = db.connect();
+    for start in (1..=rows).step_by(500) {
+        let values: Vec<String> = (start..(start + 500).min(rows + 1))
+            .map(|id| {
+                format!(
+                    "({id}, {}, 'item {}', {}, 9.5)",
+                    id / 5 + 1,
+                    id % 97,
+                    id % 10
+                )
+            })
+            .collect();
+        conn.execute(&format!("INSERT INTO orders VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    db
+}
+
+/// Median microseconds of `ops` runs of `sql`, each with fresh `params`.
+fn median_us(
+    conn: &mut Connection,
+    sql: &str,
+    ops: usize,
+    mut params: impl FnMut() -> Vec<Value>,
+) -> f64 {
+    let mut samples: Vec<f64> = (0..ops)
+        .map(|_| {
+            let params = params();
+            let t = Instant::now();
+            black_box(conn.execute_with_params(sql, &params).unwrap());
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[ops / 2]
+}
+
+/// One `orders` table of the write sweep and the connection writing to it.
+struct SweepTable {
+    conn: Connection,
+    rng: Rng,
+    rows: i64,
+    next_id: i64,
+}
+
+impl SweepTable {
+    fn new(rows: usize) -> SweepTable {
+        SweepTable {
+            conn: orders_db(rows).connect(),
+            rng: dbgw_workload::rng(rows as u64),
+            rows: rows as i64,
+            next_id: rows as i64,
+        }
+    }
+
+    /// Median microseconds of `ops` single-row writes of each kind:
+    /// `UPDATE … SET quantity` (no index on it), `UPDATE … SET custid`
+    /// (indexed), and `INSERT` of a new order.
+    fn round(&mut self, ops: usize) -> [f64; 3] {
+        let SweepTable {
+            conn,
+            rng,
+            rows,
+            next_id,
+        } = self;
+        let (rows, customers) = (*rows, *rows / 5);
+        let sql = "UPDATE orders SET quantity = ? WHERE orderid = ?";
+        let unindexed = median_us(conn, sql, ops, || {
+            vec![
+                Value::Int(rng.gen_range(0..100i64)),
+                Value::Int(rng.gen_range(1..=rows)),
+            ]
+        });
+        let sql = "UPDATE orders SET custid = ? WHERE orderid = ?";
+        let indexed = median_us(conn, sql, ops, || {
+            vec![
+                Value::Int(rng.gen_range(1..=customers)),
+                Value::Int(rng.gen_range(1..=rows)),
+            ]
+        });
+        let sql = "INSERT INTO orders VALUES (?, ?, 'item new', 1, 9.5)";
+        let insert = median_us(conn, sql, ops, || {
+            *next_id += 1;
+            vec![
+                Value::Int(*next_id),
+                Value::Int(rng.gen_range(1..=customers)),
+            ]
+        });
+        [unindexed, indexed, insert]
+    }
+}
+
+/// Per-write microseconds at each of [`SWEEP_ROWS`]: the lowest of three
+/// rounds' medians (the best-of-N of [`engine_series`]), the table sizes
+/// taking turns within each round so that a busy spell on the host reaches
+/// every size alike.
+fn write_sweep(ops: usize) -> Vec<[f64; 3]> {
+    let mut tables: Vec<SweepTable> = SWEEP_ROWS.iter().map(|&r| SweepTable::new(r)).collect();
+    let mut best = vec![[f64::MAX; 3]; tables.len()];
+    for _ in 0..3 {
+        for (table, best) in tables.iter_mut().zip(&mut best) {
+            for (best, us) in best.iter_mut().zip(table.round(ops)) {
+                *best = best.min(us);
+            }
+        }
+    }
+    best
 }
 
 fn quick_mode() -> bool {
@@ -228,6 +358,31 @@ fn main() {
              ({} cores)",
             std::thread::available_parallelism().map_or(1, |n| n.get()),
         );
+    }
+    // E12 write sweep: per-write cost against table size.
+    {
+        let ops = if quick_mode() { 100 } else { 300 };
+        let series = ["update_unindexed", "update_indexed", "insert"];
+        let points = write_sweep(ops);
+        for (&rows, point) in SWEEP_ROWS.iter().zip(&points) {
+            for (name, us) in series.iter().zip(point) {
+                suite.record_metric(&format!("sweep_{name}_us_{rows}"), *us);
+            }
+        }
+        let (small, large) = (points[0], points[SWEEP_ROWS.len() - 1]);
+        for (i, name) in series.iter().enumerate() {
+            let growth = large[i] / small[i];
+            suite.record_metric(&format!("sweep_{name}_200k_over_5k"), growth);
+            if quick_mode() && i < 2 {
+                assert!(
+                    growth <= 2.0,
+                    "single-row {name} grew {growth:.2}x from 5k to 200k rows: \
+                     {:.1} -> {:.1} us",
+                    small[i],
+                    large[i],
+                );
+            }
+        }
     }
     {
         let mut group = suite.group("E7_throughput");

@@ -27,7 +27,9 @@
 //!
 //! Because [`Heap`] row ids are stable (tombstones are never renumbered),
 //! the snapshot preserves each row's `RowId` — a log tail written *after*
-//! the checkpoint keeps addressing the same rows.
+//! the checkpoint keeps addressing the same rows. The snapshot records no
+//! free slots, and needs none: an insert takes the lowest slot holding no
+//! row, so the recovered heap reuses freed slots exactly as the live one.
 //!
 //! A background daemon (spawned by [`Database::open`]) checkpoints whenever
 //! the log exceeds [`crate::wal::DurabilityConfig::checkpoint_bytes`]; [`Database::checkpoint_now`]

@@ -26,7 +26,8 @@
 //!    set, always in sorted name order (the catalog latch `""` sorts before
 //!    every table name), so writer-writer deadlock is impossible;
 //! 2. shallow-clone the published state and mutate the working copy
-//!    copy-on-write (only tables/indexes actually touched are deep-cloned);
+//!    copy-on-write (only the heap pages and index paths a write touches are
+//!    copied);
 //! 3. **publish** atomically: an RCU step re-reads the then-current state and
 //!    patches in exactly the entries this writer changed (diffed against its
 //!    base by `Arc` pointer identity), so concurrent writers on disjoint
@@ -1221,15 +1222,10 @@ pub(crate) fn apply_mutation(
                 let t = state.table(&table)?;
                 t.schema.require_column(&column)?
             };
-            let mut index = Index::new(&key, &table_key, ordinal, unique);
             // Populate from existing rows; uniqueness can fail here.
-            {
-                let t = state.table(&table)?;
-                for (id, row) in t.heap.iter() {
-                    let v = row.get(ordinal).cloned().unwrap_or(Value::Null);
-                    index.insert(&v, id)?;
-                }
-            }
+            let rows = state.table(&table)?.heap.iter();
+            let entries = rows.map(|(id, row)| (crate::state::value_at(row, ordinal), id));
+            let index = Index::build(&key, &table_key, ordinal, unique, entries)?;
             state.indexes.insert(key.clone(), Arc::new(index));
             state.table_mut(&table)?.index_names.push(key.clone());
             changes.push(Change::CreateIndex {
@@ -1350,6 +1346,74 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code, SqlCode::DUPLICATE_KEY);
         assert_eq!(db.table_len("guest").unwrap(), 1);
+    }
+
+    /// Guests 1, 2 and 4 with a primary key and an index on `name`, no
+    /// result cache: `SET id = id + 2` moves guest 1 to 3, then collides
+    /// moving guest 2 to 4.
+    fn guests_with_a_gap() -> (Database, Connection) {
+        let db = Database::without_cache();
+        db.run_script(
+            "CREATE TABLE guest (id INTEGER PRIMARY KEY, name VARCHAR(40) NOT NULL, note VARCHAR(200));
+             CREATE INDEX guest_name ON guest (name);
+             INSERT INTO guest VALUES (1, 'Ada', 'x'), (2, 'Bob', 'y'), (4, 'Cy', 'z');",
+        )
+        .unwrap();
+        let conn = db.connect();
+        (db, conn)
+    }
+
+    /// Everything a reader of `guest` sees through `conn`: heap order, a
+    /// probe of each index for every key the colliding UPDATE reaches, and
+    /// those keys' entries in the indexes themselves.
+    fn guest_view(conn: &mut Connection) -> (Vec<ResultSet>, Vec<Vec<RowId>>) {
+        let ids = (1..=6).map(Value::Int);
+        let names = ["Ada", "Bob", "Cy", "Zed"].map(Value::from);
+        let mut selects = vec![conn.execute("SELECT * FROM guest").unwrap()];
+        for id in ids.clone() {
+            let sql = "SELECT * FROM guest WHERE id = ?";
+            selects.push(conn.execute_with_params(sql, &[id]).unwrap());
+        }
+        for name in &names {
+            let sql = "SELECT * FROM guest WHERE name = ?";
+            selects.push(
+                conn.execute_with_params(sql, std::slice::from_ref(name))
+                    .unwrap(),
+            );
+        }
+        let state = conn.read_state();
+        let (pk, by_name) = (state.index_on("guest", 0), state.index_on("guest", 1));
+        let mut entries: Vec<Vec<RowId>> = ids.map(|id| pk.unwrap().lookup(&id)).collect();
+        entries.extend(names.iter().map(|name| by_name.unwrap().lookup(name)));
+        let selects = selects.into_iter().map(|r| r.rows().unwrap().clone());
+        (selects.collect(), entries)
+    }
+
+    #[test]
+    fn statement_atomicity_multi_row_update_on_a_unique_key() {
+        let (_db, mut conn) = guests_with_a_gap();
+        let before = guest_view(&mut conn);
+        let err = conn
+            .execute("UPDATE guest SET id = id + 2, name = 'Zed'")
+            .unwrap_err();
+        assert_eq!(err.code, SqlCode::DUPLICATE_KEY);
+        assert_eq!(guest_view(&mut conn), before);
+    }
+
+    #[test]
+    fn statement_atomicity_multi_row_update_inside_a_transaction() {
+        let (db, mut conn) = guests_with_a_gap();
+        conn.execute("BEGIN").unwrap();
+        conn.execute("UPDATE guest SET note = 'w' WHERE id = 4")
+            .unwrap();
+        let before = guest_view(&mut conn);
+        let err = conn
+            .execute("UPDATE guest SET id = id + 2, name = 'Zed'")
+            .unwrap_err();
+        assert_eq!(err.code, SqlCode::DUPLICATE_KEY);
+        assert_eq!(guest_view(&mut conn), before);
+        conn.execute("COMMIT").unwrap();
+        assert_eq!(guest_view(&mut db.connect()), before);
     }
 
     #[test]

@@ -6,17 +6,22 @@
 //!
 //! Writers clone the state shallowly (tables and indexes sit behind their own
 //! `Arc`s, so the clone is a map of pointers), mutate their working copy via
-//! [`std::sync::Arc::make_mut`] — which deep-clones only the tables and
-//! indexes the statement actually touches — and publish the result
-//! atomically. Statements therefore execute against `&DbState` (queries) or
+//! [`std::sync::Arc::make_mut`] and publish the result atomically. Copying
+//! stops at what a write changes: `make_mut` on a table copies its schema,
+//! statistics and the heap's directory pointers, and the heap and each
+//! index are themselves persistent structures ([`crate::storage`],
+//! [`crate::index`]) that path-copy one page or one root-to-leaf path. An
+//! UPDATE writes (and so copies) only the indexes whose key it changed.
+//! Statements therefore execute against `&DbState` (queries) or
 //! `&mut DbState` (DML/DDL) exactly as before; copy-on-write is hidden
-//! behind the accessors here.
+//! behind the accessors here, and a write costs O(change), not O(table).
 
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::index::Index;
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::storage::{Heap, Row, RowId};
+use crate::types::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -127,15 +132,11 @@ impl DbState {
             .find(|i| i.column == column)
     }
 
-    /// Mutable index lookup by (lowercased) name, copy-on-write.
-    fn index_mut(&mut self, name: &str) -> Option<&mut Index> {
-        self.indexes.get_mut(name).map(Arc::make_mut)
-    }
-
     /// Insert a validated row into `table`, maintaining every index.
     ///
-    /// On a uniqueness violation the row and any partial index entries are
-    /// backed out, leaving the state unchanged.
+    /// On an error (a uniqueness violation) the working copy is left
+    /// unspecified: every caller abandons it, and the statement's private
+    /// copy of the published state is what makes statements atomic.
     pub fn insert_row(&mut self, table: &str, row: Row) -> SqlResult<RowId> {
         let key = table.to_ascii_lowercase();
         let t = self
@@ -143,31 +144,14 @@ impl DbState {
             .get_mut(&key)
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
-        let index_names = t.index_names.clone();
         let id = t.heap.insert(row);
-        let row_ref = t.heap.get(id).expect("just inserted").clone();
-        let mut done: Vec<String> = Vec::new();
-        for name in &index_names {
-            let idx = self.index_mut(name).expect("catalog consistency");
-            let value = row_ref.get(idx.column).cloned().unwrap_or_default_null();
-            if let Err(e) = idx.insert(&value, id) {
-                // Back out.
-                for undo_name in &done {
-                    let undo_idx = self.index_mut(undo_name).unwrap();
-                    let v = row_ref
-                        .get(undo_idx.column)
-                        .cloned()
-                        .unwrap_or_default_null();
-                    undo_idx.remove(&v, id);
-                }
-                Arc::make_mut(self.tables.get_mut(&key).unwrap())
-                    .heap
-                    .delete(id);
-                return Err(e);
-            }
-            done.push(name.clone());
+        let row = t.heap.get(id).expect("just inserted");
+        for name in &t.index_names {
+            let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
+            idx.insert(value_at(row, idx.column), id)?;
         }
-        Arc::make_mut(self.tables.get_mut(&key).unwrap()).stats_note(&row_ref, true);
+        let row = row.clone();
+        t.stats_note(&row, true);
         self.bump_version(&key);
         Ok(id)
     }
@@ -180,23 +164,23 @@ impl DbState {
             .get_mut(&key)
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
-        let index_names = t.index_names.clone();
         let Some(old) = t.heap.delete(id) else {
             return Ok(None);
         };
-        for name in &index_names {
-            let idx = self.index_mut(name).expect("catalog consistency");
-            let value = old.get(idx.column).cloned().unwrap_or_default_null();
-            idx.remove(&value, id);
+        for name in &t.index_names {
+            let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
+            idx.remove(value_at(&old, idx.column), id);
         }
-        Arc::make_mut(self.tables.get_mut(&key).unwrap()).stats_note(&old, false);
+        t.stats_note(&old, false);
         self.bump_version(&key);
         Ok(Some(old))
     }
 
     /// Replace a row in place, maintaining indexes. Returns the old image.
     ///
-    /// On a uniqueness violation the old row is restored.
+    /// Only the indexes whose key changed are written (and so copied). On
+    /// an error the working copy is left unspecified, as for
+    /// [`DbState::insert_row`].
     pub fn update_row(&mut self, table: &str, id: RowId, new: Row) -> SqlResult<Row> {
         let key = table.to_ascii_lowercase();
         let t = self
@@ -204,38 +188,18 @@ impl DbState {
             .get_mut(&key)
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
-        let index_names = t.index_names.clone();
         let old = t.heap.update(id, new.clone()).ok_or_else(|| {
             SqlError::new(SqlCode::UNDEFINED_OBJECT, "row vanished during update")
         })?;
-        // Re-key each index whose column changed.
-        let mut rekeyed: Vec<String> = Vec::new();
-        for name in &index_names {
-            let idx = self.index_mut(name).expect("catalog consistency");
-            let old_v = old.get(idx.column).cloned().unwrap_or_default_null();
-            let new_v = new.get(idx.column).cloned().unwrap_or_default_null();
-            if old_v == new_v {
-                continue;
+        for name in &t.index_names {
+            let column = self.indexes[name].column;
+            let (was, now) = (value_at(&old, column), value_at(&new, column));
+            if was != now {
+                let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
+                idx.remove(was, id);
+                idx.insert(now, id)?;
             }
-            idx.remove(&old_v, id);
-            if let Err(e) = idx.insert(&new_v, id) {
-                // Restore this index and all previously rekeyed ones.
-                idx.insert(&old_v, id).expect("restore old key");
-                for undo_name in &rekeyed {
-                    let undo_idx = self.index_mut(undo_name).unwrap();
-                    let o = old.get(undo_idx.column).cloned().unwrap_or_default_null();
-                    let n = new.get(undo_idx.column).cloned().unwrap_or_default_null();
-                    undo_idx.remove(&n, id);
-                    undo_idx.insert(&o, id).expect("restore old key");
-                }
-                Arc::make_mut(self.tables.get_mut(&key).unwrap())
-                    .heap
-                    .update(id, old.clone());
-                return Err(e);
-            }
-            rekeyed.push(name.clone());
         }
-        let t = Arc::make_mut(self.tables.get_mut(&key).unwrap());
         t.stats_note(&old, false);
         t.stats_note(&new, true);
         self.bump_version(&key);
@@ -250,20 +214,22 @@ impl DbState {
     /// contents at the end. Committed data cannot violate uniqueness, so an
     /// error here means the log itself is corrupt.
     pub fn rebuild_indexes(&mut self) -> SqlResult<()> {
-        let names: Vec<String> = self.indexes.keys().cloned().collect();
-        for name in names {
-            let (table, column, unique) = {
-                let idx = &self.indexes[&name];
-                (idx.table.clone(), idx.column, idx.unique)
-            };
-            let mut fresh = Index::new(&name, &table, column, unique);
-            if let Some(t) = self.tables.get(&table) {
-                for (id, row) in t.heap.iter() {
-                    let value = row.get(column).cloned().unwrap_or_default_null();
-                    fresh.insert(&value, id)?;
-                }
-            }
-            self.indexes.insert(name, Arc::new(fresh));
+        for index in self.indexes.values_mut() {
+            let Index {
+                name,
+                table,
+                column,
+                unique,
+                ..
+            } = &**index;
+            let rows = self
+                .tables
+                .get(table)
+                .into_iter()
+                .flat_map(|t| t.heap.iter());
+            let entries = rows.map(|(id, row)| (value_at(row, *column), id));
+            let fresh = Index::build(name, table, *column, *unique, entries)?;
+            *index = Arc::new(fresh);
         }
         Ok(())
     }
@@ -281,16 +247,10 @@ impl DbState {
     }
 }
 
-/// `Option<Value>` → `Value` treating absence as NULL (short rows never occur
-/// in practice; this keeps index maintenance total).
-trait OrNull {
-    fn unwrap_or_default_null(self) -> crate::types::Value;
-}
-
-impl OrNull for Option<crate::types::Value> {
-    fn unwrap_or_default_null(self) -> crate::types::Value {
-        self.unwrap_or(crate::types::Value::Null)
-    }
+/// The value of column `column` in `row`, NULL past its end (short rows
+/// never occur in practice; this keeps index maintenance total).
+pub(crate) fn value_at(row: &Row, column: usize) -> &Value {
+    row.get(column).unwrap_or(&Value::Null)
 }
 
 #[cfg(test)]
@@ -339,29 +299,59 @@ mod tests {
         vec![Value::Int(id), Value::Text(name.into())]
     }
 
-    #[test]
-    fn insert_maintains_unique_index() {
-        let mut st = state_with_table();
-        st.insert_row("t", row(1, "a")).unwrap();
-        let err = st.insert_row("t", row(1, "b")).unwrap_err();
-        assert_eq!(err.code, SqlCode::DUPLICATE_KEY);
-        // The failed insert must not leave a ghost row.
-        assert_eq!(st.table("t").unwrap().heap.len(), 1);
+    /// How many of `after`'s allocations are not among `before`'s.
+    fn unshared(after: Vec<*const ()>, before: Vec<*const ()>) -> usize {
+        let before: std::collections::HashSet<_> = before.into_iter().collect();
+        after.iter().filter(|p| !before.contains(p)).count()
     }
 
     #[test]
-    fn update_rekeys_index_and_rolls_back_on_conflict() {
+    fn one_row_update_copies_one_page_and_one_path_per_changed_index() {
         let mut st = state_with_table();
-        let a = st.insert_row("t", row(1, "a")).unwrap();
-        st.insert_row("t", row(2, "b")).unwrap();
-        // Rekey 1 -> 3 is fine.
-        st.update_row("t", a, row(3, "a")).unwrap();
-        assert_eq!(st.index_on("t", 0).unwrap().lookup(&Value::Int(3)), vec![a]);
-        // Rekey 3 -> 2 collides; state must be unchanged.
-        let err = st.update_row("t", a, row(2, "a")).unwrap_err();
-        assert_eq!(err.code, SqlCode::DUPLICATE_KEY);
-        assert_eq!(st.index_on("t", 0).unwrap().lookup(&Value::Int(3)), vec![a]);
-        assert_eq!(st.table("t").unwrap().heap.get(a), Some(&row(3, "a")));
+        Arc::make_mut(st.tables.get_mut("t").unwrap())
+            .index_names
+            .push("t_name".into());
+        let by_name = Index::new("t_name", "t", 1, false);
+        st.indexes.insert("t_name".into(), Arc::new(by_name));
+        for i in 0..20_000 {
+            st.insert_row("t", row(i, &format!("n{}", i % 1_000)))
+                .unwrap();
+        }
+        let base = st.clone();
+        let (id, next) = (RowId(12_345), RowId(12_346));
+        assert_eq!(
+            base.table("t").unwrap().heap.get(id),
+            Some(&row(12_345, "n345"))
+        );
+        // Change the name only: the primary-key index is not written at all.
+        let mut work = base.clone();
+        work.update_row("t", id, row(12_345, "renamed")).unwrap();
+        let (heap, base_heap) = (
+            &work.table("t").unwrap().heap,
+            &base.table("t").unwrap().heap,
+        );
+        assert_eq!(unshared(heap.page_ptrs(), base_heap.page_ptrs()), 1);
+        assert!(Arc::ptr_eq(&work.indexes["t_pk"], &base.indexes["t_pk"]));
+        let (names, base_names) = (&work.indexes["t_name"], &base.indexes["t_name"]);
+        let height = base_names.height();
+        assert!(height >= 3, "a 20 000-row index is several levels deep");
+        let copied = unshared(names.node_ptrs(), base_names.node_ptrs());
+        assert!(
+            (1..=2 * height + 1).contains(&copied),
+            "{copied} nodes copied for a tree {height} levels high"
+        );
+        assert_eq!(names.lookup(&Value::Text("renamed".into())), vec![id]);
+        // A second write to the same page in the same working copy copies
+        // no further page.
+        let pages = work.table("t").unwrap().heap.page_ptrs();
+        work.update_row("t", next, row(12_346, "n346")).unwrap();
+        assert_eq!(work.table("t").unwrap().heap.page_ptrs(), pages);
+        // And the snapshot reads exactly as before.
+        let base_t = base.table("t").unwrap();
+        assert_eq!(base_t.heap.get(id), Some(&row(12_345, "n345")));
+        assert_eq!(base_t.heap.len(), 20_000);
+        assert!(base_names.lookup(&Value::Text("renamed".into())).is_empty());
+        assert!(base_names.lookup(&Value::Text("n345".into())).contains(&id));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! periodic rebuild bounds the error.
 //!
 //! Because stats live inside `TableData`, they ride the copy-on-write
-//! snapshot machinery for free: a writer's working copy deep-clones the
-//! table (stats included) via `Arc::make_mut`, mutates privately, and the
-//! publish diff-patch carries the new stats exactly as it carries the new
-//! heap. A failed or panicking statement publishes nothing, so stats can
-//! never poison. WAL recovery replays rows straight into the heaps and then
+//! snapshot machinery for free: `Arc::make_mut` on a table copies its
+//! stats (a few hundred bytes per column) along with the schema and the
+//! heap's page directory, the writer mutates privately, and the publish
+//! diff-patch carries the new stats exactly as it carries the new heap. A
+//! failed or panicking statement publishes nothing, so stats can never
+//! poison. WAL recovery replays rows straight into the heaps and then
 //! rebuilds stats in one pass, next to the index rebuild.
 //!
 //! The distinct estimator is linear counting over a fixed 2048-bit bitmap

@@ -228,6 +228,43 @@ fn row_ids_are_stable_across_checkpoint_and_recovery() {
 }
 
 #[test]
+fn recovered_heap_reuses_slots_like_the_live_one() {
+    let _guard = serial();
+    let tmp = temp_dir("slotreuse");
+    let history = "CREATE TABLE t (id INTEGER PRIMARY KEY);
+         INSERT INTO t VALUES (1), (2), (3), (4), (5);
+         DELETE FROM t WHERE id = 2;
+         DELETE FROM t WHERE id = 4;";
+    let inserts = "INSERT INTO t VALUES (9); INSERT INTO t VALUES (10);";
+    // Heap order, as an unordered SELECT reads it.
+    let unordered = |db: &Database| {
+        let mut conn = db.connect();
+        let r = conn.execute("SELECT id FROM t").unwrap();
+        r.rows().unwrap().rows.clone()
+    };
+    let live = Database::new();
+    live.run_script(history).unwrap();
+    live.run_script(inserts).unwrap();
+    {
+        let db = open(&tmp.0);
+        db.run_script(history).unwrap();
+        // The checkpoint records live rows only; the freed slots must
+        // still be handed out again after recovery.
+        db.checkpoint_now().unwrap();
+        db.close();
+    }
+    let db = open(&tmp.0);
+    db.run_script(inserts).unwrap();
+    assert_eq!(unordered(&db), unordered(&live));
+    assert_eq!(rows_with_ids(&db, "t"), rows_with_ids(&live, "t"));
+    assert_eq!(rows_with_ids(&db, "t").len(), 5);
+    assert!(
+        rows_with_ids(&db, "t").iter().all(|(id, _)| id.0 < 5),
+        "no slot leaked"
+    );
+}
+
+#[test]
 fn simulated_crash_loses_only_unlogged_tail_and_stays_consistent() {
     let _guard = serial();
     let tmp = temp_dir("crashpoint");
