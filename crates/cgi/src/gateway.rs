@@ -541,7 +541,7 @@ impl Gateway {
         let mac = self.macros.read().get(macro_name)?.parsed.clone();
         Some(match mode {
             Mode::Input => true,
-            Mode::Report => mac.sql_sections().all(|s| is_select(&s.command)),
+            Mode::Report => mac.sql_sections().all(|s| is_select(s.command.source())),
         })
     }
 

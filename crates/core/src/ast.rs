@@ -5,6 +5,9 @@
 //! section. Order matters — the processors walk sections top to bottom and a
 //! variable is only visible to text *after* its definition.
 
+use crate::subst::{spans, Token};
+use std::ops::Range;
+
 /// A parsed macro file.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MacroFile {
@@ -27,20 +30,6 @@ impl MacroFile {
         self.sql_sections()
             .find(|s| s.name.as_deref() == Some(name))
     }
-
-    /// Does the macro have a section of this kind?
-    pub fn has_html_input(&self) -> bool {
-        self.sections
-            .iter()
-            .any(|s| matches!(s, Section::HtmlInput(_)))
-    }
-
-    /// Does the macro have an HTML report section?
-    pub fn has_html_report(&self) -> bool {
-        self.sections
-            .iter()
-            .any(|s| matches!(s, Section::HtmlReport(_)))
-    }
 }
 
 /// One top-level section.
@@ -51,7 +40,7 @@ pub enum Section {
     /// `%SQL[(name)]{ ... }`.
     Sql(SqlSection),
     /// `%HTML_INPUT{ ... }` — rendered in input mode.
-    HtmlInput(String),
+    HtmlInput(Template),
     /// `%HTML_REPORT{ ... }` — rendered in report mode.
     HtmlReport(Vec<ReportPart>),
     /// `%{ ... %}` comment — kept for fidelity, never rendered.
@@ -122,8 +111,8 @@ impl DefineStatement {
 pub struct SqlSection {
     /// Optional section name from `%SQL(name)`.
     pub name: Option<String>,
-    /// The raw SQL command text (variables unresolved).
-    pub command: String,
+    /// The SQL command text (variables unresolved).
+    pub command: Template,
     /// Optional `%SQL_REPORT` block.
     pub report: Option<SqlReport>,
     /// Optional `%SQL_MESSAGE` block.
@@ -135,13 +124,13 @@ pub struct SqlSection {
 pub struct SqlReport {
     /// HTML text before the `%ROW` block; printed once, may reference the
     /// column-name variables `Ni` / `N_<col>` / `NLIST`.
-    pub header: String,
+    pub header: Template,
     /// The `%ROW{...}` template, printed once per fetched row with `Vi` /
     /// `V_<col>` / `VLIST` / `ROW_NUM` instantiated. `None` when the report
     /// has no row block (header/footer only).
-    pub row: Option<String>,
+    pub row: Option<Template>,
     /// HTML text after the `%ROW` block; printed once after all rows.
-    pub footer: String,
+    pub footer: Template,
 }
 
 /// What a `%SQL_MESSAGE` entry does after printing its text.
@@ -165,7 +154,7 @@ pub struct SqlMessage {
     /// SQLCODE this entry matches; `None` is the `default` entry.
     pub code: Option<i32>,
     /// Message template (variables substituted when printed).
-    pub text: String,
+    pub text: Template,
     /// Continue or exit.
     pub action: MessageAction,
 }
@@ -174,13 +163,43 @@ pub struct SqlMessage {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReportPart {
     /// Literal HTML (with variable references, substituted when printed).
-    Html(String),
+    Html(Template),
     /// `%EXEC_SQL` — execute all *unnamed* SQL sections in macro order.
     ExecSqlAll,
     /// `%EXEC_SQL(name-or-$(var))` — execute one named section; the operand
     /// is itself substituted at run time, so `%EXEC_SQL($(cmd))` lets the end
     /// user pick the statement (§3.4).
     ExecSqlNamed(String),
+}
+
+/// Text with `$(name)` references — a section body, a report part, a SQL
+/// command, a message — tokenized once, when the macro is parsed, so
+/// rendering never scans it again. It keeps its source text for the tools
+/// that read it (`lint`, the gateway's read-only check).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Template {
+    source: String,
+    /// The tokens of `source` as byte ranges into it.
+    spans: Vec<Token<Range<usize>>>,
+}
+
+impl Template {
+    /// Tokenize `source`.
+    pub fn new(source: impl Into<String>) -> Template {
+        let source = source.into();
+        let spans = spans(&source).collect();
+        Template { source, spans }
+    }
+
+    /// The text as written in the macro.
+    pub fn source(&self) -> &str {
+        &self.source
+    }
+
+    /// The tokens [`tokens`] yields for the source, without the scan.
+    pub(crate) fn tokens(&self) -> impl Iterator<Item = Token<&str>> {
+        self.spans.iter().map(|span| span.of(&self.source))
+    }
 }
 
 #[cfg(test)]
@@ -192,12 +211,20 @@ mod tests {
         let mut m = MacroFile::default();
         m.sections.push(Section::Sql(SqlSection {
             name: Some("Fetch".into()),
-            command: "SELECT 1".into(),
+            command: Template::new("SELECT 1"),
             report: None,
             messages: vec![],
         }));
         assert!(m.named_sql("Fetch").is_some());
         assert!(m.named_sql("fetch").is_none());
+    }
+
+    #[test]
+    fn template_tokens_match_a_fresh_scan() {
+        let src = "a$$(x)$(V1)$ $(b$(c))$$(open";
+        let t = Template::new(src);
+        assert!(t.tokens().eq(crate::subst::tokens(src)));
+        assert_eq!(t.source(), src);
     }
 
     #[test]

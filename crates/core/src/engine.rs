@@ -12,7 +12,7 @@
 
 use crate::ast::{MacroFile, MessageAction, ReportPart, Section, SqlSection};
 use crate::db::{Database, DbRows, NoDatabase};
-use crate::env::Env;
+use crate::env::{Bound, Env, ReportScope};
 use crate::error::{MacroError, MacroResult};
 use crate::exec::{CommandRunner, DenyRunner};
 use crate::nls::{message, Language, Message};
@@ -20,7 +20,6 @@ use crate::sink::PageSink;
 use crate::subst::Evaluator;
 use dbgw_html::{escape_text, TableBuilder};
 use dbgw_obs::{CancelReason, RequestCtx};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which half of the macro to process.
@@ -104,22 +103,12 @@ impl Default for Engine<'static> {
 impl Engine<'static> {
     /// Engine with default config and executable variables disabled.
     pub fn new() -> Engine<'static> {
-        static DENY: DenyRunner = DenyRunner;
-        Engine {
-            config: EngineConfig::default(),
-            runner: &DENY,
-            ctx: RequestCtx::unbounded(),
-        }
+        Engine::with_config(EngineConfig::default())
     }
 
     /// Engine with a custom config, executable variables disabled.
     pub fn with_config(config: EngineConfig) -> Engine<'static> {
-        static DENY: DenyRunner = DenyRunner;
-        Engine {
-            config,
-            runner: &DENY,
-            ctx: RequestCtx::unbounded(),
-        }
+        Engine::with_runner(config, &DenyRunner)
     }
 }
 
@@ -208,10 +197,7 @@ impl<'r> Engine<'r> {
                 Section::Comment(_) => {}
                 Section::HtmlInput(body) => {
                     if mode == Mode::Input {
-                        let text = {
-                            let mut ev = self.evaluator(&env);
-                            ev.substitute(body)?
-                        };
+                        let text = self.evaluator(&env).render(body)?;
                         self.emit(out, &text)?;
                         rendered_target = true;
                     }
@@ -224,42 +210,14 @@ impl<'r> Engine<'r> {
                     for part in parts {
                         match part {
                             ReportPart::Html(text) => {
-                                let text = {
-                                    let mut ev = self.evaluator(&env);
-                                    ev.substitute(text)?
-                                };
+                                let text = self.evaluator(&env).render(text)?;
                                 self.emit(out, &text)?;
                             }
-                            ReportPart::ExecSqlAll => {
-                                let unnamed: Vec<&SqlSection> =
-                                    mac.sql_sections().filter(|s| s.name.is_none()).collect();
-                                if unnamed.is_empty() {
-                                    return Err(MacroError::NoSqlSections);
-                                }
-                                for section in unnamed {
-                                    match self.exec_sql(section, &mut env, db, out)? {
-                                        Flow::Continue => {}
-                                        Flow::Stop { error } => {
-                                            failed = error;
-                                            break 'sections;
-                                        }
-                                    }
-                                }
-                            }
-                            ReportPart::ExecSqlNamed(operand) => {
-                                let name = {
-                                    let mut ev = self.evaluator(&env);
-                                    ev.substitute(operand)?
-                                };
-                                let name = name.trim();
-                                let section = mac.named_sql(name).ok_or_else(|| {
-                                    MacroError::UnknownSqlSection {
-                                        name: name.to_owned(),
-                                    }
-                                })?;
-                                match self.exec_sql(section, &mut env, db, out)? {
-                                    Flow::Continue => {}
-                                    Flow::Stop { error } => {
+                            ReportPart::ExecSqlAll | ReportPart::ExecSqlNamed(_) => {
+                                for section in self.sections_to_run(mac, part, &env)? {
+                                    if let Flow::Stop { error } =
+                                        self.exec_sql(section, &env, db, out)?
+                                    {
                                         failed = error;
                                         break 'sections;
                                     }
@@ -302,6 +260,32 @@ impl<'r> Engine<'r> {
         self.process(mac, Mode::Input, inputs, &mut NoDatabase)
     }
 
+    /// The SQL sections an `%EXEC_SQL` directive runs: every unnamed one, in
+    /// macro order, or the one its operand names (§4.2).
+    fn sections_to_run<'m>(
+        &self,
+        mac: &'m MacroFile,
+        part: &ReportPart,
+        env: &Env,
+    ) -> MacroResult<Vec<&'m SqlSection>> {
+        let ReportPart::ExecSqlNamed(operand) = part else {
+            let unnamed: Vec<&SqlSection> =
+                mac.sql_sections().filter(|s| s.name.is_none()).collect();
+            if unnamed.is_empty() {
+                return Err(MacroError::NoSqlSections);
+            }
+            return Ok(unnamed);
+        };
+        let name = self.evaluator(env).substitute(operand)?;
+        let name = name.trim();
+        let section = mac
+            .named_sql(name)
+            .ok_or_else(|| MacroError::UnknownSqlSection {
+                name: name.to_owned(),
+            })?;
+        Ok(vec![section])
+    }
+
     /// Push rendered text into the sink, surfacing a dead sink (client gone)
     /// as request cancellation.
     fn emit(&self, out: &mut dyn PageSink, text: &str) -> MacroResult<()> {
@@ -312,30 +296,22 @@ impl<'r> Engine<'r> {
     fn exec_sql(
         &self,
         section: &SqlSection,
-        env: &mut Env,
+        env: &Env,
         db: &mut dyn Database,
         out: &mut dyn PageSink,
     ) -> MacroResult<Flow> {
         let _span = dbgw_obs::trace::span("exec_sql");
         self.check_ctx()?;
-        let sql = {
-            let mut ev = self.evaluator(env);
-            ev.substitute(&section.command)?.trim().to_owned()
-        };
-        dbgw_obs::trace::note("sql", &sql);
+        let sql = self.evaluator(env).render(&section.command)?;
+        let sql = sql.trim();
+        dbgw_obs::trace::note("sql", sql);
         dbgw_obs::metrics().sql_statements.inc();
-        if self.config.honor_showsql {
-            let show = {
-                let mut ev = self.evaluator(env);
-                ev.is_nonnull("SHOWSQL")?
-            };
-            if show {
-                self.emit(out, "<P><CODE>")?;
-                self.emit(out, &escape_text(&sql))?;
-                self.emit(out, "</CODE></P>\n")?;
-            }
+        if self.config.honor_showsql && self.evaluator(env).is_nonnull("SHOWSQL")? {
+            self.emit(out, "<P><CODE>")?;
+            self.emit(out, &escape_text(sql))?;
+            self.emit(out, "</CODE></P>\n")?;
         }
-        match db.execute(&sql) {
+        match db.execute(sql) {
             Ok(rows) => {
                 // A database call can block well past the deadline; detect it
                 // here rather than waiting for the next substitution step.
@@ -346,10 +322,7 @@ impl<'r> Engine<'r> {
                 self.render_result(section, &rows, env, out)?;
                 if rows.sqlcode() == 100 {
                     if let Some(msg) = find_message(section, 100) {
-                        let text = {
-                            let mut ev = self.evaluator(env);
-                            ev.substitute(&msg.text)?
-                        };
+                        let text = self.evaluator(env).render(&msg.text)?;
                         self.emit(out, &text)?;
                         if msg.action == MessageAction::Exit {
                             return Ok(Flow::Stop { error: false });
@@ -366,11 +339,9 @@ impl<'r> Engine<'r> {
                         let text = if e.code == dbgw_obs::CANCELLED_SQLCODE {
                             // The interrupt handler IS the error page: render
                             // it even though the context has already tripped.
-                            let mut ev = Evaluator::new(env, self.runner);
-                            ev.substitute(&msg.text)?
+                            Evaluator::new(env, self.runner).render(&msg.text)?
                         } else {
-                            let mut ev = self.evaluator(env);
-                            ev.substitute(&msg.text)?
+                            self.evaluator(env).render(&msg.text)?
                         };
                         self.emit(out, &text)?;
                         match msg.action {
@@ -408,7 +379,7 @@ impl<'r> Engine<'r> {
         &self,
         section: &SqlSection,
         rows: &DbRows,
-        env: &mut Env,
+        env: &Env,
         out: &mut dyn PageSink,
     ) -> MacroResult<()> {
         let _span = dbgw_obs::trace::span("render_report");
@@ -416,31 +387,25 @@ impl<'r> Engine<'r> {
         if rows.columns.is_empty() && section.report.is_none() {
             return Ok(());
         }
-        let max_rows = {
-            let mut ev = self.evaluator(env);
-            ev.value_of("RPT_MAX_ROWS")?
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .unwrap_or(self.config.max_rows_hard_limit)
-                .min(self.config.max_rows_hard_limit)
-        };
-        let escape = |s: &str| -> String {
-            if self.config.escape_values {
-                escape_text(s).into_owned()
-            } else {
-                s.to_owned()
-            }
-        };
+        let mut ev = self.evaluator(env);
+        let max_rows = ev
+            .value_of("RPT_MAX_ROWS")?
+            .trim()
+            .parse::<usize>()
+            .ok()
+            .unwrap_or(self.config.max_rows_hard_limit)
+            .min(self.config.max_rows_hard_limit);
 
         let printed = rows.rows.len().min(max_rows);
         dbgw_obs::metrics().rows_rendered.add(printed as u64);
         dbgw_obs::trace::note("rows", printed.to_string());
+        // Each row renders into this one buffer, is charged against the
+        // request budgets *before* it is pushed, and is pushed whole, so a
+        // streaming sink ships the report as the rows arrive.
+        let mut buf = String::new();
 
         let Some(report) = &section.report else {
-            // Default table format (§3.4), emitted row by row so a streaming
-            // sink ships the table as the rows arrive. Each row is charged
-            // against the request budgets *before* it is pushed.
+            // Default table format (§3.4).
             let header = TableBuilder::header_html(&rows.columns);
             self.charge(0, header.len())?;
             self.emit(out, &header)?;
@@ -448,68 +413,61 @@ impl<'r> Engine<'r> {
                 if i % 128 == 0 {
                     self.check_ctx()?;
                 }
-                let html = TableBuilder::row_html(rows.columns.len(), row);
-                self.charge(1, html.len())?;
-                self.emit(out, &html)?;
+                buf.clear();
+                TableBuilder::push_row_html(&mut buf, rows.columns.len(), row);
+                self.charge(1, buf.len())?;
+                self.emit(out, &buf)?;
             }
             self.charge(0, TableBuilder::FOOTER_HTML.len())?;
             self.emit(out, TableBuilder::FOOTER_HTML)?;
             return Ok(());
         };
 
-        // Custom report: header frame with column-name variables (§3.2.1).
-        let mut header_vars: HashMap<String, String> = HashMap::new();
-        for (i, name) in rows.columns.iter().enumerate() {
-            header_vars.insert(format!("N{}", i + 1), escape(name));
-            header_vars.insert(format!("N_{name}"), escape(name));
-        }
-        header_vars.insert("NLIST".into(), escape(&rows.columns.join(", ")));
-        header_vars.insert("ROW_NUM".into(), "0".into());
-        env.push_frame(header_vars);
+        // Custom report (§3.2.1): the header sees the column names.
+        let mut scope = ReportScope {
+            columns: &rows.columns,
+            row: None,
+            row_num: 0,
+            escape: self.config.escape_values,
+        };
+        ev.scope = Some(scope);
+        let header = ev.render(&report.header)?;
+        self.emit(out, &header)?;
 
-        {
-            let header = {
-                let mut ev = self.evaluator(env);
-                ev.substitute(&report.header)?
-            };
-            self.emit(out, &header)?;
-        }
-
-        if let Some(row_template) = &report.row {
-            for (row_index, row) in rows.rows.iter().enumerate().take(max_rows) {
-                let mut row_vars: HashMap<String, String> = HashMap::new();
-                row_vars.insert("ROW_NUM".into(), (row_index + 1).to_string());
-                for (i, value) in row.iter().enumerate() {
-                    row_vars.insert(format!("V{}", i + 1), escape(value));
-                    if let Some(name) = rows.columns.get(i) {
-                        row_vars.insert(format!("V_{name}"), escape(value));
+        if let Some(template) = &report.row {
+            // Bound once per row width — once per result from a real DBMS.
+            let (mut width, mut pieces) = (None, Vec::new());
+            for (i, row) in rows.rows.iter().take(max_rows).enumerate() {
+                scope.row = Some(row);
+                scope.row_num = i + 1;
+                ev.scope = Some(scope);
+                if width != Some(row.len()) {
+                    (width, pieces) = (Some(row.len()), scope.bind(template));
+                }
+                buf.clear();
+                for piece in &pieces {
+                    match *piece {
+                        Bound::Text(text) => buf.push_str(text),
+                        Bound::Slot(slot) => scope.write(slot, &mut buf),
+                        // A DEFINE, an input, or nothing: the evaluator
+                        // looks it up over this same scope.
+                        Bound::Var(name) => ev.write_value(name, &mut buf)?,
                     }
                 }
-                row_vars.insert("VLIST".into(), escape(&row.join(", ")));
-                env.push_frame(row_vars);
-                let rendered = {
-                    let mut ev = self.evaluator(env);
-                    ev.substitute(row_template)?
-                };
-                env.pop_frame();
-                self.charge(1, rendered.len())?;
-                self.emit(out, &rendered)?;
+                self.charge(1, buf.len())?;
+                self.check_ctx()?;
+                self.emit(out, &buf)?;
             }
         }
 
         // "After all rows have been fetched ... ROW_NUM contains the total
         // number of rows that result from the query, regardless of whether
         // all rows were printed" (§3.2.1).
-        env.set_system("ROW_NUM", rows.rows.len().to_string());
-        {
-            let footer = {
-                let mut ev = self.evaluator(env);
-                ev.substitute(&report.footer)?
-            };
-            self.emit(out, &footer)?;
-        }
-        env.pop_frame();
-        Ok(())
+        scope.row = None;
+        scope.row_num = rows.rows.len();
+        ev.scope = Some(scope);
+        let footer = ev.render(&report.footer)?;
+        self.emit(out, &footer)
     }
 
     /// Charge rendered report output against the request's row/byte budgets.
@@ -551,6 +509,19 @@ mod tests {
         }
     }
 
+    fn report(mac: &MacroFile, db: &mut dyn Database) -> MacroResult<String> {
+        Engine::new().process(mac, Mode::Report, &[], db)
+    }
+
+    fn failing(code: i32, message: &str) -> impl Database + '_ {
+        FnDatabase(move |_: &str| {
+            Err(DbError {
+                code,
+                message: message.into(),
+            })
+        })
+    }
+
     fn inputs(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs
             .iter()
@@ -590,9 +561,7 @@ mod tests {
             assert_eq!(sql, "SELECT * FROM t");
             Ok(ok_rows(&["a"], &[&["1"], &["2"]]))
         });
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.starts_with("<H1>R</H1>"));
         assert!(out.contains("<TABLE BORDER=1>"));
         assert!(out.contains("<TD>2</TD>"));
@@ -615,9 +584,7 @@ mod tests {
                 &[&["http://a", "A"], &["http://b", "B"]],
             ))
         });
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.contains("Columns: url, title"));
         assert!(out.contains("#1 <A HREF=\"http://a\">A</A>"));
         assert!(out.contains("#2 <A HREF=\"http://b\">B</A>"));
@@ -633,9 +600,7 @@ mod tests {
         )
         .unwrap();
         let mut db = FnDatabase(|_: &str| Ok(ok_rows(&["a"], &[&["1"], &["2"], &["3"], &["4"]])));
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let out = report(&mac, &mut db).unwrap();
         assert_eq!(out, "[1][2]Total=4");
     }
 
@@ -677,9 +642,7 @@ mod tests {
     fn unknown_named_section_errors() {
         let mac = parse_macro("%SQL(a){ SELECT 1 %}\n%HTML_REPORT{%EXEC_SQL(b)%}").unwrap();
         let mut db = FnDatabase(|_: &str| Ok(DbRows::default()));
-        let err = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap_err();
+        let err = report(&mac, &mut db).unwrap_err();
         assert!(matches!(err, MacroError::UnknownSqlSection { name } if name == "b"));
     }
 
@@ -698,9 +661,7 @@ mod tests {
                 ..DbRows::default()
             })
         });
-        Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        report(&mac, &mut db).unwrap();
         assert_eq!(executed, vec!["FIRST", "SECOND"]);
     }
 
@@ -716,9 +677,7 @@ mod tests {
                 message: "table missing".into(),
             })
         });
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.contains("SQL error -204"));
         assert!(out.contains("table missing"));
         assert!(!out.contains("tail"), "processing must stop");
@@ -732,15 +691,8 @@ mod tests {
              %HTML_REPORT{%EXEC_SQL\ntail%}",
         )
         .unwrap();
-        let mut db = FnDatabase(|_: &str| {
-            Err(DbError {
-                code: -204,
-                message: "x".into(),
-            })
-        });
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let mut db = failing(-204, "x");
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.contains("no table, moving on"));
         assert!(out.contains("tail"));
     }
@@ -752,15 +704,8 @@ mod tests {
              %define oops = \"broken\"\n%HTML_REPORT{%EXEC_SQL%}",
         )
         .unwrap();
-        let mut db = FnDatabase(|_: &str| {
-            Err(DbError {
-                code: -803,
-                message: "dup".into(),
-            })
-        });
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let mut db = failing(-803, "dup");
+        let out = report(&mac, &mut db).unwrap();
         // NOTE: the %define appears *before* %HTML_REPORT, so it is visible.
         assert_eq!(out, "custom: broken");
     }
@@ -774,9 +719,7 @@ mod tests {
         )
         .unwrap();
         let mut db = FnDatabase(|_: &str| Ok(ok_rows(&["a"], &[])));
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.contains("Nothing matched."));
     }
 
@@ -847,9 +790,7 @@ mod tests {
         let mac = parse_macro("%SQL{ Q\n%SQL_REPORT{%ROW{$(V1)%}%}\n%}\n%HTML_REPORT{%EXEC_SQL%}")
             .unwrap();
         let mut db = FnDatabase(|_: &str| Ok(ok_rows(&["a"], &[&["<script>alert(1)</script>"]])));
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.contains("&lt;script&gt;"));
         // Fidelity mode: raw.
         let engine = Engine::with_config(EngineConfig {
@@ -949,15 +890,8 @@ mod tests {
              %HTML_REPORT{%EXEC_SQL\ntail%}",
         )
         .unwrap();
-        let mut db = FnDatabase(|_: &str| {
-            Err(DbError {
-                code: -952,
-                message: "processing cancelled due to interrupt".into(),
-            })
-        });
-        let out = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap();
+        let mut db = failing(-952, "processing cancelled due to interrupt");
+        let out = report(&mac, &mut db).unwrap();
         assert!(out.contains("interrupted, sorry"));
         assert!(!out.contains("tail"));
     }
@@ -965,15 +899,8 @@ mod tests {
     #[test]
     fn unhandled_cancelled_sqlcode_surfaces_as_cancelled_error() {
         let mac = parse_macro("%SQL{ Q %}\n%HTML_REPORT{%EXEC_SQL%}").unwrap();
-        let mut db = FnDatabase(|_: &str| {
-            Err(DbError {
-                code: -952,
-                message: "processing cancelled due to interrupt".into(),
-            })
-        });
-        let err = Engine::new()
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap_err();
+        let mut db = failing(-952, "processing cancelled due to interrupt");
+        let err = report(&mac, &mut db).unwrap_err();
         assert!(matches!(err, MacroError::Cancelled { .. }));
     }
 

@@ -4,32 +4,15 @@
 //! §4.3: the name space of HTML input variables is unified with the macro's
 //! own variables, but "the HTML input variable values from the Web client
 //! \[have\] higher priority than the variable values defined in the macro
-//! itself using DEFINE sections". On top of both sit the *system* variables
-//! the engine instantiates while rendering a SQL report (`Ni`, `Vi`,
-//! `ROW_NUM`, ...), which live in scoped frames.
+//! itself using DEFINE sections". On top of both sit the report variables
+//! of the SQL result being rendered (`Ni`, `Vi`, `ROW_NUM`, ...), which a
+//! `ReportScope` reads in place from the result.
 
-use crate::ast::DefineStatement;
+use crate::ast::{DefineStatement, Template};
+use crate::subst::Token;
+use dbgw_html::escape_text;
 use std::collections::HashMap;
-
-/// One accumulated assignment for a variable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Assign {
-    /// Simple value string.
-    Simple(String),
-    /// Two-armed conditional.
-    CondBinary {
-        /// Tested variable.
-        test: String,
-        /// Value when defined & non-null.
-        then_value: String,
-        /// Value otherwise.
-        else_value: String,
-    },
-    /// One-armed conditional (null if any referenced variable is null).
-    CondUnary(String),
-    /// Executable: the command string, run at each reference.
-    Exec(String),
-}
+use std::fmt::Write;
 
 /// Everything known about one defined variable.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -37,8 +20,9 @@ pub struct VarEntry {
     /// `%LIST` separator, if declared. Presence makes this a list variable:
     /// assignments accumulate instead of replacing.
     pub separator: Option<String>,
-    /// Assignments in order. Non-list variables keep only the latest.
-    pub assigns: Vec<Assign>,
+    /// Assignments in order (never a `%LIST` declaration). Non-list
+    /// variables keep only the latest.
+    pub assigns: Vec<DefineStatement>,
 }
 
 /// The variable environment.
@@ -47,10 +31,6 @@ pub struct Env {
     defines: HashMap<String, VarEntry>,
     /// HTML input variables (multi-valued, in arrival order).
     inputs: HashMap<String, Vec<String>>,
-    /// System variable frames, innermost last. Keys stored uppercased —
-    /// lookup is case-insensitive, matching the paper's carve-out for
-    /// "implicit variables that represent database column names".
-    frames: Vec<HashMap<String, String>>,
 }
 
 impl Env {
@@ -61,37 +41,15 @@ impl Env {
 
     /// Apply one `%DEFINE` statement (top-to-bottom processing order).
     pub fn apply(&mut self, stmt: &DefineStatement) {
+        let entry = self.defines.entry(stmt.name().to_owned()).or_default();
         match stmt {
-            DefineStatement::ListDecl { name, separator } => {
-                let entry = self.defines.entry(name.clone()).or_default();
-                entry.separator = Some(separator.clone());
+            DefineStatement::ListDecl { separator, .. } => {
+                entry.separator = Some(separator.clone())
             }
-            other => {
-                let assign = match other {
-                    DefineStatement::Simple { value, .. } => Assign::Simple(value.clone()),
-                    DefineStatement::CondBinary {
-                        test,
-                        then_value,
-                        else_value,
-                        ..
-                    } => Assign::CondBinary {
-                        test: test.clone(),
-                        then_value: then_value.clone(),
-                        else_value: else_value.clone(),
-                    },
-                    DefineStatement::CondUnary { value, .. } => Assign::CondUnary(value.clone()),
-                    DefineStatement::Exec { command, .. } => Assign::Exec(command.clone()),
-                    DefineStatement::ListDecl { .. } => unreachable!(),
-                };
-                let entry = self.defines.entry(other.name().to_owned()).or_default();
-                if entry.separator.is_some() {
-                    // List variable: assignments accumulate (§3.1.3).
-                    entry.assigns.push(assign);
-                } else {
-                    // Plain variable: redefinition replaces.
-                    entry.assigns = vec![assign];
-                }
-            }
+            // List variable: assignments accumulate (§3.1.3).
+            _ if entry.separator.is_some() => entry.assigns.push(stmt.clone()),
+            // Plain variable: redefinition replaces.
+            _ => entry.assigns = vec![stmt.clone()],
         }
     }
 
@@ -113,80 +71,146 @@ impl Env {
     pub fn input(&self, name: &str) -> Option<&[String]> {
         self.inputs.get(name).map(|v| v.as_slice())
     }
+}
 
-    /// The `%LIST` separator declared for `name`, if any.
-    pub fn separator_of(&self, name: &str) -> Option<&str> {
-        self.defines.get(name).and_then(|e| e.separator.as_deref())
-    }
+/// The report variables of one SQL result (§3.2.1), read in place: the
+/// column names give `Ni` / `N_<col>` / `NLIST` throughout the report, the
+/// current row gives `Vi` / `V_<col>` / `VLIST` inside `%ROW`, and `ROW_NUM`
+/// is 0 in the header, i in row i and the total in the footer. Names resolve
+/// case-insensitively — the paper's carve-out for "implicit variables that
+/// represent database column names" — without allocating.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReportScope<'a> {
+    pub columns: &'a [String],
+    /// The current row; `None` in the header and footer.
+    pub row: Option<&'a [String]>,
+    pub row_num: usize,
+    /// HTML-escape names and values on the way out.
+    pub escape: bool,
+}
 
-    /// Push a system-variable frame (entering a report header/row scope).
-    pub fn push_frame(&mut self, vars: HashMap<String, String>) {
-        let normalized = vars
-            .into_iter()
-            .map(|(k, v)| (k.to_ascii_uppercase(), v))
-            .collect();
-        self.frames.push(normalized);
-    }
+/// A report variable; `true` picks the row's values (`V…`), `false` the
+/// column names (`N…`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// `Vi`, `V_<col>`, `Ni` or `N_<col>`, 0-based.
+    One(bool, usize),
+    /// `VLIST` or `NLIST`.
+    List(bool),
+    RowNum,
+}
 
-    /// Pop the innermost system frame.
-    pub fn pop_frame(&mut self) {
-        self.frames.pop();
-    }
+/// A `%ROW` template piece bound to one row width: literal text, a slot, or
+/// a name left to the evaluator (a DEFINE, an input, `V7` of five columns).
+pub(crate) enum Bound<'t> {
+    Text(&'t str),
+    Slot(Slot),
+    Var(&'t str),
+}
 
-    /// Case-insensitive lookup in the system frames, innermost first.
-    pub fn system(&self, name: &str) -> Option<&str> {
-        let key = name.to_ascii_uppercase();
-        self.frames
-            .iter()
-            .rev()
-            .find_map(|f| f.get(&key).map(String::as_str))
-    }
-
-    /// Set a single variable in the innermost frame (ROW_NUM updates).
-    pub fn set_system(&mut self, name: &str, value: String) {
-        if let Some(frame) = self.frames.last_mut() {
-            frame.insert(name.to_ascii_uppercase(), value);
+impl<'a> ReportScope<'a> {
+    fn items(&self, values: bool) -> Option<&'a [String]> {
+        if values {
+            self.row
+        } else {
+            Some(self.columns)
         }
+    }
+
+    /// The slot `name` names here, if any.
+    pub fn resolve(&self, name: &str) -> Option<Slot> {
+        if name.eq_ignore_ascii_case("ROW_NUM") {
+            return Some(Slot::RowNum);
+        }
+        let values = match name.as_bytes().first()? {
+            b'V' | b'v' => true,
+            b'N' | b'n' => false,
+            _ => return None,
+        };
+        // `V…` exists only inside a row, and only over the row's values.
+        let width = self.items(values)?.len();
+        let rest = &name[1..];
+        if rest.eq_ignore_ascii_case("LIST") {
+            return Some(Slot::List(values));
+        }
+        let index = match rest.strip_prefix('_') {
+            // The last column of a duplicated name wins.
+            Some(column) => self.columns[..width.min(self.columns.len())]
+                .iter()
+                .rposition(|c| c.eq_ignore_ascii_case(column))?,
+            None if rest.starts_with(['0', '+']) => return None, // `V01` is not `V1`
+            None => {
+                rest.parse::<usize>()
+                    .ok()
+                    .filter(|i| (1..=width).contains(i))?
+                    - 1
+            }
+        };
+        Some(Slot::One(values, index))
+    }
+
+    /// Append the slot's text; a list joins with `", "`.
+    pub fn write(&self, slot: Slot, out: &mut String) {
+        let items = match slot {
+            Slot::One(values, i) => &self.items(values).unwrap_or_default()[i..=i],
+            Slot::List(values) => self.items(values).unwrap_or_default(),
+            Slot::RowNum => {
+                let _ = write!(out, "{}", self.row_num);
+                return;
+            }
+        };
+        for (n, item) in items.iter().enumerate() {
+            if n > 0 {
+                out.push_str(", ");
+            }
+            let item = if self.escape {
+                escape_text(item)
+            } else {
+                item.into()
+            };
+            out.push_str(&item);
+        }
+    }
+
+    /// Resolve each reference of `template` once, against the current row's
+    /// width: the binding holds for every row of that width.
+    pub fn bind<'t>(&self, template: &'t Template) -> Vec<Bound<'t>> {
+        let bind = |token| match token {
+            Token::Text(text) => Bound::Text(text),
+            Token::Var(name) => self.resolve(name).map_or(Bound::Var(name), Bound::Slot),
+        };
+        template.tokens().map(bind).collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The environment after the DEFINE statements in `src`.
+    pub(crate) fn env_from(src: &str) -> Env {
+        let mac = crate::parse_macro(&format!("%DEFINE{{{src}%}}")).unwrap();
+        let [crate::Section::Define(stmts)] = &mac.sections[..] else {
+            unreachable!()
+        };
+        let mut env = Env::new();
+        stmts.iter().for_each(|s| env.apply(s));
+        env
+    }
 
     #[test]
     fn plain_redefinition_replaces() {
-        let mut env = Env::new();
-        env.apply(&DefineStatement::Simple {
-            name: "a".into(),
-            value: "1".into(),
-        });
-        env.apply(&DefineStatement::Simple {
-            name: "a".into(),
-            value: "2".into(),
-        });
+        let env = env_from(r#"a = "1" a = "2""#);
         assert_eq!(env.define("a").unwrap().assigns.len(), 1);
-        assert_eq!(
-            env.define("a").unwrap().assigns[0],
-            Assign::Simple("2".into())
-        );
+        assert!(matches!(
+            &env.define("a").unwrap().assigns[0],
+            DefineStatement::Simple { value, .. } if value == "2"
+        ));
     }
 
     #[test]
     fn list_assignments_accumulate() {
-        let mut env = Env::new();
-        env.apply(&DefineStatement::ListDecl {
-            name: "L".into(),
-            separator: " OR ".into(),
-        });
-        env.apply(&DefineStatement::CondUnary {
-            name: "L".into(),
-            value: "x = $(a)".into(),
-        });
-        env.apply(&DefineStatement::CondUnary {
-            name: "L".into(),
-            value: "y = $(b)".into(),
-        });
+        let env = env_from(r#"%LIST " OR " L L = ? "x = $(a)" L = ? "y = $(b)""#);
         let entry = env.define("L").unwrap();
         assert_eq!(entry.separator.as_deref(), Some(" OR "));
         assert_eq!(entry.assigns.len(), 2);
@@ -202,23 +226,42 @@ mod tests {
         assert!(env.input("dbfield").is_none());
     }
 
+    fn scope<'a>(columns: &'a [String], row: Option<&'a [String]>) -> ReportScope<'a> {
+        ReportScope {
+            columns,
+            row,
+            row_num: 7,
+            escape: true,
+        }
+    }
+
     #[test]
-    fn system_frames_shadow_and_pop() {
-        let mut env = Env::new();
-        env.push_frame(HashMap::from([("N1".to_owned(), "url".to_owned())]));
-        env.push_frame(HashMap::from([("V1".to_owned(), "http://x".to_owned())]));
-        assert_eq!(env.system("n1"), Some("url"));
-        assert_eq!(env.system("v1"), Some("http://x"));
-        env.pop_frame();
-        assert_eq!(env.system("V1"), None);
-        assert_eq!(env.system("N1"), Some("url"));
+    fn report_scope_header_and_row() {
+        let columns = ["url".to_owned(), "t".to_owned(), "T".to_owned()];
+        let row = ["<x>".to_owned(), "a".to_owned(), "b".to_owned()];
+        let header = scope(&columns, None);
+        assert_eq!(header.resolve("n1"), Some(Slot::One(false, 0)));
+        assert_eq!(header.resolve("NLIST"), Some(Slot::List(false)));
+        assert_eq!(header.resolve("V1"), None);
+        assert_eq!(header.resolve("VLIST"), None);
+        let in_row = scope(&columns, Some(&row));
+        assert_eq!(in_row.resolve("v_t"), Some(Slot::One(true, 2))); // last duplicate
+        for nothing in ["V4", "V0", "V01", "V+1", "V", "Vx", "X1", "é"] {
+            assert_eq!(in_row.resolve(nothing), None, "{nothing}");
+        }
+        let mut out = String::new();
+        for slot in [Slot::One(true, 0), Slot::List(true), Slot::RowNum] {
+            in_row.write(slot, &mut out);
+        }
+        assert_eq!(out, "&lt;x&gt;&lt;x&gt;, a, b7");
     }
 
     #[test]
     fn system_lookup_case_insensitive() {
-        let mut env = Env::new();
-        env.push_frame(HashMap::from([("V_TITLE".to_owned(), "IBM".to_owned())]));
-        assert_eq!(env.system("V_title"), Some("IBM"));
-        assert_eq!(env.system("v_Title"), Some("IBM"));
+        let (columns, row) = (["TITLE".to_owned()], ["IBM".to_owned()]);
+        let in_row = scope(&columns, Some(&row));
+        assert_eq!(in_row.resolve("V_title"), Some(Slot::One(true, 0)));
+        assert_eq!(in_row.resolve("v_Title"), Some(Slot::One(true, 0)));
+        assert_eq!(in_row.resolve("row_num"), Some(Slot::RowNum));
     }
 }

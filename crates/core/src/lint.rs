@@ -9,14 +9,15 @@
 //!   system report variables (`W001`),
 //! * DEFINEd variables that nothing ever references (`W002`),
 //! * SQL sections that no `%EXEC_SQL` can ever execute (`W003`),
-//! * row variables (`Vi` / `V_col` / `VLIST` / `ROW_NUM`) referenced outside
-//!   a `%SQL_REPORT` block (`W004`),
+//! * row variables (`Vi` / `V_col` / `VLIST`) reached from text outside a
+//!   `%ROW` block, directly or through DEFINEs (`W004`),
 //! * a report mode with no SQL at all (`W005`),
 //! * conditional tests on variables that can never be set (`W006`).
 
 use crate::ast::{DefineStatement, MacroFile, ReportPart, Section, SqlSection};
+use crate::subst::{tokens, Token};
 use dbgw_html::Form;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One lint finding.
@@ -37,50 +38,29 @@ impl fmt::Display for Finding {
 /// Variables the engine itself defines at run time.
 fn is_system_variable(name: &str) -> bool {
     let upper = name.to_ascii_uppercase();
-    let positional = |prefix: char| {
-        upper
-            .strip_prefix(prefix)
-            .is_some_and(|rest| !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit()))
-    };
-    upper == "NLIST"
-        || upper == "VLIST"
-        || upper == "ROW_NUM"
-        || upper == "RPT_MAX_ROWS"
-        || upper == "SHOWSQL"
+    is_row_variable(name)
+        || ["NLIST", "ROW_NUM", "RPT_MAX_ROWS", "SHOWSQL"].contains(&upper.as_str())
         || upper == "SESSION_ID" // injected by the gateway's conversation layer
-        || upper.starts_with("N_")
-        || upper.starts_with("V_")
-        || positional('N')
-        || positional('V')
+        || upper.strip_prefix('N').is_some_and(is_column_suffix)
 }
 
-/// Extract `$(name)` references from a raw value string (ignoring `$$()`).
-fn references(raw: &str, out: &mut BTreeSet<String>) {
-    let mut rest = raw;
-    while let Some(at) = rest.find('$') {
-        let tail = &rest[at..];
-        if let Some(after_escape) = tail.strip_prefix("$$(") {
-            rest = after_escape;
-            continue;
-        }
-        if let Some(after) = tail.strip_prefix("$(") {
-            if let Some(end) = after.find(')') {
-                let name = &after[..end];
-                if !name.is_empty()
-                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                    && name
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-                {
-                    out.insert(name.to_owned());
-                }
-                rest = &after[end + 1..];
-                continue;
-            }
-        }
-        rest = &tail[1..];
-    }
+/// `Vi`, `V_<col>` or `VLIST`: defined only inside `%ROW`.
+fn is_row_variable(name: &str) -> bool {
+    let upper = name.to_ascii_uppercase();
+    upper == "VLIST" || upper.strip_prefix('V').is_some_and(is_column_suffix)
+}
+
+/// What follows `N` or `V` in a column variable: `_<col>` or a number.
+fn is_column_suffix(rest: &str) -> bool {
+    rest.starts_with('_') || (!rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// Add the `$(name)` references among `tokens` to `out`.
+fn references<'t>(tokens: impl Iterator<Item = Token<&'t str>>, out: &mut BTreeSet<String>) {
+    out.extend(tokens.filter_map(|token| match token {
+        Token::Var(name) => Some(name.to_owned()),
+        Token::Text(_) => None,
+    }));
 }
 
 /// Collect `?name=` / `&name=` parameters from hyperlinks in HTML text —
@@ -117,8 +97,10 @@ pub fn lint(mac: &MacroFile) -> Vec<Finding> {
     // Gather definitions, inputs, and references per context.
     let mut defined: BTreeSet<String> = BTreeSet::new();
     let mut tests: BTreeSet<String> = BTreeSet::new();
-    let mut referenced: BTreeSet<String> = BTreeSet::new();
-    let mut row_scope_refs: BTreeSet<String> = BTreeSet::new(); // refs inside %ROW
+    // A DEFINE's values are evaluated lazily, in the scope of whatever text
+    // references the variable, so they are kept per variable.
+    let mut define_refs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut row_refs: BTreeSet<String> = BTreeSet::new(); // inside %ROW
     let mut nonrow_refs: BTreeSet<String> = BTreeSet::new();
     let mut form_inputs: BTreeSet<String> = BTreeSet::new();
     let mut has_report_section = false;
@@ -130,11 +112,11 @@ pub fn lint(mac: &MacroFile) -> Vec<Finding> {
             Section::Define(stmts) => {
                 for stmt in stmts {
                     defined.insert(stmt.name().to_owned());
+                    let refs = define_refs.entry(stmt.name().to_owned()).or_default();
                     match stmt {
                         DefineStatement::Simple { value, .. }
-                        | DefineStatement::CondUnary { name: _, value } => {
-                            references(value, &mut referenced);
-                            references(value, &mut nonrow_refs);
+                        | DefineStatement::CondUnary { value, .. } => {
+                            references(tokens(value), refs)
                         }
                         DefineStatement::CondBinary {
                             test,
@@ -143,61 +125,52 @@ pub fn lint(mac: &MacroFile) -> Vec<Finding> {
                             ..
                         } => {
                             tests.insert(test.clone());
-                            references(then_value, &mut referenced);
-                            references(else_value, &mut referenced);
-                            references(then_value, &mut nonrow_refs);
-                            references(else_value, &mut nonrow_refs);
+                            references(tokens(then_value).chain(tokens(else_value)), refs);
                         }
                         DefineStatement::ListDecl { separator, .. } => {
-                            references(separator, &mut referenced);
+                            references(tokens(separator), refs)
                         }
-                        DefineStatement::Exec { command, .. } => {
-                            references(command, &mut referenced);
-                        }
+                        DefineStatement::Exec { command, .. } => references(tokens(command), refs),
                     }
                 }
             }
             Section::Sql(sql) => {
-                references(&sql.command, &mut referenced);
-                references(&sql.command, &mut nonrow_refs);
+                references(sql.command.tokens(), &mut nonrow_refs);
                 if let Some(report) = &sql.report {
-                    references(&report.header, &mut referenced);
-                    references(&report.footer, &mut referenced);
+                    references(report.header.tokens(), &mut nonrow_refs);
+                    references(report.footer.tokens(), &mut nonrow_refs);
                     if let Some(row) = &report.row {
-                        references(row, &mut referenced);
-                        references(row, &mut row_scope_refs);
+                        references(row.tokens(), &mut row_refs);
                     }
                 }
                 for msg in &sql.messages {
-                    references(&msg.text, &mut referenced);
+                    references(msg.text.tokens(), &mut nonrow_refs);
                 }
             }
             Section::HtmlInput(body) => {
-                references(body, &mut referenced);
-                references(body, &mut nonrow_refs);
-                for form in Form::parse_all(body) {
+                references(body.tokens(), &mut nonrow_refs);
+                for form in Form::parse_all(body.source()) {
                     for control in &form.controls {
                         form_inputs.insert(control.name().to_owned());
                     }
                 }
-                hyperlink_parameters(body, &mut form_inputs);
+                hyperlink_parameters(body.source(), &mut form_inputs);
             }
             Section::HtmlReport(parts) => {
                 has_report_section = true;
                 for part in parts {
                     match part {
                         ReportPart::Html(text) => {
-                            references(text, &mut referenced);
-                            references(text, &mut nonrow_refs);
+                            references(text.tokens(), &mut nonrow_refs);
                             // Hyperlinks back into the gateway carry inputs
                             // for the *next* request; those names are part of
                             // the application's input vocabulary.
-                            hyperlink_parameters(text, &mut form_inputs);
+                            hyperlink_parameters(text.source(), &mut form_inputs);
                         }
                         ReportPart::ExecSqlAll => any_exec_all = true,
                         ReportPart::ExecSqlNamed(op) => {
                             if op.starts_with("$(") {
-                                references(op, &mut referenced);
+                                references(tokens(op), &mut nonrow_refs);
                             } else {
                                 named_execs.insert(op.clone());
                             }
@@ -208,6 +181,10 @@ pub fn lint(mac: &MacroFile) -> Vec<Finding> {
             Section::Comment(_) => {}
         }
     }
+    let referenced: BTreeSet<&String> = (nonrow_refs.iter())
+        .chain(&row_refs)
+        .chain(define_refs.values().flatten())
+        .collect();
 
     let known = |name: &str| {
         defined.contains(name) || form_inputs.contains(name) || is_system_variable(name)
@@ -260,15 +237,18 @@ pub fn lint(mac: &MacroFile) -> Vec<Finding> {
         }
     }
 
-    // W004 — row variables outside a %ROW scope.
-    for name in &nonrow_refs {
-        let upper = name.to_ascii_uppercase();
-        let is_row_var = upper.starts_with("V_")
-            || upper == "VLIST"
-            || (upper.len() > 1
-                && upper.starts_with('V')
-                && upper[1..].chars().all(|c| c.is_ascii_digit()));
-        if is_row_var && !defined.contains(name) && !form_inputs.contains(name) {
+    // W004 — row variables reached from outside a %ROW scope, directly or
+    // through DEFINEs.
+    let mut reached: BTreeSet<&str> = BTreeSet::new();
+    let mut pending: Vec<&str> = nonrow_refs.iter().map(String::as_str).collect();
+    while let Some(name) = pending.pop() {
+        // A name's DEFINE is followed on its first visit only.
+        if let (true, Some(refs)) = (reached.insert(name), define_refs.get(name)) {
+            pending.extend(refs.iter().map(String::as_str));
+        }
+    }
+    for name in reached {
+        if is_row_variable(name) && !defined.contains(name) && !form_inputs.contains(name) {
             findings.push(Finding {
                 code: "W004",
                 message: format!(
@@ -375,6 +355,28 @@ mod tests {
     fn row_variable_outside_row_w004() {
         let src = "%SQL{ S %}\n%HTML_REPORT{Value: $(V1)\n%EXEC_SQL%}";
         assert!(codes(src).contains(&"W004"));
+        // A report's header and footer and a %SQL_MESSAGE text are not row scope.
+        for (report, message) in [("$(V1)%ROW{.%}", ""), ("%ROW{.%}$(V1)", ""), ("", "$(V1)")] {
+            let src = format!(
+                "%SQL{{ S\n%SQL_REPORT{{{report}%}}\n%SQL_MESSAGE{{ default : \"{message}\" %}}\n%}}\n\
+                 %HTML_REPORT{{%EXEC_SQL%}}"
+            );
+            assert_eq!(codes(&src), vec!["W004"], "{src}");
+        }
+    }
+
+    #[test]
+    fn row_variable_reached_through_a_define() {
+        // Evaluated lazily: fine from %ROW (Appendix A's D2), null elsewhere.
+        assert!(!codes(test_macros::APPENDIX_A_EQUIVALENT).contains(&"W004"));
+        let src = "%DEFINE d = \"<$(V1)>\"\n%HTML_INPUT{$(d)%}";
+        assert_eq!(codes(src), vec!["W004"]);
+    }
+
+    #[test]
+    fn nested_reference_is_seen_as_run_time_sees_it() {
+        // `$(a` is malformed; substitution dereferences b, so b is used.
+        assert!(codes("%DEFINE b = \"x\"\n%HTML_INPUT{$(a$(b))%}").is_empty());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn parse_macro(src: &str) -> MacroResult<MacroFile> {
                 cur.skip_ws();
                 cur.expect_char('{')?;
                 let body = cur.take_until_close()?;
-                sections.push(Section::HtmlInput(body));
+                sections.push(Section::HtmlInput(Template::new(body)));
             }
             "HTML_REPORT" => {
                 cur.skip_ws();
@@ -375,7 +375,7 @@ fn parse_sql(cur: &mut Cursor) -> MacroResult<SqlSection> {
         }
         return Ok(SqlSection {
             name,
-            command: command.trim().to_owned(),
+            command: Template::new(command.trim()),
             report: None,
             messages: Vec::new(),
         });
@@ -421,7 +421,7 @@ fn parse_sql(cur: &mut Cursor) -> MacroResult<SqlSection> {
     }
     Ok(SqlSection {
         name,
-        command: command.trim().to_owned(),
+        command: Template::new(command.trim()),
         report,
         messages,
     })
@@ -445,9 +445,9 @@ fn parse_sql_report(cur: &mut Cursor) -> MacroResult<SqlReport> {
             cur.bump_n(2);
             // No %ROW block at all.
             return Ok(SqlReport {
-                header,
+                header: Template::new(header),
                 row: None,
-                footer: String::new(),
+                footer: Template::default(),
             });
         }
         if starts_with_kw(rest, "%ROW") {
@@ -457,9 +457,9 @@ fn parse_sql_report(cur: &mut Cursor) -> MacroResult<SqlReport> {
             let row = cur.take_until_close()?;
             let footer = cur.take_until_close()?;
             return Ok(SqlReport {
-                header,
-                row: Some(row),
-                footer,
+                header: Template::new(header),
+                row: Some(Template::new(row)),
+                footer: Template::new(footer),
             });
         }
         header.push('%');
@@ -497,7 +497,7 @@ fn parse_sql_messages(cur: &mut Cursor) -> MacroResult<Vec<SqlMessage>> {
         };
         cur.skip_ws();
         cur.expect_char(':')?;
-        let text = cur.take_value()?;
+        let text = Template::new(cur.take_value()?);
         cur.skip_inline_ws();
         let action = if cur.eat_char(':') {
             cur.skip_ws();
@@ -530,12 +530,12 @@ fn split_report(body: &str) -> Vec<ReportPart> {
             .find(|&(i, c)| c == '%' && starts_with_kw(&rest[i..], KW));
         let Some((at, _)) = found else {
             if !rest.is_empty() {
-                parts.push(ReportPart::Html(rest.to_owned()));
+                parts.push(ReportPart::Html(Template::new(rest)));
             }
             return parts;
         };
         if at > 0 {
-            parts.push(ReportPart::Html(rest[..at].to_owned()));
+            parts.push(ReportPart::Html(Template::new(&rest[..at])));
         }
         rest = &rest[at + KW.len()..];
         // Optional (operand).
@@ -663,19 +663,16 @@ SELECT url, title FROM $(dbtbl) WHERE title LIKE '%$(SEARCH)%'
         let Section::Sql(sql) = &m.sections[0] else {
             panic!()
         };
-        assert!(sql.command.starts_with("SELECT url"));
-        assert!(
-            sql.command.contains("'%$(SEARCH)%'"),
-            "percent kept: {}",
-            sql.command
-        );
+        let command = sql.command.source();
+        assert!(command.starts_with("SELECT url"));
+        assert!(command.contains("'%$(SEARCH)%'"), "percent kept: {command}");
         let report = sql.report.as_ref().unwrap();
-        assert!(report.header.contains("<UL>"));
+        assert!(report.header.source().contains("<UL>"));
         assert_eq!(
-            report.row.as_deref(),
+            report.row.as_ref().map(Template::source),
             Some(" <LI><A HREF=\"$(V1)\">$(V2)</A> ")
         );
-        assert!(report.footer.contains("</UL>"));
+        assert!(report.footer.source().contains("</UL>"));
     }
 
     #[test]
@@ -685,7 +682,7 @@ SELECT url, title FROM $(dbtbl) WHERE title LIKE '%$(SEARCH)%'
             panic!()
         };
         assert_eq!(sql.name.as_deref(), Some("fetch"));
-        assert_eq!(sql.command, "SELECT 1");
+        assert_eq!(sql.command.source(), "SELECT 1");
     }
 
     #[test]
@@ -700,11 +697,11 @@ SELECT url, title FROM $(dbtbl) WHERE title LIKE '%$(SEARCH)%'
         let sqls: Vec<&SqlSection> = m.sql_sections().collect();
         assert_eq!(sqls.len(), 2);
         assert_eq!(
-            sqls[0].command,
+            sqls[0].command.source(),
             "SELECT url FROM urldb WHERE t LIKE '%$(S)%'"
         );
         assert_eq!(sqls[1].name.as_deref(), Some("named"));
-        assert_eq!(sqls[1].command, "DELETE FROM t");
+        assert_eq!(sqls[1].command.source(), "DELETE FROM t");
         assert!(sqls[0].report.is_none());
     }
 
@@ -743,7 +740,7 @@ DELETE FROM t WHERE id = $(ID)
             panic!()
         };
         assert_eq!(parts.len(), 5); // html, exec, html, exec(next), trailing newline
-        assert!(matches!(&parts[0], ReportPart::Html(h) if h.contains("<H1>")));
+        assert!(matches!(&parts[0], ReportPart::Html(h) if h.source().contains("<H1>")));
         assert_eq!(parts[1], ReportPart::ExecSqlAll);
         assert_eq!(parts[3], ReportPart::ExecSqlNamed("next".into()));
     }
@@ -800,6 +797,6 @@ DELETE FROM t WHERE id = $(ID)
         let Section::HtmlInput(body) = &m.sections[0] else {
             panic!()
         };
-        assert_eq!(body, " 50% off! ");
+        assert_eq!(body.source(), " 50% off! ");
     }
 }

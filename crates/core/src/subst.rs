@@ -10,8 +10,8 @@
 //! * **`$$(name)` escape** — yields the literal text `$(name)` (§3.1.1).
 //! * **Undefined = null = empty string** — never an error (§4.1).
 //! * **Cycle detection** — circular references are an error (§3.1.1).
-//! * **Priority** — system report variables ≻ HTML input variables ≻ macro
-//!   DEFINEs (§4.3).
+//! * **Priority** — report variables of the SQL result being rendered ≻
+//!   HTML input variables ≻ macro DEFINEs (§4.3).
 //! * **List variables** — multi-valued inputs and multiply-assigned `%LIST`
 //!   variables concatenate their *non-null* values with the (itself
 //!   substitutable) separator (§3.1.3).
@@ -20,10 +20,12 @@
 //! * **Executable variables** — the command runs at *each* reference; its
 //!   exit code becomes the value, success becoming null (§3.1.4).
 
-use crate::env::{Assign, Env};
+use crate::ast::{DefineStatement, Template};
+use crate::env::{Env, ReportScope};
 use crate::error::{MacroError, MacroResult};
 use crate::exec::CommandRunner;
 use dbgw_obs::RequestCtx;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Hard limit on variable-chain depth; cycles are caught exactly, this guards
@@ -39,6 +41,10 @@ pub struct Evaluator<'a> {
     runner: &'a dyn CommandRunner,
     stack: Vec<String>,
     ctx: Arc<RequestCtx>,
+    /// The SQL result being rendered, whose report variables are consulted
+    /// before anything else — also from inside DEFINE values, so a lazy
+    /// `$(V2)` in a variable referenced from `%ROW` sees the current row.
+    pub(crate) scope: Option<ReportScope<'a>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -60,17 +66,28 @@ impl<'a> Evaluator<'a> {
             runner,
             stack: Vec::new(),
             ctx,
+            scope: None,
         }
     }
 
-    /// Substitute every `$(var)` / `$$(var)` pattern in `raw`.
+    /// Substitute every `$(var)` / `$$(var)` pattern in `raw`, tokenizing it
+    /// on the way (DEFINE and input values are known only at run time).
     pub fn substitute(&mut self, raw: &str) -> MacroResult<String> {
-        Ok(self.substitute_tracking(raw)?.0)
+        Ok(self.expand(tokens(raw), raw.len())?.0)
+    }
+
+    /// Substitute a template tokenized when the macro was parsed.
+    pub fn render(&mut self, template: &Template) -> MacroResult<String> {
+        Ok(self.expand(template.tokens(), template.source().len())?.0)
     }
 
     /// Substitute, also reporting whether any *directly referenced* variable
     /// evaluated to null — the trigger for one-armed conditional nulling.
-    pub fn substitute_tracking(&mut self, raw: &str) -> MacroResult<(String, bool)> {
+    fn expand<'t>(
+        &mut self,
+        tokens: impl Iterator<Item = Token<&'t str>>,
+        capacity: usize,
+    ) -> MacroResult<(String, bool)> {
         // Nested passes (variable values referencing further variables) run
         // with a non-empty evaluation stack; only top-level passes count as
         // one "substitution" and open a trace span, so the metric and the
@@ -81,56 +98,41 @@ impl<'a> Evaluator<'a> {
         } else {
             None
         };
-        let mut out = String::with_capacity(raw.len());
+        let mut out = String::with_capacity(capacity);
         let mut saw_null = false;
-        let mut rest = raw;
-        while let Some(at) = rest.find('$') {
-            out.push_str(&rest[..at]);
-            let tail = &rest[at..];
-            if let Some(after) = tail.strip_prefix("$$(") {
-                // Escape: $$(name) -> literal $(name)
-                match after.find(')') {
-                    Some(end) => {
-                        out.push_str("$(");
-                        out.push_str(&after[..=end]);
-                        rest = &after[end + 1..];
-                    }
-                    None => {
-                        out.push_str(tail);
-                        rest = "";
-                    }
-                }
-                continue;
-            }
-            if let Some(after) = tail.strip_prefix("$(") {
-                if let Some((name, remainder)) = take_name(after) {
-                    let value = self.value_of(name)?;
-                    if value.is_empty() {
-                        saw_null = true;
-                    }
-                    out.push_str(&value);
-                    rest = remainder;
-                    continue;
+        for token in tokens {
+            match token {
+                Token::Text(text) => out.push_str(text),
+                Token::Var(name) => {
+                    let before = out.len();
+                    self.write_value(name, &mut out)?;
+                    saw_null |= out.len() == before;
                 }
             }
-            // A lone '$' (or malformed reference): literal.
-            out.push('$');
-            rest = &tail[1..];
         }
-        out.push_str(rest);
         Ok((out, saw_null))
     }
 
     /// The run-time value of a variable; the empty string *is* null.
     pub fn value_of(&mut self, name: &str) -> MacroResult<String> {
+        let mut value = String::new();
+        self.write_value(name, &mut value)?;
+        Ok(value)
+    }
+
+    /// Append the run-time value of a variable to `out`.
+    pub(crate) fn write_value(&mut self, name: &str, out: &mut String) -> MacroResult<()> {
         // Cancellation point: every dereference (including each step of a
         // recursive chain) polls the request context.
         self.ctx
             .check()
             .map_err(|reason| MacroError::Cancelled { reason })?;
-        // 1. System report variables (literal, no recursion, case-insensitive).
-        if let Some(v) = self.env.system(name) {
-            return Ok(v.to_owned());
+        // 1. Report variables (literal, no recursion, case-insensitive).
+        if let Some(scope) = self.scope {
+            if let Some(slot) = scope.resolve(name) {
+                scope.write(slot, out);
+                return Ok(());
+            }
         }
         if self.stack.iter().any(|n| n == name) {
             return Err(MacroError::CircularReference {
@@ -146,7 +148,8 @@ impl<'a> Evaluator<'a> {
         self.stack.push(name.to_owned());
         let result = self.value_uncached(name);
         self.stack.pop();
-        result
+        out.push_str(&result?);
+        Ok(())
     }
 
     /// Is the variable defined *and* non-null right now?
@@ -155,13 +158,14 @@ impl<'a> Evaluator<'a> {
     }
 
     fn value_uncached(&mut self, name: &str) -> MacroResult<String> {
+        // The environment outlives this evaluator: borrow from it, not self.
+        let env = self.env;
         // 2. HTML input variables override macro DEFINEs (§4.3).
-        if let Some(values) = self.env.input(name) {
-            let values = values.to_vec();
-            let sep_raw = self.env.separator_of(name).unwrap_or(",").to_owned();
-            let separator = self.substitute(&sep_raw)?;
+        if let Some(values) = env.input(name) {
+            let separator = env.define(name).and_then(|e| e.separator.as_deref());
+            let separator = self.substitute(separator.unwrap_or(","))?;
             let mut parts = Vec::with_capacity(values.len());
-            for raw in &values {
+            for raw in values {
                 // Input values are parsed like simple assignments (§4.3.2).
                 let v = self.substitute(raw)?;
                 if !v.is_empty() {
@@ -171,19 +175,18 @@ impl<'a> Evaluator<'a> {
             return Ok(parts.join(&separator));
         }
         // 3. Macro DEFINEs.
-        let Some(entry) = self.env.define(name) else {
+        let Some(entry) = env.define(name) else {
             // 4. Undefined evaluates to null, never an error (§4.1).
             return Ok(String::new());
         };
-        let entry = entry.clone();
-        if entry.separator.is_some() {
-            let separator = self.substitute(entry.separator.as_deref().unwrap_or(","))?;
+        if let Some(separator) = &entry.separator {
+            let separator = self.substitute(separator)?;
             let mut parts = Vec::with_capacity(entry.assigns.len());
             for assign in &entry.assigns {
                 // "The list variable evaluation is intelligent enough to add
                 // delimiters only if the individual value strings are not
                 // null" (§3.1.3).
-                let v = self.eval_assign(name, assign)?;
+                let v = self.eval_assign(assign)?;
                 if !v.is_empty() {
                     parts.push(v);
                 }
@@ -191,72 +194,117 @@ impl<'a> Evaluator<'a> {
             return Ok(parts.join(&separator));
         }
         match entry.assigns.last() {
-            Some(assign) => self.eval_assign(name, assign),
+            Some(assign) => self.eval_assign(assign),
             None => Ok(String::new()), // %LIST-declared but never assigned
         }
     }
 
-    fn eval_assign(&mut self, name: &str, assign: &Assign) -> MacroResult<String> {
+    fn eval_assign(&mut self, assign: &DefineStatement) -> MacroResult<String> {
         match assign {
-            Assign::Simple(raw) => self.substitute(raw),
-            Assign::CondBinary {
+            DefineStatement::Simple { value, .. } => self.substitute(value),
+            DefineStatement::CondBinary {
                 test,
                 then_value,
                 else_value,
+                ..
             } => {
-                if self.is_nonnull(test)? {
-                    self.substitute(then_value)
+                let arm = if self.is_nonnull(test)? {
+                    then_value
                 } else {
-                    self.substitute(else_value)
-                }
+                    else_value
+                };
+                self.substitute(arm)
             }
-            Assign::CondUnary(raw) => {
-                let (value, saw_null) = self.substitute_tracking(raw)?;
-                if saw_null {
-                    Ok(String::new())
-                } else {
-                    Ok(value)
-                }
+            DefineStatement::CondUnary { value, .. } => {
+                let (value, saw_null) = self.expand(tokens(value), value.len())?;
+                Ok(if saw_null { String::new() } else { value })
             }
-            Assign::Exec(raw) => {
-                let command = self.substitute(raw)?;
+            DefineStatement::Exec { name, command } => {
+                let command = self.substitute(command)?;
                 match self.runner.run(&command) {
                     Ok(0) => Ok(String::new()), // success == null (§3.1.4)
                     Ok(code) => Ok(code.to_string()),
                     Err(message) => Err(MacroError::Exec {
-                        variable: name.to_owned(),
+                        variable: name.clone(),
                         message,
                     }),
                 }
             }
+            DefineStatement::ListDecl { .. } => unreachable!("Env::apply stores no declaration"),
         }
     }
 }
 
+/// One piece of text in `$(…)` syntax: the text itself, or (what a compiled
+/// template stores) its byte range in the text it was scanned from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Token<T> {
+    /// Literal text. A `$$(name)` escape arrives as the literal `$(name)`.
+    Text(T),
+    /// The name in a `$(name)` reference.
+    Var(T),
+}
+
+impl Token<Range<usize>> {
+    /// The token this range denotes in `raw`, the text it was scanned from.
+    pub(crate) fn of<'a>(&self, raw: &'a str) -> Token<&'a str> {
+        match self {
+            Token::Text(at) => Token::Text(&raw[at.clone()]),
+            Token::Var(at) => Token::Var(&raw[at.clone()]),
+        }
+    }
+}
+
+/// Split `raw` into literal text and `$(name)` references, as byte ranges —
+/// the one scanner behind substitution, compiled templates and `lint`.
+/// `$$(…)` is the literal `$(…)` (all of the rest, `$$` included, when no
+/// `)` follows); a lone `$` and a malformed reference are literal text.
+pub(crate) fn spans(raw: &str) -> impl Iterator<Item = Token<Range<usize>>> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let tail = &raw[pos..];
+        let (token, len) = if tail.is_empty() {
+            return None;
+        } else if let Some(after) = tail.strip_prefix("$$(") {
+            match after.find(')') {
+                Some(end) => (Token::Text(pos + 1..pos + end + 4), end + 4),
+                None => (Token::Text(pos..raw.len()), tail.len()),
+            }
+        } else if let Some((name, next)) = tail.strip_prefix("$(").and_then(take_name) {
+            (
+                Token::Var(pos + 2..pos + 2 + name.len()),
+                tail.len() - next.len(),
+            )
+        } else {
+            // Up to the next `$`, past one this text may start with.
+            let len = tail.bytes().skip(1).position(|b| b == b'$');
+            let len = len.map_or(tail.len(), |at| at + 1);
+            (Token::Text(pos..pos + len), len)
+        };
+        pos += len;
+        Some(token)
+    })
+}
+
+/// [`spans`] as tokens borrowing from `raw`.
+pub(crate) fn tokens(raw: &str) -> impl Iterator<Item = Token<&str>> {
+    spans(raw).map(move |span| span.of(raw))
+}
+
 /// Split `name)rest` into the variable name and the text after `)`.
 fn take_name(after_paren: &str) -> Option<(&str, &str)> {
-    let mut chars = after_paren.char_indices();
-    let (_, first) = chars.next()?;
-    if !(first.is_ascii_alphabetic() || first == '_') {
-        return None;
-    }
-    for (i, c) in chars {
-        if c == ')' {
-            return Some((&after_paren[..i], &after_paren[i + 1..]));
-        }
-        if !(c.is_ascii_alphanumeric() || c == '_') {
-            return None;
-        }
-    }
-    None
+    let len = after_paren.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))?;
+    let (name, rest) = after_paren.split_at(len);
+    let first = name.bytes().next()?;
+    let named = first.is_ascii_alphabetic() || first == b'_';
+    (named && rest.starts_with(')')).then(|| (name, &rest[1..]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::DefineStatement;
+    use crate::env::tests::env_from;
     use crate::exec::{DenyRunner, StaticRunner};
-    use std::collections::HashMap;
 
     fn env_of(stmts: &[DefineStatement]) -> Env {
         let mut env = Env::new();
@@ -340,13 +388,20 @@ mod tests {
     }
 
     #[test]
-    fn system_frames_override_everything() {
-        let mut env = env_of(&[simple("V1", "define")]);
+    fn report_scope_overrides_everything() {
+        let mut env = env_of(&[simple("V1", "define"), simple("lazy", "<$(V1)>")]);
         env.push_input("V1", "input");
-        env.push_frame(HashMap::from([("V1".to_owned(), "system".to_owned())]));
+        let (columns, row) = (["a".to_owned()], ["scope".to_owned()]);
         let mut ev = Evaluator::new(&env, &DenyRunner);
-        assert_eq!(ev.value_of("V1").unwrap(), "system");
-        assert_eq!(ev.value_of("v1").unwrap(), "system"); // case-insensitive
+        ev.scope = Some(ReportScope {
+            columns: &columns,
+            row: Some(&row),
+            row_num: 1,
+            escape: true,
+        });
+        assert_eq!(ev.value_of("V1").unwrap(), "scope");
+        assert_eq!(ev.value_of("v1").unwrap(), "scope"); // case-insensitive
+        assert_eq!(ev.value_of("lazy").unwrap(), "<scope>"); // seen from a DEFINE
     }
 
     #[test]
@@ -361,10 +416,7 @@ mod tests {
 
     #[test]
     fn list_separator_overrides_input_join() {
-        let mut env = env_of(&[DefineStatement::ListDecl {
-            name: "DBFIELD".into(),
-            separator: " | ".into(),
-        }]);
+        let mut env = env_from(r#"%LIST " | " DBFIELD"#);
         env.push_input("DBFIELD", "title");
         env.push_input("DBFIELD", "desc");
         let mut ev = Evaluator::new(&env, &DenyRunner);
@@ -384,26 +436,12 @@ mod tests {
     #[test]
     fn paper_where_clause_example_full() {
         // The §3.1.3 worked example, all three input scenarios.
-        let defs = [
-            DefineStatement::ListDecl {
-                name: "where_list".into(),
-                separator: " AND ".into(),
-            },
-            DefineStatement::CondUnary {
-                name: "where_list".into(),
-                value: "custid = $(cust_inp)".into(),
-            },
-            DefineStatement::CondUnary {
-                name: "where_list".into(),
-                value: "product_name LIKE '$(prod_inp)%'".into(),
-            },
-            DefineStatement::CondUnary {
-                name: "where_clause".into(),
-                value: "WHERE $(where_list)".into(),
-            },
-        ];
+        let defs = r#"%LIST " AND " where_list
+            where_list = ? "custid = $(cust_inp)"
+            where_list = ? "product_name LIKE '$(prod_inp)%'"
+            where_clause = ? "WHERE $(where_list)""#;
         // Scenario 1: both inputs present.
-        let mut env = env_of(&defs);
+        let mut env = env_from(defs);
         env.push_input("cust_inp", "10100");
         env.push_input("prod_inp", "bikes");
         let mut ev = Evaluator::new(&env, &DenyRunner);
@@ -412,7 +450,7 @@ mod tests {
             "WHERE custid = 10100 AND product_name LIKE 'bikes%'"
         );
         // Scenario 2: cust_inp empty.
-        let mut env = env_of(&defs);
+        let mut env = env_from(defs);
         env.push_input("cust_inp", "");
         env.push_input("prod_inp", "bikes");
         let mut ev = Evaluator::new(&env, &DenyRunner);
@@ -421,26 +459,21 @@ mod tests {
             "WHERE product_name LIKE 'bikes%'"
         );
         // Scenario 3: both null -> no WHERE clause at all.
-        let env = env_of(&defs);
+        let env = env_from(defs);
         let mut ev = Evaluator::new(&env, &DenyRunner);
         assert_eq!(ev.value_of("where_clause").unwrap(), "");
     }
 
     #[test]
     fn cond_binary_arms() {
-        let defs = [DefineStatement::CondBinary {
-            name: "flag".into(),
-            test: "USE_URL".into(),
-            then_value: "url LIKE '%$(S)%'".into(),
-            else_value: "".into(),
-        }];
-        let mut env = env_of(&defs);
+        let defs = r#"flag = USE_URL ? "url LIKE '%$(S)%'" : """#;
+        let mut env = env_from(defs);
         env.push_input("USE_URL", "yes");
         env.push_input("S", "ib");
         let mut ev = Evaluator::new(&env, &DenyRunner);
         assert_eq!(ev.value_of("flag").unwrap(), "url LIKE '%ib%'");
         // Unchecked box: USE_URL sent as "" (or absent) -> else arm.
-        let mut env = env_of(&defs);
+        let mut env = env_from(defs);
         env.push_input("USE_URL", "");
         let mut ev = Evaluator::new(&env, &DenyRunner);
         assert_eq!(ev.value_of("flag").unwrap(), "");
@@ -449,16 +482,7 @@ mod tests {
     #[test]
     fn exec_variable_success_is_null_failure_is_code() {
         let runner = StaticRunner::new().with("check ok", 0).with("check bad", 4);
-        let env = env_of(&[
-            DefineStatement::Exec {
-                name: "ok".into(),
-                command: "check ok".into(),
-            },
-            DefineStatement::Exec {
-                name: "bad".into(),
-                command: "check bad".into(),
-            },
-        ]);
+        let env = env_from(r#"ok = %EXEC "check ok" bad = %EXEC "check bad""#);
         let mut ev = Evaluator::new(&env, &runner);
         assert_eq!(ev.value_of("ok").unwrap(), "");
         assert_eq!(ev.value_of("bad").unwrap(), "4");
@@ -466,10 +490,7 @@ mod tests {
 
     #[test]
     fn exec_launch_failure_is_error() {
-        let env = env_of(&[DefineStatement::Exec {
-            name: "x".into(),
-            command: "anything".into(),
-        }]);
+        let env = env_from(r#"x = %EXEC "anything""#);
         let mut ev = Evaluator::new(&env, &DenyRunner);
         assert!(matches!(
             ev.value_of("x").unwrap_err(),
@@ -480,10 +501,7 @@ mod tests {
     #[test]
     fn exec_command_is_substituted_per_reference() {
         let runner = StaticRunner::new().with("notify ada", 1);
-        let mut env = env_of(&[DefineStatement::Exec {
-            name: "e".into(),
-            command: "notify $(user)".into(),
-        }]);
+        let mut env = env_from(r#"e = %EXEC "notify $(user)""#);
         env.push_input("user", "ada");
         let mut ev = Evaluator::new(&env, &runner);
         assert_eq!(ev.value_of("e").unwrap(), "1");
@@ -493,21 +511,7 @@ mod tests {
     fn dynamic_separator_from_user() {
         // "An example is to get the delimiter from the user for AND or OR
         // conditions" (§3.1.3).
-        let defs = [
-            DefineStatement::ListDecl {
-                name: "conds".into(),
-                separator: " $(CONNECTIVE) ".into(),
-            },
-            DefineStatement::Simple {
-                name: "conds".into(),
-                value: "a = 1".into(),
-            },
-            DefineStatement::Simple {
-                name: "conds".into(),
-                value: "b = 2".into(),
-            },
-        ];
-        let mut env = env_of(&defs);
+        let mut env = env_from(r#"%LIST " $(CONNECTIVE) " conds conds = "a = 1" conds = "b = 2""#);
         env.push_input("CONNECTIVE", "OR");
         let mut ev = Evaluator::new(&env, &DenyRunner);
         assert_eq!(ev.value_of("conds").unwrap(), "a = 1 OR b = 2");

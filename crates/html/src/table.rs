@@ -26,10 +26,10 @@ pub struct TableBuilder {
 
 impl TableBuilder {
     /// The closing fragment of a default table; pairs with [`header_html`]
-    /// and [`row_html`] for streaming emission.
+    /// and [`push_row_html`] for streaming emission.
     ///
     /// [`header_html`]: TableBuilder::header_html
-    /// [`row_html`]: TableBuilder::row_html
+    /// [`push_row_html`]: TableBuilder::push_row_html
     pub const FOOTER_HTML: &'static str = "</TABLE>\n";
 
     /// The opening `<TABLE>` tag and header row, standalone — for renderers
@@ -46,11 +46,10 @@ impl TableBuilder {
         out
     }
 
-    /// One data row, standalone. Missing trailing cells render as empty;
-    /// extra cells are still rendered (the 90s engine trusted the DBMS row
-    /// width).
-    pub fn row_html<S: AsRef<str>>(columns: usize, cells: &[S]) -> String {
-        let mut out = String::with_capacity(16 + cells.len() * 16);
+    /// Append one data row to `out`. Missing trailing cells render as
+    /// empty; extra cells are still rendered (the 90s engine trusted the
+    /// DBMS row width).
+    pub fn push_row_html<S: AsRef<str>>(out: &mut String, columns: usize, cells: &[S]) {
         out.push_str("<TR>");
         for i in 0..columns.max(cells.len()) {
             out.push_str("<TD>");
@@ -60,7 +59,6 @@ impl TableBuilder {
             out.push_str("</TD>");
         }
         out.push_str("</TR>\n");
-        out
     }
 
     /// Begin a table with the given header row (column names are escaped).
@@ -72,11 +70,10 @@ impl TableBuilder {
         }
     }
 
-    /// Append a data row (see [`row_html`](TableBuilder::row_html) for the
-    /// padding rules).
+    /// Append a data row (see [`push_row_html`](TableBuilder::push_row_html)
+    /// for the padding rules).
     pub fn push_row<S: AsRef<str>>(&mut self, cells: &[S]) {
-        let row = Self::row_html(self.columns, cells);
-        self.out.push_str(&row);
+        Self::push_row_html(&mut self.out, self.columns, cells);
         self.rows += 1;
     }
 
@@ -139,13 +136,10 @@ mod tests {
         t.push_row(&["1", "2"]);
         t.push_row(&["only"]);
         let whole = t.finish();
-        let pieces = format!(
-            "{}{}{}{}",
-            TableBuilder::header_html(&["A", "B"]),
-            TableBuilder::row_html(2, &["1", "2"]),
-            TableBuilder::row_html(2, &["only"]),
-            TableBuilder::FOOTER_HTML
-        );
+        let mut pieces = TableBuilder::header_html(&["A", "B"]);
+        TableBuilder::push_row_html(&mut pieces, 2, &["1", "2"]);
+        TableBuilder::push_row_html(&mut pieces, 2, &["only"]);
+        pieces.push_str(TableBuilder::FOOTER_HTML);
         assert_eq!(whole, pieces);
     }
 

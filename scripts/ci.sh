@@ -34,6 +34,9 @@ else
     echo "== clippy == (skipped: clippy not installed)"
 fi
 
+echo "== macro lint (the shipped macros stay free of findings) =="
+./target/release/dtwlint macros/*.d2w
+
 echo "== observability smoke (traced CGI request) =="
 # Run one macro request through the release db2www with tracing on and check
 # the JSON-lines sink records the span tree the tentpole promises.

@@ -2,7 +2,7 @@
 
 use dbgw_cgi::{CgiRequest, Gateway, QueryString};
 use dbgw_core::db::{DbRows, FnDatabase};
-use dbgw_core::{parse_macro, Engine, Mode};
+use dbgw_core::{parse_macro, Engine, EngineConfig, Mode};
 use dbgw_testkit::gen::*;
 use dbgw_testkit::{prop_assert, prop_assert_eq, props};
 
@@ -167,6 +167,186 @@ props! {
             let hits = rows.iter().filter(|(_, n)| like_ref(&n.to_string(), p, None)).count();
             prop_assert_eq!(count_where(&mut conn, "n LIKE ?", p), hits, "n LIKE {:?}", p);
         }
+    }
+}
+
+/// Template text: literals, `$$(` escapes, a lone `$`, malformed references,
+/// and references to report variables (in mixed case, beyond the row width,
+/// `V01`), to DEFINEs that lazily reference row variables, to an input, and
+/// to nothing. No `%`, so any concatenation parses as report text.
+const TEMPLATE_TOKENS: &[&str] = &[
+    "<",
+    "&",
+    "x",
+    " ",
+    "$",
+    "(",
+    ")",
+    "$$(V1)",
+    "$$(open",
+    "$(",
+    "$()",
+    "$(1x)",
+    "$(V1)",
+    "$(v2)",
+    "$(V3)",
+    "$(V5)",
+    "$(V01)",
+    "$(V0)",
+    "$(V_a)",
+    "$(v_Title)",
+    "$(V_TITLE)",
+    "$(VLIST)",
+    "$(vlist)",
+    "$(ROW_NUM)",
+    "$(Row_Num)",
+    "$(N1)",
+    "$(n4)",
+    "$(n_title)",
+    "$(NLIST)",
+    "$(D)",
+    "$(C)",
+    "$(E)",
+    "$(INP)",
+    "$(zz)",
+];
+/// Column names, drawn with repeats: duplicates in exact and mixed case.
+const COLUMNS: &[&str] = &["a", "A", "title", "Title", "b", "x<y"];
+const DEFINES: &[(&str, bool, &str)] = &[
+    ("D", false, "[$(V2)|$(row_num)|$(INP)]"),
+    ("C", true, "c$(V4)$(v_a)"), // one-armed: null when a reference is
+    ("E", false, "$(D)$(N2)"),
+];
+
+/// A naive report renderer written straight from §3.2.1 and §4.3: each
+/// scope's report variables are one map from upper-cased name to (escaped)
+/// value, consulted before the inputs, then the DEFINEs.
+struct Reference<'a> {
+    scope: std::collections::HashMap<String, String>,
+    inputs: &'a [(String, String)],
+    max_rows: Option<usize>,
+}
+
+impl Reference<'_> {
+    fn value(&self, name: &str) -> String {
+        if let Some(v) = self.scope.get(&name.to_ascii_uppercase()) {
+            return v.clone();
+        }
+        if let Some((_, v)) = self.inputs.iter().find(|(n, _)| n == name) {
+            return self.subst(v).0;
+        }
+        if name == "RPT_MAX_ROWS" {
+            return self.max_rows.map(|k| k.to_string()).unwrap_or_default();
+        }
+        match DEFINES.iter().find(|(n, ..)| *n == name) {
+            Some((_, one_armed, v)) => match self.subst(v) {
+                (_, true) if *one_armed => String::new(),
+                (s, _) => s,
+            },
+            None => String::new(),
+        }
+    }
+
+    /// Substitute character by character; also says whether a directly
+    /// referenced variable was null.
+    fn subst(&self, text: &str) -> (String, bool) {
+        let (mut out, mut saw_null, mut i) = (String::new(), false, 0);
+        while i < text.len() {
+            let rest = &text[i..];
+            let body = rest.strip_prefix("$(").unwrap_or("");
+            let name_len = body
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(body.len());
+            if rest.starts_with("$$(") {
+                let Some(end) = rest.find(')') else {
+                    out.push_str(rest);
+                    break;
+                };
+                out.push_str(&rest[1..=end]);
+                i += end + 1;
+            } else if name_len > 0
+                && !body.starts_with(|c: char| c.is_ascii_digit())
+                && body[name_len..].starts_with(')')
+            {
+                let v = self.value(&body[..name_len]);
+                saw_null |= v.is_empty();
+                out.push_str(&v);
+                i += name_len + 3;
+            } else {
+                let c = rest.chars().next().unwrap();
+                out.push(c);
+                i += c.len_utf8();
+            }
+        }
+        (out, saw_null)
+    }
+}
+
+props! {
+    config(cases = 256);
+
+    /// Compiled report rendering (templates tokenized at parse time, `%ROW`
+    /// bound to column slots once per result) equals the naive reference,
+    /// with `RPT_MAX_ROWS` truncation, the footer's `ROW_NUM` the total, and
+    /// value escaping on and off.
+    fn compiled_report_matches_reference(
+        templates in (
+            tokens(TEMPLATE_TOKENS, 0..=8),
+            tokens(TEMPLATE_TOKENS, 0..=12),
+            tokens(TEMPLATE_TOKENS, 0..=8),
+        ),
+        picks in vec_of(usizes(0..COLUMNS.len()), 1..=4),
+        cells in vec_of(charset("ab<&>$()V1 é", 0..=4), 0..=24),
+        max_rows in option_of(usizes(0..8)),
+        flags in (usizes(0..2), usizes(0..2)),
+    ) {
+        let (header, row, footer) = templates;
+        let (escape, input_v1) = (flags.0 == 1, flags.1 == 1);
+        let columns: Vec<String> = picks.iter().map(|&i| COLUMNS[i].to_owned()).collect();
+        let rows: Vec<Vec<String>> = cells.chunks_exact(columns.len()).map(<[_]>::to_vec).collect();
+        let mut defines: String = DEFINES
+            .iter()
+            .map(|(n, one_armed, v)| format!("%DEFINE {n} = {}\"{v}\"\n", if *one_armed { "? " } else { "" }))
+            .collect();
+        if let Some(k) = max_rows {
+            defines.push_str(&format!("%DEFINE RPT_MAX_ROWS = \"{k}\"\n"));
+        }
+        let mac = parse_macro(&format!(
+            "{defines}%SQL{{ Q\n%SQL_REPORT{{{header}%ROW{{{row}%}}{footer}%}}\n%}}\n%HTML_REPORT{{%EXEC_SQL%}}"
+        )).unwrap();
+        let mut inputs = vec![("INP".to_owned(), "i$(V1)".to_owned())];
+        if input_v1 {
+            inputs.push(("V1".to_owned(), "input".to_owned()));
+        }
+        let data = DbRows { columns: columns.clone(), rows: rows.clone(), affected: 0 };
+        let mut db = FnDatabase(|_: &str| Ok(data.clone()));
+        let engine = Engine::with_config(EngineConfig { escape_values: escape, ..EngineConfig::default() });
+        let got = engine.process(&mac, Mode::Report, &inputs, &mut db).unwrap();
+
+        let esc = |s: &str| if escape { dbgw_html::escape_text(s).into_owned() } else { s.to_owned() };
+        let mut reference = Reference { scope: Default::default(), inputs: &inputs, max_rows };
+        for (i, c) in columns.iter().enumerate() {
+            reference.scope.insert(format!("N{}", i + 1), esc(c));
+            reference.scope.insert(format!("N_{}", c.to_ascii_uppercase()), esc(c));
+        }
+        reference.scope.insert("NLIST".into(), esc(&columns.join(", ")));
+        reference.scope.insert("ROW_NUM".into(), "0".into());
+        let names = reference.scope.clone();
+        let mut want = reference.subst(&header).0;
+        for (i, values) in rows.iter().take(max_rows.unwrap_or(usize::MAX)).enumerate() {
+            reference.scope = names.clone();
+            reference.scope.insert("ROW_NUM".into(), (i + 1).to_string());
+            for (j, (c, v)) in columns.iter().zip(values).enumerate() {
+                reference.scope.insert(format!("V{}", j + 1), esc(v));
+                reference.scope.insert(format!("V_{}", c.to_ascii_uppercase()), esc(v));
+            }
+            reference.scope.insert("VLIST".into(), esc(&values.join(", ")));
+            want.push_str(&reference.subst(&row).0);
+        }
+        reference.scope = names;
+        reference.scope.insert("ROW_NUM".into(), rows.len().to_string());
+        want.push_str(&reference.subst(&footer).0);
+        prop_assert_eq!(got, want);
     }
 }
 
