@@ -2,25 +2,22 @@
 //!
 //! The durable write path (DESIGN.md §13) holds every committing statement
 //! until its redo record is fsync-durable. That is the single most expensive
-//! thing the engine does per write, and the group-commit daemon exists to
-//! amortize it: while one fsync is in flight, every other committer's record
-//! queues into the next batch, so N concurrent writers share ~1 fsync
-//! instead of paying N.
+//! thing the engine does per write, and group commit exists to amortize it:
+//! while one committer leads an fsync, every other committer's record queues
+//! into the next batch, so N concurrent writers share ~1 fsync instead of
+//! paying N.
 //!
-//! Three series, single-row UPDATE commits against a hot table:
+//! Two series, single-row UPDATE commits against a hot table:
 //!
 //! * **wal_off** — the in-memory engine (no persistence), the ceiling;
-//! * **wal_on** — durable, fsync on, no linger (`group_commit_us: 0`):
-//!   batching only from natural concurrency;
-//! * **wal_on_linger** — durable with a 200 µs group-commit window.
+//! * **wal_on** — durable, fsync on: batching only from concurrency.
 //!
 //! Each at 1/4/8 writer threads. The asserted floor is the one that proves
-//! group commit works at all: at 8 writers with the linger window, the
-//! fsync count must stay **below one per commit** (equivalently, >1 records
-//! per fsync) — a WAL that fsyncs every commit individually fails here.
+//! group commit works at all: at 8 writers the fsync count must stay
+//! **below one per commit** (equivalently, >1 records per fsync) — a WAL
+//! that fsyncs every commit individually fails here.
 
 use dbgw_testkit::bench::Suite;
-use minisql::wal::DurabilityConfig;
 use minisql::{Database, Value};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -60,16 +57,6 @@ fn seed(db: &Database, tables: usize) {
     }
 }
 
-fn durable_db(dir: &std::path::Path, group_commit_us: u64) -> Database {
-    let config = DurabilityConfig {
-        fsync: true,
-        group_commit_us,
-        // Never checkpoint mid-run: this measures the append path alone.
-        checkpoint_bytes: u64::MAX,
-    };
-    Database::open_with_config(dir, &config, &dbgw_cache::CacheConfig::default()).unwrap()
-}
-
 /// `threads` writers, each committing `ops_per_thread` single-row UPDATEs
 /// against its own table. Returns aggregate commits/second.
 fn run_commits(db: &Database, threads: usize, ops_per_thread: usize) -> f64 {
@@ -105,30 +92,21 @@ fn main() {
         }
     }
 
-    // Durable, no linger: batching only from writers colliding naturally.
-    for threads in threads_series {
-        let dir = scratch(&format!("nolinger-{threads}"));
-        let db = durable_db(&dir, 0);
-        seed(&db, threads);
-        let rate = run_commits(&db, threads, ops);
-        suite.record_metric(&format!("wal_on_commits_per_sec_{threads}t"), rate);
-        db.close();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // Durable with a 200 µs group-commit window; the 8-writer point carries
-    // the asserted batching floor, measured from the global WAL counters.
+    // Durable: batching only from writers colliding. The 8-writer point
+    // carries the asserted batching floor, measured from the global WAL
+    // counters. A run stays far below the checkpoint threshold, so this
+    // measures the append path alone.
     let m = dbgw_obs::metrics();
     for threads in threads_series {
-        let dir = scratch(&format!("linger-{threads}"));
-        let db = durable_db(&dir, 200);
+        let dir = scratch(&format!("on-{threads}"));
+        let db = Database::open(&dir).unwrap();
         seed(&db, threads);
         let records_before = m.wal_records.get();
         let fsyncs_before = m.wal_fsyncs.get();
         let rate = run_commits(&db, threads, ops);
         let records = (m.wal_records.get() - records_before) as f64;
         let fsyncs = (m.wal_fsyncs.get() - fsyncs_before).max(1) as f64;
-        suite.record_metric(&format!("wal_linger_commits_per_sec_{threads}t"), rate);
+        suite.record_metric(&format!("wal_on_commits_per_sec_{threads}t"), rate);
         suite.record_metric(
             &format!("wal_records_per_fsync_{threads}t"),
             records / fsyncs,

@@ -69,7 +69,7 @@ const REMOVED: [(&[&str], &str); 7] = [
     ),
     (
         &["GROUP_COMMIT_US", "CHECKPOINT_BYTES"],
-        "it is a `DurabilityConfig` field",
+        "group commit has no window, and the checkpoint threshold is a constant",
     ),
     (
         &["CACHE", "CACHE_TTL_MS"],
@@ -304,6 +304,7 @@ mod tests {
             ("DBGW_HASH_JOIN", "0", "PlanOptions"),
             ("DBGW_STATS", "0", "always maintained"),
             ("DBGW_STREAM_WATERMARK", "1", "ServerConfig"),
+            ("DBGW_GROUP_COMMIT_US", "200", "no window"),
             ("DBGW_CACHE", "0", "always on"),
             ("DBGW_CACHE_TTL_MS", "2500", "ETag revalidation"),
         ] {

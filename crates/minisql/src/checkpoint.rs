@@ -31,26 +31,28 @@
 //! free slots, and needs none: an insert takes the lowest slot holding no
 //! row, so the recovered heap reuses freed slots exactly as the live one.
 //!
-//! A background daemon (spawned by [`Database::open`]) checkpoints whenever
-//! the log exceeds [`crate::wal::DurabilityConfig::checkpoint_bytes`]; [`Database::checkpoint_now`]
-//! forces one.
+//! The commit that grows the log [`CHECKPOINT_BYTES`] past the last
+//! checkpoint's own size runs one on the committing thread, after it has
+//! published; [`Database::checkpoint_now`] forces one. Measuring from the last base snapshot, not from zero, keeps a
+//! database whose snapshot alone exceeds the threshold from rewriting its
+//! whole log on every commit.
 //!
 //! [`RowId`]: crate::storage::RowId
 //! [`Heap`]: crate::storage::Heap
 //! [`Wal`]: crate::wal::Wal
-//! [`Database::open`]: crate::Database::open
 //! [`Database::checkpoint_now`]: crate::Database::checkpoint_now
 
 use crate::db::DbCore;
 use crate::error::{SqlError, SqlResult};
 use crate::state::DbState;
-use crate::wal::{encode_record, WalOp, LOG_FILE, MAGIC};
+use crate::wal::{encode_record, Wal, WalOp, LOG_FILE, MAGIC};
 use std::io::Write;
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::Duration;
 
 /// The checkpoint's scratch file, renamed over [`LOG_FILE`] on success.
 pub const TMP_FILE: &str = "wal.tmp";
+
+/// Log growth past the last base snapshot that makes a checkpoint due.
+pub const CHECKPOINT_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Row inserts per base record: large enough to amortize framing, small
 /// enough that no single record balloons.
@@ -106,10 +108,18 @@ pub(crate) fn snapshot_records(state: &DbState) -> Vec<Vec<WalOp>> {
     records
 }
 
+/// Has the log grown [`CHECKPOINT_BYTES`] past the last base snapshot?
+/// Reads only what the flush and the swap already maintain — no lock.
+pub(crate) fn due(wal: &Wal) -> bool {
+    wal.size() > wal.base_size() + CHECKPOINT_BYTES
+}
+
 /// Run one checkpoint: pin, serialize, fsync, rename, swap the append
-/// handle. No-op for in-memory databases and after a simulated crash (the
-/// on-disk bytes must stay exactly as the power cut left them).
-pub(crate) fn checkpoint_now(core: &DbCore) -> SqlResult<()> {
+/// handle. Unless `force`d, only if the log is still [`due`] once the
+/// barrier is held, so writers that all saw it due run one checkpoint
+/// between them. No-op for in-memory databases and after a simulated crash
+/// (the on-disk bytes must stay exactly as the power cut left them).
+pub(crate) fn checkpoint_now(core: &DbCore, force: bool) -> SqlResult<()> {
     let Some(p) = &core.persist else {
         return Ok(());
     };
@@ -119,6 +129,9 @@ pub(crate) fn checkpoint_now(core: &DbCore) -> SqlResult<()> {
     // Exclusive barrier: every writer is either fully published or has not
     // yet appended — the pinned snapshot and the log agree.
     let _exclusive = p.barrier.write();
+    if !force && !due(&p.wal) {
+        return Ok(());
+    }
     let state = core.published.load();
     let tmp_path = p.dir.join(TMP_FILE);
     let log_path = p.dir.join(LOG_FILE);
@@ -152,38 +165,4 @@ pub(crate) fn checkpoint_now(core: &DbCore) -> SqlResult<()> {
     m.checkpoints.inc();
     m.checkpoint_last_bytes.set(written as i64);
     Ok(())
-}
-
-/// Background loop: poll the log size every 50 ms, checkpoint past
-/// `threshold` bytes, exit when the stop flag is set or the core is gone.
-pub(crate) fn checkpoint_daemon(
-    core: Weak<DbCore>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    threshold: u64,
-) {
-    loop {
-        {
-            let (flag, wake) = &*stop;
-            let mut stopped = flag.lock().unwrap_or_else(|e| e.into_inner());
-            if !*stopped {
-                let (guard, _timeout) = wake
-                    .wait_timeout(stopped, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                stopped = guard;
-            }
-            if *stopped {
-                return;
-            }
-        }
-        let Some(core) = core.upgrade() else {
-            return;
-        };
-        if let Some(p) = &core.persist {
-            if p.wal.size() > threshold {
-                // An IO error here wedges nothing: the log keeps growing
-                // and the next poll retries.
-                let _ = checkpoint_now(&core);
-            }
-        }
-    }
 }

@@ -60,15 +60,17 @@
 //! adds a durable write path: the write sequence becomes *latch → mutate →
 //! log → fsync-ack → publish*. After a statement's working copy is built
 //! (step 2 above), its effects are serialized as logical redo records and
-//! appended to the write-ahead log ([`crate::wal`]); only once the
-//! group-commit daemon acknowledges them as durable does the writer
-//! publish. A statement whose log append fails reports SQLCODE −904 and
+//! appended to the write-ahead log ([`crate::wal`]); only once they are
+//! durable — flushed by whichever committer leads that group — does the
+//! writer publish. A statement whose log append fails reports SQLCODE −904 and
 //! publishes nothing — readers can never observe state that would not
 //! survive a crash. A transaction's statements buffer their redo records and
 //! COMMIT logs the buffer as one checksummed record, so recovery replays all
 //! of a transaction or none of it; ROLLBACK logs nothing.
-//! Recovery ([`crate::recovery`]) and background checkpoints
-//! ([`crate::checkpoint`]) complete the lifecycle.
+//! Recovery ([`crate::recovery`]) and checkpoints ([`crate::checkpoint`]),
+//! run by the commit that makes one due, complete the lifecycle. A durable
+//! database starts no thread: every durability step runs on a committing
+//! (or closing) thread.
 
 use crate::ast::Statement;
 use crate::cache::{self, CachedSelect, DbCacheStats, DbCaches};
@@ -152,19 +154,13 @@ struct Txn {
     redo: Vec<WalOp>,
 }
 
-/// Poison-recovering lock on a std mutex (same posture as `dbgw_sync`: a
-/// panicking daemon must not wedge shutdown).
-fn std_lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Durable-write machinery shared by every connection of one database:
-/// the write-ahead log, the checkpoint barrier, and the checkpoint daemon's
-/// lifecycle. Absent (`None` in [`DbCore`]) for purely in-memory databases,
-/// whose write path skips straight from mutation to publication.
+/// the write-ahead log and the checkpoint barrier. Absent (`None` in
+/// [`DbCore`]) for purely in-memory databases, whose write path skips
+/// straight from mutation to publication.
 pub(crate) struct Persistence {
-    /// The append-only redo log (group-commit daemon inside).
-    pub(crate) wal: Arc<Wal>,
+    /// The append-only redo log.
+    pub(crate) wal: Wal,
     /// Checkpoint barrier. Writers hold the **read** side across
     /// append → fsync-ack → publish; the checkpointer takes the **write**
     /// side, so the snapshot it pins is exactly the replay of the log it
@@ -174,33 +170,6 @@ pub(crate) struct Persistence {
     /// The data directory (`wal.log` and the checkpoint's `wal.tmp` live
     /// here).
     pub(crate) dir: PathBuf,
-    /// Stop flag + wakeup for the checkpoint daemon.
-    stop: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-    /// The checkpoint daemon's handle, joined at shutdown.
-    checkpointer: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Persistence {
-    /// Stop the checkpoint daemon, flush the log, stop the group-commit
-    /// daemon. Idempotent; called from [`DbCore`]'s `Drop` and from
-    /// [`Database::close`]. Writes after this fail with SQLCODE −904.
-    pub(crate) fn shutdown(&self) {
-        {
-            let (flag, wake) = &*self.stop;
-            *std_lock(flag) = true;
-            wake.notify_all();
-        }
-        if let Some(handle) = std_lock(&self.checkpointer).take() {
-            // The last `Arc<DbCore>` can die on the checkpoint daemon's own
-            // thread (it briefly upgrades its weak reference); joining
-            // ourselves would deadlock, and the thread is about to exit
-            // anyway — detach instead.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
-        }
-        self.wal.shutdown();
-    }
 }
 
 /// The shared engine core: the published snapshot plus the write latches.
@@ -211,13 +180,13 @@ pub(crate) struct DbCore {
     pub(crate) latches: LatchTable,
     /// The durable write path, when this database was [`Database::open`]ed
     /// from a data directory.
-    pub(crate) persist: Option<Arc<Persistence>>,
+    pub(crate) persist: Option<Persistence>,
 }
 
 impl Drop for DbCore {
     fn drop(&mut self) {
         if let Some(p) = &self.persist {
-            p.shutdown();
+            p.wal.shutdown();
         }
     }
 }
@@ -259,9 +228,19 @@ impl DbCore {
                 // run between the append and the publish. A failed append
                 // publishes nothing — the commit reports −904 and `work` is
                 // dropped.
-                let _durable = p.barrier.read();
-                p.wal.commit(redo)?;
-                self.publish(begin, work);
+                {
+                    let _durable = p.barrier.read();
+                    p.wal.commit(redo)?;
+                    self.publish(begin, work);
+                }
+                // The commit that makes a checkpoint due runs it, with the
+                // barrier's read side released. Holding table latches while
+                // waiting for the write side is safe: no thread holding the
+                // read side ever waits on a latch. A failed checkpoint wedges
+                // nothing — the log keeps growing and the next commit retries.
+                if crate::checkpoint::due(&p.wal) {
+                    let _ = crate::checkpoint::checkpoint_now(self, false);
+                }
             }
             None => self.publish(begin, work),
         }
@@ -415,44 +394,29 @@ impl Database {
         std::fs::create_dir_all(&dir).map_err(|e| SqlError::io("create data directory", &e))?;
         let log_path = dir.join(crate::wal::LOG_FILE);
         let state = crate::recovery::recover(&log_path)?;
-        let wal = Arc::new(
-            Wal::open(&log_path, durability)
-                .map_err(|e| SqlError::io("open write-ahead log", &e))?,
-        );
-        wal.start();
-        let persist = Arc::new(Persistence {
-            wal,
-            barrier: crate::sync::RwLock::new(()),
-            dir,
-            stop: Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new())),
-            checkpointer: std::sync::Mutex::new(None),
-        });
-        let core = Arc::new(DbCore {
+        let wal = Wal::open(&log_path, durability)
+            .map_err(|e| SqlError::io("open write-ahead log", &e))?;
+        let core = DbCore {
             published: SnapshotCell::new(state),
             latches: LatchTable::new(),
-            persist: Some(Arc::clone(&persist)),
-        });
-        // The daemon holds only a weak reference: dropping the last
-        // `Database` tears the core (and thereby the daemon) down.
-        let weak = Arc::downgrade(&core);
-        let stop = Arc::clone(&persist.stop);
-        let threshold = durability.checkpoint_bytes;
-        let handle = std::thread::Builder::new()
-            .name("dbgw-checkpoint".to_owned())
-            .spawn(move || crate::checkpoint::checkpoint_daemon(weak, stop, threshold))
-            .expect("spawn checkpoint daemon");
-        *std_lock(&persist.checkpointer) = Some(handle);
+            persist: Some(Persistence {
+                wal,
+                barrier: crate::sync::RwLock::new(()),
+                dir,
+            }),
+        };
         Ok(Database {
-            core,
+            core: Arc::new(core),
             caches: Some(Arc::new(DbCaches::new(cache))),
         })
     }
 
-    /// Rewrite the log as a base snapshot right now (the background daemon
-    /// does this automatically past `checkpoint_bytes`). No-op for
-    /// in-memory databases.
+    /// Rewrite the log as a base snapshot right now (a commit does this
+    /// automatically once the log has grown
+    /// [`CHECKPOINT_BYTES`](crate::checkpoint::CHECKPOINT_BYTES) past the
+    /// last one). No-op for in-memory databases.
     pub fn checkpoint_now(&self) -> SqlResult<()> {
-        crate::checkpoint::checkpoint_now(&self.core)
+        crate::checkpoint::checkpoint_now(&self.core, true)
     }
 
     /// Current write-ahead log size in bytes; 0 for in-memory databases.
@@ -462,15 +426,15 @@ impl Database {
 
     /// The data directory this database persists to, if any.
     pub fn data_dir(&self) -> Option<&Path> {
-        self.core.persist.as_deref().map(|p| p.dir.as_path())
+        self.core.persist.as_ref().map(|p| p.dir.as_path())
     }
 
-    /// Flush the log and stop the durability daemons. Idempotent; writes
-    /// after this fail with SQLCODE −904 (reads keep working). Dropping the
-    /// last handle to a database does the same implicitly.
+    /// Flush the log and stop accepting writes. Idempotent; writes after
+    /// this fail with SQLCODE −904 (reads keep working). Dropping the last
+    /// handle to a database does the same implicitly.
     pub fn close(&self) {
         if let Some(p) = &self.core.persist {
-            p.shutdown();
+            p.wal.shutdown();
         }
     }
 

@@ -23,26 +23,26 @@
 //!
 //! The checksum (FNV-1a over the payload) makes torn tails detectable:
 //! recovery truncates at the first record whose frame is short or whose
-//! checksum mismatches, which is exactly the prefix the group-commit daemon
-//! had acknowledged. Records are *redo-only* and idempotent — Insert/Update
+//! checksum mismatches, which is exactly the prefix the log had made durable.
+//! Records are *redo-only* and idempotent — Insert/Update
 //! force-set the row image at its id, Delete of a missing row is a no-op —
 //! so replaying a log twice lands in the same state as replaying it once.
 //!
 //! # Group commit
 //!
-//! Writers append their encoded record to a shared pending buffer and block
-//! until the **group-commit daemon** has written and fsynced a batch
-//! covering their sequence number. The daemon wakes when work arrives,
-//! optionally lingers [`DurabilityConfig::group_commit_us`] microseconds so concurrent
-//! writers pile into the same batch, then issues one `write` + one
-//! `fdatasync` for the whole group. With the default 0µs window batching
-//! still emerges under load: while one fsync is in flight, every arriving
-//! writer queues behind it and rides the next one. `fsync: false` skips the
-//! fsync (group acknowledgment then means "in the page cache").
+//! The log runs no thread of its own. A committer appends its encoded record
+//! to a shared pending buffer and waits until its sequence number is
+//! durable. While it waits, whenever no flush is in flight, it becomes the
+//! **leader**: it takes the whole pending buffer, releases the state lock,
+//! and issues one `write` + one `fdatasync` for every record in it, then
+//! advances the durable horizon and wakes the others. Records that arrive
+//! while a flush is in flight ride the next leader's batch, so batching
+//! emerges from concurrency alone, with no linger window. `fsync: false`
+//! skips the fsync (group acknowledgment then means "in the page cache").
 //!
 //! # Crash points
 //!
-//! The daemon consults [`dbgw_testkit::crash`] at its would-be-fatal
+//! The flush consults [`dbgw_testkit::crash`] at its would-be-fatal
 //! moments (`"wal.append"`, `"wal.torn"`). A fired point flips the file
 //! slot into a *crashed* state that silently drops all further writes while
 //! still acknowledging them — from the outside, indistinguishable from the
@@ -55,8 +55,9 @@ use crate::types::Value;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// First bytes of every log (and checkpoint) file.
 pub const MAGIC: &[u8; 8] = b"DBGWWAL1";
@@ -74,21 +75,11 @@ pub struct DurabilityConfig {
     /// `DBGW_FSYNC=0` disables — commits are then only as durable as the
     /// page cache).
     pub fsync: bool,
-    /// Microseconds the group-commit daemon lingers collecting writers into
-    /// one batch before flushing (default 0: flush immediately; batching
-    /// still emerges while an fsync is in flight).
-    pub group_commit_us: u64,
-    /// Log size that triggers a background checkpoint (default 4 MiB).
-    pub checkpoint_bytes: u64,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> DurabilityConfig {
-        DurabilityConfig {
-            fsync: true,
-            group_commit_us: 0,
-            checkpoint_bytes: 4 * 1024 * 1024,
-        }
+        DurabilityConfig { fsync: true }
     }
 }
 
@@ -300,23 +291,25 @@ pub fn decode_payload(payload: &[u8]) -> Option<Vec<WalOp>> {
 
 /// Shared writer state: the pending batch and the durable horizon.
 struct WalState {
-    /// Encoded records awaiting the daemon's next flush.
+    /// Encoded records awaiting the next leader's flush.
     pending: Vec<u8>,
     /// Sequence number handed to the most recent appender.
     next_seq: u64,
     /// Highest sequence number known durable; appenders wait for
     /// `durable_seq >= their seq`.
     durable_seq: u64,
+    /// A leader is writing a batch with this lock released.
+    flushing: bool,
     /// A write or fsync failed: the log is wedged and every commit since
     /// (including waiters of the failed batch) reports SQLCODE −904.
     io_error: Option<String>,
-    /// Drain-and-exit requested.
+    /// No further appends are accepted.
     shutdown: bool,
 }
 
-/// The append handle. Only the daemon (flush) and the checkpointer (swap)
-/// ever touch it, under this dedicated lock — so appenders queueing bytes
-/// into [`WalState`] are never blocked behind an in-flight fsync.
+/// The append handle. Only a flush leader and the checkpointer (swap) ever
+/// touch it, under this dedicated lock — so appenders queueing bytes into
+/// [`WalState`] are never blocked behind an in-flight fsync.
 struct FileSlot {
     file: File,
     /// Bytes in the file, header included.
@@ -326,31 +319,41 @@ struct FileSlot {
     crashed: bool,
 }
 
-/// The write-ahead log: encoder, pending batch, and group-commit daemon.
+/// The write-ahead log: encoder, pending batch, and leader/follower group
+/// commit.
 pub struct Wal {
     path: PathBuf,
     fsync: bool,
-    group_commit_us: u64,
     state: Mutex<WalState>,
-    /// Wakes the daemon when records are pending (or shutdown is set).
-    work: Condvar,
-    /// Wakes appenders when the durable horizon advances (or on error).
+    /// Wakes waiters when a flush ends (the durable horizon advanced, or
+    /// the log wedged).
     flushed: Condvar,
     file: Mutex<FileSlot>,
-    daemon: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// [`FileSlot::written`] as of the last flush or swap, readable without
+    /// the file lock. `Relaxed` with `base`: a lock-free read only decides
+    /// whether to try a checkpoint, which reads both again under the
+    /// exclusive barrier — ordered after every flush and swap by the
+    /// barrier itself.
+    size: AtomicU64,
+    /// Size of the log the last checkpoint installed; the bare header until
+    /// this process checkpoints.
+    base: AtomicU64,
 }
 
-/// Poison-recovering lock: a panicking daemon must not wedge every writer
-/// behind a `PoisonError` (same posture as `dbgw_sync`).
+/// Poison-recovering lock: a panicking writer must not wedge every other
+/// writer behind a `PoisonError` (same posture as `dbgw_sync`).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn wedged(e: &str) -> SqlError {
+    SqlError::new(SqlCode::RESOURCE, format!("wal: {e}"))
 }
 
 impl Wal {
     /// Open (creating if absent) the log at `path` for appending. Recovery
     /// has already scanned and truncated the file; a file shorter than the
-    /// header is (re)initialized. Call [`Wal::start`] afterwards to launch
-    /// the group-commit daemon.
+    /// header is (re)initialized.
     pub fn open(path: &Path, config: &DurabilityConfig) -> std::io::Result<Wal> {
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut written = file.metadata()?.len();
@@ -364,22 +367,22 @@ impl Wal {
         Ok(Wal {
             path: path.to_owned(),
             fsync: config.fsync,
-            group_commit_us: config.group_commit_us,
             state: Mutex::new(WalState {
                 pending: Vec::new(),
                 next_seq: 0,
                 durable_seq: 0,
+                flushing: false,
                 io_error: None,
                 shutdown: false,
             }),
-            work: Condvar::new(),
             flushed: Condvar::new(),
             file: Mutex::new(FileSlot {
                 file,
                 written,
                 crashed: false,
             }),
-            daemon: Mutex::new(None),
+            size: AtomicU64::new(written),
+            base: AtomicU64::new(MAGIC.len() as u64),
         })
     }
 
@@ -388,47 +391,29 @@ impl Wal {
         &self.path
     }
 
-    /// Launch the group-commit daemon (idempotent).
-    pub fn start(self: &std::sync::Arc<Wal>) {
-        let mut daemon = lock(&self.daemon);
-        if daemon.is_some() {
-            return;
-        }
-        let wal = std::sync::Arc::clone(self);
-        *daemon = Some(
-            std::thread::Builder::new()
-                .name("dbgw-wal".to_owned())
-                .spawn(move || wal.daemon_loop())
-                .expect("spawn wal daemon"),
-        );
-    }
-
     /// Append one record and block until it is durable (written and — unless
-    /// `fsync` is off — fsynced as part of some group). Returns SQLCODE −904
-    /// if the log is wedged by an earlier I/O failure or this batch's flush
-    /// fails; the caller must then *not* publish its snapshot.
+    /// `fsync` is off — fsynced as part of some group, possibly one this
+    /// call leads). Returns SQLCODE −904 if the log is wedged by an earlier
+    /// I/O failure or this batch's flush fails; the caller must then *not*
+    /// publish its snapshot.
     pub fn commit(&self, ops: &[WalOp]) -> SqlResult<()> {
         let record = encode_record(ops);
         let wait_start = Instant::now();
-        {
-            let mut st = lock(&self.state);
-            if let Some(e) = &st.io_error {
-                return Err(SqlError::new(SqlCode::RESOURCE, format!("wal: {e}")));
-            }
-            if st.shutdown {
-                return Err(SqlError::new(SqlCode::RESOURCE, "wal: already shut down"));
-            }
-            st.next_seq += 1;
-            let seq = st.next_seq;
-            st.pending.extend_from_slice(&record);
-            self.work.notify_one();
-            while st.durable_seq < seq {
-                if let Some(e) = &st.io_error {
-                    return Err(SqlError::new(SqlCode::RESOURCE, format!("wal: {e}")));
-                }
-                st = self.flushed.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
+        let mut st = lock(&self.state);
+        if let Some(e) = &st.io_error {
+            return Err(wedged(e));
         }
+        if st.shutdown {
+            return Err(SqlError::new(SqlCode::RESOURCE, "wal: already shut down"));
+        }
+        st.next_seq += 1;
+        let seq = st.next_seq;
+        st.pending.extend_from_slice(&record);
+        let st = self.sync_to(st, seq);
+        if let Some(e) = st.io_error.as_ref().filter(|_| st.durable_seq < seq) {
+            return Err(wedged(e));
+        }
+        drop(st);
         let m = dbgw_obs::metrics();
         m.wal_records.inc();
         m.group_commit_wait_ns
@@ -436,9 +421,67 @@ impl Wal {
         Ok(())
     }
 
-    /// Current log size in bytes (the checkpoint trigger reads this).
+    /// Wait until every record up to `seq` is durable or the log is wedged,
+    /// leading a flush whenever none is in flight. On return no flush is in
+    /// flight: one would hold records past the durable horizon, and none
+    /// starts once the log is wedged.
+    fn sync_to<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, WalState>,
+        seq: u64,
+    ) -> MutexGuard<'a, WalState> {
+        while st.durable_seq < seq && st.io_error.is_none() {
+            st = if st.flushing {
+                self.flushed.wait(st).unwrap_or_else(|e| e.into_inner())
+            } else {
+                self.lead_flush(st)
+            };
+        }
+        st
+    }
+
+    /// Lead one group: take every pending record, write (and fsync) them
+    /// with the state lock released — arriving writers keep queueing into
+    /// the next batch meanwhile, which is where the batching comes from —
+    /// then publish the outcome and wake every waiter.
+    fn lead_flush<'a>(&'a self, mut st: MutexGuard<'a, WalState>) -> MutexGuard<'a, WalState> {
+        let batch = std::mem::take(&mut st.pending);
+        let max_seq = st.next_seq;
+        st.flushing = true;
+        drop(st);
+        let outcome = {
+            let mut slot = lock(&self.file);
+            let outcome = self.write_batch(&mut slot, &batch);
+            self.size.store(slot.written, Ordering::Relaxed);
+            outcome
+        };
+        let mut st = lock(&self.state);
+        st.flushing = false;
+        match outcome {
+            Ok(()) => {
+                st.durable_seq = max_seq;
+                let m = dbgw_obs::metrics();
+                if self.fsync {
+                    m.wal_fsyncs.inc();
+                }
+                m.wal_bytes.add(batch.len() as u64);
+                m.wal_size_bytes.set(self.size() as i64);
+            }
+            Err(e) => st.io_error = Some(e.to_string()),
+        }
+        self.flushed.notify_all();
+        st
+    }
+
+    /// Current log size in bytes, as of the last flush or checkpoint.
     pub fn size(&self) -> u64 {
-        lock(&self.file).written
+        self.size.load(Ordering::Relaxed)
+    }
+
+    /// Size of the log the last checkpoint installed (the bare header
+    /// before this process's first checkpoint).
+    pub(crate) fn base_size(&self) -> u64 {
+        self.base.load(Ordering::Relaxed)
     }
 
     /// Did a crash point fire on this log? (Checkpoints bail out so the
@@ -456,72 +499,19 @@ impl Wal {
         }
         slot.file = file;
         slot.written = written;
+        self.size.store(written, Ordering::Relaxed);
+        self.base.store(written, Ordering::Relaxed);
         dbgw_obs::metrics().wal_size_bytes.set(written as i64);
     }
 
-    /// Flush whatever is pending and stop the daemon. Commits after this
-    /// fail with SQLCODE −904. Idempotent.
+    /// Stop accepting commits, flush whatever is pending, and return once no
+    /// flush is in flight. Commits after this fail with SQLCODE −904.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut st = lock(&self.state);
-            st.shutdown = true;
-            self.work.notify_all();
-        }
-        if let Some(handle) = lock(&self.daemon).take() {
-            let _ = handle.join();
-        }
-    }
-
-    fn daemon_loop(&self) {
-        let m = dbgw_obs::metrics();
-        loop {
-            // Collect a batch (waiting for work, then lingering the
-            // group-commit window so concurrent writers join it).
-            let (batch, max_seq) = {
-                let mut st = lock(&self.state);
-                loop {
-                    if !st.pending.is_empty() {
-                        break;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-                if self.group_commit_us > 0 && !st.shutdown {
-                    drop(st);
-                    std::thread::sleep(Duration::from_micros(self.group_commit_us));
-                    st = lock(&self.state);
-                }
-                let batch = std::mem::take(&mut st.pending);
-                (batch, st.next_seq)
-            };
-            // Write + fsync outside the state lock: arriving writers keep
-            // queueing into the next batch while this one is in flight —
-            // that overlap is where group commit's batching comes from.
-            let outcome = {
-                let mut slot = lock(&self.file);
-                self.write_batch(&mut slot, &batch).map(|_| slot.written)
-            };
-            let mut st = lock(&self.state);
-            match outcome {
-                Ok(written) => {
-                    st.durable_seq = max_seq;
-                    if self.fsync {
-                        m.wal_fsyncs.inc();
-                    }
-                    m.wal_bytes.add(batch.len() as u64);
-                    m.wal_size_bytes.set(written as i64);
-                }
-                Err(e) => {
-                    st.io_error = Some(e.to_string());
-                }
-            }
-            self.flushed.notify_all();
-            if st.shutdown && st.pending.is_empty() {
-                return;
-            }
-        }
+        let mut st = lock(&self.state);
+        st.shutdown = true;
+        let seq = st.next_seq;
+        drop(self.sync_to(st, seq));
     }
 
     /// Append `batch` and make it durable — unless a crash point fires, in
@@ -623,29 +613,18 @@ mod tests {
 
     #[test]
     fn config_defaults() {
-        let c = DurabilityConfig::default();
-        assert!(c.fsync);
-        assert_eq!(c.group_commit_us, 0);
-        assert_eq!(c.checkpoint_bytes, 4 * 1024 * 1024);
+        assert!(DurabilityConfig::default().fsync);
+        assert_eq!(crate::checkpoint::CHECKPOINT_BYTES, 4 * 1024 * 1024);
     }
 
     #[test]
     fn commit_acks_only_after_durable() {
-        let dir = std::env::temp_dir().join(format!("dbgw-wal-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("minisql-wal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("commit_acks.log");
         let _ = std::fs::remove_file(&path);
-        let wal = std::sync::Arc::new(
-            Wal::open(
-                &path,
-                &DurabilityConfig {
-                    fsync: false,
-                    ..DurabilityConfig::default()
-                },
-            )
-            .unwrap(),
-        );
-        wal.start();
+        let wal =
+            std::sync::Arc::new(Wal::open(&path, &DurabilityConfig { fsync: false }).unwrap());
         let ops = sample_ops();
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -681,12 +660,11 @@ mod tests {
 
     #[test]
     fn commit_after_shutdown_fails_with_resource_code() {
-        let dir = std::env::temp_dir().join(format!("dbgw-wal-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("minisql-wal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shutdown.log");
         let _ = std::fs::remove_file(&path);
         let wal = std::sync::Arc::new(Wal::open(&path, &DurabilityConfig::default()).unwrap());
-        wal.start();
         wal.shutdown();
         let err = wal.commit(&[]).unwrap_err();
         assert_eq!(err.code, SqlCode::RESOURCE);

@@ -352,9 +352,10 @@ pub struct Metrics {
     /// histogram (PR 6 exported only the sum, which hid the latch-wait p99
     /// behind the mean).
     pub latch_wait_ns: Histogram,
-    /// Time a committing writer spent blocked on the group-commit daemon,
-    /// from enqueueing its record to the durable acknowledgment — the
-    /// latency cost of durability, batch-amortized fsync included.
+    /// Time a committing writer spent in group commit, from enqueueing its
+    /// record to the durable acknowledgment (waiting for an in-flight flush,
+    /// and leading its own) — the latency cost of durability,
+    /// batch-amortized fsync included.
     pub group_commit_wait_ns: Histogram,
     /// Time from accepting a request to the first response byte hitting the
     /// socket — the streaming render path exists to shrink this.

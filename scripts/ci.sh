@@ -101,9 +101,10 @@ grep -q 'obs_overhead_pct' "$OBS_TMP/bench_obs.json"
 
 echo "== WAL bench (quick run, asserted group-commit batching floor) =="
 # E14: commit throughput WAL-off vs WAL-on, and group-commit batching at
-# 1/4/8 writers. The bench asserts the batching floor itself (at 8 writers
-# with the 200us linger window, strictly fewer than one fsync per commit);
-# a WAL that fsyncs every commit individually fails CI here. The committed
+# 1/4/8 writers. The bench asserts the batching floor itself (at 8 writers,
+# strictly fewer than one fsync per commit, with no linger window: the
+# batches form while a leader's flush is in flight); a WAL that fsyncs
+# every commit individually fails CI here. The committed
 # BENCH_wal.json is regenerated from a full (non-quick) run.
 BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_wal.json" \
     cargo bench --offline -p dbgw-bench --bench wal

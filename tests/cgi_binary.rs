@@ -62,7 +62,17 @@ fn setup(dir: &std::path::Path) {
 }
 
 fn invoke(dir: &std::path::Path, method: &str, path_info: &str, query: &str, body: &str) -> String {
-    let mut cmd = Command::new(binary());
+    invoke_with(Command::new(binary()), dir, method, path_info, query, body)
+}
+
+fn invoke_with(
+    mut cmd: Command,
+    dir: &std::path::Path,
+    method: &str,
+    path_info: &str,
+    query: &str,
+    body: &str,
+) -> String {
     cmd.env("REQUEST_METHOD", method)
         .env("PATH_INFO", path_info)
         .env("QUERY_STRING", query)
@@ -142,4 +152,27 @@ fn unknown_dbgw_variable_is_a_startup_error_naming_it() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("DBGW_BOGUS"), "{stderr}");
     assert!(out.stdout.is_empty(), "no page is served");
+}
+
+#[test]
+fn durable_invocations_share_the_data_directory() {
+    let dir = fixture_dir();
+    setup(&dir.0);
+    std::fs::write(
+        dir.0.join("add.d2w"),
+        "%SQL{ INSERT INTO urldb VALUES ('$(URL)', '$(TITLE)') %}\n%HTML_REPORT{Added.\n%EXEC_SQL%}",
+    )
+    .unwrap();
+    // Each invocation is its own process, as under a CGI web server: the
+    // first writes through the log and exits, the second recovers the row.
+    let durable = || {
+        let mut cmd = Command::new(binary());
+        cmd.env("DBGW_DATA_DIR", dir.0.join("data"));
+        cmd
+    };
+    let query = "URL=http://www.w3.org&TITLE=W3C";
+    let out = invoke_with(durable(), &dir.0, "GET", "/add.d2w/report", query, "");
+    assert!(out.starts_with("Status: 200 OK\r\n"), "{out}");
+    let out = invoke_with(durable(), &dir.0, "GET", "/q.d2w/report", "SEARCH=W3", "");
+    assert!(out.contains("http://www.w3.org"), "{out}");
 }

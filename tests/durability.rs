@@ -3,7 +3,7 @@
 //!
 //! Tests share one process; WAL crash points ([`dbgw_testkit::crash`]) are a
 //! process-wide registry, so every test here serializes on [`serial`] — an
-//! armed point must never fire in a neighbouring test's group-commit daemon.
+//! armed point must never fire in a neighbouring test's group commit.
 
 use minisql::storage::RowId;
 use minisql::wal::{DurabilityConfig, LOG_FILE};
@@ -35,13 +35,9 @@ fn temp_dir(tag: &str) -> TempDir {
 }
 
 /// Open with explicit knobs so the ambient environment cannot skew a test:
-/// fsync on, no group-commit linger, effectively-never automatic checkpoints.
+/// fsync on.
 fn open(dir: &Path) -> Database {
-    let config = DurabilityConfig {
-        fsync: true,
-        group_commit_us: 0,
-        checkpoint_bytes: u64::MAX,
-    };
+    let config = DurabilityConfig { fsync: true };
     Database::open_with_config(dir, &config, &dbgw_cache::CacheConfig::default()).unwrap()
 }
 
@@ -397,11 +393,7 @@ fn fsync_off_still_recovers_cleanly_on_orderly_close() {
     let _guard = serial();
     let tmp = temp_dir("nofsync");
     {
-        let config = DurabilityConfig {
-            fsync: false,
-            group_commit_us: 0,
-            checkpoint_bytes: u64::MAX,
-        };
+        let config = DurabilityConfig { fsync: false };
         let db = Database::open_with_config(&tmp.0, &config, &dbgw_cache::CacheConfig::default())
             .unwrap();
         db.run_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1)")
@@ -572,4 +564,92 @@ fn stats_refresh_past_threshold_widens_histograms() {
     // Distinct estimate is sane for 600 distinct values (linear counting
     // saturates gracefully; it must not report a tiny NDV).
     assert!(col.distinct() > 150, "NDV collapsed: {}", col.distinct());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints and threads: the committing thread does the durability work
+// ---------------------------------------------------------------------------
+
+#[cfg(unix)]
+#[test]
+fn checkpoint_runs_on_the_crossing_commit_and_never_storms() {
+    use minisql::checkpoint::CHECKPOINT_BYTES;
+    use std::os::unix::fs::MetadataExt;
+    let _guard = serial();
+    let tmp = temp_dir("ckptstorm");
+    let config = DurabilityConfig { fsync: false };
+    let cache = dbgw_cache::CacheConfig::default();
+    let db = Database::open_with_config(&tmp.0, &config, &cache).unwrap();
+    db.run_script("CREATE TABLE big (id INTEGER, body TEXT); CREATE TABLE small (n INTEGER)")
+        .unwrap();
+    let inode = || std::fs::metadata(tmp.0.join(LOG_FILE)).unwrap().ino();
+    let mut conn = db.connect();
+    let mut insert_big = |id: i64| {
+        let body = Value::Text("x".repeat(128 * 1024));
+        conn.execute_with_params("INSERT INTO big VALUES (?, ?)", &[Value::Int(id), body])
+            .unwrap();
+    };
+    // Every commit returns with the log below the threshold: the one that
+    // crosses it has already replaced `wal.log` by the time it returns.
+    let threshold = minisql::wal::MAGIC.len() as u64 + CHECKPOINT_BYTES;
+    let original = inode();
+    let mut id = 0;
+    while inode() == original {
+        assert!(db.wal_size() <= threshold, "commit {id} left the log due");
+        insert_big(id);
+        id += 1;
+    }
+    // The log is now over 4 MiB with little beyond its base snapshot; only
+    // growth past that snapshot makes the next checkpoint due.
+    insert_big(id);
+    assert!(db.wal_size() > CHECKPOINT_BYTES);
+    let (settled, checkpoints) = (inode(), dbgw_obs::metrics().checkpoints.get());
+    for n in 0..20 {
+        db.run_script(&format!("INSERT INTO small VALUES ({n})"))
+            .unwrap();
+    }
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    assert_eq!(inode(), settled, "a checkpoint ran with nothing to bound");
+    assert_eq!(dbgw_obs::metrics().checkpoints.get(), checkpoints);
+    let before = (rows_with_ids(&db, "big"), rows_with_ids(&db, "small"));
+    db.close();
+    let db = open(&tmp.0);
+    assert_eq!(
+        (rows_with_ids(&db, "big"), rows_with_ids(&db, "small")),
+        before
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn durable_open_starts_no_threads() {
+    // Thread counts are per process, and the harness starts and ends test
+    // threads at will: count in a child that runs this test alone.
+    const CHILD: &str = "DURABILITY_THREAD_COUNT_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "durable_open_starts_no_threads",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}"
+        );
+        return;
+    }
+    let threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
+    let tmp = temp_dir("threads");
+    let before = threads();
+    let db = open(&tmp.0);
+    db.run_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1)")
+        .unwrap();
+    let running = threads();
+    db.close();
+    assert_eq!((running, threads()), (before, before));
 }
