@@ -28,6 +28,7 @@ use dbgw_obs::{export, CancelReason, RequestCtx};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -53,9 +54,10 @@ pub struct ServerConfig {
     pub max_body: usize,
     /// Largest number of request headers accepted.
     pub max_headers: usize,
-    /// Socket read/write timeout while a worker serves a request, and the
-    /// patience for a *partial* request parked in the event loop (a slowloris
-    /// peer gets 408 when it expires).
+    /// The socket write timeout, set once at accept: how long a worker's
+    /// write may wait on a peer that stops reading. Also the patience for a
+    /// *partial* request parked in the event loop (a slowloris peer gets 408
+    /// when it expires).
     pub io_timeout: Duration,
     /// How long an idle keep-alive connection may stay parked before the
     /// server closes it (`DBGW_KEEPALIVE_MS`).
@@ -107,11 +109,12 @@ pub(crate) struct ServerInner {
     /// Parsed requests (and protocol rejects) awaiting a worker.
     pub(crate) work: Mutex<VecDeque<Work>>,
     pub(crate) ready: Condvar,
-    /// The event loop's readiness multiplexer; workers and shutdown use its
-    /// eventfd to wake the loop.
+    /// The event loop's readiness multiplexer. Workers re-arm the
+    /// connections they park; shutdown uses its eventfd to wake the loop.
     pub(crate) poller: Poller,
-    /// Keep-alive connections workers hand back for re-parking.
-    pub(crate) returned: Mutex<Vec<Conn>>,
+    /// Connections waiting for their next bytes, keyed by fd (which is
+    /// also their epoll token). The loop takes one out when it fires.
+    pub(crate) parked: Mutex<HashMap<RawFd, Conn>>,
 }
 
 impl HttpServer {
@@ -141,7 +144,7 @@ impl HttpServer {
             work: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             poller,
-            returned: Mutex::new(Vec::new()),
+            parked: Mutex::new(HashMap::new()),
         });
         let mut workers = Vec::with_capacity(inner.config.workers);
         for _ in 0..inner.config.workers {
@@ -222,10 +225,10 @@ impl HttpServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Connections a worker handed back after the loop exited.
-        for conn in self.inner.returned.lock().drain(..) {
+        for (_, conn) in self.inner.parked.lock().drain() {
             crate::evloop::close_conn(conn);
         }
+        dbgw_obs::metrics().idle_connections.set(0);
     }
 }
 
@@ -259,8 +262,7 @@ fn worker_loop(inner: &Arc<ServerInner>) {
         let Some(work) = work else { return };
         match work {
             Work::Reject(mut conn, response) => {
-                let _ = conn.prepare_blocking(&inner.config);
-                let _ = write_response(&mut conn.stream, &response, None, None, false);
+                let _ = write_response(&mut conn.stream, &response, None, false);
                 let remote = peer_ip(&conn.stream);
                 inner.log.record(LogEntry {
                     remote,
@@ -272,20 +274,14 @@ fn worker_loop(inner: &Arc<ServerInner>) {
                 });
                 crate::evloop::close_conn(conn);
             }
-            Work::Request(conn, req) => {
-                if conn.prepare_blocking(&inner.config).is_err() {
-                    crate::evloop::close_conn(conn);
-                    continue;
-                }
-                serve_connection(inner, conn, req);
-            }
+            Work::Request(conn, req) => serve_connection(inner, conn, req),
         }
     }
 }
 
 /// Serve one parsed request, then any complete pipelined requests already
-/// buffered on the connection, then either close it or hand it back to the
-/// event loop to await the next request.
+/// buffered on the connection, then either close it or park it to await the
+/// next request.
 fn serve_connection(inner: &ServerInner, mut conn: Conn, mut req: HttpRequest) {
     let m = dbgw_obs::metrics();
     loop {
@@ -309,26 +305,20 @@ fn serve_connection(inner: &ServerInner, mut conn: Conn, mut req: HttpRequest) {
             ParseStatus::Incomplete => break,
             ParseStatus::Malformed => {
                 let resp = CgiResponse::error(400, "malformed request");
-                let _ = write_response(&mut conn.stream, &resp, None, None, false);
+                let _ = write_response(&mut conn.stream, &resp, None, false);
                 crate::evloop::close_conn(conn);
                 return;
             }
             ParseStatus::TooLarge => {
                 let resp = CgiResponse::error(413, "request larger than the configured limit");
-                let _ = write_response(&mut conn.stream, &resp, None, None, false);
+                let _ = write_response(&mut conn.stream, &resp, None, false);
                 crate::evloop::close_conn(conn);
                 return;
             }
         }
     }
-    // Park the connection back in the event loop until its next request.
     conn.last_activity = Instant::now();
-    if conn.stream.set_nonblocking(true).is_ok() {
-        inner.returned.lock().push(conn);
-        inner.poller.wake();
-    } else {
-        crate::evloop::close_conn(conn);
-    }
+    crate::evloop::park(inner, conn);
 }
 
 fn peer_ip(stream: &TcpStream) -> String {
@@ -392,14 +382,7 @@ fn serve_request(inner: &ServerInner, conn: &mut Conn, req: HttpRequest) -> bool
     dbgw_obs::metrics()
         .ttfb_ns
         .observe_ns(started.elapsed().as_nanos() as u64);
-    let sent = write_response(
-        &mut conn.stream,
-        &response,
-        realm.as_deref(),
-        None,
-        wants_keep,
-    )
-    .is_ok();
+    let sent = write_response(&mut conn.stream, &response, realm.as_deref(), wants_keep).is_ok();
     inner.log.record(LogEntry {
         remote,
         user,
@@ -939,9 +922,19 @@ pub(crate) fn write_response(
     stream: &mut TcpStream,
     resp: &CgiResponse,
     challenge_realm: Option<&str>,
-    retry_after: Option<u64>,
     keep_alive: bool,
 ) -> std::io::Result<()> {
+    stream.write_all(&response_bytes(resp, challenge_realm, None, keep_alive))?;
+    stream.flush()
+}
+
+/// A complete response with `Content-Length` framing, as it goes on the wire.
+pub(crate) fn response_bytes(
+    resp: &CgiResponse,
+    challenge_realm: Option<&str>,
+    retry_after: Option<u64>,
+    keep_alive: bool,
+) -> Vec<u8> {
     let mut head = ResponseHead::new(resp.status, resp.reason(), &resp.content_type, keep_alive);
     head.realm = challenge_realm;
     head.retry_after = retry_after;
@@ -953,8 +946,7 @@ pub(crate) fn write_response(
     let mut wire = Vec::with_capacity(head.len() + resp.body.len());
     wire.extend_from_slice(head.as_bytes());
     wire.extend_from_slice(resp.body.as_bytes());
-    stream.write_all(&wire)?;
-    stream.flush()
+    wire
 }
 
 /// The streaming response writer: a [`PageSink`] over the connection.
@@ -1079,6 +1071,8 @@ impl BodySink for ResponseSink<'_> {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
+    use dbgw_testkit::gen::{ascii, bytes, ident, usizes, vec_of};
+    use dbgw_testkit::{prop_assert, prop_assert_eq, props};
 
     fn server() -> HttpServer {
         let db = minisql::Database::new();
@@ -1301,6 +1295,98 @@ mod tests {
     fn any_transfer_encoding_is_malformed() {
         assert_refused("Transfer-Encoding: chunked");
         assert_refused("Content-Length: 0\r\nTransfer-Encoding: identity");
+    }
+
+    /// A parsed request as comparable fields, plus the stream offset where
+    /// it ended.
+    type Parsed = (
+        String,
+        String,
+        Version,
+        Vec<(String, String)>,
+        String,
+        usize,
+    );
+
+    /// Feed `wire` to the parser in pieces of the `cuts` sizes (the rest in
+    /// one piece), carrying the buffer and `scanned` across calls as a
+    /// connection does, and collect every request parsed.
+    fn feed(wire: &[u8], cuts: &[usize]) -> Result<(Vec<Parsed>, usize), String> {
+        let config = ServerConfig::default();
+        let (mut buf, mut scanned, mut fed, mut out) = (Vec::new(), 0, 0, Vec::new());
+        let mut rest = wire;
+        let mut sizes = cuts.iter();
+        while !rest.is_empty() {
+            let take = sizes.next().map_or(rest.len(), |&n| n.min(rest.len()));
+            buf.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            fed += take;
+            loop {
+                match parse_request(&mut buf, &mut scanned, &config) {
+                    ParseStatus::Request(r) => out.push((
+                        r.method,
+                        r.target,
+                        r.version,
+                        r.headers,
+                        r.body,
+                        fed - buf.len(),
+                    )),
+                    ParseStatus::Incomplete => break,
+                    ParseStatus::Malformed | ParseStatus::TooLarge => {
+                        return Err(format!("refused after {fed} bytes"))
+                    }
+                }
+            }
+        }
+        Ok((out, buf.len()))
+    }
+
+    props! {
+        config(cases = 128);
+
+        /// Split invariance: however a pipeline of valid requests is cut
+        /// into reads, the parser yields the same requests, in the same
+        /// order and consuming the same bytes, as when fed the whole stream
+        /// at once, and each request ends exactly where it was framed.
+        fn parse_request_is_split_invariant(
+            pipeline in vec_of(
+                (
+                    usizes(0..3),
+                    ident(1..=8),
+                    vec_of((ident(1..=6), ascii(0..=12)), 0..=3),
+                    bytes(0..=24),
+                ),
+                1..=4,
+            ),
+            cuts in vec_of(usizes(1..40), 0..=12),
+        ) {
+            let (mut wire, mut ends) = (Vec::new(), Vec::new());
+            for (kind, path, headers, body) in &pipeline {
+                let (method, version) = [("GET", "1.1"), ("POST", "1.1"), ("POST", "1.0")][*kind];
+                wire.extend_from_slice(format!("{method} /{path} HTTP/{version}\r\n").as_bytes());
+                for (name, value) in headers {
+                    wire.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+                }
+                if method == "POST" {
+                    wire.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+                }
+                wire.extend_from_slice(b"\r\n");
+                if method == "POST" {
+                    wire.extend_from_slice(body);
+                }
+                ends.push(wire.len());
+            }
+            let whole = feed(&wire, &[]);
+            let split = feed(&wire, &cuts);
+            prop_assert_eq!(&split, &whole);
+            let (requests, left) = whole.unwrap();
+            prop_assert_eq!(left, 0);
+            let parsed_ends: Vec<usize> = requests.iter().map(|r| r.5).collect();
+            prop_assert_eq!(parsed_ends, ends);
+            for (request, (_, path, _, _)) in requests.iter().zip(&pipeline) {
+                prop_assert!(request.1 == format!("/{path}"), "target {:?}", request.1);
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The evented edge ([`crate::evloop`]) needs exactly three kernel services:
 //! a readiness multiplexer (`epoll`), a cross-thread wakeup (`eventfd`), and
-//! nonblocking sockets (std's `set_nonblocking`). std exposes the last one;
-//! the first two are declared here as `extern "C"` bindings to the libc the
-//! binary already links. Linux-only by design — the repo's north star runs on
-//! Linux and the blocking worker pool remains the portable fallback.
+//! socket I/O that never blocks on an otherwise blocking socket
+//! (`recv`/`send` with `MSG_DONTWAIT`). All three are declared here as
+//! `extern "C"` bindings to the libc the binary already links. Linux-only by
+//! design: the repo's north star runs on Linux.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -21,6 +21,8 @@ extern "C" {
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
     fn close(fd: i32) -> i32;
 }
 
@@ -32,12 +34,17 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// Peer closed its write half (`EPOLLRDHUP`).
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Report one event, then disarm the fd until it is re-armed
+/// (`EPOLLONESHOT`).
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
 const EFD_NONBLOCK: i32 = 0x800;
 const EFD_CLOEXEC: i32 = 0x80000;
+const MSG_DONTWAIT: i32 = 0x40;
+const MSG_NOSIGNAL: i32 = 0x4000;
 
 /// The kernel's `struct epoll_event`. On x86-64 the kernel ABI packs the
 /// struct (no padding between `events` and `data`); other architectures use
@@ -89,23 +96,27 @@ impl Poller {
         Ok(poller)
     }
 
-    /// Watch `fd` for `events`, reporting readiness under `token`.
+    /// Watch `fd` for `events`, reporting readiness under `token`. Closing
+    /// `fd` is what stops the watch.
     pub fn register(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, events)
+    }
+
+    /// Replace a registered fd's `events` and `token`; for an
+    /// [`EPOLLONESHOT`] fd this re-arms it. Readiness is level-triggered, so
+    /// data that arrived while the fd was disarmed is reported at once.
+    pub(crate) fn rearm(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, events)
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
         let mut ev = EpollEvent {
             events,
             data: token,
         };
-        let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Stop watching `fd`.
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        let mut ev = EpollEvent::zeroed();
-        let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
+        // SAFETY: `ev` is a live, properly laid out `epoll_event` the kernel
+        // only reads; a bad `epfd`, `op` or `fd` is reported as an error.
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -145,6 +156,30 @@ impl Poller {
         let mut buf = [0u8; 8];
         unsafe { read(self.wakefd, buf.as_mut_ptr(), 8) };
     }
+}
+
+/// Read what `fd` has buffered without waiting, even on a blocking socket:
+/// `Ok(0)` is end of stream, and an empty buffer is `WouldBlock`.
+pub(crate) fn recv_now(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    // SAFETY: the kernel writes at most `buf.len()` bytes into `buf`, which
+    // is exclusively borrowed for the call; a bad `fd` is reported as an error.
+    let n = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n as usize)
+}
+
+/// Queue what fits of `buf` on `fd` without waiting, even on a blocking
+/// socket, and return how much that was (`WouldBlock` when none fits).
+pub(crate) fn send_now(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
+    // SAFETY: the kernel reads at most `buf.len()` bytes from `buf`, which
+    // is borrowed for the call; a bad `fd` is reported as an error.
+    let n = unsafe { send(fd, buf.as_ptr(), buf.len(), MSG_DONTWAIT | MSG_NOSIGNAL) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n as usize)
 }
 
 impl Drop for Poller {
@@ -195,7 +230,6 @@ mod tests {
         assert_eq!(data, 7);
 
         let (server_side, _) = listener.accept().unwrap();
-        poller.deregister(listener.as_raw_fd()).unwrap();
         poller
             .register(server_side.as_raw_fd(), 9, EPOLLIN | EPOLLRDHUP)
             .unwrap();
@@ -204,5 +238,63 @@ mod tests {
         assert_eq!(n, 1);
         let data = events[0].data;
         assert_eq!(data, 9);
+    }
+
+    /// A connected loopback pair: (client, server side).
+    fn connected() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (client, listener.accept().unwrap().0)
+    }
+
+    #[test]
+    fn oneshot_rearm_reports_bytes_that_arrived_while_disarmed() {
+        let (mut client, server_side) = connected();
+        let fd = server_side.as_raw_fd();
+        let poller = Poller::new().unwrap();
+        poller
+            .register(fd, fd as u64, EPOLLIN | EPOLLONESHOT)
+            .unwrap();
+        let mut events = [EpollEvent::zeroed(); 4];
+
+        client.write_all(b"a").unwrap();
+        assert_eq!(poller.wait(&mut events, 2000).unwrap(), 1);
+        // Disarmed: more bytes raise nothing until the fd is re-armed...
+        client.write_all(b"b").unwrap();
+        assert_eq!(poller.wait(&mut events, 100).unwrap(), 0);
+        // ...and then the unread bytes are reported at once.
+        poller.rearm(fd, fd as u64, EPOLLIN | EPOLLONESHOT).unwrap();
+        assert_eq!(poller.wait(&mut events, 0).unwrap(), 1);
+        let data = events[0].data;
+        assert_eq!(data, fd as u64);
+    }
+
+    #[test]
+    fn recv_now_and_send_now_never_wait_on_a_blocking_socket() {
+        let (mut client, server_side) = connected();
+        let fd = server_side.as_raw_fd();
+        let poller = Poller::new().unwrap();
+        poller.register(fd, 1, EPOLLIN).unwrap();
+        let mut events = [EpollEvent::zeroed(); 1];
+        let mut buf = [0u8; 16];
+        let empty = recv_now(fd, &mut buf).unwrap_err();
+        assert_eq!(empty.kind(), io::ErrorKind::WouldBlock);
+
+        client.write_all(b"ping").unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        poller.wait(&mut events, 2000).unwrap();
+        assert_eq!(recv_now(fd, &mut buf).unwrap(), 4);
+        poller.wait(&mut events, 2000).unwrap();
+        assert_eq!(recv_now(fd, &mut buf).unwrap(), 0, "half-close is EOF");
+
+        // Nobody reads the client side: sending stops at full socket
+        // buffers with `WouldBlock` instead of waiting.
+        let block = vec![0u8; 1 << 16];
+        let full = loop {
+            if let Err(e) = send_now(fd, &block) {
+                break e;
+            }
+        };
+        assert_eq!(full.kind(), io::ErrorKind::WouldBlock);
     }
 }

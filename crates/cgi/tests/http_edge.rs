@@ -227,6 +227,60 @@ fn mid_stream_disconnect_cancels_the_request() {
     server.shutdown();
 }
 
+#[test]
+fn request_followed_by_half_close_is_served() {
+    let server =
+        HttpServer::start_with_config(minisql_gateway(), 0, ServerConfig::default()).unwrap();
+    server.add_static_page("/hello", "<HTML><BODY>hello</BODY></HTML>");
+    // The peer sends a whole request and at once shuts its write half: the
+    // end of stream must not turn the buffered request into a 400.
+    for attempt in 0..20 {
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.write_all(b"GET /hello HTTP/1.0\r\n\r\n").unwrap();
+        sock.shutdown(std::net::Shutdown::Write).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut raw = String::new();
+        sock.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 200"), "attempt {attempt}: {raw}");
+        assert!(raw.contains("hello"), "attempt {attempt}: {raw}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn stalled_reader_frees_its_worker_after_the_write_timeout() {
+    let config = ServerConfig {
+        workers: 1,
+        io_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let server = HttpServer::start_with_config(big_report_gateway(250_000), 0, config).unwrap();
+    let m = dbgw_obs::metrics();
+    let disconnects_before = m.client_disconnects.get();
+
+    // Read the start of a ~12 MB report, then stop reading but stay
+    // connected: the only worker is left blocked in a write.
+    let mut stalled = TcpStream::connect(server.addr()).unwrap();
+    stalled
+        .write_all(b"GET /cgi-bin/db2www/big.d2w/report HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .unwrap();
+    let mut first = [0u8; 4096];
+    assert!(stalled.read(&mut first).unwrap() > 0, "stream should start");
+
+    // The write timeout set at accept frees the worker for the next request.
+    let started = std::time::Instant::now();
+    let resp = HttpClient::new(server.addr()).get("/stats").unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "a stalled reader held the only worker for {:?}",
+        started.elapsed()
+    );
+    assert!(m.client_disconnects.get() > disconnects_before);
+    drop(stalled);
+    server.shutdown();
+}
+
 props! {
     config(cases = 64);
 

@@ -4,7 +4,7 @@
 //! The process-wide metrics registry is shared across tests, so every
 //! assertion on counters is a before/after delta with `>=`, never equality.
 
-use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpServer, ServerConfig};
+use dbgw_cgi::{FnSource, Gateway, HttpClient, HttpConnection, HttpServer, ServerConfig};
 use dbgw_core::db::{Database, DbRows, FnDatabase};
 use dbgw_obs::TestClock;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -224,6 +224,36 @@ fn shutdown_drains_in_flight_and_queued_requests() {
     assert!(first.body.contains("ok"), "{}", first.body);
     assert_eq!(second.status, 200);
     assert!(second.body.contains("ok"), "{}", second.body);
+}
+
+#[test]
+fn bytes_sent_while_a_worker_holds_the_connection_are_served() {
+    let blocker = Blocker::new();
+    let server = HttpServer::start_with_config(
+        blocking_gateway(blocker.clone()),
+        0,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = HttpConnection::open(server.addr()).unwrap();
+    conn.send_get("/cgi-bin/db2www/slow.d2w/report").unwrap();
+    blocker.wait_entered(1);
+    // The second request reaches the socket while a worker holds the
+    // connection; no event reports it until the worker parks it again.
+    conn.send_get("/stats").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    blocker.release_all();
+    let first = conn.read_response().unwrap();
+    assert_eq!(first.status, 200);
+    assert!(first.body.contains("ok"), "{}", first.body);
+    let second = conn.read_response().unwrap();
+    assert_eq!(second.status, 200);
+    assert!(
+        second.body.contains("Gateway Statistics"),
+        "{}",
+        second.body
+    );
+    server.shutdown();
 }
 
 #[test]

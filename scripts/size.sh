@@ -10,6 +10,7 @@
 #                                unless env_read_sites = 1 and env_knobs <= 14
 #
 # rust_loc_src    lines of *.rs under crates/*/src
+# by_crate        the same count for each crate: crates/<name>/src
 # rust_loc_total  lines of every *.rs in the tree (target directories aside)
 # env_knobs       distinct DBGW_* names Config accepts (the SETTINGS table of
 #                 crates/cgi/src/config.rs; in a tree from before Config, the
@@ -37,8 +38,14 @@ measure() {
             knobs=$(grep -rhoE 'DBGW_[A-Z0-9_]+' crates/*/src | sort -u | wc -l)
         fi
         sites=$(grep -rl 'env::var' crates/*/src examples | xargs -r grep -l '"DBGW_' | wc -l)
-        printf '"rust_loc_src": %d, "rust_loc_total": %d, "env_knobs": %d, "env_read_sites": %d' \
-            "$loc_src" "$loc_total" "$knobs" "$sites"
+        by_crate=""
+        for src in crates/*/src; do
+            name=$(basename "$(dirname "$src")")
+            lines=$(find "$src" -name '*.rs' -exec cat {} + | wc -l)
+            by_crate="$by_crate${by_crate:+, }\"$name\": $lines"
+        done
+        printf '"rust_loc_src": %d, "rust_loc_total": %d, "env_knobs": %d, "env_read_sites": %d, "by_crate": { %s }' \
+            "$loc_src" "$loc_total" "$knobs" "$sites" "$by_crate"
     )
 }
 
