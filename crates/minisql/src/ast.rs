@@ -253,6 +253,50 @@ pub struct WindowExpr {
     pub order_by: Vec<OrderKey>,
 }
 
+/// The one list of an `Expr`'s children, expanded into both child visitors:
+/// `$iter` is `iter` or `iter_mut`, and the optional `mut` makes the borrows
+/// that are not iterator calls mutable too.
+macro_rules! visit_children {
+    ($expr:expr, $f:ident, $iter:ident $(, $mut:tt)?) => {
+        match $expr {
+            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => Ok(()),
+            Expr::Subquery(_) | Expr::Exists { .. } => Ok(()),
+            Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => $f(e),
+            Expr::Cast { expr: e, .. } | Expr::InSelect { expr: e, .. } => $f(e),
+            Expr::Binary { lhs: a, rhs: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+                $f(a)?;
+                $f(b)
+            }
+            Expr::InList { expr, list, .. } => {
+                $f(expr)?;
+                list.$iter().try_for_each($f)
+            }
+            Expr::Between { expr, lo, hi, .. } => {
+                $f(expr)?;
+                $f(lo)?;
+                $f(hi)
+            }
+            Expr::Func { args, .. } => args.$iter().try_for_each($f),
+            Expr::Agg { arg, .. } => arg.$iter().try_for_each(|a| $f(a)),
+            Expr::Case { operand, arms, otherwise } => {
+                operand.$iter().try_for_each(|o| $f(o))?;
+                for (when, then) in arms {
+                    $f(when)?;
+                    $f(then)?;
+                }
+                otherwise.$iter().try_for_each(|e| $f(e))
+            }
+            Expr::Window(w) => {
+                if let WindowFunc::Agg { arg: Some(a), .. } = &$($mut)? w.func {
+                    $f(a)?;
+                }
+                w.partition_by.$iter().try_for_each(&mut $f)?;
+                w.order_by.$iter().try_for_each(|k| $f(&$($mut)? k.expr))
+            }
+        }
+    };
+}
+
 impl Expr {
     /// Convenience: `lhs op rhs`.
     pub fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
@@ -263,120 +307,55 @@ impl Expr {
         }
     }
 
-    /// Does this expression tree contain an aggregate call?
+    /// Call `f` on each direct sub-expression of this node within the
+    /// current query block, left to right, stopping at the first error:
+    /// every operand, the tested expression of `IN (SELECT …)`, and a
+    /// window's argument, `PARTITION BY` and `ORDER BY` keys. A subquery's
+    /// `SELECT` is another block and is never entered.
+    pub fn try_for_each_child<E>(
+        &self,
+        mut f: impl FnMut(&Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        visit_children!(self, f, iter)
+    }
+
+    /// [`Expr::try_for_each_child`] with mutable access, for in-place
+    /// rewrites; it yields the same children in the same order.
+    pub fn try_for_each_child_mut<E>(
+        &mut self,
+        mut f: impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        visit_children!(self, f, iter_mut, mut)
+    }
+
+    /// Infallible [`Expr::try_for_each_child`].
+    pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
+        let _ = self.try_for_each_child(|e| {
+            f(e);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+
+    /// Does any direct child satisfy `pred`? Stops at the first that does.
+    pub fn any_child(&self, mut pred: impl FnMut(&Expr) -> bool) -> bool {
+        self.try_for_each_child(|e| if pred(e) { Err(()) } else { Ok(()) })
+            .is_err()
+    }
+
+    /// Does this expression contain an aggregate call? A subquery's
+    /// aggregates are its own, and a window call computes its own value per
+    /// row, so neither makes the query a grouped one.
     pub fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Agg { .. } => true,
-            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => false,
-            Expr::Neg(e) | Expr::Not(e) => e.contains_aggregate(),
-            Expr::Binary { lhs, rhs, .. } => lhs.contains_aggregate() || rhs.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.contains_aggregate() || lo.contains_aggregate() || hi.contains_aggregate()
-            }
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_aggregate),
-            // A subquery's own aggregates are its own business.
-            Expr::Subquery(_) | Expr::Exists { .. } => false,
-            Expr::InSelect { expr, .. } => expr.contains_aggregate(),
-            Expr::Case {
-                operand,
-                arms,
-                otherwise,
-            } => {
-                operand.as_ref().is_some_and(|o| o.contains_aggregate())
-                    || arms
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || otherwise.as_ref().is_some_and(|e| e.contains_aggregate())
-            }
-            Expr::Cast { expr, .. } => expr.contains_aggregate(),
-            // A window call computes its own value per row; it does not make
-            // the query a grouped aggregate query.
             Expr::Window(_) => false,
+            e => e.any_child(Expr::contains_aggregate),
         }
     }
 
-    /// Does this expression tree contain a window function call?
+    /// Does this expression contain a window function call?
     pub fn contains_window(&self) -> bool {
-        match self {
-            Expr::Window(_) => true,
-            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => false,
-            Expr::Neg(e) | Expr::Not(e) => e.contains_window(),
-            Expr::Binary { lhs, rhs, .. } => lhs.contains_window() || rhs.contains_window(),
-            Expr::Like { expr, pattern, .. } => expr.contains_window() || pattern.contains_window(),
-            Expr::IsNull { expr, .. } => expr.contains_window(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_window() || list.iter().any(Expr::contains_window)
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.contains_window() || lo.contains_window() || hi.contains_window()
-            }
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_window),
-            Expr::Agg { arg, .. } => arg.as_ref().is_some_and(|a| a.contains_window()),
-            Expr::Subquery(_) | Expr::Exists { .. } => false,
-            Expr::InSelect { expr, .. } => expr.contains_window(),
-            Expr::Case {
-                operand,
-                arms,
-                otherwise,
-            } => {
-                operand.as_ref().is_some_and(|o| o.contains_window())
-                    || arms
-                        .iter()
-                        .any(|(w, t)| w.contains_window() || t.contains_window())
-                    || otherwise.as_ref().is_some_and(|e| e.contains_window())
-            }
-            Expr::Cast { expr, .. } => expr.contains_window(),
-        }
-    }
-
-    /// Does this expression tree contain a subquery?
-    pub fn contains_subquery(&self) -> bool {
-        match self {
-            Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => true,
-            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => false,
-            Expr::Neg(e) | Expr::Not(e) => e.contains_subquery(),
-            Expr::Binary { lhs, rhs, .. } => lhs.contains_subquery() || rhs.contains_subquery(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_subquery() || pattern.contains_subquery()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_subquery(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_subquery() || list.iter().any(Expr::contains_subquery)
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.contains_subquery() || lo.contains_subquery() || hi.contains_subquery()
-            }
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_subquery),
-            Expr::Agg { arg, .. } => arg.as_ref().is_some_and(|a| a.contains_subquery()),
-            Expr::Case {
-                operand,
-                arms,
-                otherwise,
-            } => {
-                operand.as_ref().is_some_and(|o| o.contains_subquery())
-                    || arms
-                        .iter()
-                        .any(|(w, t)| w.contains_subquery() || t.contains_subquery())
-                    || otherwise.as_ref().is_some_and(|e| e.contains_subquery())
-            }
-            Expr::Cast { expr, .. } => expr.contains_subquery(),
-            Expr::Window(w) => {
-                let arg_has = match &w.func {
-                    WindowFunc::Agg { arg: Some(a), .. } => a.contains_subquery(),
-                    _ => false,
-                };
-                arg_has
-                    || w.partition_by.iter().any(Expr::contains_subquery)
-                    || w.order_by.iter().any(|k| k.expr.contains_subquery())
-            }
-        }
+        matches!(self, Expr::Window(_)) || self.any_child(Expr::contains_window)
     }
 }
 
@@ -491,6 +470,57 @@ pub struct Select {
     /// *first* branch apply to the combined result (and later branches may
     /// not carry their own).
     pub set_ops: Vec<(SetOp, Select)>,
+}
+
+impl Select {
+    /// Call `f` on each expression slot of this branch: the SELECT items,
+    /// WHERE, GROUP BY, HAVING, ORDER BY and every JOIN's ON condition.
+    /// Set-operation branches are not entered.
+    pub fn for_each_expr(&self, mut f: impl FnMut(&Expr)) {
+        for item in &self.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                f(expr);
+            }
+        }
+        self.where_clause.iter().for_each(&mut f);
+        self.group_by.iter().for_each(&mut f);
+        self.having.iter().for_each(&mut f);
+        self.order_by.iter().for_each(|k| f(&k.expr));
+        self.joins.iter().filter_map(|j| j.on.as_ref()).for_each(f)
+    }
+
+    /// The expressions evaluated once per group when the query is grouped:
+    /// the SELECT items, HAVING and ORDER BY. An aggregate in any of them
+    /// makes the query grouped.
+    pub fn group_exprs(&self) -> impl Iterator<Item = &Expr> {
+        (self.items.iter())
+            .filter_map(|i| match i {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            })
+            .chain(&self.having)
+            .chain(self.order_by.iter().map(|k| &k.expr))
+    }
+
+    /// [`Select::for_each_expr`] with mutable access, stopping at the first
+    /// error.
+    pub fn try_for_each_expr_mut<E>(
+        &mut self,
+        mut f: impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for item in &mut self.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                f(expr)?;
+            }
+        }
+        self.where_clause.iter_mut().try_for_each(&mut f)?;
+        self.group_by.iter_mut().try_for_each(&mut f)?;
+        self.having.iter_mut().try_for_each(&mut f)?;
+        self.order_by.iter_mut().try_for_each(|k| f(&mut k.expr))?;
+        (self.joins.iter_mut())
+            .filter_map(|j| j.on.as_mut())
+            .try_for_each(f)
+    }
 }
 
 /// A column definition inside CREATE TABLE.
@@ -1013,6 +1043,101 @@ mod tests {
         let nested = Expr::binary(BinOp::Add, Expr::Literal(Value::Int(1)), agg);
         assert!(nested.contains_aggregate());
         assert!(!Expr::Literal(Value::Int(1)).contains_aggregate());
+    }
+
+    /// The SELECT a statement parses to; `?` markers number 1, 2, … in
+    /// text order.
+    fn select(sql: &str) -> Select {
+        match crate::parser::parse(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("not a SELECT: {other:?}"),
+        }
+    }
+
+    fn marker(e: &Expr) -> usize {
+        match e {
+            Expr::Param(n) => *n,
+            other => panic!("unexpected child {other}"),
+        }
+    }
+
+    #[test]
+    fn child_visitors_yield_each_slot_once_within_the_block() {
+        // Every variant, a distinct marker in each expression slot; markers
+        // inside a subquery's SELECT must never be yielded.
+        let cases: &[(&str, &[usize])] = &[
+            ("1", &[]),
+            ("c", &[]),
+            ("?", &[]),
+            ("-?", &[1]),
+            ("NOT ?", &[1]),
+            ("? + ?", &[1, 2]),
+            ("? NOT LIKE ? ESCAPE '!'", &[1, 2]),
+            ("? IS NOT NULL", &[1]),
+            ("? IN (?, ?)", &[1, 2, 3]),
+            ("? NOT BETWEEN ? AND ?", &[1, 2, 3]),
+            ("COALESCE(?, ?)", &[1, 2]),
+            ("SUM(DISTINCT ?)", &[1]),
+            ("COUNT(*)", &[]),
+            ("(SELECT ? FROM t WHERE ?)", &[]),
+            ("? IN (SELECT ? FROM t)", &[1]),
+            ("NOT EXISTS (SELECT ? FROM t)", &[]),
+            (
+                "CASE ? WHEN ? THEN ? WHEN ? THEN ? ELSE ? END",
+                &[1, 2, 3, 4, 5, 6],
+            ),
+            ("CASE WHEN ? THEN ? END", &[1, 2]),
+            ("CAST(? AS INTEGER)", &[1]),
+            (
+                "MAX(?) OVER (PARTITION BY ?, ? ORDER BY ? DESC)",
+                &[1, 2, 3, 4],
+            ),
+            ("RANK() OVER (ORDER BY ?, ?)", &[1, 2]),
+        ];
+        let mut variants = std::collections::HashSet::new();
+        for &(text, want) in cases {
+            let mut sel = select(&format!("SELECT {text}"));
+            let SelectItem::Expr { expr, .. } = &mut sel.items[0] else {
+                unreachable!()
+            };
+            variants.insert(std::mem::discriminant(expr));
+            let mut seen = Vec::new();
+            expr.for_each_child(|c| seen.push(marker(c)));
+            assert_eq!(seen, want, "shared visitor over {text}");
+            let mut seen = Vec::new();
+            expr.try_for_each_child_mut(|c| {
+                seen.push(marker(c));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            assert_eq!(seen, want, "mutable visitor over {text}");
+            // Short-circuit: the first child that matches ends the walk.
+            let mut asked = 0;
+            let found = expr.any_child(|_| {
+                asked += 1;
+                true
+            });
+            assert_eq!((found, asked), (!want.is_empty(), want.len().min(1)));
+        }
+        assert_eq!(variants.len(), 18, "every Expr variant is covered");
+    }
+
+    #[test]
+    fn select_slots_cover_every_clause_but_not_set_branches() {
+        let mut sel = select(
+            "SELECT *, ? FROM t JOIN u ON ? WHERE ? GROUP BY ? HAVING ? \
+             UNION SELECT ? FROM v ORDER BY ?",
+        );
+        let mut seen = Vec::new();
+        sel.for_each_expr(|e| seen.push(marker(e)));
+        assert_eq!(seen, [1, 3, 4, 5, 7, 2]);
+        let mut seen = Vec::new();
+        sel.try_for_each_expr_mut(|e| {
+            seen.push(marker(e));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(seen, [1, 3, 4, 5, 7, 2]);
     }
 
     #[test]

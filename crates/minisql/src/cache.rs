@@ -15,7 +15,7 @@
 //! encoded with explicit type tags and length prefixes so `'1'` and `1`
 //! (or adjacent text params) can never alias.
 
-use crate::ast::{Expr, Select, SelectItem};
+use crate::ast::{Expr, Select};
 use crate::exec::ResultSet;
 use crate::state::DbState;
 use crate::types::Value;
@@ -157,106 +157,22 @@ pub(crate) fn deps_valid(state: &DbState, deps: &[(String, u64)]) -> bool {
 }
 
 fn collect_select(sel: &Select, out: &mut Vec<String>) {
-    if let Some(t) = &sel.from {
-        out.push(t.name.to_ascii_lowercase());
-    }
-    for join in &sel.joins {
-        out.push(join.table.name.to_ascii_lowercase());
-        if let Some(on) = &join.on {
-            collect_expr(on, out);
-        }
-    }
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_expr(expr, out);
-        }
-    }
-    if let Some(e) = &sel.where_clause {
-        collect_expr(e, out);
-    }
-    for e in &sel.group_by {
-        collect_expr(e, out);
-    }
-    if let Some(e) = &sel.having {
-        collect_expr(e, out);
-    }
-    for key in &sel.order_by {
-        collect_expr(&key.expr, out);
-    }
+    let tables = sel.from.iter().chain(sel.joins.iter().map(|j| &j.table));
+    out.extend(tables.map(|t| t.name.to_ascii_lowercase()));
+    sel.for_each_expr(|e| collect_expr(e, out));
     for (_, s) in &sel.set_ops {
         collect_select(s, out);
     }
 }
 
+/// The tables of every subquery in `expr`, at any depth.
 fn collect_expr(expr: &Expr, out: &mut Vec<String>) {
-    match expr {
-        Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => {}
-        Expr::Neg(e) | Expr::Not(e) => collect_expr(e, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, out);
-            collect_expr(rhs, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_expr(expr, out);
-            collect_expr(pattern, out);
-        }
-        Expr::IsNull { expr, .. } => collect_expr(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_expr(expr, out);
-            for e in list {
-                collect_expr(e, out);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_expr(expr, out);
-            collect_expr(lo, out);
-            collect_expr(hi, out);
-        }
-        Expr::Func { args, .. } => {
-            for e in args {
-                collect_expr(e, out);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(e) = arg {
-                collect_expr(e, out);
-            }
-        }
-        Expr::Subquery(s) => collect_select(s, out),
-        Expr::InSelect { expr, select, .. } => {
-            collect_expr(expr, out);
-            collect_select(select, out);
-        }
-        Expr::Exists { select, .. } => collect_select(select, out),
-        Expr::Window(w) => {
-            if let crate::ast::WindowFunc::Agg { arg: Some(a), .. } = &w.func {
-                collect_expr(a, out);
-            }
-            for e in &w.partition_by {
-                collect_expr(e, out);
-            }
-            for key in &w.order_by {
-                collect_expr(&key.expr, out);
-            }
-        }
-        Expr::Case {
-            operand,
-            arms,
-            otherwise,
-        } => {
-            if let Some(e) = operand {
-                collect_expr(e, out);
-            }
-            for (when, then) in arms {
-                collect_expr(when, out);
-                collect_expr(then, out);
-            }
-            if let Some(e) = otherwise {
-                collect_expr(e, out);
-            }
-        }
-        Expr::Cast { expr, .. } => collect_expr(expr, out),
+    if let Expr::Subquery(s) | Expr::InSelect { select: s, .. } | Expr::Exists { select: s, .. } =
+        expr
+    {
+        collect_select(s, out);
     }
+    expr.for_each_child(|e| collect_expr(e, out));
 }
 
 #[cfg(test)]

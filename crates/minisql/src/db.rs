@@ -523,12 +523,6 @@ impl Connection {
         self.txn.is_some()
     }
 
-    /// Rebind this connection to a request context (see
-    /// [`Database::connect_with_ctx`]).
-    pub fn set_request_ctx(&mut self, ctx: Arc<RequestCtx>) {
-        self.ctx = ctx;
-    }
-
     /// Pin the current committed snapshot (see [`Database::pin`]).
     pub fn pin(&self) -> Arc<DbState> {
         self.core.published.load()

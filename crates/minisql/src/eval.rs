@@ -9,7 +9,7 @@
 //! [`AggSource`] supplied by the grouping executor; in any other context they
 //! are an error.
 
-use crate::ast::{BinOp, ColumnRef, Expr, WindowFunc};
+use crate::ast::{BinOp, ColumnRef, Expr};
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::like::like_match;
 use crate::types::{Truth, Value};
@@ -75,11 +75,6 @@ impl Bindings {
             .map(|(_, cols)| cols.as_slice())
     }
 
-    /// Number of tables in the scope.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Index (FROM-clause position) of the table owning tuple position
     /// `pos`, if in range. The planner uses this to classify predicate
     /// conjuncts by the tables they reference.
@@ -137,53 +132,12 @@ impl Bindings {
     /// [`Bindings::bound`] in place.
     pub fn bind(&self, expr: &mut Expr) -> SqlResult<()> {
         match expr {
-            Expr::Column(c) => c.slot = Some(self.resolve(c)?),
-            Expr::Literal(_) | Expr::Param(_) | Expr::Subquery(_) | Expr::Exists { .. } => {}
-            Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => self.bind(e)?,
-            Expr::Cast { expr: e, .. } | Expr::InSelect { expr: e, .. } => self.bind(e)?,
-            Expr::Binary { lhs, rhs, .. }
-            | Expr::Like {
-                expr: lhs,
-                pattern: rhs,
-                ..
-            } => {
-                self.bind(lhs)?;
-                self.bind(rhs)?;
+            Expr::Column(c) => {
+                c.slot = Some(self.resolve(c)?);
+                Ok(())
             }
-            Expr::InList { expr, list, .. } => {
-                self.bind(expr)?;
-                list.iter_mut().try_for_each(|e| self.bind(e))?;
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                self.bind(expr)?;
-                self.bind(lo)?;
-                self.bind(hi)?;
-            }
-            Expr::Func { args, .. } => args.iter_mut().try_for_each(|e| self.bind(e))?,
-            Expr::Agg { arg, .. } => arg.iter_mut().try_for_each(|a| self.bind(a))?,
-            Expr::Case {
-                operand,
-                arms,
-                otherwise,
-            } => {
-                operand.iter_mut().try_for_each(|o| self.bind(o))?;
-                for (w, t) in arms {
-                    self.bind(w)?;
-                    self.bind(t)?;
-                }
-                otherwise.iter_mut().try_for_each(|e| self.bind(e))?;
-            }
-            Expr::Window(w) => {
-                if let WindowFunc::Agg { arg: Some(a), .. } = &mut w.func {
-                    self.bind(a)?;
-                }
-                w.partition_by.iter_mut().try_for_each(|e| self.bind(e))?;
-                w.order_by
-                    .iter_mut()
-                    .try_for_each(|k| self.bind(&mut k.expr))?;
-            }
+            _ => expr.try_for_each_child_mut(|e| self.bind(e)),
         }
-        Ok(())
     }
 }
 

@@ -14,6 +14,13 @@
 //! change performance, never results — a property the equivalence suite in
 //! `tests/planner_equivalence.rs` exercises. UPDATE and DELETE find their
 //! target rows through the same single-table scan ([`scan_where`]).
+//!
+//! Uncorrelated subqueries run first and are replaced in place by their
+//! results, so the evaluator never needs the database. The walkers here
+//! (subquery rewriting, aggregate and window collection, constant folding)
+//! recurse through [`Expr::try_for_each_child`] and its `_mut` twin and keep
+//! only their own stopping rule. DISTINCT, `COUNT(DISTINCT …)` and the set
+//! operations deduplicate by hashing, keeping first-seen order.
 
 use crate::analyze::{self, OpId};
 use crate::ast::{
@@ -28,7 +35,8 @@ use crate::storage::{Row, RowId};
 use crate::types::Value;
 use dbgw_obs::RequestCtx;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 /// A partially-joined tuple: borrowed straight from a heap until a join (or
 /// NULL padding) forces an owned copy.
@@ -126,44 +134,7 @@ fn run_compound(
                 rhs.columns.len()
             )));
         }
-        match op {
-            SetOp::Union { all: true } => rows.extend(rhs.rows),
-            SetOp::Union { all: false } => {
-                rows.extend(rhs.rows);
-                dedup_rows(&mut rows);
-            }
-            SetOp::Except { all: false } => {
-                dedup_rows(&mut rows);
-                rows.retain(|r| !rhs.rows.contains(r));
-            }
-            SetOp::Except { all: true } => {
-                // Bag difference: each right row cancels at most one left copy,
-                // leaving max(l - r, 0) copies of each row.
-                let mut remaining = rhs.rows;
-                rows.retain(|r| match remaining.iter().position(|x| x == r) {
-                    Some(i) => {
-                        remaining.swap_remove(i);
-                        false
-                    }
-                    None => true,
-                });
-            }
-            SetOp::Intersect { all: false } => {
-                dedup_rows(&mut rows);
-                rows.retain(|r| rhs.rows.contains(r));
-            }
-            SetOp::Intersect { all: true } => {
-                // Bag intersection: min(l, r) copies of each row.
-                let mut remaining = rhs.rows;
-                rows.retain(|r| match remaining.iter().position(|x| x == r) {
-                    Some(i) => {
-                        remaining.swap_remove(i);
-                        true
-                    }
-                    None => false,
-                });
-            }
-        }
+        rows = set_op(*op, rows, rhs.rows);
     }
     // Hoisted ORDER BY: positional or output-column keys only — there is no
     // single source row to evaluate arbitrary expressions against.
@@ -212,16 +183,59 @@ fn run_compound(
     })
 }
 
-fn dedup_rows(rows: &mut Vec<Row>) {
-    let mut seen: Vec<Row> = Vec::with_capacity(rows.len());
-    rows.retain(|r| {
-        if seen.contains(r) {
-            false
-        } else {
-            seen.push(r.clone());
-            true
+/// Combine two branch results under `op`. The ALL forms count the right
+/// side's rows: EXCEPT ALL keeps `max(l - r, 0)` copies of each row,
+/// INTERSECT ALL `min(l, r)`.
+fn set_op(op: SetOp, mut rows: Vec<Row>, rhs: Vec<Row>) -> Vec<Row> {
+    let intersect = matches!(op, SetOp::Intersect { .. });
+    match op {
+        SetOp::Union { all } => {
+            rows.extend(rhs);
+            if !all {
+                dedup(&mut rows);
+            }
         }
-    });
+        SetOp::Except { all: false } | SetOp::Intersect { all: false } => {
+            let rhs: HashSet<&Row> = rhs.iter().collect();
+            dedup(&mut rows);
+            rows.retain(|r| rhs.contains(r) == intersect);
+        }
+        SetOp::Except { all: true } | SetOp::Intersect { all: true } => {
+            let mut remaining: HashMap<&Row, usize> = HashMap::with_capacity(rhs.len());
+            for r in &rhs {
+                *remaining.entry(r).or_default() += 1;
+            }
+            rows.retain(|r| match remaining.get_mut(r) {
+                Some(n) if *n > 0 => {
+                    *n -= 1;
+                    intersect
+                }
+                _ => !intersect,
+            });
+        }
+    }
+    rows
+}
+
+/// Hashed duplicate detection that keeps first-seen order: one flag per key,
+/// true when the key equals no earlier one. Every DISTINCT, COUNT(DISTINCT)
+/// and duplicate-eliminating set operation goes through here, relying on
+/// `Value`'s `Hash` agreeing with its `Eq` as GROUP BY does.
+fn first_seen<'k, K: Hash + Eq + 'k>(keys: impl ExactSizeIterator<Item = &'k K>) -> Vec<bool> {
+    let mut seen = HashSet::with_capacity(keys.len());
+    keys.map(|k| seen.insert(k)).collect()
+}
+
+/// Keep the items whose flag is set (one flag per item, in order).
+fn retain_flagged<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    items.retain(|_| *flags.next().expect("one flag per item"));
+}
+
+/// Drop every item equal to an earlier one.
+fn dedup<T: Hash + Eq>(items: &mut Vec<T>) {
+    let keep = first_seen(items.iter());
+    retain_flagged(items, &keep);
 }
 
 /// The one prepare step behind both execution and EXPLAIN, so the join order
@@ -256,22 +270,20 @@ fn run_single(
     // One EXPLAIN ANALYZE block; subqueries re-entering run_single nest to
     // depth ≥ 2 and are excluded from the outer block's actuals.
     let _analyze_block = analyze::enter_block();
-    let (mut sel, bindings) = prepare(state, sel, params, opts)?;
+    let (sel, bindings) = prepare(state, sel, params, opts)?;
     if matches!(sel, Cow::Owned(_)) {
         dbgw_obs::metrics().join_reorders.inc();
     }
     // Pre-execute any (uncorrelated) subqueries, replacing them with literal
     // lists/values, so the scalar evaluator never needs database access. The
     // rewrite leaves FROM and JOIN tables alone, so the scope still holds.
-    if select_has_subqueries(&sel) {
-        sel = Cow::Owned(rewrite_select_subqueries(state, &sel, params, ctx)?);
-    }
+    let mut sel = sel.into_owned();
+    sel.try_for_each_expr_mut(|e| rewrite_subqueries(state, e, params, ctx))?;
     // 1. Bind: the SELECT list, GROUP BY, HAVING and ORDER BY resolve their
     // columns against the FROM scope here, once — unknown columns error even
     // when the table is empty (DB2 validated names at PREPARE) and no row
     // loop looks a name up again. WHERE and ON conjuncts bind where the plan
     // runs them, in that stage's scope.
-    let mut sel = sel.into_owned();
     for item in &mut sel.items {
         if let SelectItem::Expr { expr, .. } = item {
             bindings.bind(expr)?;
@@ -296,7 +308,6 @@ fn run_single(
     }
     if !sel.joins.is_empty() && sel_plan.pushed_where > 0 {
         dbgw_obs::metrics().pushdown_applied.inc();
-        plan::record(|s| s.pushed_conjuncts += sel_plan.pushed_where as u64);
     }
     let residual = bind_all(&sel_plan.residual, bindings)?;
     let mut rows = execute_source(state, sel, &sel_plan, params, ctx)?;
@@ -645,7 +656,6 @@ fn hash_join<'a>(
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
     dbgw_obs::metrics().join_hash.inc();
-    plan::record(|s| s.hash_joins += 1);
     let nkeys = keys.len();
     // Right-side key tuples, evaluated once per right row against the bare
     // heap row (table-local bindings); None = contains NULL/NaN, never joins.
@@ -767,7 +777,6 @@ fn nested_join<'a>(
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
     dbgw_obs::metrics().join_nested.inc();
-    plan::record(|s| s.nested_joins += 1);
     let mut out: Vec<SrcRow<'a>> = Vec::new();
     let mut buf: Vec<Value> = Vec::with_capacity(left_width + right_width);
     let mut pairs = 0usize;
@@ -840,35 +849,18 @@ fn plural(n: usize) -> &'static str {
 
 /// Constant-fold an expression with no column references.
 pub(crate) fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
+    // Aggregates and windows depend on the row set, and unrewritten
+    // subqueries cannot be evaluated here: none of them folds.
     fn has_column(e: &Expr) -> bool {
-        match e {
-            Expr::Column(_) => true,
-            Expr::Literal(_) | Expr::Param(_) => false,
-            Expr::Neg(i) | Expr::Not(i) => has_column(i),
-            Expr::Binary { lhs, rhs, .. } => has_column(lhs) || has_column(rhs),
-            Expr::Like { expr, pattern, .. } => has_column(expr) || has_column(pattern),
-            Expr::IsNull { expr, .. } => has_column(expr),
-            Expr::InList { expr, list, .. } => has_column(expr) || list.iter().any(has_column),
-            Expr::Between { expr, lo, hi, .. } => {
-                has_column(expr) || has_column(lo) || has_column(hi)
-            }
-            Expr::Func { args, .. } => args.iter().any(has_column),
-            Expr::Agg { .. } => true,
-            // Unrewritten subqueries cannot be constant-folded here.
-            Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => true,
-            Expr::Case {
-                operand,
-                arms,
-                otherwise,
-            } => {
-                operand.as_ref().is_some_and(|o| has_column(o))
-                    || arms.iter().any(|(w, t)| has_column(w) || has_column(t))
-                    || otherwise.as_ref().is_some_and(|e| has_column(e))
-            }
-            Expr::Cast { expr, .. } => has_column(expr),
-            // Window values depend on the row set, never constant-foldable.
-            Expr::Window(_) => true,
-        }
+        matches!(
+            e,
+            Expr::Column(_)
+                | Expr::Agg { .. }
+                | Expr::Window(_)
+                | Expr::Subquery(_)
+                | Expr::InSelect { .. }
+                | Expr::Exists { .. }
+        ) || e.any_child(has_column)
     }
     if has_column(expr) {
         return None;
@@ -1008,61 +1000,9 @@ fn run_plain(
 /// Collect the distinct window expressions in `expr` (windows cannot nest).
 fn collect_windows(expr: &Expr, out: &mut Vec<Expr>) {
     match expr {
-        Expr::Window(_) => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
-        }
-        Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => {}
-        Expr::Neg(i) | Expr::Not(i) => collect_windows(i, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_windows(lhs, out);
-            collect_windows(rhs, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_windows(expr, out);
-            collect_windows(pattern, out);
-        }
-        Expr::IsNull { expr, .. } => collect_windows(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_windows(expr, out);
-            for e in list {
-                collect_windows(e, out);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_windows(expr, out);
-            collect_windows(lo, out);
-            collect_windows(hi, out);
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_windows(a, out);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                collect_windows(a, out);
-            }
-        }
-        Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => {}
-        Expr::Case {
-            operand,
-            arms,
-            otherwise,
-        } => {
-            if let Some(op) = operand {
-                collect_windows(op, out);
-            }
-            for (w, t) in arms {
-                collect_windows(w, out);
-                collect_windows(t, out);
-            }
-            if let Some(e) = otherwise {
-                collect_windows(e, out);
-            }
-        }
-        Expr::Cast { expr, .. } => collect_windows(expr, out),
+        Expr::Window(_) if !out.contains(expr) => out.push(expr.clone()),
+        Expr::Window(_) => {}
+        _ => expr.for_each_child(|e| collect_windows(e, out)),
     }
 }
 
@@ -1199,62 +1139,14 @@ impl AggSource for GroupAggs {
     }
 }
 
+/// Collect the distinct aggregate calls in `expr`. A window call is its own
+/// evaluation unit, not a group aggregate (grouped queries reject windows
+/// before this runs); subqueries were rewritten to literals before grouping.
 fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
     match expr {
-        Expr::Agg { .. } => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
-        }
-        Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => {}
-        Expr::Neg(i) | Expr::Not(i) => collect_aggs(i, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_aggs(lhs, out);
-            collect_aggs(rhs, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(pattern, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggs(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for e in list {
-                collect_aggs(e, out);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(lo, out);
-            collect_aggs(hi, out);
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_aggs(a, out);
-            }
-        }
-        // Subqueries were rewritten to literals before grouping runs.
-        Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => {}
-        Expr::Case {
-            operand,
-            arms,
-            otherwise,
-        } => {
-            if let Some(op) = operand {
-                collect_aggs(op, out);
-            }
-            for (w, t) in arms {
-                collect_aggs(w, out);
-                collect_aggs(t, out);
-            }
-            if let Some(e) = otherwise {
-                collect_aggs(e, out);
-            }
-        }
-        Expr::Cast { expr, .. } => collect_aggs(expr, out),
-        // A window call is its own evaluation unit, not a group aggregate;
-        // grouped queries reject windows before this walker runs.
-        Expr::Window(_) => {}
+        Expr::Agg { .. } if !out.contains(expr) => out.push(expr.clone()),
+        Expr::Agg { .. } | Expr::Window(_) => {}
+        _ => expr.for_each_child(|e| collect_aggs(e, out)),
     }
 }
 
@@ -1284,15 +1176,7 @@ fn compute_agg(agg: &Expr, rows: &[SrcRow<'_>], params: &[Value]) -> SqlResult<V
         }
     }
     if *distinct {
-        let mut seen: Vec<Value> = Vec::new();
-        values.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
-            }
-        });
+        dedup(&mut values);
     }
     match func {
         AggFunc::Count => Ok(Value::Int(values.len() as i64)),
@@ -1348,14 +1232,8 @@ fn run_grouped<'a>(
     ctx: &RequestCtx,
     topk: Option<usize>,
 ) -> SqlResult<ResultSet> {
-    let windowed = sel
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_window()))
-        || sel.group_by.iter().any(Expr::contains_window)
-        || sel.having.as_ref().is_some_and(Expr::contains_window)
-        || sel.order_by.iter().any(|k| k.expr.contains_window());
-    if windowed {
+    let mut per_group = sel.group_by.iter().chain(sel.group_exprs());
+    if per_group.any(Expr::contains_window) {
         return Err(SqlError::syntax(
             "window functions cannot be combined with GROUP BY or aggregates",
         ));
@@ -1388,16 +1266,8 @@ fn run_grouped<'a>(
 
     // The distinct aggregate expressions appearing anywhere downstream.
     let mut agg_exprs: Vec<Expr> = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggs(expr, &mut agg_exprs);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut agg_exprs);
-    }
-    for k in &sel.order_by {
-        collect_aggs(&k.expr, &mut agg_exprs);
+    for e in sel.group_exprs() {
+        collect_aggs(e, &mut agg_exprs);
     }
 
     let width = bindings.width();
@@ -1443,33 +1313,20 @@ fn finish_pipeline(
     labels: &[String],
     mut pairs: Vec<(SrcRow<'_>, Row)>,
     params: &[Value],
-    agg_sources: Option<Vec<GroupAggs>>,
+    mut agg_sources: Option<Vec<GroupAggs>>,
     topk: Option<usize>,
 ) -> SqlResult<ResultSet> {
-    // DISTINCT over output rows.
+    // DISTINCT over output rows; a grouped query's aggregate sources follow
+    // its rows, so ORDER BY below reads each kept row's own group.
     if sel.distinct {
         let distinct_in = pairs.len() as u64;
         let distinct_t0 = analyze::start();
-        let mut seen: Vec<Row> = Vec::new();
-        let mut kept_sources = agg_sources.as_ref().map(|_| Vec::new());
-        let mut kept = Vec::with_capacity(pairs.len());
-        for (i, (src, out)) in pairs.into_iter().enumerate() {
-            if !seen.contains(&out) {
-                seen.push(out.clone());
-                if let (Some(kept_sources), Some(sources)) =
-                    (kept_sources.as_mut(), agg_sources.as_ref())
-                {
-                    kept_sources.push(i);
-                    let _ = sources;
-                }
-                kept.push((src, out));
-            }
+        let keep = first_seen(pairs.iter().map(|(_, out)| out));
+        retain_flagged(&mut pairs, &keep);
+        if let Some(sources) = &mut agg_sources {
+            retain_flagged(sources, &keep);
         }
-        pairs = kept;
         analyze::record(OpId::Distinct, distinct_t0, distinct_in, pairs.len() as u64);
-        // Note: after DISTINCT the agg sources for dropped rows are unneeded;
-        // ORDER BY keys below re-evaluate only against kept pairs' own keys,
-        // computed eagerly next, so we can discard the mapping safely.
     }
 
     // ORDER BY: compute sort keys eagerly for each row. With LIMIT k the
@@ -1502,10 +1359,7 @@ fn finish_pipeline(
             a.cmp(&b)
         };
         let order: Vec<usize> = match topk {
-            Some(k) if k < pairs.len() => {
-                plan::record(|s| s.topk_sorts += 1);
-                plan::top_k_indices(pairs.len(), k, &cmp)
-            }
+            Some(k) if k < pairs.len() => plan::top_k_indices(pairs.len(), k, &cmp),
             _ => {
                 let mut order: Vec<usize> = (0..pairs.len()).collect();
                 order.sort_unstable_by(|&a, &b| cmp(a, b));
@@ -1581,107 +1435,63 @@ fn order_key_value<'a>(
 // Subquery pre-execution.
 // ---------------------------------------------------------------------------
 
-fn select_has_subqueries(sel: &Select) -> bool {
-    sel.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr.contains_subquery(),
-        _ => false,
-    }) || sel
-        .where_clause
-        .as_ref()
-        .is_some_and(Expr::contains_subquery)
-        || sel.having.as_ref().is_some_and(Expr::contains_subquery)
-        || sel.group_by.iter().any(Expr::contains_subquery)
-        || sel.order_by.iter().any(|k| k.expr.contains_subquery())
-        || sel
-            .joins
-            .iter()
-            .any(|j| j.on.as_ref().is_some_and(Expr::contains_subquery))
-}
-
-fn rewrite_select_subqueries(
-    state: &DbState,
-    sel: &Select,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Select> {
-    let mut out = sel.clone();
-    for item in &mut out.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            *expr = rewrite_expr_subqueries(state, expr, params, ctx)?;
-        }
-    }
-    if let Some(w) = &mut out.where_clause {
-        *w = rewrite_expr_subqueries(state, w, params, ctx)?;
-    }
-    if let Some(h) = &mut out.having {
-        *h = rewrite_expr_subqueries(state, h, params, ctx)?;
-    }
-    for g in &mut out.group_by {
-        *g = rewrite_expr_subqueries(state, g, params, ctx)?;
-    }
-    for k in &mut out.order_by {
-        k.expr = rewrite_expr_subqueries(state, &k.expr, params, ctx)?;
-    }
-    for j in &mut out.joins {
-        if let Some(on) = &mut j.on {
-            *on = rewrite_expr_subqueries(state, on, params, ctx)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Replace subquery nodes in `expr` by executing them against `state`.
-///
-/// Only *uncorrelated* subqueries are supported, matching the era (the web
-/// workloads used them for pick-lists). A correlated reference surfaces as an
-/// "unknown column" error from the inner query.
+/// A copy of `expr` with its subqueries replaced by their results (see
+/// [`rewrite_subqueries`]).
 pub(crate) fn rewrite_expr_subqueries(
     state: &DbState,
     expr: &Expr,
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Expr> {
-    if !expr.contains_subquery() {
-        return Ok(expr.clone());
-    }
-    check_cancel(ctx)?;
-    let walk = |e: &Expr| rewrite_expr_subqueries(state, e, params, ctx);
-    Ok(match expr {
+    let mut expr = expr.clone();
+    rewrite_subqueries(state, &mut expr, params, ctx)?;
+    Ok(expr)
+}
+
+/// Replace, in place, each subquery node in `expr` by executing it against
+/// `state`: a scalar subquery becomes its value, `IN (SELECT …)` an `IN`
+/// list, `EXISTS` a truth value.
+///
+/// Only *uncorrelated* subqueries are supported, matching the era (the web
+/// workloads used them for pick-lists). A correlated reference surfaces as an
+/// "unknown column" error from the inner query.
+fn rewrite_subqueries(
+    state: &DbState,
+    expr: &mut Expr,
+    params: &[Value],
+    ctx: &RequestCtx,
+) -> SqlResult<()> {
+    // The values of a subquery that must yield one column.
+    let column = |select: &Select, what: &str| -> SqlResult<Vec<Value>> {
+        let rs = run_select(state, select, params, ctx)?;
+        if rs.columns.len() != 1 {
+            return Err(SqlError::syntax(format!(
+                "{what} must return exactly one column"
+            )));
+        }
+        Ok(rs.rows.into_iter().map(|mut r| r.swap_remove(0)).collect())
+    };
+    *expr = match expr {
         Expr::Subquery(select) => {
-            let rs = run_select(state, select, params, ctx)?;
-            if rs.columns.len() != 1 {
-                return Err(SqlError::syntax(
-                    "a scalar subquery must return exactly one column",
-                ));
+            let mut values = column(select, "a scalar subquery")?;
+            if values.len() > 1 {
+                return Err(SqlError::syntax(format!(
+                    "scalar subquery returned {} rows",
+                    values.len()
+                )));
             }
-            match rs.rows.len() {
-                0 => Expr::Literal(Value::Null),
-                1 => Expr::Literal(rs.rows[0][0].clone()),
-                n => {
-                    return Err(SqlError::syntax(format!(
-                        "scalar subquery returned {n} rows"
-                    )))
-                }
-            }
+            Expr::Literal(values.pop().unwrap_or(Value::Null))
         }
         Expr::InSelect {
-            expr,
+            expr: tested,
             select,
             negated,
         } => {
-            let rs = run_select(state, select, params, ctx)?;
-            if rs.columns.len() != 1 {
-                return Err(SqlError::syntax(
-                    "an IN subquery must return exactly one column",
-                ));
-            }
+            let list = column(select, "an IN subquery")?;
+            rewrite_subqueries(state, tested, params, ctx)?;
             Expr::InList {
-                expr: Box::new(walk(expr)?),
-                list: rs
-                    .rows
-                    .into_iter()
-                    .map(|mut r| Expr::Literal(r.remove(0)))
-                    .collect(),
+                expr: std::mem::replace(tested, Box::new(Expr::Literal(Value::Null))),
+                list: list.into_iter().map(Expr::Literal).collect(),
                 negated: *negated,
             }
         }
@@ -1694,101 +1504,9 @@ pub(crate) fn rewrite_expr_subqueries(
             let rs = run_select(state, &probe, params, ctx)?;
             Expr::Literal(Value::Int(i64::from(rs.rows.is_empty() == *negated)))
         }
-        Expr::Neg(i) => Expr::Neg(Box::new(walk(i)?)),
-        Expr::Not(i) => Expr::Not(Box::new(walk(i)?)),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(walk(lhs)?),
-            rhs: Box::new(walk(rhs)?),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            escape,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(walk(expr)?),
-            pattern: Box::new(walk(pattern)?),
-            escape: *escape,
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(walk(expr)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(walk(expr)?),
-            list: list.iter().map(walk).collect::<SqlResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(walk(expr)?),
-            lo: Box::new(walk(lo)?),
-            hi: Box::new(walk(hi)?),
-            negated: *negated,
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(walk).collect::<SqlResult<_>>()?,
-        },
-        Expr::Agg {
-            func,
-            arg,
-            distinct,
-        } => Expr::Agg {
-            func: *func,
-            arg: match arg {
-                Some(a) => Some(Box::new(walk(a)?)),
-                None => None,
-            },
-            distinct: *distinct,
-        },
-        Expr::Case {
-            operand,
-            arms,
-            otherwise,
-        } => Expr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(walk(o)?)),
-                None => None,
-            },
-            arms: arms
-                .iter()
-                .map(|(w, t)| Ok((walk(w)?, walk(t)?)))
-                .collect::<SqlResult<_>>()?,
-            otherwise: match otherwise {
-                Some(e) => Some(Box::new(walk(e)?)),
-                None => None,
-            },
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(walk(expr)?),
-            ty: *ty,
-        },
-        Expr::Window(w) => {
-            let mut w = (**w).clone();
-            if let WindowFunc::Agg { arg: Some(a), .. } = &mut w.func {
-                **a = walk(a)?;
-            }
-            for e in &mut w.partition_by {
-                *e = walk(e)?;
-            }
-            for key in &mut w.order_by {
-                key.expr = walk(&key.expr)?;
-            }
-            Expr::Window(Box::new(w))
-        }
-        Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => expr.clone(),
-    })
+        _ => return expr.try_for_each_child_mut(|e| rewrite_subqueries(state, e, params, ctx)),
+    };
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2069,6 +1787,8 @@ mod tests {
     use crate::state::TableData;
     use crate::storage::Heap;
     use crate::types::SqlType;
+    use dbgw_testkit::gen::{usizes, vec_of};
+    use dbgw_testkit::{prop_assert_eq, props};
     use std::sync::Arc;
 
     fn shop_state() -> DbState {
@@ -2633,5 +2353,83 @@ mod tests {
         let slow = q_opts(&st, sql, &PlanOptions::baseline());
         assert_eq!(fast, slow);
         assert!(fast.rows.iter().any(|r| r[0] == Value::Text("Dot".into())));
+    }
+
+    /// The quadratic deduplication and bag arithmetic the hashed helpers
+    /// replaced, kept as the reference they must agree with.
+    fn naive_set_op(op: SetOp, rows: Vec<Row>, rhs: Vec<Row>) -> Vec<Row> {
+        let distinct = |rows: Vec<Row>| {
+            let mut seen: Vec<Row> = Vec::new();
+            for r in rows {
+                if !seen.contains(&r) {
+                    seen.push(r);
+                }
+            }
+            seen
+        };
+        // Each right row cancels (or matches) at most one left copy.
+        let mut remaining = rhs.clone();
+        let mut take = |r: &Row| {
+            let found = remaining.iter().position(|x| x == r);
+            found.map(|i| remaining.swap_remove(i)).is_some()
+        };
+        match op {
+            SetOp::Union { all: true } => [rows, rhs].concat(),
+            SetOp::Union { all: false } => distinct([rows, rhs].concat()),
+            SetOp::Except { all: false } => distinct(rows)
+                .into_iter()
+                .filter(|r| !rhs.contains(r))
+                .collect(),
+            SetOp::Intersect { all: false } => distinct(rows)
+                .into_iter()
+                .filter(|r| rhs.contains(r))
+                .collect(),
+            SetOp::Except { all: true } => rows.into_iter().filter(|r| !take(r)).collect(),
+            SetOp::Intersect { all: true } => rows.into_iter().filter(|r| take(r)).collect(),
+        }
+    }
+
+    /// Values that are equal across types (`Int(1)`, `Double(1.0)`), equal
+    /// to themselves only bitwise (NaN), or look alike without being equal
+    /// (`Int(0)` / `Double(-0.0)`, `'1'`, NULL).
+    fn pool_value(i: usize) -> Value {
+        [
+            Value::Null,
+            Value::Int(1),
+            Value::Double(1.0),
+            Value::Double(f64::NAN),
+            Value::Text("1".into()),
+            Value::Text("a".into()),
+            Value::Int(0),
+            Value::Double(-0.0),
+        ][i]
+            .clone()
+    }
+
+    fn pool_rows(picks: &[(usize, usize)]) -> Vec<Row> {
+        (picks.iter())
+            .map(|&(a, b)| vec![pool_value(a), pool_value(b)])
+            .collect()
+    }
+
+    props! {
+        /// The hashed deduplication UNION, DISTINCT and COUNT(DISTINCT)
+        /// share, and the bag counting of the ALL forms, give exactly the
+        /// naive quadratic result: the same rows, the same first-seen
+        /// copies, in the same order (compared by `Debug`, which tells
+        /// `Int(1)` from `Double(1.0)`).
+        fn hashed_dedup_matches_the_naive_reference(
+            lhs in vec_of((usizes(0..8), usizes(0..8)), 0..=24),
+            rhs in vec_of((usizes(0..8), usizes(0..8)), 0..=24),
+        ) {
+            let (lhs, rhs) = (pool_rows(&lhs), pool_rows(&rhs));
+            for all in [false, true] {
+                for op in [SetOp::Union { all }, SetOp::Except { all }, SetOp::Intersect { all }] {
+                    let hashed = set_op(op, lhs.clone(), rhs.clone());
+                    let naive = naive_set_op(op, lhs.clone(), rhs.clone());
+                    prop_assert_eq!(format!("{hashed:?}"), format!("{naive:?}"), "{op}");
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@
 //! never results — the property suite in `tests/planner_equivalence.rs`
 //! exercises this.
 
-use crate::ast::{BinOp, ColumnRef, Expr, Select, SelectItem, TableRef};
+use crate::ast::{BinOp, ColumnRef, Expr, Select, TableRef};
 use crate::eval::Bindings;
 use crate::index::Index;
 use crate::like::{is_exact, literal_prefix};
@@ -101,24 +101,10 @@ impl PlanOptions {
 pub struct PlanStats {
     /// Rows fetched from heaps (probe candidates + full-scan rows).
     pub rows_scanned: u64,
-    /// Join steps executed with the hash strategy.
-    pub hash_joins: u64,
-    /// Join steps executed with the nested-loop strategy.
-    pub nested_joins: u64,
-    /// WHERE conjuncts placed below the residual tail of a join query.
-    pub pushed_conjuncts: u64,
-    /// Sorts satisfied by a bounded top-k heap.
-    pub topk_sorts: u64,
 }
 
 thread_local! {
-    static STATS: RefCell<PlanStats> = const { RefCell::new(PlanStats {
-        rows_scanned: 0,
-        hash_joins: 0,
-        nested_joins: 0,
-        pushed_conjuncts: 0,
-        topk_sorts: 0,
-    }) };
+    static STATS: RefCell<PlanStats> = const { RefCell::new(PlanStats { rows_scanned: 0 }) };
 }
 
 /// Zero this thread's [`PlanStats`].
@@ -475,32 +461,6 @@ pub(crate) fn conjunct_mask(expr: &Expr, bindings: &Bindings) -> Option<u64> {
                 *mask |= 1 << t;
                 true
             }
-            Expr::Literal(_) | Expr::Param(_) => true,
-            Expr::Neg(i) | Expr::Not(i) => walk(i, bindings, mask),
-            Expr::Binary { lhs, rhs, .. } => walk(lhs, bindings, mask) && walk(rhs, bindings, mask),
-            Expr::Like { expr, pattern, .. } => {
-                walk(expr, bindings, mask) && walk(pattern, bindings, mask)
-            }
-            Expr::IsNull { expr, .. } => walk(expr, bindings, mask),
-            Expr::InList { expr, list, .. } => {
-                walk(expr, bindings, mask) && list.iter().all(|e| walk(e, bindings, mask))
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                walk(expr, bindings, mask) && walk(lo, bindings, mask) && walk(hi, bindings, mask)
-            }
-            Expr::Func { args, .. } => args.iter().all(|a| walk(a, bindings, mask)),
-            Expr::Case {
-                operand,
-                arms,
-                otherwise,
-            } => {
-                operand.as_ref().is_none_or(|o| walk(o, bindings, mask))
-                    && arms
-                        .iter()
-                        .all(|(w, t)| walk(w, bindings, mask) && walk(t, bindings, mask))
-                    && otherwise.as_ref().is_none_or(|e| walk(e, bindings, mask))
-            }
-            Expr::Cast { expr, .. } => walk(expr, bindings, mask),
             // Aggregates need group context; subqueries should have been
             // rewritten away; windows see the whole row set — in all cases
             // refuse to classify.
@@ -509,6 +469,7 @@ pub(crate) fn conjunct_mask(expr: &Expr, bindings: &Bindings) -> Option<u64> {
             | Expr::InSelect { .. }
             | Expr::Exists { .. }
             | Expr::Window(_) => false,
+            _ => !e.any_child(|c| !walk(c, bindings, mask)),
         }
     }
     let mut mask = 0u64;
@@ -562,11 +523,7 @@ pub(crate) fn plan_select<'a>(
     } else {
         None
     };
-    plan.grouped = !sel.group_by.is_empty()
-        || (sel.items.iter())
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || sel.having.as_ref().is_some_and(Expr::contains_aggregate)
-        || sel.order_by.iter().any(|k| k.expr.contains_aggregate());
+    plan.grouped = !sel.group_by.is_empty() || sel.group_exprs().any(Expr::contains_aggregate);
 
     let mut where_conjs = Vec::new();
     if let Some(w) = &sel.where_clause {

@@ -233,8 +233,10 @@ impl PartialEq for Value {
             (Value::Null, Value::Null) => true,
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            // Bitwise, like Double against Double, so `Int(0)` does not
+            // equal `Double(-0.0)`, which hashes differently.
             (Value::Int(a), Value::Double(b)) | (Value::Double(b), Value::Int(a)) => {
-                *b == *a as f64
+                b.to_bits() == (*a as f64).to_bits()
             }
             (Value::Text(a), Value::Text(b)) => a == b,
             (Value::Date(a), Value::Date(b)) => a == b,

@@ -553,3 +553,127 @@ fn multibyte_position_is_character_based() {
         vec![vec![Value::Int(3)]]
     );
 }
+
+// ---------------------------------------------------------------------------
+// Expression positions: subqueries, aggregates and windows wherever an
+// expression can stand
+// ---------------------------------------------------------------------------
+
+#[test]
+fn distinct_grouped_order_by_reads_each_rows_own_aggregates() {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE t (g INTEGER, g2 INTEGER, x INTEGER);
+         INSERT INTO t VALUES (1, 7, 5), (2, 7, 5), (3, 8, 1), (4, 9, 100);",
+    )
+    .unwrap();
+    // DISTINCT folds the two (7, 5) groups into one row; the sort key of
+    // every later row must still come from that row's own group.
+    let ints = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {
+        (pairs.iter())
+            .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+            .collect()
+    };
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT DISTINCT g2, SUM(x) FROM t GROUP BY g, g2 ORDER BY SUM(x) + 0"
+        ),
+        ints(&[(8, 1), (7, 5), (9, 100)])
+    );
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT DISTINCT g2, SUM(x) FROM t GROUP BY g, g2 ORDER BY SUM(x) + 0 DESC"
+        ),
+        ints(&[(9, 100), (7, 5), (8, 1)])
+    );
+}
+
+#[test]
+fn subquery_inside_a_window_partition() {
+    let db = db();
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT orderid, ROW_NUMBER() OVER (PARTITION BY custid > \
+             (SELECT MIN(custid) FROM customers) ORDER BY orderid) FROM orders ORDER BY orderid"
+        ),
+        [(100, 1), (101, 2), (102, 1), (103, 2)]
+            .iter()
+            .map(|&(o, n)| vec![Value::Int(o), Value::Int(n)])
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn in_subquery_inside_order_by_case_is_invalidated_by_its_table() {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE t (k INTEGER);
+         CREATE TABLE u (k INTEGER);
+         INSERT INTO t VALUES (1), (2), (3);
+         INSERT INTO u VALUES (3);",
+    )
+    .unwrap();
+    let sql = "SELECT k FROM t ORDER BY CASE WHEN k IN (SELECT k FROM u) THEN 0 ELSE 1 END, k";
+    assert_eq!(texts(&db, sql), ["3", "1", "2"]);
+    let hits = db.cache_stats().unwrap().results.hits;
+    assert_eq!(texts(&db, sql), ["3", "1", "2"]);
+    assert_eq!(db.cache_stats().unwrap().results.hits, hits + 1);
+    // `u` appears only inside the ORDER BY: its write must still invalidate.
+    db.connect().execute("INSERT INTO u VALUES (2)").unwrap();
+    assert_eq!(texts(&db, sql), ["2", "3", "1"]);
+}
+
+#[test]
+fn update_with_subqueries_in_set_and_where() {
+    let db = db();
+    let mut conn = db.connect();
+    let r = conn
+        .execute(
+            "UPDATE orders SET amount = (SELECT MAX(amount) FROM orders) + 1.0 \
+             WHERE custid IN (SELECT custid FROM customers WHERE region = 'west') \
+             AND amount < (SELECT AVG(amount) FROM orders)",
+        )
+        .unwrap();
+    // AVG is 102.5: orders 100 and 101 (Ada, west) qualify, 103 (Cyn) does not.
+    assert_eq!(r, ExecResult::Count(2));
+    assert_eq!(
+        rows(&db, "SELECT orderid, amount FROM orders ORDER BY orderid"),
+        [(100, 301.0), (101, 301.0), (102, 10.0), (103, 300.0)]
+            .iter()
+            .map(|&(o, a)| vec![Value::Int(o), Value::Double(a)])
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn between_bound_subquery_beside_a_cast_scalar_subquery() {
+    let db = db();
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT orderid, CAST((SELECT COUNT(*) FROM customers) AS DOUBLE) FROM orders \
+             WHERE amount BETWEEN (SELECT MIN(amount) FROM orders WHERE amount > 10.0) \
+             AND 100.0 ORDER BY orderid"
+        ),
+        vec![
+            vec![Value::Int(100), Value::Double(4.0)],
+            vec![Value::Int(101), Value::Double(4.0)],
+        ]
+    );
+}
+
+#[test]
+fn aggregate_or_window_in_where_is_rejected() {
+    let db = db();
+    let mut conn = db.connect();
+    for sql in [
+        "SELECT name FROM customers WHERE COUNT(*) > 1",
+        "SELECT name FROM customers WHERE ROW_NUMBER() OVER (ORDER BY name) = 1",
+    ] {
+        let err = conn.execute(sql).unwrap_err();
+        assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
+    }
+}

@@ -38,7 +38,8 @@
 //!
 //! Failures report the property name, the seed to replay the run
 //! (`TESTKIT_SEED=<seed> cargo test <name>`), and a shrunk counterexample.
-//! `TESTKIT_CASES` scales case counts globally.
+//! `TESTKIT_CASES` sets every property's case count, outranking a block's
+//! `config(cases = …)`.
 
 #![warn(missing_docs)]
 
@@ -84,6 +85,7 @@ macro_rules! __props_impl {
             #[allow(unused_mut)]
             let mut config = $crate::Config::named(stringify!($name));
             $crate::__props_cfg!(config; $($cfg)*);
+            config.cases = $crate::runner::env_cases().unwrap_or(config.cases);
             let generator = ($($generator,)+);
             $crate::check(&config, &generator, |value| {
                 let ($($arg,)+) = ::std::clone::Clone::clone(value);

@@ -29,17 +29,21 @@ impl Config {
                 .unwrap_or_else(|_| panic!("TESTKIT_SEED is not a u64: {s:?}")),
             Err(_) => fnv1a(name.as_bytes()),
         };
-        let cases = std::env::var("TESTKIT_CASES")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(96);
         Config {
-            cases,
+            cases: env_cases().unwrap_or(96),
             seed,
             max_shrink_steps: 4096,
             name,
         }
     }
+}
+
+/// The case count `TESTKIT_CASES` asks for, if set. It outranks the count
+/// a `props!` block configures, so one variable runs a whole suite deeper.
+pub fn env_cases() -> Option<u32> {
+    std::env::var("TESTKIT_CASES")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
 }
 
 /// FNV-1a, the seed-from-name hash (not security sensitive).

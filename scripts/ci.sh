@@ -34,6 +34,13 @@ else
     echo "== clippy == (skipped: clippy not installed)"
 fi
 
+echo "== minisql property suites, deeper (TESTKIT_CASES=1500) =="
+# Tier-1 runs each property at its own seeded count (32-256 cases). Here
+# every minisql property — the planner-equivalence, heap, index and dedup
+# suites among them — runs 1500 cases; TESTKIT_CASES outranks a props!
+# block's config(cases = ...). About 85 s on a 2-core host, build included.
+TESTKIT_CASES=1500 cargo test -q --release --offline -p minisql
+
 echo "== macro lint (the shipped macros stay free of findings) =="
 ./target/release/dtwlint macros/*.d2w
 
