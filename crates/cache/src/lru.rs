@@ -238,13 +238,20 @@ impl<V: Clone> ShardedCache<V> {
 
     /// Remove `key` if present; returns whether anything was removed.
     pub fn remove(&self, key: &str) -> bool {
+        self.remove_if(key, |_| true)
+    }
+
+    /// Remove `key` only if its current value satisfies `pred`, checked
+    /// under the shard lock: a caller that found a value stale removes that
+    /// value, never one another thread has stored since.
+    pub fn remove_if(&self, key: &str, pred: impl FnOnce(&V) -> bool) -> bool {
         let mut shard = self.shard_for(key).lock();
         match shard.map.get(key) {
-            Some(&idx) => {
+            Some(&idx) if pred(&shard.entry(idx).value) => {
                 shard.remove_index(idx);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -357,6 +364,19 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);
+    }
+
+    #[test]
+    fn remove_if_spares_a_value_stored_after_the_stale_one() {
+        let c: ShardedCache<std::sync::Arc<String>> = ShardedCache::with_shards(4096, 1);
+        c.put("k".into(), std::sync::Arc::new("e1".into()), 10);
+        let e1 = c.get("k").unwrap();
+        c.put("k".into(), std::sync::Arc::new("e2".into()), 10);
+        assert!(!c.remove_if("k", |v| std::sync::Arc::ptr_eq(v, &e1)));
+        assert_eq!(c.get("k").as_deref().map(String::as_str), Some("e2"));
+        let e2 = c.get("k").unwrap();
+        assert!(c.remove_if("k", |v| std::sync::Arc::ptr_eq(v, &e2)));
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Adapter: drive [`minisql`] through the engine's [`dbgw_core::Database`]
 //! trait.
 //!
-//! Values cross the boundary as display strings (NULL → empty string), which
-//! is exactly how the substitution mechanism consumes them.
+//! [`Database::query`] hands the engine the result set minisql returned —
+//! on a result-cache hit, the cached rows themselves, shared by `Arc` — and
+//! a value becomes display text (NULL → empty string) only when the report
+//! reads its row. [`Database::execute`] formats every row up front.
 
-use dbgw_core::db::{Database, DbError, DbRows};
+use dbgw_core::db::{Database, DbError, DbRows, RowSource};
 use dbgw_obs::RequestCtx;
-use minisql::{Connection, ExecResult};
+use minisql::{Connection, ExecResult, ResultSet};
 use std::sync::Arc;
 
 /// A `dbgw_core::Database` backed by one MiniSQL connection.
@@ -39,42 +41,59 @@ fn convert_err(e: minisql::SqlError) -> DbError {
     }
 }
 
+/// A minisql result read as display text, row by row.
+struct SharedRows {
+    rs: Arc<ResultSet>,
+    affected: usize,
+}
+
+impl RowSource for SharedRows {
+    fn columns(&self) -> &[String] {
+        &self.rs.columns
+    }
+
+    fn affected(&self) -> usize {
+        self.affected
+    }
+
+    fn len(&self) -> usize {
+        self.rs.len()
+    }
+
+    fn fill_row(&self, i: usize, cells: &mut Vec<String>) {
+        let row = &self.rs.rows[i];
+        cells.resize_with(row.len(), String::new);
+        for (cell, value) in cells.iter_mut().zip(row) {
+            cell.clear();
+            value.write_display(cell);
+        }
+    }
+}
+
 impl Database for MiniSqlDatabase {
     fn execute(&mut self, sql: &str) -> Result<DbRows, DbError> {
-        match self.conn.execute(sql).map_err(convert_err)? {
-            ExecResult::Rows(rs) => Ok(DbRows {
-                columns: rs.columns,
-                rows: rs
-                    .rows
-                    .into_iter()
-                    .map(|row| row.iter().map(|v| v.to_display_string()).collect())
-                    .collect(),
-                affected: 0,
-            }),
-            ExecResult::Count(n) => Ok(DbRows {
-                affected: n,
-                ..DbRows::default()
-            }),
-            ExecResult::Ddl | ExecResult::TxnControl => Ok(DbRows {
-                affected: 1,
-                ..DbRows::default()
-            }),
-        }
+        self.query(sql).map(|rows| rows.collect())
+    }
+
+    fn query(&mut self, sql: &str) -> Result<Box<dyn RowSource>, DbError> {
+        let (rs, affected) = match self.conn.execute(sql).map_err(convert_err)? {
+            ExecResult::Rows(rs) => (rs, 0),
+            ExecResult::Count(n) => (Arc::default(), n),
+            ExecResult::Ddl | ExecResult::TxnControl => (Arc::default(), 1),
+        };
+        Ok(Box::new(SharedRows { rs, affected }))
     }
 
     fn begin(&mut self) -> Result<(), DbError> {
-        self.conn.execute("BEGIN").map(|_| ()).map_err(convert_err)
+        self.query("BEGIN").map(drop)
     }
 
     fn commit(&mut self) -> Result<(), DbError> {
-        self.conn.execute("COMMIT").map(|_| ()).map_err(convert_err)
+        self.query("COMMIT").map(drop)
     }
 
     fn rollback(&mut self) -> Result<(), DbError> {
-        self.conn
-            .execute("ROLLBACK")
-            .map(|_| ())
-            .map_err(convert_err)
+        self.query("ROLLBACK").map(drop)
     }
 }
 

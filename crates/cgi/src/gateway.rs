@@ -10,7 +10,7 @@ use crate::log::{SlowQuery, SlowQueryLog};
 use crate::request::{CgiRequest, CgiResponse, Method};
 use crate::session::{SessionManager, END_VAR, SESSION_ID_VAR, SESSION_VAR};
 use crate::sync::RwLock;
-use dbgw_core::db::{Database, DbError, DbRows};
+use dbgw_core::db::{Database, DbError, DbRows, RowSource};
 use dbgw_core::security::safe_macro_name;
 use dbgw_core::{
     parse_macro, Engine, EngineConfig, MacroError, MacroFile, Mode, PageSink, TxnMode,
@@ -140,7 +140,8 @@ struct StoredMacro {
 
 /// Wraps a request's connection to time every statement: latency goes to the
 /// `sql_latency_ns` histogram, statements over the threshold go to the
-/// slow-query log tagged with the current request id.
+/// slow-query log tagged with the current request id. The time is the
+/// DBMS's alone: rows are formatted later, as the report reads them.
 struct SqlMeter {
     inner: Box<dyn Database + Send>,
     clock: Arc<dyn Clock>,
@@ -150,8 +151,12 @@ struct SqlMeter {
 
 impl Database for SqlMeter {
     fn execute(&mut self, sql: &str) -> Result<DbRows, DbError> {
+        self.query(sql).map(|rows| rows.collect())
+    }
+
+    fn query(&mut self, sql: &str) -> Result<Box<dyn RowSource>, DbError> {
         let start = self.clock.now_ns();
-        let result = self.inner.execute(sql);
+        let result = self.inner.query(sql);
         let dur_ns = self.clock.now_ns().saturating_sub(start);
         dbgw_obs::metrics().sql_latency_ns.observe_ns(dur_ns);
         // Taken unconditionally so one statement's actuals never leak into a

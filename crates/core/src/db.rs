@@ -3,8 +3,10 @@
 //! The paper stresses that the gateway "can be used to access IBM DB2
 //! databases on a wide variety of IBM and non-IBM platforms as well as other
 //! non-IBM DBMS" (§4): the engine only needs dynamic SQL over strings. This
-//! trait is that seam. Values cross it as *display strings* — the report
-//! substitution mechanism is purely textual, like the original.
+//! trait is that seam. The report substitution mechanism is purely textual,
+//! like the original, but a query's rows stay in the DBMS's representation
+//! behind a [`RowSource`] until the report reads them: a value becomes
+//! display text only when a printed row reaches its `%ROW` slot.
 
 /// A result from the DBMS.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -18,21 +20,66 @@ pub struct DbRows {
     pub affected: usize,
 }
 
-impl DbRows {
+/// A result as the report reads it: column names, the affected count and
+/// rows turned into display text one at a time ([`Database::query`]).
+pub trait RowSource {
+    /// Column names, empty for DML.
+    fn columns(&self) -> &[String];
+
+    /// Rows affected, for DML.
+    fn affected(&self) -> usize;
+
+    /// Number of rows.
+    fn len(&self) -> usize;
+
+    /// Whether there are no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Overwrite `cells` with row `i`'s display text, one string per value
+    /// (NULL renders as the empty string), reusing their buffers.
+    fn fill_row(&self, i: usize, cells: &mut Vec<String>);
+
     /// The SQLCODE this result reports: `+100` when a query returned no rows
     /// or DML touched none, else `0`.
-    pub fn sqlcode(&self) -> i32 {
-        if self.columns.is_empty() {
-            if self.affected == 0 {
-                100
-            } else {
-                0
-            }
-        } else if self.rows.is_empty() {
-            100
-        } else {
-            0
+    fn sqlcode(&self) -> i32 {
+        match (self.columns().is_empty(), self.affected(), self.len()) {
+            // DML that touched no row, or a query that returned none.
+            (true, 0, _) | (false, _, 0) => 100,
+            _ => 0,
         }
+    }
+
+    /// Every row formatted: the collect-all form of the result.
+    fn collect(&self) -> DbRows {
+        let mut rows = vec![Vec::new(); self.len()];
+        for (i, cells) in rows.iter_mut().enumerate() {
+            self.fill_row(i, cells);
+        }
+        DbRows {
+            columns: self.columns().to_vec(),
+            rows,
+            affected: self.affected(),
+        }
+    }
+}
+
+impl RowSource for DbRows {
+    fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    fn affected(&self) -> usize {
+        self.affected
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn fill_row(&self, i: usize, cells: &mut Vec<String>) {
+        cells.clone_from(&self.rows[i]);
     }
 }
 
@@ -55,8 +102,15 @@ impl std::error::Error for DbError {}
 
 /// A dynamic-SQL connection.
 pub trait Database {
-    /// Prepare and execute one SQL statement.
+    /// Prepare and execute one SQL statement, every value formatted.
     fn execute(&mut self, sql: &str) -> Result<DbRows, DbError>;
+
+    /// Prepare and execute one SQL statement, leaving the rows where the
+    /// DBMS holds them. The engine reads results only through this; the
+    /// default formats everything through [`execute`](Database::execute).
+    fn query(&mut self, sql: &str) -> Result<Box<dyn RowSource>, DbError> {
+        Ok(Box::new(self.execute(sql)?))
+    }
 
     /// Start an explicit transaction (single-transaction macro mode, §5).
     fn begin(&mut self) -> Result<(), DbError>;

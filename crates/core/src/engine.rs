@@ -11,7 +11,7 @@
 //! rendered is invisible to it (the paper's lazy-evaluation example, §4.3.1).
 
 use crate::ast::{MacroFile, MessageAction, ReportPart, Section, SqlSection};
-use crate::db::{Database, DbRows, NoDatabase};
+use crate::db::{Database, NoDatabase, RowSource};
 use crate::env::{Bound, Env, ReportScope};
 use crate::error::{MacroError, MacroResult};
 use crate::exec::{CommandRunner, DenyRunner};
@@ -311,7 +311,7 @@ impl<'r> Engine<'r> {
             self.emit(out, &escape_text(sql))?;
             self.emit(out, "</CODE></P>\n")?;
         }
-        match db.execute(sql) {
+        match db.query(sql) {
             Ok(rows) => {
                 // A database call can block well past the deadline; detect it
                 // here rather than waiting for the next substitution step.
@@ -319,7 +319,7 @@ impl<'r> Engine<'r> {
                 if rows.sqlcode() == 100 {
                     dbgw_obs::metrics().sqlcode_errors.record(100);
                 }
-                self.render_result(section, &rows, env, out)?;
+                self.render_result(section, rows.as_ref(), env, out)?;
                 if rows.sqlcode() == 100 {
                     if let Some(msg) = find_message(section, 100) {
                         let text = self.evaluator(env).render(&msg.text)?;
@@ -378,13 +378,13 @@ impl<'r> Engine<'r> {
     fn render_result(
         &self,
         section: &SqlSection,
-        rows: &DbRows,
+        rows: &dyn RowSource,
         env: &Env,
         out: &mut dyn PageSink,
     ) -> MacroResult<()> {
         let _span = dbgw_obs::trace::span("render_report");
         // DML with no report block prints nothing.
-        if rows.columns.is_empty() && section.report.is_none() {
+        if rows.columns().is_empty() && section.report.is_none() {
             return Ok(());
         }
         let mut ev = self.evaluator(env);
@@ -396,25 +396,27 @@ impl<'r> Engine<'r> {
             .unwrap_or(self.config.max_rows_hard_limit)
             .min(self.config.max_rows_hard_limit);
 
-        let printed = rows.rows.len().min(max_rows);
+        let printed = rows.len().min(max_rows);
         dbgw_obs::metrics().rows_rendered.add(printed as u64);
         dbgw_obs::trace::note("rows", printed.to_string());
-        // Each row renders into this one buffer, is charged against the
-        // request budgets *before* it is pushed, and is pushed whole, so a
-        // streaming sink ships the report as the rows arrive.
-        let mut buf = String::new();
+        // A printed row's values become text in `cells`; the row renders
+        // into `buf`, is charged against the request budgets *before* it is
+        // pushed, and is pushed whole, so a streaming sink ships the report
+        // as the rows render. Rows past the printed ones are never formatted.
+        let (mut cells, mut buf) = (Vec::new(), String::new());
 
         let Some(report) = &section.report else {
             // Default table format (§3.4).
-            let header = TableBuilder::header_html(&rows.columns);
+            let header = TableBuilder::header_html(rows.columns());
             self.charge(0, header.len())?;
             self.emit(out, &header)?;
-            for (i, row) in rows.rows.iter().take(max_rows).enumerate() {
+            for i in 0..printed {
                 if i % 128 == 0 {
                     self.check_ctx()?;
                 }
+                rows.fill_row(i, &mut cells);
                 buf.clear();
-                TableBuilder::push_row_html(&mut buf, rows.columns.len(), row);
+                TableBuilder::push_row_html(&mut buf, rows.columns().len(), &cells);
                 self.charge(1, buf.len())?;
                 self.emit(out, &buf)?;
             }
@@ -425,7 +427,7 @@ impl<'r> Engine<'r> {
 
         // Custom report (§3.2.1): the header sees the column names.
         let mut scope = ReportScope {
-            columns: &rows.columns,
+            columns: rows.columns(),
             row: None,
             row_num: 0,
             escape: self.config.escape_values,
@@ -437,21 +439,33 @@ impl<'r> Engine<'r> {
         if let Some(template) = &report.row {
             // Bound once per row width — once per result from a real DBMS.
             let (mut width, mut pieces) = (None, Vec::new());
-            for (i, row) in rows.rows.iter().take(max_rows).enumerate() {
-                scope.row = Some(row);
-                scope.row_num = i + 1;
-                ev.scope = Some(scope);
-                if width != Some(row.len()) {
-                    (width, pieces) = (Some(row.len()), scope.bind(template));
+            for i in 0..printed {
+                rows.fill_row(i, &mut cells);
+                let row = ReportScope {
+                    row: Some(&cells),
+                    row_num: i + 1,
+                    ..scope
+                };
+                if width != Some(cells.len()) {
+                    (width, pieces) = (Some(cells.len()), row.bind(template));
                 }
+                // Only a row that reaches a name the scope does not bind
+                // needs an evaluator.
+                let mut row_ev = None;
                 buf.clear();
                 for piece in &pieces {
                     match *piece {
                         Bound::Text(text) => buf.push_str(text),
-                        Bound::Slot(slot) => scope.write(slot, &mut buf),
+                        Bound::Slot(slot) => row.write(slot, &mut buf),
                         // A DEFINE, an input, or nothing: the evaluator
-                        // looks it up over this same scope.
-                        Bound::Var(name) => ev.write_value(name, &mut buf)?,
+                        // looks it up over this same row.
+                        Bound::Var(name) => row_ev
+                            .get_or_insert_with(|| {
+                                let mut ev = self.evaluator(env);
+                                ev.scope = Some(row);
+                                ev
+                            })
+                            .write_value(name, &mut buf)?,
                     }
                 }
                 self.charge(1, buf.len())?;
@@ -463,8 +477,7 @@ impl<'r> Engine<'r> {
         // "After all rows have been fetched ... ROW_NUM contains the total
         // number of rows that result from the query, regardless of whether
         // all rows were printed" (§3.2.1).
-        scope.row = None;
-        scope.row_num = rows.rows.len();
+        scope.row_num = rows.len();
         ev.scope = Some(scope);
         let footer = ev.render(&report.footer)?;
         self.emit(out, &footer)
@@ -495,7 +508,7 @@ fn find_message(section: &SqlSection, code: i32) -> Option<&crate::ast::SqlMessa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::{DbError, FnDatabase};
+    use crate::db::{DbError, DbRows, FnDatabase};
     use crate::parser::parse_macro;
 
     fn ok_rows(columns: &[&str], rows: &[&[&str]]) -> DbRows {

@@ -6,7 +6,7 @@
 //! \[have\] higher priority than the variable values defined in the macro
 //! itself using DEFINE sections". On top of both sit the report variables
 //! of the SQL result being rendered (`Ni`, `Vi`, `ROW_NUM`, ...), which a
-//! `ReportScope` reads in place from the result.
+//! `ReportScope` reads in place (the names, and the row's display text).
 
 use crate::ast::{DefineStatement, Template};
 use crate::subst::Token;

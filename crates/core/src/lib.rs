@@ -61,7 +61,7 @@ pub mod sink;
 pub mod subst;
 
 pub use ast::{MacroFile, Section};
-pub use db::{Database, DbError, DbRows};
+pub use db::{Database, DbError, DbRows, RowSource};
 pub use engine::{Engine, EngineConfig, Mode, TxnMode};
 pub use env::Env;
 pub use error::{MacroError, MacroResult};

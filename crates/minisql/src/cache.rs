@@ -23,15 +23,16 @@ use dbgw_cache::{CacheConfig, CacheStatsSnapshot, ShardedCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A cached SELECT result plus the table versions it depends on.
+/// A cached SELECT result plus the table versions it depends on. Both
+/// parts are shared, so a lookup's copy costs two reference counts.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedSelect {
-    /// The materialized rows.
-    pub rows: ResultSet,
+    /// The materialized rows, shared with every hit.
+    pub rows: Arc<ResultSet>,
     /// `(lowercased table, version at read time)` for every referenced
     /// table, sorted and deduped. Empty for table-less SELECTs, which are
     /// always valid.
-    pub deps: Vec<(String, u64)>,
+    pub deps: Arc<[(String, u64)]>,
 }
 
 /// The per-database result cache plus local counters. Shared by all
@@ -39,7 +40,7 @@ pub(crate) struct CachedSelect {
 /// [`Database::without_cache`](crate::Database::without_cache).
 pub struct DbCaches {
     /// Result-cache entries (see [`CachedSelect`]).
-    pub(crate) results: ShardedCache<Arc<CachedSelect>>,
+    pub(crate) results: ShardedCache<CachedSelect>,
     /// Lookups rejected because a referenced table's version moved.
     pub(crate) invalidations: AtomicU64,
 }
@@ -141,7 +142,7 @@ pub(crate) fn referenced_tables(sel: &Select) -> Vec<String> {
 
 /// Capture `(table, version)` dependencies for `sel` against `state`.
 /// Must be called under the same read lock that runs the query.
-pub(crate) fn capture_deps(state: &DbState, sel: &Select) -> Vec<(String, u64)> {
+pub(crate) fn capture_deps(state: &DbState, sel: &Select) -> Arc<[(String, u64)]> {
     referenced_tables(sel)
         .into_iter()
         .map(|t| {

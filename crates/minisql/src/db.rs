@@ -94,8 +94,8 @@ use std::sync::Arc;
 /// Outcome of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecResult {
-    /// A SELECT produced a result set.
-    Rows(ResultSet),
+    /// A SELECT produced a result set (shared with the result cache).
+    Rows(Arc<ResultSet>),
     /// DML touched this many rows.
     Count(usize),
     /// DDL succeeded.
@@ -622,14 +622,14 @@ impl Connection {
         // SAME pinned snapshot, so the dependency set can never race a
         // concurrent writer.
         let state = self.pin();
-        let rows = self.run_select_observed(&state, sel, params)?;
+        let rows = Arc::new(self.run_select_observed(&state, sel, params)?);
         let deps = cache::capture_deps(&state, sel);
         let _span = dbgw_obs::trace::span("cache_store");
         let cost = cache::result_cost(&rows);
-        let entry = Arc::new(CachedSelect {
-            rows: rows.clone(),
+        let entry = CachedSelect {
+            rows: Arc::clone(&rows),
             deps,
-        });
+        };
         metrics
             .cache_evictions
             .add(caches.results.put(key, entry, cost).evicted);
@@ -639,8 +639,9 @@ impl Connection {
 
     /// The rows stored under `key`, if any and every table they were read
     /// from is still at the version it had then. Only SELECTs are ever
-    /// stored, so a hit needs no parse. A stale entry is dropped.
-    fn cache_hit(&self, caches: &DbCaches, key: &str) -> SqlResult<Option<ResultSet>> {
+    /// stored, so a hit needs no parse and shares the stored rows. A stale
+    /// entry is dropped — unless another connection has replaced it since.
+    fn cache_hit(&self, caches: &DbCaches, key: &str) -> SqlResult<Option<Arc<ResultSet>>> {
         let found = {
             let _span = dbgw_obs::trace::span("cache_lookup");
             caches.results.get(key)
@@ -651,7 +652,9 @@ impl Connection {
         let metrics = dbgw_obs::metrics();
         if !cache::deps_valid(&self.pin(), &cached.deps) {
             // A referenced table changed since the entry was stored.
-            caches.results.remove(key);
+            caches
+                .results
+                .remove_if(key, |e| Arc::ptr_eq(&e.rows, &cached.rows));
             caches.invalidations.fetch_add(1, Ordering::Relaxed);
             metrics.cache_invalidations.inc();
             return Ok(None);
@@ -661,7 +664,7 @@ impl Connection {
         self.ctx.check().map_err(SqlError::cancelled)?;
         metrics.cache_hits.inc();
         dbgw_obs::digest::note_cache_hit(true);
-        Ok(Some(cached.rows.clone()))
+        Ok(Some(cached.rows))
     }
 
     /// Run a SELECT, collecting per-operator actuals when request tracing or
@@ -700,9 +703,9 @@ impl Connection {
         match stmt {
             Statement::Select(sel) => {
                 let state = self.read_state();
-                Ok(ExecResult::Rows(
+                Ok(ExecResult::Rows(Arc::new(
                     self.run_select_observed(&state, &sel, params)?,
-                ))
+                )))
             }
             Statement::Explain { analyze, inner } => {
                 let state = self.read_state();
@@ -749,10 +752,10 @@ impl Connection {
                     )?,
                     other => vec![format!("{other:?}")],
                 };
-                Ok(ExecResult::Rows(ResultSet {
+                Ok(ExecResult::Rows(Arc::new(ResultSet {
                     columns: vec!["plan".to_owned()],
                     rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
-                }))
+                })))
             }
             Statement::Begin => {
                 if self.txn.is_some() {

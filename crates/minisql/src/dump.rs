@@ -137,8 +137,8 @@ pub fn databases_equal(a: &Database, b: &Database) -> SqlResult<bool> {
         else {
             return Ok(false);
         };
-        let mut rows_a = ra.rows;
-        let mut rows_b = rb.rows;
+        let mut rows_a = ra.rows.clone();
+        let mut rows_b = rb.rows.clone();
         let key = |r: &Vec<Value>| {
             r.iter()
                 .map(|v| format!("{v}"))

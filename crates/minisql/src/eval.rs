@@ -801,7 +801,7 @@ fn scalar_function(name: &str, mut args: Vec<Value>) -> SqlResult<Value> {
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                out.push_str(&v.to_display_string());
+                v.write_display(&mut out);
             }
             Ok(Value::Text(out))
         }

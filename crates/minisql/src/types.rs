@@ -197,13 +197,22 @@ impl Value {
     /// becomes the empty string (the paper equates NULL and ""), numbers in
     /// their canonical text form.
     pub fn to_display_string(&self) -> String {
-        match self {
-            Value::Null => String::new(),
-            Value::Int(i) => i.to_string(),
-            Value::Double(d) => format_double(*d),
-            Value::Text(t) => t.clone(),
-            Value::Date(d) => crate::date::format_date(*d),
-        }
+        let mut out = String::new();
+        self.write_display(&mut out);
+        out
+    }
+
+    /// Append [`Value::to_display_string`]'s text to `out`; allocates only
+    /// when `out` has to grow.
+    pub fn write_display(&self, out: &mut String) {
+        use fmt::Write;
+        let _ = match self {
+            Value::Null => Ok(()),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Double(d) => write_double(*d, out),
+            Value::Text(t) => out.write_str(t),
+            Value::Date(d) => out.write_str(&crate::date::format_date(*d)),
+        };
     }
 
     /// [`Value::to_display_string`], borrowed when the value is already text.
@@ -217,11 +226,11 @@ impl Value {
 
 /// Format a double the way DB2's CHAR() did, without trailing `.0` noise for
 /// integral values that arrived through floating arithmetic.
-fn format_double(d: f64) -> String {
+fn write_double(d: f64, out: &mut impl fmt::Write) -> fmt::Result {
     if d.fract() == 0.0 && d.abs() < 1e15 {
-        format!("{d:.1}")
+        write!(out, "{d:.1}")
     } else {
-        format!("{d}")
+        write!(out, "{d}")
     }
 }
 
@@ -277,7 +286,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Double(d) => write!(f, "{}", format_double(*d)),
+            Value::Double(d) => write_double(*d, f),
             Value::Text(t) => write!(f, "'{t}'"),
             Value::Date(d) => write!(f, "DATE '{}'", crate::date::format_date(*d)),
         }

@@ -22,7 +22,7 @@ fn db() -> Database {
 fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     let mut conn = db.connect();
     match conn.execute(sql).unwrap() {
-        ExecResult::Rows(rs) => rs.rows,
+        ExecResult::Rows(rs) => std::sync::Arc::unwrap_or_clone(rs).rows,
         other => panic!("expected rows, got {other:?}"),
     }
 }

@@ -135,13 +135,16 @@ grep -q 'JOIN ORDER: c -> b -> a' "$OBS_TMP/bench_planner.log"
 echo "== HTTP edge bench (quick run, asserted keep-alive + TTFB floors) =="
 # E16: hundreds of idle keep-alive connections parked in the epoll loop
 # (10k in the full run), /stats p99 asserted with the fleet open, and
-# streamed-vs-buffered TTFB on a large %ROW-template report. The bench
-# asserts the p99 ceiling and the TTFB floor itself (>=3x quick, >=10x
-# full); an edge that buffers whole reports before the first byte fails CI
+# streamed-vs-buffered TTFB on a large %ROW-template report, twice: over
+# staged result sets and over result-cache hits on a real minisql table.
+# The bench asserts the p99 ceiling and the TTFB floors itself (staged >=3x
+# quick, >=10x full; cached >=6x quick, >=20x full); an edge that buffers
+# whole reports, or copies a cached result, before the first byte fails CI
 # here. The committed BENCH_http.json is regenerated from a full run.
 BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_http.json" \
     cargo bench --offline -p dbgw-bench --bench http_edge
 grep -q 'http_ttfb_speedup' "$OBS_TMP/bench_http.json"
+grep -q 'http_cached_ttfb_speedup' "$OBS_TMP/bench_http.json"
 
 echo "== load rig (quick rounds of all four workloads + the rig's own tests) =="
 # The benchmark PRs are judged by (BENCHMARK.json, benchmark/): two short

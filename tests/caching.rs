@@ -3,7 +3,7 @@
 //! HTTP conditional GET, and a concurrency hammer proving a committed write
 //! is never followed by a stale read.
 
-use dbgw_cgi::{CgiRequest, Gateway, HttpClient, HttpServer, ServerConfig};
+use dbgw_cgi::{CgiRequest, Gateway, HttpClient, HttpServer, ServerConfig, TraceOptions};
 use dbgw_obs::{trace, StdClock, Trace};
 use minisql::{Database, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -334,4 +334,145 @@ fn no_stale_read_after_committed_write() {
         first_cell(&db, "SELECT val FROM counter WHERE id = 1"),
         Value::Int(WRITES)
     );
+}
+
+// Report semantics on the shared path: the page a result-cache hit renders
+// from the cached rows is the page the miss rendered, row for row.
+
+/// A gateway over `db` serving `source` as `m.d2w`.
+fn serving(db: &Database, source: &str) -> Gateway {
+    let gw = Gateway::new(db.clone());
+    gw.add_macro("m.d2w", source).unwrap();
+    gw
+}
+
+/// The report page, rendered twice: once filling the result cache and once
+/// served from it. Both renderings must agree; the second must be a hit.
+fn miss_then_hit(db: &Database, gw: &Gateway) -> String {
+    let hits = db.cache_stats().unwrap().results.hits;
+    let miss = gw.get("m.d2w", "report", "");
+    assert_eq!(miss.status, 200, "{}", miss.body);
+    let hit = gw.get("m.d2w", "report", "");
+    assert_eq!(db.cache_stats().unwrap().results.hits, hits + 1);
+    assert_eq!(hit.body, miss.body);
+    hit.body
+}
+
+#[test]
+fn rpt_max_rows_stops_the_printing_but_row_num_counts_every_row() {
+    let db = cached_db();
+    db.run_script("CREATE TABLE big (n INTEGER)").unwrap();
+    for chunk in 0..4 {
+        let values: Vec<String> = (0..1000)
+            .map(|i| format!("({})", chunk * 1000 + i))
+            .collect();
+        db.run_script(&format!("INSERT INTO big VALUES {}", values.join(",")))
+            .unwrap();
+    }
+    let gw = serving(
+        &db,
+        "%DEFINE RPT_MAX_ROWS = \"10\"\n\
+         %SQL{ SELECT n FROM big ORDER BY n\n\
+         %SQL_REPORT{<UL>%ROW{<LI>$(V1)%}</UL>total $(ROW_NUM)%}%}\n\
+         %HTML_REPORT{%EXEC_SQL%}",
+    );
+    let page = miss_then_hit(&db, &gw);
+    assert_eq!(page.matches("<LI>").count(), 10, "{page}");
+    assert!(page.contains("<LI>9</UL>"), "{page}");
+    assert!(page.contains("total 4000"), "{page}");
+}
+
+#[test]
+fn null_renders_empty_in_row_values_lists_and_the_default_table() {
+    let db = cached_db();
+    db.run_script(
+        "CREATE TABLE t (a INTEGER, b VARCHAR(10), c DOUBLE);
+         INSERT INTO t VALUES (1, NULL, 2.5);",
+    )
+    .unwrap();
+    let custom = serving(
+        &db,
+        "%SQL{ SELECT a, b, c FROM t\n\
+         %SQL_REPORT{%ROW{[$(V1)|$(V2)|$(V_c)] [$(VLIST)]%}%}%}\n\
+         %HTML_REPORT{%EXEC_SQL%}",
+    );
+    assert!(miss_then_hit(&db, &custom).contains("[1||2.5] [1, , 2.5]"));
+    let table = serving(&db, "%SQL{ SELECT b, a FROM t %}\n%HTML_REPORT{%EXEC_SQL%}");
+    let page = miss_then_hit(&db, &table);
+    assert!(page.contains("<TR><TD></TD><TD>1</TD></TR>"), "{page}");
+}
+
+#[test]
+fn an_empty_cached_result_raises_sqlcode_100() {
+    let db = cached_db();
+    seed_urldb(&db);
+    let gw = serving(
+        &db,
+        "%SQL{ SELECT url FROM urldb WHERE title = 'none'\n\
+         %SQL_REPORT{rows:%ROW{$(V1)%}%}\n\
+         %SQL_MESSAGE{ 100 : \"<P>No match.</P>\" : continue %}%}\n\
+         %HTML_REPORT{%EXEC_SQL%}",
+    );
+    let page = miss_then_hit(&db, &gw);
+    assert!(page.contains("rows:<P>No match.</P>"), "{page}");
+}
+
+#[test]
+fn a_define_reached_from_row_reads_the_current_row() {
+    // urlquery.d2w's `D2`: a conditional DEFINE over `$(V2)`, null (and so
+    // empty) on the row whose second value is NULL.
+    let db = cached_db();
+    db.run_script(
+        "CREATE TABLE u (url VARCHAR(20), title VARCHAR(20));
+         INSERT INTO u VALUES ('a', 'First'), ('b', NULL), ('c', 'Third');",
+    )
+    .unwrap();
+    let gw = serving(
+        &db,
+        "%DEFINE D2 = ? \"<br>$(V2)\"\n\
+         %SQL{ SELECT url, title FROM u ORDER BY url\n\
+         %SQL_REPORT{%ROW{<LI>$(V1) $(D2)\n%}%}%}\n\
+         %HTML_REPORT{%EXEC_SQL%}",
+    );
+    let page = miss_then_hit(&db, &gw);
+    assert!(
+        page.contains("<LI>a <br>First\n<LI>b \n<LI>c <br>Third\n"),
+        "{page}"
+    );
+}
+
+#[test]
+fn an_update_between_two_identical_requests_shows_in_the_second_page() {
+    let db = cached_db();
+    seed_urldb(&db);
+    let gw = serving(
+        &db,
+        "%SQL{ SELECT title FROM urldb ORDER BY url %}\n%HTML_REPORT{%EXEC_SQL%}",
+    );
+    let before = miss_then_hit(&db, &gw);
+    assert!(before.contains("<TD>IBM</TD>"), "{before}");
+    db.connect()
+        .execute("UPDATE urldb SET title = 'Big Blue' WHERE title = 'IBM'")
+        .unwrap();
+    let after = gw.get("m.d2w", "report", "").body;
+    assert!(after.contains("<TD>Big Blue</TD>"), "{after}");
+    assert!(!after.contains("<TD>IBM</TD>"), "{after}");
+}
+
+#[test]
+fn the_slow_log_records_sqlcode_100_for_an_empty_result() {
+    let db = cached_db();
+    seed_urldb(&db);
+    let gw = serving(
+        &db,
+        "%SQL{ SELECT url FROM urldb WHERE title = 'none' %}\n%HTML_REPORT{%EXEC_SQL%}",
+    )
+    .with_trace(TraceOptions {
+        slow_ms: Some(0),
+        ..TraceOptions::default()
+    });
+    miss_then_hit(&db, &gw);
+    let slow = gw.slow_queries().entries();
+    assert_eq!(slow.len(), 2);
+    assert!(slow.iter().all(|q| q.sqlcode == 100), "{slow:?}");
 }

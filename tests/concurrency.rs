@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 fn rows_of(r: ExecResult) -> Vec<Vec<Value>> {
     match r {
-        ExecResult::Rows(rs) => rs.rows,
+        ExecResult::Rows(rs) => Arc::unwrap_or_clone(rs).rows,
         other => panic!("expected rows, got {other:?}"),
     }
 }
