@@ -127,6 +127,8 @@ pub enum Expr {
         escape: Option<char>,
         /// Whether NOT was present.
         negated: bool,
+        /// The pattern decoded once per statement when it is a literal.
+        prepared: crate::like::Prepared,
     },
     /// `expr IS [NOT] NULL`.
     IsNull {
@@ -672,6 +674,7 @@ impl std::fmt::Display for Expr {
                 pattern,
                 escape,
                 negated,
+                ..
             } => {
                 write!(
                     f,

@@ -72,7 +72,7 @@
 //! database starts no thread: every durability step runs on a committing
 //! (or closing) thread.
 
-use crate::ast::Statement;
+use crate::ast::{Expr, Statement};
 use crate::cache::{self, CachedSelect, DbCacheStats, DbCaches};
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::eval::{eval, Bindings, NoAggregates};
@@ -1042,9 +1042,15 @@ pub(crate) fn apply_mutation(
                     )));
                 }
                 let mut row = vec![Value::Null; width];
-                for (expr, &ordinal) in tuple.iter().zip(&ordinals) {
-                    let expr = crate::exec::rewrite_expr_subqueries(state, expr, params, ctx)?;
-                    row[ordinal] = eval(&expr, &[], params, &NoAggregates)?;
+                for (expr, &ordinal) in tuple.into_iter().zip(&ordinals) {
+                    row[ordinal] = match expr {
+                        Expr::Literal(v) => v,
+                        expr => {
+                            let expr =
+                                crate::exec::rewrite_expr_subqueries(state, &expr, params, ctx)?;
+                            eval(&expr, &[], params, &NoAggregates)?
+                        }
+                    };
                 }
                 let row = schema.check_row(row)?;
                 let id = state.insert_row(&table, row)?;
@@ -1722,48 +1728,68 @@ mod tests {
         assert_eq!(db.table_version("b"), 51);
     }
 
+    /// How far `counter` moves while each of `sqls` runs over tables `a` and
+    /// `b` of `n` rows each.
+    fn per_statement(n: usize, sqls: &[&str], counter: fn() -> u64) -> Vec<u64> {
+        let db = Database::new();
+        db.run_script(
+            "CREATE TABLE a (id INTEGER, n INTEGER, x VARCHAR(20));
+             CREATE TABLE b (id INTEGER, y INTEGER);",
+        )
+        .unwrap();
+        for lo in (0..n).step_by(500) {
+            let tuples = |f: &dyn Fn(usize) -> String| {
+                (lo..n.min(lo + 500)).map(f).collect::<Vec<_>>().join(",")
+            };
+            db.run_script(&format!(
+                "INSERT INTO a VALUES {}; INSERT INTO b VALUES {};",
+                tuples(&|i| format!("({i}, {}, 'r{i}')", i % 7)),
+                tuples(&|i| format!("({i}, {})", i % 5)),
+            ))
+            .unwrap();
+        }
+        assert_eq!(db.table_len("a").unwrap(), n);
+        let mut conn = db.connect();
+        sqls.iter()
+            .map(|sql| {
+                let before = counter();
+                conn.execute(sql).unwrap();
+                counter() - before
+            })
+            .collect()
+    }
+
     /// Columns resolve once per (expression, scope) per statement, never per
     /// row: `Bindings::resolve` is called as often on 10 000 rows as on 10.
     #[test]
     fn columns_resolve_once_per_statement() {
-        let resolves = |n: usize| -> Vec<u64> {
-            let db = Database::new();
-            db.run_script(
-                "CREATE TABLE a (id INTEGER, n INTEGER, x VARCHAR(20));
-                 CREATE TABLE b (id INTEGER, y INTEGER);",
-            )
-            .unwrap();
-            for lo in (0..n).step_by(500) {
-                let tuples = |f: &dyn Fn(usize) -> String| {
-                    (lo..n.min(lo + 500)).map(f).collect::<Vec<_>>().join(",")
-                };
-                db.run_script(&format!(
-                    "INSERT INTO a VALUES {}; INSERT INTO b VALUES {};",
-                    tuples(&|i| format!("({i}, {}, 'r{i}')", i % 7)),
-                    tuples(&|i| format!("({i}, {})", i % 5)),
-                ))
-                .unwrap();
-            }
-            assert_eq!(db.table_len("a").unwrap(), n);
-            let mut conn = db.connect();
-            [
-                "SELECT id FROM a WHERE x LIKE '%1%' OR n = 3",
-                "SELECT a.x, b.y FROM a JOIN b ON a.id = b.id AND a.n > b.y WHERE a.n + b.y > 1",
-                "SELECT x, n FROM a ORDER BY n DESC, x",
-                "SELECT n, COUNT(*) FROM a GROUP BY n HAVING MIN(id) >= 0 ORDER BY 2",
-                "UPDATE a SET n = n + id WHERE x LIKE 'r1%'",
-                "DELETE FROM a WHERE n = 2",
-            ]
-            .iter()
-            .map(|sql| {
-                let before = crate::eval::RESOLVES.with(|c| c.get());
-                conn.execute(sql).unwrap();
-                crate::eval::RESOLVES.with(|c| c.get()) - before
-            })
-            .collect()
-        };
+        let sqls = [
+            "SELECT id FROM a WHERE x LIKE '%1%' OR n = 3",
+            "SELECT a.x, b.y FROM a JOIN b ON a.id = b.id AND a.n > b.y WHERE a.n + b.y > 1",
+            "SELECT x, n FROM a ORDER BY n DESC, x",
+            "SELECT n, COUNT(*) FROM a GROUP BY n HAVING MIN(id) >= 0 ORDER BY 2",
+            "UPDATE a SET n = n + id WHERE x LIKE 'r1%'",
+            "DELETE FROM a WHERE n = 2",
+        ];
+        let resolves = |n| per_statement(n, &sqls, || crate::eval::RESOLVES.with(|c| c.get()));
         let small = resolves(10);
         assert!(small.iter().all(|&c| c > 0), "{small:?}");
         assert_eq!(small, resolves(10_000));
+    }
+
+    /// A literal LIKE pattern is decoded once per statement, never per row:
+    /// `Pattern::new` runs as often on 10 000 rows as on 10, for a pushed scan
+    /// filter, a residual filter over a join, and an UPDATE's WHERE.
+    #[test]
+    fn patterns_prepare_once_per_statement() {
+        let sqls = [
+            "SELECT id FROM a WHERE x LIKE '%1%'",
+            "SELECT a.id FROM a JOIN b ON a.id = b.id WHERE a.x LIKE '%1%' OR b.y = 2",
+            "UPDATE a SET n = n + 1 WHERE x LIKE '%1%'",
+        ];
+        let prepares = |n| per_statement(n, &sqls, || crate::like::PREPARES.with(|c| c.get()));
+        let small = prepares(10);
+        assert!(small.iter().all(|&c| c > 0), "{small:?}");
+        assert_eq!(small, prepares(10_000));
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::ast::{BinOp, ColumnRef, Expr};
 use crate::error::{SqlCode, SqlError, SqlResult};
-use crate::like::like_match;
+use crate::like::Pattern;
 use crate::types::{Truth, Value};
 use std::borrow::Cow;
 
@@ -129,15 +129,23 @@ impl Bindings {
         Ok(expr)
     }
 
-    /// [`Bindings::bound`] in place.
+    /// [`Bindings::bound`] in place. A LIKE whose pattern is a literal
+    /// gets its [`Pattern`] here too, so no row decodes it again.
     pub fn bind(&self, expr: &mut Expr) -> SqlResult<()> {
         match expr {
             Expr::Column(c) => {
                 c.slot = Some(self.resolve(c)?);
-                Ok(())
+                return Ok(());
             }
-            _ => expr.try_for_each_child_mut(|e| self.bind(e)),
+            Expr::Like {
+                pattern,
+                escape,
+                prepared,
+                ..
+            } => prepared.prepare(pattern, *escape),
+            _ => {}
         }
+        expr.try_for_each_child_mut(|e| self.bind(e))
     }
 }
 
@@ -404,13 +412,20 @@ pub fn eval_truth(
             pattern,
             escape,
             negated,
+            prepared,
         } => {
             let v = eval_ref(expr, row, params, aggs)?;
-            let p = eval_ref(pattern, row, params, aggs)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Truth::Unknown);
-            }
-            let hit = like_match(&v.as_text(), &p.as_text(), *escape);
+            let hit = match &prepared.0 {
+                Some(_) if v.is_null() => return Ok(Truth::Unknown),
+                Some(p) => p.matches(&v.as_text()),
+                None => {
+                    let p = eval_ref(pattern, row, params, aggs)?;
+                    if v.is_null() || p.is_null() {
+                        return Ok(Truth::Unknown);
+                    }
+                    Pattern::new(&p.as_text(), *escape).matches(&v.as_text())
+                }
+            };
             Ok(Truth::from_bool(hit != *negated))
         }
         Expr::InList {

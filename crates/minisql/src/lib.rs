@@ -40,7 +40,6 @@ pub mod ast;
 pub mod cache;
 pub mod checkpoint;
 pub mod cost;
-pub mod csv;
 pub mod date;
 pub mod db;
 pub mod dump;

@@ -3,13 +3,125 @@
 //! `%` matches any run of characters (including empty), `_` matches exactly
 //! one character, and an optional `ESCAPE` character makes the next pattern
 //! character literal. Matching is case-sensitive, as in DB2 with default
-//! collation. Matching never allocates: a pattern that is one literal with
-//! at most a leading and a trailing `%` (and no `_` or escape character) is
-//! a plain `==` / `starts_with` / `ends_with` / `contains`; every other
-//! pattern runs the classic two-pointer backtracking matcher in place over
-//! both strings, O(text × pattern) worst case.
+//! collation.
+//!
+//! [`Pattern`] is the only reader of that grammar. It decodes a pattern once
+//! into tokens. One literal with at most a leading and a trailing `%` then
+//! matches as `==`, `starts_with`, `ends_with` or `str::contains` on the text
+//! in place; any other pattern backtracks over the token list, O(text ×
+//! pattern) worst case. `Bindings::bind` prepares a literal pattern once per
+//! statement into the LIKE's [`Prepared`]; any other is prepared per row.
 
-/// Does `text` match the LIKE `pattern`?
+use crate::ast::Expr;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PatTok {
+    AnyRun, // %
+    AnyOne, // _
+    Lit(char),
+}
+
+impl PatTok {
+    fn literal(&self) -> Option<char> {
+        match self {
+            PatTok::Lit(c) => Some(*c),
+            _ => None,
+        }
+    }
+}
+
+/// A LIKE pattern decoded once, matched against many texts.
+#[derive(Debug, Clone)]
+pub struct Pattern {
+    tokens: Vec<PatTok>,
+    /// A pattern that is one literal: the literal, and whether `%` leads and
+    /// trails it (exact, prefix, suffix or contains). `None`: backtrack.
+    literal: Option<(String, bool, bool)>,
+}
+
+impl Pattern {
+    /// Decode `pattern` under the optional `escape` character.
+    pub fn new(pattern: &str, escape: Option<char>) -> Pattern {
+        #[cfg(test)]
+        PREPARES.with(|n| n.set(n.get() + 1));
+        let mut chars = pattern.chars();
+        let mut tokens = Vec::new();
+        while let Some(c) = chars.next() {
+            tokens.push(match c {
+                // An escaped character is literal; a trailing escape is
+                // itself literal (DB2 raised an error; being lenient here only
+                // loosens tests we never rely on).
+                _ if Some(c) == escape => PatTok::Lit(chars.next().unwrap_or(c)),
+                '%' => PatTok::AnyRun,
+                '_' => PatTok::AnyOne,
+                _ => PatTok::Lit(c),
+            });
+        }
+        let start = (tokens.iter())
+            .position(|t| *t != PatTok::AnyRun)
+            .unwrap_or(tokens.len());
+        let end = (tokens.iter())
+            .rposition(|t| *t != PatTok::AnyRun)
+            .map_or(start, |i| i + 1);
+        let literal: Option<String> = tokens[start..end].iter().map(PatTok::literal).collect();
+        let literal = literal.map(|l| (l, start > 0, end < tokens.len()));
+        Pattern { tokens, literal }
+    }
+
+    /// Does `text` match?
+    pub fn matches(&self, text: &str) -> bool {
+        match &self.literal {
+            Some((l, false, false)) => text == l,
+            Some((l, false, true)) => text.starts_with(l.as_str()),
+            Some((l, true, false)) => text.ends_with(l.as_str()),
+            Some((l, true, true)) => text.contains(l.as_str()),
+            None => backtrack(text, &self.tokens),
+        }
+    }
+
+    /// The literal characters before the first wildcard: the planner turns
+    /// `col LIKE 'abc%'` into a B-tree range scan over them.
+    pub fn literal_prefix(&self) -> String {
+        self.tokens.iter().map_while(PatTok::literal).collect()
+    }
+
+    /// True when the pattern has no wildcard, so LIKE is equality with its
+    /// [`literal_prefix`](Self::literal_prefix).
+    pub fn is_exact(&self) -> bool {
+        matches!(self.literal, Some((_, false, false)))
+    }
+}
+
+/// A LIKE's pattern, prepared by `Bindings::bind` when it is a literal. It is
+/// derived data: any two compare equal, so the `==` that matches aggregate
+/// and HAVING expressions never sees it.
+#[derive(Debug, Clone, Default)]
+pub struct Prepared(pub Option<Box<Pattern>>);
+
+impl Prepared {
+    /// Prepare `pattern` under `escape` if it is a literal other than NULL.
+    pub fn prepare(&mut self, pattern: &Expr, escape: Option<char>) {
+        if let Expr::Literal(p) = pattern {
+            self.0 = (!p.is_null()).then(|| Box::new(Pattern::new(&p.as_text(), escape)));
+        }
+    }
+}
+
+impl PartialEq for Prepared {
+    fn eq(&self, _: &Prepared) -> bool {
+        true
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Pattern::new`] calls on this thread: the prepare-once tests check it
+    /// does not grow with the table.
+    pub(crate) static PREPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Does `text` match the LIKE `pattern`? A pattern matched against many texts
+/// is better decoded once, as a [`Pattern`].
 ///
 /// ```
 /// use minisql::like::like_match;
@@ -19,65 +131,17 @@
 /// assert!(!like_match("Bikes", "bikes%", None));
 /// ```
 pub fn like_match(text: &str, pattern: &str, escape: Option<char>) -> bool {
-    let literal = pattern.trim_matches('%');
-    if literal.contains(['%', '_']) || escape.is_some_and(|e| pattern.contains(e)) {
-        return backtrack(text, pattern, escape);
-    }
-    match (pattern.starts_with('%'), pattern.ends_with('%')) {
-        (false, false) => text == literal,
-        (false, true) => text.starts_with(literal),
-        (true, false) => text.ends_with(literal),
-        (true, true) => text.contains(literal),
-    }
+    Pattern::new(pattern, escape).matches(text)
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PatTok {
-    AnyRun, // %
-    AnyOne, // _
-    Lit(char),
-}
-
-/// The pattern token starting at byte `at`, and the byte offset after it.
-fn token(pattern: &str, at: usize, escape: Option<char>) -> Option<(PatTok, usize)> {
-    let mut chars = pattern[at..].chars();
-    let c = chars.next()?;
-    let tok = if Some(c) == escape {
-        // Escaped character is literal; a trailing escape is itself literal
-        // (DB2 raised an error; being lenient here only loosens tests we
-        // never rely on).
-        match chars.next() {
-            Some(next) => return Some((PatTok::Lit(next), at + c.len_utf8() + next.len_utf8())),
-            None => PatTok::Lit(c),
-        }
-    } else if c == '%' {
-        PatTok::AnyRun
-    } else if c == '_' {
-        PatTok::AnyOne
-    } else {
-        PatTok::Lit(c)
-    };
-    Some((tok, at + c.len_utf8()))
-}
-
-/// The pattern's tokens in order.
-fn tokens(pattern: &str, escape: Option<char>) -> impl Iterator<Item = PatTok> + '_ {
-    let mut at = 0;
-    std::iter::from_fn(move || {
-        let (tok, next) = token(pattern, at, escape)?;
-        at = next;
-        Some(tok)
-    })
-}
-
-fn backtrack(text: &str, pattern: &str, escape: Option<char>) -> bool {
-    let (mut ti, mut pi) = (0usize, 0usize); // byte offsets
-    let mut star: Option<(usize, usize)> = None; // (pattern after %, text at %)
+fn backtrack(text: &str, pattern: &[PatTok]) -> bool {
+    let (mut ti, mut pi) = (0usize, 0usize); // text byte offset, token index
+    let mut star: Option<(usize, usize)> = None; // (token after %, text at %)
     while let Some(tc) = text[ti..].chars().next() {
-        match token(pattern, pi, escape) {
-            Some((PatTok::Lit(c), next)) if c == tc => (ti, pi) = (ti + tc.len_utf8(), next),
-            Some((PatTok::AnyOne, next)) => (ti, pi) = (ti + tc.len_utf8(), next),
-            Some((PatTok::AnyRun, next)) => (star, pi) = (Some((next, ti)), next),
+        match pattern.get(pi) {
+            Some(PatTok::Lit(c)) if *c == tc => (ti, pi) = (ti + tc.len_utf8(), pi + 1),
+            Some(PatTok::AnyOne) => (ti, pi) = (ti + tc.len_utf8(), pi + 1),
+            Some(PatTok::AnyRun) => (star, pi) = (Some((pi + 1, ti)), pi + 1),
             _ => match star {
                 // Backtrack: let the last % swallow one more character.
                 Some((sp, st)) => {
@@ -88,33 +152,20 @@ fn backtrack(text: &str, pattern: &str, escape: Option<char>) -> bool {
             },
         }
     }
-    while let Some((PatTok::AnyRun, next)) = token(pattern, pi, escape) {
-        pi = next;
-    }
-    pi == pattern.len()
-}
-
-/// If the pattern has a non-empty literal prefix before any wildcard, return
-/// it. The planner uses this to turn `col LIKE 'abc%'` into a B-tree range
-/// scan.
-pub fn literal_prefix(pattern: &str, escape: Option<char>) -> String {
-    tokens(pattern, escape)
-        .map_while(|tok| match tok {
-            PatTok::Lit(c) => Some(c),
-            _ => None,
-        })
-        .collect()
-}
-
-/// True when the pattern contains no wildcards at all (so LIKE degenerates to
-/// equality against the unescaped literal).
-pub fn is_exact(pattern: &str, escape: Option<char>) -> bool {
-    tokens(pattern, escape).all(|t| matches!(t, PatTok::Lit(_)))
+    pattern[pi..].iter().all(|t| *t == PatTok::AnyRun)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn literal_prefix(pattern: &str, escape: Option<char>) -> String {
+        Pattern::new(pattern, escape).literal_prefix()
+    }
+
+    fn is_exact(pattern: &str, escape: Option<char>) -> bool {
+        Pattern::new(pattern, escape).is_exact()
+    }
 
     #[test]
     fn basic_wildcards() {
@@ -205,6 +256,12 @@ mod tests {
                 "{text:?} LIKE {pattern:?}"
             );
         }
+    }
+
+    #[test]
+    fn prepared_pattern_does_not_grow_expr() {
+        // A LIKE holds its prepared pattern behind one pointer.
+        assert!(std::mem::size_of::<crate::ast::Expr>() <= 64);
     }
 
     #[test]

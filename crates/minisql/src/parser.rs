@@ -642,6 +642,7 @@ impl Parser {
                 pattern: Box::new(pattern),
                 escape,
                 negated,
+                prepared: Default::default(),
             });
         }
         if self.eat_kw("IN") {

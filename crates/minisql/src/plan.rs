@@ -34,7 +34,7 @@
 use crate::ast::{BinOp, ColumnRef, Expr, Select, TableRef};
 use crate::eval::Bindings;
 use crate::index::Index;
-use crate::like::{is_exact, literal_prefix};
+use crate::like::Pattern;
 use crate::schema::TableSchema;
 use crate::state::DbState;
 use crate::types::{SqlType, Value};
@@ -215,21 +215,23 @@ pub(crate) fn sargable<'a>(
             pattern,
             escape,
             negated,
+            ..
         } => {
             // Only text keys can match a pattern: on any other column the
             // index holds values LIKE compares by their display text.
             let col = column(expr).filter(|c| schema.columns[c.1].ty == SqlType::Varchar)?;
             let keys = match konst(pattern)? {
                 Value::Null => None,
-                Value::Text(p) if is_exact(&p, *escape) => {
-                    Some(Keys::Eq(Value::Text(literal_prefix(&p, *escape))))
-                }
                 Value::Text(p) => {
-                    let prefix = literal_prefix(&p, *escape);
-                    if prefix.is_empty() {
+                    let p = Pattern::new(&p, *escape);
+                    let prefix = p.literal_prefix();
+                    if p.is_exact() {
+                        Some(Keys::Eq(Value::Text(prefix)))
+                    } else if prefix.is_empty() {
                         return None; // '%…' gives an index nothing to narrow
+                    } else {
+                        Some(Keys::Prefix(prefix))
                     }
-                    Some(Keys::Prefix(prefix))
                 }
                 _ => return None,
             };

@@ -43,16 +43,14 @@ impl TableData {
     /// Fold one successful row mutation into the table's statistics: update
     /// incrementally while fresh, rebuild from the heap once the write
     /// threshold has passed (the mutated row is already in/out of the heap
-    /// when this runs, so a rebuild sees it).
-    fn stats_note(&mut self, row: &Row, inserted: bool) {
+    /// when this runs, so a rebuild sees it). `removed` is the image that
+    /// left the heap; `None` notes the row the heap now holds at `id`.
+    fn stats_note(&mut self, id: RowId, removed: Option<&Row>) {
         match self.stats.as_mut() {
-            Some(s) if !s.stale() => {
-                if inserted {
-                    s.note_insert(row);
-                } else {
-                    s.note_delete(row);
-                }
-            }
+            Some(s) if !s.stale() => match removed {
+                Some(row) => s.note_delete(row),
+                None => s.note_insert(self.heap.get(id).expect("row just stored")),
+            },
             _ => self.rebuild_stats(),
         }
     }
@@ -150,8 +148,7 @@ impl DbState {
             let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
             idx.insert(value_at(row, idx.column), id)?;
         }
-        let row = row.clone();
-        t.stats_note(&row, true);
+        t.stats_note(id, None);
         self.bump_version(&key);
         Ok(id)
     }
@@ -171,7 +168,7 @@ impl DbState {
             let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
             idx.remove(value_at(&old, idx.column), id);
         }
-        t.stats_note(&old, false);
+        t.stats_note(id, Some(&old));
         self.bump_version(&key);
         Ok(Some(old))
     }
@@ -188,20 +185,21 @@ impl DbState {
             .get_mut(&key)
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
-        let old = t.heap.update(id, new.clone()).ok_or_else(|| {
+        let old = t.heap.update(id, new).ok_or_else(|| {
             SqlError::new(SqlCode::UNDEFINED_OBJECT, "row vanished during update")
         })?;
+        let new = t.heap.get(id).expect("row just stored");
         for name in &t.index_names {
             let column = self.indexes[name].column;
-            let (was, now) = (value_at(&old, column), value_at(&new, column));
+            let (was, now) = (value_at(&old, column), value_at(new, column));
             if was != now {
                 let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
                 idx.remove(was, id);
                 idx.insert(now, id)?;
             }
         }
-        t.stats_note(&old, false);
-        t.stats_note(&new, true);
+        t.stats_note(id, Some(&old));
+        t.stats_note(id, None);
         self.bump_version(&key);
         Ok(old)
     }

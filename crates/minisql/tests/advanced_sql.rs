@@ -677,3 +677,82 @@ fn aggregate_or_window_in_where_is_rejected() {
         assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Prepared LIKE patterns are derived data
+// ---------------------------------------------------------------------------
+
+/// A literal LIKE pattern is prepared when its expression binds. HAVING and
+/// ORDER BY find their aggregate by comparing expressions, so the prepared
+/// copy must compare equal to the unprepared one; EXPLAIN, labels and
+/// results read as before.
+#[test]
+fn prepared_like_patterns_are_invisible() {
+    let db = db();
+    let text = |v: &str| Value::Text(v.into());
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT region, SUM(CASE WHEN name LIKE '%d%' OR name LIKE 'B%' THEN 1 ELSE 0 END) \
+             FROM customers GROUP BY region \
+             HAVING SUM(CASE WHEN name LIKE '%d%' OR name LIKE 'B%' THEN 1 ELSE 0 END) > 0 \
+             ORDER BY region"
+        ),
+        vec![
+            vec![text("east"), Value::Int(1)],
+            vec![text("west"), Value::Int(1)],
+        ]
+    );
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT region, SUM(CASE WHEN name LIKE '_y%' OR name LIKE 'A%' THEN 1 ELSE 0 END) \
+             FROM customers GROUP BY region \
+             ORDER BY SUM(CASE WHEN name LIKE '_y%' OR name LIKE 'A%' THEN 1 ELSE 0 END) DESC, \
+             region"
+        ),
+        vec![
+            vec![text("west"), Value::Int(2)],
+            vec![text("east"), Value::Int(0)],
+            vec![text("north"), Value::Int(0)],
+        ]
+    );
+    let mut conn = db.connect();
+    let r = conn
+        .execute(
+            "SELECT name LIKE 'A%', name NOT LIKE '%b' ESCAPE '!' FROM customers ORDER BY name",
+        )
+        .unwrap();
+    let rs = r.rows().unwrap();
+    assert_eq!(rs.columns, ["1", "2"]);
+    let hits: Vec<Vec<Value>> = [(1, 1), (0, 0), (0, 1), (0, 1)]
+        .iter()
+        .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+        .collect();
+    assert_eq!(rs.rows, hits);
+
+    db.run_script("CREATE INDEX cust_name ON customers (name)")
+        .unwrap();
+    assert_eq!(
+        texts(
+            &db,
+            "EXPLAIN SELECT name FROM customers \
+             WHERE name LIKE 'A!%%' ESCAPE '!' AND region LIKE '%st' ORDER BY name"
+        ),
+        [
+            "INDEX prefix PROBE cust_name (name LIKE 'A%%…') (est rows=1)",
+            "FILTER <where>",
+            "SORT (1 keys)",
+        ]
+    );
+    assert_eq!(
+        texts(
+            &db,
+            "EXPLAIN SELECT name FROM customers WHERE name LIKE 'B!_b' ESCAPE '!'"
+        ),
+        [
+            "INDEX equality PROBE cust_name (name) (est rows=1)",
+            "FILTER <where>",
+        ]
+    );
+}

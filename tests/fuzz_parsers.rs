@@ -150,12 +150,6 @@ props! {
         let _ = dbgw_cgi::QueryString::parse(&input);
     }
 
-    fn csv_import_total(input in printable(0..=200)) {
-        let db = minisql::Database::new();
-        db.run_script("CREATE TABLE t (a VARCHAR(50), b VARCHAR(50))").unwrap();
-        let _ = minisql::csv::import_table(&db, "t", &input);
-    }
-
     fn substitution_total(template in printable(0..=200)) {
         let env = dbgw_core::Env::new();
         let mut ev = dbgw_core::Evaluator::new(&env, &dbgw_core::DenyRunner);

@@ -441,12 +441,6 @@ props! {
         prop_assert!(minisql::dump::databases_equal(&db, &restored).unwrap(), "script:\n{script}");
     }
 
-    /// CSV export/import round-trips arbitrary text data (incl. quotes,
-    /// commas, newlines, NULL-vs-empty) exactly.
-    fn csv_round_trips_random_text(rows in vec_of(option_of(printable(0..=16)), 0..=19)) {
-        csv_round_trips(&rows)?;
-    }
-
     /// Cache transparency: the same random statement sequence against a
     /// cached and an uncached database yields byte-identical results at every
     /// step and identical final states. Caching may only change speed.
@@ -680,37 +674,4 @@ fn live_registry_exposition_is_conformant() {
         },
     )));
     check_exposition(&text).unwrap();
-}
-
-/// Shared body for the CSV round-trip property and its pinned regressions.
-fn csv_round_trips(rows: &[Option<String>]) -> Result<(), String> {
-    let db = minisql::Database::new();
-    db.run_script("CREATE TABLE c (t VARCHAR(40))").unwrap();
-    let mut conn = db.connect();
-    for t in rows {
-        conn.execute_with_params(
-            "INSERT INTO c VALUES (?)",
-            &[t.clone()
-                .map(minisql::Value::Text)
-                .unwrap_or(minisql::Value::Null)],
-        )
-        .unwrap();
-    }
-    let csv = minisql::csv::export_table(&db, "c").unwrap();
-    let dest = minisql::Database::new();
-    dest.run_script("CREATE TABLE c (t VARCHAR(40))").unwrap();
-    minisql::csv::import_table(&dest, "c", &csv).unwrap();
-    prop_assert!(
-        minisql::dump::databases_equal(&db, &dest).unwrap(),
-        "csv:\n{csv:?}"
-    );
-    Ok(())
-}
-
-/// Regression pinned from a recorded proptest shrink (`.proptest-regressions`,
-/// now retired): a single row holding the literal text "0" must survive the
-/// CSV round-trip — it must not be conflated with the number 0 or with NULL.
-#[test]
-fn csv_round_trip_regression_zero_text() {
-    csv_round_trips(&[Some("0".to_string())]).unwrap();
 }
