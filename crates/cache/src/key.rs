@@ -1,190 +1,4 @@
-//! Cache-key canonicalization and content hashing.
-//!
-//! Statement and result-cache keys must treat `SELECT * FROM t` and
-//! `select  *  from T` as the same statement while keeping
-//! `SELECT 'a  B'` and `SELECT 'a b'` distinct — the whitespace and case
-//! inside a string literal are data, not syntax. The normalizer therefore
-//! tracks the tokenizer's quoting rules (single-quoted strings with `''`
-//! escapes, double-quoted identifiers, `--` line comments) and only rewrites
-//! the text between literals.
-
-/// Canonicalize a SQL statement for use as a cache key.
-///
-/// Outside quotes: ASCII-lowercase, collapse every whitespace run to a
-/// single space, strip `--` line comments (they are whitespace to the
-/// tokenizer, and must not survive into the key — otherwise
-/// `SELECT 1 -- c⏎+1` and `SELECT 1 -- c +1` would collapse to the same
-/// key despite meaning different things), and trim the ends.
-///
-/// Inside quotes: copy verbatim, including the quote characters. Single
-/// quotes honour the `''` escape; double-quoted identifiers have no escape
-/// (matching the tokenizer). An unterminated literal is copied through to
-/// the end — the parse will fail anyway, but the key stays deterministic.
-pub fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut pending_space = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' | '"' => {
-                if pending_space && !out.is_empty() {
-                    out.push(' ');
-                }
-                pending_space = false;
-                out.push(c);
-                while let Some(d) = chars.next() {
-                    out.push(d);
-                    if d == c {
-                        // '' inside a single-quoted literal is an escaped
-                        // quote, not a terminator.
-                        if c == '\'' && chars.peek() == Some(&'\'') {
-                            out.push('\'');
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            '-' if chars.peek() == Some(&'-') => {
-                // Line comment: skip to end of line, acts as whitespace.
-                for d in chars.by_ref() {
-                    if d == '\n' {
-                        break;
-                    }
-                }
-                pending_space = true;
-            }
-            _ if c.is_ascii_whitespace() => pending_space = true,
-            _ => {
-                if pending_space && !out.is_empty() {
-                    out.push(' ');
-                }
-                pending_space = false;
-                // ASCII-only case folding: non-ASCII text passes through
-                // verbatim (Unicode folding is locale-fraught, and data in
-                // identifiers must not be rewritten more than the tokenizer
-                // itself would).
-                out.push(c.to_ascii_lowercase());
-            }
-        }
-    }
-    out
-}
-
-/// Canonicalize a SQL statement into its **digest text**: the shape of the
-/// query with every literal masked as `?`.
-///
-/// Where [`normalize_sql`] preserves literals (two cache entries for two
-/// different keys must never alias), the digest text deliberately erases
-/// them: `SELECT * FROM t WHERE id = 7` and `... WHERE id = 9` are the same
-/// *statement shape*, and — the privacy half — the masked text is safe to
-/// write to logs and expose on `/stats` because user-supplied literal data
-/// (names, addresses, passwords pasted into a form) never survives masking.
-///
-/// Rules, layered on the [`normalize_sql`] scanner:
-///
-/// * single-quoted string literals (with `''` escapes) become a single `?`;
-/// * numeric literals (`42`, `3.14`, `.5`, `1e-3`) become `?` — but digits
-///   *inside* an identifier (`t1`, `col_2`) are identifier text and stay;
-/// * parameter markers (`?`) pass through, so a bound statement and its
-///   inlined-literal twin share one digest;
-/// * double-quoted identifiers, keywords, operators: normalized exactly as
-///   [`normalize_sql`] does (lowercase, whitespace collapsed, comments
-///   stripped).
-pub fn digest_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut pending_space = false;
-    // True while the previous emitted char continues an identifier/number
-    // token — used to tell `t1`'s digit from a standalone literal `1`.
-    let mut in_word = false;
-    let emit = |out: &mut String, pending_space: &mut bool, c: char| {
-        if *pending_space && !out.is_empty() {
-            out.push(' ');
-        }
-        *pending_space = false;
-        out.push(c);
-    };
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                // String literal → `?`, consuming the body and '' escapes.
-                emit(&mut out, &mut pending_space, '?');
-                in_word = false;
-                while let Some(d) = chars.next() {
-                    if d == '\'' {
-                        if chars.peek() == Some(&'\'') {
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            '"' => {
-                // Quoted identifier: schema reference, not user data — keep.
-                emit(&mut out, &mut pending_space, '"');
-                in_word = false;
-                for d in chars.by_ref() {
-                    out.push(d);
-                    if d == '"' {
-                        break;
-                    }
-                }
-            }
-            '-' if chars.peek() == Some(&'-') => {
-                for d in chars.by_ref() {
-                    if d == '\n' {
-                        break;
-                    }
-                }
-                pending_space = true;
-                in_word = false;
-            }
-            _ if c.is_ascii_whitespace() => {
-                pending_space = true;
-                in_word = false;
-            }
-            _ if !in_word
-                && (c.is_ascii_digit()
-                    || (c == '.' && chars.peek().is_some_and(char::is_ascii_digit))) =>
-            {
-                // Numeric literal: digits, one fraction, optional exponent.
-                emit(&mut out, &mut pending_space, '?');
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() || d == '.' {
-                        chars.next();
-                    } else if (d == 'e' || d == 'E') && {
-                        let mut ahead = chars.clone();
-                        ahead.next();
-                        match ahead.peek() {
-                            Some('+' | '-') => {
-                                ahead.next();
-                                ahead.peek().is_some_and(|x| x.is_ascii_digit())
-                            }
-                            Some(x) => x.is_ascii_digit(),
-                            None => false,
-                        }
-                    } {
-                        chars.next(); // e / E
-                        if matches!(chars.peek(), Some('+' | '-')) {
-                            chars.next();
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                in_word = false;
-            }
-            _ => {
-                emit(&mut out, &mut pending_space, c.to_ascii_lowercase());
-                in_word = c.is_ascii_alphanumeric() || c == '_';
-            }
-        }
-    }
-    out
-}
+//! Content hashing.
 
 /// 64-bit FNV-1a over a byte string. Stable across platforms and runs —
 /// exactly what shard selection and HTTP `ETag`s need, with no dependency.
@@ -202,149 +16,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn collapses_whitespace_and_case_outside_literals() {
-        assert_eq!(
-            normalize_sql("SELECT  *\n FROM\tT  WHERE a =  1"),
-            "select * from t where a = 1"
-        );
-        assert_eq!(normalize_sql("  select 1  "), "select 1");
-    }
-
-    #[test]
-    fn literals_are_preserved_verbatim() {
-        assert_eq!(
-            normalize_sql("SELECT 'A  B' FROM T"),
-            "select 'A  B' from t"
-        );
-        // Different literals must never alias.
-        assert_ne!(
-            normalize_sql("SELECT 'a  b'"),
-            normalize_sql("SELECT 'a b'")
-        );
-        assert_ne!(normalize_sql("SELECT 'ABC'"), normalize_sql("SELECT 'abc'"));
-    }
-
-    #[test]
-    fn escaped_quotes_stay_inside_the_literal() {
-        assert_eq!(
-            normalize_sql("SELECT 'it''s  HERE' FROM T"),
-            "select 'it''s  HERE' from t"
-        );
-    }
-
-    #[test]
-    fn double_quoted_identifiers_preserved() {
-        assert_eq!(
-            normalize_sql("SELECT \"Mixed  Case\""),
-            "select \"Mixed  Case\""
-        );
-    }
-
-    #[test]
-    fn comments_are_whitespace_not_text() {
-        assert_eq!(normalize_sql("SELECT 1 -- note\n+ 1"), "select 1 + 1");
-        // A comment swallowing the rest of the line must not make two
-        // different statements alias.
-        assert_ne!(
-            normalize_sql("SELECT 1 -- c\n+1"),
-            normalize_sql("SELECT 1 -- c +1")
-        );
-    }
-
-    #[test]
-    fn comment_markers_inside_literals_are_data() {
-        assert_eq!(normalize_sql("SELECT '--x' FROM t"), "select '--x' from t");
-    }
-
-    #[test]
-    fn idempotent() {
-        for s in [
-            "SELECT  'a  B' -- c\n FROM t",
-            "select 1",
-            "'unterminated",
-            "",
-        ] {
-            let once = normalize_sql(s);
-            assert_eq!(normalize_sql(&once), once);
-        }
-    }
-
-    #[test]
-    fn non_ascii_passes_through_intact() {
-        // Regression (found by the property suite): the scanner once worked
-        // on bytes and re-encoded each UTF-8 byte as its own char, mangling
-        // anything non-ASCII and breaking idempotence.
-        assert_eq!(normalize_sql("SELECT '¡Holá!'"), "select '¡Holá!'");
-        assert_eq!(normalize_sql("SELECT ¡"), "select ¡");
-        let once = normalize_sql("¡");
-        assert_eq!(once, "¡");
-        assert_eq!(normalize_sql(&once), once);
-    }
-
-    #[test]
-    fn digest_masks_string_and_numeric_literals() {
-        assert_eq!(
-            digest_sql("SELECT * FROM t WHERE name = 'Alice'  AND age > 42"),
-            "select * from t where name = ? and age > ?"
-        );
-        // Same shape, different literals → identical digest text.
-        assert_eq!(
-            digest_sql("SELECT * FROM t WHERE name = 'Bob' AND age > 7"),
-            digest_sql("SELECT * FROM t WHERE name = 'Alice'  AND age > 42"),
-        );
-    }
-
-    #[test]
-    fn digest_matches_bound_parameter_shape() {
-        assert_eq!(
-            digest_sql("SELECT a FROM t WHERE id = ?"),
-            digest_sql("SELECT a FROM t WHERE id = 123")
-        );
-    }
-
-    #[test]
-    fn digest_keeps_identifier_digits() {
-        assert_eq!(
-            digest_sql("SELECT col_2 FROM t1 WHERE t1.x2 = 5"),
-            "select col_2 from t1 where t1.x2 = ?"
-        );
-    }
-
-    #[test]
-    fn digest_masks_escaped_and_tricky_literals() {
-        assert_eq!(digest_sql("SELECT 'it''s  here'"), "select ?");
-        assert_eq!(
-            digest_sql("SELECT 3.14, .5, 1e-3, 2E+10"),
-            "select ?, ?, ?, ?"
-        );
-        // Unterminated literal: masked to the end, deterministic.
-        assert_eq!(digest_sql("SELECT 'oops"), "select ?");
-        // Comment markers inside the literal are data, and still masked.
-        assert_eq!(digest_sql("SELECT '--x' FROM t"), "select ? from t");
-    }
-
-    #[test]
-    fn digest_preserves_quoted_identifiers_and_comments() {
-        assert_eq!(
-            digest_sql("SELECT \"Mixed  Case\" -- trailing\nFROM t"),
-            "select \"Mixed  Case\" from t"
-        );
-    }
-
-    #[test]
-    fn digest_is_idempotent() {
-        for s in [
-            "SELECT 'a  B' FROM t WHERE x = 1.5e3",
-            "select ?",
-            "'unterminated",
-            "",
-        ] {
-            let once = digest_sql(s);
-            assert_eq!(digest_sql(&once), once);
-        }
-    }
 
     #[test]
     fn fnv_known_vectors() {

@@ -166,7 +166,7 @@ impl Database for SqlMeter {
             dbgw_obs::metrics().slow_queries.inc();
             self.slow_log.record(SlowQuery {
                 request_id: dbgw_obs::current_request_id(),
-                statement: dbgw_cache::digest_sql(sql),
+                statement: minisql::digest_sql(sql),
                 dur_ns,
                 sqlcode: match &result {
                     Ok(rows) => rows.sqlcode(),

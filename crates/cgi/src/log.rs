@@ -125,9 +125,9 @@ impl AccessLog {
 pub struct SlowQuery {
     /// The request that executed it (see [`crate::CgiRequest::request_id`]).
     pub request_id: u64,
-    /// The statement's normalized digest text (literals masked as `?`), not
-    /// the raw post-substitution SQL — slow logs are long-lived and must not
-    /// retain user-supplied literal values.
+    /// The statement's digest text (`minisql::digest_sql`, literals masked
+    /// as `?`), not the raw post-substitution SQL — slow logs are long-lived
+    /// and must not retain user-supplied literal values.
     pub statement: String,
     /// Observed execution time, nanoseconds on the gateway's clock.
     pub dur_ns: u64,

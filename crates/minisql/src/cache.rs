@@ -2,7 +2,7 @@
 //!
 //! The result cache lives in a [`DbCaches`] instance shared by every
 //! connection to one [`Database`](crate::Database) and sits on the generic
-//! [`ShardedCache`] from `dbgw-cache`. It maps (normalized SQL, bind values)
+//! [`ShardedCache`] from `dbgw-cache`. It maps (statement text, bind values)
 //! → materialized [`ResultSet`], for `SELECT` only, and is consulted before
 //! the statement is parsed, so a hit skips tokenizing, parsing and
 //! execution alike. Each entry records the version of every table the query
@@ -10,16 +10,19 @@
 //! those versions, so any committed — or merely applied — write to a
 //! referenced table makes the entry invisible immediately.
 //!
-//! Keys are built with [`dbgw_cache::normalize_sql`], which canonicalizes
-//! whitespace/case only *outside* string literals, and bind values are
-//! encoded with explicit type tags and length prefixes so `'1'` and `1`
-//! (or adjacent text params) can never alias.
+//! The key is the statement text exactly as received (`result_key`), not
+//! a canonical form: a second copy of the lexer's rules, deciding which
+//! spellings are "the same statement", could only ever disagree with the
+//! parser (an `AS Foo` alias is a column name, a form feed is a syntax
+//! error). Bind values are encoded with explicit type tags and length
+//! prefixes so `'1'` and `1` (or adjacent text params) can never alias.
 
 use crate::ast::{Expr, Select};
 use crate::exec::ResultSet;
 use crate::state::DbState;
 use crate::types::Value;
 use dbgw_cache::{CacheConfig, CacheStatsSnapshot, ShardedCache};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,41 +76,26 @@ pub struct DbCacheStats {
     pub invalidations: u64,
 }
 
-/// Build the result-cache key for a normalized statement and its binds.
+/// Build the result-cache key: the statement text exactly as the DBMS
+/// receives it, behind its length, then the binds.
 ///
-/// Values are encoded with a type tag and, for text, a length prefix —
-/// `t3:abc;` — so no two distinct bind vectors can produce the same key
-/// (`["ab","c"]` vs `["a","bc"]`, `1` vs `'1'`, NULL vs `'NULL'`).
-pub(crate) fn result_key(normalized_sql: &str, params: &[Value]) -> String {
-    let mut key = String::with_capacity(normalized_sql.len() + 16 * params.len() + 1);
-    key.push_str(normalized_sql);
-    key.push('\0');
+/// Identical text always parses identically, so only the same statement can
+/// share an entry. The length prefix ends the text unambiguously, and each
+/// value carries a type tag and, for text, a length — `t3:abc;` — so no two
+/// distinct (statement, binds) pairs produce the same key (`["ab","c"]` vs
+/// `["a","bc"]`, `1` vs `'1'`, NULL vs `'NULL'`, a bind vs statement text
+/// that spells one).
+pub(crate) fn result_key(sql: &str, params: &[Value]) -> String {
+    let mut key = String::with_capacity(sql.len() + 16 * params.len() + 8);
+    let _ = write!(key, "{}:{sql}", sql.len());
     for p in params {
-        match p {
-            Value::Null => key.push_str("n;"),
-            Value::Int(i) => {
-                key.push('i');
-                key.push_str(&i.to_string());
-                key.push(';');
-            }
-            Value::Double(f) => {
-                key.push('f');
-                key.push_str(&format!("{:016x}", f.to_bits()));
-                key.push(';');
-            }
-            Value::Text(s) => {
-                key.push('t');
-                key.push_str(&s.len().to_string());
-                key.push(':');
-                key.push_str(s);
-                key.push(';');
-            }
-            Value::Date(d) => {
-                key.push('d');
-                key.push_str(&d.to_string());
-                key.push(';');
-            }
-        }
+        let _ = match p {
+            Value::Null => write!(key, "n;"),
+            Value::Int(i) => write!(key, "i{i};"),
+            Value::Double(f) => write!(key, "f{:016x};", f.to_bits()),
+            Value::Text(s) => write!(key, "t{}:{s};", s.len()),
+            Value::Date(d) => write!(key, "d{d};"),
+        };
     }
     key
 }
@@ -242,6 +230,14 @@ mod tests {
             result_key("select ?, ?", &[Text("a".into()), Text("bc".into())]),
             result_key("select ?, ?", &[Text("a;b".into()), Text("c".into())]),
             result_key("select ?, ?", &[Text("a".into()), Text("b;c".into())]),
+            // Text that spells a bind encoding never meets the bind itself.
+            result_key("SELECT ? FROM t", &[Text("a\0i5".into())]),
+            result_key("SELECT ? FROM t\0t4:a", &[Int(5)]),
+            result_key("SELECT ? FROM t4:a", &[Int(5)]),
+            result_key("SELECT ? FROM t", &[Text("a".into()), Int(5)]),
+            // Spelling is part of the statement.
+            result_key("SELECT ?", &[Int(1)]),
+            result_key("select  ?", &[Int(1)]),
         ];
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {

@@ -545,7 +545,7 @@ impl Connection {
     /// Parse and execute with positional `?` parameters.
     ///
     /// When the owning database has a result cache and no transaction is
-    /// open, the normalized statement text and binds are looked up there
+    /// open, the statement text as given and its binds are looked up there
     /// first: a hit whose table versions still hold is returned without
     /// parsing. On a miss the statement is parsed once; a SELECT runs and its
     /// rows are stored. Inside a transaction a SELECT reads the private state
@@ -554,7 +554,8 @@ impl Connection {
     /// Every statement is also folded into the process-wide query digest
     /// table (unless recording is switched off): latency on this connection's request
     /// clock, rows returned and scanned, errors, result-cache outcome, and
-    /// latch wait, keyed by the literal-masked statement shape.
+    /// latch wait, keyed by the statement's literal-masked shape
+    /// ([`digest_sql`](crate::token::digest_sql)).
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> SqlResult<ExecResult> {
         let store = dbgw_obs::digests();
         if !store.enabled() {
@@ -563,7 +564,7 @@ impl Connection {
         // Clear notes a digest-disabled window may have left behind, so this
         // statement only folds in its own attribution.
         let _ = dbgw_obs::digest::take_notes();
-        let text = dbgw_cache::digest_sql(sql);
+        let text = crate::token::digest_sql(sql);
         let key = dbgw_cache::fnv1a_64(text.as_bytes());
         let clock = Arc::clone(self.ctx.clock());
         let start_ns = clock.now_ns();
@@ -599,7 +600,7 @@ impl Connection {
     fn execute_undigested(&mut self, sql: &str, params: &[Value]) -> SqlResult<ExecResult> {
         let cached = match self.caches.clone().filter(|_| self.txn.is_none()) {
             Some(caches) => {
-                let key = cache::result_key(&dbgw_cache::normalize_sql(sql), params);
+                let key = cache::result_key(sql, params);
                 if let Some(rows) = self.cache_hit(&caches, &key)? {
                     return Ok(ExecResult::Rows(rows));
                 }

@@ -69,5 +69,6 @@ pub use error::{SqlCode, SqlError, SqlResult};
 pub use exec::ResultSet;
 pub use parser::{parse, parse_script};
 pub use plan::{PlanOptions, PlanStats};
+pub use token::digest_sql;
 pub use types::{SqlType, Truth, Value};
 pub use wal::DurabilityConfig;

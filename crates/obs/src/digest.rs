@@ -2,8 +2,8 @@
 //!
 //! Every statement the engine executes is folded into a per-*shape* row: the
 //! digest text is the statement with literals masked (computed by the caller
-//! with `dbgw_cache::digest_sql`; this crate stays dependency-free and takes
-//! the precomputed key + text), so `WHERE id = 7` and `WHERE id = 9`
+//! with `minisql::digest_sql`, from the same lexemes minisql's parser reads;
+//! this crate stays dependency-free and takes the precomputed key + text), so `WHERE id = 7` and `WHERE id = 9`
 //! aggregate together and no user-supplied literal ever reaches `/stats`.
 //!
 //! The store is sharded (FNV key → shard, one `Mutex` each, held for a few

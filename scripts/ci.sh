@@ -41,6 +41,12 @@ echo "== minisql property suites, deeper (TESTKIT_CASES=1500) =="
 # block's config(cases = ...). About 85 s on a 2-core host, build included.
 TESTKIT_CASES=1500 cargo test -q --release --offline -p minisql
 
+echo "== result-cache transparency, deeper (TESTKIT_CASES=1500) =="
+# The root tests/properties.rs is not part of the minisql step above: the
+# cached-vs-uncached property, over respelled statements, runs 1500 cases
+# here.
+TESTKIT_CASES=1500 cargo test -q --release --offline --test properties cache_is_transparent
+
 echo "== macro lint (the shipped macros stay free of findings) =="
 ./target/release/dtwlint macros/*.d2w
 

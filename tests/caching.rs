@@ -45,11 +45,90 @@ fn repeated_select_hits_the_result_cache() {
     assert_eq!(stats.results.hits, 1, "{stats:?}");
     assert_eq!(warm, cold, "cached result must be identical");
 
-    // Normalization: case and whitespace outside literals do not miss.
+    // The key is the text as sent: another spelling is another statement,
+    // and its column is named as that spelling names it.
     let spaced = "  select TITLE from urldb   ORDER   by url";
-    let normalized = conn.execute(spaced).unwrap().rows().unwrap().clone();
-    assert_eq!(db.cache_stats().unwrap().results.hits, 2);
-    assert_eq!(normalized, cold);
+    let respelled = conn.execute(spaced).unwrap().rows().unwrap().clone();
+    let stats = db.cache_stats().unwrap();
+    assert_eq!(
+        (stats.results.hits, stats.results.misses),
+        (1, 2),
+        "{stats:?}"
+    );
+    let plain = Database::without_cache();
+    seed_urldb(&plain);
+    let expected = plain.connect().execute(spaced).unwrap();
+    assert_eq!(&respelled, expected.rows().unwrap());
+    assert_eq!(respelled.columns, ["TITLE"]);
+}
+
+/// Run `statements` in order against a cached and an uncached database
+/// holding `urldb`; every answer must agree, errors included.
+fn agrees_with_an_uncached_database(statements: &[(&str, &[Value])]) {
+    let (cached, plain) = (cached_db(), Database::without_cache());
+    seed_urldb(&cached);
+    seed_urldb(&plain);
+    let (mut warm, mut cold) = (cached.connect(), plain.connect());
+    for (sql, params) in statements {
+        let (hit, truth) = (
+            warm.execute_with_params(sql, params),
+            cold.execute_with_params(sql, params),
+        );
+        assert_eq!(hit, truth, "{sql:?} {params:?}");
+    }
+}
+
+#[test]
+fn an_alias_is_named_as_each_statement_spells_it() {
+    for order in [["Foo", "FOO"], ["FOO", "Foo"]] {
+        let [first, second] = order.map(|a| format!("SELECT title AS {a} FROM urldb"));
+        agrees_with_an_uncached_database(&[(&first, &[]), (&second, &[])]);
+    }
+}
+
+#[test]
+fn a_form_feed_is_a_syntax_error_even_after_the_spaced_statement_is_cached() {
+    // The uncached answer is SQLCODE -104: the lexer knows no form feed.
+    agrees_with_an_uncached_database(&[
+        ("SELECT 1 FROM urldb", &[]),
+        ("SELECT\x0c1 FROM urldb", &[]),
+    ]);
+}
+
+#[test]
+fn statement_text_that_spells_a_bind_never_meets_the_bind() {
+    // Keyed as text, a NUL and the encoding of `[Int(5)]`, the second
+    // statement once found the first one's entry.
+    let binds = [Value::Text("a\0i5".into())];
+    agrees_with_an_uncached_database(&[
+        ("SELECT ? FROM urldb", &binds),
+        ("SELECT ? FROM urldb\0t4:a", &[Value::Int(5)]),
+    ]);
+}
+
+#[test]
+fn each_macro_reports_its_own_alias_spelling() {
+    let name = |alias: &str| format!("{}.d2w", if alias == "Link" { "mixed" } else { "upper" });
+    let mut wrong = Vec::new();
+    for order in [["Link", "LINK"], ["LINK", "Link"]] {
+        let db = cached_db();
+        seed_urldb(&db);
+        let gw = Gateway::new(db);
+        for alias in order {
+            let source = format!(
+                "%SQL{{ SELECT url AS {alias} FROM urldb ORDER BY url %}}\n\
+                 %HTML_REPORT{{%EXEC_SQL%}}"
+            );
+            gw.add_macro(&name(alias), &source).unwrap();
+        }
+        for alias in order.into_iter().chain(order) {
+            let page = gw.get(&name(alias), "report", "").body;
+            if !page.contains(&format!("<TH>{alias}</TH>")) {
+                wrong.push(format!("after {order:?}, AS {alias} rendered {page}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }
 
 #[test]
