@@ -11,8 +11,8 @@
 //! Configuration comes from more variables, mirroring the product's
 //! initialization file:
 //!
-//! * `DTW_MACRO_DIR` — directory holding `.d2w` macro files (default
-//!   `./macros`),
+//! * `DTW_MACRO_DIR` — directory holding `.d2w` macro files and the `.hti`
+//!   fragments they `%INCLUDE` (default `./macros`),
 //! * `DTW_DB_SCRIPT` — path to a SQL script that builds the database,
 //! * the `DBGW_*` settings of [`dbgw_cgi::Config`], validated before anything
 //!   else runs: a misspelt or malformed one ends the process with status 2
@@ -131,8 +131,8 @@ fn run(config: &Config, request_id: u64) -> CgiResponse {
         }
     }
 
-    // Load the requested macro from the macro directory. The gateway
-    // re-validates the name; we only read the one file being asked for.
+    // The requested macro's name. The gateway re-validates it; of the macro
+    // directory's `.d2w` files only that one is read.
     let macro_dir = {
         let dir = env("DTW_MACRO_DIR");
         if dir.is_empty() {
@@ -151,19 +151,19 @@ fn run(config: &Config, request_id: u64) -> CgiResponse {
     if !dbgw_core::security::safe_macro_name(&macro_name) {
         return CgiResponse::error_for_request(400, "invalid macro file name", request_id);
     }
+    // Load the one macro asked for, through the gateway's include-resolving
+    // loader (the `.hti` fragments of the macro directory).
     let gateway = Gateway::new(db).configured(config);
-    let macro_path = std::path::Path::new(&macro_dir).join(&macro_name);
-    match std::fs::read_to_string(&macro_path) {
-        Ok(source) => {
-            if let Err(e) = gateway.add_macro(&macro_name, &source) {
-                return CgiResponse::error_for_request(
-                    500,
-                    &format!("macro parse error: {e}"),
-                    request_id,
-                );
-            }
+    match gateway.load_macro_dir(std::path::Path::new(&macro_dir), Some(&macro_name)) {
+        Ok(loaded) if !loaded.is_empty() => {}
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            return CgiResponse::error_for_request(
+                500,
+                &format!("macro parse error: {e}"),
+                request_id,
+            )
         }
-        Err(_) => {
+        _ => {
             return CgiResponse::error_for_request(
                 404,
                 &format!("no macro named {macro_name}"),

@@ -136,6 +136,9 @@ impl TraceOptions {
 struct StoredMacro {
     parsed: Arc<MacroFile>,
     source: Arc<String>,
+    /// Every `%SQL` section is a plain SELECT, decided once at install: the
+    /// report page may then be revalidated instead of re-run.
+    reads_only: bool,
 }
 
 /// Wraps a request's connection to time every statement: latency goes to the
@@ -317,11 +320,13 @@ impl Gateway {
     /// "stores them in files (called macros) at the Web server".
     pub fn add_macro(&self, name: &str, source: &str) -> Result<(), MacroError> {
         let parsed = parse_macro(source)?;
+        let reads_only = parsed.sql_sections().all(|s| is_select(s.command.source()));
         self.macros.write().insert(
             name.to_owned(),
             StoredMacro {
                 parsed: Arc::new(parsed),
                 source: Arc::new(source.to_owned()),
+                reads_only,
             },
         );
         Ok(())
@@ -334,11 +339,16 @@ impl Gateway {
         names
     }
 
-    /// Load every `*.d2w` file in a directory as a macro, with `%INCLUDE`
-    /// fragments resolved against the `*.hti` files in the same directory —
-    /// the product's macro-directory deployment model. Returns the macro
-    /// names loaded (sorted).
-    pub fn load_macro_dir(&self, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
+    /// Load the `*.d2w` files of a directory as macros — every one, or only
+    /// the file named `only` — with `%INCLUDE` fragments resolved against the
+    /// `*.hti` files in the same directory: the product's macro-directory
+    /// deployment model. Returns the macro names loaded (sorted); a macro
+    /// that fails to expand or parse is an `InvalidData` error naming it.
+    pub fn load_macro_dir(
+        &self,
+        dir: &std::path::Path,
+        only: Option<&str>,
+    ) -> std::io::Result<Vec<String>> {
         use dbgw_core::MapResolver;
         let mut resolver = MapResolver::new();
         let mut macro_files = Vec::new();
@@ -349,7 +359,7 @@ impl Gateway {
             };
             if name.ends_with(".hti") {
                 resolver.insert(&name, &std::fs::read_to_string(&path)?);
-            } else if name.ends_with(".d2w") {
+            } else if name.ends_with(".d2w") && only.is_none_or(|o| o == name) {
                 macro_files.push((name, std::fs::read_to_string(&path)?));
             }
         }
@@ -357,19 +367,11 @@ impl Gateway {
         for (name, source) in macro_files {
             // Expand includes once, so the stored source is self-contained
             // (trace mode re-parses it with no resolver in reach).
-            let expanded = dbgw_core::expand_includes(&source, &resolver).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{name}: {e}"))
-            })?;
-            let parsed = parse_macro(&expanded).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{name}: {e}"))
-            })?;
-            self.macros.write().insert(
-                name.clone(),
-                StoredMacro {
-                    parsed: Arc::new(parsed),
-                    source: Arc::new(expanded),
-                },
-            );
+            dbgw_core::expand_includes(&source, &resolver)
+                .and_then(|expanded| self.add_macro(&name, &expanded))
+                .map_err(|e| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{name}: {e}"))
+                })?;
             loaded.push(name);
         }
         loaded.sort();
@@ -543,10 +545,10 @@ impl Gateway {
         {
             return Some(false);
         }
-        let mac = self.macros.read().get(macro_name)?.parsed.clone();
+        let reads_only = self.macros.read().get(macro_name)?.reads_only;
         Some(match mode {
             Mode::Input => true,
-            Mode::Report => mac.sql_sections().all(|s| is_select(s.command.source())),
+            Mode::Report => reads_only,
         })
     }
 
@@ -703,12 +705,14 @@ impl Gateway {
     }
 }
 
-/// Does the statement's first keyword make it a read (SELECT)?
+/// Does the statement open with the keyword SELECT, after any whitespace
+/// and comments? Read with minisql's own lexer: the digest drops what comes
+/// before the first lexeme and lowercases keywords. A statement that opens
+/// with a `$(…)` reference is not known to read (the digest masks it).
 fn is_select(command: &str) -> bool {
-    command
-        .split_whitespace()
-        .next()
-        .is_some_and(|w| w.eq_ignore_ascii_case("select"))
+    let digest = minisql::digest_sql(command);
+    let mut words = digest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '$'));
+    words.next() == Some("select")
 }
 
 /// `If-None-Match` comparison: `*` matches anything; otherwise any member of
@@ -949,7 +953,7 @@ mod tests {
         .unwrap();
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
         let gw = Gateway::new(minisql::Database::new());
-        let loaded = gw.load_macro_dir(&dir).unwrap();
+        let loaded = gw.load_macro_dir(&dir, None).unwrap();
         assert_eq!(loaded, vec!["app.d2w"]);
         let resp = gw.get("app.d2w", "input", "");
         assert!(resp.body.contains("<TITLE>Shared</TITLE>"), "{}", resp.body);

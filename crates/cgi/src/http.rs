@@ -2,7 +2,7 @@
 //!
 //! Stands in for the NCSA/IBM httpd of Figure 1, but upgraded past the 1996
 //! close-per-request model: connections are **persistent** (`keep-alive`) and
-//! parked in an epoll-driven event loop ([`crate::evloop`]) while idle, so
+//! parked in an epoll-driven event loop (`evloop`) while idle, so
 //! ten thousand open browsers cost file descriptors, not threads. Only a
 //! connection with a *fully parsed* request occupies one of the fixed pool of
 //! workers (`DBGW_WORKERS`); the bounded work queue (`DBGW_QUEUE`) still

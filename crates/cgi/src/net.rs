@@ -1,6 +1,6 @@
 //! Raw readiness primitives: `epoll` + `eventfd` without any crates.
 //!
-//! The evented edge ([`crate::evloop`]) needs exactly three kernel services:
+//! The evented edge (`evloop`) needs exactly three kernel services:
 //! a readiness multiplexer (`epoll`), a cross-thread wakeup (`eventfd`), and
 //! socket I/O that never blocks on an otherwise blocking socket
 //! (`recv`/`send` with `MSG_DONTWAIT`). All three are declared here as

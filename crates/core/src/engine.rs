@@ -55,6 +55,9 @@ pub enum TxnMode {
     SingleTransaction,
 }
 
+/// Hard cap on rows printed per SQL report, `RPT_MAX_ROWS` or not.
+const MAX_ROWS_HARD_LIMIT: usize = 100_000;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -64,11 +67,6 @@ pub struct EngineConfig {
     /// before substitution. The 1996 product spliced raw database text into
     /// pages; escaping is the modern default, switchable off for fidelity.
     pub escape_values: bool,
-    /// Honor the product's built-in `SHOWSQL` input variable: when it is
-    /// non-null, each executed statement is echoed into the report.
-    pub honor_showsql: bool,
-    /// Hard cap on rows printed per SQL report even without `RPT_MAX_ROWS`.
-    pub max_rows_hard_limit: usize,
     /// Language for the engine's own user-visible strings (§5 NLS).
     pub language: Language,
 }
@@ -78,8 +76,6 @@ impl Default for EngineConfig {
         EngineConfig {
             txn_mode: TxnMode::AutoCommit,
             escape_values: true,
-            honor_showsql: true,
-            max_rows_hard_limit: 100_000,
             language: Language::English,
         }
     }
@@ -306,7 +302,9 @@ impl<'r> Engine<'r> {
         let sql = sql.trim();
         dbgw_obs::trace::note("sql", sql);
         dbgw_obs::metrics().sql_statements.inc();
-        if self.config.honor_showsql && self.evaluator(env).is_nonnull("SHOWSQL")? {
+        // The product's built-in `SHOWSQL` input variable: when it is
+        // non-null, each executed statement is echoed into the report.
+        if self.evaluator(env).is_nonnull("SHOWSQL")? {
             self.emit(out, "<P><CODE>")?;
             self.emit(out, &escape_text(sql))?;
             self.emit(out, "</CODE></P>\n")?;
@@ -393,8 +391,8 @@ impl<'r> Engine<'r> {
             .trim()
             .parse::<usize>()
             .ok()
-            .unwrap_or(self.config.max_rows_hard_limit)
-            .min(self.config.max_rows_hard_limit);
+            .unwrap_or(MAX_ROWS_HARD_LIMIT)
+            .min(MAX_ROWS_HARD_LIMIT);
 
         let printed = rows.len().min(max_rows);
         dbgw_obs::metrics().rows_rendered.add(printed as u64);

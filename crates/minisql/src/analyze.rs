@@ -4,7 +4,7 @@
 //! statement and reports what actually happened — rows in and out of every
 //! operator, how many times it ran, and its wall time. The executor stays
 //! uninstrumented by default: a statement only pays for collection when a
-//! [`Collector`] is installed on its thread (by `EXPLAIN ANALYZE` itself, by
+//! `Collector` is installed on its thread (by `EXPLAIN ANALYZE` itself, by
 //! `DBGW_TRACE=1` request tracing, or by the gateway's slow-query log via
 //! [`set_passive_capture`]).
 //!
@@ -99,7 +99,7 @@ thread_local! {
 /// The gateway enables this when `DBGW_SLOW_MS` is configured.
 static PASSIVE: AtomicBool = AtomicBool::new(false);
 
-/// Enable or disable passive per-statement collection (see [`PASSIVE`]'s
+/// Enable or disable passive per-statement collection (see `PASSIVE`'s
 /// docs). Monotonic enablement is the expected pattern; toggling it off
 /// mid-flight only stops *future* statements from collecting.
 pub fn set_passive_capture(on: bool) {

@@ -3,7 +3,7 @@
 //! The cost model consumes the per-table statistics of [`crate::stats`] and
 //! makes two kinds of decisions:
 //!
-//! * **Join order** — [`reorder_select`] rewrites an eligible multi-way
+//! * **Join order** — `reorder_select` rewrites an eligible multi-way
 //!   inner-join SELECT into the greedy smallest-intermediate order: start
 //!   from the table with the smallest *filtered* cardinality, then repeatedly
 //!   add the connected table that minimizes the estimated intermediate
@@ -11,12 +11,12 @@
 //!   conjunct and the WHERE clause into one conjunction, so the existing
 //!   pushdown/hash-key classifier in [`crate::plan`] re-derives join keys
 //!   for the new order; plan choices change performance, never results.
-//! * **Access path** — [`probe_worthwhile`] estimates a sargable conjunct's
+//! * **Access path** — `probe_worthwhile` estimates a sargable conjunct's
 //!   selectivity and votes against an index probe when the predicate keeps
 //!   more than half the table (a full scan touches each row once; a wide
 //!   probe touches almost all of them *plus* the index).
 //!
-//! Single-table conjuncts are read through [`crate::plan::sargable`], the
+//! Single-table conjuncts are read through `plan::sargable`, the
 //! same "column op constant" normalizer the access-path choice uses.
 //!
 //! Estimates use equality selectivity `1/NDV`, histogram interpolation for

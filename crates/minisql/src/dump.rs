@@ -1,10 +1,12 @@
 //! Dump a database to a SQL script (and reload it with
 //! [`Database::run_script`](crate::Database::run_script)).
 //!
-//! This is the substrate's persistence story: the `db2www` CGI binary and the
-//! examples bootstrap their state from a script, and a running database can
-//! write itself back out. The dump is ordinary SQL, so it also round-trips
-//! through any other engine speaking the same subset.
+//! A running database writes itself out as ordinary SQL, so the dump also
+//! round-trips through any other engine speaking the same subset. It is an
+//! export, not the persistence story: durability is the write-ahead log's
+//! job ([`crate::wal`], with recovery and checkpoints beside it), and the
+//! `db2www` CGI binary builds a fresh database by running its
+//! `DTW_DB_SCRIPT` through `run_script`.
 
 use crate::db::{Database, ExecResult};
 use crate::error::{SqlError, SqlResult};

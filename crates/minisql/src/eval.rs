@@ -14,14 +14,17 @@ use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::like::Pattern;
 use crate::types::{Truth, Value};
 use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Column-name resolution for one query scope.
 ///
 /// Holds, per FROM-clause table (in order), the table's effective name and
-/// its column names; tuple positions are the concatenation.
+/// its column names; tuple positions are the concatenation. A column list is
+/// shared, not copied, by the scopes cut from it for one stage of a join.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
-    tables: Vec<(String, Vec<String>)>,
+    tables: Vec<(String, Arc<[String]>)>,
 }
 
 impl Bindings {
@@ -39,7 +42,15 @@ impl Bindings {
 
     /// Append a table's columns to the scope (join order).
     pub fn push_table(&mut self, table: &str, columns: Vec<String>) {
-        self.tables.push((table.to_owned(), columns));
+        self.tables.push((table.to_owned(), columns.into()));
+    }
+
+    /// The scope of the tables in `range` (FROM-clause positions) alone: a
+    /// join's prefix, or one table's own scope for its scan.
+    pub(crate) fn slice(&self, range: Range<usize>) -> Bindings {
+        Bindings {
+            tables: self.tables[range].to_vec(),
+        }
     }
 
     /// Total tuple width.
@@ -72,7 +83,7 @@ impl Bindings {
         self.tables
             .iter()
             .find(|(name, _)| name.eq_ignore_ascii_case(table))
-            .map(|(_, cols)| cols.as_slice())
+            .map(|(_, cols)| &cols[..])
     }
 
     /// Index (FROM-clause position) of the table owning tuple position

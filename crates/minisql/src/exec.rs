@@ -1,9 +1,9 @@
 //! SELECT execution: scan → join → filter → group/aggregate → project →
 //! distinct → sort → limit.
 //!
-//! Execution follows the plan produced by [`crate::plan::plan_select`]:
+//! Execution follows the plan produced by `plan::plan_select`:
 //! WHERE/ON conjuncts are pushed to the scans that can evaluate them, each
-//! scan reads its table by the [`AccessPath`] the plan stored for it (an
+//! scan reads its table by the `AccessPath` the plan stored for it (an
 //! index probe for equality, range, `IN` or `LIKE 'prefix%'` — on the base of
 //! a join as well as its sides — a full scan, or nothing), equi-joins run as
 //! hash joins with a nested-loop fallback for everything else, and
@@ -13,7 +13,13 @@
 //! checked against the conjuncts that selected it, so plan choice can only
 //! change performance, never results — a property the equivalence suite in
 //! `tests/planner_equivalence.rs` exercises. UPDATE and DELETE find their
-//! target rows through the same single-table scan ([`scan_where`]).
+//! target rows through the same single-table scan (`scan_where`).
+//!
+//! Each step has one implementation: one filter loop serves the scans, the
+//! residual WHERE and the join filters; one comparator sorts ORDER BY and
+//! window ORDER BY; one partitioner groups GROUP BY and PARTITION BY; and a
+//! compound SELECT's hoisted ORDER BY / OFFSET / LIMIT runs through the same
+//! tail as a single SELECT's, which is where EXPLAIN prints it.
 //!
 //! Uncorrelated subqueries run first and are replaced in place by their
 //! results, so the evaluator never needs the database. The walkers here
@@ -34,7 +40,8 @@ use crate::state::DbState;
 use crate::storage::{Row, RowId};
 use crate::types::Value;
 use dbgw_obs::RequestCtx;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
@@ -103,7 +110,10 @@ pub fn run_select_with_options(
     run_single(state, sel, params, ctx, opts)
 }
 
-/// Execute a compound SELECT (UNION / EXCEPT / INTERSECT).
+/// Execute a compound SELECT (UNION / EXCEPT / INTERSECT): the branches
+/// combine left to right, then the ORDER BY / OFFSET / LIMIT the parser
+/// hoisted to the root run once over the combined rows, through the same
+/// tail as a single SELECT ([`finish_pipeline`]).
 fn run_compound(
     state: &DbState,
     sel: &Select,
@@ -112,17 +122,10 @@ fn run_compound(
     opts: &PlanOptions,
 ) -> SqlResult<ResultSet> {
     // Compound selects occupy a block of their own, pushing the branches to
-    // collector depth ≥ 2: per-operator actuals are not attributed for set
-    // operations (the branch operator ids would collide).
+    // collector depth ≥ 2: per-operator actuals are not attributed for the
+    // branches (their operator ids would collide), only for the tail.
     let _analyze_block = analyze::enter_block();
-    // The root's ORDER BY / LIMIT were hoisted by the parser to apply to the
-    // combined result; run the root branch without them.
-    let mut first = sel.clone();
-    first.set_ops = Vec::new();
-    first.order_by = Vec::new();
-    first.limit = None;
-    first.offset = None;
-    let base = run_single(state, &first, params, ctx, opts)?;
+    let base = run_single(state, &first_branch(sel), params, ctx, opts)?;
     let width = base.columns.len();
     let mut rows = base.rows;
     for (op, branch) in &sel.set_ops {
@@ -136,51 +139,25 @@ fn run_compound(
         }
         rows = set_op(*op, rows, rhs.rows);
     }
-    // Hoisted ORDER BY: positional or output-column keys only — there is no
-    // single source row to evaluate arbitrary expressions against.
-    if !sel.order_by.is_empty() {
-        let key_positions: Vec<(usize, SortDir)> = sel
-            .order_by
-            .iter()
-            .map(|k| match &k.expr {
-                Expr::Literal(Value::Int(n)) if *n >= 1 && (*n as usize) <= width => {
-                    Ok(((*n as usize) - 1, k.dir))
-                }
-                Expr::Column(c) if c.table.is_none() => base
-                    .columns
-                    .iter()
-                    .position(|l| l.eq_ignore_ascii_case(&c.column))
-                    .map(|p| (p, k.dir))
-                    .ok_or_else(|| SqlError::no_such_column(&c.column)),
-                _ => Err(SqlError::syntax(
-                    "ORDER BY on a set operation must use output column names or positions",
-                )),
-            })
-            .collect::<SqlResult<_>>()?;
-        rows.sort_by(|a, b| {
-            for &(pos, dir) in &key_positions {
-                let ord = a[pos].order_key(&b[pos]);
-                let ord = match dir {
-                    SortDir::Asc => ord,
-                    SortDir::Desc => ord.reverse(),
-                };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    let offset = sel.offset.unwrap_or(0);
-    let rows: Vec<Row> = rows
+    // The combined rows have no source row.
+    let pairs = rows
         .into_iter()
-        .skip(offset)
-        .take(sel.limit.unwrap_or(usize::MAX))
+        .map(|r| (Cow::Borrowed(&[][..]), r))
         .collect();
-    Ok(ResultSet {
-        columns: base.columns,
-        rows,
-    })
+    let topk = plan::topk_bound(sel, opts);
+    finish_pipeline(sel, &base.columns, pairs, params, None, topk)
+}
+
+/// The root branch of a compound SELECT as it runs: without the other
+/// branches and without the hoisted ORDER BY / OFFSET / LIMIT.
+fn first_branch(sel: &Select) -> Select {
+    Select {
+        order_by: Vec::new(),
+        limit: None,
+        offset: None,
+        set_ops: Vec::new(),
+        ..sel.clone()
+    }
 }
 
 /// Combine two branch results under `op`. The ALL forms count the right
@@ -310,23 +287,12 @@ fn run_single(
         dbgw_obs::metrics().pushdown_applied.inc();
     }
     let residual = bind_all(&sel_plan.residual, bindings)?;
-    let mut rows = execute_source(state, sel, &sel_plan, params, ctx)?;
+    let rows = execute_source(state, sel, &sel_plan, bindings, params, ctx)?;
 
     // 3. Residual WHERE conjuncts (everything the planner did not push).
     let filter_in = rows.len() as u64;
     let filter_t0 = analyze::start();
-    if !residual.is_empty() {
-        let mut kept = Vec::with_capacity(rows.len());
-        for (i, row) in rows.into_iter().enumerate() {
-            if i % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            if passes_all(&residual, &row, params)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
+    let rows = filter_rows(rows, &residual, params, ctx)?;
     if sel.where_clause.is_some() {
         analyze::record(OpId::WhereFilter, filter_t0, filter_in, rows.len() as u64);
     }
@@ -369,7 +335,9 @@ fn column_names(state: &DbState, table: &str) -> SqlResult<Vec<String>> {
         .collect())
 }
 
-/// The full FROM-clause scope: base table plus every join, in order.
+/// The full FROM-clause scope: base table plus every join, in order. The
+/// only place a SELECT reads its tables' column lists; each stage's scope is
+/// a [`Bindings::slice`] of this one.
 fn full_bindings(state: &DbState, sel: &Select) -> SqlResult<Bindings> {
     let Some(base) = &sel.from else {
         return Ok(Bindings::empty());
@@ -403,11 +371,12 @@ fn probe<'i>(index: &'i Index, keys: &Keys) -> Cow<'i, [RowId]> {
 }
 
 /// Scan one table by its planned access path, keeping only the rows that
-/// pass every pushed conjunct. Returns borrowed rows with their ids —
-/// nothing is cloned here.
+/// pass every pushed conjunct (bound to `local`, the table's own scope).
+/// Returns borrowed rows with their ids — nothing is cloned here.
 fn scan_table<'a>(
     state: &'a DbState,
     table: &TableRef,
+    local: &Bindings,
     scan: &ScanPlan<'_>,
     params: &[Value],
     ctx: &RequestCtx,
@@ -415,8 +384,7 @@ fn scan_table<'a>(
 ) -> SqlResult<Vec<(RowId, &'a Row)>> {
     let analyze_t0 = analyze::start();
     let heap = &state.table(&table.name)?.heap;
-    let local = Bindings::single(table.effective_name(), column_names(state, &table.name)?);
-    let filters = bind_all(&scan.filters, &local)?;
+    let filters = bind_all(&scan.filters, local)?;
     let (out, scanned) = match &scan.access {
         AccessPath::FullScan { .. } => keep_passing(heap.iter(), &filters, params, ctx)?,
         AccessPath::Empty { .. } => (Vec::new(), 0),
@@ -434,25 +402,57 @@ fn scan_table<'a>(
     Ok(out)
 }
 
-/// The `candidates` that pass every filter, and how many were read.
-fn keep_passing<'a>(
-    candidates: impl Iterator<Item = (RowId, &'a Row)>,
+/// A row the filter loop tests: a scanned heap row with its id, or a
+/// (partially) joined tuple.
+trait Candidate {
+    fn values(&self) -> &[Value];
+}
+
+impl Candidate for (RowId, &Row) {
+    fn values(&self) -> &[Value] {
+        self.1
+    }
+}
+
+impl Candidate for SrcRow<'_> {
+    fn values(&self) -> &[Value] {
+        self
+    }
+}
+
+/// The `candidates` that pass every filter, and how many were read. The one
+/// filter loop: scans, the residual WHERE and the join filters all run here.
+fn keep_passing<T: Candidate>(
+    candidates: impl Iterator<Item = T>,
     filters: &[Expr],
     params: &[Value],
     ctx: &RequestCtx,
-) -> SqlResult<(Vec<(RowId, &'a Row)>, u64)> {
+) -> SqlResult<(Vec<T>, u64)> {
     let mut out = Vec::new();
     let mut scanned: u64 = 0;
-    for (id, row) in candidates {
+    for candidate in candidates {
         if scanned.is_multiple_of(CANCEL_STRIDE as u64) {
             check_cancel(ctx)?;
         }
         scanned += 1;
-        if passes_all(filters, row, params)? {
-            out.push((id, row));
+        if passes_all(filters, candidate.values(), params)? {
+            out.push(candidate);
         }
     }
     Ok((out, scanned))
+}
+
+/// `rows` less those failing a filter; untouched when there are no filters.
+fn filter_rows<'a>(
+    rows: Vec<SrcRow<'a>>,
+    filters: &[Expr],
+    params: &[Value],
+    ctx: &RequestCtx,
+) -> SqlResult<Vec<SrcRow<'a>>> {
+    if filters.is_empty() {
+        return Ok(rows);
+    }
+    Ok(keep_passing(rows.into_iter(), filters, params, ctx)?.0)
 }
 
 /// The single-table scan behind UPDATE and DELETE: the rows of `table` that
@@ -469,19 +469,22 @@ pub(crate) fn scan_where<'a>(
         name: table.to_owned(),
         alias: None,
     };
+    let local = Bindings::single(&table.name, column_names(state, &table.name)?);
     let mut filters = Vec::new();
     if let Some(p) = predicate {
         plan::flatten_and(p, &mut filters);
     }
     let scan = ScanPlan::new(state, &table, filters, params, &PlanOptions::default());
-    scan_table(state, &table, &scan, params, ctx, OpId::Base)
+    scan_table(state, &table, &local, &scan, params, ctx, OpId::Base)
 }
 
-/// Materialize the FROM + JOIN pipeline under `sel_plan`.
+/// Materialize the FROM + JOIN pipeline under `sel_plan`; `scope` is the
+/// full FROM-clause scope.
 fn execute_source<'a>(
     state: &'a DbState,
     sel: &Select,
     sel_plan: &SelectPlan<'_>,
+    scope: &Bindings,
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
@@ -489,320 +492,177 @@ fn execute_source<'a>(
         // Table-less SELECT evaluates items once against an empty row.
         return Ok(vec![Cow::Owned(Vec::new())]);
     };
-    let mut rows: Vec<SrcRow<'a>> =
-        scan_table(state, base, &sel_plan.scans[0], params, ctx, OpId::Base)?
-            .into_iter()
-            .map(|(_, r)| Cow::Borrowed(r.as_slice()))
-            .collect();
-    // Prefix scope: grows one table per join, so predicate evaluation at
-    // join j sees exactly the tables bound so far (a reference to a
-    // later table errors, as it did pre-planner).
-    let mut prefix = Bindings::single(base.effective_name(), column_names(state, &base.name)?);
-    let mut left_width = prefix.width();
-
+    // FROM-clause table `t`, read by its planned access path.
+    let scan = |t: usize, table: &TableRef, aop: OpId| {
+        let local = scope.slice(t..t + 1);
+        scan_table(state, table, &local, &sel_plan.scans[t], params, ctx, aop)
+    };
+    let base_rows = scan(0, base, OpId::Base)?;
+    let mut rows: Vec<SrcRow<'a>> = (base_rows.into_iter())
+        .map(|(_, r)| Cow::Borrowed(r.as_slice()))
+        .collect();
     for (j, join) in sel.joins.iter().enumerate() {
-        let jp = &sel_plan.joins[j];
-        let right_width = column_names(state, &join.table.name)?.len();
-        prefix.push_table(
-            join.table.effective_name(),
-            column_names(state, &join.table.name)?,
-        );
         if rows.is_empty() {
             // A join (inner or LEFT OUTER) of an empty left side is empty;
             // skip the right scan (and its predicate evaluation) entirely.
             analyze::record(OpId::Join(j), analyze::start(), 0, 0);
-            left_width += right_width;
             continue;
         }
-        let right_local = Bindings::single(
-            join.table.effective_name(),
-            column_names(state, &join.table.name)?,
-        );
-        let right_rows: Vec<&Row> = (scan_table(
-            state,
-            &join.table,
-            &sel_plan.scans[j + 1],
-            params,
-            ctx,
-            OpId::JoinScan(j),
-        )?
-        .into_iter())
-        .map(|(_, r)| r)
-        .collect();
+        let right_scan = scan(j + 1, &join.table, OpId::JoinScan(j))?;
+        let right_rows: Vec<&Row> = right_scan.into_iter().map(|(_, r)| r).collect();
+        // Prefix scope: the tables bound so far, so predicate evaluation at
+        // join j sees exactly those (a reference to a later table errors).
+        let prefix = scope.slice(0..j + 2);
+        let right_local = scope.slice(j + 1..j + 2);
         let join_in = rows.len() as u64;
         let join_t0 = analyze::start();
         rows = join_step(
             rows,
             right_rows,
-            jp,
+            &sel_plan.joins[j],
             join.left_outer,
             &prefix,
             &right_local,
-            left_width,
-            right_width,
             params,
             ctx,
         )?;
         analyze::record(OpId::Join(j), join_t0, join_in, rows.len() as u64);
-        left_width += right_width;
     }
     Ok(rows)
 }
 
-/// One join step: pre-filter the left side (inner joins), pair rows by hash
-/// or nested loop, then apply the post-join WHERE conjuncts.
+/// One join step: pre-filter the left side (inner joins), pair each left
+/// row with its candidate right rows — equal join keys under a hash join,
+/// every right row under a nested loop — keeping the pairs that pass the
+/// residual and NULL-padding a LEFT OUTER row without one, then apply the
+/// post-join WHERE conjuncts. Output order is left rows in scan order, each
+/// row's matches in right scan order, whichever the strategy. `prefix` is
+/// the scope of the joined tuple, `right_local` the right table's own.
 #[allow(clippy::too_many_arguments)]
 fn join_step<'a>(
-    mut left: Vec<SrcRow<'a>>,
+    left: Vec<SrcRow<'a>>,
     right_rows: Vec<&'a Row>,
     jp: &JoinPlan<'_>,
     left_outer: bool,
-    bindings: &Bindings,
+    prefix: &Bindings,
     right_local: &Bindings,
-    left_width: usize,
-    right_width: usize,
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
-    let left_filters = bind_all(&jp.left_filters, bindings)?;
-    let residual = bind_all(&jp.residual, bindings)?;
-    let post_filters = bind_all(&jp.post_filters, bindings)?;
-    let keys = (jp.keys.iter())
-        .map(|(l, r)| Ok((bindings.bound(l)?, right_local.bound(r)?)))
-        .collect::<SqlResult<Vec<_>>>()?;
-    if !left_filters.is_empty() {
-        let mut kept = Vec::with_capacity(left.len());
-        for (i, row) in left.into_iter().enumerate() {
-            if i % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            if passes_all(&left_filters, &row, params)? {
-                kept.push(row);
-            }
-        }
-        left = kept;
-    }
-    let mut joined = if right_rows.is_empty() {
-        if left_outer {
-            left.into_iter()
-                .map(|l| {
-                    let mut c = l.into_owned();
-                    c.extend(std::iter::repeat_n(Value::Null, right_width));
-                    Cow::Owned(c)
-                })
-                .collect()
+    let residual = bind_all(&jp.residual, prefix)?;
+    let left = filter_rows(left, &bind_all(&jp.left_filters, prefix)?, params, ctx)?;
+    // The candidate (left, right) index pairs, in left-major order.
+    let pairs: Box<dyn Iterator<Item = (usize, usize)>> = if jp.use_hash {
+        dbgw_obs::metrics().join_hash.inc();
+        let left_keys = (jp.keys.iter())
+            .map(|(l, _)| prefix.bound(l))
+            .collect::<SqlResult<Vec<_>>>()?;
+        let right_keys = (jp.keys.iter())
+            .map(|(_, r)| right_local.bound(r))
+            .collect::<SqlResult<Vec<_>>>()?;
+        let lefts = left.iter().map(|r| &r[..]);
+        let rights = right_rows.iter().map(|r| r.as_slice());
+        // Build on the smaller side for inner joins, then sort the matches
+        // back into left-major order; LEFT OUTER always builds on the right.
+        let pairs = if !left_outer && left.len() < right_rows.len() {
+            let mut pairs = key_matches(lefts, &left_keys, rights, &right_keys, params, ctx)?;
+            pairs.sort_unstable();
+            pairs
         } else {
-            Vec::new()
-        }
-    } else if jp.use_hash {
-        hash_join(
-            left,
-            &right_rows,
-            &keys,
-            &residual,
-            left_outer,
-            right_width,
-            params,
-            ctx,
-        )?
+            let pairs = key_matches(rights, &right_keys, lefts, &left_keys, params, ctx)?;
+            pairs.into_iter().map(|(r, l)| (l, r)).collect()
+        };
+        Box::new(pairs.into_iter())
     } else {
-        nested_join(
-            left,
-            &right_rows,
-            &residual,
-            left_outer,
-            left_width,
-            right_width,
-            params,
-            ctx,
-        )?
+        dbgw_obs::metrics().join_nested.inc();
+        let n = right_rows.len();
+        Box::new((0..left.len()).flat_map(move |l| (0..n).map(move |r| (l, r))))
     };
-    if !post_filters.is_empty() {
-        let mut kept = Vec::with_capacity(joined.len());
-        for (i, row) in joined.into_iter().enumerate() {
-            if i % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            if passes_all(&post_filters, &row, params)? {
-                kept.push(row);
-            }
-        }
-        joined = kept;
-    }
-    Ok(joined)
-}
-
-/// A join key value that can never compare TRUE under `=`: NULL (UNKNOWN)
-/// and NaN (incomparable). Rows with such keys are skipped on both the build
-/// and probe sides, matching 3-valued `=` exactly.
-fn key_excluded(v: &Value) -> bool {
-    v.is_null() || matches!(v, Value::Double(d) if d.is_nan())
-}
-
-/// Hash equi-join. Builds on the smaller side for inner joins (restoring
-/// left-major output order afterwards); LEFT OUTER always builds on the
-/// right so unmatched left rows pad in order. Output order is identical to
-/// the nested-loop strategy: left rows in scan order, each row's matches in
-/// right scan order.
-#[allow(clippy::too_many_arguments)]
-fn hash_join<'a>(
-    left: Vec<SrcRow<'a>>,
-    right_rows: &[&'a Row],
-    keys: &[(Expr, Expr)],
-    residual: &[Expr],
-    left_outer: bool,
-    right_width: usize,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Vec<SrcRow<'a>>> {
-    dbgw_obs::metrics().join_hash.inc();
-    let nkeys = keys.len();
-    // Right-side key tuples, evaluated once per right row against the bare
-    // heap row (table-local bindings); None = contains NULL/NaN, never joins.
-    let mut right_keys: Vec<Option<Vec<Value>>> = Vec::with_capacity(right_rows.len());
-    for (i, row) in right_rows.iter().enumerate() {
-        if i % CANCEL_STRIDE == 0 {
-            check_cancel(ctx)?;
-        }
-        let mut key = Vec::with_capacity(nkeys);
-        for (_, right_expr) in keys {
-            let v = eval(right_expr, row, params, &NoAggregates)?;
-            if key_excluded(&v) {
-                key.clear();
-                break;
-            }
-            key.push(v);
-        }
-        right_keys.push((key.len() == nkeys).then_some(key));
-    }
-    let left_key = |row: &[Value]| -> SqlResult<Option<Vec<Value>>> {
-        let mut key = Vec::with_capacity(nkeys);
-        for (left_expr, _) in keys {
-            let v = eval(left_expr, row, params, &NoAggregates)?;
-            if key_excluded(&v) {
-                return Ok(None);
-            }
-            key.push(v);
-        }
-        Ok(Some(key))
-    };
-
-    let mut out: Vec<SrcRow<'a>> = Vec::new();
-    if !left_outer && left.len() < right_rows.len() {
-        // Build on the (smaller) left side, probe with right rows, then sort
-        // the matches back into left-major order.
-        let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(left.len());
-        for (li, lrow) in left.iter().enumerate() {
-            if li % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            if let Some(key) = left_key(lrow)? {
-                table.entry(key).or_default().push(li as u32);
-            }
-        }
-        let mut matches: Vec<(u32, u32, Row)> = Vec::new();
-        let mut pairs = 0usize;
-        for (ri, rrow) in right_rows.iter().enumerate() {
-            if ri % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            let Some(key) = &right_keys[ri] else { continue };
-            let Some(lis) = table.get(key) else { continue };
-            for &li in lis {
-                pairs += 1;
-                if pairs.is_multiple_of(CANCEL_STRIDE) {
-                    check_cancel(ctx)?;
-                }
-                let mut combined = left[li as usize].to_vec();
-                combined.extend(rrow.iter().cloned());
-                if passes_all(residual, &combined, params)? {
-                    matches.push((li, ri as u32, combined));
-                }
-            }
-        }
-        matches.sort_by_key(|m| (m.0, m.1));
-        out = matches.into_iter().map(|(_, _, c)| Cow::Owned(c)).collect();
-    } else {
-        // Build on the right, probe left rows in order.
-        let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(right_rows.len());
-        for (ri, key) in right_keys.into_iter().enumerate() {
-            if let Some(key) = key {
-                table.entry(key).or_default().push(ri as u32);
-            }
-        }
-        let mut pairs = 0usize;
-        for (li, lrow) in left.into_iter().enumerate() {
-            if li % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            let mut matched = false;
-            if let Some(key) = left_key(&lrow)? {
-                if let Some(ris) = table.get(&key) {
-                    for &ri in ris {
-                        pairs += 1;
-                        if pairs.is_multiple_of(CANCEL_STRIDE) {
-                            check_cancel(ctx)?;
-                        }
-                        let mut combined = lrow.to_vec();
-                        combined.extend(right_rows[ri as usize].iter().cloned());
-                        if passes_all(residual, &combined, params)? {
-                            matched = true;
-                            out.push(Cow::Owned(combined));
-                        }
-                    }
-                }
-            }
-            if left_outer && !matched {
-                let mut combined = lrow.into_owned();
-                combined.extend(std::iter::repeat_n(Value::Null, right_width));
-                out.push(Cow::Owned(combined));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Nested-loop join (the fallback for non-equi predicates and cross joins).
-/// Pairs are assembled in a scratch buffer; only passing pairs are cloned
-/// into the output.
-#[allow(clippy::too_many_arguments)]
-fn nested_join<'a>(
-    left: Vec<SrcRow<'a>>,
-    right_rows: &[&'a Row],
-    residual: &[Expr],
-    left_outer: bool,
-    left_width: usize,
-    right_width: usize,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Vec<SrcRow<'a>>> {
-    dbgw_obs::metrics().join_nested.inc();
-    let mut out: Vec<SrcRow<'a>> = Vec::new();
-    let mut buf: Vec<Value> = Vec::with_capacity(left_width + right_width);
-    let mut pairs = 0usize;
-    for lrow in left {
+    // Pairs are assembled in a scratch buffer; only passing pairs are cloned
+    // into the output.
+    let mut pairs = pairs.peekable();
+    let right_width = right_local.width();
+    let mut joined: Vec<SrcRow<'a>> = Vec::new();
+    let mut buf: Vec<Value> = Vec::new();
+    let mut tried = 0usize;
+    for (li, lrow) in left.into_iter().enumerate() {
         let mut matched = false;
         buf.clear();
-        buf.extend_from_slice(&lrow);
-        for rrow in right_rows {
-            pairs += 1;
-            if pairs.is_multiple_of(CANCEL_STRIDE) {
+        while let Some((_, ri)) = pairs.next_if(|&(l, _)| l == li) {
+            tried += 1;
+            if tried.is_multiple_of(CANCEL_STRIDE) {
                 check_cancel(ctx)?;
             }
-            buf.truncate(left_width);
-            buf.extend(rrow.iter().cloned());
-            if passes_all(residual, &buf, params)? {
+            // Copy the left row only once it has a candidate: under a hash
+            // join most left rows may have none.
+            if buf.is_empty() {
+                buf.extend_from_slice(&lrow);
+            }
+            buf.truncate(lrow.len());
+            buf.extend(right_rows[ri].iter().cloned());
+            if passes_all(&residual, &buf, params)? {
                 matched = true;
-                out.push(Cow::Owned(buf.clone()));
+                joined.push(Cow::Owned(buf.clone()));
             }
         }
         if left_outer && !matched {
-            let mut combined = lrow.into_owned();
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(Cow::Owned(combined));
+            let mut padded = lrow.into_owned();
+            padded.extend(std::iter::repeat_n(Value::Null, right_width));
+            joined.push(Cow::Owned(padded));
         }
     }
-    Ok(out)
+    filter_rows(joined, &bind_all(&jp.post_filters, prefix)?, params, ctx)
+}
+
+/// The `(build, probe)` index pairs of rows with equal join keys, in probe
+/// order, each probe row's matches in build order. Nothing is probed when
+/// no build row has a key.
+fn key_matches<'r>(
+    build: impl ExactSizeIterator<Item = &'r [Value]>,
+    build_keys: &[Expr],
+    probe: impl Iterator<Item = &'r [Value]>,
+    probe_keys: &[Expr],
+    params: &[Value],
+    ctx: &RequestCtx,
+) -> SqlResult<Vec<(usize, usize)>> {
+    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
+    for (i, row) in build.enumerate() {
+        if i % CANCEL_STRIDE == 0 {
+            check_cancel(ctx)?;
+        }
+        if let Some(key) = join_key(build_keys, row, params)? {
+            table.entry(key).or_default().push(i);
+        }
+    }
+    let mut pairs = Vec::new();
+    if table.is_empty() {
+        return Ok(pairs);
+    }
+    for (j, row) in probe.enumerate() {
+        if j % CANCEL_STRIDE == 0 {
+            check_cancel(ctx)?;
+        }
+        if let Some(key) = join_key(probe_keys, row, params)? {
+            pairs.extend(table.get(&key).into_iter().flatten().map(|&i| (i, j)));
+        }
+    }
+    Ok(pairs)
+}
+
+/// A row's join key under `exprs`, or `None` when a part is NULL (UNKNOWN)
+/// or NaN (incomparable): such a key can never compare TRUE under `=`, so
+/// the row joins nothing on either the build or the probe side, matching
+/// 3-valued `=` exactly.
+fn join_key(exprs: &[Expr], row: &[Value], params: &[Value]) -> SqlResult<Option<Vec<Value>>> {
+    let mut key = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        let v = eval(e, row, params, &NoAggregates)?;
+        if v.is_null() || matches!(v, Value::Double(d) if d.is_nan()) {
+            return Ok(None);
+        }
+        key.push(v);
+    }
+    Ok(Some(key))
 }
 
 /// One-line plan summary for `DBGW_TRACE=1` request traces.
@@ -1045,54 +905,24 @@ fn compute_windows(
         };
         check_cancel(ctx)?;
         let mut values = vec![Value::Null; rows.len()];
-        // Partition rows, preserving first-seen partition order.
-        let mut part_order: Vec<Vec<Value>> = Vec::new();
-        let mut parts: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            if i % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            let mut key = Vec::with_capacity(w.partition_by.len());
-            for e in &w.partition_by {
-                key.push(eval(e, row, params, &NoAggregates)?);
-            }
-            if !parts.contains_key(&key) {
-                part_order.push(key.clone());
-            }
-            parts.entry(key).or_default().push(i);
-        }
-        for part_key in &part_order {
-            let idxs = parts.remove(part_key).expect("partition recorded");
+        for part in partition(rows, &w.partition_by, params, ctx)? {
             // Order the partition by the window ORDER BY; without one the
             // keys are empty, leaving source order (every row a peer).
-            let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(idxs.len());
-            for &i in &idxs {
-                let mut key = Vec::with_capacity(w.order_by.len());
-                for ok in &w.order_by {
-                    key.push(eval(&ok.expr, &rows[i], params, &NoAggregates)?);
-                }
-                keyed.push((key, i));
-            }
-            keyed.sort_by(|a, b| {
-                for (j, ok) in w.order_by.iter().enumerate() {
-                    let ord = a.0[j].order_key(&b.0[j]);
-                    let ord = match ok.dir {
-                        SortDir::Asc => ord,
-                        SortDir::Desc => ord.reverse(),
-                    };
-                    if !ord.is_eq() {
-                        return ord;
-                    }
-                }
-                a.1.cmp(&b.1)
-            });
-            let sorted_rows: Vec<SrcRow<'_>> =
-                keyed.iter().map(|&(_, i)| rows[i].clone()).collect();
-            let n = keyed.len();
+            let keys = (part.iter())
+                .map(|&i| {
+                    (w.order_by.iter())
+                        .map(|k| eval(&k.expr, &rows[i], params, &NoAggregates))
+                        .collect::<SqlResult<Vec<_>>>()
+                })
+                .collect::<SqlResult<Vec<_>>>()?;
+            let order = sort_order(&keys, &w.order_by, None);
+            // The partition's row indices in window order.
+            let sorted: Vec<usize> = order.iter().map(|&j| part[j]).collect();
+            let n = sorted.len();
             let mut pos = 0;
             while pos < n {
                 let mut end = pos + 1;
-                while end < n && keyed[end].0 == keyed[pos].0 {
+                while end < n && keys[order[end]] == keys[order[pos]] {
                     end += 1;
                 }
                 let peer_agg = match &w.func {
@@ -1103,11 +933,11 @@ fn compute_windows(
                             arg: arg.clone(),
                             distinct: false,
                         };
-                        Some(compute_agg(&agg_expr, &sorted_rows[..frame_end], params)?)
+                        Some(compute_agg(&agg_expr, rows, &sorted[..frame_end], params)?)
                     }
                     _ => None,
                 };
-                for (p, &(_, i)) in keyed.iter().enumerate().take(end).skip(pos) {
+                for (p, &i) in sorted.iter().enumerate().take(end).skip(pos) {
                     values[i] = match &w.func {
                         WindowFunc::RowNumber => Value::Int(p as i64 + 1),
                         WindowFunc::Rank => Value::Int(pos as i64 + 1),
@@ -1121,6 +951,67 @@ fn compute_windows(
     }
     analyze::record(OpId::Window, t0, rows.len() as u64, rows.len() as u64);
     Ok(all)
+}
+
+/// Group `rows` by their values of `key_exprs`: the groups in first-seen
+/// order, each a list of row indices in source order. GROUP BY and window
+/// PARTITION BY both group here, relying on `Value`'s `Hash` agreeing with
+/// its `Eq`.
+fn partition(
+    rows: &[SrcRow<'_>],
+    key_exprs: &[Expr],
+    params: &[Value],
+    ctx: &RequestCtx,
+) -> SqlResult<Vec<Vec<usize>>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<Vec<Value>, usize> = HashMap::new();
+    for (i, row) in rows.iter().enumerate() {
+        if i % CANCEL_STRIDE == 0 {
+            check_cancel(ctx)?;
+        }
+        let key = (key_exprs.iter())
+            .map(|e| eval(e, row, params, &NoAggregates))
+            .collect::<SqlResult<Vec<_>>>()?;
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    Ok(groups)
+}
+
+/// The row indices of `keys` (one key tuple per row) in `order_by` order,
+/// ties broken by index, so the result is the stable sort. Under a top-k
+/// bound only the first `k`, from a bounded heap in O(n log k): exactly the
+/// full sort's prefix. The one sort comparator of the executor: ORDER BY
+/// (single or compound SELECT) and window ORDER BY both sort here.
+fn sort_order<K: Borrow<Value>>(
+    keys: &[Vec<K>],
+    order_by: &[OrderKey],
+    topk: Option<usize>,
+) -> Vec<usize> {
+    let cmp = |a: usize, b: usize| -> Ordering {
+        for ((x, y), key) in keys[a].iter().zip(&keys[b]).zip(order_by) {
+            let ord = x.borrow().order_key(y.borrow());
+            let ord = match key.dir {
+                SortDir::Asc => ord,
+                SortDir::Desc => ord.reverse(),
+            };
+            if !ord.is_eq() {
+                return ord;
+            }
+        }
+        a.cmp(&b)
+    };
+    match topk {
+        Some(k) if k < keys.len() => plan::top_k_indices(keys.len(), k, &cmp),
+        _ => {
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_unstable_by(|&a, &b| cmp(a, b));
+            order
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1150,7 +1041,13 @@ fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-fn compute_agg(agg: &Expr, rows: &[SrcRow<'_>], params: &[Value]) -> SqlResult<Value> {
+/// The aggregate `agg` over the rows at `group` (indices into `rows`).
+fn compute_agg(
+    agg: &Expr,
+    rows: &[SrcRow<'_>],
+    group: &[usize],
+    params: &[Value],
+) -> SqlResult<Value> {
     let Expr::Agg {
         func,
         arg,
@@ -1159,20 +1056,16 @@ fn compute_agg(agg: &Expr, rows: &[SrcRow<'_>], params: &[Value]) -> SqlResult<V
     else {
         unreachable!("compute_agg called on non-aggregate")
     };
+    let Some(arg) = arg else {
+        // COUNT(*): every row counts.
+        return Ok(Value::Int(group.len() as i64));
+    };
     // Gather the argument values over the group, skipping NULLs per SQL.
-    let mut values: Vec<Value> = Vec::with_capacity(rows.len());
-    match arg {
-        None => {
-            // COUNT(*): every row counts.
-            return Ok(Value::Int(rows.len() as i64));
-        }
-        Some(arg) => {
-            for row in rows {
-                let v = eval(arg, row, params, &NoAggregates)?;
-                if !v.is_null() {
-                    values.push(v);
-                }
-            }
+    let mut values: Vec<Value> = Vec::with_capacity(group.len());
+    for &i in group {
+        let v = eval(arg, &rows[i], params, &NoAggregates)?;
+        if !v.is_null() {
+            values.push(v);
         }
     }
     if *distinct {
@@ -1224,10 +1117,10 @@ fn compute_agg(agg: &Expr, rows: &[SrcRow<'_>], params: &[Value]) -> SqlResult<V
     }
 }
 
-fn run_grouped<'a>(
+fn run_grouped(
     sel: &Select,
     bindings: &Bindings,
-    rows: Vec<SrcRow<'a>>,
+    mut rows: Vec<SrcRow<'_>>,
     params: &[Value],
     ctx: &RequestCtx,
     topk: Option<usize>,
@@ -1242,27 +1135,13 @@ fn run_grouped<'a>(
     let agg_in = rows.len() as u64;
     let agg_t0 = analyze::start();
 
-    // Partition rows into groups, preserving first-seen order.
-    let mut group_order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<SrcRow<'a>>> = HashMap::new();
-    if sel.group_by.is_empty() {
-        group_order.push(Vec::new());
-        groups.insert(Vec::new(), rows);
+    // Without GROUP BY every row is in one group, even when there are none
+    // (COUNT(*) over zero rows is a row).
+    let groups = if sel.group_by.is_empty() {
+        vec![(0..rows.len()).collect()]
     } else {
-        for (i, row) in rows.into_iter().enumerate() {
-            if i % CANCEL_STRIDE == 0 {
-                check_cancel(ctx)?;
-            }
-            let mut key = Vec::with_capacity(sel.group_by.len());
-            for g in &sel.group_by {
-                key.push(eval(g, &row, params, &NoAggregates)?);
-            }
-            if !groups.contains_key(&key) {
-                group_order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(row);
-        }
-    }
+        partition(&rows, &sel.group_by, params, ctx)?
+    };
 
     // The distinct aggregate expressions appearing anywhere downstream.
     let mut agg_exprs: Vec<Expr> = Vec::new();
@@ -1271,23 +1150,23 @@ fn run_grouped<'a>(
     }
 
     let width = bindings.width();
-    let n_groups = group_order.len() as u64;
-    let mut pairs: Vec<(SrcRow<'a>, Row)> = Vec::new(); // (representative src, out)
+    let n_groups = groups.len() as u64;
+    let mut pairs = Vec::new(); // (representative src, out)
     let mut agg_sources: Vec<GroupAggs> = Vec::new();
-    for key in group_order {
+    for group in &groups {
         check_cancel(ctx)?;
-        let group_rows = groups.remove(&key).expect("group key recorded");
         let mut computed = Vec::with_capacity(agg_exprs.len());
         for agg in &agg_exprs {
-            computed.push((agg.clone(), compute_agg(agg, &group_rows, params)?));
+            computed.push((agg.clone(), compute_agg(agg, &rows, group, params)?));
         }
         let aggs = GroupAggs(computed);
-        // Representative row: the first row of the group, or all-NULL for the
-        // empty global group (COUNT(*) over zero rows).
-        let rep = group_rows
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| Cow::Owned(vec![Value::Null; width]));
+        // Representative row: the first row of the group (moved out: each
+        // row is in one group, whose aggregates are already computed), or
+        // all-NULL for the empty global group.
+        let rep = match group.first() {
+            Some(&i) => std::mem::take(&mut rows[i]),
+            None => Cow::Owned(vec![Value::Null; width]),
+        };
         if let Some(h) = &sel.having {
             let having_t0 = analyze::start();
             let pass = eval_truth(h, &rep, params, &aggs)?.passes();
@@ -1308,6 +1187,8 @@ fn run_grouped<'a>(
 // Shared tail: DISTINCT → ORDER BY → OFFSET/LIMIT.
 // ---------------------------------------------------------------------------
 
+/// The tail every SELECT ends in — plain, grouped, or the combined rows of a
+/// compound. Each pair is a row's source tuple and its output row.
 fn finish_pipeline(
     sel: &Select,
     labels: &[String],
@@ -1316,9 +1197,12 @@ fn finish_pipeline(
     mut agg_sources: Option<Vec<GroupAggs>>,
     topk: Option<usize>,
 ) -> SqlResult<ResultSet> {
+    // A compound's DISTINCT belongs to its first branch, which ran it, and
+    // its rows have no source row to evaluate a key expression against.
+    let compound = !sel.set_ops.is_empty();
     // DISTINCT over output rows; a grouped query's aggregate sources follow
     // its rows, so ORDER BY below reads each kept row's own group.
-    if sel.distinct {
+    if sel.distinct && !compound {
         let distinct_in = pairs.len() as u64;
         let distinct_t0 = analyze::start();
         let keep = first_seen(pairs.iter().map(|(_, out)| out));
@@ -1330,42 +1214,35 @@ fn finish_pipeline(
     }
 
     // ORDER BY: compute sort keys eagerly for each row. With LIMIT k the
-    // planner bounds the sort: a top-k heap keeps the best `offset + limit`
-    // rows in O(n log k). Ties break on original index in both paths, which
-    // makes the heap result exactly the stable full sort's prefix.
+    // planner bounds the sort to the best `offset + limit` rows.
     if !sel.order_by.is_empty() {
         let sort_in = pairs.len() as u64;
         let sort_t0 = analyze::start();
+        let sort_keys = (sel.order_by.iter())
+            .map(|k| match sort_key(k, labels)? {
+                SortKey::Expr(_) if compound => Err(SqlError::syntax(
+                    "ORDER BY on a set operation must use output column names or positions",
+                )),
+                key => Ok(key),
+            })
+            .collect::<SqlResult<Vec<_>>>()?;
         // Keys borrow the output or source value they name; only computed
         // keys are owned.
         let keys: Vec<Vec<Cow<'_, Value>>> = (pairs.iter().enumerate())
             .map(|(row_idx, (src, out))| {
-                (sel.order_by.iter())
-                    .map(|k| order_key_value(k, labels, src, out, params, row_idx, &agg_sources))
+                let aggs: &dyn AggSource = match &agg_sources {
+                    Some(sources) => &sources[row_idx],
+                    None => &NoAggregates,
+                };
+                (sort_keys.iter())
+                    .map(|key| match key {
+                        SortKey::Output(pos) => Ok(Cow::Borrowed(&out[*pos])),
+                        SortKey::Expr(e) => eval_ref(e, src, params, aggs),
+                    })
                     .collect::<SqlResult<Vec<_>>>()
             })
             .collect::<SqlResult<Vec<_>>>()?;
-        let cmp = |a: usize, b: usize| -> std::cmp::Ordering {
-            for (i, k) in sel.order_by.iter().enumerate() {
-                let ord = keys[a][i].order_key(&keys[b][i]);
-                let ord = match k.dir {
-                    SortDir::Asc => ord,
-                    SortDir::Desc => ord.reverse(),
-                };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            a.cmp(&b)
-        };
-        let order: Vec<usize> = match topk {
-            Some(k) if k < pairs.len() => plan::top_k_indices(pairs.len(), k, &cmp),
-            _ => {
-                let mut order: Vec<usize> = (0..pairs.len()).collect();
-                order.sort_unstable_by(|&a, &b| cmp(a, b));
-                order
-            }
-        };
+        let order = sort_order(&keys, &sel.order_by, topk);
         let mut sorted = Vec::with_capacity(order.len());
         let mut taken: Vec<Option<(SrcRow<'_>, Row)>> = pairs.into_iter().map(Some).collect();
         for idx in order {
@@ -1394,41 +1271,38 @@ fn finish_pipeline(
     })
 }
 
-fn order_key_value<'a>(
-    key: &'a OrderKey,
-    labels: &[String],
-    src: &'a [Value],
-    out: &'a [Value],
-    params: &'a [Value],
-    row_idx: usize,
-    agg_sources: &Option<Vec<GroupAggs>>,
-) -> SqlResult<Cow<'a, Value>> {
-    // SQL-92 positional sort: ORDER BY 2.
-    if let Expr::Literal(Value::Int(n)) = &key.expr {
-        let n = *n;
-        if n >= 1 && (n as usize) <= out.len() {
-            return Ok(Cow::Borrowed(&out[n as usize - 1]));
-        }
-        return Err(SqlError::syntax(format!(
-            "ORDER BY position {n} is out of range"
-        )));
-    }
-    // An output label (alias) takes priority over a source column, per SQL.
-    if let Expr::Column(c) = &key.expr {
-        if c.table.is_none() {
-            if let Some(pos) = labels
+/// Where an ORDER BY key's value comes from, decided once per statement.
+enum SortKey<'k> {
+    /// The output column at this position.
+    Output(usize),
+    /// An expression over the source row (and the row's group aggregates).
+    Expr(&'k Expr),
+}
+
+/// Resolve `key` against the output `labels`: an integer is a position
+/// (SQL-92 `ORDER BY 2`), and a bare name that labels an output column reads
+/// that column, ahead of a source column of the same name, per SQL. A bare
+/// name that is neither is unknown.
+fn sort_key<'k>(key: &'k OrderKey, labels: &[String]) -> SqlResult<SortKey<'k>> {
+    match &key.expr {
+        Expr::Literal(Value::Int(n)) => match usize::try_from(*n) {
+            Ok(pos) if (1..=labels.len()).contains(&pos) => Ok(SortKey::Output(pos - 1)),
+            _ => Err(SqlError::syntax(format!(
+                "ORDER BY position {n} is out of range"
+            ))),
+        },
+        Expr::Column(c) if c.table.is_none() => {
+            match labels
                 .iter()
                 .position(|l| l.eq_ignore_ascii_case(&c.column))
             {
-                return Ok(Cow::Borrowed(&out[pos]));
+                Some(pos) => Ok(SortKey::Output(pos)),
+                None if c.slot.is_none() => Err(SqlError::no_such_column(&c.to_string())),
+                None => Ok(SortKey::Expr(&key.expr)),
             }
         }
+        expr => Ok(SortKey::Expr(expr)),
     }
-    let aggs: &dyn AggSource = match agg_sources {
-        Some(sources) => &sources[row_idx],
-        None => &NoAggregates,
-    };
-    eval_ref(&key.expr, src, params, aggs)
 }
 
 // ---------------------------------------------------------------------------
@@ -1516,15 +1390,7 @@ fn rewrite_subqueries(
 /// Produce a plan description for a SELECT without running it.
 pub fn explain_select(state: &DbState, sel: &Select, params: &[Value]) -> SqlResult<Vec<String>> {
     let mut lines = Vec::new();
-    explain_into(
-        state,
-        sel,
-        params,
-        0,
-        &mut lines,
-        &PlanOptions::default(),
-        None,
-    )?;
+    explain_into(state, sel, params, 0, &mut lines, None)?;
     Ok(lines)
 }
 
@@ -1555,15 +1421,7 @@ pub(crate) fn explain_dml(
         set_ops: Vec::new(),
     };
     let mut lines = vec![head];
-    explain_into(
-        state,
-        &sel,
-        params,
-        0,
-        &mut lines,
-        &PlanOptions::default(),
-        None,
-    )?;
+    lines.extend(explain_select(state, &sel, params)?);
     Ok(lines)
 }
 
@@ -1586,7 +1444,7 @@ pub fn explain_analyze_select(
     let rs = result?;
     let total_ns = clock.now_ns().saturating_sub(t0);
     let mut lines = Vec::new();
-    explain_into(state, sel, params, 0, &mut lines, &opts, Some(&actuals))?;
+    explain_into(state, sel, params, 0, &mut lines, Some(&actuals))?;
     lines.push(format!(
         "TOTAL: {} row{} returned, {:.3} ms",
         rs.len(),
@@ -1616,16 +1474,17 @@ fn push_plan_line(
     lines.push(line);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Append the plan of `sel`, as it runs under the default [`PlanOptions`],
+/// indented `indent` levels.
 fn explain_into(
     state: &DbState,
     sel: &Select,
     params: &[Value],
     indent: usize,
     lines: &mut Vec<String>,
-    opts: &PlanOptions,
     actuals: Option<&[(OpId, analyze::OpActuals)]>,
 ) -> SqlResult<()> {
+    let opts = &PlanOptions::default();
     let pad = "  ".repeat(indent);
     if !sel.set_ops.is_empty() {
         lines.push(format!(
@@ -1633,14 +1492,15 @@ fn explain_into(
             sel.set_ops.len() + 1
         ));
         // Branch actuals are not collected (their operator ids would collide
-        // across branches), so the branches render estimates only.
-        let mut first = sel.clone();
-        first.set_ops = Vec::new();
-        explain_into(state, &first, params, indent + 1, lines, opts, None)?;
+        // across branches), so the branches render estimates only. The
+        // hoisted ORDER BY / LIMIT runs once, over the combined rows: its
+        // lines follow the branches, at this level.
+        explain_into(state, &first_branch(sel), params, indent + 1, lines, None)?;
         for (op, branch) in &sel.set_ops {
             lines.push(format!("{pad}  {op:?}"));
-            explain_into(state, branch, params, indent + 1, lines, opts, None)?;
+            explain_into(state, branch, params, indent + 1, lines, None)?;
         }
+        explain_tail(lines, &pad, sel, plan::topk_bound(sel, opts), actuals);
         return Ok(());
     }
     let (sel, bindings) = prepare(state, sel, params, opts)?;
@@ -1671,38 +1531,23 @@ fn explain_into(
             );
             for (j, join) in sel.joins.iter().enumerate() {
                 let jp = &sel_plan.joins[j];
-                if jp.use_hash {
-                    push_plan_line(
-                        lines,
-                        format!(
-                            "{pad}HASH {}JOIN {} ({} key{}){}",
-                            if join.left_outer { "LEFT OUTER " } else { "" },
-                            join.table.name,
-                            jp.keys.len(),
-                            plural(jp.keys.len()),
-                            est_note(j + 1),
-                        ),
-                        actuals,
-                        OpId::Join(j),
-                    );
+                let outer = if join.left_outer { "LEFT OUTER " } else { "" };
+                let (table, nkeys) = (&join.table.name, jp.keys.len());
+                let line = if jp.use_hash {
+                    format!(
+                        "{pad}HASH {outer}JOIN {table} ({nkeys} key{})",
+                        plural(nkeys)
+                    )
                 } else {
-                    push_plan_line(
-                        lines,
-                        format!(
-                            "{pad}NESTED LOOP {}JOIN {}{}{}",
-                            if join.left_outer { "LEFT OUTER " } else { "" },
-                            join.table.name,
-                            if join.on.is_some() {
-                                " ON <cond>"
-                            } else {
-                                " (cross)"
-                            },
-                            est_note(j + 1),
-                        ),
-                        actuals,
-                        OpId::Join(j),
-                    );
-                }
+                    let on = if join.on.is_some() {
+                        " ON <cond>"
+                    } else {
+                        " (cross)"
+                    };
+                    format!("{pad}NESTED LOOP {outer}JOIN {table}{on}")
+                };
+                let line = format!("{line}{}", est_note(j + 1));
+                push_plan_line(lines, line, actuals, OpId::Join(j));
                 let access = &sel_plan.scans[j + 1].access;
                 if !matches!(access, AccessPath::FullScan { .. }) {
                     push_plan_line(
@@ -1749,8 +1594,20 @@ fn explain_into(
     if sel.distinct {
         push_plan_line(lines, format!("{pad}DISTINCT"), actuals, OpId::Distinct);
     }
+    explain_tail(lines, &pad, sel, sel_plan.topk, actuals);
+    Ok(())
+}
+
+/// The SORT and LIMIT lines of the tail [`finish_pipeline`] runs.
+fn explain_tail(
+    lines: &mut Vec<String>,
+    pad: &str,
+    sel: &Select,
+    topk: Option<usize>,
+    actuals: Option<&[(OpId, analyze::OpActuals)]>,
+) {
     if !sel.order_by.is_empty() {
-        let line = match sel_plan.topk {
+        let line = match topk {
             Some(k) => format!("{pad}TOP-K SORT ({} keys, k={k})", sel.order_by.len()),
             None => format!("{pad}SORT ({} keys)", sel.order_by.len()),
         };
@@ -1772,7 +1629,6 @@ fn explain_into(
             OpId::Limit,
         );
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -4,13 +4,13 @@
 //! The planner is deliberately small: join order is [`crate::cost`]'s
 //! rewrite, done before planning. What it does decide, per query:
 //!
-//! * **Access paths** — [`ScanPlan::new`] decides once, per scan, how the
+//! * **Access paths** — `ScanPlan::new` decides once, per scan, how the
 //!   table's rows are found: a full scan, an index probe with its keys, or
 //!   nothing at all when a pushed conjunct can keep no row (a comparison
-//!   with NULL, say). [`sargable`] is the one reader of "column op constant"
+//!   with NULL, say). `sargable` is the one reader of "column op constant"
 //!   behind that choice and behind the cost model's selectivity estimates.
 //!   The executor, EXPLAIN, the trace plan note and UPDATE/DELETE target
-//!   collection all read the stored [`AccessPath`].
+//!   collection all read the stored `AccessPath`.
 //! * **Predicate pushdown** — each WHERE conjunct is classified by the set of
 //!   tables it references and attached to the earliest point in the pipeline
 //!   where all of those tables are bound: the base scan, a joined table's
@@ -520,11 +520,7 @@ pub(crate) fn plan_select<'a>(
         joins: sel.joins.iter().map(|_| JoinPlan::default()).collect(),
         ..SelectPlan::default()
     };
-    plan.topk = if opts.topk && !sel.order_by.is_empty() {
-        sel.limit.map(|l| l.saturating_add(sel.offset.unwrap_or(0)))
-    } else {
-        None
-    };
+    plan.topk = topk_bound(sel, opts);
     plan.grouped = !sel.group_by.is_empty() || sel.group_exprs().any(Expr::contains_aggregate);
 
     let mut where_conjs = Vec::new();
@@ -634,6 +630,16 @@ pub(crate) fn plan_select<'a>(
         .map(|(table, filters)| ScanPlan::new(state, table, filters, params, opts))
         .collect();
     plan
+}
+
+/// The ORDER BY bound of `sel` (a single SELECT or a compound's hoisted
+/// tail): keep only the best `offset + limit` rows.
+pub(crate) fn topk_bound(sel: &Select, opts: &PlanOptions) -> Option<usize> {
+    if opts.topk && !sel.order_by.is_empty() {
+        sel.limit.map(|l| l.saturating_add(sel.offset.unwrap_or(0)))
+    } else {
+        None
+    }
 }
 
 /// The `k` smallest of `0..n` under `cmp`, returned in ascending `cmp`

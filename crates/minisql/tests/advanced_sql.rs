@@ -223,6 +223,107 @@ fn interior_order_by_rejected() {
         .is_err());
 }
 
+/// Two one-column tables for the compound tail: `t` holds 5, 1, 4 and `u`
+/// holds 3, 2.
+fn compound_db() -> Database {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE t (a INTEGER); CREATE TABLE u (a INTEGER);
+         INSERT INTO t VALUES (5), (1), (4);
+         INSERT INTO u VALUES (3), (2);",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn compound_tail_runs_and_explains_once_after_the_branches() {
+    let db = compound_db();
+    for (sql, want) in [
+        (
+            "SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a LIMIT 2",
+            vec!["1", "2"],
+        ),
+        (
+            "SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY 1 DESC LIMIT 2 OFFSET 1",
+            vec!["4", "3"],
+        ),
+        (
+            "SELECT a AS x FROM t UNION SELECT a FROM u ORDER BY x LIMIT 5 OFFSET 3",
+            vec!["4", "5"],
+        ),
+    ] {
+        assert_eq!(texts(&db, sql), want, "{sql}");
+    }
+    let plan = texts(
+        &db,
+        "EXPLAIN SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a LIMIT 2",
+    );
+    // The branches are indented under the SET OPERATION line; the tail runs
+    // once, over the combined rows, and prints at the compound's level.
+    let n = plan.len();
+    assert_eq!(plan[0], "SET OPERATION (2 branches)", "{plan:?}");
+    assert_eq!(plan[n - 2], "TOP-K SORT (1 keys, k=2)", "{plan:?}");
+    assert_eq!(plan[n - 1], "LIMIT 2", "{plan:?}");
+    assert!(
+        plan[1..n - 2].iter().all(|l| l.starts_with("  ")),
+        "{plan:?}"
+    );
+    assert!(
+        !plan[1..n - 2]
+            .iter()
+            .any(|l| l.contains("SORT") || l.contains("LIMIT")),
+        "{plan:?}"
+    );
+    // Without LIMIT the sort is a full sort; EXPLAIN ANALYZE attributes the
+    // tail's actuals to it.
+    let plan = texts(
+        &db,
+        "EXPLAIN ANALYZE SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a DESC",
+    );
+    let sort = plan.iter().find(|l| l.starts_with("SORT (1 keys)"));
+    assert!(
+        sort.is_some_and(|l| l.contains("(actual rows=5 in=5")),
+        "{plan:?}"
+    );
+}
+
+#[test]
+fn compound_order_by_keys_resolve_as_a_single_selects_do() {
+    let db = compound_db();
+    let mut conn = db.connect();
+    let message =
+        |conn: &mut minisql::Connection, sql: &str| conn.execute(sql).unwrap_err().to_string();
+    // Out of range: the message a single SELECT gives.
+    let single = message(&mut conn, "SELECT a FROM t ORDER BY 3");
+    let compound = message(
+        &mut conn,
+        "SELECT a FROM t UNION SELECT a FROM u ORDER BY 3",
+    );
+    assert!(
+        compound.contains("ORDER BY position 3 is out of range"),
+        "{compound}"
+    );
+    assert_eq!(compound, single);
+    // Also over no rows at all.
+    let empty = "SELECT a FROM t WHERE a > 9 UNION SELECT a FROM u WHERE a > 9 ORDER BY 3";
+    assert_eq!(message(&mut conn, empty), single);
+    // A name that labels no output column is unknown.
+    let err = conn
+        .execute("SELECT a FROM t UNION SELECT a FROM u ORDER BY b")
+        .unwrap_err();
+    assert_eq!(err.code, SqlCode::UNDEFINED_COLUMN, "{err}");
+    // An expression key still has no source row to read.
+    let err = message(
+        &mut conn,
+        "SELECT a FROM t UNION SELECT a FROM u ORDER BY a + 1",
+    );
+    assert!(
+        err.contains("must use output column names or positions"),
+        "{err}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN
 // ---------------------------------------------------------------------------

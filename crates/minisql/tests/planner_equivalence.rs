@@ -739,6 +739,8 @@ props! {
     fn set_ops_match_bag_algebra(
         l in vec_of((ints(0..3), ints(0..3)), 0..=12),
         r in vec_of((ints(0..3), ints(0..3)), 0..=12),
+        limit in usizes(0..8),
+        offset in usizes(0..4),
     ) {
         let st = set_op_state(&l, &r);
         let lv = int_rows(&l);
@@ -754,6 +756,16 @@ props! {
                 let base = canon(run_opts(&st, &sql, &PlanOptions::baseline()));
                 let fast = canon(run_opts(&st, &sql, &PlanOptions::default()));
                 prop_assert_eq!(fast, base, "{kw} plan-sensitive");
+                // The hoisted tail, in order: (v, k) orders every distinct
+                // row, so the reference sorted and cut is the one answer,
+                // under top-k (default) and full sort (baseline) alike.
+                let sql = format!("{sql} ORDER BY 2, 1 LIMIT {limit} OFFSET {offset}");
+                let mut want = ref_set_op(op, all, &lv, &rv);
+                want.sort_by(|a, b| a[1].order_key(&b[1]).then(a[0].order_key(&b[0])));
+                let want: Vec<_> = want.into_iter().skip(offset).take(limit).collect();
+                for opts in [PlanOptions::default(), PlanOptions::baseline()] {
+                    prop_assert_eq!(run_opts(&st, &sql, &opts), want.clone(), "{sql}");
+                }
             }
         }
     }

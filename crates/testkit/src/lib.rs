@@ -10,7 +10,7 @@
 //!   a seeded case runner, and greedy iterative shrinking on failure,
 //! * [`mod@bench`] — a micro-bench timer (warmup, auto-calibrated batching,
 //!   median-of-N, optional JSON-lines output),
-//! * [`stress`] — a seeded multi-thread stress harness (barrier start,
+//! * [`mod@stress`] — a seeded multi-thread stress harness (barrier start,
 //!   per-thread deterministic workloads, deadlock watchdog, failures
 //!   replayable by seed) and the [`stress!`] macro,
 //! * [`crash`] — a named crash-point registry for deterministic power-cut

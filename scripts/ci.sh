@@ -34,6 +34,10 @@ else
     echo "== clippy == (skipped: clippy not installed)"
 fi
 
+echo "== docs (rustdoc warnings are errors) =="
+# Public docs must not link private items or ambiguous names.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== minisql property suites, deeper (TESTKIT_CASES=1500) =="
 # Tier-1 runs each property at its own seeded count (32-256 cases). Here
 # every minisql property — the planner-equivalence, heap, index and dedup

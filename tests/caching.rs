@@ -356,6 +356,36 @@ fn reports_that_write_are_not_cacheable() {
     assert!(input.header("ETag").is_some(), "{:?}", input.headers);
 }
 
+#[test]
+fn a_select_that_opens_with_a_comment_is_cacheable() {
+    let db = cached_db();
+    seed_urldb(&db);
+    db.run_script("CREATE TABLE audit (note VARCHAR(250))")
+        .unwrap();
+    let gw = Gateway::new(db);
+    let cacheable = |sql: &str| {
+        let source = format!("%SQL{{ {sql} %}}\n%HTML_REPORT{{%EXEC_SQL%}}");
+        gw.add_macro("c.d2w", &source).unwrap();
+        let resp = gw.get("c.d2w", "report", "Q=title");
+        assert_eq!(resp.status, 200, "{sql}: {}", resp.body);
+        match (resp.header("ETag"), resp.header("Cache-Control")) {
+            (Some(_), Some("no-cache")) => true,
+            (None, Some("no-store")) => false,
+            other => panic!("{sql}: {other:?}"),
+        }
+    };
+    // The first keyword after whitespace and comments decides.
+    assert!(cacheable("-- the list\nSELECT url FROM urldb"));
+    assert!(cacheable("\n  -- one\n-- two\n  select url FROM urldb"));
+    assert!(cacheable("SELECT\turl FROM urldb"));
+    assert!(!cacheable(
+        "-- SELECT\nINSERT INTO audit (note) VALUES ('x')"
+    ));
+    assert!(!cacheable("-- list\nSELECTED_NOTHING"));
+    // A statement that opens with a variable is not known to read.
+    assert!(!cacheable("$(Q) FROM urldb"));
+}
+
 /// The hammer: one writer bumps a counter and publishes each committed value;
 /// readers racing it must never observe a value older than what was already
 /// published when their query started.

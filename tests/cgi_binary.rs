@@ -121,6 +121,30 @@ fn post_report_mode_with_stdin_body() {
 }
 
 #[test]
+fn includes_resolve_against_the_macro_directory() {
+    let dir = fixture_dir();
+    setup(&dir.0);
+    std::fs::write(dir.0.join("header.hti"), "<TITLE>Shared header</TITLE>").unwrap();
+    std::fs::write(
+        dir.0.join("app.d2w"),
+        "%HTML_INPUT{\n%INCLUDE \"header.hti\"\n<FORM ACTION=\"x\"></FORM>%}\n\
+         %HTML_REPORT{\n%INCLUDE \"header.hti\"\n<P>report</P>%}",
+    )
+    .unwrap();
+    for cmd in ["input", "report"] {
+        let out = invoke(&dir.0, "GET", &format!("/app.d2w/{cmd}"), "", "");
+        assert!(out.starts_with("Status: 200 OK\r\n"), "{out}");
+        assert!(out.contains("<TITLE>Shared header</TITLE>"), "{out}");
+        assert!(!out.contains("%INCLUDE"), "{out}");
+    }
+    // A fragment that is not there is the macro's error, not a blank.
+    std::fs::remove_file(dir.0.join("header.hti")).unwrap();
+    let out = invoke(&dir.0, "GET", "/app.d2w/input", "", "");
+    assert!(out.starts_with("Status: 500"), "{out}");
+    assert!(out.contains("header.hti"), "{out}");
+}
+
+#[test]
 fn missing_macro_is_404() {
     let dir = fixture_dir();
     setup(&dir.0);
