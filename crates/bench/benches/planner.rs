@@ -12,9 +12,9 @@
 //! 1. **Stats-ordered 3-way join ≥ 5× the syntactic order**
 //!    (`planner_reorder_speedup`).
 //!
-//! Also reported (no floor): set-operation and window-function throughput —
-//! the new operators ride the same release gate so a quadratic regression
-//! in either shows up in the committed JSON.
+//! Also reported (no floor): set-operation throughput — UNION ALL and
+//! EXCEPT ALL ride the same release gate so a quadratic regression in either
+//! shows up in the committed JSON.
 //!
 //! The bench also prints the EXPLAIN of the reordered query; CI greps the
 //! output for the chosen `JOIN ORDER:` line as an end-to-end smoke that the
@@ -153,16 +153,6 @@ fn main() {
         suite.record_metric(metric, ns);
     }
 
-    // 3. Window-function throughput (no floor): partitioned running sum and
-    //    rank over the n-row fact table.
-    let window_sql = "SELECT k, v, SUM(v) OVER (PARTITION BY k ORDER BY v), \
-                      RANK() OVER (PARTITION BY k ORDER BY v) FROM a";
-    let window_ns = time_per_exec(&st, window_sql, &reordered, if quick { 10 } else { 30 });
-    suite.record_metric("planner_window_ns", window_ns);
-
     suite.finish();
-    println!(
-        "# planner: stats-driven order {speedup:.1}x over syntactic at n={n}, \
-         window pass {window_ns:.0} ns"
-    );
+    println!("# planner: stats-driven order {speedup:.1}x over syntactic at n={n}");
 }

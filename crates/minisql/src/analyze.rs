@@ -35,8 +35,6 @@ pub enum OpId {
     Join(usize),
     /// Residual WHERE filter (conjuncts the planner did not push down).
     WhereFilter,
-    /// Window function computation (partition + in-partition sort).
-    Window,
     /// Grouping and aggregate computation.
     Aggregate,
     /// HAVING filter, evaluated once per group.
@@ -57,7 +55,6 @@ impl OpId {
             OpId::JoinScan(i) => format!("scan#{i}"),
             OpId::Join(i) => format!("join#{i}"),
             OpId::WhereFilter => "where".to_owned(),
-            OpId::Window => "window".to_owned(),
             OpId::Aggregate => "agg".to_owned(),
             OpId::Having => "having".to_owned(),
             OpId::Distinct => "distinct".to_owned(),

@@ -209,63 +209,23 @@ pub enum Expr {
         /// Target type.
         ty: SqlType,
     },
-    /// Window function call `func(...) OVER (...)`; only legal in the
-    /// SELECT list of a non-grouped query.
-    Window(Box<WindowExpr>),
-}
-
-/// Which function a window call computes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WindowFunc {
-    /// `ROW_NUMBER()` — 1-based position within the partition.
-    RowNumber,
-    /// `RANK()` — 1-based rank with gaps over the window ORDER BY keys.
-    Rank,
-    /// An aggregate over the window frame (`SUM(x) OVER (...)` etc.).
-    Agg {
-        /// Which aggregate.
-        func: AggFunc,
-        /// Argument; `None` for `COUNT(*)`.
-        arg: Option<Box<Expr>>,
-    },
-}
-
-impl WindowFunc {
-    /// Function name for result-column labelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WindowFunc::RowNumber => "ROW_NUMBER",
-            WindowFunc::Rank => "RANK",
-            WindowFunc::Agg { func, .. } => func.name(),
-        }
-    }
-}
-
-/// A window function call: function plus the `OVER (...)` specification.
-/// With ORDER BY the frame is the SQL default `RANGE BETWEEN UNBOUNDED
-/// PRECEDING AND CURRENT ROW` (running totals, peers included); without it
-/// the frame is the whole partition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowExpr {
-    /// The function being windowed.
-    pub func: WindowFunc,
-    /// `PARTITION BY` expressions (empty = one partition).
-    pub partition_by: Vec<Expr>,
-    /// `ORDER BY` keys inside the OVER clause.
-    pub order_by: Vec<OrderKey>,
 }
 
 /// The one list of an `Expr`'s children, expanded into both child visitors:
-/// `$iter` is `iter` or `iter_mut`, and the optional `mut` makes the borrows
-/// that are not iterator calls mutable too.
+/// `$iter` is `iter` or `iter_mut`.
 macro_rules! visit_children {
-    ($expr:expr, $f:ident, $iter:ident $(, $mut:tt)?) => {
+    ($expr:expr, $f:ident, $iter:ident) => {
         match $expr {
             Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => Ok(()),
             Expr::Subquery(_) | Expr::Exists { .. } => Ok(()),
             Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => $f(e),
             Expr::Cast { expr: e, .. } | Expr::InSelect { expr: e, .. } => $f(e),
-            Expr::Binary { lhs: a, rhs: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+            Expr::Binary { lhs: a, rhs: b, .. }
+            | Expr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
                 $f(a)?;
                 $f(b)
             }
@@ -280,20 +240,17 @@ macro_rules! visit_children {
             }
             Expr::Func { args, .. } => args.$iter().try_for_each($f),
             Expr::Agg { arg, .. } => arg.$iter().try_for_each(|a| $f(a)),
-            Expr::Case { operand, arms, otherwise } => {
+            Expr::Case {
+                operand,
+                arms,
+                otherwise,
+            } => {
                 operand.$iter().try_for_each(|o| $f(o))?;
                 for (when, then) in arms {
                     $f(when)?;
                     $f(then)?;
                 }
                 otherwise.$iter().try_for_each(|e| $f(e))
-            }
-            Expr::Window(w) => {
-                if let WindowFunc::Agg { arg: Some(a), .. } = &$($mut)? w.func {
-                    $f(a)?;
-                }
-                w.partition_by.$iter().try_for_each(&mut $f)?;
-                w.order_by.$iter().try_for_each(|k| $f(&$($mut)? k.expr))
             }
         }
     };
@@ -311,9 +268,8 @@ impl Expr {
 
     /// Call `f` on each direct sub-expression of this node within the
     /// current query block, left to right, stopping at the first error:
-    /// every operand, the tested expression of `IN (SELECT …)`, and a
-    /// window's argument, `PARTITION BY` and `ORDER BY` keys. A subquery's
-    /// `SELECT` is another block and is never entered.
+    /// every operand and the tested expression of `IN (SELECT …)`. A
+    /// subquery's `SELECT` is another block and is never entered.
     pub fn try_for_each_child<E>(
         &self,
         mut f: impl FnMut(&Expr) -> Result<(), E>,
@@ -327,7 +283,7 @@ impl Expr {
         &mut self,
         mut f: impl FnMut(&mut Expr) -> Result<(), E>,
     ) -> Result<(), E> {
-        visit_children!(self, f, iter_mut, mut)
+        visit_children!(self, f, iter_mut)
     }
 
     /// Infallible [`Expr::try_for_each_child`].
@@ -345,19 +301,9 @@ impl Expr {
     }
 
     /// Does this expression contain an aggregate call? A subquery's
-    /// aggregates are its own, and a window call computes its own value per
-    /// row, so neither makes the query a grouped one.
+    /// aggregates are its own, so they do not make the query a grouped one.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Agg { .. } => true,
-            Expr::Window(_) => false,
-            e => e.any_child(Expr::contains_aggregate),
-        }
-    }
-
-    /// Does this expression contain a window function call?
-    pub fn contains_window(&self) -> bool {
-        matches!(self, Expr::Window(_)) || self.any_child(Expr::contains_window)
+        matches!(self, Expr::Agg { .. }) || self.any_child(Expr::contains_aggregate)
     }
 }
 
@@ -767,33 +713,7 @@ impl std::fmt::Display for Expr {
                 write!(f, " END")
             }
             Expr::Cast { expr, ty } => write!(f, "CAST({expr} AS {ty})"),
-            Expr::Window(w) => write!(f, "{w}"),
         }
-    }
-}
-
-impl std::fmt::Display for WindowExpr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.func {
-            WindowFunc::RowNumber => write!(f, "ROW_NUMBER()")?,
-            WindowFunc::Rank => write!(f, "RANK()")?,
-            WindowFunc::Agg { func, arg } => match arg {
-                Some(a) => write!(f, "{}({a})", func.name())?,
-                None => write!(f, "{}(*)", func.name())?,
-            },
-        }
-        write!(f, " OVER (")?;
-        let mut space = "";
-        if !self.partition_by.is_empty() {
-            write!(f, "PARTITION BY ")?;
-            fmt_comma_sep(f, &self.partition_by)?;
-            space = " ";
-        }
-        if !self.order_by.is_empty() {
-            write!(f, "{space}ORDER BY ")?;
-            fmt_comma_sep(f, &self.order_by)?;
-        }
-        write!(f, ")")
     }
 }
 
@@ -1091,11 +1011,6 @@ mod tests {
             ),
             ("CASE WHEN ? THEN ? END", &[1, 2]),
             ("CAST(? AS INTEGER)", &[1]),
-            (
-                "MAX(?) OVER (PARTITION BY ?, ? ORDER BY ? DESC)",
-                &[1, 2, 3, 4],
-            ),
-            ("RANK() OVER (ORDER BY ?, ?)", &[1, 2]),
         ];
         let mut variants = std::collections::HashSet::new();
         for &(text, want) in cases {
@@ -1122,7 +1037,7 @@ mod tests {
             });
             assert_eq!((found, asked), (!want.is_empty(), want.len().min(1)));
         }
-        assert_eq!(variants.len(), 18, "every Expr variant is covered");
+        assert_eq!(variants.len(), 17, "every Expr variant is covered");
     }
 
     #[test]

@@ -33,6 +33,9 @@ impl SqlCode {
     pub const TYPE_MISMATCH: SqlCode = SqlCode(-401);
     /// Arithmetic exception, e.g. division by zero (DB2 -802).
     pub const ARITHMETIC: SqlCode = SqlCode(-802);
+    /// A grouped query reads a column that is neither a GROUP BY key nor
+    /// inside an aggregate (DB2 -122).
+    pub const GROUPING: SqlCode = SqlCode(-122);
     /// Object already exists (DB2 -601).
     pub const DUPLICATE_OBJECT: SqlCode = SqlCode(-601);
     /// Statement not permitted in the current transaction state (DB2 -925).

@@ -173,12 +173,6 @@ pub trait AggSource {
     /// The value of aggregate expression `expr` for the current group, if the
     /// source knows it.
     fn agg_value(&self, expr: &Expr) -> Option<Value>;
-
-    /// The value of window expression `expr` for the current row, if the
-    /// source knows it. Only the executor's window pass supplies these.
-    fn window_value(&self, _expr: &Expr) -> Option<Value> {
-        None
-    }
 }
 
 /// An [`AggSource`] that knows nothing — any aggregate reference errors.
@@ -224,7 +218,7 @@ pub fn eval_ref<'a>(
         }
         Expr::Neg(inner) => match eval(inner, row, params, aggs)? {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(overflow),
             Value::Double(d) => Ok(Value::Double(-d)),
             other => Err(SqlError::type_mismatch(format!("cannot negate {other}"))),
         },
@@ -305,11 +299,6 @@ pub fn eval_ref<'a>(
         Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => Err(SqlError::syntax(
             "subqueries are not allowed in this context (or are correlated)",
         )),
-        // Window values are pre-computed per row by the executor's window
-        // pass; elsewhere (WHERE, GROUP BY, grouped queries) they are illegal.
-        Expr::Window(_) => aggs
-            .window_value(expr)
-            .ok_or_else(|| SqlError::syntax("window function not allowed in this context")),
     };
     computed.map(Cow::Owned)
 }
@@ -507,16 +496,28 @@ fn truth_to_value(t: Truth) -> Value {
     }
 }
 
+/// An integer result outside `i64` (DB2 −802): integer arithmetic, SUM and
+/// date arithmetic never wrap.
+pub(crate) fn overflow() -> SqlError {
+    SqlError::new(SqlCode::ARITHMETIC, "arithmetic overflow")
+}
+
 fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     // Date arithmetic: date ± days, date - date = days.
     match (&l, &r, op) {
-        (Value::Date(d), Value::Int(n), BinOp::Add) => return Ok(Value::Date(d + n)),
-        (Value::Int(n), Value::Date(d), BinOp::Add) => return Ok(Value::Date(d + n)),
-        (Value::Date(d), Value::Int(n), BinOp::Sub) => return Ok(Value::Date(d - n)),
-        (Value::Date(a), Value::Date(b), BinOp::Sub) => return Ok(Value::Int(a - b)),
+        (Value::Date(d), Value::Int(n), BinOp::Add)
+        | (Value::Int(n), Value::Date(d), BinOp::Add) => {
+            return d.checked_add(*n).map(Value::Date).ok_or_else(overflow)
+        }
+        (Value::Date(d), Value::Int(n), BinOp::Sub) => {
+            return d.checked_sub(*n).map(Value::Date).ok_or_else(overflow)
+        }
+        (Value::Date(a), Value::Date(b), BinOp::Sub) => {
+            return a.checked_sub(*b).map(Value::Int).ok_or_else(overflow)
+        }
         (Value::Date(_), _, _) | (_, Value::Date(_), _) => {
             return Err(SqlError::type_mismatch(format!(
                 "unsupported date arithmetic: {l} {op:?} {r}"
@@ -528,14 +529,15 @@ fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
         (Value::Int(a), Value::Int(b)) => {
             let (a, b) = (*a, *b);
             match op {
-                BinOp::Add => Ok(Value::Int(a.wrapping_add(b))),
-                BinOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
-                BinOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
+                BinOp::Add => a.checked_add(b).map(Value::Int).ok_or_else(overflow),
+                BinOp::Sub => a.checked_sub(b).map(Value::Int).ok_or_else(overflow),
+                BinOp::Mul => a.checked_mul(b).map(Value::Int).ok_or_else(overflow),
                 BinOp::Div => {
                     if b == 0 {
                         Err(SqlError::new(SqlCode::ARITHMETIC, "division by zero"))
                     } else {
-                        Ok(Value::Int(a.wrapping_div(b)))
+                        // i64::MIN / -1 is the one quotient outside i64.
+                        a.checked_div(b).map(Value::Int).ok_or_else(overflow)
                     }
                 }
                 BinOp::Mod => {
@@ -660,7 +662,7 @@ fn scalar_function(name: &str, mut args: Vec<Value>) -> SqlResult<Value> {
             }
             match args.remove(0) {
                 Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
+                Value::Int(i) => i.checked_abs().map(Value::Int).ok_or_else(overflow),
                 Value::Double(d) => Ok(Value::Double(d.abs())),
                 other => Err(SqlError::type_mismatch(format!("ABS of {other}"))),
             }

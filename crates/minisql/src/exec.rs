@@ -16,31 +16,29 @@
 //! target rows through the same single-table scan (`scan_where`).
 //!
 //! Each step has one implementation: one filter loop serves the scans, the
-//! residual WHERE and the join filters; one comparator sorts ORDER BY and
-//! window ORDER BY; one partitioner groups GROUP BY and PARTITION BY; and a
-//! compound SELECT's hoisted ORDER BY / OFFSET / LIMIT runs through the same
-//! tail as a single SELECT's, which is where EXPLAIN prints it.
+//! residual WHERE and the join filters; one comparator sorts ORDER BY; one
+//! partitioner groups GROUP BY; and a compound SELECT's hoisted ORDER BY /
+//! OFFSET / LIMIT runs through the same tail as a single SELECT's, which is
+//! where EXPLAIN prints it.
 //!
 //! Uncorrelated subqueries run first and are replaced in place by their
 //! results, so the evaluator never needs the database. The walkers here
-//! (subquery rewriting, aggregate and window collection, constant folding)
+//! (subquery rewriting, aggregate collection, constant folding)
 //! recurse through [`Expr::try_for_each_child`] and its `_mut` twin and keep
 //! only their own stopping rule. DISTINCT, `COUNT(DISTINCT …)` and the set
 //! operations deduplicate by hashing, keeping first-seen order.
 
 use crate::analyze::{self, OpId};
-use crate::ast::{
-    AggFunc, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, TableRef, WindowFunc,
-};
-use crate::error::{SqlError, SqlResult};
-use crate::eval::{eval, eval_ref, eval_truth, AggSource, Bindings, NoAggregates};
+use crate::ast::{AggFunc, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, TableRef};
+use crate::error::{SqlCode, SqlError, SqlResult};
+use crate::eval::{eval, eval_ref, eval_truth, overflow, AggSource, Bindings, NoAggregates};
 use crate::index::Index;
 use crate::plan::{self, AccessPath, JoinPlan, Keys, PlanOptions, ScanPlan, SelectPlan};
 use crate::state::DbState;
 use crate::storage::{Row, RowId};
 use crate::types::Value;
 use dbgw_obs::RequestCtx;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -709,14 +707,13 @@ fn plural(n: usize) -> &'static str {
 
 /// Constant-fold an expression with no column references.
 pub(crate) fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
-    // Aggregates and windows depend on the row set, and unrewritten
-    // subqueries cannot be evaluated here: none of them folds.
+    // Aggregates depend on the row set, and unrewritten subqueries cannot
+    // be evaluated here: neither folds.
     fn has_column(e: &Expr) -> bool {
         matches!(
             e,
             Expr::Column(_)
                 | Expr::Agg { .. }
-                | Expr::Window(_)
                 | Expr::Subquery(_)
                 | Expr::InSelect { .. }
                 | Expr::Exists { .. }
@@ -791,7 +788,6 @@ fn default_label(expr: &Expr, position: usize) -> String {
             _ => func.name().to_string(),
         },
         Expr::Func { name, .. } => name.clone(),
-        Expr::Window(w) => w.func.name().to_string(),
         _ => (position + 1).to_string(),
     }
 }
@@ -824,139 +820,20 @@ fn run_plain(
         return Err(SqlError::syntax("HAVING requires GROUP BY or aggregates"));
     }
     let (labels, cols) = expand_items(sel, bindings)?;
-    // Window pass: compute every distinct window expression over the full
-    // row set before projection, so projection sees per-row values.
-    let mut windows: Vec<Expr> = Vec::new();
-    for col in &cols {
-        if let OutCol::Expr(e) = col {
-            collect_windows(e, &mut windows);
-        }
-    }
-    let window_values = if windows.is_empty() {
-        None
-    } else {
-        Some(compute_windows(&windows, &rows, params, ctx)?)
-    };
     let mut pairs: Vec<(SrcRow<'_>, Row)> = Vec::with_capacity(rows.len()); // (src, out)
     for (i, src) in rows.into_iter().enumerate() {
         if i % CANCEL_STRIDE == 0 {
             check_cancel(ctx)?;
         }
-        let out = match &window_values {
-            Some(values) => {
-                let source = WindowRowSource {
-                    exprs: &windows,
-                    values: values.iter().map(|per_row| per_row[i].clone()).collect(),
-                };
-                project(&cols, &src, params, &source)?
-            }
-            None => project(&cols, &src, params, &NoAggregates)?,
-        };
+        let out = project(&cols, &src, params, &NoAggregates)?;
         pairs.push((src, out));
     }
     finish_pipeline(sel, &labels, pairs, params, None, topk)
 }
 
-/// Collect the distinct window expressions in `expr` (windows cannot nest).
-fn collect_windows(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Window(_) if !out.contains(expr) => out.push(expr.clone()),
-        Expr::Window(_) => {}
-        _ => expr.for_each_child(|e| collect_windows(e, out)),
-    }
-}
-
-/// Per-row window values, looked up by window-expression identity during
-/// projection.
-struct WindowRowSource<'a> {
-    exprs: &'a [Expr],
-    values: Vec<Value>,
-}
-
-impl AggSource for WindowRowSource<'_> {
-    fn agg_value(&self, _expr: &Expr) -> Option<Value> {
-        None
-    }
-
-    fn window_value(&self, expr: &Expr) -> Option<Value> {
-        self.exprs
-            .iter()
-            .position(|e| e == expr)
-            .map(|i| self.values[i].clone())
-    }
-}
-
-/// Evaluate each window expression for every row: partition, sort inside the
-/// partition by the window ORDER BY (stable on source order), then number,
-/// rank, or aggregate over the frame. With an ORDER BY, aggregates use the
-/// SQL default frame — everything from the partition start through the
-/// current row's last peer; without one, the whole partition.
-fn compute_windows(
-    windows: &[Expr],
-    rows: &[SrcRow<'_>],
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Vec<Vec<Value>>> {
-    let t0 = analyze::start();
-    let mut all = Vec::with_capacity(windows.len());
-    for wexpr in windows {
-        let Expr::Window(w) = wexpr else {
-            unreachable!("collect_windows yields window expressions")
-        };
-        check_cancel(ctx)?;
-        let mut values = vec![Value::Null; rows.len()];
-        for part in partition(rows, &w.partition_by, params, ctx)? {
-            // Order the partition by the window ORDER BY; without one the
-            // keys are empty, leaving source order (every row a peer).
-            let keys = (part.iter())
-                .map(|&i| {
-                    (w.order_by.iter())
-                        .map(|k| eval(&k.expr, &rows[i], params, &NoAggregates))
-                        .collect::<SqlResult<Vec<_>>>()
-                })
-                .collect::<SqlResult<Vec<_>>>()?;
-            let order = sort_order(&keys, &w.order_by, None);
-            // The partition's row indices in window order.
-            let sorted: Vec<usize> = order.iter().map(|&j| part[j]).collect();
-            let n = sorted.len();
-            let mut pos = 0;
-            while pos < n {
-                let mut end = pos + 1;
-                while end < n && keys[order[end]] == keys[order[pos]] {
-                    end += 1;
-                }
-                let peer_agg = match &w.func {
-                    WindowFunc::Agg { func, arg } => {
-                        let frame_end = if w.order_by.is_empty() { n } else { end };
-                        let agg_expr = Expr::Agg {
-                            func: *func,
-                            arg: arg.clone(),
-                            distinct: false,
-                        };
-                        Some(compute_agg(&agg_expr, rows, &sorted[..frame_end], params)?)
-                    }
-                    _ => None,
-                };
-                for (p, &i) in sorted.iter().enumerate().take(end).skip(pos) {
-                    values[i] = match &w.func {
-                        WindowFunc::RowNumber => Value::Int(p as i64 + 1),
-                        WindowFunc::Rank => Value::Int(pos as i64 + 1),
-                        WindowFunc::Agg { .. } => peer_agg.clone().expect("computed above"),
-                    };
-                }
-                pos = end;
-            }
-        }
-        all.push(values);
-    }
-    analyze::record(OpId::Window, t0, rows.len() as u64, rows.len() as u64);
-    Ok(all)
-}
-
 /// Group `rows` by their values of `key_exprs`: the groups in first-seen
-/// order, each a list of row indices in source order. GROUP BY and window
-/// PARTITION BY both group here, relying on `Value`'s `Hash` agreeing with
-/// its `Eq`.
+/// order, each a list of row indices in source order. GROUP BY groups here,
+/// relying on `Value`'s `Hash` agreeing with its `Eq`.
 fn partition(
     rows: &[SrcRow<'_>],
     key_exprs: &[Expr],
@@ -984,16 +861,16 @@ fn partition(
 /// The row indices of `keys` (one key tuple per row) in `order_by` order,
 /// ties broken by index, so the result is the stable sort. Under a top-k
 /// bound only the first `k`, from a bounded heap in O(n log k): exactly the
-/// full sort's prefix. The one sort comparator of the executor: ORDER BY
-/// (single or compound SELECT) and window ORDER BY both sort here.
-fn sort_order<K: Borrow<Value>>(
-    keys: &[Vec<K>],
+/// full sort's prefix. The one sort comparator of the executor: ORDER BY of
+/// a single or compound SELECT sorts here.
+fn sort_order(
+    keys: &[Vec<Cow<'_, Value>>],
     order_by: &[OrderKey],
     topk: Option<usize>,
 ) -> Vec<usize> {
     let cmp = |a: usize, b: usize| -> Ordering {
         for ((x, y), key) in keys[a].iter().zip(&keys[b]).zip(order_by) {
-            let ord = x.borrow().order_key(y.borrow());
+            let ord = x.order_key(y);
             let ord = match key.dir {
                 SortDir::Asc => ord,
                 SortDir::Desc => ord.reverse(),
@@ -1030,13 +907,12 @@ impl AggSource for GroupAggs {
     }
 }
 
-/// Collect the distinct aggregate calls in `expr`. A window call is its own
-/// evaluation unit, not a group aggregate (grouped queries reject windows
-/// before this runs); subqueries were rewritten to literals before grouping.
+/// Collect the distinct aggregate calls in `expr`; subqueries were rewritten
+/// to literals before grouping.
 fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
     match expr {
         Expr::Agg { .. } if !out.contains(expr) => out.push(expr.clone()),
-        Expr::Agg { .. } | Expr::Window(_) => {}
+        Expr::Agg { .. } => {}
         _ => expr.for_each_child(|e| collect_aggs(e, out)),
     }
 }
@@ -1086,13 +962,14 @@ fn compute_agg(
                 return Ok(Value::Null);
             }
             let n = values.len();
-            let mut int_sum: i64 = 0;
+            // `None` once the integer sum leaves i64; only SUM reports it.
+            let mut int_sum = Some(0i64);
             let mut float_sum: f64 = 0.0;
             let mut all_int = true;
             for v in values {
                 match v {
                     Value::Int(i) => {
-                        int_sum = int_sum.wrapping_add(i);
+                        int_sum = int_sum.and_then(|s| s.checked_add(i));
                         float_sum += i as f64;
                     }
                     Value::Double(d) => {
@@ -1108,12 +985,65 @@ fn compute_agg(
                 }
             }
             Ok(match func {
-                AggFunc::Sum if all_int => Value::Int(int_sum),
+                AggFunc::Sum if all_int => Value::Int(int_sum.ok_or_else(overflow)?),
                 AggFunc::Sum => Value::Double(float_sum),
                 AggFunc::Avg => Value::Double(float_sum / n as f64),
                 _ => unreachable!(),
             })
         }
+    }
+}
+
+/// DB2's −122, checked once per statement after binding: every column a
+/// grouped query outputs, or reads in HAVING or ORDER BY, outside an
+/// aggregate is a GROUP BY key (by bound slot, so `t.k` matches `k`) or lies
+/// inside an expression equal to a GROUP BY expression. Anything else would
+/// read an arbitrary row of its group.
+fn check_grouping(sel: &Select, labels: &[String], cols: &[OutCol]) -> SqlResult<()> {
+    let key_slots: Vec<usize> = (sel.group_by.iter())
+        .filter_map(|e| match e {
+            Expr::Column(c) => c.slot,
+            _ => None,
+        })
+        .collect();
+    let ungrouped = |name: String| {
+        SqlError::new(
+            SqlCode::GROUPING,
+            format!("column {name} is neither a GROUP BY key nor inside an aggregate"),
+        )
+    };
+    let mut exprs = Vec::new();
+    for (label, col) in labels.iter().zip(cols) {
+        match col {
+            OutCol::Position(slot) if !key_slots.contains(slot) => {
+                return Err(ungrouped(label.clone()))
+            }
+            OutCol::Position(_) => {}
+            OutCol::Expr(e) => exprs.push(e),
+        }
+    }
+    exprs.extend(&sel.having);
+    for key in &sel.order_by {
+        if let SortKey::Expr(e) = sort_key(key, labels)? {
+            exprs.push(e);
+        }
+    }
+    for e in exprs {
+        grouped_only(e, &sel.group_by, &key_slots).map_err(ungrouped)?;
+    }
+    Ok(())
+}
+
+/// [`check_grouping`]'s walk: the first column `e` reads outside an
+/// aggregate, a GROUP BY key and an expression equal to a GROUP BY
+/// expression, as `Err(name)`.
+fn grouped_only(e: &Expr, group_by: &[Expr], key_slots: &[usize]) -> Result<(), String> {
+    match e {
+        Expr::Agg { .. } => Ok(()),
+        _ if group_by.contains(e) => Ok(()),
+        Expr::Column(c) if c.slot.is_some_and(|s| key_slots.contains(&s)) => Ok(()),
+        Expr::Column(c) => Err(c.to_string()),
+        _ => e.try_for_each_child(|c| grouped_only(c, group_by, key_slots)),
     }
 }
 
@@ -1125,13 +1055,8 @@ fn run_grouped(
     ctx: &RequestCtx,
     topk: Option<usize>,
 ) -> SqlResult<ResultSet> {
-    let mut per_group = sel.group_by.iter().chain(sel.group_exprs());
-    if per_group.any(Expr::contains_window) {
-        return Err(SqlError::syntax(
-            "window functions cannot be combined with GROUP BY or aggregates",
-        ));
-    }
     let (labels, cols) = expand_items(sel, bindings)?;
+    check_grouping(sel, &labels, &cols)?;
     let agg_in = rows.len() as u64;
     let agg_t0 = analyze::start();
 
@@ -1567,13 +1492,6 @@ fn explain_into(
             actuals,
             OpId::WhereFilter,
         );
-    }
-    if sel
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_window()))
-    {
-        push_plan_line(lines, format!("{pad}WINDOW"), actuals, OpId::Window);
     }
     if sel_plan.grouped {
         push_plan_line(

@@ -878,79 +878,11 @@ impl Parser {
                 Expr::Func { name: upper, args }
             };
             if self.at_kw("OVER") {
-                return self.window_expr(call);
+                return Err(SqlError::syntax("window functions are not supported"));
             }
             return Ok(call);
         }
         self.column_or_qualified(word)
-    }
-
-    /// `call OVER ( [PARTITION BY exprs] [ORDER BY keys] )` — `call` is the
-    /// already-parsed function expression preceding OVER.
-    fn window_expr(&mut self, call: Expr) -> SqlResult<Expr> {
-        self.expect_kw("OVER")?;
-        let func = match call {
-            Expr::Agg {
-                func,
-                arg,
-                distinct: false,
-            } => WindowFunc::Agg { func, arg },
-            Expr::Agg { .. } => {
-                return Err(SqlError::syntax(
-                    "DISTINCT is not supported in window functions",
-                ));
-            }
-            Expr::Func { ref name, ref args } if name == "ROW_NUMBER" || name == "RANK" => {
-                if !args.is_empty() {
-                    return Err(SqlError::syntax(format!("{name} takes no arguments")));
-                }
-                if name == "ROW_NUMBER" {
-                    WindowFunc::RowNumber
-                } else {
-                    WindowFunc::Rank
-                }
-            }
-            Expr::Func { name, .. } => {
-                return Err(SqlError::syntax(format!("{name} is not a window function")));
-            }
-            other => {
-                return Err(SqlError::syntax(format!(
-                    "OVER must follow a function call, not {other:?}"
-                )));
-            }
-        };
-        self.expect_sym(Sym::LParen)?;
-        let mut partition_by = Vec::new();
-        if self.eat_kw("PARTITION") {
-            self.expect_kw("BY")?;
-            partition_by.push(self.expr()?);
-            while self.eat_sym(Sym::Comma) {
-                partition_by.push(self.expr()?);
-            }
-        }
-        let mut order_by = Vec::new();
-        if self.eat_kw("ORDER") {
-            self.expect_kw("BY")?;
-            loop {
-                let expr = self.expr()?;
-                let dir = if self.eat_kw("DESC") {
-                    SortDir::Desc
-                } else {
-                    let _ = self.eat_kw("ASC");
-                    SortDir::Asc
-                };
-                order_by.push(OrderKey { expr, dir });
-                if !self.eat_sym(Sym::Comma) {
-                    break;
-                }
-            }
-        }
-        self.expect_sym(Sym::RParen)?;
-        Ok(Expr::Window(Box::new(WindowExpr {
-            func,
-            partition_by,
-            order_by,
-        })))
     }
 
     fn case_expr(&mut self) -> SqlResult<Expr> {
@@ -1053,7 +985,6 @@ fn is_reserved(w: &str) -> bool {
         "END",
         "CAST",
         "OVER",
-        "PARTITION",
     ];
     RESERVED.iter().any(|r| w.eq_ignore_ascii_case(r))
 }

@@ -463,14 +463,11 @@ pub(crate) fn conjunct_mask(expr: &Expr, bindings: &Bindings) -> Option<u64> {
                 *mask |= 1 << t;
                 true
             }
-            // Aggregates need group context; subqueries should have been
-            // rewritten away; windows see the whole row set — in all cases
-            // refuse to classify.
-            Expr::Agg { .. }
-            | Expr::Subquery(_)
-            | Expr::InSelect { .. }
-            | Expr::Exists { .. }
-            | Expr::Window(_) => false,
+            // Aggregates need group context and subqueries should have been
+            // rewritten away: refuse to classify either.
+            Expr::Agg { .. } | Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => {
+                false
+            }
             _ => !e.any_child(|c| !walk(c, bindings, mask)),
         }
     }

@@ -656,8 +656,8 @@ fn multibyte_position_is_character_based() {
 }
 
 // ---------------------------------------------------------------------------
-// Expression positions: subqueries, aggregates and windows wherever an
-// expression can stand
+// Expression positions: subqueries and aggregates wherever an expression can
+// stand
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -688,22 +688,6 @@ fn distinct_grouped_order_by_reads_each_rows_own_aggregates() {
             "SELECT DISTINCT g2, SUM(x) FROM t GROUP BY g, g2 ORDER BY SUM(x) + 0 DESC"
         ),
         ints(&[(9, 100), (7, 5), (8, 1)])
-    );
-}
-
-#[test]
-fn subquery_inside_a_window_partition() {
-    let db = db();
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT orderid, ROW_NUMBER() OVER (PARTITION BY custid > \
-             (SELECT MIN(custid) FROM customers) ORDER BY orderid) FROM orders ORDER BY orderid"
-        ),
-        [(100, 1), (101, 2), (102, 1), (103, 2)]
-            .iter()
-            .map(|&(o, n)| vec![Value::Int(o), Value::Int(n)])
-            .collect::<Vec<_>>()
     );
 }
 
@@ -776,6 +760,127 @@ fn aggregate_or_window_in_where_is_rejected() {
     ] {
         let err = conn.execute(sql).unwrap_err();
         assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
+    }
+}
+
+#[test]
+fn window_functions_are_refused_at_parse_time() {
+    let db = db();
+    let mut conn = db.connect();
+    for sql in [
+        "SELECT orderid, ROW_NUMBER() OVER (ORDER BY orderid) FROM orders",
+        "SELECT custid, SUM(amount) OVER (PARTITION BY custid) FROM orders",
+        "SELECT RANK() OVER () FROM orders",
+    ] {
+        for err in [
+            minisql::parse(sql).unwrap_err(),
+            conn.execute(sql).unwrap_err(),
+        ] {
+            assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
+            assert_eq!(err.message, "window functions are not supported", "{sql}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// DB2's SQLCODEs for integer overflow (-802) and ungrouped columns (-122)
+// ---------------------------------------------------------------------------
+
+#[test]
+fn integer_overflow_raises_802_and_changes_nothing() {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE acct (id INTEGER PRIMARY KEY, balance INTEGER);
+         INSERT INTO acct VALUES (1, 100), (2, 100);",
+    )
+    .unwrap();
+    let mut conn = db.connect();
+    let overflows = |conn: &mut minisql::Connection, sql: &str| {
+        let err = conn.execute(sql).unwrap_err();
+        assert_eq!(err.code, SqlCode::ARITHMETIC, "{sql}: {err:?}");
+        assert_eq!(err.message, "arithmetic overflow", "{sql}");
+    };
+    // transfer.d2w's credit shape with an amount near i64::MAX.
+    overflows(
+        &mut conn,
+        "UPDATE acct SET balance = balance + 9223372036854775807 WHERE id = 2",
+    );
+    assert_eq!(
+        rows(&db, "SELECT balance FROM acct ORDER BY id"),
+        [[Value::Int(100)], [Value::Int(100)]]
+    );
+    // SUM of integers that leaves i64; AVG of the same rows is a DOUBLE.
+    conn.execute("INSERT INTO acct VALUES (3, 9223372036854775807)")
+        .unwrap();
+    overflows(&mut conn, "SELECT SUM(balance) FROM acct");
+    assert_eq!(
+        rows(&db, "SELECT AVG(balance) FROM acct"),
+        [[Value::Double((9223372036854775807.0 + 200.0) / 3.0)]]
+    );
+    for sql in [
+        "SELECT -(-9223372036854775807 - 1)",
+        "SELECT DATE '2020-01-01' + 9223372036854775807",
+        "SELECT ABS(-9223372036854775807 - 1)",
+        "SELECT 9223372036854775807 * 2",
+        "SELECT (-9223372036854775807 - 1) / -1",
+        "SELECT DATE '2020-01-01' - (-9223372036854775807 - 1)",
+    ] {
+        overflows(&mut conn, sql);
+    }
+    // The edges themselves are in range.
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT -9223372036854775807 - 1, -(-9223372036854775807)"
+        ),
+        [[Value::Int(i64::MIN), Value::Int(i64::MAX)]]
+    );
+}
+
+#[test]
+fn ungrouped_column_raises_122() {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE t (k INTEGER, v INTEGER);
+         INSERT INTO t VALUES (1, 10), (1, 20), (2, 30), (3, 40);",
+    )
+    .unwrap();
+    let mut conn = db.connect();
+    for sql in [
+        "SELECT k, COUNT(*) FROM t",
+        "SELECT k, v FROM t GROUP BY k",
+        "SELECT k + v, COUNT(*) FROM t GROUP BY k",
+        "SELECT * FROM t GROUP BY k",
+        "SELECT k FROM t GROUP BY k HAVING v > 1",
+        "SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY v",
+        "SELECT k + 1 FROM t GROUP BY k + 2",
+    ] {
+        let err = conn.execute(sql).unwrap_err();
+        assert_eq!(err.code, SqlCode::GROUPING, "{sql}: {err:?}");
+    }
+    let ints = |r: &[&[i64]]| -> Vec<Vec<Value>> {
+        (r.iter())
+            .map(|row| row.iter().map(|&i| Value::Int(i)).collect())
+            .collect()
+    };
+    // Keys match by bound slot, expressions by equality; aggregates, output
+    // names and positions read no ungrouped column.
+    for (sql, want) in [
+        (
+            "SELECT t.k, COUNT(*) AS n FROM t GROUP BY k ORDER BY n DESC, 1",
+            ints(&[&[1, 2], &[2, 1], &[3, 1]]),
+        ),
+        (
+            "SELECT k + 1, SUM(v) FROM t GROUP BY k + 1 HAVING SUM(v) >= 30 ORDER BY 1",
+            ints(&[&[2, 30], &[3, 30], &[4, 40]]),
+        ),
+        (
+            "SELECT * FROM t GROUP BY k, v HAVING k = 1 ORDER BY v",
+            ints(&[&[1, 10], &[1, 20]]),
+        ),
+        ("SELECT MAX(v) - MIN(v) FROM t", ints(&[&[30]])),
+    ] {
+        assert_eq!(rows(&db, sql), want, "{sql}");
     }
 }
 

@@ -824,130 +824,6 @@ fn pinned_set_op_empty_branches() {
 }
 
 // ---------------------------------------------------------------------------
-// Window functions ≡ an O(n²) reference implementation
-// ---------------------------------------------------------------------------
-
-/// Reference window computation over `(k, v)` rows in insertion order:
-/// partitions by `k`, orders by `v` (stable on insertion order), and emits
-/// `[k, v, ROW_NUMBER, RANK, running SUM(v)]` per row with the default
-/// RANGE frame (partition start through the current peer group).
-fn ref_windows(rows: &[(i64, i64)]) -> Vec<Vec<Value>> {
-    let mut out = Vec::new();
-    let mut seen_parts: Vec<i64> = Vec::new();
-    for (k, _) in rows {
-        if !seen_parts.contains(k) {
-            seen_parts.push(*k);
-        }
-    }
-    for part in seen_parts {
-        let mut members: Vec<(usize, i64)> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, (k, _))| *k == part)
-            .map(|(i, (_, v))| (i, *v))
-            .collect();
-        members.sort_by_key(|(i, v)| (*v, *i)); // stable order-by-v
-        let n = members.len();
-        let mut pos = 0;
-        while pos < n {
-            let mut end = pos + 1;
-            while end < n && members[end].1 == members[pos].1 {
-                end += 1;
-            }
-            let frame_sum: i64 = members[..end].iter().map(|(_, v)| v).sum();
-            for (offset, (_, v)) in members[pos..end].iter().enumerate() {
-                out.push(vec![
-                    Value::Int(part),
-                    Value::Int(*v),
-                    Value::Int((pos + offset + 1) as i64), // ROW_NUMBER
-                    Value::Int((pos + 1) as i64),          // RANK (with gaps)
-                    Value::Int(frame_sum),                 // running SUM
-                ]);
-            }
-            pos = end;
-        }
-    }
-    out
-}
-
-props! {
-    config(cases = 48);
-
-    fn windows_match_quadratic_reference(
-        rows in vec_of((ints(0..4), ints(0..6)), 0..=20),
-    ) {
-        let st = set_op_state(&rows, &[]);
-        let sql = "SELECT k, v, \
-                   ROW_NUMBER() OVER (PARTITION BY k ORDER BY v), \
-                   RANK() OVER (PARTITION BY k ORDER BY v), \
-                   SUM(v) OVER (PARTITION BY k ORDER BY v) \
-                   FROM l";
-        let got = canon(run_opts(&st, sql, &PlanOptions::default()));
-        let want = canon(ref_windows(&rows));
-        prop_assert_eq!(got, want, "window reference diverged");
-        // Plan options must not matter for window computation.
-        let base = canon(run_opts(&st, sql, &PlanOptions::baseline()));
-        let fast = canon(run_opts(&st, sql, &PlanOptions::default()));
-        prop_assert_eq!(fast, base);
-    }
-
-    fn unordered_window_sums_whole_partition(
-        rows in vec_of((ints(0..3), ints(0..5)), 0..=16),
-    ) {
-        let st = set_op_state(&rows, &[]);
-        // No ORDER BY in OVER: the frame is the entire partition.
-        let sql = "SELECT k, v, SUM(v) OVER (PARTITION BY k) FROM l";
-        let got = canon(run_opts(&st, sql, &PlanOptions::default()));
-        let want = canon(
-            rows.iter()
-                .map(|(k, v)| {
-                    let total: i64 = rows.iter().filter(|(k2, _)| k2 == k).map(|(_, v2)| v2).sum();
-                    vec![Value::Int(*k), Value::Int(*v), Value::Int(total)]
-                })
-                .collect::<Vec<_>>(),
-        );
-        prop_assert_eq!(got, want);
-    }
-}
-
-#[test]
-fn pinned_window_edge_cases() {
-    // Empty input, single row, all-ties, and a global (unpartitioned) window.
-    let st = set_op_state(&[], &[]);
-    assert!(run_opts(
-        &st,
-        "SELECT ROW_NUMBER() OVER (ORDER BY v) FROM l",
-        &PlanOptions::default()
-    )
-    .is_empty());
-
-    let st = set_op_state(&[(7, 3)], &[]);
-    assert_eq!(
-        run_opts(
-            &st,
-            "SELECT k, ROW_NUMBER() OVER (ORDER BY v), RANK() OVER (ORDER BY v) FROM l",
-            &PlanOptions::default()
-        ),
-        vec![vec![Value::Int(7), Value::Int(1), Value::Int(1)]]
-    );
-
-    // All rows tie on the RANK key: RANK stays 1, ROW_NUMBER still counts.
-    let st = set_op_state(&[(1, 5), (2, 5), (3, 5)], &[]);
-    let rows = canon(run_opts(
-        &st,
-        "SELECT k, ROW_NUMBER() OVER (ORDER BY v), RANK() OVER (ORDER BY v) FROM l",
-        &PlanOptions::default(),
-    ));
-    assert_eq!(
-        rows.iter().map(|r| r[2].clone()).collect::<Vec<_>>(),
-        vec![Value::Int(1); 3]
-    );
-    let mut rns: Vec<Value> = rows.iter().map(|r| r[1].clone()).collect();
-    rns.sort_by(|a, b| a.order_key(b));
-    assert_eq!(rns, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
-}
-
-// ---------------------------------------------------------------------------
 // Subqueries ≡ manual nested evaluation
 // ---------------------------------------------------------------------------
 
@@ -1074,9 +950,8 @@ fn reordered_joins_and_new_operators_agree_on_churning_snapshots() {
             ] {
                 assert_orders_agree(&pinned, sql)?;
             }
-            // New operators: windows and set ops are plan-independent.
+            // New operators: set ops are plan-independent.
             for sql in [
-                "SELECT k, SUM(v) OVER (PARTITION BY k) FROM a",
                 "SELECT k, v FROM a EXCEPT ALL SELECT k, v FROM b",
                 "SELECT k, v FROM a INTERSECT SELECT k, v FROM c",
             ] {

@@ -129,7 +129,7 @@ grep -q 'wal_records_per_fsync_8t' "$OBS_TMP/bench_wal.json"
 
 echo "== planner bench (quick run, asserted reorder floor + EXPLAIN smoke) =="
 # E15: stats-driven join ordering vs the syntactic order on a 3-way star
-# join, plus set-op and window throughput. The bench asserts the 5x reorder
+# join, plus set-op throughput. The bench asserts the 5x reorder
 # floor itself and prints the EXPLAIN of the reordered query; CI checks the
 # printed plan carries the cost model's chosen JOIN ORDER (dimension table
 # first) so a planner that silently stops reordering fails here. The

@@ -38,7 +38,7 @@ const SQL_TOKENS: &[&str] = &[
 ];
 
 /// Fragments that steer random input toward the planner-v2 grammar: set
-/// operations, window functions, and subqueries.
+/// operations and subqueries, plus the window syntax the parser refuses.
 const SQL_V2_TOKENS: &[&str] = &[
     "SELECT",
     "FROM",
@@ -308,7 +308,7 @@ fn distinct_literals_never_share_a_cache_entry() {
 
 /// Deterministic round-trip corpus: one statement per feature of the SQL
 /// surface, including the planner-v2 additions (set operations with ALL,
-/// window functions, subqueries in several positions). The fuzzed round-trip
+/// subqueries in several positions). The fuzzed round-trip
 /// property above rarely assembles deeply nested valid statements; this
 /// corpus guarantees each construct is exercised every run.
 #[test]
@@ -332,9 +332,6 @@ fn printer_round_trips_feature_corpus() {
         "SELECT k FROM t EXCEPT ALL SELECT k FROM u",
         "SELECT k FROM t INTERSECT SELECT k FROM u",
         "SELECT k FROM t INTERSECT ALL SELECT k FROM u",
-        "SELECT k, ROW_NUMBER() OVER (PARTITION BY k ORDER BY v DESC) FROM t",
-        "SELECT RANK() OVER (ORDER BY v), SUM(v) OVER (PARTITION BY k) FROM t",
-        "SELECT SUM(v + 1) OVER (PARTITION BY k, s ORDER BY v, k DESC) FROM t",
         "SELECT -v, NOT (k = 1) FROM t WHERE v * 2 + 1 >= k / 3 - 4",
         "INSERT INTO t (k, v) VALUES (1, 2), (3, 4)",
         "INSERT INTO t VALUES (NULL, 'it''s', 2.5, DATE '1996-01-31')",
