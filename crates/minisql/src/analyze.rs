@@ -14,9 +14,9 @@
 //! Operators are keyed by [`OpId`], whose variants correspond one-to-one with
 //! the line positions `exec::explain_into` renders — which is what lets the
 //! renderer annotate the *estimated* plan tree with the *actual* numbers.
-//! Only the outermost SELECT block records: subqueries and set-operation
-//! branches run at collector depth ≥ 2 and are ignored, because their
-//! operator ids would collide with the outer block's.
+//! Only the outermost SELECT block records: set-operation branches run at
+//! collector depth ≥ 2 and are ignored, because their operator ids would
+//! collide with the outer block's.
 
 use dbgw_obs::Clock;
 use std::cell::RefCell;
@@ -80,7 +80,7 @@ pub struct OpActuals {
 struct Collector {
     clock: Arc<dyn Clock>,
     /// SELECT-block nesting depth: 1 = the outer block (recorded); deeper
-    /// blocks (subqueries, set-operation branches) are ignored.
+    /// blocks (set-operation branches) are ignored.
     depth: usize,
     ops: Vec<(OpId, OpActuals)>,
 }
@@ -261,7 +261,7 @@ mod tests {
             c2.advance_micros(5);
             record(OpId::Base, t, 10, 3);
             {
-                // A nested block (subquery): must not record.
+                // A nested block (a set-operation branch): must not record.
                 let _inner = enter_block();
                 let t = start();
                 assert!(t.is_none(), "nested block must not time");

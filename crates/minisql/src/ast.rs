@@ -95,7 +95,8 @@ impl AggFunc {
     }
 }
 
-/// Scalar expression.
+/// Scalar expression: no subquery and no scalar function call (the parser
+/// refuses both with SQLCODE −104); an aggregate call is the only call.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Literal value.
@@ -157,14 +158,6 @@ pub enum Expr {
         /// Whether NOT was present.
         negated: bool,
     },
-    /// Scalar function call (`UPPER`, `LOWER`, `LENGTH`, `ABS`, `COALESCE`,
-    /// `SUBSTR`, `TRIM`).
-    Func {
-        /// Uppercased function name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-    },
     /// Aggregate call; only legal in SELECT/HAVING/ORDER BY.
     Agg {
         /// Which aggregate.
@@ -173,25 +166,6 @@ pub enum Expr {
         arg: Option<Box<Expr>>,
         /// Whether DISTINCT was present (`COUNT(DISTINCT x)`).
         distinct: bool,
-    },
-    /// Scalar subquery `(SELECT ...)` — must yield one column; zero rows is
-    /// NULL, more than one row is an error. Uncorrelated only.
-    Subquery(Box<Select>),
-    /// `expr [NOT] IN (SELECT ...)`. Uncorrelated only.
-    InSelect {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// The subquery (must yield one column).
-        select: Box<Select>,
-        /// Whether NOT was present.
-        negated: bool,
-    },
-    /// `[NOT] EXISTS (SELECT ...)`. Uncorrelated only.
-    Exists {
-        /// The subquery.
-        select: Box<Select>,
-        /// Whether NOT was present.
-        negated: bool,
     },
     /// `CASE [operand] WHEN ... THEN ... [ELSE ...] END`.
     Case {
@@ -217,9 +191,8 @@ macro_rules! visit_children {
     ($expr:expr, $f:ident, $iter:ident) => {
         match $expr {
             Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => Ok(()),
-            Expr::Subquery(_) | Expr::Exists { .. } => Ok(()),
             Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => $f(e),
-            Expr::Cast { expr: e, .. } | Expr::InSelect { expr: e, .. } => $f(e),
+            Expr::Cast { expr: e, .. } => $f(e),
             Expr::Binary { lhs: a, rhs: b, .. }
             | Expr::Like {
                 expr: a,
@@ -238,7 +211,6 @@ macro_rules! visit_children {
                 $f(lo)?;
                 $f(hi)
             }
-            Expr::Func { args, .. } => args.$iter().try_for_each($f),
             Expr::Agg { arg, .. } => arg.$iter().try_for_each(|a| $f(a)),
             Expr::Case {
                 operand,
@@ -266,10 +238,8 @@ impl Expr {
         }
     }
 
-    /// Call `f` on each direct sub-expression of this node within the
-    /// current query block, left to right, stopping at the first error:
-    /// every operand and the tested expression of `IN (SELECT …)`. A
-    /// subquery's `SELECT` is another block and is never entered.
+    /// Call `f` on each direct sub-expression of this node, left to right,
+    /// stopping at the first error.
     pub fn try_for_each_child<E>(
         &self,
         mut f: impl FnMut(&Expr) -> Result<(), E>,
@@ -300,8 +270,7 @@ impl Expr {
             .is_err()
     }
 
-    /// Does this expression contain an aggregate call? A subquery's
-    /// aggregates are its own, so they do not make the query a grouped one.
+    /// Does this expression contain an aggregate call?
     pub fn contains_aggregate(&self) -> bool {
         matches!(self, Expr::Agg { .. }) || self.any_child(Expr::contains_aggregate)
     }
@@ -339,16 +308,13 @@ impl TableRef {
     }
 }
 
-/// A join clause (`JOIN t ON cond`; comma joins become cross joins with the
-/// condition folded into WHERE by the parser).
+/// An inner join clause (`JOIN t ON cond`; a comma join is a cross join).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Join {
     /// The joined table.
     pub table: TableRef,
     /// The ON condition; `None` for a cross join.
     pub on: Option<Expr>,
-    /// True for LEFT OUTER JOIN.
-    pub left_outer: bool,
 }
 
 /// Sort direction.
@@ -448,26 +414,6 @@ impl Select {
             })
             .chain(&self.having)
             .chain(self.order_by.iter().map(|k| &k.expr))
-    }
-
-    /// [`Select::for_each_expr`] with mutable access, stopping at the first
-    /// error.
-    pub fn try_for_each_expr_mut<E>(
-        &mut self,
-        mut f: impl FnMut(&mut Expr) -> Result<(), E>,
-    ) -> Result<(), E> {
-        for item in &mut self.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                f(expr)?;
-            }
-        }
-        self.where_clause.iter_mut().try_for_each(&mut f)?;
-        self.group_by.iter_mut().try_for_each(&mut f)?;
-        self.having.iter_mut().try_for_each(&mut f)?;
-        self.order_by.iter_mut().try_for_each(|k| f(&mut k.expr))?;
-        (self.joins.iter_mut())
-            .filter_map(|j| j.on.as_mut())
-            .try_for_each(f)
     }
 }
 
@@ -662,11 +608,6 @@ impl std::fmt::Display for Expr {
                 "({expr} {}BETWEEN {lo} AND {hi})",
                 if *negated { "NOT " } else { "" }
             ),
-            Expr::Func { name, args } => {
-                write!(f, "{name}(")?;
-                fmt_comma_sep(f, args)?;
-                write!(f, ")")
-            }
             Expr::Agg {
                 func,
                 arg,
@@ -680,21 +621,6 @@ impl std::fmt::Display for Expr {
                 ),
                 None => write!(f, "{}(*)", func.name()),
             },
-            Expr::Subquery(s) => write!(f, "({s})"),
-            Expr::InSelect {
-                expr,
-                select,
-                negated,
-            } => write!(
-                f,
-                "({expr} {}IN ({select}))",
-                if *negated { "NOT " } else { "" }
-            ),
-            Expr::Exists { select, negated } => write!(
-                f,
-                "({}EXISTS ({select}))",
-                if *negated { "NOT " } else { "" }
-            ),
             Expr::Case {
                 operand,
                 arms,
@@ -789,14 +715,8 @@ impl Select {
             write!(f, " FROM {from}")?;
             for join in &self.joins {
                 match &join.on {
-                    None if !join.left_outer => write!(f, ", {}", join.table)?,
-                    on => {
-                        let kw = if join.left_outer { "LEFT JOIN" } else { "JOIN" };
-                        write!(f, " {kw} {}", join.table)?;
-                        if let Some(cond) = on {
-                            write!(f, " ON {cond}")?;
-                        }
-                    }
+                    None => write!(f, ", {}", join.table)?,
+                    Some(cond) => write!(f, " JOIN {} ON {cond}", join.table)?,
                 }
             }
         }
@@ -986,8 +906,7 @@ mod tests {
 
     #[test]
     fn child_visitors_yield_each_slot_once_within_the_block() {
-        // Every variant, a distinct marker in each expression slot; markers
-        // inside a subquery's SELECT must never be yielded.
+        // Every variant, a distinct marker in each expression slot.
         let cases: &[(&str, &[usize])] = &[
             ("1", &[]),
             ("c", &[]),
@@ -999,12 +918,8 @@ mod tests {
             ("? IS NOT NULL", &[1]),
             ("? IN (?, ?)", &[1, 2, 3]),
             ("? NOT BETWEEN ? AND ?", &[1, 2, 3]),
-            ("COALESCE(?, ?)", &[1, 2]),
             ("SUM(DISTINCT ?)", &[1]),
             ("COUNT(*)", &[]),
-            ("(SELECT ? FROM t WHERE ?)", &[]),
-            ("? IN (SELECT ? FROM t)", &[1]),
-            ("NOT EXISTS (SELECT ? FROM t)", &[]),
             (
                 "CASE ? WHEN ? THEN ? WHEN ? THEN ? ELSE ? END",
                 &[1, 2, 3, 4, 5, 6],
@@ -1037,24 +952,17 @@ mod tests {
             });
             assert_eq!((found, asked), (!want.is_empty(), want.len().min(1)));
         }
-        assert_eq!(variants.len(), 17, "every Expr variant is covered");
+        assert_eq!(variants.len(), 13, "every Expr variant is covered");
     }
 
     #[test]
     fn select_slots_cover_every_clause_but_not_set_branches() {
-        let mut sel = select(
+        let sel = select(
             "SELECT *, ? FROM t JOIN u ON ? WHERE ? GROUP BY ? HAVING ? \
              UNION SELECT ? FROM v ORDER BY ?",
         );
         let mut seen = Vec::new();
         sel.for_each_expr(|e| seen.push(marker(e)));
-        assert_eq!(seen, [1, 3, 4, 5, 7, 2]);
-        let mut seen = Vec::new();
-        sel.try_for_each_expr_mut(|e| {
-            seen.push(marker(e));
-            Ok::<(), ()>(())
-        })
-        .unwrap();
         assert_eq!(seen, [1, 3, 4, 5, 7, 2]);
     }
 

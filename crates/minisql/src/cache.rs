@@ -17,7 +17,7 @@
 //! error). Bind values are encoded with explicit type tags and length
 //! prefixes so `'1'` and `1` (or adjacent text params) can never alias.
 
-use crate::ast::{Expr, Select};
+use crate::ast::Select;
 use crate::exec::ResultSet;
 use crate::state::DbState;
 use crate::types::Value;
@@ -118,8 +118,8 @@ pub(crate) fn result_cost(rs: &ResultSet) -> usize {
     cost
 }
 
-/// Every table a SELECT reads (FROM, JOINs, set operations, and subqueries
-/// in any expression position), lowercased, sorted, deduped.
+/// Every table a SELECT reads (FROM, JOINs and set operations), lowercased,
+/// sorted, deduped.
 pub(crate) fn referenced_tables(sel: &Select) -> Vec<String> {
     let mut out = Vec::new();
     collect_select(sel, &mut out);
@@ -148,20 +148,9 @@ pub(crate) fn deps_valid(state: &DbState, deps: &[(String, u64)]) -> bool {
 fn collect_select(sel: &Select, out: &mut Vec<String>) {
     let tables = sel.from.iter().chain(sel.joins.iter().map(|j| &j.table));
     out.extend(tables.map(|t| t.name.to_ascii_lowercase()));
-    sel.for_each_expr(|e| collect_expr(e, out));
     for (_, s) in &sel.set_ops {
         collect_select(s, out);
     }
-}
-
-/// The tables of every subquery in `expr`, at any depth.
-fn collect_expr(expr: &Expr, out: &mut Vec<String>) {
-    if let Expr::Subquery(s) | Expr::InSelect { select: s, .. } | Expr::Exists { select: s, .. } =
-        expr
-    {
-        collect_select(s, out);
-    }
-    expr.for_each_child(|e| collect_expr(e, out));
 }
 
 #[cfg(test)]
@@ -181,20 +170,8 @@ mod tests {
     fn from_and_joins_collected() {
         assert_eq!(tables_of("SELECT * FROM a"), vec!["a"]);
         assert_eq!(
-            tables_of("SELECT * FROM a JOIN b ON a.x = b.x LEFT OUTER JOIN c ON b.y = c.y"),
+            tables_of("SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y"),
             vec!["a", "b", "c"]
-        );
-    }
-
-    #[test]
-    fn subqueries_in_every_position_collected() {
-        assert_eq!(
-            tables_of("SELECT (SELECT MAX(x) FROM s1) FROM a WHERE a.x IN (SELECT x FROM s2)"),
-            vec!["a", "s1", "s2"]
-        );
-        assert_eq!(
-            tables_of("SELECT * FROM a WHERE EXISTS (SELECT 1 FROM s3)"),
-            vec!["a", "s3"]
         );
     }
 

@@ -321,17 +321,15 @@ fn from_tables(sel: &Select) -> Option<Vec<TableRef>> {
 /// Rewrite `sel` into the cost model's join order, or `None` when the query
 /// is ineligible or the chosen order is already the syntactic one.
 ///
-/// Eligible queries have ≥ 3 tables, inner joins only, no bare `*` (whose
-/// output column order is the join order), and pairwise-distinct effective
-/// table names. The rewrite permutes FROM/JOIN, drops every ON, and merges
-/// all ON conjuncts with the WHERE clause into a single conjunction — the
-/// planner's conjunct classifier then re-places each predicate (pushdown,
-/// hash keys, residual) for the new order, so results are unchanged.
+/// Eligible queries have ≥ 3 tables, no bare `*` (whose output column order
+/// is the join order), and pairwise-distinct effective table names. The
+/// rewrite permutes FROM/JOIN, drops every ON, and merges all ON conjuncts
+/// with the WHERE clause into a single conjunction — joins are inner, so ON
+/// and WHERE mean the same, and the planner's conjunct classifier re-places
+/// each predicate (pushdown, hash keys, residual) for the new order. The
+/// executor checks each ON's scope before this runs.
 pub(crate) fn reorder_select(state: &DbState, sel: &Select, params: &[Value]) -> Option<Select> {
     if sel.joins.len() < 2 {
-        return None;
-    }
-    if sel.joins.iter().any(|j| j.left_outer) {
         return None;
     }
     if sel.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
@@ -382,7 +380,6 @@ pub(crate) fn reorder_select(state: &DbState, sel: &Select, params: &[Value]) ->
         .map(|&k| Join {
             table: tables[k].clone(),
             on: None,
-            left_outer: false,
         })
         .collect();
     out.where_clause = merged;
@@ -464,12 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn outer_joins_and_bare_star_are_ineligible() {
+    fn bare_star_is_ineligible() {
         let db = join_db();
         let snapshot = db.pin();
-        let outer = sel("SELECT big.id FROM big JOIN mid ON big.k = mid.k \
-             LEFT JOIN small ON small.mid_id = mid.id");
-        assert!(reorder_select(&snapshot, &outer, &[]).is_none());
         let star = sel("SELECT * FROM big JOIN mid ON big.k = mid.k \
              JOIN small ON small.mid_id = mid.id");
         assert!(reorder_select(&snapshot, &star, &[]).is_none());

@@ -2,7 +2,14 @@
 //!
 //! The DATE type stores days since 1970-01-01 (proleptic Gregorian). The
 //! conversions are Howard Hinnant's `days_from_civil` / `civil_from_days`
-//! algorithms, exact over the full supported range.
+//! algorithms, exact over the full supported range. A DATE holds DB2's
+//! range, 0001-01-01 through 9999-12-31: parsing refuses text outside it and
+//! date arithmetic that leaves it raises SQLCODE −183.
+
+use std::ops::RangeInclusive;
+
+/// Days since the epoch of 0001-01-01 and 9999-12-31, the DATE range.
+pub(crate) const RANGE: RangeInclusive<i64> = -719_162..=2_932_896;
 
 /// Days since 1970-01-01 for a civil date. Returns `None` for invalid
 /// month/day combinations (including bad leap days).
@@ -48,17 +55,17 @@ pub fn is_leap(year: i32) -> bool {
     year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
 }
 
-/// Parse `YYYY-MM-DD` into days since epoch.
+/// Parse `YYYY-MM-DD` into days since epoch; `None` outside 0001-01-01 to
+/// 9999-12-31.
 pub fn parse_date(text: &str) -> Option<i64> {
     let mut parts = text.trim().split('-');
-    // A leading '-' means a negative year; keep it simple: years >= 0 only.
     let year: i32 = parts.next()?.parse().ok()?;
     let month: u32 = parts.next()?.parse().ok()?;
     let day: u32 = parts.next()?.parse().ok()?;
     if parts.next().is_some() {
         return None;
     }
-    days_from_civil(year, month, day)
+    days_from_civil(year, month, day).filter(|d| RANGE.contains(d))
 }
 
 /// Format days since epoch as `YYYY-MM-DD`.
@@ -110,5 +117,15 @@ mod tests {
         assert_eq!(parse_date("1996-06-04-01"), None);
         assert_eq!(parse_date("not a date"), None);
         assert_eq!(format_date(parse_date("0071-01-01").unwrap()), "0071-01-01");
+    }
+
+    #[test]
+    fn range_is_0001_to_9999() {
+        assert_eq!(days_from_civil(1, 1, 1), Some(*RANGE.start()));
+        assert_eq!(days_from_civil(9999, 12, 31), Some(*RANGE.end()));
+        assert_eq!(parse_date("0001-01-01"), Some(*RANGE.start()));
+        assert_eq!(parse_date("9999-12-31"), Some(*RANGE.end()));
+        assert_eq!(parse_date("0000-12-31"), None);
+        assert_eq!(parse_date("10000-01-01"), None);
     }
 }

@@ -1046,11 +1046,7 @@ pub(crate) fn apply_mutation(
                 for (expr, &ordinal) in tuple.into_iter().zip(&ordinals) {
                     row[ordinal] = match expr {
                         Expr::Literal(v) => v,
-                        expr => {
-                            let expr =
-                                crate::exec::rewrite_expr_subqueries(state, &expr, params, ctx)?;
-                            eval(&expr, &[], params, &NoAggregates)?
-                        }
+                        expr => eval(&expr, &[], params, &NoAggregates)?,
                     };
                 }
                 let row = schema.check_row(row)?;
@@ -1074,13 +1070,9 @@ pub(crate) fn apply_mutation(
                 .iter()
                 .map(|(c, _)| schema.require_column(c))
                 .collect::<SqlResult<_>>()?;
-            // Subqueries run, and columns bind, once — before the row loop
-            // and so against the table as it was before the statement.
+            // Columns bind once, before the row loop.
             let exprs = (assignments.iter())
-                .map(|(_, e)| {
-                    let mut e = crate::exec::rewrite_expr_subqueries(state, e, params, ctx)?;
-                    bindings.bind(&mut e).map(|()| e)
-                })
+                .map(|(_, e)| bindings.bound(e))
                 .collect::<SqlResult<Vec<_>>>()?;
             let mut updated = 0usize;
             for (id, old_row) in targets {
@@ -1246,10 +1238,7 @@ fn collect_targets(
         table,
         schema.columns.iter().map(|c| c.name.clone()).collect(),
     );
-    let predicate = predicate
-        .map(|p| crate::exec::rewrite_expr_subqueries(state, p, params, ctx))
-        .transpose()?;
-    let mut targets = crate::exec::scan_where(state, table, predicate.as_ref(), params, ctx)?;
+    let mut targets = crate::exec::scan_where(state, table, predicate, params, ctx)?;
     targets.sort_unstable_by_key(|&(id, _)| id);
     let targets = (targets.into_iter())
         .map(|(id, row)| (id, row.clone()))

@@ -133,7 +133,7 @@ impl Bindings {
 
     /// A copy of `expr` with every column reference resolved against this
     /// scope — unknown or ambiguous names error here, however many rows will
-    /// flow. Subqueries are skipped: they bind their own scopes when they run.
+    /// flow.
     pub fn bound(&self, expr: &Expr) -> SqlResult<Expr> {
         let mut expr = expr.clone();
         self.bind(&mut expr)?;
@@ -254,13 +254,6 @@ pub fn eval_ref<'a>(
             let t = eval_truth(expr, row, params, aggs)?;
             Ok(truth_to_value(t))
         }
-        Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, row, params, aggs)?);
-            }
-            scalar_function(name, vals)
-        }
         Expr::Agg { .. } => aggs
             .agg_value(expr)
             .ok_or_else(|| SqlError::syntax("aggregate function not allowed in this context")),
@@ -293,12 +286,6 @@ pub fn eval_ref<'a>(
             let v = eval(expr, row, params, aggs)?;
             cast_value(v, *ty)
         }
-        // Subqueries are pre-executed and replaced with literals by the
-        // executor (exec::rewrite_expr_subqueries); reaching one here means a
-        // context that does not support them (e.g. a correlated reference).
-        Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => Err(SqlError::syntax(
-            "subqueries are not allowed in this context (or are correlated)",
-        )),
     };
     computed.map(Cow::Owned)
 }
@@ -507,13 +494,21 @@ fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
         return Ok(Value::Null);
     }
     // Date arithmetic: date ± days, date - date = days.
+    let in_range = |d: i64| {
+        if crate::date::RANGE.contains(&d) {
+            Ok(Value::Date(d))
+        } else {
+            let msg = "date outside 0001-01-01..9999-12-31";
+            Err(SqlError::new(SqlCode::DATETIME_RANGE, msg))
+        }
+    };
     match (&l, &r, op) {
         (Value::Date(d), Value::Int(n), BinOp::Add)
         | (Value::Int(n), Value::Date(d), BinOp::Add) => {
-            return d.checked_add(*n).map(Value::Date).ok_or_else(overflow)
+            return d.checked_add(*n).ok_or_else(overflow).and_then(in_range)
         }
         (Value::Date(d), Value::Int(n), BinOp::Sub) => {
-            return d.checked_sub(*n).map(Value::Date).ok_or_else(overflow)
+            return d.checked_sub(*n).ok_or_else(overflow).and_then(in_range)
         }
         (Value::Date(a), Value::Date(b), BinOp::Sub) => {
             return a.checked_sub(*b).map(Value::Int).ok_or_else(overflow)
@@ -585,307 +580,6 @@ fn to_f64(v: &Value) -> SqlResult<f64> {
     }
 }
 
-fn to_text(v: &Value) -> SqlResult<&str> {
-    match v {
-        Value::Text(t) => Ok(t),
-        other => Err(SqlError::type_mismatch(format!("{other} is not a string"))),
-    }
-}
-
-/// Built-in scalar functions.
-fn scalar_function(name: &str, mut args: Vec<Value>) -> SqlResult<Value> {
-    let argc = args.len();
-    let wrong_argc = |want: &str| {
-        Err(SqlError::syntax(format!(
-            "{name} expects {want} argument(s), got {argc}"
-        )))
-    };
-    match name {
-        "UPPER" | "UCASE" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Text(to_text(&v)?.to_uppercase()))
-        }
-        "LOWER" | "LCASE" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Text(to_text(&v)?.to_lowercase()))
-        }
-        "LENGTH" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Int(to_text(&v)?.chars().count() as i64))
-        }
-        "TRIM" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Text(to_text(&v)?.trim().to_owned()))
-        }
-        "LTRIM" | "RTRIM" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let t = to_text(&v)?;
-            Ok(Value::Text(if name == "LTRIM" {
-                t.trim_start().to_owned()
-            } else {
-                t.trim_end().to_owned()
-            }))
-        }
-        "ABS" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            match args.remove(0) {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => i.checked_abs().map(Value::Int).ok_or_else(overflow),
-                Value::Double(d) => Ok(Value::Double(d.abs())),
-                other => Err(SqlError::type_mismatch(format!("ABS of {other}"))),
-            }
-        }
-        "ROUND" => {
-            if argc != 1 && argc != 2 {
-                return wrong_argc("1 or 2");
-            }
-            let places = if argc == 2 {
-                match args.pop().unwrap() {
-                    Value::Int(i) => i,
-                    Value::Null => return Ok(Value::Null),
-                    other => return Err(SqlError::type_mismatch(format!("ROUND places {other}"))),
-                }
-            } else {
-                0
-            };
-            match args.remove(0) {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i)),
-                Value::Double(d) => {
-                    let f = 10f64.powi(places as i32);
-                    Ok(Value::Double((d * f).round() / f))
-                }
-                other => Err(SqlError::type_mismatch(format!("ROUND of {other}"))),
-            }
-        }
-        "MOD" => {
-            if argc != 2 {
-                return wrong_argc("2");
-            }
-            let b = args.pop().unwrap();
-            let a = args.pop().unwrap();
-            arithmetic(BinOp::Mod, a, b)
-        }
-        "COALESCE" | "VALUE" => {
-            if argc == 0 {
-                return wrong_argc("at least 1");
-            }
-            for v in args {
-                if !v.is_null() {
-                    return Ok(v);
-                }
-            }
-            Ok(Value::Null)
-        }
-        "NULLIF" => {
-            if argc != 2 {
-                return wrong_argc("2");
-            }
-            let b = args.pop().unwrap();
-            let a = args.pop().unwrap();
-            if a.sql_eq(&b) == Truth::True {
-                Ok(Value::Null)
-            } else {
-                Ok(a)
-            }
-        }
-        "SUBSTR" | "SUBSTRING" => {
-            if argc != 2 && argc != 3 {
-                return wrong_argc("2 or 3");
-            }
-            let len = if argc == 3 {
-                match args.pop().unwrap() {
-                    Value::Int(i) if i >= 0 => Some(i as usize),
-                    Value::Null => return Ok(Value::Null),
-                    other => return Err(SqlError::type_mismatch(format!("SUBSTR length {other}"))),
-                }
-            } else {
-                None
-            };
-            let start = match args.pop().unwrap() {
-                Value::Int(i) if i >= 1 => (i - 1) as usize,
-                Value::Null => return Ok(Value::Null),
-                other => return Err(SqlError::type_mismatch(format!("SUBSTR start {other}"))),
-            };
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let chars: Vec<char> = to_text(&v)?.chars().collect();
-            let end = match len {
-                Some(l) => (start + l).min(chars.len()),
-                None => chars.len(),
-            };
-            if start >= chars.len() {
-                return Ok(Value::Text(String::new()));
-            }
-            Ok(Value::Text(chars[start..end].iter().collect()))
-        }
-        "CHAR" => {
-            // DB2 CHAR(): render any value as text.
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            let v = args.remove(0);
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Text(v.to_display_string()))
-        }
-        "REPLACE" => {
-            if argc != 3 {
-                return wrong_argc("3");
-            }
-            let with = args.pop().unwrap();
-            let from = args.pop().unwrap();
-            let s = args.pop().unwrap();
-            if s.is_null() || from.is_null() || with.is_null() {
-                return Ok(Value::Null);
-            }
-            let needle = to_text(&from)?;
-            if needle.is_empty() {
-                return Ok(s); // DB2: empty search string leaves input unchanged
-            }
-            Ok(Value::Text(to_text(&s)?.replace(needle, to_text(&with)?)))
-        }
-        "POSITION" | "LOCATE" | "INSTR" => {
-            // POSITION(needle, haystack): 1-based index, 0 when absent.
-            if argc != 2 {
-                return wrong_argc("2");
-            }
-            let hay = args.pop().unwrap();
-            let needle = args.pop().unwrap();
-            if hay.is_null() || needle.is_null() {
-                return Ok(Value::Null);
-            }
-            let hay = to_text(&hay)?;
-            let needle = to_text(&needle)?;
-            Ok(Value::Int(match hay.find(needle) {
-                Some(byte_at) => (hay[..byte_at].chars().count() + 1) as i64,
-                None => 0,
-            }))
-        }
-        "LEFT" | "RIGHT" => {
-            if argc != 2 {
-                return wrong_argc("2");
-            }
-            let n = match args.pop().unwrap() {
-                Value::Int(i) if i >= 0 => i as usize,
-                Value::Null => return Ok(Value::Null),
-                other => return Err(SqlError::type_mismatch(format!("{name} length {other}"))),
-            };
-            let s = args.pop().unwrap();
-            if s.is_null() {
-                return Ok(Value::Null);
-            }
-            let chars: Vec<char> = to_text(&s)?.chars().collect();
-            let n = n.min(chars.len());
-            let slice = if name == "LEFT" {
-                &chars[..n]
-            } else {
-                &chars[chars.len() - n..]
-            };
-            Ok(Value::Text(slice.iter().collect()))
-        }
-        "CONCAT" => {
-            // Variadic CONCAT with SQL NULL propagation, like `||` chains.
-            if argc == 0 {
-                return wrong_argc("at least 1");
-            }
-            let mut out = String::new();
-            for v in args {
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                v.write_display(&mut out);
-            }
-            Ok(Value::Text(out))
-        }
-        "YEAR" | "MONTH" | "DAY" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            match args.remove(0) {
-                Value::Null => Ok(Value::Null),
-                Value::Date(days) => {
-                    let (y, m, d) = crate::date::civil_from_days(days);
-                    Ok(Value::Int(match name {
-                        "YEAR" => i64::from(y),
-                        "MONTH" => i64::from(m),
-                        _ => i64::from(d),
-                    }))
-                }
-                other => Err(SqlError::type_mismatch(format!("{name} of {other}"))),
-            }
-        }
-        "SIGN" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            match args.remove(0) {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i.signum())),
-                Value::Double(d) => Ok(Value::Int(if d > 0.0 {
-                    1
-                } else if d < 0.0 {
-                    -1
-                } else {
-                    0
-                })),
-                other => Err(SqlError::type_mismatch(format!("SIGN of {other}"))),
-            }
-        }
-        "FLOOR" | "CEIL" | "CEILING" => {
-            if argc != 1 {
-                return wrong_argc("1");
-            }
-            match args.remove(0) {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i)),
-                Value::Double(d) => Ok(Value::Double(if name == "FLOOR" {
-                    d.floor()
-                } else {
-                    d.ceil()
-                })),
-                other => Err(SqlError::type_mismatch(format!("{name} of {other}"))),
-            }
-        }
-        other => Err(SqlError::syntax(format!("unknown function {other}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,7 +617,6 @@ mod tests {
     fn null_propagation() {
         assert_eq!(eval_str("NULL + 1").unwrap(), Value::Null);
         assert_eq!(eval_str("NULL || 'x'").unwrap(), Value::Null);
-        assert_eq!(eval_str("UPPER(NULL)").unwrap(), Value::Null);
     }
 
     #[test]
@@ -960,38 +653,9 @@ mod tests {
     }
 
     #[test]
-    fn string_functions() {
-        assert_eq!(eval_str("UPPER('abc')").unwrap(), Value::Text("ABC".into()));
-        assert_eq!(eval_str("LOWER('AbC')").unwrap(), Value::Text("abc".into()));
-        assert_eq!(eval_str("LENGTH('héllo')").unwrap(), Value::Int(5));
-        assert_eq!(
-            eval_str("SUBSTR('hello', 2, 3)").unwrap(),
-            Value::Text("ell".into())
-        );
-        assert_eq!(
-            eval_str("SUBSTR('hello', 2)").unwrap(),
-            Value::Text("ello".into())
-        );
-        assert_eq!(
-            eval_str("SUBSTR('hi', 9)").unwrap(),
-            Value::Text(String::new())
-        );
-        assert_eq!(eval_str("TRIM('  x ')").unwrap(), Value::Text("x".into()));
-    }
-
-    #[test]
-    fn numeric_functions() {
-        assert_eq!(eval_str("ABS(-3)").unwrap(), Value::Int(3));
-        assert_eq!(eval_str("ROUND(2.567, 2)").unwrap(), Value::Double(2.57));
-        assert_eq!(eval_str("MOD(10, 3)").unwrap(), Value::Int(1));
-        assert_eq!(eval_str("COALESCE(NULL, NULL, 7)").unwrap(), Value::Int(7));
-        assert_eq!(eval_str("NULLIF(3, 3)").unwrap(), Value::Null);
-        assert_eq!(eval_str("NULLIF(3, 4)").unwrap(), Value::Int(3));
-    }
-
-    #[test]
     fn unknown_function_rejected() {
-        assert!(eval_str("FROBNICATE(1)").is_err());
+        let err = parse("SELECT FROBNICATE(1)").unwrap_err();
+        assert_eq!(err.message, "scalar function FROBNICATE is not supported");
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //! OFFSET / LIMIT runs through the same tail as a single SELECT's, which is
 //! where EXPLAIN prints it.
 //!
-//! Uncorrelated subqueries run first and are replaced in place by their
-//! results, so the evaluator never needs the database. The walkers here
-//! (subquery rewriting, aggregate collection, constant folding)
-//! recurse through [`Expr::try_for_each_child`] and its `_mut` twin and keep
-//! only their own stopping rule. DISTINCT, `COUNT(DISTINCT …)` and the set
-//! operations deduplicate by hashing, keeping first-seen order.
+//! Joins are inner joins only, so an ON conjunct means what a WHERE
+//! conjunct does; `prepare` checks once per statement that each ON names
+//! only the tables bound through its join. The walkers here (aggregate
+//! collection, constant folding) recurse through
+//! [`Expr::try_for_each_child`] and keep only their own stopping rule.
+//! DISTINCT, `COUNT(DISTINCT …)` and the set operations deduplicate by
+//! hashing, keeping first-seen order.
 
 use crate::analyze::{self, OpId};
 use crate::ast::{AggFunc, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, TableRef};
@@ -214,24 +215,39 @@ fn dedup<T: Hash + Eq>(items: &mut Vec<T>) {
 }
 
 /// The one prepare step behind both execution and EXPLAIN, so the join order
-/// EXPLAIN prints is the order that runs: cost-based join reordering on the
-/// original AST (the SELECT comes back owned when the order changed), then
-/// the FROM-clause scope (unknown tables error here). Both callers hand the
-/// pair to [`plan::plan_select`].
+/// EXPLAIN prints is the order that runs: the FROM-clause scope (unknown
+/// tables error here), the ON scope check, then cost-based join reordering
+/// on the original AST (the SELECT comes back owned, with its scope, when
+/// the order changed). Both callers hand the pair to [`plan::plan_select`].
+///
+/// Join j's ON may name only the tables bound through join j. The check runs
+/// on the statement as written, before reordering folds every ON into WHERE,
+/// so a statement errors (−206) or runs whatever [`PlanOptions`] it runs
+/// under.
 fn prepare<'a>(
     state: &DbState,
     sel: &'a Select,
     params: &[Value],
     opts: &PlanOptions,
 ) -> SqlResult<(Cow<'a, Select>, Bindings)> {
+    let bindings = full_bindings(state, sel)?;
+    for (j, join) in sel.joins.iter().enumerate() {
+        if let Some(on) = &join.on {
+            bindings.slice(0..j + 2).bound(on)?;
+        }
+    }
     let reordered = if opts.reorder {
         crate::cost::reorder_select(state, sel, params)
     } else {
         None
     };
-    let sel = reordered.map_or(Cow::Borrowed(sel), Cow::Owned);
-    let bindings = full_bindings(state, &sel)?;
-    Ok((sel, bindings))
+    match reordered {
+        Some(sel) => {
+            let bindings = full_bindings(state, &sel)?;
+            Ok((Cow::Owned(sel), bindings))
+        }
+        None => Ok((Cow::Borrowed(sel), bindings)),
+    }
 }
 
 fn run_single(
@@ -242,18 +258,14 @@ fn run_single(
     opts: &PlanOptions,
 ) -> SqlResult<ResultSet> {
     check_cancel(ctx)?;
-    // One EXPLAIN ANALYZE block; subqueries re-entering run_single nest to
-    // depth ≥ 2 and are excluded from the outer block's actuals.
+    // One EXPLAIN ANALYZE block; a compound's branches re-enter run_single
+    // at depth ≥ 2 and are excluded from the outer block's actuals.
     let _analyze_block = analyze::enter_block();
     let (sel, bindings) = prepare(state, sel, params, opts)?;
     if matches!(sel, Cow::Owned(_)) {
         dbgw_obs::metrics().join_reorders.inc();
     }
-    // Pre-execute any (uncorrelated) subqueries, replacing them with literal
-    // lists/values, so the scalar evaluator never needs database access. The
-    // rewrite leaves FROM and JOIN tables alone, so the scope still holds.
     let mut sel = sel.into_owned();
-    sel.try_for_each_expr_mut(|e| rewrite_subqueries(state, e, params, ctx))?;
     // 1. Bind: the SELECT list, GROUP BY, HAVING and ORDER BY resolve their
     // columns against the FROM scope here, once — unknown columns error even
     // when the table is empty (DB2 validated names at PREPARE) and no row
@@ -454,7 +466,7 @@ fn filter_rows<'a>(
 }
 
 /// The single-table scan behind UPDATE and DELETE: the rows of `table` that
-/// pass `predicate` (its subqueries already run), found by the access path a
+/// pass `predicate`, found by the access path a
 /// `SELECT * FROM table WHERE predicate` takes.
 pub(crate) fn scan_where<'a>(
     state: &'a DbState,
@@ -501,8 +513,8 @@ fn execute_source<'a>(
         .collect();
     for (j, join) in sel.joins.iter().enumerate() {
         if rows.is_empty() {
-            // A join (inner or LEFT OUTER) of an empty left side is empty;
-            // skip the right scan (and its predicate evaluation) entirely.
+            // A join of an empty left side is empty; skip the right scan
+            // (and its predicate evaluation) entirely.
             analyze::record(OpId::Join(j), analyze::start(), 0, 0);
             continue;
         }
@@ -518,7 +530,6 @@ fn execute_source<'a>(
             rows,
             right_rows,
             &sel_plan.joins[j],
-            join.left_outer,
             &prefix,
             &right_local,
             params,
@@ -529,26 +540,22 @@ fn execute_source<'a>(
     Ok(rows)
 }
 
-/// One join step: pre-filter the left side (inner joins), pair each left
-/// row with its candidate right rows — equal join keys under a hash join,
-/// every right row under a nested loop — keeping the pairs that pass the
-/// residual and NULL-padding a LEFT OUTER row without one, then apply the
-/// post-join WHERE conjuncts. Output order is left rows in scan order, each
-/// row's matches in right scan order, whichever the strategy. `prefix` is
-/// the scope of the joined tuple, `right_local` the right table's own.
-#[allow(clippy::too_many_arguments)]
+/// One join step: pair each left row with its candidate right rows — equal
+/// join keys under a hash join, every right row under a nested loop — and
+/// keep the pairs that pass the join's filters. Output order is left rows in
+/// scan order, each row's matches in right scan order, whichever the
+/// strategy. `prefix` is the scope of the joined tuple, `right_local` the
+/// right table's own.
 fn join_step<'a>(
     left: Vec<SrcRow<'a>>,
     right_rows: Vec<&'a Row>,
     jp: &JoinPlan<'_>,
-    left_outer: bool,
     prefix: &Bindings,
     right_local: &Bindings,
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
-    let residual = bind_all(&jp.residual, prefix)?;
-    let left = filter_rows(left, &bind_all(&jp.left_filters, prefix)?, params, ctx)?;
+    let filters = bind_all(&jp.filters, prefix)?;
     // The candidate (left, right) index pairs, in left-major order.
     let pairs: Box<dyn Iterator<Item = (usize, usize)>> = if jp.use_hash {
         dbgw_obs::metrics().join_hash.inc();
@@ -560,9 +567,9 @@ fn join_step<'a>(
             .collect::<SqlResult<Vec<_>>>()?;
         let lefts = left.iter().map(|r| &r[..]);
         let rights = right_rows.iter().map(|r| r.as_slice());
-        // Build on the smaller side for inner joins, then sort the matches
-        // back into left-major order; LEFT OUTER always builds on the right.
-        let pairs = if !left_outer && left.len() < right_rows.len() {
+        // Build on the smaller side, then sort the matches back into
+        // left-major order.
+        let pairs = if left.len() < right_rows.len() {
             let mut pairs = key_matches(lefts, &left_keys, rights, &right_keys, params, ctx)?;
             pairs.sort_unstable();
             pairs
@@ -579,12 +586,10 @@ fn join_step<'a>(
     // Pairs are assembled in a scratch buffer; only passing pairs are cloned
     // into the output.
     let mut pairs = pairs.peekable();
-    let right_width = right_local.width();
     let mut joined: Vec<SrcRow<'a>> = Vec::new();
     let mut buf: Vec<Value> = Vec::new();
     let mut tried = 0usize;
     for (li, lrow) in left.into_iter().enumerate() {
-        let mut matched = false;
         buf.clear();
         while let Some((_, ri)) = pairs.next_if(|&(l, _)| l == li) {
             tried += 1;
@@ -598,18 +603,12 @@ fn join_step<'a>(
             }
             buf.truncate(lrow.len());
             buf.extend(right_rows[ri].iter().cloned());
-            if passes_all(&residual, &buf, params)? {
-                matched = true;
+            if passes_all(&filters, &buf, params)? {
                 joined.push(Cow::Owned(buf.clone()));
             }
         }
-        if left_outer && !matched {
-            let mut padded = lrow.into_owned();
-            padded.extend(std::iter::repeat_n(Value::Null, right_width));
-            joined.push(Cow::Owned(padded));
-        }
     }
-    filter_rows(joined, &bind_all(&jp.post_filters, prefix)?, params, ctx)
+    Ok(joined)
 }
 
 /// The `(build, probe)` index pairs of rows with equal join keys, in probe
@@ -707,17 +706,9 @@ fn plural(n: usize) -> &'static str {
 
 /// Constant-fold an expression with no column references.
 pub(crate) fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
-    // Aggregates depend on the row set, and unrewritten subqueries cannot
-    // be evaluated here: neither folds.
+    // Aggregates depend on the row set: they do not fold.
     fn has_column(e: &Expr) -> bool {
-        matches!(
-            e,
-            Expr::Column(_)
-                | Expr::Agg { .. }
-                | Expr::Subquery(_)
-                | Expr::InSelect { .. }
-                | Expr::Exists { .. }
-        ) || e.any_child(has_column)
+        matches!(e, Expr::Column(_) | Expr::Agg { .. }) || e.any_child(has_column)
     }
     if has_column(expr) {
         return None;
@@ -787,7 +778,6 @@ fn default_label(expr: &Expr, position: usize) -> String {
             Expr::Column(c) => format!("{}({})", func.name(), c.column),
             _ => func.name().to_string(),
         },
-        Expr::Func { name, .. } => name.clone(),
         _ => (position + 1).to_string(),
     }
 }
@@ -907,8 +897,7 @@ impl AggSource for GroupAggs {
     }
 }
 
-/// Collect the distinct aggregate calls in `expr`; subqueries were rewritten
-/// to literals before grouping.
+/// Collect the distinct aggregate calls in `expr`.
 fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
     match expr {
         Expr::Agg { .. } if !out.contains(expr) => out.push(expr.clone()),
@@ -1231,84 +1220,6 @@ fn sort_key<'k>(key: &'k OrderKey, labels: &[String]) -> SqlResult<SortKey<'k>> 
 }
 
 // ---------------------------------------------------------------------------
-// Subquery pre-execution.
-// ---------------------------------------------------------------------------
-
-/// A copy of `expr` with its subqueries replaced by their results (see
-/// [`rewrite_subqueries`]).
-pub(crate) fn rewrite_expr_subqueries(
-    state: &DbState,
-    expr: &Expr,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Expr> {
-    let mut expr = expr.clone();
-    rewrite_subqueries(state, &mut expr, params, ctx)?;
-    Ok(expr)
-}
-
-/// Replace, in place, each subquery node in `expr` by executing it against
-/// `state`: a scalar subquery becomes its value, `IN (SELECT …)` an `IN`
-/// list, `EXISTS` a truth value.
-///
-/// Only *uncorrelated* subqueries are supported, matching the era (the web
-/// workloads used them for pick-lists). A correlated reference surfaces as an
-/// "unknown column" error from the inner query.
-fn rewrite_subqueries(
-    state: &DbState,
-    expr: &mut Expr,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<()> {
-    // The values of a subquery that must yield one column.
-    let column = |select: &Select, what: &str| -> SqlResult<Vec<Value>> {
-        let rs = run_select(state, select, params, ctx)?;
-        if rs.columns.len() != 1 {
-            return Err(SqlError::syntax(format!(
-                "{what} must return exactly one column"
-            )));
-        }
-        Ok(rs.rows.into_iter().map(|mut r| r.swap_remove(0)).collect())
-    };
-    *expr = match expr {
-        Expr::Subquery(select) => {
-            let mut values = column(select, "a scalar subquery")?;
-            if values.len() > 1 {
-                return Err(SqlError::syntax(format!(
-                    "scalar subquery returned {} rows",
-                    values.len()
-                )));
-            }
-            Expr::Literal(values.pop().unwrap_or(Value::Null))
-        }
-        Expr::InSelect {
-            expr: tested,
-            select,
-            negated,
-        } => {
-            let list = column(select, "an IN subquery")?;
-            rewrite_subqueries(state, tested, params, ctx)?;
-            Expr::InList {
-                expr: std::mem::replace(tested, Box::new(Expr::Literal(Value::Null))),
-                list: list.into_iter().map(Expr::Literal).collect(),
-                negated: *negated,
-            }
-        }
-        Expr::Exists { select, negated } => {
-            // LIMIT 1 short-circuit: existence needs one row.
-            let mut probe = (**select).clone();
-            if probe.set_ops.is_empty() && probe.limit.is_none() {
-                probe.limit = Some(1);
-            }
-            let rs = run_select(state, &probe, params, ctx)?;
-            Expr::Literal(Value::Int(i64::from(rs.rows.is_empty() == *negated)))
-        }
-        _ => return expr.try_for_each_child_mut(|e| rewrite_subqueries(state, e, params, ctx)),
-    };
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // EXPLAIN.
 // ---------------------------------------------------------------------------
 
@@ -1456,20 +1367,16 @@ fn explain_into(
             );
             for (j, join) in sel.joins.iter().enumerate() {
                 let jp = &sel_plan.joins[j];
-                let outer = if join.left_outer { "LEFT OUTER " } else { "" };
                 let (table, nkeys) = (&join.table.name, jp.keys.len());
                 let line = if jp.use_hash {
-                    format!(
-                        "{pad}HASH {outer}JOIN {table} ({nkeys} key{})",
-                        plural(nkeys)
-                    )
+                    format!("{pad}HASH JOIN {table} ({nkeys} key{})", plural(nkeys))
                 } else {
                     let on = if join.on.is_some() {
                         " ON <cond>"
                     } else {
                         " (cross)"
                     };
-                    format!("{pad}NESTED LOOP {outer}JOIN {table}{on}")
+                    format!("{pad}NESTED LOOP JOIN {table}{on}")
                 };
                 let line = format!("{line}{}", est_note(j + 1));
                 push_plan_line(lines, line, actuals, OpId::Join(j));
@@ -1818,53 +1725,6 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0][0], Value::Text("Ada".into()));
         assert_eq!(r.rows[0][1], Value::Int(3));
-        // LEFT JOIN keeps the customer with no orders.
-        let r2 = q(
-            &st,
-            "SELECT c.name FROM customers c LEFT JOIN orders o ON c.custid = o.custid \
-             WHERE o.custid IS NULL",
-        );
-        assert!(r2.rows.is_empty()); // both customers have orders
-    }
-
-    #[test]
-    fn left_join_pads_nulls() {
-        let mut st = DbState::default();
-        for (t, cols) in [("a", vec!["x"]), ("b", vec!["x"])] {
-            let defs: Vec<ColumnDef> = cols
-                .iter()
-                .map(|c| ColumnDef {
-                    name: (*c).into(),
-                    ty: SqlType::Integer,
-                    not_null: false,
-                    primary_key: false,
-                    unique: false,
-                })
-                .collect();
-            st.tables.insert(
-                t.into(),
-                Arc::new(TableData {
-                    schema: TableSchema::from_defs(t, &defs).unwrap(),
-                    heap: Heap::new(),
-                    index_names: vec![],
-                    stats: None,
-                }),
-            );
-        }
-        st.insert_row("a", vec![Value::Int(1)]).unwrap();
-        st.insert_row("a", vec![Value::Int(2)]).unwrap();
-        st.insert_row("b", vec![Value::Int(1)]).unwrap();
-        let r = q(
-            &st,
-            "SELECT a.x, b.x FROM a LEFT JOIN b ON a.x = b.x ORDER BY 1",
-        );
-        assert_eq!(
-            r.rows,
-            vec![
-                vec![Value::Int(1), Value::Int(1)],
-                vec![Value::Int(2), Value::Null]
-            ]
-        );
     }
 
     #[test]
@@ -1986,8 +1846,6 @@ mod tests {
         let st = joined_state();
         for sql in [
             "SELECT c.name, o.product_name FROM customers c JOIN orders o ON c.custid = o.custid",
-            "SELECT c.name, o.product_name FROM customers c LEFT JOIN orders o \
-             ON c.custid = o.custid",
             "SELECT c.name, o.price FROM customers c JOIN orders o \
              ON c.custid = o.custid AND o.price > 20",
         ] {
@@ -1995,25 +1853,6 @@ mod tests {
             let slow = q_opts(&st, sql, &PlanOptions::baseline());
             assert_eq!(fast, slow, "plans diverge for {sql}");
         }
-    }
-
-    #[test]
-    fn hash_left_outer_skips_null_keys_and_pads() {
-        let st = joined_state();
-        let sql = "SELECT c.name, o.product_name FROM customers c \
-                   LEFT JOIN orders o ON c.custid = o.custid \
-                   WHERE o.product_name IS NULL ORDER BY 1";
-        let fast = q_opts(&st, sql, &PlanOptions::default());
-        let slow = q_opts(&st, sql, &PlanOptions::baseline());
-        assert_eq!(fast, slow);
-        // NULL custid and unmatched 10900 both appear padded; no NULL=NULL match.
-        assert_eq!(
-            fast.rows,
-            vec![
-                vec![Value::Text("Nul".into()), Value::Null],
-                vec![Value::Text("Zoe".into()), Value::Null],
-            ]
-        );
     }
 
     #[test]
@@ -2103,8 +1942,7 @@ mod tests {
         }
         for sql in [
             "SELECT * FROM customers c JOIN orders o ON c.custid = o.custid",
-            "SELECT * FROM customers c LEFT JOIN orders o ON c.custid = o.custid",
-            "SELECT * FROM orders o LEFT JOIN customers c ON o.custid = c.custid",
+            "SELECT * FROM orders o JOIN customers c ON o.custid = c.custid",
         ] {
             let fast = q_opts(&st, sql, &PlanOptions::default());
             let slow = q_opts(&st, sql, &PlanOptions::baseline());

@@ -256,19 +256,11 @@ impl Parser {
                     joins.push(Join {
                         table: self.table_ref()?,
                         on: None,
-                        left_outer: false,
                     });
-                } else if self.at_kw("JOIN")
-                    || self.at_kw("INNER")
-                    || self.at_kw("LEFT")
-                    || self.at_kw("CROSS")
-                {
-                    let left_outer = self.eat_kw("LEFT");
-                    if left_outer {
-                        let _ = self.eat_kw("OUTER");
-                    } else {
-                        let _ = self.eat_kw("INNER") || self.eat_kw("CROSS");
-                    }
+                } else if self.at_kw("LEFT") {
+                    return Err(SqlError::syntax("outer joins are not supported"));
+                } else if self.at_kw("JOIN") || self.at_kw("INNER") || self.at_kw("CROSS") {
+                    let _ = self.eat_kw("INNER") || self.eat_kw("CROSS");
                     self.expect_kw("JOIN")?;
                     let table = self.table_ref()?;
                     let on = if self.eat_kw("ON") {
@@ -276,11 +268,7 @@ impl Parser {
                     } else {
                         None
                     };
-                    joins.push(Join {
-                        table,
-                        on,
-                        left_outer,
-                    });
+                    joins.push(Join { table, on });
                 } else {
                     break;
                 }
@@ -603,16 +591,6 @@ impl Parser {
 
     fn not_expr(&mut self) -> SqlResult<Expr> {
         if self.eat_kw("NOT") {
-            // NOT EXISTS folds into the Exists node for clarity.
-            if self.at_kw("EXISTS") {
-                let Expr::Exists { select, negated } = self.comparison()? else {
-                    return Err(SqlError::syntax("expected EXISTS (SELECT ...)"));
-                };
-                return Ok(Expr::Exists {
-                    select,
-                    negated: !negated,
-                });
-            }
             let inner = self.not_expr()?;
             return Ok(Expr::Not(Box::new(inner)));
         }
@@ -647,15 +625,7 @@ impl Parser {
         }
         if self.eat_kw("IN") {
             self.expect_sym(Sym::LParen)?;
-            if self.at_kw("SELECT") {
-                let select = self.select()?;
-                self.expect_sym(Sym::RParen)?;
-                return Ok(Expr::InSelect {
-                    expr: Box::new(lhs),
-                    select: Box::new(select),
-                    negated,
-                });
-            }
+            self.refuse_subquery()?;
             let mut list = Vec::new();
             loop {
                 list.push(self.expr()?);
@@ -769,11 +739,7 @@ impl Parser {
                 Ok(Expr::Param(self.params))
             }
             Some(TokenKind::Sym(Sym::LParen)) => {
-                if self.at_kw("SELECT") {
-                    let select = self.select()?;
-                    self.expect_sym(Sym::RParen)?;
-                    return Ok(Expr::Subquery(Box::new(select)));
-                }
+                self.refuse_subquery()?;
                 let e = self.expr()?;
                 self.expect_sym(Sym::RParen)?;
                 Ok(e)
@@ -786,21 +752,21 @@ impl Parser {
         }
     }
 
+    /// Refuse the subquery a `(` opens when SELECT follows it.
+    fn refuse_subquery(&self) -> SqlResult<()> {
+        if self.at_kw("SELECT") {
+            return Err(SqlError::syntax("subqueries are not supported"));
+        }
+        Ok(())
+    }
+
     fn ident_expr(&mut self, word: String) -> SqlResult<Expr> {
         let upper = word.to_ascii_uppercase();
         match upper.as_str() {
             "NULL" => return Ok(Expr::Literal(Value::Null)),
             "TRUE" => return Ok(Expr::Literal(Value::Int(1))),
             "FALSE" => return Ok(Expr::Literal(Value::Int(0))),
-            "EXISTS" => {
-                self.expect_sym(Sym::LParen)?;
-                let select = self.select()?;
-                self.expect_sym(Sym::RParen)?;
-                return Ok(Expr::Exists {
-                    select: Box::new(select),
-                    negated: false,
-                });
-            }
+            "EXISTS" => return Err(SqlError::syntax("subqueries are not supported")),
             "CASE" => return self.case_expr(),
             "DATE" => {
                 // DATE 'YYYY-MM-DD' literal.
@@ -835,7 +801,7 @@ impl Parser {
             }
             _ => {}
         }
-        // Function or aggregate call?
+        // Aggregate call? Any other name before `(` is a scalar function.
         if matches!(self.peek(), Some(TokenKind::Sym(Sym::LParen))) {
             let agg = match upper.as_str() {
                 "COUNT" => Some(AggFunc::Count),
@@ -849,38 +815,38 @@ impl Parser {
             let call = if let Some(func) = agg {
                 if func == AggFunc::Count && self.eat_sym(Sym::Star) {
                     self.expect_sym(Sym::RParen)?;
-                    Expr::Agg {
+                    Some(Expr::Agg {
                         func,
                         arg: None,
                         distinct: false,
-                    }
+                    })
                 } else {
                     let distinct = self.eat_kw("DISTINCT");
                     let arg = self.expr()?;
                     self.expect_sym(Sym::RParen)?;
-                    Expr::Agg {
+                    Some(Expr::Agg {
                         func,
                         arg: Some(Box::new(arg)),
                         distinct,
-                    }
+                    })
                 }
             } else {
-                let mut args = Vec::new();
-                if !self.eat_sym(Sym::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat_sym(Sym::Comma) {
-                            break;
-                        }
+                // Skip the arguments: `f(…) OVER` reports the window.
+                while !self.eat_sym(Sym::RParen) {
+                    self.expr()?;
+                    if !self.eat_sym(Sym::Comma) {
+                        self.expect_sym(Sym::RParen)?;
+                        break;
                     }
-                    self.expect_sym(Sym::RParen)?;
                 }
-                Expr::Func { name: upper, args }
+                None
             };
             if self.at_kw("OVER") {
                 return Err(SqlError::syntax("window functions are not supported"));
             }
-            return Ok(call);
+            return call.ok_or_else(|| {
+                SqlError::syntax(format!("scalar function {upper} is not supported"))
+            });
         }
         self.column_or_qualified(word)
     }
@@ -1062,11 +1028,13 @@ mod tests {
 
     #[test]
     fn joins_inner_left_comma() {
-        let s = sel("SELECT * FROM a JOIN b ON a.id = b.id LEFT JOIN c ON b.id = c.id, d");
+        let s = sel("SELECT * FROM a JOIN b ON a.id = b.id INNER JOIN c ON b.id = c.id, d");
         // Note: comma join after explicit joins is unusual but accepted.
         assert_eq!(s.joins.len(), 3);
-        assert!(s.joins[1].left_outer);
+        assert!(s.joins[1].on.is_some());
         assert!(s.joins[2].on.is_none());
+        let err = parse("SELECT * FROM a LEFT JOIN b ON a.id = b.id").unwrap_err();
+        assert_eq!(err.message, "outer joins are not supported");
     }
 
     #[test]

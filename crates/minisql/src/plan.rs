@@ -11,25 +11,24 @@
 //!   behind that choice and behind the cost model's selectivity estimates.
 //!   The executor, EXPLAIN, the trace plan note and UPDATE/DELETE target
 //!   collection all read the stored `AccessPath`.
-//! * **Predicate pushdown** — each WHERE conjunct is classified by the set of
-//!   tables it references and attached to the earliest point in the pipeline
-//!   where all of those tables are bound: the base scan, a joined table's
-//!   scan, a join's post-filter, or the residual tail. Conjuncts over the
-//!   nullable side of a LEFT OUTER JOIN are never pushed *below* that join
-//!   (they become post-filters), which preserves outer-join semantics.
-//! * **Hash equi-joins** — `l = r` conjuncts in ON (or WHERE, for inner
-//!   joins) where `l` references only already-bound tables and `r` only the
-//!   joined table become hash-join keys; everything else stays a per-pair
-//!   residual predicate evaluated by whichever join strategy runs.
+//! * **Predicate pushdown** — joins are inner joins, so each ON and WHERE
+//!   conjunct is placed by one rule: classified by the set of tables it
+//!   references, it is attached to the earliest point in the pipeline where
+//!   all of those tables are bound — a table's scan, a join's per-pair
+//!   filters, or (for a WHERE conjunct naming no table) the residual tail.
+//! * **Hash equi-joins** — `l = r` conjuncts where `l` references only
+//!   already-bound tables and `r` only the joined table become hash-join
+//!   keys; everything else at a join is a per-pair filter evaluated by
+//!   whichever join strategy runs.
 //! * **Top-k ORDER BY** — `ORDER BY … LIMIT k [OFFSET o]` keeps a bounded
 //!   heap of `k + o` rows instead of sorting the full result.
 //!
 //! Classification is conservative: any conjunct the planner cannot fully
-//! resolve (unknown columns, aggregates, unrewritten subqueries, >64 tables)
-//! drops to the residual tail, where the executor applies it exactly as the
-//! pre-planner code did. Plan choices can therefore change performance but
-//! never results — the property suite in `tests/planner_equivalence.rs`
-//! exercises this.
+//! resolve (ambiguous columns, aggregates, >64 tables) stays home — at its
+//! own join for ON, in the residual tail for WHERE — where the executor
+//! applies it exactly as the pre-planner code did. Plan choices can
+//! therefore change performance but never results — the property suite in
+//! `tests/planner_equivalence.rs` exercises this.
 
 use crate::ast::{BinOp, ColumnRef, Expr, Select, TableRef};
 use crate::eval::Bindings;
@@ -95,7 +94,7 @@ impl PlanOptions {
 /// Tests and benches call [`reset_thread_stats`] before a query and
 /// [`thread_stats`] after to assert plan behavior (e.g. that a join on an
 /// indexed base no longer scans the whole heap). The executor only ever
-/// adds; it never resets, so recursive subquery execution accumulates into
+/// adds; it never resets, so a compound SELECT's branches accumulate into
 /// the same counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStats {
@@ -393,23 +392,14 @@ pub(crate) struct JoinPlan<'a> {
     /// left side references only already-bound tables; the right side only
     /// the joined table.
     pub keys: Vec<(&'a Expr, &'a Expr)>,
-    /// Per-pair predicates: non-equi ON conjuncts, plus — for LEFT OUTER —
-    /// every ON conjunct that could not be pushed to the right scan.
-    pub residual: Vec<&'a Expr>,
-    /// Inner joins only: ON conjuncts over already-bound tables, applied to
-    /// the left side once before pairing.
-    pub left_filters: Vec<&'a Expr>,
-    /// WHERE conjuncts applied to the combined rows right after this join
-    /// (the earliest sound point for predicates over a LEFT OUTER side, or
-    /// over multiple tables).
-    pub post_filters: Vec<&'a Expr>,
+    /// Conjuncts every candidate pair is checked against.
+    pub filters: Vec<&'a Expr>,
     /// Whether the executor should run this step as a hash join.
     pub use_hash: bool,
 }
 
 /// A full SELECT plan: where each conjunct runs, how each table is read and
-/// which join strategy each step uses. Borrowed from the (possibly
-/// subquery-rewritten) AST.
+/// which join strategy each step uses. Borrowed from the AST.
 #[derive(Debug, Default)]
 pub(crate) struct SelectPlan<'a> {
     /// One scan per FROM-clause table: the base table's first, then the
@@ -446,7 +436,7 @@ pub(crate) fn flatten_and<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
 
 /// Bitmask of the tables (by FROM-clause position) `expr` references, or
 /// `None` when the expression cannot be classified (unresolvable columns,
-/// aggregates, subqueries, >64 tables).
+/// aggregates, >64 tables).
 pub(crate) fn conjunct_mask(expr: &Expr, bindings: &Bindings) -> Option<u64> {
     fn walk(e: &Expr, bindings: &Bindings, mask: &mut u64) -> bool {
         match e {
@@ -463,11 +453,8 @@ pub(crate) fn conjunct_mask(expr: &Expr, bindings: &Bindings) -> Option<u64> {
                 *mask |= 1 << t;
                 true
             }
-            // Aggregates need group context and subqueries should have been
-            // rewritten away: refuse to classify either.
-            Expr::Agg { .. } | Expr::Subquery(_) | Expr::InSelect { .. } | Expr::Exists { .. } => {
-                false
-            }
+            // Aggregates need group context: refuse to classify them.
+            Expr::Agg { .. } => false,
             _ => !e.any_child(|c| !walk(c, bindings, mask)),
         }
     }
@@ -505,6 +492,14 @@ fn split_equi<'a>(
 /// Classify every ON and WHERE conjunct of `sel`, decide each table's access
 /// path and pick join strategies.
 ///
+/// Joins are inner joins, so an ON conjunct means what a WHERE conjunct
+/// does and both are placed by one rule. Under pushdown a conjunct naming
+/// one table filters that table's scan, and one naming several runs at the
+/// join that binds the last of them, as a hash key when it is an equi
+/// conjunct. Anything else stays home: an ON conjunct at its own join, a
+/// WHERE conjunct in the residual tail. Without pushdown every conjunct
+/// stays home.
+///
 /// `bindings` must be the full FROM-clause scope (base + all joins).
 pub(crate) fn plan_select<'a>(
     state: &'a DbState,
@@ -520,107 +515,57 @@ pub(crate) fn plan_select<'a>(
     plan.topk = topk_bound(sel, opts);
     plan.grouped = !sel.group_by.is_empty() || sel.group_exprs().any(Expr::contains_aggregate);
 
-    let mut where_conjs = Vec::new();
-    if let Some(w) = &sel.where_clause {
-        flatten_and(w, &mut where_conjs);
+    // Each conjunct with its home: the join whose ON it is in, or `None`
+    // for WHERE. An ON names only tables bound through its join (checked
+    // per statement by the executor), so the full scope classifies it too;
+    // a name that scope finds ambiguous leaves the conjunct home.
+    let mut conjs: Vec<(&Expr, Option<usize>)> = Vec::new();
+    let mut flat = Vec::new();
+    for (j, join) in sel.joins.iter().enumerate() {
+        if let Some(on) = &join.on {
+            flatten_and(on, &mut flat);
+        }
+        conjs.extend(flat.drain(..).map(|c| (c, Some(j))));
     }
+    if let Some(w) = &sel.where_clause {
+        flatten_and(w, &mut flat);
+    }
+    conjs.extend(flat.drain(..).map(|c| (c, None)));
+
     let Some(base) = &sel.from else {
-        plan.residual = where_conjs;
+        plan.residual = conjs.into_iter().map(|(c, _)| c).collect();
         return plan;
     };
     // Pushed single-table conjuncts, per FROM-clause table.
     let mut scan_filters: Vec<Vec<&Expr>> = vec![Vec::new(); sel.joins.len() + 1];
-
-    // ON conjuncts, per join.
-    for (j, join) in sel.joins.iter().enumerate() {
-        let right_bit = 1u64 << (j + 1).min(63);
-        let left_bits = right_bit - 1;
-        let mut on_conjs = Vec::new();
-        if let Some(on) = &join.on {
-            flatten_and(on, &mut on_conjs);
-        }
-        let jp = &mut plan.joins[j];
-        for conj in on_conjs {
-            match conjunct_mask(conj, bindings) {
-                // References a table not yet bound at this join (or is
-                // unclassifiable): evaluate per pair, like the old executor.
-                Some(m) if m & !(left_bits | right_bit) != 0 => jp.residual.push(conj),
-                None => jp.residual.push(conj),
-                // Right-table-only: filter the joined table's scan. Sound
-                // even for LEFT OUTER — a right row failing ON can never
-                // match, so removing it early only changes when the left row
-                // gets NULL-padded, not whether.
-                Some(m) if m != 0 && m & !right_bit == 0 => {
-                    if opts.pushdown {
-                        scan_filters[j + 1].push(conj);
-                    } else {
-                        jp.residual.push(conj);
-                    }
-                }
-                // Left-only or constant: for an inner join, filter the left
-                // side once instead of per pair. For LEFT OUTER a failing
-                // left row must still survive NULL-padded, so it stays a
-                // per-pair residual.
-                Some(m) if m & right_bit == 0 => {
-                    if m != 0 && opts.pushdown && !join.left_outer {
-                        jp.left_filters.push(conj);
-                    } else {
-                        jp.residual.push(conj);
-                    }
-                }
-                // Spans both sides: an equi conjunct becomes a hash key.
-                Some(_) => {
-                    if opts.hash_join {
-                        if let Some(pair) = split_equi(conj, bindings, left_bits, right_bit) {
-                            jp.keys.push(pair);
-                            continue;
-                        }
-                    }
-                    jp.residual.push(conj);
-                }
+    for (conj, home) in conjs {
+        let mask = conjunct_mask(conj, bindings).filter(|_| opts.pushdown);
+        let at = match mask {
+            Some(m) if m.count_ones() == 1 => {
+                scan_filters[m.trailing_zeros() as usize].push(conj);
+                plan.pushed_where += usize::from(home.is_none());
+                continue;
             }
-        }
-        jp.use_hash = opts.hash_join && !jp.keys.is_empty();
-    }
-
-    // WHERE conjuncts.
-    for conj in where_conjs {
-        if !opts.pushdown {
+            // The join that binds the last table named.
+            Some(m) if m != 0 => Some(62 - m.leading_zeros() as usize),
+            _ => home,
+        };
+        let Some(j) = at else {
             plan.residual.push(conj);
             continue;
+        };
+        plan.pushed_where += usize::from(home.is_none());
+        let right_bit = 1u64 << (j + 1).min(63);
+        let split = opts
+            .hash_join
+            .then(|| split_equi(conj, bindings, right_bit - 1, right_bit));
+        match split.flatten() {
+            Some(pair) => plan.joins[j].keys.push(pair),
+            None => plan.joins[j].filters.push(conj),
         }
-        match conjunct_mask(conj, bindings) {
-            Some(m) if m != 0 && m.count_ones() == 1 => {
-                let t = m.trailing_zeros() as usize;
-                if t > 0 && sel.joins[t - 1].left_outer {
-                    // A predicate over the nullable side must see the
-                    // NULL-padded rows (think `b.x IS NULL`): apply it right
-                    // after the join, never below it.
-                    plan.joins[t - 1].post_filters.push(conj);
-                } else {
-                    scan_filters[t].push(conj);
-                }
-                plan.pushed_where += 1;
-            }
-            Some(m) if m != 0 => {
-                // Multi-table: anchor at the last join it references.
-                let t_max = 63 - m.leading_zeros() as usize;
-                let j = t_max - 1;
-                if opts.hash_join && !sel.joins[j].left_outer {
-                    let right_bit = 1u64 << t_max;
-                    if let Some(pair) = split_equi(conj, bindings, right_bit - 1, right_bit) {
-                        plan.joins[j].keys.push(pair);
-                        plan.joins[j].use_hash = true;
-                        plan.pushed_where += 1;
-                        continue;
-                    }
-                }
-                plan.joins[j].post_filters.push(conj);
-                plan.pushed_where += 1;
-            }
-            // Constants and unclassifiable conjuncts: evaluate at the tail.
-            _ => plan.residual.push(conj),
-        }
+    }
+    for jp in &mut plan.joins {
+        jp.use_hash = !jp.keys.is_empty();
     }
     let tables = std::iter::once(base).chain(sel.joins.iter().map(|j| &j.table));
     plan.scans = (tables.zip(scan_filters))
@@ -750,25 +695,19 @@ mod tests {
         assert_eq!(plan.joins[0].keys.len(), 1);
         assert!(plan.joins[0].use_hash);
         assert_eq!(plan.scans[1].filters.len(), 2); // b.z > 2, b.z < 100
-        assert_eq!(plan.joins[0].left_filters.len(), 1); // a.y < 9
-        assert_eq!(plan.joins[0].post_filters.len(), 1); // a.x + b.z = 5 (non-equi)
-        assert_eq!(plan.scans[0].filters.len(), 1); // a.y = 1
+        assert_eq!(plan.scans[0].filters.len(), 2); // a.y < 9, a.y = 1
+        assert_eq!(plan.joins[0].filters.len(), 1); // a.x + b.z = 5 (non-equi)
         assert!(plan.residual.is_empty());
         assert_eq!(plan.pushed_where, 3);
-    }
-
-    #[test]
-    fn left_outer_blocks_pushdown_of_nullable_side() {
-        let b = two_table_bindings();
-        let sel = select("SELECT * FROM a LEFT JOIN b ON a.x = b.x AND a.y = 1 WHERE b.z IS NULL");
-        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
-        // The WHERE predicate over the nullable side becomes a post-filter.
-        assert!(plan.scans[1].filters.is_empty());
-        assert_eq!(plan.joins[0].post_filters.len(), 1);
-        // The left-only ON conjunct stays residual for LEFT OUTER.
-        assert!(plan.joins[0].left_filters.is_empty());
-        assert_eq!(plan.joins[0].residual.len(), 1);
+        // Without pushdown each ON conjunct filters pairs at its join.
+        let opts = PlanOptions {
+            pushdown: false,
+            ..PlanOptions::default()
+        };
+        let plan = plan_select(no_tables(), &sel, &b, &[], &opts);
         assert_eq!(plan.joins[0].keys.len(), 1);
+        assert_eq!(plan.joins[0].filters.len(), 2); // b.z > 2, a.y < 9
+        assert_eq!(plan.residual.len(), 3);
     }
 
     #[test]
@@ -778,7 +717,7 @@ mod tests {
         let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::baseline());
         assert!(!plan.joins[0].use_hash);
         assert!(plan.joins[0].keys.is_empty());
-        assert_eq!(plan.joins[0].residual.len(), 1);
+        assert_eq!(plan.joins[0].filters.len(), 1);
         assert_eq!(plan.residual.len(), 1);
         assert_eq!(plan.pushed_where, 0);
     }

@@ -1,5 +1,7 @@
-//! Integration tests for the richer SQL surface: subqueries, set operations,
-//! EXPLAIN, and the extended scalar function library — everything exercised
+//! Integration tests for the richer SQL surface: set operations, EXPLAIN,
+//! expression positions, the refusal of the forms minisql does not support
+//! (subqueries, outer joins, scalar functions, window functions) and DB2's
+//! SQLCODEs for overflow, grouping and the DATE range — everything exercised
 //! through the full text → parse → plan → execute path.
 
 use minisql::{Database, ExecResult, SqlCode, Value};
@@ -32,127 +34,6 @@ fn texts(db: &Database, sql: &str) -> Vec<String> {
         .into_iter()
         .map(|r| r[0].to_display_string())
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Subqueries
-// ---------------------------------------------------------------------------
-
-#[test]
-fn in_subquery() {
-    let db = db();
-    assert_eq!(
-        texts(
-            &db,
-            "SELECT name FROM customers WHERE custid IN (SELECT custid FROM orders) ORDER BY name"
-        ),
-        vec!["Ada", "Bob", "Cyn"]
-    );
-    assert_eq!(
-        texts(
-            &db,
-            "SELECT name FROM customers WHERE custid NOT IN (SELECT custid FROM orders)"
-        ),
-        vec!["Dee"]
-    );
-}
-
-#[test]
-fn scalar_subquery() {
-    let db = db();
-    assert_eq!(
-        rows(&db, "SELECT (SELECT MAX(amount) FROM orders)"),
-        vec![vec![Value::Double(300.0)]]
-    );
-    // Zero rows -> NULL.
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT (SELECT amount FROM orders WHERE orderid = 999)"
-        ),
-        vec![vec![Value::Null]]
-    );
-    // Comparison against a scalar subquery in WHERE.
-    assert_eq!(
-        texts(
-            &db,
-            "SELECT name FROM customers WHERE custid = (SELECT custid FROM orders WHERE amount = 300.0)"
-        ),
-        vec!["Cyn"]
-    );
-}
-
-#[test]
-fn scalar_subquery_multi_row_is_error() {
-    let db = db();
-    let mut conn = db.connect();
-    let err = conn
-        .execute("SELECT (SELECT custid FROM orders)")
-        .unwrap_err();
-    assert_eq!(err.code, SqlCode::SYNTAX);
-    assert!(err.message.contains("scalar subquery returned"));
-}
-
-#[test]
-fn exists_and_not_exists() {
-    let db = db();
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT 1 FROM customers WHERE EXISTS (SELECT 1 FROM orders) LIMIT 1"
-        )
-        .len(),
-        1
-    );
-    assert!(rows(
-        &db,
-        "SELECT 1 FROM customers WHERE NOT EXISTS (SELECT 1 FROM orders)"
-    )
-    .is_empty());
-    assert!(rows(
-        &db,
-        "SELECT 1 WHERE EXISTS (SELECT 1 FROM orders WHERE amount > 1000)"
-    )
-    .is_empty());
-}
-
-#[test]
-fn correlated_subquery_rejected_cleanly() {
-    let db = db();
-    let mut conn = db.connect();
-    let err = conn
-        .execute(
-            "SELECT name FROM customers c \
-             WHERE EXISTS (SELECT 1 FROM orders o WHERE o.custid = c.custid)",
-        )
-        .unwrap_err();
-    // The inner query cannot resolve c.custid: surfaced as unknown column.
-    assert_eq!(err.code, SqlCode::UNDEFINED_COLUMN);
-}
-
-#[test]
-fn subquery_in_dml() {
-    let db = db();
-    let mut conn = db.connect();
-    // DELETE customers with no orders.
-    let r = conn
-        .execute("DELETE FROM customers WHERE custid NOT IN (SELECT custid FROM orders)")
-        .unwrap();
-    assert_eq!(r, ExecResult::Count(1));
-    // UPDATE using a scalar subquery on the right-hand side.
-    conn.execute("UPDATE orders SET amount = (SELECT MAX(amount) FROM orders) WHERE orderid = 102")
-        .unwrap();
-    assert_eq!(
-        rows(&db, "SELECT amount FROM orders WHERE orderid = 102"),
-        vec![vec![Value::Double(300.0)]]
-    );
-    // INSERT with a scalar subquery value.
-    conn.execute("INSERT INTO orders VALUES (200, 1, (SELECT MIN(amount) FROM orders))")
-        .unwrap();
-    assert_eq!(
-        rows(&db, "SELECT amount FROM orders WHERE orderid = 200"),
-        vec![vec![Value::Double(25.0)]]
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -442,11 +323,11 @@ fn explain_analyze_shows_scan_and_filter_actuals() {
     let db = db();
     let plan = texts(
         &db,
-        "EXPLAIN ANALYZE SELECT name FROM customers WHERE LENGTH(name) = 3",
+        "EXPLAIN ANALYZE SELECT name FROM customers WHERE name LIKE '___'",
     );
     let joined = plan.join("\n");
-    // LENGTH(name) = 3 is not index- or pushdown-eligible: the scan reads all
-    // 4 rows and the residual filter keeps all 4 three-letter names.
+    // name LIKE '___' has no index to serve it: the scan reads all 4 rows
+    // and the filter keeps all 4 three-letter names.
     let scan = plan.iter().find(|l| l.contains("FULL SCAN")).unwrap();
     assert!(scan.contains("(actual rows=4 in=4 loops=1"), "{joined}");
     assert!(
@@ -590,74 +471,7 @@ fn primary_key_update_probes_the_index() {
 }
 
 // ---------------------------------------------------------------------------
-// Extended scalar functions
-// ---------------------------------------------------------------------------
-
-#[test]
-fn string_function_library() {
-    let db = db();
-    assert_eq!(
-        rows(&db, "SELECT REPLACE('banana', 'an', 'AN')"),
-        vec![vec![Value::Text("bANANa".into())]]
-    );
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT POSITION('na', 'banana'), POSITION('x', 'banana')"
-        ),
-        vec![vec![Value::Int(3), Value::Int(0)]]
-    );
-    assert_eq!(
-        rows(&db, "SELECT LEFT('banana', 3), RIGHT('banana', 2)"),
-        vec![vec![Value::Text("ban".into()), Value::Text("na".into())]]
-    );
-    assert_eq!(
-        rows(&db, "SELECT CONCAT('a', 1, 'b')"),
-        vec![vec![Value::Text("a1b".into())]]
-    );
-    assert_eq!(
-        rows(&db, "SELECT CONCAT('a', NULL)"),
-        vec![vec![Value::Null]]
-    );
-}
-
-#[test]
-fn numeric_function_library() {
-    let db = db();
-    assert_eq!(
-        rows(&db, "SELECT SIGN(-9), SIGN(0), SIGN(2.5)"),
-        vec![vec![Value::Int(-1), Value::Int(0), Value::Int(1)]]
-    );
-    assert_eq!(
-        rows(&db, "SELECT FLOOR(2.7), CEIL(2.1)"),
-        vec![vec![Value::Double(2.0), Value::Double(3.0)]]
-    );
-}
-
-#[test]
-fn functions_usable_in_where_and_order() {
-    let db = db();
-    assert_eq!(
-        texts(
-            &db,
-            "SELECT name FROM customers WHERE POSITION('e', name) > 0 ORDER BY RIGHT(name, 1)"
-        ),
-        vec!["Dee"]
-    );
-}
-
-#[test]
-fn multibyte_position_is_character_based() {
-    let db = db();
-    assert_eq!(
-        rows(&db, "SELECT POSITION('llo', 'héllo')"),
-        vec![vec![Value::Int(3)]]
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Expression positions: subqueries and aggregates wherever an expression can
-// stand
+// Expression positions: aggregates wherever an expression can stand
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -688,65 +502,6 @@ fn distinct_grouped_order_by_reads_each_rows_own_aggregates() {
             "SELECT DISTINCT g2, SUM(x) FROM t GROUP BY g, g2 ORDER BY SUM(x) + 0 DESC"
         ),
         ints(&[(9, 100), (7, 5), (8, 1)])
-    );
-}
-
-#[test]
-fn in_subquery_inside_order_by_case_is_invalidated_by_its_table() {
-    let db = Database::new();
-    db.run_script(
-        "CREATE TABLE t (k INTEGER);
-         CREATE TABLE u (k INTEGER);
-         INSERT INTO t VALUES (1), (2), (3);
-         INSERT INTO u VALUES (3);",
-    )
-    .unwrap();
-    let sql = "SELECT k FROM t ORDER BY CASE WHEN k IN (SELECT k FROM u) THEN 0 ELSE 1 END, k";
-    assert_eq!(texts(&db, sql), ["3", "1", "2"]);
-    let hits = db.cache_stats().unwrap().results.hits;
-    assert_eq!(texts(&db, sql), ["3", "1", "2"]);
-    assert_eq!(db.cache_stats().unwrap().results.hits, hits + 1);
-    // `u` appears only inside the ORDER BY: its write must still invalidate.
-    db.connect().execute("INSERT INTO u VALUES (2)").unwrap();
-    assert_eq!(texts(&db, sql), ["2", "3", "1"]);
-}
-
-#[test]
-fn update_with_subqueries_in_set_and_where() {
-    let db = db();
-    let mut conn = db.connect();
-    let r = conn
-        .execute(
-            "UPDATE orders SET amount = (SELECT MAX(amount) FROM orders) + 1.0 \
-             WHERE custid IN (SELECT custid FROM customers WHERE region = 'west') \
-             AND amount < (SELECT AVG(amount) FROM orders)",
-        )
-        .unwrap();
-    // AVG is 102.5: orders 100 and 101 (Ada, west) qualify, 103 (Cyn) does not.
-    assert_eq!(r, ExecResult::Count(2));
-    assert_eq!(
-        rows(&db, "SELECT orderid, amount FROM orders ORDER BY orderid"),
-        [(100, 301.0), (101, 301.0), (102, 10.0), (103, 300.0)]
-            .iter()
-            .map(|&(o, a)| vec![Value::Int(o), Value::Double(a)])
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn between_bound_subquery_beside_a_cast_scalar_subquery() {
-    let db = db();
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT orderid, CAST((SELECT COUNT(*) FROM customers) AS DOUBLE) FROM orders \
-             WHERE amount BETWEEN (SELECT MIN(amount) FROM orders WHERE amount > 10.0) \
-             AND 100.0 ORDER BY orderid"
-        ),
-        vec![
-            vec![Value::Int(100), Value::Double(4.0)],
-            vec![Value::Int(101), Value::Double(4.0)],
-        ]
     );
 }
 
@@ -782,8 +537,67 @@ fn window_functions_are_refused_at_parse_time() {
     }
 }
 
+#[test]
+fn subqueries_outer_joins_and_scalar_functions_are_refused() {
+    let db = db();
+    db.run_script("CREATE TABLE e (k INTEGER)").unwrap();
+    let mut conn = db.connect();
+    let subquery = "subqueries are not supported";
+    let outer = "outer joins are not supported";
+    for (sql, message) in [
+        ("SELECT (SELECT MAX(amount) FROM orders)", subquery),
+        (
+            "SELECT name FROM customers WHERE custid IN (SELECT custid FROM orders)",
+            subquery,
+        ),
+        (
+            "SELECT name FROM customers WHERE NOT EXISTS (SELECT 1 FROM orders)",
+            subquery,
+        ),
+        (
+            "UPDATE orders SET amount = 0 WHERE custid IN (SELECT custid FROM customers)",
+            subquery,
+        ),
+        (
+            "SELECT c.name FROM customers c LEFT JOIN orders o ON c.custid = o.custid",
+            outer,
+        ),
+        (
+            "SELECT c.name FROM customers c LEFT OUTER JOIN orders o ON c.custid = o.custid",
+            outer,
+        ),
+        (
+            "SELECT UPPER(name) FROM customers",
+            "scalar function UPPER is not supported",
+        ),
+        // Names resolve at parse time, so an empty table hides nothing.
+        (
+            "SELECT NOSUCHFN(k) FROM e",
+            "scalar function NOSUCHFN is not supported",
+        ),
+        (
+            "SELECT UPPER(1, 2) FROM e",
+            "scalar function UPPER is not supported",
+        ),
+    ] {
+        for err in [
+            minisql::parse(sql).unwrap_err(),
+            conn.execute(sql).unwrap_err(),
+        ] {
+            assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
+            assert_eq!(err.message, message, "{sql}");
+        }
+    }
+    // Nothing ran: the refused UPDATE left every amount as it was.
+    assert_eq!(
+        rows(&db, "SELECT COUNT(*) FROM orders WHERE amount = 0"),
+        [[Value::Int(0)]]
+    );
+}
+
 // ---------------------------------------------------------------------------
-// DB2's SQLCODEs for integer overflow (-802) and ungrouped columns (-122)
+// DB2's SQLCODEs for integer overflow (-802), ungrouped columns (-122) and
+// dates outside 0001-01-01..9999-12-31 (-183)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -820,7 +634,6 @@ fn integer_overflow_raises_802_and_changes_nothing() {
     for sql in [
         "SELECT -(-9223372036854775807 - 1)",
         "SELECT DATE '2020-01-01' + 9223372036854775807",
-        "SELECT ABS(-9223372036854775807 - 1)",
         "SELECT 9223372036854775807 * 2",
         "SELECT (-9223372036854775807 - 1) / -1",
         "SELECT DATE '2020-01-01' - (-9223372036854775807 - 1)",
@@ -961,4 +774,63 @@ fn prepared_like_patterns_are_invisible() {
             "FILTER <where>",
         ]
     );
+}
+
+#[test]
+fn date_arithmetic_outside_0001_to_9999_raises_183() {
+    let db = Database::new();
+    let mut conn = db.connect();
+    for sql in [
+        "SELECT CAST(DATE '2000-01-01' + 3000000 AS VARCHAR(30))",
+        "SELECT CAST(DATE '2000-01-01' + 9223372036854000000 AS VARCHAR(30))",
+        "SELECT CAST(DATE '9999-12-31' + 1 AS VARCHAR(30))",
+        "SELECT CAST(DATE '0001-01-01' - 1 AS VARCHAR(30))",
+        "SELECT CAST(1 + DATE '9999-12-31' AS VARCHAR(30))",
+    ] {
+        let err = conn.execute(sql).unwrap_err();
+        assert_eq!(err.code, SqlCode::DATETIME_RANGE, "{sql}: {err:?}");
+    }
+    // Text outside the range is no date: a literal, a CAST and a DATE
+    // column refuse it as they refuse any bad date.
+    for sql in [
+        "SELECT DATE '0000-01-01'",
+        "SELECT DATE '10000-01-01'",
+        "SELECT CAST('0000-12-31' AS DATE)",
+    ] {
+        assert!(conn.execute(sql).is_err(), "{sql}");
+    }
+    conn.execute("CREATE TABLE d (day DATE)").unwrap();
+    assert!(conn
+        .execute("INSERT INTO d VALUES ('10000-01-01')")
+        .is_err());
+    // The edges themselves are in range, and date - date is unchanged.
+    let text = |v: &str| Value::Text(v.into());
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT CAST(DATE '9999-12-31' - 1 AS VARCHAR(30)), \
+             CAST(DATE '0001-01-02' - 1 AS VARCHAR(30)), \
+             DATE '9999-12-31' - DATE '0001-01-01'"
+        ),
+        [[
+            text("9999-12-30"),
+            text("0001-01-01"),
+            Value::Int(3_652_058)
+        ]]
+    );
+}
+
+#[test]
+fn dates_at_the_range_edges_dump_and_reload() {
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE d (day DATE);
+         INSERT INTO d VALUES (DATE '0001-01-01'), ('9999-12-31');",
+    )
+    .unwrap();
+    let script = minisql::dump::dump_script(&db).unwrap();
+    assert!(script.contains("DATE '0001-01-01'"), "{script}");
+    assert!(script.contains("DATE '9999-12-31'"), "{script}");
+    let restored = minisql::dump::load_dump(&script).unwrap();
+    assert!(minisql::dump::databases_equal(&db, &restored).unwrap());
 }

@@ -10,9 +10,10 @@
 //!    [`PlanOptions::all`] (hash joins, predicate pushdown, index paths,
 //!    bounded-heap ORDER BY…LIMIT) and [`PlanOptions::baseline`] (nested
 //!    loops, no pushdown, full sorts) must produce identical results over
-//!    randomized schemas including LEFT OUTER joins, NULL join keys, and
-//!    mixed equi/non-equi ON conditions. Failures found while developing the
-//!    planner are pinned as named regression tests below the properties.
+//!    randomized schemas including NULL join keys, ON conjuncts over either
+//!    side, and mixed equi/non-equi ON conditions. Failures found while
+//!    developing the planner are pinned as named regression tests below the
+//!    properties.
 //! 3. **One access path** — UPDATE and DELETE find their rows by the scan a
 //!    SELECT plans, so an indexed table must end in the same rows as an
 //!    unindexed copy; and the scan EXPLAIN names is the one that runs, as
@@ -190,11 +191,10 @@ props! {
         // Ordered comparison: hash joins must preserve nested-loop order.
         let exact = [
             "SELECT a.k, a.v, b.k, b.w FROM a JOIN b ON a.k = b.k".to_string(),
-            "SELECT a.k, a.v, b.k, b.w FROM a LEFT JOIN b ON a.k = b.k".to_string(),
             format!("SELECT a.k, b.w FROM a JOIN b ON a.k = b.k AND b.w > {d}"),
-            format!("SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k AND b.w > {d}"),
+            format!("SELECT a.k, b.w FROM a JOIN b ON a.k = b.k AND a.v < {d}"),
             format!("SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.v < {d} AND b.w >= {c}"),
-            "SELECT a.k FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NULL".to_string(),
+            format!("SELECT a.k, b.w FROM a JOIN b ON a.v > b.w AND b.k IS NULL AND {c} < 4"),
             format!("SELECT a.k, a.v FROM a JOIN b ON a.k = b.k WHERE a.k = {c}"),
             "SELECT a.k, a.v FROM a JOIN b ON a.k = b.k ORDER BY a.v, b.w LIMIT 5".to_string(),
             "SELECT a.v, b.w FROM a JOIN b ON a.v = b.w AND a.k = b.k".to_string(),
@@ -239,40 +239,13 @@ props! {
 #[test]
 fn pinned_null_keys_never_match_in_either_join() {
     let st = join_state(&[(None, 1), (Some(1), 2)], &[(None, 10), (Some(1), 20)]);
-    assert_plans_agree(&st, "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k", true).unwrap();
-    let outer = run_opts(
-        &st,
-        "SELECT a.v, b.w FROM a LEFT JOIN b ON a.k = b.k ORDER BY 1",
-        &PlanOptions::default(),
-    );
-    // NULL key row is padded, never matched against the NULL on the right.
+    let sql = "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k";
+    assert_plans_agree(&st, sql, true).unwrap();
+    // The NULL key never matches the NULL on the right.
     assert_eq!(
-        outer,
-        vec![
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(2), Value::Int(20)],
-        ]
+        run_opts(&st, sql, &PlanOptions::default()),
+        vec![vec![Value::Int(2), Value::Int(20)]]
     );
-    assert_plans_agree(&st, "SELECT a.v, b.w FROM a LEFT JOIN b ON a.k = b.k", true).unwrap();
-}
-
-#[test]
-fn pinned_is_null_probe_right_of_left_join_stays_above_join() {
-    // `b.k IS NULL` must filter *after* padding — pushing it into b's scan
-    // would select only NULL-keyed b rows and corrupt the anti-join idiom.
-    let st = join_state(&[(Some(1), 1), (Some(2), 2)], &[(Some(1), 10)]);
-    let rows = run_opts(
-        &st,
-        "SELECT a.v FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NULL",
-        &PlanOptions::default(),
-    );
-    assert_eq!(rows, vec![vec![Value::Int(2)]]);
-    assert_plans_agree(
-        &st,
-        "SELECT a.v FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NULL",
-        true,
-    )
-    .unwrap();
 }
 
 #[test]
@@ -301,27 +274,50 @@ fn pinned_cross_type_numeric_keys_hash_alike() {
 fn pinned_empty_build_side() {
     let st = join_state(&[(Some(1), 1), (Some(2), 2)], &[]);
     assert_plans_agree(&st, "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k", true).unwrap();
-    let outer = run_opts(
-        &st,
-        "SELECT a.v, b.w FROM a LEFT JOIN b ON a.k = b.k ORDER BY 1",
-        &PlanOptions::default(),
-    );
-    assert_eq!(
-        outer,
-        vec![
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(2), Value::Null],
-        ]
-    );
     // Empty probe side too.
     let st2 = join_state(&[], &[(Some(1), 1)]);
     assert_plans_agree(&st2, "SELECT a.v, b.w FROM a JOIN b ON a.k = b.k", true).unwrap();
-    assert_plans_agree(
-        &st2,
-        "SELECT a.v, b.w FROM a LEFT JOIN b ON a.k = b.k",
-        true,
+}
+
+#[test]
+fn pinned_on_naming_a_later_table_errors_under_every_plan() {
+    // Join j's ON sees only the tables bound through join j. Reordering
+    // folds every ON into WHERE, so the check must come before it: the
+    // statement errors alike whichever order the cost model would pick.
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE a (k INTEGER); CREATE TABLE b (k INTEGER);
+         CREATE TABLE c (k INTEGER); CREATE TABLE e (k INTEGER);
+         INSERT INTO a VALUES (1), (2); INSERT INTO b VALUES (1), (2);
+         INSERT INTO c VALUES (1), (2);",
     )
     .unwrap();
+    let st = db.snapshot();
+    for sql in [
+        "SELECT a.k FROM a JOIN b ON a.k = c.k JOIN c ON b.k = c.k",
+        "SELECT * FROM a JOIN b ON a.k = c.k JOIN c ON b.k = c.k",
+        // An empty left side runs no join, and still errors.
+        "SELECT e.k FROM e JOIN b ON e.k = c.k JOIN c ON b.k = c.k",
+    ] {
+        let Statement::Select(sel) = minisql::parse(sql).unwrap() else {
+            unreachable!()
+        };
+        for opts in [
+            PlanOptions::default(),
+            no_reorder(),
+            PlanOptions::baseline(),
+        ] {
+            let ctx = RequestCtx::unbounded();
+            let err =
+                minisql::exec::run_select_with_options(&st, &sel, &[], &ctx, &opts).unwrap_err();
+            assert_eq!(
+                err.code,
+                minisql::SqlCode::UNDEFINED_COLUMN,
+                "{sql} {opts:?}"
+            );
+            assert!(err.message.contains("c.k"), "{sql} {opts:?}: {err:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -394,9 +390,8 @@ fn plans_agree_on_snapshots_pinned_under_row_churn() {
             let pinned = reader_db.pin();
             for sql in [
                 "SELECT a.k, a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.v < 500",
-                "SELECT a.k, a.v FROM a LEFT JOIN b ON a.k = b.k AND b.w > 40",
+                "SELECT a.k, a.v FROM a JOIN b ON a.k = b.k AND b.w > 40",
                 "SELECT a.k, a.v FROM a WHERE a.k = 3 ORDER BY a.v LIMIT 4",
-                "SELECT a.k FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NULL",
             ] {
                 assert_plans_agree(&pinned, sql, true)?;
             }
@@ -626,14 +621,8 @@ fn pinned_reorder_handles_empty_and_skewed_tables() {
 #[test]
 fn pinned_reorder_ineligible_shapes_run_unchanged() {
     let st = graph_state(&[(0, 1), (1, 2)], &[(0, 10)], &[(0, 100)], &[]);
-    // LEFT JOIN anywhere, bare `*`, and duplicate table names must bypass
-    // the rewrite entirely — and still agree with baseline.
-    for sql in [
-        "SELECT a.v, b.v, c.v FROM a JOIN b ON a.k = b.k LEFT JOIN c ON b.k = c.k",
-        "SELECT a.v, b.v, c.v FROM a LEFT JOIN b ON a.k = b.k JOIN c ON a.k = c.k",
-    ] {
-        assert_plans_agree(&st, sql, true).unwrap();
-    }
+    // A bare `*` must bypass the rewrite entirely — and still agree with
+    // baseline.
     let star = canon(run_opts(
         &st,
         "SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k",
@@ -820,66 +809,6 @@ fn pinned_set_op_empty_branches() {
             expect_rows,
             "{sql}"
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Subqueries ≡ manual nested evaluation
-// ---------------------------------------------------------------------------
-
-props! {
-    config(cases = 48);
-
-    fn subqueries_match_nested_evaluation(
-        l in vec_of((ints(0..5), ints(0..10)), 0..=14),
-        r in vec_of((ints(0..5), ints(0..10)), 0..=14),
-        cut in ints(0..10),
-    ) {
-        let st = set_op_state(&l, &r);
-
-        // Scalar subquery: v > (SELECT MAX(v) FROM r). Empty r → NULL → no rows.
-        let got = canon(run_opts(
-            &st,
-            "SELECT k, v FROM l WHERE v > (SELECT MAX(v) FROM r)",
-            &PlanOptions::default(),
-        ));
-        let max_r = r.iter().map(|(_, v)| *v).max();
-        let want: Vec<Vec<Value>> = match max_r {
-            Some(m) => l
-                .iter()
-                .filter(|(_, v)| *v > m)
-                .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
-                .collect(),
-            None => Vec::new(),
-        };
-        prop_assert_eq!(got, canon(want), "scalar subquery diverged");
-
-        // IN subquery with an inner filter.
-        let sql = format!("SELECT k, v FROM l WHERE k IN (SELECT k FROM r WHERE v > {cut})");
-        let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
-        let keys: Vec<i64> = r.iter().filter(|(_, v)| *v > cut).map(|(k, _)| *k).collect();
-        let want: Vec<Vec<Value>> = l
-            .iter()
-            .filter(|(k, _)| keys.contains(k))
-            .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
-            .collect();
-        prop_assert_eq!(got, canon(want), "IN subquery diverged");
-
-        // NOT IN over a non-NULL inner set.
-        let sql = format!("SELECT k, v FROM l WHERE k NOT IN (SELECT k FROM r WHERE v > {cut})");
-        let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
-        let want: Vec<Vec<Value>> = l
-            .iter()
-            .filter(|(k, _)| !keys.contains(k))
-            .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
-            .collect();
-        prop_assert_eq!(got, canon(want), "NOT IN subquery diverged");
-
-        // Uncorrelated EXISTS: all-or-nothing.
-        let sql = format!("SELECT k, v FROM l WHERE EXISTS (SELECT 1 FROM r WHERE v > {cut})");
-        let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
-        let want = if keys.is_empty() { Vec::new() } else { int_rows(&l) };
-        prop_assert_eq!(got, canon(want), "EXISTS diverged");
     }
 }
 

@@ -11,6 +11,9 @@
 #
 # rust_loc_src    lines of *.rs under crates/*/src
 # by_crate        the same count for each crate: crates/<name>/src
+# nontest_by_crate  the non-test lines of each crate's src: per file, the
+#                 lines before the `#[cfg(test)]` that opens its `mod tests`,
+#                 or the whole file when it has none
 # rust_loc_total  lines of every *.rs in the tree (target directories aside)
 # env_knobs       distinct DBGW_* names Config accepts (the SETTINGS table of
 #                 crates/cgi/src/config.rs; in a tree from before Config, the
@@ -23,7 +26,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# measure <tree>: print the four numbers as the inside of a JSON object.
+# nontest <dir>: the non-test lines of the *.rs files under <dir>.
+nontest() {
+    find "$1" -name '*.rs' -exec awk '
+        FNR == 1 { cut = 0; prev = "" }
+        !cut && prev ~ /^#\[cfg\(test\)\]/ && /^mod tests/ { cut = 1; total-- }
+        !cut { total++ }
+        { prev = $0 }
+        END { print total + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }'
+}
+
+# measure <tree>: print the numbers as the inside of a JSON object.
 measure() {
     (
         cd "$1"
@@ -39,13 +52,15 @@ measure() {
         fi
         sites=$(grep -rl 'env::var' crates/*/src examples | xargs -r grep -l '"DBGW_' | wc -l)
         by_crate=""
+        nontest_by_crate=""
         for src in crates/*/src; do
             name=$(basename "$(dirname "$src")")
             lines=$(find "$src" -name '*.rs' -exec cat {} + | wc -l)
             by_crate="$by_crate${by_crate:+, }\"$name\": $lines"
+            nontest_by_crate="$nontest_by_crate${nontest_by_crate:+, }\"$name\": $(nontest "$src")"
         done
-        printf '"rust_loc_src": %d, "rust_loc_total": %d, "env_knobs": %d, "env_read_sites": %d, "by_crate": { %s }' \
-            "$loc_src" "$loc_total" "$knobs" "$sites" "$by_crate"
+        printf '"rust_loc_src": %d, "rust_loc_total": %d, "env_knobs": %d, "env_read_sites": %d, "by_crate": { %s }, "nontest_by_crate": { %s }' \
+            "$loc_src" "$loc_total" "$knobs" "$sites" "$by_crate" "$nontest_by_crate"
     )
 }
 

@@ -6,7 +6,7 @@
 //! sent before handing it to minisql through the gateway's own bridge. Each
 //! recorded statement is parsed with [`minisql::parse`], and the constructs
 //! it reaches — statement kinds, SELECT clauses, join kinds, set operations,
-//! `Expr` variants, operators, scalar and aggregate functions — are collected.
+//! `Expr` variants, operators and aggregate functions — are collected.
 //!
 //! The reached set must equal [`REACHED`]. A construct that drops out of the
 //! list, or one that joins it, is a decision: DESIGN.md §10 ("The SQL the
@@ -324,10 +324,9 @@ impl Census {
             }
         }
         for join in &s.joins {
-            let kind = match (join.left_outer, &join.on) {
-                (true, _) => "LEFT",
-                (false, Some(_)) => "INNER",
-                (false, None) => "CROSS",
+            let kind = match &join.on {
+                Some(_) => "INNER",
+                None => "CROSS",
             };
             self.note("join", kind);
         }
@@ -353,10 +352,6 @@ impl Census {
             Expr::IsNull { .. } => "IsNull",
             Expr::InList { .. } => "InList",
             Expr::Between { .. } => "Between",
-            Expr::Func { name, .. } => {
-                self.note("function", name);
-                "Func"
-            }
             Expr::Agg {
                 func,
                 arg,
@@ -370,18 +365,6 @@ impl Census {
                     self.note("aggregate", "DISTINCT");
                 }
                 "Agg"
-            }
-            Expr::Subquery(s) => {
-                self.select(s);
-                "Subquery"
-            }
-            Expr::InSelect { select, .. } => {
-                self.select(select);
-                "InSelect"
-            }
-            Expr::Exists { select, .. } => {
-                self.select(select);
-                "Exists"
             }
             Expr::Case { .. } => "Case",
             Expr::Cast { .. } => "Cast",
