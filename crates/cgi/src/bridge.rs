@@ -127,11 +127,11 @@ mod tests {
     fn dml_reports_affected() {
         let mut bridge = MiniSqlDatabase::connect(&db());
         let r = bridge
-            .execute("DELETE FROM urldb WHERE title = 'IBM'")
+            .execute("UPDATE urldb SET title = 'Big Blue' WHERE title = 'IBM'")
             .unwrap();
         assert_eq!(r.affected, 1);
         let none = bridge
-            .execute("DELETE FROM urldb WHERE title = 'IBM'")
+            .execute("UPDATE urldb SET title = 'Big Blue' WHERE title = 'IBM'")
             .unwrap();
         assert_eq!(none.sqlcode(), 100);
     }

@@ -444,10 +444,8 @@ pub enum Statement {
         table: String,
         /// Explicit column list, empty = all columns in schema order.
         columns: Vec<String>,
-        /// One or more VALUES tuples (empty when `select` is used).
+        /// One or more VALUES tuples.
         values: Vec<Vec<Expr>>,
-        /// `INSERT INTO t SELECT ...` source, instead of VALUES.
-        select: Option<Box<Select>>,
     },
     /// UPDATE.
     Update {
@@ -455,13 +453,6 @@ pub enum Statement {
         table: String,
         /// `SET col = expr` assignments.
         assignments: Vec<(String, Expr)>,
-        /// Optional WHERE.
-        where_clause: Option<Expr>,
-    },
-    /// DELETE.
-    Delete {
-        /// Target table.
-        table: String,
         /// Optional WHERE.
         where_clause: Option<Expr>,
     },
@@ -473,13 +464,6 @@ pub enum Statement {
         columns: Vec<ColumnDef>,
         /// IF NOT EXISTS given.
         if_not_exists: bool,
-    },
-    /// DROP TABLE.
-    DropTable {
-        /// Table name.
-        name: String,
-        /// IF EXISTS given.
-        if_exists: bool,
     },
     /// CREATE \[UNIQUE\] INDEX.
     CreateIndex {
@@ -767,7 +751,6 @@ impl std::fmt::Display for Statement {
                 table,
                 columns,
                 values,
-                select,
             } => {
                 write!(f, "INSERT INTO {table}")?;
                 if !columns.is_empty() {
@@ -775,20 +758,16 @@ impl std::fmt::Display for Statement {
                     fmt_comma_sep(f, columns)?;
                     write!(f, ")")?;
                 }
-                if let Some(s) = select {
-                    write!(f, " {s}")
-                } else {
-                    write!(f, " VALUES ")?;
-                    for (i, tuple) in values.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "(")?;
-                        fmt_comma_sep(f, tuple)?;
-                        write!(f, ")")?;
+                write!(f, " VALUES ")?;
+                for (i, tuple) in values.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
                     }
-                    Ok(())
+                    write!(f, "(")?;
+                    fmt_comma_sep(f, tuple)?;
+                    write!(f, ")")?;
                 }
+                Ok(())
             }
             Statement::Update {
                 table,
@@ -802,16 +781,6 @@ impl std::fmt::Display for Statement {
                     }
                     write!(f, "{col} = {expr}")?;
                 }
-                if let Some(w) = where_clause {
-                    write!(f, " WHERE {w}")?;
-                }
-                Ok(())
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                write!(f, "DELETE FROM {table}")?;
                 if let Some(w) = where_clause {
                     write!(f, " WHERE {w}")?;
                 }
@@ -844,11 +813,6 @@ impl std::fmt::Display for Statement {
                 }
                 write!(f, ")")
             }
-            Statement::DropTable { name, if_exists } => write!(
-                f,
-                "DROP TABLE {}{name}",
-                if *if_exists { "IF EXISTS " } else { "" }
-            ),
             Statement::CreateIndex {
                 name,
                 table,

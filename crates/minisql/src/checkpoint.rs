@@ -25,11 +25,11 @@
 //! 4. hands the reopened append handle to the [`Wal`], which resumes
 //!    appending where the base records end.
 //!
-//! Because [`Heap`] row ids are stable (tombstones are never renumbered),
-//! the snapshot preserves each row's `RowId` — a log tail written *after*
-//! the checkpoint keeps addressing the same rows. The snapshot records no
-//! free slots, and needs none: an insert takes the lowest slot holding no
-//! row, so the recovered heap reuses freed slots exactly as the live one.
+//! A [`Heap`] is append-only and a row's `RowId` is its insertion ordinal,
+//! so the snapshot writes each table's rows in id order, 0 to n − 1, and
+//! replay appends them back at the same ids — a log tail written *after*
+//! the checkpoint keeps addressing the same rows, and the recovered heap
+//! hands out the same next id as the live one.
 //!
 //! The commit that grows the log [`CHECKPOINT_BYTES`] past the last
 //! checkpoint's own size runs one on the committing thread, after it has
@@ -60,8 +60,8 @@ const ROWS_PER_RECORD: usize = 512;
 
 /// Serialize a state as base records: one DDL record recreating the catalog
 /// (tables in name order; constraint-implied indexes omitted — the CREATE
-/// TABLE constraints recreate them), then each table's rows at their
-/// original ids, chunked.
+/// TABLE constraints recreate them), then each table's rows in id order,
+/// chunked.
 pub(crate) fn snapshot_records(state: &DbState) -> Vec<Vec<WalOp>> {
     let mut names: Vec<&String> = state.tables.keys().collect();
     names.sort();

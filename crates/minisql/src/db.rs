@@ -131,9 +131,7 @@ impl ExecResult {
 pub(crate) enum Change {
     Insert { table: String, id: RowId },
     Update { table: String, id: RowId },
-    Delete { table: String, id: RowId },
     CreateTable { name: String },
-    DropTable { name: String },
     CreateIndex { name: String, table: String },
     DropIndex { name: String },
 }
@@ -276,13 +274,6 @@ impl DbCore {
             let mut next = (**current).clone();
             patch(&mut next.tables, &base.tables, &work.tables);
             patch(&mut next.indexes, &base.indexes, &work.indexes);
-            // Version counters only ever grow and are never removed (a
-            // dropped table's counter must survive — see DbState::versions).
-            for (name, v) in &work.versions {
-                if base.versions.get(name) != Some(v) {
-                    next.versions.insert(name.clone(), *v);
-                }
-            }
             next.epoch = current.epoch + 1;
             let epoch = next.epoch;
             (Arc::new(next), epoch)
@@ -323,18 +314,14 @@ fn patch<T>(next: &mut Entries<T>, base: &Entries<T>, work: &Entries<T>) {
     }
 }
 
-/// Whether `current` no longer holds `begin`'s version of some table, index
-/// or version counter that `work` changed — a concurrent commit overtook it.
+/// Whether `current` no longer holds `begin`'s version of some table or
+/// index that `work` changed — a concurrent commit overtook it.
 fn overtaken(begin: &DbState, work: &DbState, current: &DbState) -> bool {
     fn stale<T>(begin: &Entries<T>, work: &Entries<T>, current: &Entries<T>) -> bool {
         changed(begin, work).any(|name| !same(begin.get(name), current.get(name)))
     }
     stale(&begin.tables, &work.tables, &current.tables)
         || stale(&begin.indexes, &work.indexes, &current.indexes)
-        || (work.versions.iter()).any(|(name, v)| {
-            let was = begin.versions.get(name);
-            was != Some(v) && was != current.versions.get(name)
-        })
 }
 
 /// A shared in-memory database.
@@ -492,7 +479,7 @@ impl Database {
         self.pin().epoch
     }
 
-    /// Live row count of a table (testing/benchmark helper).
+    /// Row count of a table (testing/benchmark helper).
     pub fn table_len(&self, name: &str) -> SqlResult<usize> {
         Ok(self.pin().table(name)?.heap.len())
     }
@@ -718,40 +705,8 @@ impl Connection {
                         crate::exec::explain_analyze_select(&state, sel, params, &self.ctx)?
                     }
                     Statement::Select(sel) => crate::exec::explain_select(&state, sel, params)?,
-                    Statement::Insert {
-                        table,
-                        values,
-                        select,
-                        ..
-                    } => {
-                        if select.is_some() {
-                            vec![format!("INSERT INTO {table} (from SELECT)")]
-                        } else {
-                            vec![format!("INSERT INTO {table} ({} row(s))", values.len())]
-                        }
-                    }
-                    Statement::Update {
-                        table,
-                        where_clause,
-                        ..
-                    } => crate::exec::explain_dml(
-                        &state,
-                        format!("UPDATE {table}"),
-                        table,
-                        where_clause.as_ref(),
-                        params,
-                    )?,
-                    Statement::Delete {
-                        table,
-                        where_clause,
-                    } => crate::exec::explain_dml(
-                        &state,
-                        format!("DELETE FROM {table}"),
-                        table,
-                        where_clause.as_ref(),
-                        params,
-                    )?,
-                    other => vec![format!("{other:?}")],
+                    // Any other statement is named, not run.
+                    other => vec![other.to_string()],
                 };
                 Ok(ExecResult::Rows(Arc::new(ResultSet {
                     columns: vec!["plan".to_owned()],
@@ -864,10 +819,10 @@ fn no_transaction() -> SqlError {
 /// table must be resolved first (see [`dropped_index_table`]).
 fn write_set(stmt: &Statement) -> Option<Vec<String>> {
     match stmt {
-        Statement::Insert { table, .. }
-        | Statement::Update { table, .. }
-        | Statement::Delete { table, .. } => Some(vec![table.to_ascii_lowercase()]),
-        Statement::CreateTable { name, .. } | Statement::DropTable { name, .. } => {
+        Statement::Insert { table, .. } | Statement::Update { table, .. } => {
+            Some(vec![table.to_ascii_lowercase()])
+        }
+        Statement::CreateTable { name, .. } => {
             Some(vec![CATALOG_LATCH.to_owned(), name.to_ascii_lowercase()])
         }
         Statement::CreateIndex { table, .. } => {
@@ -917,48 +872,29 @@ fn record_latch_metrics(held: &[LatchSet]) {
 /// statements' ops in statement order.
 fn redo_ops(work: &DbState, changes: &[Change]) -> Vec<WalOp> {
     let mut ops = Vec::with_capacity(changes.len());
+    // Tables and rows are never removed, so every one a change names is
+    // still in `work`.
     let image = |table: &str, id: RowId| {
-        work.tables
-            .get(&table.to_ascii_lowercase())
-            .and_then(|t| t.heap.get(id))
-            .cloned()
+        let t = &work.tables[&table.to_ascii_lowercase()];
+        t.heap.get(id).expect("rows are never removed").clone()
     };
     for change in changes {
         match change {
-            Change::Insert { table, id } => {
-                if let Some(row) = image(table, *id) {
-                    ops.push(WalOp::Insert {
-                        table: table.to_ascii_lowercase(),
-                        id: *id,
-                        row,
-                    });
-                }
-            }
-            Change::Update { table, id } => {
-                if let Some(row) = image(table, *id) {
-                    ops.push(WalOp::Update {
-                        table: table.to_ascii_lowercase(),
-                        id: *id,
-                        row,
-                    });
-                }
-            }
-            Change::Delete { table, id } => ops.push(WalOp::Delete {
+            Change::Insert { table, id } => ops.push(WalOp::Insert {
                 table: table.to_ascii_lowercase(),
                 id: *id,
+                row: image(table, *id),
+            }),
+            Change::Update { table, id } => ops.push(WalOp::Update {
+                table: table.to_ascii_lowercase(),
+                id: *id,
+                row: image(table, *id),
             }),
             // DDL goes to the log as canonical SQL, replayed through the
             // ordinary DDL path at recovery (`name` keys are lowercased
             // when the change is recorded).
-            Change::CreateTable { name } => {
-                if let Some(t) = work.tables.get(name) {
-                    ops.push(WalOp::Ddl {
-                        sql: crate::dump::create_table_sql(name, &t.schema),
-                    });
-                }
-            }
-            Change::DropTable { name } => ops.push(WalOp::Ddl {
-                sql: format!("DROP TABLE {name}"),
+            Change::CreateTable { name } => ops.push(WalOp::Ddl {
+                sql: crate::dump::create_table_sql(name, &work.tables[name].schema),
             }),
             Change::CreateIndex { name, table } => {
                 if let (Some(idx), Some(t)) = (work.indexes.get(name), work.tables.get(table)) {
@@ -991,7 +927,6 @@ pub(crate) fn apply_mutation(
             table,
             columns,
             values,
-            select,
         } => {
             let (schema, width) = {
                 let t = state.table(&table)?;
@@ -1006,33 +941,6 @@ pub(crate) fn apply_mutation(
                     .map(|c| schema.require_column(c))
                     .collect::<SqlResult<_>>()?
             };
-            // INSERT ... SELECT: evaluate the query first, then insert its
-            // rows (fully materialized, so self-insertion cannot loop).
-            if let Some(select) = select {
-                let rs = run_select(state, &select, params, ctx)?;
-                if rs.columns.len() != ordinals.len() {
-                    return Err(SqlError::syntax(format!(
-                        "INSERT target has {} columns but SELECT produced {}",
-                        ordinals.len(),
-                        rs.columns.len()
-                    )));
-                }
-                let mut inserted = 0usize;
-                for src_row in rs.rows {
-                    let mut row = vec![Value::Null; width];
-                    for (value, &ordinal) in src_row.into_iter().zip(&ordinals) {
-                        row[ordinal] = value;
-                    }
-                    let row = schema.check_row(row)?;
-                    let id = state.insert_row(&table, row)?;
-                    changes.push(Change::Insert {
-                        table: table.clone(),
-                        id,
-                    });
-                    inserted += 1;
-                }
-                return Ok(ExecResult::Count(inserted));
-            }
             let mut inserted = 0usize;
             for tuple in values {
                 if tuple.len() != ordinals.len() {
@@ -1064,8 +972,21 @@ pub(crate) fn apply_mutation(
             assignments,
             where_clause,
         } => {
-            let (schema, bindings, targets) =
-                collect_targets(state, &table, where_clause.as_ref(), params, ctx)?;
+            let schema = state.table(&table)?.schema.clone();
+            let bindings = Bindings::single(
+                &table,
+                schema.columns.iter().map(|c| c.name.clone()).collect(),
+            );
+            // The rows to change, found by the same single-table scan a
+            // SELECT runs (a primary-key predicate probes the index), in
+            // row-id order: constraint checks and redo records meet them in
+            // heap order whichever access path found them.
+            let mut targets =
+                crate::exec::scan_where(state, &table, where_clause.as_ref(), params, ctx)?;
+            targets.sort_unstable_by_key(|&(id, _)| id);
+            let targets: Vec<(RowId, Row)> = (targets.into_iter())
+                .map(|(id, row)| (id, row.clone()))
+                .collect();
             let ordinals: Vec<usize> = assignments
                 .iter()
                 .map(|(c, _)| schema.require_column(c))
@@ -1089,24 +1010,6 @@ pub(crate) fn apply_mutation(
                 updated += 1;
             }
             Ok(ExecResult::Count(updated))
-        }
-        Statement::Delete {
-            table,
-            where_clause,
-        } => {
-            let (_, _, targets) =
-                collect_targets(state, &table, where_clause.as_ref(), params, ctx)?;
-            let mut deleted = 0usize;
-            for (id, _) in targets {
-                if state.delete_row(&table, id)?.is_some() {
-                    changes.push(Change::Delete {
-                        table: table.clone(),
-                        id,
-                    });
-                    deleted += 1;
-                }
-            }
-            Ok(ExecResult::Count(deleted))
         }
         Statement::CreateTable {
             name,
@@ -1143,26 +1046,11 @@ pub(crate) fn apply_mutation(
                     heap: Heap::new(),
                     index_names,
                     stats: None,
+                    version: 1,
                 }),
             );
-            state.bump_version(&key);
             changes.push(Change::CreateTable { name: key });
             Ok(ExecResult::Ddl)
-        }
-        Statement::DropTable { name, if_exists } => {
-            let key = name.to_ascii_lowercase();
-            match state.tables.remove(&key) {
-                Some(data) => {
-                    for idx_name in &data.index_names {
-                        state.indexes.remove(idx_name);
-                    }
-                    state.bump_version(&key);
-                    changes.push(Change::DropTable { name: key });
-                    Ok(ExecResult::Ddl)
-                }
-                None if if_exists => Ok(ExecResult::Ddl),
-                None => Err(SqlError::no_such_table(&name)),
-            }
         }
         Statement::CreateIndex {
             name,
@@ -1218,34 +1106,6 @@ pub(crate) fn apply_mutation(
     }
 }
 
-/// Rows of `table` matching the predicate, as `(id, row)` pairs, plus the
-/// schema and single-table bindings used to evaluate per-row expressions.
-/// Subqueries run first, against the table as it was before the statement;
-/// the rows are then found by the same single-table scan a `SELECT` runs, so
-/// a primary-key predicate probes the index. They come back in row-id
-/// order, so constraint checks and redo records meet them in heap order
-/// whichever access path found them.
-#[allow(clippy::type_complexity)]
-fn collect_targets(
-    state: &DbState,
-    table: &str,
-    predicate: Option<&crate::ast::Expr>,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<(TableSchema, Bindings, Vec<(RowId, Row)>)> {
-    let schema = state.table(table)?.schema.clone();
-    let bindings = Bindings::single(
-        table,
-        schema.columns.iter().map(|c| c.name.clone()).collect(),
-    );
-    let mut targets = crate::exec::scan_where(state, table, predicate, params, ctx)?;
-    targets.sort_unstable_by_key(|&(id, _)| id);
-    let targets = (targets.into_iter())
-        .map(|(id, row)| (id, row.clone()))
-        .collect();
-    Ok((schema, bindings, targets))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1288,7 +1148,9 @@ mod tests {
         let (_db, mut conn) = fresh();
         let r = conn.execute("SELECT * FROM guest").unwrap();
         assert_eq!(r.sqlcode(), SqlCode::NO_DATA);
-        let r = conn.execute("DELETE FROM guest WHERE id = 99").unwrap();
+        let r = conn
+            .execute("UPDATE guest SET note = 'x' WHERE id = 99")
+            .unwrap();
         assert_eq!(r.sqlcode(), SqlCode::NO_DATA);
     }
 
@@ -1417,12 +1279,13 @@ mod tests {
     }
 
     #[test]
-    fn rollback_restores_deleted_rows_and_updates() {
+    fn rollback_restores_inserts_and_updates() {
         let (db, mut conn) = fresh();
         conn.execute("INSERT INTO guest VALUES (1, 'Ada', 'x'), (2, 'Bob', 'y')")
             .unwrap();
         conn.execute("BEGIN").unwrap();
-        conn.execute("DELETE FROM guest WHERE id = 1").unwrap();
+        conn.execute("INSERT INTO guest VALUES (3, 'Cy', 'w')")
+            .unwrap();
         conn.execute("UPDATE guest SET note = 'z' WHERE id = 2")
             .unwrap();
         conn.execute("ROLLBACK").unwrap();
@@ -1442,16 +1305,18 @@ mod tests {
         conn.execute("INSERT INTO extra VALUES (1)").unwrap();
         conn.execute("ROLLBACK").unwrap();
         assert!(db.table_len("extra").is_err());
-        // Drop + rollback restores data.
+        // DROP INDEX + rollback restores the index.
+        conn.execute("CREATE UNIQUE INDEX guest_name ON guest (name)")
+            .unwrap();
         conn.execute("INSERT INTO guest VALUES (1, 'Ada', NULL)")
             .unwrap();
         conn.execute("BEGIN").unwrap();
-        conn.execute("DROP TABLE guest").unwrap();
+        conn.execute("DROP INDEX guest_name").unwrap();
         conn.execute("ROLLBACK").unwrap();
-        assert_eq!(db.table_len("guest").unwrap(), 1);
-        // The PK index must be back as well: duplicate insert still fails.
+        assert!(db.pin().indexes.contains_key("guest_name"));
+        // It still enforces uniqueness: a duplicate name fails.
         assert!(conn
-            .execute("INSERT INTO guest VALUES (1, 'Dup', NULL)")
+            .execute("INSERT INTO guest VALUES (2, 'Ada', NULL)")
             .is_err());
     }
 
@@ -1539,11 +1404,15 @@ mod tests {
 
     #[test]
     fn if_exists_variants() {
-        let (_db, mut conn) = fresh();
+        let (db, mut conn) = fresh();
         conn.execute("CREATE TABLE IF NOT EXISTS guest (id INTEGER)")
             .unwrap();
-        conn.execute("DROP TABLE IF EXISTS nothere").unwrap();
-        assert!(conn.execute("DROP TABLE nothere").is_err());
+        let width = db.pin().table("guest").unwrap().schema.width();
+        assert_eq!(width, 3, "the existing table stays");
+        // Tables are never dropped: DROP TABLE is refused, IF EXISTS or not.
+        for sql in ["DROP TABLE IF EXISTS nothere", "DROP TABLE guest"] {
+            assert_eq!(conn.execute(sql).unwrap_err().code, SqlCode::SYNTAX);
+        }
     }
 
     #[test]
@@ -1759,7 +1628,6 @@ mod tests {
             "SELECT x, n FROM a ORDER BY n DESC, x",
             "SELECT n, COUNT(*) FROM a GROUP BY n HAVING MIN(id) >= 0 ORDER BY 2",
             "UPDATE a SET n = n + id WHERE x LIKE 'r1%'",
-            "DELETE FROM a WHERE n = 2",
         ];
         let resolves = |n| per_statement(n, &sqls, || crate::eval::RESOLVES.with(|c| c.get()));
         let small = resolves(10);

@@ -158,6 +158,18 @@ impl Bindings {
         }
         expr.try_for_each_child_mut(|e| self.bind(e))
     }
+
+    /// Name every column of `expr` by the table it resolves to in this
+    /// scope — unknown or ambiguous names error here — so that `expr` means
+    /// the same in any wider scope that keeps the tables' names.
+    pub(crate) fn qualify(&self, expr: &mut Expr) -> SqlResult<()> {
+        if let Expr::Column(c) = expr {
+            let table = self.table_of_position(self.resolve(c)?);
+            c.table = table.map(|t| self.tables[t].0.clone());
+            return Ok(());
+        }
+        expr.try_for_each_child_mut(|e| self.qualify(e))
+    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! only rows surviving a join are materialized. Every candidate row is still
 //! checked against the conjuncts that selected it, so plan choice can only
 //! change performance, never results — a property the equivalence suite in
-//! `tests/planner_equivalence.rs` exercises. UPDATE and DELETE find their
-//! target rows through the same single-table scan (`scan_where`).
+//! `tests/planner_equivalence.rs` exercises. UPDATE finds its target rows
+//! through the same single-table scan (`scan_where`).
 //!
 //! Each step has one implementation: one filter loop serves the scans, the
 //! residual WHERE and the join filters; one comparator sorts ORDER BY; one
@@ -23,7 +23,8 @@
 //!
 //! Joins are inner joins only, so an ON conjunct means what a WHERE
 //! conjunct does; `prepare` checks once per statement that each ON names
-//! only the tables bound through its join. The walkers here (aggregate
+//! only the tables bound through its join, and names each of its columns by
+//! the table it bound to there. The walkers here (aggregate
 //! collection, constant folding) recurse through
 //! [`Expr::try_for_each_child`] and keep only their own stopping rule.
 //! DISTINCT, `COUNT(DISTINCT …)` and the set operations deduplicate by
@@ -221,8 +222,10 @@ fn dedup<T: Hash + Eq>(items: &mut Vec<T>) {
 /// the order changed). Both callers hand the pair to [`plan::plan_select`].
 ///
 /// Join j's ON may name only the tables bound through join j. The check runs
-/// on the statement as written, before reordering folds every ON into WHERE,
-/// so a statement errors (−206) or runs whatever [`PlanOptions`] it runs
+/// on the statement as written and names each ON column by the table it
+/// binds to there, before reordering folds every ON into WHERE, whose scope
+/// is the whole FROM clause: a statement errors (−206) or runs, with the
+/// same names meaning the same columns, whatever [`PlanOptions`] it runs
 /// under.
 fn prepare<'a>(
     state: &DbState,
@@ -231,13 +234,14 @@ fn prepare<'a>(
     opts: &PlanOptions,
 ) -> SqlResult<(Cow<'a, Select>, Bindings)> {
     let bindings = full_bindings(state, sel)?;
-    for (j, join) in sel.joins.iter().enumerate() {
-        if let Some(on) = &join.on {
-            bindings.slice(0..j + 2).bound(on)?;
+    let mut scoped = Cow::Borrowed(sel);
+    for j in 0..sel.joins.len() {
+        if let Some(on) = &mut scoped.to_mut().joins[j].on {
+            bindings.slice(0..j + 2).qualify(on)?;
         }
     }
     let reordered = if opts.reorder {
-        crate::cost::reorder_select(state, sel, params)
+        crate::cost::reorder_select(state, &scoped, params)
     } else {
         None
     };
@@ -465,7 +469,7 @@ fn filter_rows<'a>(
     Ok(keep_passing(rows.into_iter(), filters, params, ctx)?.0)
 }
 
-/// The single-table scan behind UPDATE and DELETE: the rows of `table` that
+/// The single-table scan behind UPDATE: the rows of `table` that
 /// pass `predicate`, found by the access path a
 /// `SELECT * FROM table WHERE predicate` takes.
 pub(crate) fn scan_where<'a>(
@@ -1230,37 +1234,6 @@ pub fn explain_select(state: &DbState, sel: &Select, params: &[Value]) -> SqlRes
     Ok(lines)
 }
 
-/// `EXPLAIN` for UPDATE and DELETE: `head`, then the plan of the target scan
-/// — the access line and `FILTER <where>` of `SELECT * FROM table WHERE …`,
-/// which is the scan [`scan_where`] runs.
-pub(crate) fn explain_dml(
-    state: &DbState,
-    head: String,
-    table: &str,
-    predicate: Option<&Expr>,
-    params: &[Value],
-) -> SqlResult<Vec<String>> {
-    let sel = Select {
-        distinct: false,
-        items: vec![SelectItem::Wildcard],
-        from: Some(TableRef {
-            name: table.to_owned(),
-            alias: None,
-        }),
-        joins: Vec::new(),
-        where_clause: predicate.cloned(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-        offset: None,
-        set_ops: Vec::new(),
-    };
-    let mut lines = vec![head];
-    lines.extend(explain_select(state, &sel, params)?);
-    Ok(lines)
-}
-
 /// `EXPLAIN ANALYZE`: execute `sel` under an operator collector on `ctx`'s
 /// clock, then render the plan tree with the observed actuals (rows in/out,
 /// loops, wall time) appended to each operator's estimated line, plus a
@@ -1505,6 +1478,7 @@ mod tests {
                 heap: Heap::new(),
                 index_names: vec!["orders_cust".into()],
                 stats: None,
+                version: 0,
             }),
         );
         st.indexes.insert(
@@ -1711,6 +1685,7 @@ mod tests {
                 heap: Heap::new(),
                 index_names: vec![],
                 stats: None,
+                version: 0,
             }),
         );
         for (id, name) in [(10100, "Ada"), (10200, "Bob")] {
@@ -1826,6 +1801,7 @@ mod tests {
                 heap: Heap::new(),
                 index_names: vec![],
                 stats: None,
+                version: 0,
             }),
         );
         let rows: &[(Value, &str)] = &[
@@ -1928,18 +1904,7 @@ mod tests {
     fn empty_sides_match_baseline() {
         let mut st = joined_state();
         // Empty out customers (the probe side).
-        let ids: Vec<_> = st
-            .table("customers")
-            .unwrap()
-            .heap
-            .iter()
-            .map(|(id, _)| id)
-            .collect();
-        for id in ids {
-            Arc::make_mut(st.tables.get_mut("customers").unwrap())
-                .heap
-                .delete(id);
-        }
+        Arc::make_mut(st.tables.get_mut("customers").unwrap()).heap = Heap::new();
         for sql in [
             "SELECT * FROM customers c JOIN orders o ON c.custid = o.custid",
             "SELECT * FROM orders o JOIN customers c ON o.custid = c.custid",

@@ -8,9 +8,10 @@
 //!
 //! * a SQL-92 subset: `SELECT` (joins, `WHERE` with 3-valued logic, `LIKE`,
 //!   `GROUP BY`/`HAVING`, aggregates, `ORDER BY`, `LIMIT`/`FETCH FIRST`),
-//!   `INSERT`/`UPDATE`/`DELETE`, `CREATE`/`DROP` `TABLE`/`INDEX`,
+//!   `INSERT … VALUES`, `UPDATE`, `CREATE TABLE`, `CREATE`/`DROP INDEX`,
 //!   `BEGIN`/`COMMIT`/`ROLLBACK`;
-//! * typed storage with NULLs, PRIMARY KEY / UNIQUE / NOT NULL constraints;
+//! * typed, append-only storage with NULLs, PRIMARY KEY / UNIQUE / NOT NULL
+//!   constraints;
 //! * B-tree-ordered secondary indexes used automatically for equality, range,
 //!   `IN`, and `LIKE 'prefix%'` predicates;
 //! * DB2-style SQLCODEs (`0`, `+100`, `-104`, `-204`, `-803`, …) that the

@@ -3,7 +3,8 @@
 //! Grammar (informal):
 //!
 //! ```text
-//! stmt      := select | insert | update | delete | create | drop | txn
+//! stmt      := select | insert | update | create | drop-index | txn
+//! insert    := INSERT INTO table [(columns)] VALUES tuples
 //! select    := SELECT [DISTINCT] items [FROM table [joins]] [WHERE expr]
 //!              [GROUP BY exprs] [HAVING expr] [ORDER BY keys]
 //!              [LIMIT n [OFFSET m] | FETCH FIRST n ROWS ONLY]
@@ -11,7 +12,10 @@
 //! ```
 //!
 //! The parser is deliberately strict about structure but permissive about
-//! keyword case, matching how DB2's dynamic SQL PREPARE behaved.
+//! keyword case, matching how DB2's dynamic SQL PREPARE behaved. Rows and
+//! tables are never removed, so DELETE, DROP TABLE and INSERT ... SELECT are
+//! refused here with SQLCODE −104 and a message naming the form, as are
+//! subqueries, outer joins, scalar and window functions.
 
 use crate::ast::*;
 use crate::error::{SqlError, SqlResult};
@@ -164,7 +168,8 @@ impl Parser {
             return self.update();
         }
         if self.eat_kw("DELETE") {
-            return self.delete();
+            // Rows are never removed: the heap is append-only.
+            return Err(SqlError::syntax("DELETE is not supported"));
         }
         if self.eat_kw("CREATE") {
             return self.create();
@@ -396,13 +401,7 @@ impl Parser {
             self.expect_sym(Sym::RParen)?;
         }
         if self.at_kw("SELECT") {
-            let select = self.select()?;
-            return Ok(Statement::Insert {
-                table,
-                columns,
-                values: Vec::new(),
-                select: Some(Box::new(select)),
-            });
+            return Err(SqlError::syntax("INSERT ... SELECT is not supported"));
         }
         self.expect_kw("VALUES")?;
         let mut values = Vec::new();
@@ -427,7 +426,6 @@ impl Parser {
             table,
             columns,
             values,
-            select: None,
         })
     }
 
@@ -451,20 +449,6 @@ impl Parser {
         Ok(Statement::Update {
             table,
             assignments,
-            where_clause,
-        })
-    }
-
-    fn delete(&mut self) -> SqlResult<Statement> {
-        self.expect_kw("FROM")?;
-        let table = self.ident()?;
-        let where_clause = if self.eat_kw("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        Ok(Statement::Delete {
-            table,
             where_clause,
         })
     }
@@ -550,19 +534,13 @@ impl Parser {
     }
 
     fn drop(&mut self) -> SqlResult<Statement> {
-        if self.eat_kw("INDEX") {
-            let name = self.ident()?;
-            return Ok(Statement::DropIndex { name });
+        if self.at_kw("TABLE") {
+            // Tables are never dropped, as rows are never removed.
+            return Err(SqlError::syntax("DROP TABLE is not supported"));
         }
-        self.expect_kw("TABLE")?;
-        let if_exists = if self.eat_kw("IF") {
-            self.expect_kw("EXISTS")?;
-            true
-        } else {
-            false
-        };
+        self.expect_kw("INDEX")?;
         let name = self.ident()?;
-        Ok(Statement::DropTable { name, if_exists })
+        Ok(Statement::DropIndex { name })
     }
 
     // ---- expressions -----------------------------------------------------
@@ -1056,10 +1034,8 @@ mod tests {
             parse("UPDATE t SET a = a + 1, b = 'x' WHERE id = 3").unwrap(),
             Statement::Update { .. }
         ));
-        assert!(matches!(
-            parse("DELETE FROM t WHERE id = 3").unwrap(),
-            Statement::Delete { .. }
-        ));
+        let err = parse("DELETE FROM t WHERE id = 3").unwrap_err();
+        assert_eq!(err.message, "DELETE is not supported");
     }
 
     #[test]

@@ -11,17 +11,23 @@
 //!   a short frame, a short payload, or a checksum mismatch — which by the
 //!   same argument was never acknowledged and is safe to cut off.
 //!
-//! Replay is **idempotent**: row records force-set images by [`RowId`]
-//! (`Heap::put_at`), deletes of missing rows are no-ops, and DDL records are
-//! skipped when their object already exists (or, for drops, is already
-//! gone). Replaying a log twice therefore lands in the same state as
-//! replaying it once — which is also what makes a checkpoint (a rewritten
-//! log of base records, see [`crate::checkpoint`]) interchangeable with the
-//! history it replaced.
+//! A record whose checksum holds was written whole, so one that does not
+//! decode (an op this version does not know, such as the Delete of earlier
+//! versions) is no torn tail: recovery fails with SQLCODE −904 and leaves
+//! the file as it found it, rather than cut that commit and every later one.
+//!
+//! Replay is **idempotent**: row records set images by [`RowId`]
+//! (`Heap::put_at`, which appends at the next id and overwrites below it),
+//! CREATE records are skipped when their object already exists, and DROP
+//! INDEX when its index is already gone. Replaying a log twice therefore
+//! lands in the same state as replaying it once — which is also what makes
+//! a checkpoint (a rewritten log of base records, see [`crate::checkpoint`])
+//! interchangeable with the history it replaced.
 //!
 //! Row replay bypasses index maintenance entirely; one
 //! [`DbState::rebuild_indexes`] pass at the end re-derives every index from
-//! its heap. An error in that pass — or a DDL record that fails to apply —
+//! its heap. An error in that pass, a DDL record that fails to apply, or a
+//! row op for a table no CREATE made or at an id past the table's next one
 //! means the log is corrupt beyond a torn tail, and recovery refuses to
 //! open the database rather than serve from a half-replayed state.
 //!
@@ -29,7 +35,7 @@
 //! [`DbState::rebuild_indexes`]: crate::state::DbState::rebuild_indexes
 
 use crate::ast::Statement;
-use crate::error::{SqlError, SqlResult};
+use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::parser::parse;
 use crate::state::DbState;
 use crate::wal::{decode_payload, WalOp, FRAME_LEN, MAGIC};
@@ -47,15 +53,17 @@ pub struct ScanResult {
 }
 
 /// Scan raw log bytes into records, stopping at the first torn or corrupt
-/// frame. Never fails: a file of garbage simply yields an empty valid
-/// prefix (`valid_bytes` 0, so even the header is rewritten).
-pub fn scan_log(bytes: &[u8]) -> ScanResult {
+/// frame: a file of garbage simply yields an empty valid prefix
+/// (`valid_bytes` 0, so even the header is rewritten). Fails with SQLCODE
+/// −904 on a whole frame — its checksum holds — whose payload does not
+/// decode.
+pub fn scan_log(bytes: &[u8]) -> SqlResult<ScanResult> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC[..] {
-        return ScanResult {
+        return Ok(ScanResult {
             records: Vec::new(),
             valid_bytes: 0,
             truncated: !bytes.is_empty(),
-        };
+        });
     }
     let mut pos = MAGIC.len();
     let mut records = Vec::new();
@@ -73,40 +81,41 @@ pub fn scan_log(bytes: &[u8]) -> ScanResult {
         if dbgw_cache::fnv1a_64(payload) != checksum {
             break; // corrupt (bit flip, or a reused-length torn write)
         }
-        let Some(ops) = decode_payload(payload) else {
-            break; // checksum collided with garbage; treat as torn
-        };
+        let ops = decode_payload(payload).ok_or_else(|| {
+            corrupt(format!(
+                "wal: the whole record at byte {pos} does not decode"
+            ))
+        })?;
         records.push(ops);
         pos += FRAME_LEN + len;
     }
-    ScanResult {
+    Ok(ScanResult {
         truncated: pos < bytes.len(),
         valid_bytes: pos as u64,
         records,
-    }
+    })
 }
 
-/// Apply one redo op to a recovering state. Row ops against a table that
-/// does not (yet/anymore) exist are skipped — on a second replay pass a
-/// later `DROP TABLE` has already been applied, so these are exactly the
-/// ops whose effects that drop erased.
+/// A log that is corrupt beyond a torn tail (SQLCODE −904).
+fn corrupt(message: String) -> SqlError {
+    SqlError::new(SqlCode::RESOURCE, message)
+}
+
+/// Apply one redo op to a recovering state.
 fn replay_op(state: &mut DbState, op: &WalOp) -> SqlResult<()> {
     match op {
         WalOp::Insert { table, id, row } | WalOp::Update { table, id, row } => {
-            match state.table_mut(table) {
-                Ok(t) => t.heap.put_at(*id, row.clone()),
-                Err(_) => return Ok(()),
+            let t = (state.table_mut(table)).map_err(|_| {
+                corrupt(format!("wal: row op for {table}, which no record created"))
+            })?;
+            if !t.heap.put_at(*id, row.clone()) {
+                return Err(corrupt(format!(
+                    "wal: row {} of {table} is past its next row {}",
+                    id.0,
+                    t.heap.len()
+                )));
             }
-            state.bump_version(table);
-        }
-        WalOp::Delete { table, id } => {
-            match state.table_mut(table) {
-                Ok(t) => {
-                    t.heap.delete(*id);
-                }
-                Err(_) => return Ok(()),
-            }
-            state.bump_version(table);
+            t.version += 1;
         }
         WalOp::Ddl { sql } => {
             let stmt = parse(sql)?;
@@ -116,9 +125,6 @@ fn replay_op(state: &mut DbState, op: &WalOp) -> SqlResult<()> {
                 }
                 Statement::CreateIndex { name, .. } => {
                     state.indexes.contains_key(&name.to_ascii_lowercase())
-                }
-                Statement::DropTable { name, .. } => {
-                    !state.tables.contains_key(&name.to_ascii_lowercase())
                 }
                 Statement::DropIndex { name } => {
                     !state.indexes.contains_key(&name.to_ascii_lowercase())
@@ -165,7 +171,7 @@ pub fn recover(path: &Path) -> SqlResult<DbState> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(DbState::default()),
         Err(e) => return Err(SqlError::io("read write-ahead log", &e)),
     };
-    let scan = scan_log(&bytes);
+    let scan = scan_log(&bytes)?;
     if scan.truncated {
         let file = std::fs::OpenOptions::new()
             .write(true)
@@ -216,9 +222,10 @@ mod tests {
                 id: RowId(0),
                 row: vec![Value::Int(1), Value::Text("a2".into())],
             }],
-            vec![WalOp::Delete {
+            vec![WalOp::Update {
                 table: "t".into(),
                 id: RowId(1),
+                row: vec![Value::Int(2), Value::Text("b2".into())],
             }],
         ]
     }
@@ -227,7 +234,7 @@ mod tests {
     fn scan_round_trips_whole_log() {
         let records = sample_records();
         let bytes = log_bytes(&records);
-        let scan = scan_log(&bytes);
+        let scan = scan_log(&bytes).unwrap();
         assert!(!scan.truncated);
         assert_eq!(scan.valid_bytes, bytes.len() as u64);
         assert_eq!(scan.records, records);
@@ -243,7 +250,7 @@ mod tests {
             boundaries.push(boundaries.last().unwrap() + encode_record(r).len());
         }
         for cut in 0..bytes.len() {
-            let scan = scan_log(&bytes[..cut]);
+            let scan = scan_log(&bytes[..cut]).unwrap();
             let whole = boundaries.iter().filter(|&&b| b <= cut).count();
             if whole == 0 {
                 // Not even the header survived.
@@ -269,7 +276,7 @@ mod tests {
         // Flip one payload bit inside the second record.
         let target = MAGIC.len() + r0 + FRAME_LEN + 3;
         bytes[target] ^= 0x40;
-        let scan = scan_log(&bytes);
+        let scan = scan_log(&bytes).unwrap();
         assert!(scan.truncated);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_bytes as usize, MAGIC.len() + r0);
@@ -277,22 +284,26 @@ mod tests {
 
     #[test]
     fn scan_rejects_bad_magic() {
-        let scan = scan_log(b"NOTALOG!rest");
+        let scan = scan_log(b"NOTALOG!rest").unwrap();
         assert_eq!(scan.valid_bytes, 0);
         assert!(scan.truncated);
-        assert!(scan_log(b"").valid_bytes == 0 && !scan_log(b"").truncated);
+        let empty = scan_log(b"").unwrap();
+        assert!(empty.valid_bytes == 0 && !empty.truncated);
     }
 
     #[test]
     fn replay_reconstructs_state_and_indexes() {
         let state = replay(&sample_records()).unwrap();
         let t = state.table("t").unwrap();
-        assert_eq!(t.heap.len(), 1);
+        assert_eq!(t.heap.len(), 2);
         assert_eq!(
             t.heap.get(RowId(0)),
             Some(&vec![Value::Int(1), Value::Text("a2".into())])
         );
-        assert_eq!(t.heap.get(RowId(1)), None);
+        assert_eq!(
+            t.heap.get(RowId(1)),
+            Some(&vec![Value::Int(2), Value::Text("b2".into())])
+        );
         // The PK's system unique index was rebuilt and is queryable.
         let idx = state.index_on("t", 0).expect("pk index");
         assert_eq!(idx.lookup(&Value::Int(1)), vec![RowId(0)]);
@@ -305,29 +316,48 @@ mod tests {
         doubled.extend(records.clone());
         let once = replay(&records).unwrap();
         let twice = replay(&doubled).unwrap();
-        assert_eq!(once.table("t").unwrap().heap.len(), 1);
-        assert_eq!(
-            once.table("t").unwrap().heap.get(RowId(0)),
-            twice.table("t").unwrap().heap.get(RowId(0))
-        );
-        assert_eq!(
-            twice.table("t").unwrap().heap.len(),
-            once.table("t").unwrap().heap.len()
-        );
+        let rows = |state: &DbState| {
+            let heap = &state.table("t").unwrap().heap;
+            heap.iter()
+                .map(|(id, row)| (id, row.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&once).len(), 2);
+        assert_eq!(rows(&once), rows(&twice));
     }
 
     #[test]
-    fn replay_skips_ops_for_dropped_tables() {
-        let mut records = sample_records();
-        records.push(vec![WalOp::Ddl {
-            sql: "DROP TABLE t".into(),
-        }]);
-        // Second pass over the same history: the row ops now target a table
-        // the (already-replayed) drop removed — they must be ignored.
-        let mut doubled = records.clone();
-        doubled.extend(records.clone());
-        let state = replay(&doubled).unwrap();
-        assert!(state.table("t").is_err());
+    fn replay_refuses_row_ops_no_valid_log_holds() {
+        let create = sample_records().remove(0);
+        let insert = |table: &str, id| WalOp::Insert {
+            table: table.into(),
+            id: RowId(id),
+            row: vec![Value::Int(9), Value::Null],
+        };
+        // A table no record created, and an id past the table's next one.
+        for op in [insert("missing", 0), insert("t", 1)] {
+            let err = replay(&[create.clone(), vec![op.clone()]]).unwrap_err();
+            assert_eq!(err.code, SqlCode::RESOURCE, "{op:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn scan_refuses_a_whole_frame_that_does_not_decode() {
+        // A checksummed frame holding tag 3 — the Delete op of earlier
+        // versions — after two whole records.
+        let records = sample_records();
+        let mut bytes = log_bytes(&records[..2]);
+        let mut payload = 1u32.to_le_bytes().to_vec();
+        payload.push(3);
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(b"t");
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&dbgw_cache::fnv1a_64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&encode_record(&records[2]));
+        let err = scan_log(&bytes).err().expect("an undecodable whole frame");
+        assert_eq!(err.code, SqlCode::RESOURCE, "{err:?}");
     }
 
     #[test]
@@ -341,11 +371,11 @@ mod tests {
         bytes.extend_from_slice(&[0xAB; 7]); // torn garbage tail
         std::fs::write(&path, &bytes).unwrap();
         let state = recover(&path).unwrap();
-        assert_eq!(state.table("t").unwrap().heap.len(), 1);
+        assert_eq!(state.table("t").unwrap().heap.len(), 2);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full as u64);
         // Recovering the now-clean file changes nothing.
         let again = recover(&path).unwrap();
-        assert_eq!(again.table("t").unwrap().heap.len(), 1);
+        assert_eq!(again.table("t").unwrap().heap.len(), 2);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full as u64);
         std::fs::remove_file(&path).unwrap();
     }

@@ -25,7 +25,8 @@ use crate::types::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A table: schema, heap, the names of its indexes, and planner statistics.
+/// A table: schema, heap, the names of its indexes, planner statistics and
+/// its modification counter.
 #[derive(Debug, Clone)]
 pub struct TableData {
     /// The table schema.
@@ -37,14 +38,21 @@ pub struct TableData {
     /// Planner statistics (see [`crate::stats`]); `None` until the first
     /// write builds them.
     pub stats: Option<TableStats>,
+    /// Modification counter: 1 at CREATE TABLE, bumped by every row
+    /// mutation. The result cache records the versions of every table a
+    /// SELECT read (from the same pinned snapshot) and revalidates them at
+    /// lookup, which makes table-level invalidation exact — correctness
+    /// never depends on TTL. A table is never dropped, so once published
+    /// its counter only rises.
+    pub version: u64,
 }
 
 impl TableData {
     /// Fold one successful row mutation into the table's statistics: update
     /// incrementally while fresh, rebuild from the heap once the write
-    /// threshold has passed (the mutated row is already in/out of the heap
-    /// when this runs, so a rebuild sees it). `removed` is the image that
-    /// left the heap; `None` notes the row the heap now holds at `id`.
+    /// threshold has passed (the mutated row is already in the heap when
+    /// this runs, so a rebuild sees it). `removed` is the image an UPDATE
+    /// replaced; `None` notes the row the heap now holds at `id`.
     fn stats_note(&mut self, id: RowId, removed: Option<&Row>) {
         match self.stats.as_mut() {
             Some(s) if !s.stale() => match removed {
@@ -75,14 +83,6 @@ pub struct DbState {
     pub tables: HashMap<String, Arc<TableData>>,
     /// Indexes keyed by lowercased name (same `Arc` sharing scheme).
     pub indexes: HashMap<String, Arc<Index>>,
-    /// Per-table modification counters keyed by lowercased name, bumped on
-    /// every row mutation and on CREATE/DROP TABLE. The result cache records
-    /// the versions of every table a SELECT read (from the same pinned
-    /// snapshot) and revalidates them at lookup, which makes table-level
-    /// invalidation exact — correctness never depends on TTL. A dropped
-    /// table's counter survives (and keeps rising if the table is
-    /// recreated), so cached results can never resurrect across a DROP.
-    pub versions: HashMap<String, u64>,
     /// Publication epoch: incremented once per published snapshot, strictly
     /// monotonic across the database's lifetime. Readers can compare epochs
     /// to order the snapshots they pinned.
@@ -90,17 +90,12 @@ pub struct DbState {
 }
 
 impl DbState {
-    /// The modification counter for `name` (any case); 0 if never touched.
+    /// The modification counter of table `name` (any case); 0 if there is
+    /// no such table.
     pub fn version(&self, name: &str) -> u64 {
-        self.versions
+        self.tables
             .get(&name.to_ascii_lowercase())
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Record a modification of table `name` (any case).
-    pub fn bump_version(&mut self, name: &str) {
-        *self.versions.entry(name.to_ascii_lowercase()).or_insert(0) += 1;
+            .map_or(0, |t| t.version)
     }
 
     /// Case-insensitive table lookup.
@@ -136,10 +131,9 @@ impl DbState {
     /// unspecified: every caller abandons it, and the statement's private
     /// copy of the published state is what makes statements atomic.
     pub fn insert_row(&mut self, table: &str, row: Row) -> SqlResult<RowId> {
-        let key = table.to_ascii_lowercase();
         let t = self
             .tables
-            .get_mut(&key)
+            .get_mut(&table.to_ascii_lowercase())
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
         let id = t.heap.insert(row);
@@ -149,28 +143,8 @@ impl DbState {
             idx.insert(value_at(row, idx.column), id)?;
         }
         t.stats_note(id, None);
-        self.bump_version(&key);
+        t.version += 1;
         Ok(id)
-    }
-
-    /// Delete a row by id, maintaining indexes. Returns the old image.
-    pub fn delete_row(&mut self, table: &str, id: RowId) -> SqlResult<Option<Row>> {
-        let key = table.to_ascii_lowercase();
-        let t = self
-            .tables
-            .get_mut(&key)
-            .map(Arc::make_mut)
-            .ok_or_else(|| SqlError::no_such_table(table))?;
-        let Some(old) = t.heap.delete(id) else {
-            return Ok(None);
-        };
-        for name in &t.index_names {
-            let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
-            idx.remove(value_at(&old, idx.column), id);
-        }
-        t.stats_note(id, Some(&old));
-        self.bump_version(&key);
-        Ok(Some(old))
     }
 
     /// Replace a row in place, maintaining indexes. Returns the old image.
@@ -179,10 +153,9 @@ impl DbState {
     /// an error the working copy is left unspecified, as for
     /// [`DbState::insert_row`].
     pub fn update_row(&mut self, table: &str, id: RowId, new: Row) -> SqlResult<Row> {
-        let key = table.to_ascii_lowercase();
         let t = self
             .tables
-            .get_mut(&key)
+            .get_mut(&table.to_ascii_lowercase())
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
         let old = t.heap.update(id, new).ok_or_else(|| {
@@ -200,7 +173,7 @@ impl DbState {
         }
         t.stats_note(id, Some(&old));
         t.stats_note(id, None);
-        self.bump_version(&key);
+        t.version += 1;
         Ok(old)
     }
 
@@ -286,6 +259,7 @@ mod tests {
                 heap: Heap::new(),
                 index_names: vec!["t_pk".into()],
                 stats: None,
+                version: 0,
             }),
         );
         st.indexes

@@ -1,20 +1,19 @@
-//! Row storage: a paged, copy-on-write heap per table.
+//! Row storage: a paged, copy-on-write, append-only heap per table.
 //!
-//! A table's rows sit in fixed-size pages of `PAGE_SLOTS` slots, and the
-//! pages in directories of `DIR_PAGES` pages; every page and every
-//! directory is behind its own `Arc`. A slot's position is its [`RowId`],
-//! stable for the life of the row: indexes and the write-ahead log's redo
-//! records both key on it. Deletion leaves a tombstone, and an insert takes
-//! the **lowest** free slot, found from per-page occupancy bits. Which slot
-//! an insert takes therefore depends only on which slots hold rows, so a heap
-//! rebuilt from a checkpoint (which records live rows only) hands out the
-//! same ids as the live heap it was taken from.
+//! A table's rows sit in pages of `PAGE_SLOTS` slots, filled in id order,
+//! and the pages in directories of up to `DIR_PAGES` pages; every page and
+//! every directory is behind its own `Arc`. Rows are never removed, so the heap only grows: an
+//! insert appends, and a row's [`RowId`] is its insertion ordinal — the
+//! `n`-th row a table ever stored is row `n - 1`, for the life of the table.
+//! Indexes and the write-ahead log's redo records both key on it, and a heap
+//! rebuilt from a checkpoint (which records every row at its id) hands out
+//! the same next id as the live heap it was taken from.
 //!
 //! Cloning a heap — the copy-on-write step a writer performs before
 //! mutating a table that a published snapshot still references (see `db.rs`
 //! and DESIGN.md §11) — copies one pointer per directory, i.e. per 4 096
-//! slots. A write then path-copies with [`Arc::make_mut`]: the directory
-//! (64 page pointers) and the page (64 row pointers) that hold its slot,
+//! rows. A write then path-copies with [`Arc::make_mut`]: the directory
+//! (64 page pointers) and the page (64 row pointers) that hold its row,
 //! plus the one row it writes; every other page stays shared with the
 //! snapshots that pin it, and a second write to the same page in the same
 //! statement copies nothing. Each row is behind its own `Arc` too, so a
@@ -22,71 +21,47 @@
 //! for whichever snapshots still pin it. Copying a page or directory bumps
 //! the reference count of everything it points to, mostly cache misses on
 //! a large table, so both are kept small; a single-row write to a
-//! 200 000-row table copies about 180 pointers where a flat slot vector
+//! 200 000-row table copies about 180 pointers where a flat row vector
 //! copied 200 000.
 
 use crate::types::Value;
 use std::sync::Arc;
 
-/// A page's occupancy bitmap: one bit per slot.
-type PageBits = u64;
-/// A directory's bitmap of full pages: one bit per page.
-type DirBits = u64;
-/// Slots per page.
-const PAGE_SLOTS: usize = PageBits::BITS as usize;
+/// Rows per page.
+const PAGE_SLOTS: usize = 64;
 /// Pages per directory.
-const DIR_PAGES: usize = DirBits::BITS as usize;
-/// Slots per directory.
+const DIR_PAGES: usize = 64;
+/// Rows per directory.
 const DIR_SLOTS: usize = PAGE_SLOTS * DIR_PAGES;
 
-/// Stable identifier of a row slot within one table.
+/// A row's insertion ordinal within one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u32);
 
 /// A stored tuple.
 pub type Row = Vec<Value>;
 
+/// [`PAGE_SLOTS`] row slots, filled from the front. A fixed array, so a
+/// page and each copy of it is one allocation of its final size.
+type Page = [Option<Arc<Row>>; PAGE_SLOTS];
+/// Up to [`DIR_PAGES`] pages.
+type Dir = Vec<Arc<Page>>;
+
 /// The heap of one table.
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
-    /// Every directory but the last holds exactly [`DIR_PAGES`] pages, so
-    /// slot `i` is slot `i % PAGE_SLOTS` of the `i / PAGE_SLOTS`-th page
-    /// counted across directories.
+    /// Every directory but the last holds exactly [`DIR_PAGES`] pages, and
+    /// every page but the last exactly [`PAGE_SLOTS`] rows, so row `i` is
+    /// row `i % PAGE_SLOTS` of the `i / PAGE_SLOTS`-th page counted across
+    /// directories.
     dirs: Vec<Arc<Dir>>,
-    live: usize,
+    len: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Dir {
-    pages: Vec<Arc<Page>>,
-    /// Bit `p` is set when `pages[p]` has no free slot.
-    full: DirBits,
-}
-
-#[derive(Debug, Clone)]
-struct Page {
-    slots: [Option<Arc<Row>>; PAGE_SLOTS],
-    /// Bit `s` is set when `slots[s]` holds a row.
-    occupied: PageBits,
-}
-
-impl Page {
-    const EMPTY: Page = Page {
-        slots: [const { None }; PAGE_SLOTS],
-        occupied: 0,
-    };
-}
-
-/// The directory, page within it, and slot within that of a row id.
+/// The directory, page within it, and row within that of a row id.
 fn locate(id: RowId) -> (usize, usize, usize) {
     let i = id.0 as usize;
     (i / DIR_SLOTS, i / PAGE_SLOTS % DIR_PAGES, i % PAGE_SLOTS)
-}
-
-/// Take a row image out of its `Arc`, cloning only if a snapshot still
-/// shares it.
-fn into_row(arc: Arc<Row>) -> Row {
-    Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone())
 }
 
 impl Heap {
@@ -95,133 +70,99 @@ impl Heap {
         Heap::default()
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
-    /// Whether no live rows exist.
+    /// Whether the heap holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
-    /// Insert a row into the lowest free slot, returning its id.
+    /// Append a row, returning its id: the number of rows before it.
     pub fn insert(&mut self, row: Row) -> RowId {
-        let id = self.lowest_free();
-        self.set(id, Some(Arc::new(row)));
+        let id = RowId(self.len as u32);
+        let (d, p, s) = locate(id);
+        if d == self.dirs.len() {
+            self.dirs.push(Arc::new(Vec::with_capacity(DIR_PAGES)));
+        }
+        let dir = Arc::make_mut(&mut self.dirs[d]);
+        if p == dir.len() {
+            // A copied directory has no spare capacity: grow it to its
+            // full size at once, never past it.
+            dir.reserve_exact(DIR_PAGES - p);
+            dir.push(Arc::new([const { None }; PAGE_SLOTS]));
+        }
+        Arc::make_mut(&mut dir[p])[s] = Some(Arc::new(row));
+        self.len += 1;
         id
     }
 
-    /// Force-set the row at `id`, occupied or not — the idempotent primitive
-    /// WAL replay is built on: replaying an Insert or Update record a second
-    /// time must land in exactly the same state as the first pass. Extends
-    /// the heap with empty pages as needed.
-    pub fn put_at(&mut self, id: RowId, row: Row) {
-        self.set(id, Some(Arc::new(row)));
+    /// Set the row at `id`, appending when `id` is the next id — the
+    /// idempotent primitive WAL replay is built on: replaying an Insert or
+    /// Update record a second time lands in exactly the same state as the
+    /// first pass. `false`, changing nothing, for an id past the next one,
+    /// which no valid log holds.
+    pub fn put_at(&mut self, id: RowId, row: Row) -> bool {
+        match (id.0 as usize).cmp(&self.len) {
+            std::cmp::Ordering::Less => *self.slot_mut(id) = Some(Arc::new(row)),
+            std::cmp::Ordering::Equal => {
+                self.insert(row);
+            }
+            std::cmp::Ordering::Greater => return false,
+        }
+        true
     }
 
     /// Fetch a row by id.
     pub fn get(&self, id: RowId) -> Option<&Row> {
         let (d, p, s) = locate(id);
-        self.dirs.get(d)?.pages.get(p)?.slots[s].as_deref()
+        self.dirs.get(d)?.get(p)?[s].as_deref()
     }
 
-    /// Replace a row, returning the old image. `None` if the slot is dead.
+    /// Replace a row, returning the old image. `None` past the last row.
     pub fn update(&mut self, id: RowId, row: Row) -> Option<Row> {
-        self.get(id)?;
-        self.set(id, Some(Arc::new(row))).map(into_row)
+        if id.0 as usize >= self.len {
+            return None;
+        }
+        let old = self.slot_mut(id).replace(Arc::new(row))?;
+        // Clone the old image only if a snapshot still shares it.
+        Some(Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Delete a row, returning its last image.
-    pub fn delete(&mut self, id: RowId) -> Option<Row> {
-        self.get(id)?;
-        self.set(id, None).map(into_row)
-    }
-
-    /// Iterate `(RowId, &Row)` over live rows in slot order.
+    /// Iterate `(RowId, &Row)` over every row in id order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             heap: self,
-            page: &Page::EMPTY.slots,
+            page: &[const { None }; PAGE_SLOTS],
             next: 0,
         }
     }
 
-    /// The lowest slot holding no row: the first page with a clear bit in
-    /// its directory's `full` mask, else the slot just past the end.
-    fn lowest_free(&self) -> RowId {
-        let found = self.dirs.iter().enumerate().find_map(|(d, dir)| {
-            let p = (!dir.full).trailing_zeros() as usize;
-            (p < DIR_PAGES).then(|| {
-                let s = (dir.pages.get(p)).map_or(0, |page| (!page.occupied).trailing_zeros());
-                d * DIR_SLOTS + p * PAGE_SLOTS + s as usize
-            })
-        });
-        RowId(found.unwrap_or(self.dirs.len() * DIR_SLOTS) as u32)
-    }
-
-    /// Store `row`, or a tombstone, at `id`: path-copy the directory and
-    /// page that hold the slot, and keep the occupancy bits and the live
-    /// count true. Returns the slot's previous occupant.
-    fn set(&mut self, id: RowId, row: Option<Arc<Row>>) -> Option<Arc<Row>> {
+    /// The row pointer at `id`, which must be below `len`: path-copy the
+    /// directory and page that hold it.
+    fn slot_mut(&mut self, id: RowId) -> &mut Option<Arc<Row>> {
         let (d, p, s) = locate(id);
-        self.reserve(d, p);
         let dir = Arc::make_mut(&mut self.dirs[d]);
-        let page = Arc::make_mut(&mut dir.pages[p]);
-        if row.is_some() {
-            page.occupied |= 1 << s;
-        } else {
-            page.occupied &= !(1 << s);
-        }
-        self.live += usize::from(row.is_some());
-        let old = std::mem::replace(&mut page.slots[s], row);
-        self.live -= usize::from(old.is_some());
-        if page.occupied == PageBits::MAX {
-            dir.full |= 1 << p;
-        } else {
-            dir.full &= !(1 << p);
-        }
-        old
+        &mut Arc::make_mut(&mut dir[p])[s]
     }
 
-    /// Append empty pages (all sharing one allocation until written) until
-    /// page `p` of directory `d` exists, filling every directory before it.
-    fn reserve(&mut self, d: usize, p: usize) {
-        if self.dirs.get(d).is_some_and(|dir| p < dir.pages.len()) {
-            return;
-        }
-        let last = self.dirs.len().saturating_sub(1);
-        let dirs = self.dirs.len().max(d + 1);
-        self.dirs.resize_with(dirs, || {
-            Arc::new(Dir {
-                pages: Vec::new(),
-                full: 0,
-            })
-        });
-        let empty = Arc::new(Page::EMPTY);
-        for (i, dir) in self.dirs.iter_mut().enumerate().take(d + 1).skip(last) {
-            let pages = if i < d { DIR_PAGES } else { p + 1 };
-            if dir.pages.len() < pages {
-                Arc::make_mut(dir).pages.resize(pages, Arc::clone(&empty));
-            }
-        }
-    }
-
-    /// Every page's allocation, in slot order.
+    /// Every page's allocation, in id order.
     #[cfg(test)]
     pub(crate) fn page_ptrs(&self) -> Vec<*const ()> {
-        let pages = self.dirs.iter().flat_map(|dir| dir.pages.iter());
+        let pages = self.dirs.iter().flat_map(|dir| dir.iter());
         pages.map(|page| Arc::as_ptr(page).cast()).collect()
     }
 }
 
-/// Iterator over a heap's live rows in slot order. Its state is the slot
-/// it has reached and that slot's page, looked up once per page: small
-/// enough for a scan loop to keep in registers across its per-row work.
+/// Iterator over a heap's rows in id order. Its state is the id it has
+/// reached and that id's page, looked up once per page: small enough for a
+/// scan loop to keep in registers across its per-row work.
 pub struct Iter<'a> {
     heap: &'a Heap,
-    page: &'a [Option<Arc<Row>>; PAGE_SLOTS],
-    /// The id of the next slot to look at.
+    page: &'a Page,
+    /// The id of the next row.
     next: u32,
 }
 
@@ -229,17 +170,14 @@ impl<'a> Iterator for Iter<'a> {
     type Item = (RowId, &'a Row);
 
     fn next(&mut self) -> Option<(RowId, &'a Row)> {
-        loop {
-            let id = RowId(self.next);
-            let (d, p, s) = locate(id);
-            if s == 0 {
-                self.page = &self.heap.dirs.get(d)?.pages.get(p)?.slots;
-            }
-            self.next += 1;
-            if let Some(row) = &self.page[s] {
-                return Some((id, row));
-            }
+        let id = RowId(self.next);
+        let (d, p, s) = locate(id);
+        if s == 0 {
+            self.page = self.heap.dirs.get(d)?.get(p)?;
         }
+        let row = self.page[s].as_deref()?;
+        self.next += 1;
+        Some((id, row))
     }
 }
 
@@ -258,32 +196,10 @@ mod tests {
         let mut h = Heap::new();
         let a = h.insert(row(1));
         let b = h.insert(row(2));
-        assert_ne!(a, b);
+        assert_eq!((a, b), (RowId(0), RowId(1)));
         assert_eq!(h.get(a), Some(&row(1)));
+        assert_eq!(h.get(RowId(2)), None);
         assert_eq!(h.len(), 2);
-    }
-
-    #[test]
-    fn delete_tombstones_and_recycles() {
-        let mut h = Heap::new();
-        let a = h.insert(row(1));
-        let _b = h.insert(row(2));
-        assert_eq!(h.delete(a), Some(row(1)));
-        assert_eq!(h.get(a), None);
-        assert_eq!(h.len(), 1);
-        // Recycled slot gets the same physical id.
-        let c = h.insert(row(3));
-        assert_eq!(c, a);
-        assert_eq!(h.len(), 2);
-    }
-
-    #[test]
-    fn double_delete_is_noop() {
-        let mut h = Heap::new();
-        let a = h.insert(row(1));
-        assert!(h.delete(a).is_some());
-        assert!(h.delete(a).is_none());
-        assert_eq!(h.len(), 0);
     }
 
     #[test]
@@ -292,43 +208,24 @@ mod tests {
         let a = h.insert(row(1));
         assert_eq!(h.update(a, row(9)), Some(row(1)));
         assert_eq!(h.get(a), Some(&row(9)));
+        assert_eq!(h.update(RowId(1), row(9)), None);
+        assert_eq!(h.len(), 1);
     }
 
     #[test]
     fn put_at_is_idempotent_and_repairs_bookkeeping() {
         let mut h = Heap::new();
-        // Beyond the end: extends and counts as live.
-        h.put_at(RowId(2), row(9));
+        // Past the next id: refused, nothing changes.
+        assert!(!h.put_at(RowId(2), row(9)));
+        assert_eq!((h.len(), h.get(RowId(2))), (0, None));
+        // The next id appends; twice over the same id is the same state.
+        assert!(h.put_at(RowId(0), row(9)));
+        assert!(h.put_at(RowId(0), row(10)));
+        assert!(h.put_at(RowId(0), row(10)));
         assert_eq!(h.len(), 1);
-        assert_eq!(h.get(RowId(2)), Some(&row(9)));
-        // Twice over an occupied slot: same state, same count.
-        h.put_at(RowId(2), row(10));
-        h.put_at(RowId(2), row(10));
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.get(RowId(2)), Some(&row(10)));
-        // Over a freed slot: it is occupied again.
-        let a = h.insert(row(1));
-        h.delete(a);
-        h.put_at(a, row(1));
-        assert_eq!(h.len(), 2);
-        let b = h.insert(row(3));
-        assert_ne!(a, b, "an insert must not hand out a put_at slot");
-    }
-
-    #[test]
-    fn iter_skips_tombstones() {
-        let mut h = Heap::new();
-        let a = h.insert(row(1));
-        h.insert(row(2));
-        h.delete(a);
-        let got: Vec<i64> = h
-            .iter()
-            .map(|(_, r)| match r[0] {
-                Value::Int(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(got, vec![2]);
+        assert_eq!(h.get(RowId(0)), Some(&row(10)));
+        // An insert takes the id after every put_at row.
+        assert_eq!(h.insert(row(3)), RowId(1));
     }
 
     #[test]
@@ -341,12 +238,13 @@ mod tests {
         let b = h.insert(row(2));
         let snapshot = h.clone();
         h.update(a, row(99));
-        h.delete(b);
+        let c = h.insert(row(3));
         assert_eq!(snapshot.get(a), Some(&row(1)));
         assert_eq!(snapshot.get(b), Some(&row(2)));
+        assert_eq!(snapshot.get(c), None);
         assert_eq!(snapshot.len(), 2);
         assert_eq!(h.get(a), Some(&row(99)));
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.len(), 3);
     }
 
     #[test]
@@ -359,20 +257,16 @@ mod tests {
         assert_eq!(snapshot.get(a), Some(&row(7)));
     }
 
-    /// The reference the heap must agree with: one optional row per slot.
-    type Model = Vec<Option<Row>>;
-
-    /// Compare every observable of `heap` with `model`.
-    fn agrees(heap: &Heap, model: &Model) -> Result<(), String> {
+    /// Compare every observable of `heap` with `model`, one row per id.
+    fn agrees(heap: &Heap, model: &[Row]) -> Result<(), String> {
         let want: Vec<(RowId, &Row)> = (model.iter().enumerate())
-            .filter_map(|(i, r)| Some((RowId(i as u32), r.as_ref()?)))
+            .map(|(i, r)| (RowId(i as u32), r))
             .collect();
         prop_assert_eq!(heap.iter().collect::<Vec<_>>(), want);
-        prop_assert_eq!(heap.len(), want.len());
-        prop_assert_eq!(heap.is_empty(), want.is_empty());
+        prop_assert_eq!(heap.len(), model.len());
+        prop_assert_eq!(heap.is_empty(), model.is_empty());
         for i in 0..model.len() + PAGE_SLOTS {
-            let id = RowId(i as u32);
-            prop_assert_eq!(heap.get(id), model.get(i).and_then(Option::as_ref));
+            prop_assert_eq!(heap.get(RowId(i as u32)), model.get(i));
         }
         Ok(())
     }
@@ -380,44 +274,43 @@ mod tests {
     props! {
         config(cases = 64);
 
-        // `op` picks insert (0-5), update (6-8), delete (9-11), put_at
-        // within the first pages (12-13) or one or two directories out
-        // (14), or a snapshot (15); `at` is the slot it names.
+        // `op` picks insert (0-5), update (6-9), put_at (10-14) or a
+        // snapshot (15); `near` is the id an update or put_at names, up to
+        // a few rows past the end. Enough inserts cross pages and, at the
+        // top of the size range, a directory.
         fn heap_matches_a_slot_vector_model(
             ops in vec_of((usizes(0..16), usizes(0..400), ints(0..1000)), 0..=200),
+            bulk in usizes(0..DIR_SLOTS + 2 * PAGE_SLOTS),
         ) {
             let mut heap = Heap::new();
-            let mut model: Model = Vec::new();
-            let mut snapshots: Vec<(Heap, Model)> = Vec::new();
+            let mut model: Vec<Row> = Vec::new();
+            for i in 0..bulk {
+                prop_assert_eq!(heap.insert(row(i as i64)), RowId(i as u32));
+                model.push(row(i as i64));
+            }
+            let mut snapshots: Vec<(Heap, Vec<Row>)> = Vec::new();
             for (op, near, value) in ops {
-                let r = row(value);
+                let (r, at) = (row(value), near % (model.len() + 3));
                 match op {
                     0..=5 => {
-                        let lowest = model.iter().position(Option::is_none).unwrap_or(model.len());
-                        prop_assert_eq!(heap.insert(r.clone()), RowId(lowest as u32));
-                        if lowest == model.len() {
-                            model.push(None);
-                        }
-                        model[lowest] = Some(r);
+                        prop_assert_eq!(heap.insert(r.clone()), RowId(model.len() as u32));
+                        model.push(r);
                     }
-                    6..=8 => {
-                        let was = model.get(near).cloned().flatten();
-                        prop_assert_eq!(heap.update(RowId(near as u32), r.clone()), was.clone());
+                    6..=9 => {
+                        let was = model.get(at).cloned();
+                        prop_assert_eq!(heap.update(RowId(at as u32), r.clone()), was.clone());
                         if was.is_some() {
-                            model[near] = Some(r);
+                            model[at] = r;
                         }
                     }
-                    9..=11 => {
-                        let was = model.get_mut(near).and_then(Option::take);
-                        prop_assert_eq!(heap.delete(RowId(near as u32)), was);
-                    }
-                    12..=14 => {
-                        let at = if op < 14 { near } else { DIR_SLOTS * (1 + near % 2) + near };
-                        heap.put_at(RowId(at as u32), r.clone());
-                        if at >= model.len() {
-                            model.resize(at + 1, None);
+                    10..=14 => {
+                        let fits = at <= model.len();
+                        prop_assert_eq!(heap.put_at(RowId(at as u32), r.clone()), fits);
+                        if at == model.len() {
+                            model.push(r);
+                        } else if fits {
+                            model[at] = r;
                         }
-                        model[at] = Some(r);
                     }
                     _ => snapshots.push((heap.clone(), model.clone())),
                 }

@@ -1,10 +1,9 @@
 //! Append-only redo log with group commit.
 //!
 //! Every committed mutation serializes a **logical record** — per-table ops
-//! keyed by the stable [`RowId`]s the heap guarantees (tombstoned slots are
-//! never re-numbered, so a RowId means the same row at replay time as it did
-//! at commit time) — and a statement only publishes its snapshot once that
-//! record is durable. The commit protocol in `db.rs` is therefore
+//! keyed by [`RowId`], a row's insertion ordinal in its append-only heap, so
+//! a RowId means the same row at replay time as it did at commit time — and
+//! a statement only publishes its snapshot once that record is durable. The commit protocol in `db.rs` is therefore
 //! *latch → mutate → log → fsync-ack → publish*: a crash at any instant
 //! loses at most statements that were never acknowledged, never ones a
 //! client saw succeed.
@@ -17,16 +16,19 @@
 //! payload:= op_count:u32 op*
 //! op     := 0x01 table row_id row      -- Insert (put_at semantics)
 //!         | 0x02 table row_id row      -- Update (full new image)
-//!         | 0x03 table row_id          -- Delete
-//!         | 0x04 sql                   -- Ddl (one CREATE/DROP statement)
+//!         | 0x04 sql                   -- Ddl (one CREATE TABLE or
+//!                                          CREATE/DROP INDEX statement)
 //! ```
 //!
+//! Tag 3 was a Delete; rows are no longer removed, so no tag-3 op decodes.
 //! The checksum (FNV-1a over the payload) makes torn tails detectable:
 //! recovery truncates at the first record whose frame is short or whose
 //! checksum mismatches, which is exactly the prefix the log had made durable.
-//! Records are *redo-only* and idempotent — Insert/Update
-//! force-set the row image at its id, Delete of a missing row is a no-op —
-//! so replaying a log twice lands in the same state as replaying it once.
+//! A record whose checksum holds but whose payload does not decode was
+//! written whole, so it is not a torn tail: recovery refuses to open the log
+//! rather than cut acknowledged commits. Records are *redo-only* and
+//! idempotent — Insert/Update force-set the row image at its id — so
+//! replaying a log twice lands in the same state as replaying it once.
 //!
 //! # Group commit
 //!
@@ -86,12 +88,12 @@ impl Default for DurabilityConfig {
 /// One logical redo operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// Force-set `row` at `id` in `table` (covers fresh inserts and
-    /// rollback-restores alike).
+    /// Append `row` to `table` at `id`, the table's next id (on a second
+    /// replay, force-set it there).
     Insert {
         /// Lowercased table name.
         table: String,
-        /// Stable slot the row occupies.
+        /// The row's id: its insertion ordinal.
         id: RowId,
         /// Full row image.
         row: Row,
@@ -100,23 +102,16 @@ pub enum WalOp {
     Update {
         /// Lowercased table name.
         table: String,
-        /// Stable slot the row occupies.
+        /// The row's id: its insertion ordinal.
         id: RowId,
         /// Full post-statement row image.
         row: Row,
     },
-    /// Delete the row at `id` (no-op if already gone).
-    Delete {
-        /// Lowercased table name.
-        table: String,
-        /// Stable slot the row occupied.
-        id: RowId,
-    },
     /// One DDL statement, stored as its canonical SQL text (the same
     /// rendering `dump.rs` emits), replayed through the ordinary DDL path.
     Ddl {
-        /// `CREATE TABLE` / `DROP TABLE` / `CREATE [UNIQUE] INDEX` /
-        /// `DROP INDEX` text without a trailing semicolon.
+        /// `CREATE TABLE` / `CREATE [UNIQUE] INDEX` / `DROP INDEX` text
+        /// without a trailing semicolon.
         sql: String,
     },
 }
@@ -172,11 +167,6 @@ fn put_op(buf: &mut Vec<u8>, op: &WalOp) {
             put_str(buf, table);
             put_u32(buf, id.0);
             put_row(buf, row);
-        }
-        WalOp::Delete { table, id } => {
-            buf.push(3);
-            put_str(buf, table);
-            put_u32(buf, id.0);
         }
         WalOp::Ddl { sql } => {
             buf.push(4);
@@ -256,8 +246,8 @@ impl<'a> Cursor<'a> {
 }
 
 /// Decode one record's payload (the bytes after the frame). `None` means the
-/// payload is malformed — recovery treats that record and everything after
-/// it as the torn tail.
+/// payload is malformed, or holds an op this version does not know (such as
+/// tag 3, the Delete of earlier versions).
 pub fn decode_payload(payload: &[u8]) -> Option<Vec<WalOp>> {
     let mut c = Cursor {
         buf: payload,
@@ -276,10 +266,6 @@ pub fn decode_payload(payload: &[u8]) -> Option<Vec<WalOp>> {
                 table: c.str()?,
                 id: RowId(c.u32()?),
                 row: c.row()?,
-            },
-            3 => WalOp::Delete {
-                table: c.str()?,
-                id: RowId(c.u32()?),
             },
             4 => WalOp::Ddl { sql: c.str()? },
             _ => return None,
@@ -566,10 +552,6 @@ mod tests {
                 table: "t".into(),
                 id: RowId(0),
                 row: vec![Value::Int(1)],
-            },
-            WalOp::Delete {
-                table: "other".into(),
-                id: RowId(42),
             },
             WalOp::Ddl {
                 sql: "CREATE TABLE t (a INTEGER)".into(),

@@ -1,6 +1,7 @@
 //! Integration tests for the richer SQL surface: set operations, EXPLAIN,
 //! expression positions, the refusal of the forms minisql does not support
-//! (subqueries, outer joins, scalar functions, window functions) and DB2's
+//! (subqueries, outer joins, scalar functions, window functions, and every
+//! statement that would remove a row or a table) and DB2's
 //! SQLCODEs for overflow, grouping and the DATE range — everything exercised
 //! through the full text → parse → plan → execute path.
 
@@ -256,9 +257,10 @@ fn explain_describes_operators() {
 #[test]
 fn explain_does_not_execute_dml() {
     let db = db();
-    let plan = texts(&db, "EXPLAIN DELETE FROM orders WHERE amount > 0");
-    assert!(plan[0].contains("DELETE FROM orders"), "{plan:?}");
-    assert_eq!(db.table_len("orders").unwrap(), 4); // nothing deleted
+    let plan = texts(&db, "EXPLAIN UPDATE orders SET amount = 0 WHERE amount > 0");
+    assert_eq!(plan, ["UPDATE orders SET amount = 0 WHERE (amount > 0)"]);
+    let zero = "SELECT COUNT(*) FROM orders WHERE amount = 0";
+    assert_eq!(rows(&db, zero), [[Value::Int(0)]]); // nothing updated
 }
 
 #[test]
@@ -339,10 +341,12 @@ fn explain_analyze_shows_scan_and_filter_actuals() {
 #[test]
 fn explain_analyze_on_dml_plans_without_executing() {
     let db = db();
-    let plan = texts(&db, "EXPLAIN ANALYZE DELETE FROM orders WHERE amount > 0");
-    assert!(plan[0].contains("DELETE FROM orders"), "{plan:?}");
-    assert!(!plan[0].contains("actual rows="), "{plan:?}");
-    assert_eq!(db.table_len("orders").unwrap(), 4); // nothing deleted
+    let plan = texts(
+        &db,
+        "EXPLAIN ANALYZE INSERT INTO orders VALUES (104, 4, 1.0)",
+    );
+    assert_eq!(plan, ["INSERT INTO orders VALUES (104, 4, 1.0)"]);
+    assert_eq!(db.table_len("orders").unwrap(), 4); // nothing inserted
 }
 
 #[test]
@@ -453,11 +457,11 @@ fn primary_key_update_probes_the_index() {
         db.run_script(&format!("INSERT INTO orders VALUES {}", values.join(", ")))
             .unwrap();
     }
+    // An UPDATE finds its rows by the scan `SELECT * … WHERE` plans.
     let update = "UPDATE orders SET quantity = 5 WHERE orderid = 7";
-    let plan = texts(&db, &format!("EXPLAIN {update}"));
-    assert_eq!(plan[0], "UPDATE orders", "{plan:?}");
+    let plan = texts(&db, "EXPLAIN SELECT * FROM orders WHERE orderid = 7");
     assert!(
-        plan[1].starts_with("INDEX equality PROBE orders_orderid_unique (orderid)"),
+        plan[0].starts_with("INDEX equality PROBE orders_orderid_unique (orderid)"),
         "{plan:?}"
     );
     minisql::plan::reset_thread_stats();
@@ -593,6 +597,43 @@ fn subqueries_outer_joins_and_scalar_functions_are_refused() {
         rows(&db, "SELECT COUNT(*) FROM orders WHERE amount = 0"),
         [[Value::Int(0)]]
     );
+}
+
+#[test]
+fn statements_that_remove_rows_or_tables_are_refused() {
+    let populated = db();
+    let empty = Database::new();
+    for (sql, message) in [
+        ("DELETE FROM orders", "DELETE is not supported"),
+        (
+            "DELETE FROM orders WHERE amount > 0",
+            "DELETE is not supported",
+        ),
+        ("DROP TABLE orders", "DROP TABLE is not supported"),
+        ("DROP TABLE IF EXISTS orders", "DROP TABLE is not supported"),
+        (
+            "INSERT INTO orders SELECT * FROM orders",
+            "INSERT ... SELECT is not supported",
+        ),
+        (
+            "INSERT INTO orders (orderid, custid) SELECT orderid + 10, custid FROM orders",
+            "INSERT ... SELECT is not supported",
+        ),
+        ("EXPLAIN DELETE FROM orders", "DELETE is not supported"),
+    ] {
+        // Refused at parse time: a database without the table answers alike.
+        let mut errs = vec![minisql::parse(sql).unwrap_err()];
+        for db in [&populated, &empty] {
+            errs.push(db.connect().execute(sql).unwrap_err());
+            errs.push(db.run_script(sql).unwrap_err());
+        }
+        for err in errs {
+            assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
+            assert_eq!(err.message, message, "{sql}");
+        }
+    }
+    assert_eq!(populated.table_len("orders").unwrap(), 4);
+    assert!(empty.pin().tables.is_empty());
 }
 
 // ---------------------------------------------------------------------------

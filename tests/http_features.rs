@@ -18,7 +18,7 @@ fn server() -> HttpServer {
     .unwrap();
     gw.add_macro(
         "admin.d2w",
-        "%SQL{ DELETE FROM urldb %}\n%HTML_INPUT{admin form%}\n%HTML_REPORT{purged%EXEC_SQL%}",
+        "%SQL{ UPDATE urldb SET url = 'http://purged' %}\n%HTML_INPUT{admin form%}\n%HTML_REPORT{purged%EXEC_SQL%}",
     )
     .unwrap();
     let server = HttpServer::start(gw, 0).unwrap();
@@ -84,7 +84,7 @@ fn wrong_password_rejected() {
         ))
         .unwrap();
     assert!(raw.starts_with("HTTP/1.1 401"), "{raw}");
-    // The protected DELETE must not have run.
+    // The protected UPDATE must not have run: the row is unchanged.
     let check = client.get("/cgi-bin/db2www/q.d2w/report").unwrap();
     assert!(check.body.contains("ibm.com"));
     server.shutdown();

@@ -246,22 +246,13 @@ impl Census {
                 "SELECT"
             }
             Statement::Insert {
-                columns,
-                values,
-                select,
-                ..
+                columns, values, ..
             } => {
                 if !columns.is_empty() {
                     self.note("clause", "INSERT column list");
                 }
                 values.iter().flatten().for_each(|e| self.expr(e));
-                match select {
-                    Some(s) => {
-                        self.select(s);
-                        "INSERT SELECT"
-                    }
-                    None => "INSERT VALUES",
-                }
+                "INSERT VALUES"
             }
             Statement::Update {
                 assignments,
@@ -272,12 +263,7 @@ impl Census {
                 self.where_clause(where_clause.as_ref());
                 "UPDATE"
             }
-            Statement::Delete { where_clause, .. } => {
-                self.where_clause(where_clause.as_ref());
-                "DELETE"
-            }
             Statement::CreateTable { .. } => "CREATE TABLE",
-            Statement::DropTable { .. } => "DROP TABLE",
             Statement::CreateIndex { .. } => "CREATE INDEX",
             Statement::DropIndex { .. } => "DROP INDEX",
             Statement::Explain { inner, .. } => {
