@@ -49,9 +49,13 @@ const SETTINGS: [(&str, Show); 14] = [
 ];
 
 /// Names that used to be read from the environment, and what replaced them.
-const REMOVED: [(&[&str], &str); 7] = [
+const REMOVED: [(&[&str], &str); 8] = [
     (
-        &["HASH_JOIN", "PUSHDOWN", "INDEX_PATHS", "TOPK", "REORDER"],
+        &["HASH_JOIN", "PUSHDOWN", "REORDER"],
+        "joins are not supported: a statement reads one table, so there is nothing to switch",
+    ),
+    (
+        &["INDEX_PATHS", "TOPK"],
         "planner switches are `minisql::PlanOptions` fields, set in a bench or test",
     ),
     (
@@ -301,7 +305,9 @@ mod tests {
             ("DBGW_TRACE", "maybe", "0 or 1"),
             ("DBGW_MAX_BODY", "-5", "non-negative"),
             ("DBGW_BOGUS", "1", "not a variable the gateway knows"),
-            ("DBGW_HASH_JOIN", "0", "PlanOptions"),
+            ("DBGW_HASH_JOIN", "0", "joins are not supported"),
+            ("DBGW_REORDER", "0", "joins are not supported"),
+            ("DBGW_TOPK", "0", "PlanOptions"),
             ("DBGW_STATS", "0", "always maintained"),
             ("DBGW_STREAM_WATERMARK", "1", "ServerConfig"),
             ("DBGW_GROUP_COMMIT_US", "200", "no window"),

@@ -741,7 +741,7 @@ fn cancel_response(reason: CancelReason, request_id: u64) -> CgiResponse {
             504
         }
         CancelReason::Cancelled => 503,
-        CancelReason::RowBudgetExceeded { .. } | CancelReason::ByteBudgetExceeded { .. } => 500,
+        CancelReason::ByteBudgetExceeded { .. } => 500,
     };
     CgiResponse {
         status,

@@ -120,8 +120,7 @@ impl<'r> Engine<'r> {
 
     /// Bind this engine to a request context. Section processing, SQL
     /// execution, substitution, and report rendering all become cancellation
-    /// points; report rows are charged against the context's row/byte
-    /// budgets.
+    /// points; substitution charges the context's expanded-text budget.
     pub fn with_request_ctx(mut self, ctx: Arc<RequestCtx>) -> Engine<'r> {
         self.ctx = ctx;
         self
@@ -398,15 +397,14 @@ impl<'r> Engine<'r> {
         dbgw_obs::metrics().rows_rendered.add(printed as u64);
         dbgw_obs::trace::note("rows", printed.to_string());
         // A printed row's values become text in `cells`; the row renders
-        // into `buf`, is charged against the request budgets *before* it is
-        // pushed, and is pushed whole, so a streaming sink ships the report
-        // as the rows render. Rows past the printed ones are never formatted.
+        // into `buf` and is pushed whole, so a streaming sink ships the
+        // report as the rows render. Rows past the printed ones are never
+        // formatted.
         let (mut cells, mut buf) = (Vec::new(), String::new());
 
         let Some(report) = &section.report else {
             // Default table format (§3.4).
             let header = TableBuilder::header_html(rows.columns());
-            self.charge(0, header.len())?;
             self.emit(out, &header)?;
             for i in 0..printed {
                 if i % 128 == 0 {
@@ -415,10 +413,8 @@ impl<'r> Engine<'r> {
                 rows.fill_row(i, &mut cells);
                 buf.clear();
                 TableBuilder::push_row_html(&mut buf, rows.columns().len(), &cells);
-                self.charge(1, buf.len())?;
                 self.emit(out, &buf)?;
             }
-            self.charge(0, TableBuilder::FOOTER_HTML.len())?;
             self.emit(out, TableBuilder::FOOTER_HTML)?;
             return Ok(());
         };
@@ -466,7 +462,9 @@ impl<'r> Engine<'r> {
                             .write_value(name, &mut buf)?,
                     }
                 }
-                self.charge(1, buf.len())?;
+                if let Some(row_ev) = &mut row_ev {
+                    ev.adopt_charge(row_ev)?;
+                }
                 self.check_ctx()?;
                 self.emit(out, &buf)?;
             }
@@ -479,14 +477,6 @@ impl<'r> Engine<'r> {
         ev.scope = Some(scope);
         let footer = ev.render(&report.footer)?;
         self.emit(out, &footer)
-    }
-
-    /// Charge rendered report output against the request's row/byte budgets.
-    fn charge(&self, rows: usize, bytes: usize) -> MacroResult<()> {
-        self.ctx
-            .charge_rows(rows as u64)
-            .and_then(|()| self.ctx.charge_bytes(bytes as u64))
-            .map_err(|reason| MacroError::Cancelled { reason })
     }
 }
 
@@ -916,21 +906,32 @@ mod tests {
     }
 
     #[test]
-    fn row_budget_caps_custom_report() {
-        let mac =
-            parse_macro("%SQL{ Q\n%SQL_REPORT{%ROW{[$(V1)]%}%}\n%}\n%HTML_REPORT{%EXEC_SQL%}")
-                .unwrap();
-        let ctx =
-            Arc::new(RequestCtx::new(2, Arc::new(dbgw_obs::StdClock::new())).with_row_budget(2));
-        let mut db = FnDatabase(|_: &str| Ok(ok_rows(&["a"], &[&["1"], &["2"], &["3"]])));
-        let err = Engine::new()
-            .with_request_ctx(ctx)
-            .process(&mac, Mode::Report, &[], &mut db)
-            .unwrap_err();
+    fn expanded_text_budget_ends_the_request() {
+        // L0 is ten bytes and each further level ten references to the one
+        // below: $(L3) is 10 000 bytes, $(L6) ten million.
+        let render = |top: usize| {
+            let mut defines = String::from("L0 = \"xxxxxxxxxx\"\n");
+            for k in 1..=top {
+                let refs = format!("$(L{})", k - 1).repeat(10);
+                defines.push_str(&format!("L{k} = \"{refs}\"\n"));
+            }
+            let mac = parse_macro(&format!(
+                "%DEFINE{{\n{defines}%}}\n%HTML_REPORT{{$(L{top})%}}"
+            ))
+            .unwrap();
+            let ctx = Arc::new(RequestCtx::new(2, Arc::new(dbgw_obs::StdClock::new())));
+            let mut db = FnDatabase(|_: &str| Ok(ok_rows(&["a"], &[])));
+            Engine::new()
+                .with_request_ctx(ctx)
+                .process(&mac, Mode::Report, &[], &mut db)
+        };
+        assert_eq!(render(3).unwrap().len(), 10_000);
         assert!(matches!(
-            err,
+            render(6).unwrap_err(),
             MacroError::Cancelled {
-                reason: CancelReason::RowBudgetExceeded { budget: 2 }
+                reason: CancelReason::ByteBudgetExceeded {
+                    budget: dbgw_obs::EXPANDED_TEXT_BUDGET
+                }
             }
         ));
     }

@@ -19,18 +19,30 @@
 //!   (`= ?`, null if any directly referenced variable is null) (§3.1.2).
 //! * **Executable variables** — the command runs at *each* reference; its
 //!   exit code becomes the value, success becoming null (§3.1.4).
+//! * **Bounded expansion** — an input value may reference other variables,
+//!   so a short request can ask for text that grows tenfold per level of
+//!   reference (a macro "billion laughs"). Every concatenation is charged
+//!   against the request's expanded-text budget
+//!   ([`dbgw_obs::EXPANDED_TEXT_BUDGET`]) before it grows a buffer, and
+//!   going over it ends the request as cancelled.
 
 use crate::ast::{DefineStatement, Template};
 use crate::env::{Env, ReportScope};
 use crate::error::{MacroError, MacroResult};
 use crate::exec::CommandRunner;
 use dbgw_obs::RequestCtx;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Hard limit on variable-chain depth; cycles are caught exactly, this guards
 /// only pathological acyclic chains built from adversarial CGI input.
 const MAX_DEPTH: usize = 100;
+
+/// Expanded text an evaluator accumulates before charging it to the
+/// request's budget in one step, so the budget costs one atomic update per
+/// this many bytes (or per evaluator), not one per substitution.
+const CHARGE_STEP: usize = 4096;
 
 /// A substitution session over one environment.
 ///
@@ -41,6 +53,8 @@ pub struct Evaluator<'a> {
     runner: &'a dyn CommandRunner,
     stack: Vec<String>,
     ctx: Arc<RequestCtx>,
+    /// Expanded text not yet charged to `ctx`'s budget.
+    uncharged: usize,
     /// The SQL result being rendered, whose report variables are consulted
     /// before anything else — also from inside DEFINE values, so a lazy
     /// `$(V2)` in a variable referenced from `%ROW` sees the current row.
@@ -66,8 +80,48 @@ impl<'a> Evaluator<'a> {
             runner,
             stack: Vec::new(),
             ctx,
+            uncharged: 0,
             scope: None,
         }
+    }
+
+    /// Charge `n` bytes of expanded text, before the buffer they go into
+    /// grows: past the request's budget this is `Err(Cancelled)`.
+    fn charge(&mut self, n: usize) -> MacroResult<()> {
+        self.uncharged += n;
+        if self.uncharged < CHARGE_STEP {
+            return Ok(());
+        }
+        self.flush_charge()
+    }
+
+    fn flush_charge(&mut self) -> MacroResult<()> {
+        let n = std::mem::take(&mut self.uncharged);
+        (self.ctx.charge_bytes(n as u64)).map_err(|reason| MacroError::Cancelled { reason })
+    }
+
+    /// Take over `other`'s uncharged text, so a short-lived evaluator (one
+    /// per report row) adds no budget update of its own when it drops.
+    pub(crate) fn adopt_charge(&mut self, other: &mut Evaluator<'_>) -> MacroResult<()> {
+        let n = std::mem::take(&mut other.uncharged);
+        self.charge(n)
+    }
+
+    /// A list separator, substituted: most hold no `$` and are used as
+    /// written, which is what substituting them would give.
+    fn separator<'s>(&mut self, raw: &'s str) -> MacroResult<Cow<'s, str>> {
+        if raw.contains('$') {
+            Ok(Cow::Owned(self.substitute(raw)?))
+        } else {
+            Ok(Cow::Borrowed(raw))
+        }
+    }
+
+    /// `parts` joined by `separator`, charged before the joined text is built.
+    fn join(&mut self, parts: &[String], separator: &str) -> MacroResult<String> {
+        let seps = separator.len() * parts.len().saturating_sub(1);
+        self.charge(parts.iter().map(String::len).sum::<usize>() + seps)?;
+        Ok(parts.join(separator))
     }
 
     /// Substitute every `$(var)` / `$$(var)` pattern in `raw`, tokenizing it
@@ -102,7 +156,10 @@ impl<'a> Evaluator<'a> {
         let mut saw_null = false;
         for token in tokens {
             match token {
-                Token::Text(text) => out.push_str(text),
+                Token::Text(text) => {
+                    self.charge(text.len())?;
+                    out.push_str(text);
+                }
                 Token::Var(name) => {
                     let before = out.len();
                     self.write_value(name, &mut out)?;
@@ -148,7 +205,9 @@ impl<'a> Evaluator<'a> {
         self.stack.push(name.to_owned());
         let result = self.value_uncached(name);
         self.stack.pop();
-        out.push_str(&result?);
+        let value = result?;
+        self.charge(value.len())?;
+        out.push_str(&value);
         Ok(())
     }
 
@@ -163,7 +222,7 @@ impl<'a> Evaluator<'a> {
         // 2. HTML input variables override macro DEFINEs (§4.3).
         if let Some(values) = env.input(name) {
             let separator = env.define(name).and_then(|e| e.separator.as_deref());
-            let separator = self.substitute(separator.unwrap_or(","))?;
+            let separator = self.separator(separator.unwrap_or(","))?;
             let mut parts = Vec::with_capacity(values.len());
             for raw in values {
                 // Input values are parsed like simple assignments (§4.3.2).
@@ -172,7 +231,7 @@ impl<'a> Evaluator<'a> {
                     parts.push(v);
                 }
             }
-            return Ok(parts.join(&separator));
+            return self.join(&parts, &separator);
         }
         // 3. Macro DEFINEs.
         let Some(entry) = env.define(name) else {
@@ -180,7 +239,7 @@ impl<'a> Evaluator<'a> {
             return Ok(String::new());
         };
         if let Some(separator) = &entry.separator {
-            let separator = self.substitute(separator)?;
+            let separator = self.separator(separator)?;
             let mut parts = Vec::with_capacity(entry.assigns.len());
             for assign in &entry.assigns {
                 // "The list variable evaluation is intelligent enough to add
@@ -191,7 +250,7 @@ impl<'a> Evaluator<'a> {
                     parts.push(v);
                 }
             }
-            return Ok(parts.join(&separator));
+            return self.join(&parts, &separator);
         }
         match entry.assigns.last() {
             Some(assign) => self.eval_assign(assign),
@@ -231,6 +290,16 @@ impl<'a> Evaluator<'a> {
                 }
             }
             DefineStatement::ListDecl { .. } => unreachable!("Env::apply stores no declaration"),
+        }
+    }
+}
+
+impl Drop for Evaluator<'_> {
+    /// Charge what is left, so text an evaluator expanded counts against the
+    /// request even below `CHARGE_STEP`; a later charge reports any excess.
+    fn drop(&mut self) {
+        if self.uncharged > 0 {
+            let _ = self.flush_charge();
         }
     }
 }

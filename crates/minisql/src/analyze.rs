@@ -27,13 +27,9 @@ use std::sync::Arc;
 /// the deterministic line order of the EXPLAIN tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpId {
-    /// Base table access (index probe or full scan).
+    /// Table access (index probe or full scan) with its scan filters.
     Base,
-    /// Scan of the `i`-th join's right side.
-    JoinScan(usize),
-    /// The `i`-th JOIN (hash or nested loop), including its post-filters.
-    Join(usize),
-    /// Residual WHERE filter (conjuncts the planner did not push down).
+    /// Residual WHERE filter (conjuncts naming no column of the table).
     WhereFilter,
     /// Grouping and aggregate computation.
     Aggregate,
@@ -49,17 +45,15 @@ pub enum OpId {
 
 impl OpId {
     /// Short label used in trace notes and slow-query plan summaries.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            OpId::Base => "scan".to_owned(),
-            OpId::JoinScan(i) => format!("scan#{i}"),
-            OpId::Join(i) => format!("join#{i}"),
-            OpId::WhereFilter => "where".to_owned(),
-            OpId::Aggregate => "agg".to_owned(),
-            OpId::Having => "having".to_owned(),
-            OpId::Distinct => "distinct".to_owned(),
-            OpId::Sort => "sort".to_owned(),
-            OpId::Limit => "limit".to_owned(),
+            OpId::Base => "scan",
+            OpId::WhereFilter => "where",
+            OpId::Aggregate => "agg",
+            OpId::Having => "having",
+            OpId::Distinct => "distinct",
+            OpId::Sort => "sort",
+            OpId::Limit => "limit",
         }
     }
 }
@@ -216,7 +210,7 @@ pub fn lookup(ops: &[(OpId, OpActuals)], op: OpId) -> Option<OpActuals> {
 
 /// One-line compact summary of a collected set, for the `DBGW_TRACE`
 /// `plan_actuals` note and the slow-query log:
-/// `scan 5→3 x1 0.010ms; join#0 3→7 x1 0.021ms; total 0.055ms`.
+/// `scan 5→3 x1 0.010ms; sort 3→3 x1 0.021ms; total 0.055ms`.
 pub fn summarize(ops: &[(OpId, OpActuals)], total_ns: u64) -> String {
     let mut parts: Vec<String> = ops
         .iter()
@@ -315,10 +309,10 @@ mod tests {
                 },
             ),
             (
-                OpId::Join(0),
+                OpId::Sort,
                 OpActuals {
                     rows_in: 3,
-                    rows_out: 7,
+                    rows_out: 3,
                     loops: 1,
                     time_ns: 21_000,
                 },
@@ -327,7 +321,7 @@ mod tests {
         let s = summarize(&ops, 55_000);
         assert_eq!(
             s,
-            "scan 5\u{2192}3 x1 0.010ms; join#0 3\u{2192}7 x1 0.021ms; total 0.055ms"
+            "scan 5\u{2192}3 x1 0.010ms; sort 3\u{2192}3 x1 0.021ms; total 0.055ms"
         );
         set_last_summary(s.clone());
         assert_eq!(take_last_summary().as_deref(), Some(s.as_str()));

@@ -308,15 +308,6 @@ impl TableRef {
     }
 }
 
-/// An inner join clause (`JOIN t ON cond`; a comma join is a cross join).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Join {
-    /// The joined table.
-    pub table: TableRef,
-    /// The ON condition; `None` for a cross join.
-    pub on: Option<Expr>,
-}
-
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SortDir {
@@ -364,10 +355,8 @@ pub struct Select {
     pub distinct: bool,
     /// Output columns.
     pub items: Vec<SelectItem>,
-    /// First FROM table; `None` for table-less `SELECT 1+1`.
+    /// The one FROM table; `None` for table-less `SELECT 1+1`.
     pub from: Option<TableRef>,
-    /// Subsequent joins.
-    pub joins: Vec<Join>,
     /// WHERE predicate.
     pub where_clause: Option<Expr>,
     /// GROUP BY keys.
@@ -388,7 +377,7 @@ pub struct Select {
 
 impl Select {
     /// Call `f` on each expression slot of this branch: the SELECT items,
-    /// WHERE, GROUP BY, HAVING, ORDER BY and every JOIN's ON condition.
+    /// WHERE, GROUP BY, HAVING and ORDER BY.
     /// Set-operation branches are not entered.
     pub fn for_each_expr(&self, mut f: impl FnMut(&Expr)) {
         for item in &self.items {
@@ -399,8 +388,7 @@ impl Select {
         self.where_clause.iter().for_each(&mut f);
         self.group_by.iter().for_each(&mut f);
         self.having.iter().for_each(&mut f);
-        self.order_by.iter().for_each(|k| f(&k.expr));
-        self.joins.iter().filter_map(|j| j.on.as_ref()).for_each(f)
+        self.order_by.iter().for_each(|k| f(&k.expr))
     }
 
     /// The expressions evaluated once per group when the query is grouped:
@@ -697,12 +685,6 @@ impl Select {
         fmt_comma_sep(f, &self.items)?;
         if let Some(from) = &self.from {
             write!(f, " FROM {from}")?;
-            for join in &self.joins {
-                match &join.on {
-                    None => write!(f, ", {}", join.table)?,
-                    Some(cond) => write!(f, " JOIN {} ON {cond}", join.table)?,
-                }
-            }
         }
         if let Some(w) = &self.where_clause {
             write!(f, " WHERE {w}")?;
@@ -922,12 +904,12 @@ mod tests {
     #[test]
     fn select_slots_cover_every_clause_but_not_set_branches() {
         let sel = select(
-            "SELECT *, ? FROM t JOIN u ON ? WHERE ? GROUP BY ? HAVING ? \
+            "SELECT *, ? FROM t WHERE ? GROUP BY ? HAVING ? \
              UNION SELECT ? FROM v ORDER BY ?",
         );
         let mut seen = Vec::new();
         sel.for_each_expr(|e| seen.push(marker(e)));
-        assert_eq!(seen, [1, 3, 4, 5, 7, 2]);
+        assert_eq!(seen, [1, 2, 3, 4, 6]);
     }
 
     #[test]

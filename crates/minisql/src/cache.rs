@@ -118,7 +118,7 @@ pub(crate) fn result_cost(rs: &ResultSet) -> usize {
     cost
 }
 
-/// Every table a SELECT reads (FROM, JOINs and set operations), lowercased,
+/// Every table a SELECT reads (FROM and set operations), lowercased,
 /// sorted, deduped.
 pub(crate) fn referenced_tables(sel: &Select) -> Vec<String> {
     let mut out = Vec::new();
@@ -146,8 +146,7 @@ pub(crate) fn deps_valid(state: &DbState, deps: &[(String, u64)]) -> bool {
 }
 
 fn collect_select(sel: &Select, out: &mut Vec<String>) {
-    let tables = sel.from.iter().chain(sel.joins.iter().map(|j| &j.table));
-    out.extend(tables.map(|t| t.name.to_ascii_lowercase()));
+    out.extend(sel.from.iter().map(|t| t.name.to_ascii_lowercase()));
     for (_, s) in &sel.set_ops {
         collect_select(s, out);
     }
@@ -164,15 +163,6 @@ mod tests {
             Statement::Select(sel) => referenced_tables(&sel),
             other => panic!("expected SELECT, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn from_and_joins_collected() {
-        assert_eq!(tables_of("SELECT * FROM a"), vec!["a"]);
-        assert_eq!(
-            tables_of("SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y"),
-            vec!["a", "b", "c"]
-        );
     }
 
     #[test]

@@ -44,6 +44,8 @@
 
 use crate::db::DbCore;
 use crate::error::{SqlError, SqlResult};
+use crate::index::Index;
+use crate::schema::TableSchema;
 use crate::state::DbState;
 use crate::wal::{encode_record, Wal, WalOp, LOG_FILE, MAGIC};
 use std::io::Write;
@@ -58,6 +60,51 @@ pub const CHECKPOINT_BYTES: u64 = 4 * 1024 * 1024;
 /// enough that no single record balloons.
 const ROWS_PER_RECORD: usize = 512;
 
+/// The `CREATE TABLE` statement (no trailing semicolon) that recreates
+/// `schema` — including PRIMARY KEY / NOT NULL / UNIQUE column constraints,
+/// which in turn recreate the system unique indexes. Shared by the WAL's DDL
+/// redo records and checkpoint serialization.
+pub(crate) fn create_table_sql(name: &str, schema: &TableSchema) -> String {
+    let cols: Vec<String> = schema
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let mut def = format!("{} {}", c.name, c.ty);
+            if schema.primary_key == Some(i) {
+                def.push_str(" PRIMARY KEY");
+            } else {
+                if c.not_null {
+                    def.push_str(" NOT NULL");
+                }
+                if c.unique {
+                    def.push_str(" UNIQUE");
+                }
+            }
+            def
+        })
+        .collect();
+    format!("CREATE TABLE {name} ({})", cols.join(", "))
+}
+
+/// The `CREATE [UNIQUE] INDEX` statement (no trailing semicolon) that
+/// recreates `idx` over the column named `column_name`.
+pub(crate) fn create_index_sql(idx: &Index, column_name: &str) -> String {
+    format!(
+        "CREATE {}INDEX {} ON {} ({column_name})",
+        if idx.unique { "UNIQUE " } else { "" },
+        idx.name,
+        idx.table
+    )
+}
+
+/// Whether `idx` is a system index implied by a column constraint — such
+/// indexes are recreated by [`create_table_sql`] and must not be emitted as
+/// separate `CREATE INDEX` statements.
+fn implied_by_constraint(idx: &Index, schema: &TableSchema) -> bool {
+    idx.unique && schema.columns.get(idx.column).is_some_and(|c| c.unique)
+}
+
 /// Serialize a state as base records: one DDL record recreating the catalog
 /// (tables in name order; constraint-implied indexes omitted — the CREATE
 /// TABLE constraints recreate them), then each table's rows in id order,
@@ -69,16 +116,16 @@ pub(crate) fn snapshot_records(state: &DbState) -> Vec<Vec<WalOp>> {
     for name in &names {
         let t = &state.tables[*name];
         ddl.push(WalOp::Ddl {
-            sql: crate::dump::create_table_sql(name, &t.schema),
+            sql: create_table_sql(name, &t.schema),
         });
         let mut index_names = t.index_names.clone();
         index_names.sort();
         for idx_name in &index_names {
             if let Some(idx) = state.indexes.get(idx_name) {
-                if !crate::dump::implied_by_constraint(idx, &t.schema) {
+                if !implied_by_constraint(idx, &t.schema) {
                     let column = &t.schema.columns[idx.column].name;
                     ddl.push(WalOp::Ddl {
-                        sql: crate::dump::create_index_sql(idx, column),
+                        sql: create_index_sql(idx, column),
                     });
                 }
             }

@@ -14,17 +14,13 @@ use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::like::Pattern;
 use crate::types::{Truth, Value};
 use std::borrow::Cow;
-use std::ops::Range;
-use std::sync::Arc;
 
-/// Column-name resolution for one query scope.
-///
-/// Holds, per FROM-clause table (in order), the table's effective name and
-/// its column names; tuple positions are the concatenation. A column list is
-/// shared, not copied, by the scopes cut from it for one stage of a join.
+/// Column-name resolution for one query scope: the FROM table's effective
+/// name and its column names, or nothing for a table-less SELECT. Tuple
+/// positions are column ordinals.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
-    tables: Vec<(String, Arc<[String]>)>,
+    table: Option<(String, Vec<String>)>,
 }
 
 impl Bindings {
@@ -35,105 +31,44 @@ impl Bindings {
 
     /// Scope with a single table.
     pub fn single(table: &str, columns: Vec<String>) -> Bindings {
-        let mut b = Bindings::default();
-        b.push_table(table, columns);
-        b
-    }
-
-    /// Append a table's columns to the scope (join order).
-    pub fn push_table(&mut self, table: &str, columns: Vec<String>) {
-        self.tables.push((table.to_owned(), columns.into()));
-    }
-
-    /// The scope of the tables in `range` (FROM-clause positions) alone: a
-    /// join's prefix, or one table's own scope for its scan.
-    pub(crate) fn slice(&self, range: Range<usize>) -> Bindings {
         Bindings {
-            tables: self.tables[range].to_vec(),
+            table: Some((table.to_owned(), columns)),
         }
     }
 
-    /// Total tuple width.
+    /// Tuple width.
     pub fn width(&self) -> usize {
-        self.tables.iter().map(|(_, c)| c.len()).sum()
+        self.columns().len()
     }
 
     /// All column names in tuple order (used by `SELECT *`).
-    pub fn all_columns(&self) -> Vec<String> {
-        self.tables
-            .iter()
-            .flat_map(|(_, cols)| cols.iter().cloned())
-            .collect()
+    pub fn columns(&self) -> &[String] {
+        self.table.as_ref().map_or(&[], |(_, cols)| cols)
     }
 
-    /// Tuple positions covered by `table.*`.
-    pub fn table_span(&self, table: &str) -> Option<(usize, usize)> {
-        let mut offset = 0;
-        for (name, cols) in &self.tables {
-            if name.eq_ignore_ascii_case(table) {
-                return Some((offset, offset + cols.len()));
-            }
-            offset += cols.len();
-        }
-        None
-    }
-
-    /// Column names for positions in `table.*`.
+    /// Column names of `table.*`, when `table` names the scope's table.
     pub fn table_columns(&self, table: &str) -> Option<&[String]> {
-        self.tables
-            .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(table))
+        (self.table.as_ref())
+            .filter(|(name, _)| name.eq_ignore_ascii_case(table))
             .map(|(_, cols)| &cols[..])
     }
 
-    /// Index (FROM-clause position) of the table owning tuple position
-    /// `pos`, if in range. The planner uses this to classify predicate
-    /// conjuncts by the tables they reference.
-    pub fn table_of_position(&self, pos: usize) -> Option<usize> {
-        let mut offset = 0;
-        for (i, (_, cols)) in self.tables.iter().enumerate() {
-            if pos < offset + cols.len() {
-                return Some(i);
-            }
-            offset += cols.len();
-        }
-        None
-    }
-
-    /// Resolve a column reference to a tuple position.
-    ///
-    /// Unqualified names must be unambiguous across the scope's tables; the
-    /// qualified form restricts the search to one table.
+    /// Resolve a column reference to a tuple position. A qualified name must
+    /// name the scope's table.
     pub fn resolve(&self, col: &ColumnRef) -> SqlResult<usize> {
         #[cfg(test)]
         RESOLVES.with(|n| n.set(n.get() + 1));
-        let mut found = None;
-        let mut offset = 0;
-        for (table, cols) in &self.tables {
-            if col
-                .table
-                .as_ref()
-                .is_none_or(|t| t.eq_ignore_ascii_case(table))
-            {
-                for (i, name) in cols.iter().enumerate() {
-                    if name.eq_ignore_ascii_case(&col.column) {
-                        if found.is_some() {
-                            return Err(SqlError::syntax(format!(
-                                "ambiguous column reference {col}"
-                            )));
-                        }
-                        found = Some(offset + i);
-                    }
-                }
-            }
-            offset += cols.len();
-        }
-        found.ok_or_else(|| SqlError::no_such_column(&col.to_string()))
+        let cols = match &col.table {
+            Some(t) => self.table_columns(t).unwrap_or(&[]),
+            None => self.columns(),
+        };
+        (cols.iter())
+            .position(|name| name.eq_ignore_ascii_case(&col.column))
+            .ok_or_else(|| SqlError::no_such_column(&col.to_string()))
     }
 
     /// A copy of `expr` with every column reference resolved against this
-    /// scope — unknown or ambiguous names error here, however many rows will
-    /// flow.
+    /// scope — unknown names error here, however many rows will flow.
     pub fn bound(&self, expr: &Expr) -> SqlResult<Expr> {
         let mut expr = expr.clone();
         self.bind(&mut expr)?;
@@ -157,18 +92,6 @@ impl Bindings {
             _ => {}
         }
         expr.try_for_each_child_mut(|e| self.bind(e))
-    }
-
-    /// Name every column of `expr` by the table it resolves to in this
-    /// scope — unknown or ambiguous names error here — so that `expr` means
-    /// the same in any wider scope that keeps the tables' names.
-    pub(crate) fn qualify(&self, expr: &mut Expr) -> SqlResult<()> {
-        if let Expr::Column(c) = expr {
-            let table = self.table_of_position(self.resolve(c)?);
-            c.table = table.map(|t| self.tables[t].0.clone());
-            return Ok(());
-        }
-        expr.try_for_each_child_mut(|e| self.qualify(e))
     }
 }
 
@@ -672,25 +595,22 @@ mod tests {
 
     #[test]
     fn bindings_resolution() {
-        let mut b = Bindings::default();
-        b.push_table("a", vec!["id".into(), "x".into()]);
-        b.push_table("b", vec!["id".into(), "y".into()]);
+        let b = Bindings::single("a", vec!["id".into(), "x".into()]);
         assert_eq!(b.resolve(&ColumnRef::bare("x")).unwrap(), 1);
-        assert_eq!(b.resolve(&ColumnRef::bare("y")).unwrap(), 3);
-        // Ambiguous unqualified id:
-        assert!(b.resolve(&ColumnRef::bare("id")).is_err());
-        // Qualified works:
-        assert_eq!(
-            b.resolve(&ColumnRef {
-                table: Some("b".into()),
-                column: "ID".into(),
-                slot: None,
-            })
-            .unwrap(),
-            2
-        );
-        assert_eq!(b.table_span("b"), Some((2, 4)));
-        assert_eq!(b.width(), 4);
+        let qualified = |table: &str, column: &str| ColumnRef {
+            table: Some(table.into()),
+            column: column.into(),
+            slot: None,
+        };
+        assert_eq!(b.resolve(&qualified("A", "ID")).unwrap(), 0);
+        // Another table's name, or no table at all, resolves nothing.
+        let err = b.resolve(&qualified("b", "id")).unwrap_err();
+        assert_eq!(err.code, SqlCode::UNDEFINED_COLUMN);
+        assert!(b.resolve(&ColumnRef::bare("y")).is_err());
+        assert!(Bindings::empty().resolve(&ColumnRef::bare("x")).is_err());
+        assert_eq!(b.table_columns("a").map(<[String]>::len), Some(2));
+        assert_eq!(b.table_columns("b"), None);
+        assert_eq!(b.width(), 2);
     }
 
     #[test]

@@ -1,31 +1,25 @@
-//! SELECT execution: scan → join → filter → group/aggregate → project →
-//! distinct → sort → limit.
+//! SELECT execution: scan → filter → group/aggregate → project → distinct →
+//! sort → limit.
 //!
-//! Execution follows the plan produced by `plan::plan_select`:
-//! WHERE/ON conjuncts are pushed to the scans that can evaluate them, each
-//! scan reads its table by the `AccessPath` the plan stored for it (an
-//! index probe for equality, range, `IN` or `LIKE 'prefix%'` — on the base of
-//! a join as well as its sides — a full scan, or nothing), equi-joins run as
-//! hash joins with a nested-loop fallback for everything else, and
-//! `ORDER BY … LIMIT k` keeps a bounded heap instead of sorting. Intermediate
-//! rows are threaded as borrowed [`Cow`] slices so a scan clones nothing and
-//! only rows surviving a join are materialized. Every candidate row is still
-//! checked against the conjuncts that selected it, so plan choice can only
-//! change performance, never results — a property the equivalence suite in
-//! `tests/planner_equivalence.rs` exercises. UPDATE finds its target rows
-//! through the same single-table scan (`scan_where`).
+//! A SELECT reads one table or none. Execution follows the plan produced by
+//! `plan::plan_select`: the scan reads its table by the `AccessPath` the plan
+//! stored for it (an index probe for equality, range, `IN` or
+//! `LIKE 'prefix%'`, a full scan, or nothing) and keeps the rows passing the
+//! WHERE conjuncts that name a column; the residual conjuncts run next, and
+//! `ORDER BY … LIMIT k` keeps a bounded heap instead of sorting. Rows are
+//! threaded as slices borrowed from the heap, so a scan clones nothing. Every
+//! candidate row is still checked against the conjuncts that selected it, so
+//! plan choice can only change performance, never results — a property the
+//! equivalence suite in `tests/planner_equivalence.rs` exercises. UPDATE
+//! finds its target rows through the same scan (`scan_where`).
 //!
-//! Each step has one implementation: one filter loop serves the scans, the
-//! residual WHERE and the join filters; one comparator sorts ORDER BY; one
-//! partitioner groups GROUP BY; and a compound SELECT's hoisted ORDER BY /
-//! OFFSET / LIMIT runs through the same tail as a single SELECT's, which is
-//! where EXPLAIN prints it.
+//! Each step has one implementation: one filter loop serves the scan and the
+//! residual WHERE; one comparator sorts ORDER BY; one partitioner groups
+//! GROUP BY; and a compound SELECT's hoisted ORDER BY / OFFSET / LIMIT runs
+//! through the same tail as a single SELECT's, which is where EXPLAIN prints
+//! it.
 //!
-//! Joins are inner joins only, so an ON conjunct means what a WHERE
-//! conjunct does; `prepare` checks once per statement that each ON names
-//! only the tables bound through its join, and names each of its columns by
-//! the table it bound to there. The walkers here (aggregate
-//! collection, constant folding) recurse through
+//! The walkers here (aggregate collection, constant folding) recurse through
 //! [`Expr::try_for_each_child`] and keep only their own stopping rule.
 //! DISTINCT, `COUNT(DISTINCT …)` and the set operations deduplicate by
 //! hashing, keeping first-seen order.
@@ -35,7 +29,7 @@ use crate::ast::{AggFunc, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, Ta
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::eval::{eval, eval_ref, eval_truth, overflow, AggSource, Bindings, NoAggregates};
 use crate::index::Index;
-use crate::plan::{self, AccessPath, JoinPlan, Keys, PlanOptions, ScanPlan, SelectPlan};
+use crate::plan::{self, AccessPath, Keys, PlanOptions, ScanPlan, SelectPlan};
 use crate::state::DbState;
 use crate::storage::{Row, RowId};
 use crate::types::Value;
@@ -45,11 +39,11 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
-/// A partially-joined tuple: borrowed straight from a heap until a join (or
-/// NULL padding) forces an owned copy.
-type SrcRow<'a> = Cow<'a, [Value]>;
+/// A source row: borrowed straight from a heap (an empty slice for a
+/// table-less SELECT or a compound's combined rows).
+type SrcRow<'a> = &'a [Value];
 
-/// Cooperative-cancellation stride: the scan, join, and grouping loops poll
+/// Cooperative-cancellation stride: the scan and grouping loops poll
 /// [`RequestCtx::check`] every this many rows, so a runaway query notices its
 /// deadline within a bounded amount of work while the per-row overhead stays
 /// one branch on an induction variable.
@@ -140,10 +134,7 @@ fn run_compound(
         rows = set_op(*op, rows, rhs.rows);
     }
     // The combined rows have no source row.
-    let pairs = rows
-        .into_iter()
-        .map(|r| (Cow::Borrowed(&[][..]), r))
-        .collect();
+    let pairs = rows.into_iter().map(|r| (&[][..], r)).collect();
     let topk = plan::topk_bound(sel, opts);
     finish_pipeline(sel, &base.columns, pairs, params, None, topk)
 }
@@ -215,45 +206,6 @@ fn dedup<T: Hash + Eq>(items: &mut Vec<T>) {
     retain_flagged(items, &keep);
 }
 
-/// The one prepare step behind both execution and EXPLAIN, so the join order
-/// EXPLAIN prints is the order that runs: the FROM-clause scope (unknown
-/// tables error here), the ON scope check, then cost-based join reordering
-/// on the original AST (the SELECT comes back owned, with its scope, when
-/// the order changed). Both callers hand the pair to [`plan::plan_select`].
-///
-/// Join j's ON may name only the tables bound through join j. The check runs
-/// on the statement as written and names each ON column by the table it
-/// binds to there, before reordering folds every ON into WHERE, whose scope
-/// is the whole FROM clause: a statement errors (−206) or runs, with the
-/// same names meaning the same columns, whatever [`PlanOptions`] it runs
-/// under.
-fn prepare<'a>(
-    state: &DbState,
-    sel: &'a Select,
-    params: &[Value],
-    opts: &PlanOptions,
-) -> SqlResult<(Cow<'a, Select>, Bindings)> {
-    let bindings = full_bindings(state, sel)?;
-    let mut scoped = Cow::Borrowed(sel);
-    for j in 0..sel.joins.len() {
-        if let Some(on) = &mut scoped.to_mut().joins[j].on {
-            bindings.slice(0..j + 2).qualify(on)?;
-        }
-    }
-    let reordered = if opts.reorder {
-        crate::cost::reorder_select(state, &scoped, params)
-    } else {
-        None
-    };
-    match reordered {
-        Some(sel) => {
-            let bindings = full_bindings(state, &sel)?;
-            Ok((Cow::Owned(sel), bindings))
-        }
-        None => Ok((Cow::Borrowed(sel), bindings)),
-    }
-}
-
 fn run_single(
     state: &DbState,
     sel: &Select,
@@ -265,16 +217,13 @@ fn run_single(
     // One EXPLAIN ANALYZE block; a compound's branches re-enter run_single
     // at depth ≥ 2 and are excluded from the outer block's actuals.
     let _analyze_block = analyze::enter_block();
-    let (sel, bindings) = prepare(state, sel, params, opts)?;
-    if matches!(sel, Cow::Owned(_)) {
-        dbgw_obs::metrics().join_reorders.inc();
-    }
-    let mut sel = sel.into_owned();
+    let bindings = scope(state, sel)?;
+    let mut sel = sel.clone();
     // 1. Bind: the SELECT list, GROUP BY, HAVING and ORDER BY resolve their
     // columns against the FROM scope here, once — unknown columns error even
     // when the table is empty (DB2 validated names at PREPARE) and no row
-    // loop looks a name up again. WHERE and ON conjuncts bind where the plan
-    // runs them, in that stage's scope.
+    // loop looks a name up again. WHERE conjuncts bind where the plan runs
+    // them.
     for item in &mut sel.items {
         if let SelectItem::Expr { expr, .. } = item {
             bindings.bind(expr)?;
@@ -292,18 +241,15 @@ fn run_single(
     }
     let (sel, bindings) = (&sel, &bindings);
 
-    // 2. Plan, then scan + join accordingly.
+    // 2. Plan, then scan accordingly.
     let sel_plan = plan::plan_select(state, sel, bindings, params, opts);
     if dbgw_obs::trace::trace_active() {
         dbgw_obs::trace::note("plan", plan_note(sel, &sel_plan));
     }
-    if !sel.joins.is_empty() && sel_plan.pushed_where > 0 {
-        dbgw_obs::metrics().pushdown_applied.inc();
-    }
     let residual = bind_all(&sel_plan.residual, bindings)?;
     let rows = execute_source(state, sel, &sel_plan, bindings, params, ctx)?;
 
-    // 3. Residual WHERE conjuncts (everything the planner did not push).
+    // 3. Residual WHERE conjuncts (those the scan did not run).
     let filter_in = rows.len() as u64;
     let filter_t0 = analyze::start();
     let rows = filter_rows(rows, &residual, params, ctx)?;
@@ -329,13 +275,13 @@ fn passes_all(conjuncts: &[Expr], row: &[Value], params: &[Value]) -> SqlResult<
     Ok(true)
 }
 
-/// The plan's conjuncts for one stage, bound to that stage's scope.
+/// The plan's conjuncts for one stage, bound to the statement's scope.
 fn bind_all(conjuncts: &[&Expr], scope: &Bindings) -> SqlResult<Vec<Expr>> {
     conjuncts.iter().map(|c| scope.bound(c)).collect()
 }
 
 // ---------------------------------------------------------------------------
-// Source construction (FROM + JOIN), with access-path selection.
+// Source construction (FROM), with access-path selection.
 // ---------------------------------------------------------------------------
 
 /// Column names of a table, in ordinal order.
@@ -349,21 +295,16 @@ fn column_names(state: &DbState, table: &str) -> SqlResult<Vec<String>> {
         .collect())
 }
 
-/// The full FROM-clause scope: base table plus every join, in order. The
-/// only place a SELECT reads its tables' column lists; each stage's scope is
-/// a [`Bindings::slice`] of this one.
-fn full_bindings(state: &DbState, sel: &Select) -> SqlResult<Bindings> {
-    let Some(base) = &sel.from else {
-        return Ok(Bindings::empty());
-    };
-    let mut bindings = Bindings::single(base.effective_name(), column_names(state, &base.name)?);
-    for join in &sel.joins {
-        bindings.push_table(
-            join.table.effective_name(),
-            column_names(state, &join.table.name)?,
-        );
+/// The FROM-clause scope — an unknown table errors here. The one place a
+/// SELECT reads its table's column list, behind both execution and EXPLAIN.
+fn scope(state: &DbState, sel: &Select) -> SqlResult<Bindings> {
+    match &sel.from {
+        Some(t) => Ok(Bindings::single(
+            t.effective_name(),
+            column_names(state, &t.name)?,
+        )),
+        None => Ok(Bindings::empty()),
     }
-    Ok(bindings)
 }
 
 /// The row ids `keys` select from `index`, in index order (an IN list's in
@@ -385,7 +326,7 @@ fn probe<'i>(index: &'i Index, keys: &Keys) -> Cow<'i, [RowId]> {
 }
 
 /// Scan one table by its planned access path, keeping only the rows that
-/// pass every pushed conjunct (bound to `local`, the table's own scope).
+/// pass every scan filter (bound to `local`, the table's scope).
 /// Returns borrowed rows with their ids — nothing is cloned here.
 fn scan_table<'a>(
     state: &'a DbState,
@@ -416,8 +357,8 @@ fn scan_table<'a>(
     Ok(out)
 }
 
-/// A row the filter loop tests: a scanned heap row with its id, or a
-/// (partially) joined tuple.
+/// A row the filter loop tests: a scanned heap row with its id, or a source
+/// row.
 trait Candidate {
     fn values(&self) -> &[Value];
 }
@@ -435,7 +376,7 @@ impl Candidate for SrcRow<'_> {
 }
 
 /// The `candidates` that pass every filter, and how many were read. The one
-/// filter loop: scans, the residual WHERE and the join filters all run here.
+/// filter loop: the scan and the residual WHERE both run here.
 fn keep_passing<T: Candidate>(
     candidates: impl Iterator<Item = T>,
     filters: &[Expr],
@@ -492,8 +433,8 @@ pub(crate) fn scan_where<'a>(
     scan_table(state, &table, &local, &scan, params, ctx, OpId::Base)
 }
 
-/// Materialize the FROM + JOIN pipeline under `sel_plan`; `scope` is the
-/// full FROM-clause scope.
+/// The rows of `sel`'s table that pass its scan, read under `sel_plan`;
+/// `scope` is the table's scope.
 fn execute_source<'a>(
     state: &'a DbState,
     sel: &Select,
@@ -502,196 +443,24 @@ fn execute_source<'a>(
     params: &[Value],
     ctx: &RequestCtx,
 ) -> SqlResult<Vec<SrcRow<'a>>> {
-    let Some(base) = &sel.from else {
+    let (Some(table), Some(scan)) = (&sel.from, &sel_plan.scan) else {
         // Table-less SELECT evaluates items once against an empty row.
-        return Ok(vec![Cow::Owned(Vec::new())]);
+        return Ok(vec![&[]]);
     };
-    // FROM-clause table `t`, read by its planned access path.
-    let scan = |t: usize, table: &TableRef, aop: OpId| {
-        let local = scope.slice(t..t + 1);
-        scan_table(state, table, &local, &sel_plan.scans[t], params, ctx, aop)
-    };
-    let base_rows = scan(0, base, OpId::Base)?;
-    let mut rows: Vec<SrcRow<'a>> = (base_rows.into_iter())
-        .map(|(_, r)| Cow::Borrowed(r.as_slice()))
-        .collect();
-    for (j, join) in sel.joins.iter().enumerate() {
-        if rows.is_empty() {
-            // A join of an empty left side is empty; skip the right scan
-            // (and its predicate evaluation) entirely.
-            analyze::record(OpId::Join(j), analyze::start(), 0, 0);
-            continue;
-        }
-        let right_scan = scan(j + 1, &join.table, OpId::JoinScan(j))?;
-        let right_rows: Vec<&Row> = right_scan.into_iter().map(|(_, r)| r).collect();
-        // Prefix scope: the tables bound so far, so predicate evaluation at
-        // join j sees exactly those (a reference to a later table errors).
-        let prefix = scope.slice(0..j + 2);
-        let right_local = scope.slice(j + 1..j + 2);
-        let join_in = rows.len() as u64;
-        let join_t0 = analyze::start();
-        rows = join_step(
-            rows,
-            right_rows,
-            &sel_plan.joins[j],
-            &prefix,
-            &right_local,
-            params,
-            ctx,
-        )?;
-        analyze::record(OpId::Join(j), join_t0, join_in, rows.len() as u64);
-    }
-    Ok(rows)
-}
-
-/// One join step: pair each left row with its candidate right rows — equal
-/// join keys under a hash join, every right row under a nested loop — and
-/// keep the pairs that pass the join's filters. Output order is left rows in
-/// scan order, each row's matches in right scan order, whichever the
-/// strategy. `prefix` is the scope of the joined tuple, `right_local` the
-/// right table's own.
-fn join_step<'a>(
-    left: Vec<SrcRow<'a>>,
-    right_rows: Vec<&'a Row>,
-    jp: &JoinPlan<'_>,
-    prefix: &Bindings,
-    right_local: &Bindings,
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Vec<SrcRow<'a>>> {
-    let filters = bind_all(&jp.filters, prefix)?;
-    // The candidate (left, right) index pairs, in left-major order.
-    let pairs: Box<dyn Iterator<Item = (usize, usize)>> = if jp.use_hash {
-        dbgw_obs::metrics().join_hash.inc();
-        let left_keys = (jp.keys.iter())
-            .map(|(l, _)| prefix.bound(l))
-            .collect::<SqlResult<Vec<_>>>()?;
-        let right_keys = (jp.keys.iter())
-            .map(|(_, r)| right_local.bound(r))
-            .collect::<SqlResult<Vec<_>>>()?;
-        let lefts = left.iter().map(|r| &r[..]);
-        let rights = right_rows.iter().map(|r| r.as_slice());
-        // Build on the smaller side, then sort the matches back into
-        // left-major order.
-        let pairs = if left.len() < right_rows.len() {
-            let mut pairs = key_matches(lefts, &left_keys, rights, &right_keys, params, ctx)?;
-            pairs.sort_unstable();
-            pairs
-        } else {
-            let pairs = key_matches(rights, &right_keys, lefts, &left_keys, params, ctx)?;
-            pairs.into_iter().map(|(r, l)| (l, r)).collect()
-        };
-        Box::new(pairs.into_iter())
-    } else {
-        dbgw_obs::metrics().join_nested.inc();
-        let n = right_rows.len();
-        Box::new((0..left.len()).flat_map(move |l| (0..n).map(move |r| (l, r))))
-    };
-    // Pairs are assembled in a scratch buffer; only passing pairs are cloned
-    // into the output.
-    let mut pairs = pairs.peekable();
-    let mut joined: Vec<SrcRow<'a>> = Vec::new();
-    let mut buf: Vec<Value> = Vec::new();
-    let mut tried = 0usize;
-    for (li, lrow) in left.into_iter().enumerate() {
-        buf.clear();
-        while let Some((_, ri)) = pairs.next_if(|&(l, _)| l == li) {
-            tried += 1;
-            if tried.is_multiple_of(CANCEL_STRIDE) {
-                check_cancel(ctx)?;
-            }
-            // Copy the left row only once it has a candidate: under a hash
-            // join most left rows may have none.
-            if buf.is_empty() {
-                buf.extend_from_slice(&lrow);
-            }
-            buf.truncate(lrow.len());
-            buf.extend(right_rows[ri].iter().cloned());
-            if passes_all(&filters, &buf, params)? {
-                joined.push(Cow::Owned(buf.clone()));
-            }
-        }
-    }
-    Ok(joined)
-}
-
-/// The `(build, probe)` index pairs of rows with equal join keys, in probe
-/// order, each probe row's matches in build order. Nothing is probed when
-/// no build row has a key.
-fn key_matches<'r>(
-    build: impl ExactSizeIterator<Item = &'r [Value]>,
-    build_keys: &[Expr],
-    probe: impl Iterator<Item = &'r [Value]>,
-    probe_keys: &[Expr],
-    params: &[Value],
-    ctx: &RequestCtx,
-) -> SqlResult<Vec<(usize, usize)>> {
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
-    for (i, row) in build.enumerate() {
-        if i % CANCEL_STRIDE == 0 {
-            check_cancel(ctx)?;
-        }
-        if let Some(key) = join_key(build_keys, row, params)? {
-            table.entry(key).or_default().push(i);
-        }
-    }
-    let mut pairs = Vec::new();
-    if table.is_empty() {
-        return Ok(pairs);
-    }
-    for (j, row) in probe.enumerate() {
-        if j % CANCEL_STRIDE == 0 {
-            check_cancel(ctx)?;
-        }
-        if let Some(key) = join_key(probe_keys, row, params)? {
-            pairs.extend(table.get(&key).into_iter().flatten().map(|&i| (i, j)));
-        }
-    }
-    Ok(pairs)
-}
-
-/// A row's join key under `exprs`, or `None` when a part is NULL (UNKNOWN)
-/// or NaN (incomparable): such a key can never compare TRUE under `=`, so
-/// the row joins nothing on either the build or the probe side, matching
-/// 3-valued `=` exactly.
-fn join_key(exprs: &[Expr], row: &[Value], params: &[Value]) -> SqlResult<Option<Vec<Value>>> {
-    let mut key = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let v = eval(e, row, params, &NoAggregates)?;
-        if v.is_null() || matches!(v, Value::Double(d) if d.is_nan()) {
-            return Ok(None);
-        }
-        key.push(v);
-    }
-    Ok(Some(key))
+    let rows = scan_table(state, table, scope, scan, params, ctx, OpId::Base)?;
+    Ok(rows.into_iter().map(|(_, r)| r.as_slice()).collect())
 }
 
 /// One-line plan summary for `DBGW_TRACE=1` request traces.
 fn plan_note(sel: &Select, sel_plan: &SelectPlan<'_>) -> String {
     let mut parts: Vec<String> = Vec::new();
-    if let Some(base) = &sel.from {
-        parts.push(format!(
-            "scan {}: {}",
-            base.effective_name(),
-            sel_plan.scans[0].access
-        ));
-    }
-    for (j, join) in sel.joins.iter().enumerate() {
-        let jp = &sel_plan.joins[j];
-        let strategy = if jp.use_hash {
-            format!("hash({} key{})", jp.keys.len(), plural(jp.keys.len()))
-        } else {
-            "nested".to_string()
-        };
-        parts.push(format!(
-            "join {}={strategy}: {}",
-            join.table.effective_name(),
-            sel_plan.scans[j + 1].access
-        ));
+    let mut filters = 0;
+    if let (Some(table), Some(scan)) = (&sel.from, &sel_plan.scan) {
+        parts.push(format!("scan {}: {}", table.effective_name(), scan.access));
+        filters = scan.filters.len();
     }
     parts.push(format!(
-        "pushed={} residual={}",
-        sel_plan.pushed_where,
+        "pushed={filters} residual={}",
         sel_plan.residual.len()
     ));
     if let Some(k) = sel_plan.topk {
@@ -737,21 +506,16 @@ fn expand_items(sel: &Select, bindings: &Bindings) -> SqlResult<(Vec<String>, Ve
     let mut cols = Vec::new();
     for item in &sel.items {
         match item {
-            SelectItem::Wildcard => {
-                for (i, name) in bindings.all_columns().into_iter().enumerate() {
-                    labels.push(name);
-                    cols.push(OutCol::Position(i));
-                }
-            }
-            SelectItem::QualifiedWildcard(table) => {
-                let (start, end) = bindings
-                    .table_span(table)
-                    .ok_or_else(|| SqlError::no_such_table(table))?;
-                let names = bindings.table_columns(table).expect("span implies columns");
-                for (offset, name) in names.iter().enumerate() {
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                let names = match item {
+                    SelectItem::QualifiedWildcard(table) => bindings
+                        .table_columns(table)
+                        .ok_or_else(|| SqlError::no_such_table(table))?,
+                    _ => bindings.columns(),
+                };
+                for (i, name) in names.iter().enumerate() {
                     labels.push(name.clone());
-                    cols.push(OutCol::Position(start + offset));
-                    debug_assert!(start + offset < end);
+                    cols.push(OutCol::Position(i));
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -819,7 +583,7 @@ fn run_plain(
         if i % CANCEL_STRIDE == 0 {
             check_cancel(ctx)?;
         }
-        let out = project(&cols, &src, params, &NoAggregates)?;
+        let out = project(&cols, src, params, &NoAggregates)?;
         pairs.push((src, out));
     }
     finish_pipeline(sel, &labels, pairs, params, None, topk)
@@ -932,7 +696,7 @@ fn compute_agg(
     // Gather the argument values over the group, skipping NULLs per SQL.
     let mut values: Vec<Value> = Vec::with_capacity(group.len());
     for &i in group {
-        let v = eval(arg, &rows[i], params, &NoAggregates)?;
+        let v = eval(arg, rows[i], params, &NoAggregates)?;
         if !v.is_null() {
             values.push(v);
         }
@@ -1043,7 +807,7 @@ fn grouped_only(e: &Expr, group_by: &[Expr], key_slots: &[usize]) -> Result<(), 
 fn run_grouped(
     sel: &Select,
     bindings: &Bindings,
-    mut rows: Vec<SrcRow<'_>>,
+    rows: Vec<SrcRow<'_>>,
     params: &[Value],
     ctx: &RequestCtx,
     topk: Option<usize>,
@@ -1067,7 +831,8 @@ fn run_grouped(
         collect_aggs(e, &mut agg_exprs);
     }
 
-    let width = bindings.width();
+    // The empty global group's representative row.
+    let nulls = vec![Value::Null; bindings.width()];
     let n_groups = groups.len() as u64;
     let mut pairs = Vec::new(); // (representative src, out)
     let mut agg_sources: Vec<GroupAggs> = Vec::new();
@@ -1078,22 +843,18 @@ fn run_grouped(
             computed.push((agg.clone(), compute_agg(agg, &rows, group, params)?));
         }
         let aggs = GroupAggs(computed);
-        // Representative row: the first row of the group (moved out: each
-        // row is in one group, whose aggregates are already computed), or
-        // all-NULL for the empty global group.
-        let rep = match group.first() {
-            Some(&i) => std::mem::take(&mut rows[i]),
-            None => Cow::Owned(vec![Value::Null; width]),
-        };
+        // Representative row: the first row of the group, or all-NULL for
+        // the empty global group.
+        let rep = group.first().map_or(&nulls[..], |&i| rows[i]);
         if let Some(h) = &sel.having {
             let having_t0 = analyze::start();
-            let pass = eval_truth(h, &rep, params, &aggs)?.passes();
+            let pass = eval_truth(h, rep, params, &aggs)?.passes();
             analyze::record(OpId::Having, having_t0, 1, u64::from(pass));
             if !pass {
                 continue;
             }
         }
-        let out = project(&cols, &rep, params, &aggs)?;
+        let out = project(&cols, rep, params, &aggs)?;
         pairs.push((rep, out));
         agg_sources.push(aggs);
     }
@@ -1312,58 +1073,20 @@ fn explain_into(
         explain_tail(lines, &pad, sel, plan::topk_bound(sel, opts), actuals);
         return Ok(());
     }
-    let (sel, bindings) = prepare(state, sel, params, opts)?;
-    let sel = &*sel;
-    // Annotate scan/join lines with the cost model's row estimates (`est
-    // rows`), which EXPLAIN ANALYZE pairs with the measured `actual rows`.
-    let est = crate::cost::estimate_steps(state, sel, params);
-    let est_note = |step: usize| -> String {
-        match est.as_ref().and_then(|v| v.get(step)) {
-            Some(rows) => format!(" (est rows={})", rows.round() as u64),
-            None => String::new(),
-        }
-    };
+    let bindings = scope(state, sel)?;
     let sel_plan = plan::plan_select(state, sel, &bindings, params, opts);
-    match &sel.from {
-        None => lines.push(format!("{pad}VALUES (table-less SELECT)")),
-        Some(base) => {
-            if sel.joins.len() >= 2 {
-                let mut names = vec![base.effective_name()];
-                names.extend(sel.joins.iter().map(|j| j.table.effective_name()));
-                lines.push(format!("{pad}JOIN ORDER: {}", names.join(" -> ")));
-            }
-            push_plan_line(
-                lines,
-                format!("{pad}{}{}", sel_plan.scans[0].access, est_note(0)),
-                actuals,
-                OpId::Base,
-            );
-            for (j, join) in sel.joins.iter().enumerate() {
-                let jp = &sel_plan.joins[j];
-                let (table, nkeys) = (&join.table.name, jp.keys.len());
-                let line = if jp.use_hash {
-                    format!("{pad}HASH JOIN {table} ({nkeys} key{})", plural(nkeys))
-                } else {
-                    let on = if join.on.is_some() {
-                        " ON <cond>"
-                    } else {
-                        " (cross)"
-                    };
-                    format!("{pad}NESTED LOOP JOIN {table}{on}")
-                };
-                let line = format!("{line}{}", est_note(j + 1));
-                push_plan_line(lines, line, actuals, OpId::Join(j));
-                let access = &sel_plan.scans[j + 1].access;
-                if !matches!(access, AccessPath::FullScan { .. }) {
-                    push_plan_line(
-                        lines,
-                        format!("{pad}  {access}"),
-                        actuals,
-                        OpId::JoinScan(j),
-                    );
-                }
-            }
+    match (&sel.from, &sel_plan.scan) {
+        (Some(table), Some(scan)) => {
+            // The cost model's row estimate (`est rows`), which EXPLAIN
+            // ANALYZE pairs with the measured `actual rows`.
+            let est = match crate::cost::estimate_rows(state, table, &scan.filters, params) {
+                Some(rows) => format!(" (est rows={})", rows.round() as u64),
+                None => String::new(),
+            };
+            let line = format!("{pad}{}{est}", scan.access);
+            push_plan_line(lines, line, actuals, OpId::Base);
         }
+        _ => lines.push(format!("{pad}VALUES (table-less SELECT)")),
     }
     if sel.where_clause.is_some() {
         push_plan_line(
@@ -1659,50 +1382,6 @@ mod tests {
     }
 
     #[test]
-    fn join_two_tables() {
-        let mut st = shop_state();
-        let defs = [
-            ColumnDef {
-                name: "custid".into(),
-                ty: SqlType::Integer,
-                not_null: true,
-                primary_key: true,
-                unique: false,
-            },
-            ColumnDef {
-                name: "name".into(),
-                ty: SqlType::Varchar,
-                not_null: false,
-                primary_key: false,
-                unique: false,
-            },
-        ];
-        let schema = TableSchema::from_defs("customers", &defs).unwrap();
-        st.tables.insert(
-            "customers".into(),
-            Arc::new(TableData {
-                schema,
-                heap: Heap::new(),
-                index_names: vec![],
-                stats: None,
-                version: 0,
-            }),
-        );
-        for (id, name) in [(10100, "Ada"), (10200, "Bob")] {
-            st.insert_row("customers", vec![Value::Int(id), Value::Text(name.into())])
-                .unwrap();
-        }
-        let r = q(
-            &st,
-            "SELECT c.name, COUNT(*) FROM orders o JOIN customers c ON o.custid = c.custid \
-             GROUP BY c.name ORDER BY 2 DESC",
-        );
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.rows[0][0], Value::Text("Ada".into()));
-        assert_eq!(r.rows[0][1], Value::Int(3));
-    }
-
-    #[test]
     fn like_prefix_uses_index_same_result() {
         let mut st = shop_state();
         // Index product_name too.
@@ -1774,100 +1453,6 @@ mod tests {
         run_select_with_options(state, &sel, &[], &RequestCtx::unbounded(), opts).unwrap()
     }
 
-    /// orders (indexed on custid) plus a customers table carrying NULL keys.
-    fn joined_state() -> DbState {
-        let mut st = shop_state();
-        let defs = [
-            ColumnDef {
-                name: "custid".into(),
-                ty: SqlType::Integer,
-                not_null: false,
-                primary_key: false,
-                unique: false,
-            },
-            ColumnDef {
-                name: "name".into(),
-                ty: SqlType::Varchar,
-                not_null: false,
-                primary_key: false,
-                unique: false,
-            },
-        ];
-        let schema = TableSchema::from_defs("customers", &defs).unwrap();
-        st.tables.insert(
-            "customers".into(),
-            Arc::new(TableData {
-                schema,
-                heap: Heap::new(),
-                index_names: vec![],
-                stats: None,
-                version: 0,
-            }),
-        );
-        let rows: &[(Value, &str)] = &[
-            (Value::Int(10100), "Ada"),
-            (Value::Int(10200), "Bob"),
-            (Value::Null, "Nul"),
-            (Value::Int(10900), "Zoe"),
-        ];
-        for (id, name) in rows {
-            st.insert_row("customers", vec![id.clone(), Value::Text((*name).into())])
-                .unwrap();
-        }
-        st
-    }
-
-    #[test]
-    fn hash_join_matches_nested_loop_rows_and_order() {
-        let st = joined_state();
-        for sql in [
-            "SELECT c.name, o.product_name FROM customers c JOIN orders o ON c.custid = o.custid",
-            "SELECT c.name, o.price FROM customers c JOIN orders o \
-             ON c.custid = o.custid AND o.price > 20",
-        ] {
-            let fast = q_opts(&st, sql, &PlanOptions::default());
-            let slow = q_opts(&st, sql, &PlanOptions::baseline());
-            assert_eq!(fast, slow, "plans diverge for {sql}");
-        }
-    }
-
-    #[test]
-    fn hash_join_counter_increments() {
-        let st = joined_state();
-        let before = dbgw_obs::metrics().join_hash.get();
-        q_opts(
-            &st,
-            "SELECT c.name FROM customers c JOIN orders o ON c.custid = o.custid",
-            &PlanOptions::default(),
-        );
-        assert!(dbgw_obs::metrics().join_hash.get() > before);
-    }
-
-    #[test]
-    fn pushdown_enables_index_probe_under_join() {
-        // Satellite regression: with a join present, the single-table WHERE
-        // conjunct on the indexed base must still take the index access path.
-        let st = joined_state();
-        let sql = "SELECT o.product_name, c.name FROM orders o \
-                   JOIN customers c ON o.custid = c.custid \
-                   WHERE o.custid = 10100 ORDER BY 1";
-        plan::reset_thread_stats();
-        let fast = q_opts(&st, sql, &PlanOptions::default());
-        let probed = plan::thread_stats().rows_scanned;
-        plan::reset_thread_stats();
-        let slow = q_opts(&st, sql, &PlanOptions::baseline());
-        let walked = plan::thread_stats().rows_scanned;
-        assert_eq!(fast, slow);
-        assert_eq!(fast.rows.len(), 3);
-        // Index probe touches exactly the 3 matching orders (+4 customers);
-        // the baseline heap-walks all 5 orders.
-        assert!(
-            probed < walked,
-            "index path scanned {probed} rows, baseline {walked}"
-        );
-        assert_eq!(probed, 3 + 4);
-    }
-
     #[test]
     fn topk_execution_matches_full_sort() {
         let st = shop_state();
@@ -1898,38 +1483,6 @@ mod tests {
             &PlanOptions::baseline(),
         );
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn empty_sides_match_baseline() {
-        let mut st = joined_state();
-        // Empty out customers (the probe side).
-        Arc::make_mut(st.tables.get_mut("customers").unwrap()).heap = Heap::new();
-        for sql in [
-            "SELECT * FROM customers c JOIN orders o ON c.custid = o.custid",
-            "SELECT * FROM orders o JOIN customers c ON o.custid = c.custid",
-        ] {
-            let fast = q_opts(&st, sql, &PlanOptions::default());
-            let slow = q_opts(&st, sql, &PlanOptions::baseline());
-            assert_eq!(fast, slow, "empty-side diverges for {sql}");
-        }
-    }
-
-    #[test]
-    fn cross_type_keys_match_via_hash() {
-        // Int(10100) must hash-match Double(10100.0) exactly as `=` does.
-        let mut st = joined_state();
-        st.insert_row(
-            "customers",
-            vec![Value::Double(10300.0), Value::Text("Dot".into())],
-        )
-        .unwrap();
-        let sql = "SELECT c.name, o.product_name FROM customers c \
-                   JOIN orders o ON c.custid = o.custid ORDER BY 1, 2";
-        let fast = q_opts(&st, sql, &PlanOptions::default());
-        let slow = q_opts(&st, sql, &PlanOptions::baseline());
-        assert_eq!(fast, slow);
-        assert!(fast.rows.iter().any(|r| r[0] == Value::Text("Dot".into())));
     }
 
     /// The quadratic deduplication and bag arithmetic the hashed helpers

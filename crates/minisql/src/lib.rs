@@ -6,7 +6,7 @@
 //! engine with the same observable surface exercises the identical gateway
 //! code paths. MiniSQL provides:
 //!
-//! * a SQL-92 subset: `SELECT` (joins, `WHERE` with 3-valued logic, `LIKE`,
+//! * a SQL-92 subset: single-table `SELECT` (`WHERE` with 3-valued logic, `LIKE`,
 //!   `GROUP BY`/`HAVING`, aggregates, `ORDER BY`, `LIMIT`/`FETCH FIRST`),
 //!   `INSERT … VALUES`, `UPDATE`, `CREATE TABLE`, `CREATE`/`DROP INDEX`,
 //!   `BEGIN`/`COMMIT`/`ROLLBACK`;
@@ -43,7 +43,6 @@ pub mod checkpoint;
 pub mod cost;
 pub mod date;
 pub mod db;
-pub mod dump;
 pub mod error;
 pub mod eval;
 pub mod exec;

@@ -5,7 +5,7 @@
 //! ```text
 //! stmt      := select | insert | update | create | drop-index | txn
 //! insert    := INSERT INTO table [(columns)] VALUES tuples
-//! select    := SELECT [DISTINCT] items [FROM table [joins]] [WHERE expr]
+//! select    := SELECT [DISTINCT] items [FROM table] [WHERE expr]
 //!              [GROUP BY exprs] [HAVING expr] [ORDER BY keys]
 //!              [LIMIT n [OFFSET m] | FETCH FIRST n ROWS ONLY]
 //! expr      := or-expr with precedence  OR < AND < NOT < cmp < add < mul < unary
@@ -15,7 +15,8 @@
 //! keyword case, matching how DB2's dynamic SQL PREPARE behaved. Rows and
 //! tables are never removed, so DELETE, DROP TABLE and INSERT ... SELECT are
 //! refused here with SQLCODE −104 and a message naming the form, as are
-//! subqueries, outer joins, scalar and window functions.
+//! joins of every spelling (a SELECT reads one table or none), subqueries,
+//! scalar and window functions.
 
 use crate::ast::*;
 use crate::error::{SqlError, SqlResult};
@@ -251,32 +252,16 @@ impl Parser {
             items.push(self.select_item()?);
         }
         let mut from = None;
-        let mut joins = Vec::new();
         let mut where_clause = None;
         if self.eat_kw("FROM") {
             from = Some(self.table_ref()?);
-            loop {
-                if self.eat_sym(Sym::Comma) {
-                    // Comma join = cross join.
-                    joins.push(Join {
-                        table: self.table_ref()?,
-                        on: None,
-                    });
-                } else if self.at_kw("LEFT") {
-                    return Err(SqlError::syntax("outer joins are not supported"));
-                } else if self.at_kw("JOIN") || self.at_kw("INNER") || self.at_kw("CROSS") {
-                    let _ = self.eat_kw("INNER") || self.eat_kw("CROSS");
-                    self.expect_kw("JOIN")?;
-                    let table = self.table_ref()?;
-                    let on = if self.eat_kw("ON") {
-                        Some(self.expr()?)
-                    } else {
-                        None
-                    };
-                    joins.push(Join { table, on });
-                } else {
-                    break;
-                }
+            // One table per statement: every join spelling stops here.
+            if self.at_kw("LEFT") {
+                return Err(SqlError::syntax("outer joins are not supported"));
+            }
+            if self.eat_sym(Sym::Comma) || ["JOIN", "INNER", "CROSS"].iter().any(|k| self.at_kw(k))
+            {
+                return Err(SqlError::syntax("joins are not supported"));
             }
         }
         if self.eat_kw("WHERE") {
@@ -330,7 +315,6 @@ impl Parser {
             distinct,
             items,
             from,
-            joins,
             where_clause,
             group_by,
             having,
@@ -1006,11 +990,29 @@ mod tests {
 
     #[test]
     fn joins_inner_left_comma() {
-        let s = sel("SELECT * FROM a JOIN b ON a.id = b.id INNER JOIN c ON b.id = c.id, d");
-        // Note: comma join after explicit joins is unusual but accepted.
-        assert_eq!(s.joins.len(), 3);
-        assert!(s.joins[1].on.is_some());
-        assert!(s.joins[2].on.is_none());
+        use crate::error::SqlCode;
+        // A SELECT reads one table or none: every join spelling, and EXPLAIN
+        // of one, is refused with −104 naming joins.
+        for sql in [
+            "SELECT * FROM a JOIN b ON a.id = b.id",
+            "SELECT * FROM a x JOIN b y ON x.id = y.id",
+            "SELECT * FROM a INNER JOIN b ON a.id = b.id",
+            "SELECT * FROM a CROSS JOIN b",
+            "SELECT * FROM a, b WHERE a.id = b.id",
+            "SELECT * FROM a LEFT JOIN b ON a.id = b.id",
+            "SELECT * FROM a LEFT OUTER JOIN b ON a.id = b.id",
+            "SELECT x FROM a UNION SELECT y FROM b JOIN c ON b.id = c.id",
+            "EXPLAIN SELECT * FROM a JOIN b ON a.id = b.id",
+            "EXPLAIN ANALYZE SELECT * FROM a, b",
+        ] {
+            let err = parse(sql).unwrap_err();
+            assert_eq!(err.code, SqlCode::SYNTAX, "{sql}");
+            assert!(
+                err.message.contains("joins are not supported"),
+                "{sql}: {}",
+                err.message
+            );
+        }
         let err = parse("SELECT * FROM a LEFT JOIN b ON a.id = b.id").unwrap_err();
         assert_eq!(err.message, "outer joins are not supported");
     }

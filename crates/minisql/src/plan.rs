@@ -1,34 +1,24 @@
-//! Cost-aware SELECT planning: conjunct classification, access paths, join
-//! strategy and top-k sort selection.
-//!
-//! The planner is deliberately small: join order is [`crate::cost`]'s
-//! rewrite, done before planning. What it does decide, per query:
+//! Cost-aware SELECT planning: where each WHERE conjunct runs, how the one
+//! FROM table is read, and top-k sort selection. A SELECT reads one table or
+//! none, so the plan is one scan and a tail.
 //!
 //! * **Access paths** — `ScanPlan::new` decides once, per scan, how the
 //!   table's rows are found: a full scan, an index probe with its keys, or
-//!   nothing at all when a pushed conjunct can keep no row (a comparison
-//!   with NULL, say). `sargable` is the one reader of "column op constant"
-//!   behind that choice and behind the cost model's selectivity estimates.
-//!   The executor, EXPLAIN, the trace plan note and UPDATE/DELETE target
-//!   collection all read the stored `AccessPath`.
-//! * **Predicate pushdown** — joins are inner joins, so each ON and WHERE
-//!   conjunct is placed by one rule: classified by the set of tables it
-//!   references, it is attached to the earliest point in the pipeline where
-//!   all of those tables are bound — a table's scan, a join's per-pair
-//!   filters, or (for a WHERE conjunct naming no table) the residual tail.
-//! * **Hash equi-joins** — `l = r` conjuncts where `l` references only
-//!   already-bound tables and `r` only the joined table become hash-join
-//!   keys; everything else at a join is a per-pair filter evaluated by
-//!   whichever join strategy runs.
+//!   nothing at all when a conjunct can keep no row (a comparison with NULL,
+//!   say). `sargable` is the one reader of "column op constant" behind that
+//!   choice and behind the cost model's selectivity estimates. The executor,
+//!   EXPLAIN, the trace plan note and UPDATE target collection all read the
+//!   stored `AccessPath`.
+//! * **Scan filters** — a WHERE conjunct that names a column filters the
+//!   scan, where an index may serve it; one naming no column, or one the
+//!   planner cannot classify (an unknown column, an aggregate), runs on the
+//!   scanned rows as the residual filter.
 //! * **Top-k ORDER BY** — `ORDER BY … LIMIT k [OFFSET o]` keeps a bounded
 //!   heap of `k + o` rows instead of sorting the full result.
 //!
-//! Classification is conservative: any conjunct the planner cannot fully
-//! resolve (ambiguous columns, aggregates, >64 tables) stays home — at its
-//! own join for ON, in the residual tail for WHERE — where the executor
-//! applies it exactly as the pre-planner code did. Plan choices can
-//! therefore change performance but never results — the property suite in
-//! `tests/planner_equivalence.rs` exercises this.
+//! Every candidate row is still checked against the conjuncts that selected
+//! it, so plan choices can change performance but never results — the
+//! property suite in `tests/planner_equivalence.rs` exercises this.
 
 use crate::ast::{BinOp, ColumnRef, Expr, Select, TableRef};
 use crate::eval::Bindings;
@@ -45,46 +35,33 @@ use std::ops::Bound;
 /// Which optimizations the executor may use for one SELECT.
 ///
 /// The default enables everything (the production configuration);
-/// [`PlanOptions::baseline`] disables
-/// everything, reproducing the naive pre-planner executor (full scans,
-/// nested-loop joins, full sorts). Benches and the equivalence property
+/// [`PlanOptions::baseline`] disables everything, reproducing the naive
+/// executor (full scans, full sorts). Benches and the equivalence property
 /// suite run the same query under both and compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Use hash joins for equi-join conjuncts.
-    pub hash_join: bool,
-    /// Push WHERE/ON conjuncts below joins.
-    pub pushdown: bool,
     /// Use index probes for scans.
     pub index_paths: bool,
     /// Use a bounded heap for `ORDER BY … LIMIT k`.
     pub topk: bool,
-    /// Reorder multi-way inner joins by the statistics cost model.
-    pub reorder: bool,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
-            hash_join: true,
-            pushdown: true,
             index_paths: true,
             topk: true,
-            reorder: true,
         }
     }
 }
 
 impl PlanOptions {
-    /// Everything off: full scans, nested-loop joins, full sorts. This is
-    /// the reference executor the optimized plans are checked against.
+    /// Everything off: full scans, full sorts. This is the reference
+    /// executor the optimized plans are checked against.
     pub fn baseline() -> PlanOptions {
         PlanOptions {
-            hash_join: false,
-            pushdown: false,
             index_paths: false,
             topk: false,
-            reorder: false,
         }
     }
 }
@@ -92,8 +69,8 @@ impl PlanOptions {
 /// Per-thread execution counters, accumulated by the executor.
 ///
 /// Tests and benches call [`reset_thread_stats`] before a query and
-/// [`thread_stats`] after to assert plan behavior (e.g. that a join on an
-/// indexed base no longer scans the whole heap). The executor only ever
+/// [`thread_stats`] after to assert plan behavior (e.g. that an index probe
+/// does not scan the whole heap). The executor only ever
 /// adds; it never resets, so a compound SELECT's branches accumulate into
 /// the same counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +111,7 @@ pub(crate) enum Keys {
     In(Vec<Value>),
 }
 
-/// A pushed conjunct read as "column op constant".
+/// A scan-filter conjunct read as "column op constant".
 #[derive(Debug)]
 pub(crate) struct Sargable<'a> {
     /// The restricted column, as written.
@@ -291,7 +268,7 @@ pub(crate) fn sargable<'a>(
 pub(crate) enum AccessPath<'a> {
     /// Read every live row of `table`.
     FullScan { table: &'a str, rows: usize },
-    /// A pushed conjunct on `column` no row can pass: read nothing.
+    /// A scan-filter conjunct on `column` no row can pass: read nothing.
     Empty {
         table: &'a str,
         column: &'a ColumnRef,
@@ -385,33 +362,15 @@ impl<'a> ScanPlan<'a> {
     }
 }
 
-/// One join step.
-#[derive(Debug, Default)]
-pub(crate) struct JoinPlan<'a> {
-    /// Equi-join keys as `(left-side, right-side)` expression pairs. The
-    /// left side references only already-bound tables; the right side only
-    /// the joined table.
-    pub keys: Vec<(&'a Expr, &'a Expr)>,
-    /// Conjuncts every candidate pair is checked against.
-    pub filters: Vec<&'a Expr>,
-    /// Whether the executor should run this step as a hash join.
-    pub use_hash: bool,
-}
-
-/// A full SELECT plan: where each conjunct runs, how each table is read and
-/// which join strategy each step uses. Borrowed from the AST.
+/// A full SELECT plan: how the table is read and where each WHERE conjunct
+/// runs. Borrowed from the AST.
 #[derive(Debug, Default)]
 pub(crate) struct SelectPlan<'a> {
-    /// One scan per FROM-clause table: the base table's first, then the
-    /// table of each `sel.joins` element, in order.
-    pub scans: Vec<ScanPlan<'a>>,
-    /// One entry per `sel.joins` element, in order.
-    pub joins: Vec<JoinPlan<'a>>,
-    /// WHERE conjuncts evaluated on fully-joined rows (the pre-planner
-    /// behavior; also the home of anything unclassifiable).
+    /// The scan of the FROM table; `None` for a table-less SELECT.
+    pub scan: Option<ScanPlan<'a>>,
+    /// WHERE conjuncts evaluated on the scanned rows: those naming no column
+    /// and anything unclassifiable (all of them when there is no table).
     pub residual: Vec<&'a Expr>,
-    /// How many WHERE conjuncts were placed below the residual tail.
-    pub pushed_where: usize,
     /// `ORDER BY` bound: keep only the best `offset + limit` rows.
     pub topk: Option<usize>,
     /// The query runs through grouping: GROUP BY, or an aggregate in the
@@ -434,73 +393,30 @@ pub(crate) fn flatten_and<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// Bitmask of the tables (by FROM-clause position) `expr` references, or
-/// `None` when the expression cannot be classified (unresolvable columns,
-/// aggregates, >64 tables).
-pub(crate) fn conjunct_mask(expr: &Expr, bindings: &Bindings) -> Option<u64> {
-    fn walk(e: &Expr, bindings: &Bindings, mask: &mut u64) -> bool {
-        match e {
-            Expr::Column(c) => {
-                let Ok(pos) = bindings.resolve(c) else {
-                    return false;
-                };
-                let Some(t) = bindings.table_of_position(pos) else {
-                    return false;
-                };
-                if t >= 64 {
-                    return false;
+/// Does `expr` name a column of the scope? `None` when the expression
+/// cannot be classified (an unresolvable column, an aggregate).
+pub(crate) fn names_column(expr: &Expr, bindings: &Bindings) -> Option<bool> {
+    match expr {
+        Expr::Column(c) => bindings.resolve(c).ok().map(|_| true),
+        // Aggregates need group context: refuse to classify them.
+        Expr::Agg { .. } => None,
+        _ => {
+            let mut named = false;
+            let unclassified = expr.any_child(|c| match names_column(c, bindings) {
+                Some(n) => {
+                    named |= n;
+                    false
                 }
-                *mask |= 1 << t;
-                true
-            }
-            // Aggregates need group context: refuse to classify them.
-            Expr::Agg { .. } => false,
-            _ => !e.any_child(|c| !walk(c, bindings, mask)),
+                None => true,
+            });
+            (!unclassified).then_some(named)
         }
     }
-    let mut mask = 0u64;
-    walk(expr, bindings, &mut mask).then_some(mask)
 }
 
-/// If `conj` is `l = r` with `l` over tables in `left_bits` and `r` over the
-/// table in `right_bit` (either way round), return the `(left, right)` pair.
-fn split_equi<'a>(
-    conj: &'a Expr,
-    bindings: &Bindings,
-    left_bits: u64,
-    right_bit: u64,
-) -> Option<(&'a Expr, &'a Expr)> {
-    let Expr::Binary {
-        op: BinOp::Eq,
-        lhs,
-        rhs,
-    } = conj
-    else {
-        return None;
-    };
-    let ml = conjunct_mask(lhs, bindings)?;
-    let mr = conjunct_mask(rhs, bindings)?;
-    if ml != 0 && ml & !left_bits == 0 && mr != 0 && mr & !right_bit == 0 {
-        Some((lhs, rhs))
-    } else if mr != 0 && mr & !left_bits == 0 && ml != 0 && ml & !right_bit == 0 {
-        Some((rhs, lhs))
-    } else {
-        None
-    }
-}
-
-/// Classify every ON and WHERE conjunct of `sel`, decide each table's access
-/// path and pick join strategies.
-///
-/// Joins are inner joins, so an ON conjunct means what a WHERE conjunct
-/// does and both are placed by one rule. Under pushdown a conjunct naming
-/// one table filters that table's scan, and one naming several runs at the
-/// join that binds the last of them, as a hash key when it is an equi
-/// conjunct. Anything else stays home: an ON conjunct at its own join, a
-/// WHERE conjunct in the residual tail. Without pushdown every conjunct
-/// stays home.
-///
-/// `bindings` must be the full FROM-clause scope (base + all joins).
+/// Place every WHERE conjunct of `sel` and decide how its table is read: a
+/// conjunct naming a column filters the scan, the rest form the residual.
+/// `bindings` is the FROM table's scope.
 pub(crate) fn plan_select<'a>(
     state: &'a DbState,
     sel: &'a Select,
@@ -508,69 +424,23 @@ pub(crate) fn plan_select<'a>(
     params: &[Value],
     opts: &PlanOptions,
 ) -> SelectPlan<'a> {
+    let mut conjs = Vec::new();
+    if let Some(w) = &sel.where_clause {
+        flatten_and(w, &mut conjs);
+    }
     let mut plan = SelectPlan {
-        joins: sel.joins.iter().map(|_| JoinPlan::default()).collect(),
+        topk: topk_bound(sel, opts),
+        grouped: !sel.group_by.is_empty() || sel.group_exprs().any(Expr::contains_aggregate),
         ..SelectPlan::default()
     };
-    plan.topk = topk_bound(sel, opts);
-    plan.grouped = !sel.group_by.is_empty() || sel.group_exprs().any(Expr::contains_aggregate);
-
-    // Each conjunct with its home: the join whose ON it is in, or `None`
-    // for WHERE. An ON names only tables bound through its join (checked
-    // per statement by the executor), so the full scope classifies it too;
-    // a name that scope finds ambiguous leaves the conjunct home.
-    let mut conjs: Vec<(&Expr, Option<usize>)> = Vec::new();
-    let mut flat = Vec::new();
-    for (j, join) in sel.joins.iter().enumerate() {
-        if let Some(on) = &join.on {
-            flatten_and(on, &mut flat);
-        }
-        conjs.extend(flat.drain(..).map(|c| (c, Some(j))));
-    }
-    if let Some(w) = &sel.where_clause {
-        flatten_and(w, &mut flat);
-    }
-    conjs.extend(flat.drain(..).map(|c| (c, None)));
-
-    let Some(base) = &sel.from else {
-        plan.residual = conjs.into_iter().map(|(c, _)| c).collect();
+    let Some(table) = &sel.from else {
+        plan.residual = conjs;
         return plan;
     };
-    // Pushed single-table conjuncts, per FROM-clause table.
-    let mut scan_filters: Vec<Vec<&Expr>> = vec![Vec::new(); sel.joins.len() + 1];
-    for (conj, home) in conjs {
-        let mask = conjunct_mask(conj, bindings).filter(|_| opts.pushdown);
-        let at = match mask {
-            Some(m) if m.count_ones() == 1 => {
-                scan_filters[m.trailing_zeros() as usize].push(conj);
-                plan.pushed_where += usize::from(home.is_none());
-                continue;
-            }
-            // The join that binds the last table named.
-            Some(m) if m != 0 => Some(62 - m.leading_zeros() as usize),
-            _ => home,
-        };
-        let Some(j) = at else {
-            plan.residual.push(conj);
-            continue;
-        };
-        plan.pushed_where += usize::from(home.is_none());
-        let right_bit = 1u64 << (j + 1).min(63);
-        let split = opts
-            .hash_join
-            .then(|| split_equi(conj, bindings, right_bit - 1, right_bit));
-        match split.flatten() {
-            Some(pair) => plan.joins[j].keys.push(pair),
-            None => plan.joins[j].filters.push(conj),
-        }
-    }
-    for jp in &mut plan.joins {
-        jp.use_hash = !jp.keys.is_empty();
-    }
-    let tables = std::iter::once(base).chain(sel.joins.iter().map(|j| &j.table));
-    plan.scans = (tables.zip(scan_filters))
-        .map(|(table, filters)| ScanPlan::new(state, table, filters, params, opts))
-        .collect();
+    let (filters, residual) =
+        (conjs.into_iter()).partition(|c: &&Expr| names_column(c, bindings) == Some(true));
+    plan.residual = residual;
+    plan.scan = Some(ScanPlan::new(state, table, filters, params, opts));
     plan
 }
 
@@ -650,12 +520,6 @@ mod tests {
     use crate::ast::Statement;
     use crate::parser::parse;
 
-    fn two_table_bindings() -> Bindings {
-        let mut b = Bindings::single("a", vec!["x".into(), "y".into()]);
-        b.push_table("b", vec!["x".into(), "z".into()]);
-        b
-    }
-
     /// A catalog without the queried tables: every scan plans as a full scan.
     fn no_tables() -> &'static DbState {
         static EMPTY: std::sync::OnceLock<DbState> = std::sync::OnceLock::new();
@@ -670,66 +534,29 @@ mod tests {
     }
 
     #[test]
-    fn masks_classify_by_table() {
-        let b = two_table_bindings();
-        let sel = select("SELECT * FROM a JOIN b ON a.x = b.x WHERE a.y = 1 AND b.z > 2 AND 1 = 1");
+    fn conjuncts_naming_a_column_filter_the_scan() {
+        let b = Bindings::single("a", vec!["x".into(), "y".into()]);
+        let sel = select("SELECT * FROM a WHERE a.y = 1 AND x + 1 > 2 AND 1 = 1 AND z = 3");
         let mut conjs = Vec::new();
         flatten_and(sel.where_clause.as_ref().unwrap(), &mut conjs);
-        assert_eq!(conjunct_mask(conjs[0], &b), Some(0b01));
-        assert_eq!(conjunct_mask(conjs[1], &b), Some(0b10));
-        assert_eq!(conjunct_mask(conjs[2], &b), Some(0));
-        assert_eq!(
-            conjunct_mask(sel.joins[0].on.as_ref().unwrap(), &b),
-            Some(0b11)
+        let named: Vec<_> = conjs.iter().map(|c| names_column(c, &b)).collect();
+        assert_eq!(named, [Some(true), Some(true), Some(false), None]);
+        for opts in [PlanOptions::default(), PlanOptions::baseline()] {
+            let plan = plan_select(no_tables(), &sel, &b, &[], &opts);
+            assert_eq!(plan.scan.unwrap().filters.len(), 2); // a.y = 1, x + 1 > 2
+            assert_eq!(plan.residual.len(), 2); // 1 = 1, z = 3 (unknown)
+        }
+        // A table-less SELECT has no scan: every conjunct is residual.
+        let sel = select("SELECT 1 WHERE 1 = 1");
+        let plan = plan_select(
+            no_tables(),
+            &sel,
+            &Bindings::empty(),
+            &[],
+            &PlanOptions::default(),
         );
-    }
-
-    #[test]
-    fn plan_pushes_filters_and_extracts_keys() {
-        let b = two_table_bindings();
-        let sel = select(
-            "SELECT * FROM a JOIN b ON a.x = b.x AND b.z > 2 AND a.y < 9 \
-             WHERE a.y = 1 AND b.z < 100 AND a.x + b.z = 5",
-        );
-        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
-        assert_eq!(plan.joins[0].keys.len(), 1);
-        assert!(plan.joins[0].use_hash);
-        assert_eq!(plan.scans[1].filters.len(), 2); // b.z > 2, b.z < 100
-        assert_eq!(plan.scans[0].filters.len(), 2); // a.y < 9, a.y = 1
-        assert_eq!(plan.joins[0].filters.len(), 1); // a.x + b.z = 5 (non-equi)
-        assert!(plan.residual.is_empty());
-        assert_eq!(plan.pushed_where, 3);
-        // Without pushdown each ON conjunct filters pairs at its join.
-        let opts = PlanOptions {
-            pushdown: false,
-            ..PlanOptions::default()
-        };
-        let plan = plan_select(no_tables(), &sel, &b, &[], &opts);
-        assert_eq!(plan.joins[0].keys.len(), 1);
-        assert_eq!(plan.joins[0].filters.len(), 2); // b.z > 2, a.y < 9
-        assert_eq!(plan.residual.len(), 3);
-    }
-
-    #[test]
-    fn baseline_plan_keeps_everything_residual() {
-        let b = two_table_bindings();
-        let sel = select("SELECT * FROM a JOIN b ON a.x = b.x WHERE a.y = 1");
-        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::baseline());
-        assert!(!plan.joins[0].use_hash);
-        assert!(plan.joins[0].keys.is_empty());
-        assert_eq!(plan.joins[0].filters.len(), 1);
+        assert!(plan.scan.is_none());
         assert_eq!(plan.residual.len(), 1);
-        assert_eq!(plan.pushed_where, 0);
-    }
-
-    #[test]
-    fn where_equi_conjunct_becomes_hash_key_for_inner_join() {
-        let b = two_table_bindings();
-        let sel = select("SELECT * FROM a JOIN b WHERE a.x = b.x");
-        let plan = plan_select(no_tables(), &sel, &b, &[], &PlanOptions::default());
-        assert!(plan.joins[0].use_hash);
-        assert_eq!(plan.joins[0].keys.len(), 1);
-        assert!(plan.residual.is_empty());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! The distinct estimator is linear counting over a fixed 2048-bit bitmap
 //! (256 bytes/column): each value sets one FNV-hashed bit and the estimate
 //! is `m · ln(m / zero_bits)`. Exact for small cardinalities, within a few
-//! percent up to ~1000 distinct values — plenty for join ordering, where
-//! only the *relative* magnitudes matter.
+//! percent up to ~1000 distinct values — plenty for the probe-or-scan
+//! choice, which compares an estimate against a fixed ceiling.
 
 use crate::schema::TableSchema;
 use crate::storage::Heap;
@@ -122,8 +122,8 @@ pub struct ColumnStats {
 }
 
 /// A value's bit in the distinct estimator. Numeric values that compare
-/// SQL-equal across types (`1` vs `1.0`) hash identically, so join-key NDV
-/// estimates line up even when the two sides use different numeric types.
+/// SQL-equal across types (`1` vs `1.0`) hash identically, so they count as
+/// one distinct value, as `=` treats them.
 fn estimator_bit(v: &Value) -> Option<usize> {
     const FNV_OFFSET: u64 = 0xcbf29ce484222325;
     const FNV_PRIME: u64 = 0x100000001b3;

@@ -108,7 +108,7 @@ pub enum WalOp {
         row: Row,
     },
     /// One DDL statement, stored as its canonical SQL text (the same
-    /// rendering `dump.rs` emits), replayed through the ordinary DDL path.
+    /// rendering a checkpoint writes), replayed through the ordinary DDL path.
     Ddl {
         /// `CREATE TABLE` / `CREATE [UNIQUE] INDEX` / `DROP INDEX` text
         /// without a trailing semicolon.

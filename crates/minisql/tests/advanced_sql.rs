@@ -1,6 +1,6 @@
 //! Integration tests for the richer SQL surface: set operations, EXPLAIN,
 //! expression positions, the refusal of the forms minisql does not support
-//! (subqueries, outer joins, scalar functions, window functions, and every
+//! (joins, subqueries, scalar functions, window functions, and every
 //! statement that would remove a row or a table) and DB2's
 //! SQLCODEs for overflow, grouping and the DATE range — everything exercised
 //! through the full text → parse → plan → execute path.
@@ -242,11 +242,10 @@ fn explain_describes_operators() {
     let db = db();
     let plan = texts(
         &db,
-        "EXPLAIN SELECT region, COUNT(*) FROM customers c JOIN orders o ON c.custid = o.custid \
-         WHERE amount > 1 GROUP BY region HAVING COUNT(*) > 0 ORDER BY 2 LIMIT 3",
+        "EXPLAIN SELECT custid, COUNT(*) FROM orders \
+         WHERE amount > 1 GROUP BY custid HAVING COUNT(*) > 0 ORDER BY 2 LIMIT 3",
     );
     let joined = plan.join("\n");
-    assert!(joined.contains("HASH JOIN orders (1 key)"), "{joined}");
     assert!(joined.contains("FILTER <where>"), "{joined}");
     assert!(joined.contains("AGGREGATE (group keys: 1)"), "{joined}");
     assert!(joined.contains("FILTER <having>"), "{joined}");
@@ -276,49 +275,6 @@ fn explain_set_operation() {
 // ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE
 // ---------------------------------------------------------------------------
-
-#[test]
-fn explain_analyze_annotates_multi_join_plan() {
-    let db = db();
-    db.run_script(
-        "CREATE TABLE regions (region VARCHAR(10) PRIMARY KEY, mgr VARCHAR(20));
-         INSERT INTO regions VALUES ('west', 'Wes'), ('east', 'Eli'), ('north', 'Nor');",
-    )
-    .unwrap();
-    let plan = texts(
-        &db,
-        "EXPLAIN ANALYZE SELECT c.name, o.amount, r.mgr \
-         FROM customers c JOIN orders o ON c.custid = o.custid \
-         JOIN regions r ON c.region = r.region \
-         WHERE o.amount > 20 ORDER BY o.amount",
-    );
-    let joined = plan.join("\n");
-    // The cost-based planner prints the executed three-table order: the
-    // filtered `orders` (est 3 rows) ties tiny `regions` and wins on
-    // syntactic position.
-    let order = plan.iter().find(|l| l.contains("JOIN ORDER:")).unwrap();
-    assert!(
-        order.contains("JOIN ORDER: o -> c -> r"),
-        "{order}\n{joined}"
-    );
-    // Every executed operator line carries actuals alongside the estimate.
-    let join_lines: Vec<&String> = plan
-        .iter()
-        .filter(|l| l.contains("HASH JOIN") || l.contains("NESTED LOOP"))
-        .collect();
-    assert_eq!(join_lines.len(), 2, "{joined}");
-    for line in &join_lines {
-        assert!(
-            line.contains("(actual rows=") && line.contains("loops=1") && line.contains("time="),
-            "join line missing actuals: {line}\n{joined}"
-        );
-    }
-    let sort = plan.iter().find(|l| l.contains("SORT")).unwrap();
-    assert!(sort.contains("(actual rows=3"), "{sort}\n{joined}");
-    // amounts 25, 75, 300 survive `o.amount > 20`.
-    let total = plan.last().unwrap();
-    assert!(total.starts_with("TOTAL: 3 rows returned,"), "{total}");
-}
 
 #[test]
 fn explain_analyze_shows_scan_and_filter_actuals() {
@@ -548,7 +504,19 @@ fn subqueries_outer_joins_and_scalar_functions_are_refused() {
     let mut conn = db.connect();
     let subquery = "subqueries are not supported";
     let outer = "outer joins are not supported";
+    let joins = "joins are not supported";
     for (sql, message) in [
+        (
+            "SELECT c.name FROM customers c JOIN orders o ON c.custid = o.custid",
+            joins,
+        ),
+        (
+            "SELECT name FROM customers INNER JOIN orders ON customers.custid = orders.custid",
+            joins,
+        ),
+        ("SELECT name FROM customers CROSS JOIN orders", joins),
+        ("SELECT name FROM customers, orders", joins),
+        ("EXPLAIN SELECT name FROM e, orders", joins),
         ("SELECT (SELECT MAX(amount) FROM orders)", subquery),
         (
             "SELECT name FROM customers WHERE custid IN (SELECT custid FROM orders)",
@@ -859,19 +827,4 @@ fn date_arithmetic_outside_0001_to_9999_raises_183() {
             Value::Int(3_652_058)
         ]]
     );
-}
-
-#[test]
-fn dates_at_the_range_edges_dump_and_reload() {
-    let db = Database::new();
-    db.run_script(
-        "CREATE TABLE d (day DATE);
-         INSERT INTO d VALUES (DATE '0001-01-01'), ('9999-12-31');",
-    )
-    .unwrap();
-    let script = minisql::dump::dump_script(&db).unwrap();
-    assert!(script.contains("DATE '0001-01-01'"), "{script}");
-    assert!(script.contains("DATE '9999-12-31'"), "{script}");
-    let restored = minisql::dump::load_dump(&script).unwrap();
-    assert!(minisql::dump::databases_equal(&db, &restored).unwrap());
 }

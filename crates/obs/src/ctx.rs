@@ -1,4 +1,5 @@
-//! Per-request execution context: deadline, cancellation, resource budgets.
+//! Per-request execution context: deadline, cancellation, and the budget on
+//! expanded text.
 //!
 //! The 1996 gateway ran one CGI **process** per request, so the operating
 //! system bounded every request's lifetime for free: httpd killed the child,
@@ -13,9 +14,16 @@
 //!
 //! Deadlines are computed on the injectable [`Clock`], so a test can pin a
 //! [`crate::TestClock`], advance it past the deadline by hand, and observe a
-//! deterministic timeout. When no deadline, budget, or cancellation applies
-//! (the [`RequestCtx::unbounded`] context), `check` is a single relaxed
-//! atomic load — cheap enough for per-row strides in scan loops.
+//! deterministic timeout. When no deadline or cancellation applies (the
+//! [`RequestCtx::unbounded`] context), `check` is a single relaxed atomic
+//! load — cheap enough for per-row strides in scan loops.
+//!
+//! Every request context but the unbounded one carries a budget on the text
+//! variable substitution expands ([`EXPANDED_TEXT_BUDGET`]): input values
+//! may reference other variables (§4.3.2), so a request of a few hundred
+//! bytes can ask for text that grows tenfold per level of reference. The
+//! substitution evaluator charges the budget before it grows a buffer
+//! ([`RequestCtx::charge_bytes`]).
 //!
 //! When a cancelled request surfaces through SQL execution it wears DB2's
 //! own dress: SQLCODE **−952**, "processing was cancelled due to an
@@ -31,6 +39,15 @@ use std::sync::{Arc, OnceLock};
 /// layer: DB2's −952, "processing was cancelled due to an interrupt".
 pub const CANCELLED_SQLCODE: i32 = -952;
 
+/// The expanded text one request may produce through variable
+/// substitution: 1 MiB. That is four times the largest whole page a golden
+/// macro or load-rig workload renders (`big_report`, about 250 KB), and
+/// hundreds of times what any of them expands through substitution (a few
+/// KB: report rows render from their result slots, outside the evaluator).
+/// A small budget also keeps the refusal fast: the expansion that trips it
+/// is work done before the request ends.
+pub const EXPANDED_TEXT_BUDGET: u64 = 1 << 20;
+
 /// Why a request was asked to stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelReason {
@@ -41,12 +58,8 @@ pub enum CancelReason {
     },
     /// [`RequestCtx::cancel`] was called (client gone, shutdown, ...).
     Cancelled,
-    /// The request rendered more report rows than its budget allows.
-    RowBudgetExceeded {
-        /// The configured row budget.
-        budget: u64,
-    },
-    /// The request produced more output bytes than its budget allows.
+    /// Variable substitution expanded more text than the request's budget
+    /// allows.
     ByteBudgetExceeded {
         /// The configured byte budget.
         budget: u64,
@@ -60,11 +73,11 @@ impl fmt::Display for CancelReason {
                 write!(f, "request deadline of {deadline_ms} ms exceeded")
             }
             CancelReason::Cancelled => write!(f, "request cancelled"),
-            CancelReason::RowBudgetExceeded { budget } => {
-                write!(f, "request row budget of {budget} rows exceeded")
-            }
             CancelReason::ByteBudgetExceeded { budget } => {
-                write!(f, "request byte budget of {budget} bytes exceeded")
+                write!(
+                    f,
+                    "request budget of {budget} bytes of expanded text exceeded"
+                )
             }
         }
     }
@@ -92,8 +105,7 @@ pub struct RequestCtx {
     /// for the error message. `None` = no deadline.
     deadline: Option<(u64, u64)>, // (deadline_ns, deadline_ms)
     cancelled: AtomicBool,
-    row_budget: Option<u64>,
-    rows_used: AtomicU64,
+    /// Expanded-text budget; `None` only on the unbounded context.
     byte_budget: Option<u64>,
     bytes_used: AtomicU64,
 }
@@ -104,23 +116,21 @@ impl fmt::Debug for RequestCtx {
             .field("request_id", &self.request_id)
             .field("deadline_ms", &self.deadline.map(|(_, ms)| ms))
             .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
-            .field("row_budget", &self.row_budget)
             .field("byte_budget", &self.byte_budget)
             .finish()
     }
 }
 
 impl RequestCtx {
-    /// A context with no deadline and no budgets, on `clock`.
+    /// A context with no deadline and the [`EXPANDED_TEXT_BUDGET`], on
+    /// `clock`.
     pub fn new(request_id: u64, clock: Arc<dyn Clock>) -> RequestCtx {
         RequestCtx {
             request_id,
             clock,
             deadline: None,
             cancelled: AtomicBool::new(false),
-            row_budget: None,
-            rows_used: AtomicU64::new(0),
-            byte_budget: None,
+            byte_budget: Some(EXPANDED_TEXT_BUDGET),
             bytes_used: AtomicU64::new(0),
         }
     }
@@ -133,25 +143,17 @@ impl RequestCtx {
         self
     }
 
-    /// Cap the number of report rows this request may render.
-    pub fn with_row_budget(mut self, rows: u64) -> RequestCtx {
-        self.row_budget = Some(rows);
-        self
-    }
-
-    /// Cap the number of output bytes this request may produce.
-    pub fn with_byte_budget(mut self, bytes: u64) -> RequestCtx {
-        self.byte_budget = Some(bytes);
-        self
-    }
-
-    /// The shared do-nothing context: no deadline, no budgets, request id 0.
+    /// The shared do-nothing context: no deadline, no budget, request id 0.
     /// Layers below the gateway default to this so direct library use (and
     /// every pre-existing call site) keeps working unbounded.
     pub fn unbounded() -> Arc<RequestCtx> {
         static UNBOUNDED: OnceLock<Arc<RequestCtx>> = OnceLock::new();
         UNBOUNDED
-            .get_or_init(|| Arc::new(RequestCtx::new(0, Arc::new(StdClock::new()))))
+            .get_or_init(|| {
+                let mut ctx = RequestCtx::new(0, Arc::new(StdClock::new()));
+                ctx.byte_budget = None;
+                Arc::new(ctx)
+            })
             .clone()
     }
 
@@ -203,22 +205,17 @@ impl RequestCtx {
         self.check().err()
     }
 
-    /// Charge `n` rendered rows against the row budget.
-    pub fn charge_rows(&self, n: u64) -> Result<(), CancelReason> {
-        let used = self.rows_used.fetch_add(n, Ordering::Relaxed) + n;
-        match self.row_budget {
-            Some(budget) if used > budget => Err(CancelReason::RowBudgetExceeded { budget }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Charge `n` output bytes against the byte budget.
+    /// Charge `n` bytes of expanded text against the budget: `Err` once the
+    /// request's total passes it (and for every charge after that).
     pub fn charge_bytes(&self, n: u64) -> Result<(), CancelReason> {
+        let Some(budget) = self.byte_budget else {
+            return Ok(());
+        };
         let used = self.bytes_used.fetch_add(n, Ordering::Relaxed) + n;
-        match self.byte_budget {
-            Some(budget) if used > budget => Err(CancelReason::ByteBudgetExceeded { budget }),
-            _ => Ok(()),
+        if used > budget {
+            return Err(CancelReason::ByteBudgetExceeded { budget });
         }
+        Ok(())
     }
 }
 
@@ -231,7 +228,6 @@ mod tests {
     fn unbounded_never_cancels() {
         let ctx = RequestCtx::unbounded();
         assert!(ctx.check().is_ok());
-        assert!(ctx.charge_rows(1_000_000).is_ok());
         assert!(ctx.charge_bytes(1 << 40).is_ok());
         assert_eq!(ctx.request_id(), 0);
     }
@@ -260,22 +256,17 @@ mod tests {
     }
 
     #[test]
-    fn row_and_byte_budgets_trip_past_limit() {
+    fn byte_budget_trips_past_limit() {
         let clock = Arc::new(TestClock::new());
-        let ctx = RequestCtx::new(1, clock)
-            .with_row_budget(10)
-            .with_byte_budget(100);
-        assert!(ctx.charge_rows(10).is_ok());
-        assert_eq!(
-            ctx.charge_rows(1),
-            Err(CancelReason::RowBudgetExceeded { budget: 10 })
-        );
-        assert!(ctx.charge_bytes(100).is_ok());
-        assert_eq!(
-            ctx.charge_bytes(1),
-            Err(CancelReason::ByteBudgetExceeded { budget: 100 })
-        );
-        // Budgets do not affect check(): they only trip where charged.
+        let ctx = RequestCtx::new(1, clock);
+        assert!(ctx.charge_bytes(EXPANDED_TEXT_BUDGET - 1).is_ok());
+        assert!(ctx.charge_bytes(1).is_ok());
+        let over = Err(CancelReason::ByteBudgetExceeded {
+            budget: EXPANDED_TEXT_BUDGET,
+        });
+        assert_eq!(ctx.charge_bytes(1), over);
+        assert_eq!(ctx.charge_bytes(0), over); // and every charge after it
+                                               // The budget does not affect check(): it only trips where charged.
         assert!(ctx.check().is_ok());
     }
 

@@ -138,7 +138,7 @@ pub type Family<'m, M> = (&'static str, &'static str, &'static str, &'m M);
 
 /// The gateway's counters — the single vocabulary shared by
 /// [`render_prometheus`], [`metrics_json`] and the HTML `/stats` page.
-pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 32] {
+pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 28] {
     [
         (
             "dbgw_requests_total",
@@ -231,24 +231,6 @@ pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 32] {
             &m.http_not_modified,
         ),
         (
-            "dbgw_join_hash_total",
-            "hash joins",
-            "Join steps executed with the hash strategy.",
-            &m.join_hash,
-        ),
-        (
-            "dbgw_join_nested_total",
-            "nested-loop joins",
-            "Join steps executed with the nested-loop strategy.",
-            &m.join_nested,
-        ),
-        (
-            "dbgw_pushdown_applied_total",
-            "pushdown applied",
-            "Join queries with at least one WHERE conjunct pushed below the join.",
-            &m.pushdown_applied,
-        ),
-        (
             "dbgw_rows_scanned_total",
             "rows scanned",
             "Rows fetched from table heaps by scans.",
@@ -271,12 +253,6 @@ pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 32] {
             "stats refreshes",
             "Full table-statistics rebuilds (initial builds and refreshes).",
             &m.stats_refreshes,
-        ),
-        (
-            "dbgw_join_reorders_total",
-            "join reorders",
-            "Multi-way joins reordered by the cost-based planner.",
-            &m.join_reorders,
         ),
         (
             "dbgw_snapshots_published_total",

@@ -64,7 +64,7 @@ pub mod trace;
 pub use clock::{
     process_mono_ms, Clock, StdClock, SystemWallClock, TestClock, TestWallClock, WallClock,
 };
-pub use ctx::{CancelReason, RequestCtx, CANCELLED_SQLCODE};
+pub use ctx::{CancelReason, RequestCtx, CANCELLED_SQLCODE, EXPANDED_TEXT_BUDGET};
 pub use digest::{digests, DigestObservation, DigestSnapshot, DigestStore};
 pub use export::{digest_prometheus, metrics_json, render_prometheus, slo_prometheus, TraceTree};
 pub use metrics::{metrics, CodeCounters, Counter, Gauge, Histogram, Metrics};

@@ -275,12 +275,6 @@ pub struct Metrics {
     pub cache_invalidations: Counter,
     /// Conditional GETs answered `304 Not Modified` from the `ETag`.
     pub http_not_modified: Counter,
-    /// Join steps executed with the hash strategy.
-    pub join_hash: Counter,
-    /// Join steps executed with the nested-loop strategy.
-    pub join_nested: Counter,
-    /// Join queries with at least one WHERE conjunct pushed below the join.
-    pub pushdown_applied: Counter,
     /// Rows fetched from table heaps by scans (probe candidates + full-scan
     /// rows) — the raw cost of access-path choices.
     pub rows_scanned: Counter,
@@ -292,9 +286,6 @@ pub struct Metrics {
     /// Full table-statistics rebuilds (initial builds plus refreshes
     /// triggered by the write-staleness threshold or recovery).
     pub stats_refreshes: Counter,
-    /// Multi-way joins whose evaluation order the cost-based planner
-    /// changed away from the syntactic order.
-    pub join_reorders: Counter,
     /// Database snapshots published (one per applied write statement or
     /// rollback).
     pub snapshots_published: Counter,
@@ -383,14 +374,10 @@ impl Metrics {
             cache_evictions: Counter::new(),
             cache_invalidations: Counter::new(),
             http_not_modified: Counter::new(),
-            join_hash: Counter::new(),
-            join_nested: Counter::new(),
-            pushdown_applied: Counter::new(),
             rows_scanned: Counter::new(),
             latch_waits: Counter::new(),
             digest_evictions: Counter::new(),
             stats_refreshes: Counter::new(),
-            join_reorders: Counter::new(),
             snapshots_published: Counter::new(),
             wal_records: Counter::new(),
             wal_fsyncs: Counter::new(),

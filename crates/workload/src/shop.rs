@@ -138,19 +138,4 @@ mod tests {
             .count();
         assert_eq!(rs.rows.len(), expected);
     }
-
-    #[test]
-    fn join_customers_orders() {
-        let shop = Shop::generate(5, 2, 7);
-        let db = shop.into_database();
-        let mut conn = db.connect();
-        let r = conn
-            .execute(
-                "SELECT c.name, COUNT(*) FROM customers c \
-                 JOIN orders o ON c.custid = o.custid GROUP BY c.name",
-            )
-            .unwrap();
-        let ExecResult::Rows(rs) = r else { panic!() };
-        assert!(rs.rows.len() <= 5);
-    }
 }

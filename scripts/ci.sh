@@ -87,11 +87,12 @@ echo "== overload smoke (worker pool + load shedding) =="
 # Retry-After, and a clean drained shutdown (the example asserts all of it).
 cargo run --release --offline --example overload
 
-echo "== executor plan bench (quick run, asserted speedup floors) =="
-# E11: hash join vs nested loop and indexed point-lookup join; the bench
-# itself asserts the 10x / 5x acceptance floors, so a plan regression fails
-# CI here. The JSON lands in the tempdir; the committed BENCH_exec.json is
-# regenerated from a full (non-quick) run when the numbers change.
+echo "== executor plan bench (quick run, no floor) =="
+# E11: top-k vs full sort at ORDER BY ... LIMIT 10 and set-operation
+# throughput on single-table queries; a SELECT reads one table, so the join
+# rows and their floors are retired. The JSON lands in the tempdir; the
+# committed BENCH_exec.json is regenerated from a full (non-quick) run when
+# the numbers change.
 BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_exec.json" \
     cargo bench --offline -p dbgw-bench --bench exec_plan
 test -s "$OBS_TMP/bench_exec.json"
@@ -108,10 +109,11 @@ BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_concurrency.json" \
 grep -q 'engine_read_scaling_8t_over_1t' "$OBS_TMP/bench_concurrency.json"
 
 echo "== observability overhead bench (quick run, asserted <5% cost) =="
-# E13: digest table + passive EXPLAIN ANALYZE capture on vs off on the E11
-# join workload. The bench asserts the 5% ceiling itself and that rotating
-# literals fold into one masked digest shape. The committed BENCH_obs.json
-# is regenerated from a full (non-quick) run when the numbers change.
+# E13: digest table + passive EXPLAIN ANALYZE capture on vs off on a
+# filtered single-table scan of E11's orders table. The bench asserts the 5%
+# ceiling itself and that rotating literals fold into one masked digest
+# shape. The committed BENCH_obs.json is regenerated from a full (non-quick)
+# run when the numbers change.
 BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_obs.json" \
     cargo bench --offline -p dbgw-bench --bench obs_overhead
 grep -q 'obs_overhead_pct' "$OBS_TMP/bench_obs.json"
@@ -126,21 +128,6 @@ echo "== WAL bench (quick run, asserted group-commit batching floor) =="
 BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_wal.json" \
     cargo bench --offline -p dbgw-bench --bench wal
 grep -q 'wal_records_per_fsync_8t' "$OBS_TMP/bench_wal.json"
-
-echo "== planner bench (quick run, asserted reorder floor + EXPLAIN smoke) =="
-# E15: stats-driven join ordering vs the syntactic order on a 3-way star
-# join, plus set-op throughput. The bench asserts the 5x reorder
-# floor itself and prints the EXPLAIN of the reordered query; CI checks the
-# printed plan carries the cost model's chosen JOIN ORDER (dimension table
-# first) so a planner that silently stops reordering fails here. The
-# committed BENCH_planner.json is regenerated from a full (non-quick) run.
-BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_planner.json" \
-    cargo bench --offline -p dbgw-bench --bench planner \
-    > "$OBS_TMP/bench_planner.log" 2>&1 \
-    || { cat "$OBS_TMP/bench_planner.log"; exit 1; }
-cat "$OBS_TMP/bench_planner.log"
-grep -q 'planner_reorder_speedup' "$OBS_TMP/bench_planner.json"
-grep -q 'JOIN ORDER: c -> b -> a' "$OBS_TMP/bench_planner.log"
 
 echo "== HTTP edge bench (quick run, asserted keep-alive + TTFB floors) =="
 # E16: hundreds of idle keep-alive connections parked in the epoll loop

@@ -8,18 +8,7 @@
 use dbgw_cgi::{CgiRequest, Gateway};
 use std::time::Duration;
 
-const TRANSFER_MACRO: &str = r#"%SQL(debit){ UPDATE acct SET balance = balance - $(AMT) WHERE id = $(FROM_ID) %}
-%SQL(credit){ UPDATE acct SET balance = balance + $(AMT) WHERE id = $(TO_ID) %}
-%SQL(show){ SELECT id, balance FROM acct ORDER BY id
-%SQL_REPORT{%ROW{[$(V1)=$(V2)]%}%}
-%}
-%HTML_INPUT{<FORM METHOD="get" ACTION="/cgi-bin/db2www/transfer.d2w/report">
-<INPUT TYPE="hidden" NAME="DTW_SESSION" VALUE="new">
-<INPUT NAME="STEP" VALUE="debit">
-</FORM>%}
-%HTML_REPORT{session=$(SESSION_ID)
-%EXEC_SQL($(STEP))
-%}"#;
+const TRANSFER_MACRO: &str = include_str!("macros/transfer.d2w");
 
 fn gateway() -> (minisql::Database, Gateway) {
     let db = minisql::Database::new();

@@ -11,37 +11,7 @@ use dbgw_cgi::{FormFill, Gateway, QueryString};
 use dbgw_html::{Form, FormMethod};
 
 /// The Figure 2 form, embedded in a macro's %HTML_INPUT section.
-const FIGURE2_MACRO: &str = r#"%SQL{ SELECT url FROM urldb %}
-%HTML_INPUT{<TITLE>DB2 WWW URL Query</TITLE>
-<H1>Query URL Information</H1>
-<P>
-<FORM METHOD="post" ACTION="/cgi-bin/db2www.exe/urlquery.d2w/report">
-Please enter a search string:
-<INPUT TYPE="text" NAME="SEARCH" SIZE=20>
-<P>
-Please select what field(s) to search for the string above:
-<P>
-<INPUT TYPE="checkbox" NAME="USE_URL" VALUE="yes" CHECKED> URL<br>
-<INPUT TYPE="checkbox" NAME="USE_TITLE" VALUE="yes" CHECKED> Title<br>
-<INPUT TYPE="checkbox" NAME="USE_DESC" VALUE="yes">Description
-<P>
-Please select what field(s) to see in the report:
-<br>
-<SELECT NAME="DBFIELD" SIZE=3 MULTIPLE>
-<OPTION VALUE="url">URL
-<OPTION VALUE="title" SELECTED> Title
-<OPTION VALUE="desc">Description
-</SELECT>
-<hr>
-Show SQL statement on output?
-<INPUT TYPE="radio" NAME="SHOWSQL" VALUE="YES"> Yes
-<INPUT TYPE="radio" NAME="SHOWSQL" VALUE="" CHECKED> No
-<P>
-<INPUT TYPE="submit" VALUE="Submit Query">
-<INPUT TYPE="reset" VALUE="Reset Input">
-</FORM>
-%}
-%HTML_REPORT{%EXEC_SQL%}"#;
+const FIGURE2_MACRO: &str = include_str!("macros/figure2.d2w");
 
 fn gateway() -> Gateway {
     let db = minisql::Database::new();

@@ -38,8 +38,8 @@ const SQL_TOKENS: &[&str] = &[
 ];
 
 /// Fragments that steer random input toward the planner-v2 grammar: set
-/// operations, plus the subquery, outer-join, scalar-function, window,
-/// DELETE, DROP TABLE and INSERT ... SELECT syntax the parser refuses.
+/// operations, plus the join, subquery, scalar-function, window, DELETE,
+/// DROP TABLE and INSERT ... SELECT syntax the parser refuses.
 const SQL_V2_TOKENS: &[&str] = &[
     "SELECT",
     "FROM",
@@ -66,6 +66,8 @@ const SQL_V2_TOKENS: &[&str] = &[
     "INSERT",
     "INTO",
     "JOIN",
+    "INNER",
+    "CROSS",
     "ON",
     "(",
     ")",
@@ -325,8 +327,7 @@ fn printer_round_trips_feature_corpus() {
     let corpus = [
         "SELECT 1",
         "SELECT DISTINCT k, v + 1 AS w FROM t WHERE k = 3 ORDER BY w DESC LIMIT 5 OFFSET 2",
-        "SELECT t.k, u.v FROM t JOIN u ON t.k = u.k WHERE u.v BETWEEN 1 AND 9",
-        "SELECT a.k FROM t AS a, u AS b WHERE a.k = b.k AND b.v IN (1, 2, 3)",
+        "SELECT a.k FROM t AS a WHERE a.v BETWEEN 1 AND 9 AND a.k IN (1, 2, 3)",
         "SELECT k FROM t WHERE s LIKE 'ab%' AND s NOT LIKE '%z' ESCAPE '!'",
         "SELECT COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY k HAVING COUNT(*) > 1",
         "SELECT CASE WHEN k = 1 THEN 'one' WHEN k = 2 THEN 'two' ELSE 'many' END FROM t",

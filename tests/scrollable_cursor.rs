@@ -9,28 +9,7 @@ use dbgw_workload::UrlDirectory;
 
 /// Page size 5; OFFSET arrives as a hidden input / URL variable, defaulting
 /// to 0; the report links to itself with OFFSET advanced by PAGE.
-const PAGED_MACRO: &str = r#"%DEFINE{
-  PAGE = "5"
-  OFFSET = "0"
-  next_offset = ? "$(OFFSET)"
-%}
-%SQL{
-SELECT title FROM urldb ORDER BY title LIMIT $(PAGE) OFFSET $(OFFSET)
-%SQL_REPORT{<OL>
-%ROW{<LI>$(V1)
-%}</OL>
-%}
-%}
-%HTML_INPUT{<FORM METHOD="get" ACTION="/cgi-bin/db2www/paged.d2w/report">
-<INPUT TYPE="hidden" NAME="OFFSET" VALUE="0">
-<INPUT TYPE="submit" VALUE="Browse">
-</FORM>%}
-%HTML_REPORT{<H1>Directory page</H1>
-%EXEC_SQL
-<P><A HREF="/cgi-bin/db2www/paged.d2w/report?OFFSET=$(NEXT)">Next page</A>
-%}
-%DEFINE NEXT = "later"
-"#;
+const PAGED_MACRO: &str = include_str!("macros/paged.d2w");
 
 fn gateway() -> Gateway {
     let db = UrlDirectory::generate(12, 77).into_database();

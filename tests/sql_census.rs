@@ -1,19 +1,21 @@
 //! A census of the SQL the system sends.
 //!
-//! Every shipped macro (`macros/*.d2w`), Appendix A's URL query and the load
-//! rig's four macros (`benchmark/macros/*.d2w`) run in report mode through
-//! [`dbgw_core::Engine`] over a [`Database`] that records each statement as
-//! sent before handing it to minisql through the gateway's own bridge. Each
-//! recorded statement is parsed with [`minisql::parse`], and the constructs
-//! it reaches — statement kinds, SELECT clauses, join kinds, set operations,
-//! `Expr` variants, operators and aggregate functions — are collected.
+//! Every shipped macro (`macros/*.d2w`), Appendix A's URL query, the load
+//! rig's four macros (`benchmark/macros/*.d2w`) and the macros of the tests
+//! that pin the paper's behaviour (`tests/macros/*.d2w`: Figure 2's form,
+//! the scrollable-cursor pager and the §5 conversation) run in report mode
+//! through [`dbgw_core::Engine`], with the requests their tests send, over a
+//! [`Database`] that records each statement as sent before handing it to
+//! minisql through the gateway's own bridge. Each recorded statement is
+//! parsed with [`minisql::parse`], and the constructs it reaches — statement
+//! kinds, SELECT clauses, set operations, `Expr` variants, operators and
+//! aggregate functions — are collected.
 //!
 //! The reached set must equal [`REACHED`]. A construct that drops out of the
 //! list, or one that joins it, is a decision: DESIGN.md §10 ("The SQL the
 //! system uses") gives every construct the census does not reach a verdict,
 //! keep (naming its use) or delete next, together with the SQL of the
-//! examples and the E11/E15 benches, which cannot run here and was read by
-//! hand.
+//! examples and the E11 bench, which cannot run here and was read by hand.
 
 use dbgw_cgi::bridge::MiniSqlDatabase;
 use dbgw_core::db::{Database, DbError, DbRows, RowSource};
@@ -27,6 +29,8 @@ use std::path::Path;
 const REACHED: &[&str] = &[
     "clause FROM",
     "clause INSERT column list",
+    "clause LIMIT",
+    "clause OFFSET",
     "clause ORDER BY",
     "clause WHERE",
     "expr Binary",
@@ -227,6 +231,33 @@ fn sent_statements() -> Vec<String> {
     ];
     let rig_urlquery = read_macro("benchmark/macros/urlquery.d2w");
     sent.extend(run(&directory, &rig_urlquery, &search, AutoCommit));
+
+    // The pinned tests' macros, with the requests those tests send.
+    let figure2 = read_macro("tests/macros/figure2.d2w");
+    let figure3 = [
+        ("SEARCH", ""),
+        ("USE_URL", "yes"),
+        ("USE_TITLE", "yes"),
+        ("DBFIELD", "title"),
+        ("DBFIELD", "desc"),
+        ("SHOWSQL", ""),
+    ];
+    sent.extend(run(&paper, &figure2, &figure3, AutoCommit));
+    let pages = dbgw_workload::UrlDirectory::generate(12, 77).into_database();
+    let paged = read_macro("tests/macros/paged.d2w");
+    for (offset, next) in [("0", "5"), ("5", "10"), ("10", "15")] {
+        let inputs = [("OFFSET", offset), ("NEXT", next)];
+        sent.extend(run(&pages, &paged, &inputs, AutoCommit));
+    }
+    sent.extend(run(&pages, &paged, &[], AutoCommit));
+    let conversation = read_macro("tests/macros/transfer.d2w");
+    for inputs in [
+        &[("STEP", "debit"), ("AMT", "40"), ("FROM_ID", "1")][..],
+        &[("STEP", "credit"), ("AMT", "40"), ("TO_ID", "2")],
+        &[("STEP", "show")],
+    ] {
+        sent.extend(run(&seed, &conversation, inputs, SingleTransaction));
+    }
     sent
 }
 
@@ -308,13 +339,6 @@ impl Census {
                 SelectItem::Expr { alias: Some(_), .. } => self.note("clause", "AS"),
                 SelectItem::Expr { alias: None, .. } => {}
             }
-        }
-        for join in &s.joins {
-            let kind = match &join.on {
-                Some(_) => "INNER",
-                None => "CROSS",
-            };
-            self.note("join", kind);
         }
         s.for_each_expr(|e| self.expr(e));
         for (op, branch) in &s.set_ops {
