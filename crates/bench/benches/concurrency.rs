@@ -14,12 +14,13 @@
 //!   read-scaling floor is asserted here (core-scaled — see
 //!   [`read_scaling_floor`] — so a 1-core CI box gates on "threads don't
 //!   collapse throughput" while a many-core box gates on real parallelism).
+//!   The gated ratio is the median of three samples of it.
 //! * **E12 write sweep** — what one write costs as the table grows: median
 //!   single-row UPDATE of an unindexed and of an indexed column, and
 //!   single-row INSERT, at 5k/20k/80k/200k rows of the load rig's `orders`
 //!   schema, in memory. Quick mode asserts that both UPDATE series stay
 //!   within 2× between 5k and 200k rows (a write copies what it changes,
-//!   not the table).
+//!   not the table), on the median of three samples of each growth ratio.
 //! * **E7_throughput** — requests/second through the full gateway with 1–8
 //!   worker threads over a Zipf-skewed 90/10 report/sign mix.
 //! * **pool** — the real worker-pool HTTP server over sockets, recording
@@ -102,6 +103,13 @@ fn engine_series(db: &Database, threads: usize, ops_per_thread: usize, write_pct
     (0..samples)
         .map(|_| engine_run(db, threads, ops_per_thread, write_pct))
         .fold(0.0f64, f64::max)
+}
+
+/// The middle value of `samples`: what each floor gates on, so that one
+/// sample taken in a busy spell on the host neither fails nor passes it.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// The honest scaling gate. Snapshot reads share no lock, so on a machine
@@ -230,12 +238,11 @@ impl SweepTable {
     }
 }
 
-/// Per-write microseconds at each of [`SWEEP_ROWS`]: the lowest of three
-/// rounds' medians (the best-of-N of [`engine_series`]), the table sizes
-/// taking turns within each round so that a busy spell on the host reaches
-/// every size alike.
-fn write_sweep(ops: usize) -> Vec<[f64; 3]> {
-    let mut tables: Vec<SweepTable> = SWEEP_ROWS.iter().map(|&r| SweepTable::new(r)).collect();
+/// Per-write microseconds at each of [`SWEEP_ROWS`]' `tables`: the lowest
+/// of three rounds' medians (the best-of-N of [`engine_series`]), the table
+/// sizes taking turns within each round so that a busy spell on the host
+/// reaches every size alike.
+fn write_sweep(tables: &mut [SweepTable], ops: usize) -> Vec<[f64; 3]> {
     let mut best = vec![[f64::MAX; 3]; tables.len()];
     for _ in 0..3 {
         for (table, best) in tables.iter_mut().zip(&mut best) {
@@ -340,15 +347,17 @@ fn main() {
     {
         let db = engine_db();
         let ops = if quick_mode() { 400 } else { 2_000 };
-        let mut read_ops = [0.0f64; 4];
-        for (i, threads) in [1usize, 2, 4, 8].into_iter().enumerate() {
+        for threads in [1usize, 2, 4, 8] {
             let mixed = engine_series(&db, threads, ops, 10);
             let reads = engine_series(&db, threads, ops, 0);
-            read_ops[i] = reads;
             suite.record_metric(&format!("engine_mixed_ops_per_sec_{threads}t"), mixed);
             suite.record_metric(&format!("engine_read_ops_per_sec_{threads}t"), reads);
         }
-        let scaling = read_ops[3] / read_ops[0];
+        let scaling = median(
+            (0..3)
+                .map(|_| engine_series(&db, 8, ops, 0) / engine_series(&db, 1, ops, 0))
+                .collect(),
+        );
         let floor = read_scaling_floor();
         suite.record_metric("engine_read_scaling_8t_over_1t", scaling);
         suite.record_metric("engine_read_scaling_floor", floor);
@@ -363,23 +372,25 @@ fn main() {
     {
         let ops = if quick_mode() { 100 } else { 300 };
         let series = ["update_unindexed", "update_indexed", "insert"];
-        let points = write_sweep(ops);
-        for (&rows, point) in SWEEP_ROWS.iter().zip(&points) {
-            for (name, us) in series.iter().zip(point) {
-                suite.record_metric(&format!("sweep_{name}_us_{rows}"), *us);
+        let mut tables: Vec<SweepTable> = SWEEP_ROWS.iter().map(|&r| SweepTable::new(r)).collect();
+        let samples: Vec<Vec<[f64; 3]>> = (0..3).map(|_| write_sweep(&mut tables, ops)).collect();
+        // Each cost and growth ratio recorded is the median of its samples.
+        let at = |size: usize, i: usize| median(samples.iter().map(|s| s[size][i]).collect());
+        for (size, &rows) in SWEEP_ROWS.iter().enumerate() {
+            for (i, name) in series.iter().enumerate() {
+                suite.record_metric(&format!("sweep_{name}_us_{rows}"), at(size, i));
             }
         }
-        let (small, large) = (points[0], points[SWEEP_ROWS.len() - 1]);
+        let last = SWEEP_ROWS.len() - 1;
         for (i, name) in series.iter().enumerate() {
-            let growth = large[i] / small[i];
+            let growth = median(samples.iter().map(|s| s[last][i] / s[0][i]).collect());
+            let (small, large) = (at(0, i), at(last, i));
             suite.record_metric(&format!("sweep_{name}_200k_over_5k"), growth);
             if quick_mode() && i < 2 {
                 assert!(
                     growth <= 2.0,
                     "single-row {name} grew {growth:.2}x from 5k to 200k rows: \
-                     {:.1} -> {:.1} us",
-                    small[i],
-                    large[i],
+                     {small:.1} -> {large:.1} us (medians of three samples)",
                 );
             }
         }

@@ -142,7 +142,7 @@ pub(crate) fn snapshot_records(state: &DbState) -> Vec<Vec<WalOp>> {
             chunk.push(WalOp::Insert {
                 table: (*name).clone(),
                 id,
-                row: row.clone(),
+                row: row.into(),
             });
             if chunk.len() >= ROWS_PER_RECORD {
                 records.push(std::mem::take(&mut chunk));

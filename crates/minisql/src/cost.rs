@@ -90,7 +90,7 @@ fn sargable_selectivity(stats: &TableStats, s: &Sargable) -> f64 {
             // Fraction of rows below each end; an included upper (excluded
             // lower) endpoint's own rows, ~1/NDV, fall inside (outside).
             let below = |v: &Value, plus_eq: bool| {
-                numeric(v).map(|n| h.fraction_below(n) + if plus_eq { eq_sel } else { 0.0 })
+                numeric(v.view()).map(|n| h.fraction_below(n) + if plus_eq { eq_sel } else { 0.0 })
             };
             let upper = match hi {
                 Bound::Unbounded => Some(1.0),

@@ -81,7 +81,7 @@ use crate::index::Index;
 use crate::parser::{parse, parse_script};
 use crate::schema::TableSchema;
 use crate::state::{DbState, TableData};
-use crate::storage::{Heap, Row, RowId};
+use crate::storage::{Heap, Record, RowId, RowRef};
 use crate::sync::{LatchSet, LatchTable, SnapshotCell, CATALOG_LATCH};
 use crate::types::Value;
 use crate::wal::{DurabilityConfig, Wal, WalOp};
@@ -876,7 +876,7 @@ fn redo_ops(work: &DbState, changes: &[Change]) -> Vec<WalOp> {
     // still in `work`.
     let image = |table: &str, id: RowId| {
         let t = &work.tables[&table.to_ascii_lowercase()];
-        t.heap.get(id).expect("rows are never removed").clone()
+        Record::from(t.heap.get(id).expect("rows are never removed"))
     };
     for change in changes {
         match change {
@@ -910,6 +910,30 @@ fn redo_ops(work: &DbState, changes: &[Change]) -> Vec<WalOp> {
         }
     }
     ops
+}
+
+/// UPDATE's new image of `old`: each `exprs[i]`, evaluated over `old`,
+/// coerced and checked into column `ordinals[i]` (a later assignment to the
+/// same column wins), and every other column as `old` holds it.
+fn new_image(
+    schema: &TableSchema,
+    exprs: &[Expr],
+    ordinals: &[usize],
+    old: RowRef<'_>,
+    params: &[Value],
+) -> SqlResult<Record> {
+    let mut assigned: Vec<Option<Value>> = vec![None; schema.width()];
+    for (expr, &ordinal) in exprs.iter().zip(ordinals) {
+        assigned[ordinal] = Some(eval(expr, old, params, &NoAggregates)?);
+    }
+    for (ordinal, value) in assigned.iter_mut().enumerate() {
+        if let Some(v) = value.take() {
+            *value = Some(schema.check_value(ordinal, v)?);
+        }
+    }
+    let cells = (assigned.iter().enumerate())
+        .map(|(ordinal, value)| value.as_ref().map_or(old.get(ordinal), Value::view));
+    Ok(Record::from_cells(cells))
 }
 
 /// Apply one mutation statement to a working state, appending what it
@@ -954,11 +978,11 @@ pub(crate) fn apply_mutation(
                 for (expr, &ordinal) in tuple.into_iter().zip(&ordinals) {
                     row[ordinal] = match expr {
                         Expr::Literal(v) => v,
-                        expr => eval(&expr, &[], params, &NoAggregates)?,
+                        expr => eval(&expr, RowRef::EMPTY, params, &NoAggregates)?,
                     };
                 }
-                let row = schema.check_row(row)?;
-                let id = state.insert_row(&table, row)?;
+                let row = Record::new(&schema.check_row(row)?);
+                let id = state.insert_row(&table, row.row())?;
                 changes.push(Change::Insert {
                     table: table.clone(),
                     id,
@@ -984,9 +1008,6 @@ pub(crate) fn apply_mutation(
             let mut targets =
                 crate::exec::scan_where(state, &table, where_clause.as_ref(), params, ctx)?;
             targets.sort_unstable_by_key(|&(id, _)| id);
-            let targets: Vec<(RowId, Row)> = (targets.into_iter())
-                .map(|(id, row)| (id, row.clone()))
-                .collect();
             let ordinals: Vec<usize> = assignments
                 .iter()
                 .map(|(c, _)| schema.require_column(c))
@@ -995,14 +1016,24 @@ pub(crate) fn apply_mutation(
             let exprs = (assignments.iter())
                 .map(|(_, e)| bindings.bound(e))
                 .collect::<SqlResult<Vec<_>>>()?;
-            let mut updated = 0usize;
-            for (id, old_row) in targets {
-                let mut new_row = old_row.clone();
-                for (expr, &ordinal) in exprs.iter().zip(&ordinals) {
-                    new_row[ordinal] = eval(expr, &old_row, params, &NoAggregates)?;
+            // Each new image is built from the old one where it lies: the
+            // assigned columns evaluated and checked, the others read
+            // straight from the old record. Images are built, in row order,
+            // up to the first that fails; the writes then run in the same
+            // order, so the statement reports the error a row-at-a-time
+            // loop would.
+            let mut images: Vec<(RowId, SqlResult<Record>)> = Vec::with_capacity(targets.len());
+            for (id, old) in targets {
+                let image = new_image(&schema, &exprs, &ordinals, old, params);
+                let failed = image.is_err();
+                images.push((id, image));
+                if failed {
+                    break;
                 }
-                let new_row = schema.check_row(new_row)?;
-                state.update_row(&table, id, new_row)?;
+            }
+            let mut updated = 0usize;
+            for (id, image) in images {
+                state.update_row(&table, id, image?.row())?;
                 changes.push(Change::Update {
                     table: table.clone(),
                     id,
@@ -1072,7 +1103,7 @@ pub(crate) fn apply_mutation(
             };
             // Populate from existing rows; uniqueness can fail here.
             let rows = state.table(&table)?.heap.iter();
-            let entries = rows.map(|(id, row)| (crate::state::value_at(row, ordinal), id));
+            let entries = rows.map(|(id, row)| (row.get(ordinal), id));
             let index = Index::build(&key, &table_key, ordinal, unique, entries)?;
             state.indexes.insert(key.clone(), Arc::new(index));
             state.table_mut(&table)?.index_names.push(key.clone());
@@ -1109,6 +1140,7 @@ pub(crate) fn apply_mutation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ValueRef;
     use std::cell::Cell;
 
     thread_local! {
@@ -1428,7 +1460,7 @@ mod tests {
         // The pinned snapshot still shows the world as of its pin.
         assert_eq!(pinned.table("guest").unwrap().heap.len(), 1);
         let row = pinned.table("guest").unwrap().heap.get(RowId(0)).unwrap();
-        assert_eq!(row[1], Value::Text("Ada".into()));
+        assert_eq!(row.get(1), ValueRef::Text("Ada"));
         // The live state moved on.
         assert_eq!(db.table_len("guest").unwrap(), 2);
     }

@@ -2,18 +2,18 @@
 //!
 //! Column names resolve once per statement: [`Bindings::bind`] writes each
 //! reference's tuple position into its [`ColumnRef::slot`] for the scope the
-//! expression will run in, before any row loop. Evaluation then reads slots,
-//! a tuple of values and an optional parameter vector, and borrows column,
-//! literal and parameter operands rather than cloning them; only computed
-//! values are owned. Aggregate sub-expressions are resolved through an
-//! [`AggSource`] supplied by the grouping executor; in any other context they
-//! are an error.
+//! expression will run in, before any row loop. Evaluation then reads slots
+//! of a stored row (a [`RowRef`]) and an optional parameter vector, and
+//! borrows column, literal and parameter operands as [`ValueRef`]s rather
+//! than cloning them; only computed values are owned. Aggregate
+//! sub-expressions are resolved through an [`AggSource`] supplied by the
+//! grouping executor; in any other context they are an error.
 
 use crate::ast::{BinOp, ColumnRef, Expr};
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::like::Pattern;
-use crate::types::{Truth, Value};
-use std::borrow::Cow;
+use crate::storage::RowRef;
+use crate::types::{Truth, Value, ValueRef};
 
 /// Column-name resolution for one query scope: the FROM table's effective
 /// name and its column names, or nothing for a table-less SELECT. Tuple
@@ -119,42 +119,72 @@ impl AggSource for NoAggregates {
     }
 }
 
+/// A value [`eval_ref`] produced: read from the row, the statement or the
+/// parameters, or computed.
+#[derive(Debug)]
+pub enum Evaluated<'a> {
+    /// Read from where it lives.
+    Borrowed(ValueRef<'a>),
+    /// Computed by the expression.
+    Owned(Value),
+}
+
+impl Evaluated<'_> {
+    /// The value, borrowed.
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Evaluated::Borrowed(v) => *v,
+            Evaluated::Owned(v) => v.view(),
+        }
+    }
+
+    /// The value, owned.
+    pub fn into_value(self) -> Value {
+        match self {
+            Evaluated::Borrowed(v) => v.to_value(),
+            Evaluated::Owned(v) => v,
+        }
+    }
+}
+
 /// Evaluate `expr` (its columns bound by [`Bindings::bind`]) to a value.
 pub fn eval(
     expr: &Expr,
-    row: &[Value],
+    row: RowRef<'_>,
     params: &[Value],
     aggs: &dyn AggSource,
 ) -> SqlResult<Value> {
-    eval_ref(expr, row, params, aggs).map(Cow::into_owned)
+    eval_ref(expr, row, params, aggs).map(Evaluated::into_value)
 }
 
 /// The evaluator: column, literal and parameter values come back borrowed
 /// from `row`, the expression and `params`; computed values are owned.
 pub fn eval_ref<'a>(
     expr: &'a Expr,
-    row: &'a [Value],
+    row: RowRef<'a>,
     params: &'a [Value],
     aggs: &dyn AggSource,
-) -> SqlResult<Cow<'a, Value>> {
-    static NULL: Value = Value::Null;
+) -> SqlResult<Evaluated<'a>> {
     let computed = match expr {
-        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        Expr::Literal(v) => return Ok(Evaluated::Borrowed(v.view())),
         Expr::Column(c) => {
             let slot = c
                 .slot
                 .ok_or_else(|| SqlError::no_such_column(&c.to_string()))?;
-            return Ok(Cow::Borrowed(row.get(slot).unwrap_or(&NULL)));
+            return Ok(Evaluated::Borrowed(row.get(slot)));
         }
         Expr::Param(i) => {
-            return params.get(i - 1).map(Cow::Borrowed).ok_or_else(|| {
-                SqlError::syntax(format!("no value bound for parameter marker ?{i}"))
-            })
+            return params
+                .get(i - 1)
+                .map(|v| Evaluated::Borrowed(v.view()))
+                .ok_or_else(|| {
+                    SqlError::syntax(format!("no value bound for parameter marker ?{i}"))
+                })
         }
-        Expr::Neg(inner) => match eval(inner, row, params, aggs)? {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(overflow),
-            Value::Double(d) => Ok(Value::Double(-d)),
+        Expr::Neg(inner) => match eval_ref(inner, row, params, aggs)?.view() {
+            ValueRef::Null => Ok(Value::Null),
+            ValueRef::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(overflow),
+            ValueRef::Double(d) => Ok(Value::Double(-d)),
             other => Err(SqlError::type_mismatch(format!("cannot negate {other}"))),
         },
         Expr::Not(inner) => {
@@ -171,13 +201,14 @@ pub fn eval_ref<'a>(
                 Ok(truth_to_value(t))
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let l = eval(lhs, row, params, aggs)?;
-                let r = eval(rhs, row, params, aggs)?;
-                arithmetic(*op, l, r)
+                let l = eval_ref(lhs, row, params, aggs)?;
+                let r = eval_ref(rhs, row, params, aggs)?;
+                arithmetic(*op, l.view(), r.view())
             }
             BinOp::Concat => {
                 let l = eval_ref(lhs, row, params, aggs)?;
                 let r = eval_ref(rhs, row, params, aggs)?;
+                let (l, r) = (l.view(), r.view());
                 if l.is_null() || r.is_null() {
                     Ok(Value::Null)
                 } else {
@@ -203,7 +234,7 @@ pub fn eval_ref<'a>(
                     Some(op) => {
                         let lhs = eval_ref(op, row, params, aggs)?;
                         let rhs = eval_ref(when, row, params, aggs)?;
-                        lhs.sql_eq(&rhs) == Truth::True
+                        lhs.view().sql_eq(rhs.view()) == Truth::True
                     }
                     // Searched CASE: when is a predicate.
                     None => eval_truth(when, row, params, aggs)?.passes(),
@@ -222,7 +253,7 @@ pub fn eval_ref<'a>(
             cast_value(v, *ty)
         }
     };
-    computed.map(Cow::Owned)
+    computed.map(Evaluated::Owned)
 }
 
 /// CAST semantics: numeric↔numeric truncates toward zero; text parses to
@@ -269,7 +300,7 @@ fn cast_value(v: Value, ty: crate::types::SqlType) -> SqlResult<Value> {
 /// Evaluate `expr` as a predicate under three-valued logic.
 pub fn eval_truth(
     expr: &Expr,
-    row: &[Value],
+    row: RowRef<'_>,
     params: &[Value],
     aggs: &dyn AggSource,
 ) -> SqlResult<Truth> {
@@ -307,10 +338,11 @@ pub fn eval_truth(
         {
             let l = eval_ref(lhs, row, params, aggs)?;
             let r = eval_ref(rhs, row, params, aggs)?;
+            let (l, r) = (l.view(), r.view());
             if l.is_null() || r.is_null() {
                 return Ok(Truth::Unknown);
             }
-            let Some(ord) = l.compare(&r) else {
+            let Some(ord) = l.compare(r) else {
                 return Err(SqlError::type_mismatch(format!(
                     "cannot compare {l} with {r}"
                 )));
@@ -327,7 +359,7 @@ pub fn eval_truth(
         }
         Expr::IsNull { expr, negated } => {
             let v = eval_ref(expr, row, params, aggs)?;
-            Ok(Truth::from_bool(v.is_null() != *negated))
+            Ok(Truth::from_bool(v.view().is_null() != *negated))
         }
         Expr::Like {
             expr,
@@ -337,11 +369,13 @@ pub fn eval_truth(
             prepared,
         } => {
             let v = eval_ref(expr, row, params, aggs)?;
+            let v = v.view();
             let hit = match &prepared.0 {
                 Some(_) if v.is_null() => return Ok(Truth::Unknown),
                 Some(p) => p.matches(&v.as_text()),
                 None => {
                     let p = eval_ref(pattern, row, params, aggs)?;
+                    let p = p.view();
                     if v.is_null() || p.is_null() {
                         return Ok(Truth::Unknown);
                     }
@@ -356,13 +390,14 @@ pub fn eval_truth(
             negated,
         } => {
             let v = eval_ref(expr, row, params, aggs)?;
+            let v = v.view();
             if v.is_null() {
                 return Ok(Truth::Unknown);
             }
             let mut saw_null = false;
             for item in list {
                 let w = eval_ref(item, row, params, aggs)?;
-                match v.sql_eq(&w) {
+                match v.sql_eq(w.view()) {
                     Truth::True => return Ok(Truth::from_bool(!*negated)),
                     Truth::Unknown => saw_null = true,
                     Truth::False => {}
@@ -383,11 +418,12 @@ pub fn eval_truth(
             let v = eval_ref(expr, row, params, aggs)?;
             let l = eval_ref(lo, row, params, aggs)?;
             let h = eval_ref(hi, row, params, aggs)?;
+            let (v, l, h) = (v.view(), l.view(), h.view());
             if v.is_null() || l.is_null() || h.is_null() {
                 return Ok(Truth::Unknown);
             }
-            let ge_lo = v.compare(&l).map(|o| o.is_ge());
-            let le_hi = v.compare(&h).map(|o| o.is_le());
+            let ge_lo = v.compare(l).map(|o| o.is_ge());
+            let le_hi = v.compare(h).map(|o| o.is_le());
             match (ge_lo, le_hi) {
                 (Some(a), Some(b)) => Ok(Truth::from_bool((a && b) != *negated)),
                 _ => Err(SqlError::type_mismatch("BETWEEN operands incomparable")),
@@ -396,11 +432,11 @@ pub fn eval_truth(
         // Everything else: evaluate as a value, nonzero/non-null-true.
         other => {
             let v = eval_ref(other, row, params, aggs)?;
-            Ok(match *v {
-                Value::Null => Truth::Unknown,
-                Value::Int(i) => Truth::from_bool(i != 0),
-                Value::Double(d) => Truth::from_bool(d != 0.0),
-                Value::Text(_) | Value::Date(_) => {
+            Ok(match v.view() {
+                ValueRef::Null => Truth::Unknown,
+                ValueRef::Int(i) => Truth::from_bool(i != 0),
+                ValueRef::Double(d) => Truth::from_bool(d != 0.0),
+                ValueRef::Text(_) | ValueRef::Date(_) => {
                     return Err(SqlError::type_mismatch(
                         "string or date used where a condition is required",
                     ))
@@ -424,7 +460,7 @@ pub(crate) fn overflow() -> SqlError {
     SqlError::new(SqlCode::ARITHMETIC, "arithmetic overflow")
 }
 
-fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
+fn arithmetic(op: BinOp, l: ValueRef<'_>, r: ValueRef<'_>) -> SqlResult<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -437,27 +473,26 @@ fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
             Err(SqlError::new(SqlCode::DATETIME_RANGE, msg))
         }
     };
-    match (&l, &r, op) {
-        (Value::Date(d), Value::Int(n), BinOp::Add)
-        | (Value::Int(n), Value::Date(d), BinOp::Add) => {
-            return d.checked_add(*n).ok_or_else(overflow).and_then(in_range)
+    match (l, r, op) {
+        (ValueRef::Date(d), ValueRef::Int(n), BinOp::Add)
+        | (ValueRef::Int(n), ValueRef::Date(d), BinOp::Add) => {
+            return d.checked_add(n).ok_or_else(overflow).and_then(in_range)
         }
-        (Value::Date(d), Value::Int(n), BinOp::Sub) => {
-            return d.checked_sub(*n).ok_or_else(overflow).and_then(in_range)
+        (ValueRef::Date(d), ValueRef::Int(n), BinOp::Sub) => {
+            return d.checked_sub(n).ok_or_else(overflow).and_then(in_range)
         }
-        (Value::Date(a), Value::Date(b), BinOp::Sub) => {
-            return a.checked_sub(*b).map(Value::Int).ok_or_else(overflow)
+        (ValueRef::Date(a), ValueRef::Date(b), BinOp::Sub) => {
+            return a.checked_sub(b).map(Value::Int).ok_or_else(overflow)
         }
-        (Value::Date(_), _, _) | (_, Value::Date(_), _) => {
+        (ValueRef::Date(_), _, _) | (_, ValueRef::Date(_), _) => {
             return Err(SqlError::type_mismatch(format!(
                 "unsupported date arithmetic: {l} {op:?} {r}"
             )))
         }
         _ => {}
     }
-    match (&l, &r) {
-        (Value::Int(a), Value::Int(b)) => {
-            let (a, b) = (*a, *b);
+    match (l, r) {
+        (ValueRef::Int(a), ValueRef::Int(b)) => {
             match op {
                 BinOp::Add => a.checked_add(b).map(Value::Int).ok_or_else(overflow),
                 BinOp::Sub => a.checked_sub(b).map(Value::Int).ok_or_else(overflow),
@@ -481,8 +516,8 @@ fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
             }
         }
         _ => {
-            let a = to_f64(&l)?;
-            let b = to_f64(&r)?;
+            let a = to_f64(l)?;
+            let b = to_f64(r)?;
             match op {
                 BinOp::Add => Ok(Value::Double(a + b)),
                 BinOp::Sub => Ok(Value::Double(a - b)),
@@ -507,10 +542,10 @@ fn arithmetic(op: BinOp, l: Value, r: Value) -> SqlResult<Value> {
     }
 }
 
-fn to_f64(v: &Value) -> SqlResult<f64> {
+fn to_f64(v: ValueRef<'_>) -> SqlResult<f64> {
     match v {
-        Value::Int(i) => Ok(*i as f64),
-        Value::Double(d) => Ok(*d),
+        ValueRef::Int(i) => Ok(i as f64),
+        ValueRef::Double(d) => Ok(d),
         other => Err(SqlError::type_mismatch(format!("{other} is not numeric"))),
     }
 }
@@ -528,7 +563,7 @@ mod tests {
         let SelectItem::Expr { expr, .. } = &s.items[0] else {
             panic!()
         };
-        eval(expr, &[], &[], &NoAggregates)
+        eval(expr, RowRef::EMPTY, &[], &NoAggregates)
     }
 
     #[test]
@@ -629,8 +664,14 @@ mod tests {
         let SelectItem::Expr { expr, .. } = &s.items[0] else {
             panic!()
         };
-        let v = eval(expr, &[], &[Value::Int(40), Value::Int(2)], &NoAggregates).unwrap();
+        let v = eval(
+            expr,
+            RowRef::EMPTY,
+            &[Value::Int(40), Value::Int(2)],
+            &NoAggregates,
+        )
+        .unwrap();
         assert_eq!(v, Value::Int(42));
-        assert!(eval(expr, &[], &[], &NoAggregates).is_err());
+        assert!(eval(expr, RowRef::EMPTY, &[], &NoAggregates).is_err());
     }
 }

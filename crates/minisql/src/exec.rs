@@ -7,11 +7,12 @@
 //! `LIKE 'prefix%'`, a full scan, or nothing) and keeps the rows passing the
 //! WHERE conjuncts that name a column; the residual conjuncts run next, and
 //! `ORDER BY … LIMIT k` keeps a bounded heap instead of sorting. Rows are
-//! threaded as slices borrowed from the heap, so a scan clones nothing. Every
-//! candidate row is still checked against the conjuncts that selected it, so
-//! plan choice can only change performance, never results — a property the
-//! equivalence suite in `tests/planner_equivalence.rs` exercises. UPDATE
-//! finds its target rows through the same scan (`scan_where`).
+//! threaded as [`RowRef`]s borrowed from the heap's records, so a scan
+//! clones nothing. Every candidate row is still checked against the
+//! conjuncts that selected it, so plan choice can only change performance,
+//! never results — a property the equivalence suite in
+//! `tests/planner_equivalence.rs` exercises. UPDATE finds its target rows
+//! through the same scan (`scan_where`).
 //!
 //! Each step has one implementation: one filter loop serves the scan and the
 //! residual WHERE; one comparator sorts ORDER BY; one partitioner groups
@@ -27,11 +28,13 @@
 use crate::analyze::{self, OpId};
 use crate::ast::{AggFunc, Expr, OrderKey, Select, SelectItem, SetOp, SortDir, TableRef};
 use crate::error::{SqlCode, SqlError, SqlResult};
-use crate::eval::{eval, eval_ref, eval_truth, overflow, AggSource, Bindings, NoAggregates};
+use crate::eval::{
+    eval, eval_ref, eval_truth, overflow, AggSource, Bindings, Evaluated, NoAggregates,
+};
 use crate::index::Index;
 use crate::plan::{self, AccessPath, Keys, PlanOptions, ScanPlan, SelectPlan};
 use crate::state::DbState;
-use crate::storage::{Row, RowId};
+use crate::storage::{Record, RowId, RowRef};
 use crate::types::Value;
 use dbgw_obs::RequestCtx;
 use std::borrow::Cow;
@@ -39,9 +42,12 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
-/// A source row: borrowed straight from a heap (an empty slice for a
+/// A source row: borrowed straight from a heap ([`RowRef::EMPTY`] for a
 /// table-less SELECT or a compound's combined rows).
-type SrcRow<'a> = &'a [Value];
+type SrcRow<'a> = RowRef<'a>;
+
+/// An output row.
+type Row = Vec<Value>;
 
 /// Cooperative-cancellation stride: the scan and grouping loops poll
 /// [`RequestCtx::check`] every this many rows, so a runaway query notices its
@@ -134,7 +140,7 @@ fn run_compound(
         rows = set_op(*op, rows, rhs.rows);
     }
     // The combined rows have no source row.
-    let pairs = rows.into_iter().map(|r| (&[][..], r)).collect();
+    let pairs = rows.into_iter().map(|r| (RowRef::EMPTY, r)).collect();
     let topk = plan::topk_bound(sel, opts);
     finish_pipeline(sel, &base.columns, pairs, params, None, topk)
 }
@@ -266,7 +272,7 @@ fn run_single(
 
 /// True when every conjunct evaluates to TRUE for `row` (3-valued logic:
 /// FALSE and UNKNOWN both reject, exactly as the AND of the conjuncts would).
-fn passes_all(conjuncts: &[Expr], row: &[Value], params: &[Value]) -> SqlResult<bool> {
+fn passes_all(conjuncts: &[Expr], row: RowRef<'_>, params: &[Value]) -> SqlResult<bool> {
     for conj in conjuncts {
         if !eval_truth(conj, row, params, &NoAggregates)?.passes() {
             return Ok(false);
@@ -336,7 +342,7 @@ fn scan_table<'a>(
     params: &[Value],
     ctx: &RequestCtx,
     aop: OpId,
-) -> SqlResult<Vec<(RowId, &'a Row)>> {
+) -> SqlResult<Vec<(RowId, RowRef<'a>)>> {
     let analyze_t0 = analyze::start();
     let heap = &state.table(&table.name)?.heap;
     let filters = bind_all(&scan.filters, local)?;
@@ -360,18 +366,18 @@ fn scan_table<'a>(
 /// A row the filter loop tests: a scanned heap row with its id, or a source
 /// row.
 trait Candidate {
-    fn values(&self) -> &[Value];
+    fn values(&self) -> RowRef<'_>;
 }
 
-impl Candidate for (RowId, &Row) {
-    fn values(&self) -> &[Value] {
+impl Candidate for (RowId, RowRef<'_>) {
+    fn values(&self) -> RowRef<'_> {
         self.1
     }
 }
 
 impl Candidate for SrcRow<'_> {
-    fn values(&self) -> &[Value] {
-        self
+    fn values(&self) -> RowRef<'_> {
+        *self
     }
 }
 
@@ -419,7 +425,7 @@ pub(crate) fn scan_where<'a>(
     predicate: Option<&Expr>,
     params: &[Value],
     ctx: &RequestCtx,
-) -> SqlResult<Vec<(RowId, &'a Row)>> {
+) -> SqlResult<Vec<(RowId, RowRef<'a>)>> {
     let table = TableRef {
         name: table.to_owned(),
         alias: None,
@@ -445,10 +451,10 @@ fn execute_source<'a>(
 ) -> SqlResult<Vec<SrcRow<'a>>> {
     let (Some(table), Some(scan)) = (&sel.from, &sel_plan.scan) else {
         // Table-less SELECT evaluates items once against an empty row.
-        return Ok(vec![&[]]);
+        return Ok(vec![RowRef::EMPTY]);
     };
     let rows = scan_table(state, table, scope, scan, params, ctx, OpId::Base)?;
-    Ok(rows.into_iter().map(|(_, r)| r.as_slice()).collect())
+    Ok(rows.into_iter().map(|(_, r)| r).collect())
 }
 
 /// One-line plan summary for `DBGW_TRACE=1` request traces.
@@ -486,7 +492,7 @@ pub(crate) fn const_value(expr: &Expr, params: &[Value]) -> Option<Value> {
     if has_column(expr) {
         return None;
     }
-    eval(expr, &[], params, &NoAggregates).ok()
+    eval(expr, RowRef::EMPTY, params, &NoAggregates).ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -552,14 +558,14 @@ fn default_label(expr: &Expr, position: usize) -> String {
 
 fn project(
     cols: &[OutCol],
-    row: &[Value],
+    row: RowRef<'_>,
     params: &[Value],
     aggs: &dyn AggSource,
 ) -> SqlResult<Row> {
     let mut out = Vec::with_capacity(cols.len());
     for col in cols {
         out.push(match col {
-            OutCol::Position(i) => row.get(*i).cloned().unwrap_or(Value::Null),
+            OutCol::Position(i) => row.get(*i).to_value(),
             OutCol::Expr(e) => eval(e, row, params, aggs)?,
         });
     }
@@ -605,7 +611,7 @@ fn partition(
             check_cancel(ctx)?;
         }
         let key = (key_exprs.iter())
-            .map(|e| eval(e, row, params, &NoAggregates))
+            .map(|e| eval(e, *row, params, &NoAggregates))
             .collect::<SqlResult<Vec<_>>>()?;
         let g = *group_of.entry(key).or_insert_with(|| {
             groups.push(Vec::new());
@@ -622,13 +628,13 @@ fn partition(
 /// full sort's prefix. The one sort comparator of the executor: ORDER BY of
 /// a single or compound SELECT sorts here.
 fn sort_order(
-    keys: &[Vec<Cow<'_, Value>>],
+    keys: &[Vec<Evaluated<'_>>],
     order_by: &[OrderKey],
     topk: Option<usize>,
 ) -> Vec<usize> {
     let cmp = |a: usize, b: usize| -> Ordering {
         for ((x, y), key) in keys[a].iter().zip(&keys[b]).zip(order_by) {
-            let ord = x.order_key(y);
+            let ord = x.view().order_key(y.view());
             let ord = match key.dir {
                 SortDir::Asc => ord,
                 SortDir::Desc => ord.reverse(),
@@ -832,7 +838,7 @@ fn run_grouped(
     }
 
     // The empty global group's representative row.
-    let nulls = vec![Value::Null; bindings.width()];
+    let nulls = Record::new(&vec![Value::Null; bindings.width()]);
     let n_groups = groups.len() as u64;
     let mut pairs = Vec::new(); // (representative src, out)
     let mut agg_sources: Vec<GroupAggs> = Vec::new();
@@ -845,7 +851,7 @@ fn run_grouped(
         let aggs = GroupAggs(computed);
         // Representative row: the first row of the group, or all-NULL for
         // the empty global group.
-        let rep = group.first().map_or(&nulls[..], |&i| rows[i]);
+        let rep = group.first().map_or(nulls.row(), |&i| rows[i]);
         if let Some(h) = &sel.having {
             let having_t0 = analyze::start();
             let pass = eval_truth(h, rep, params, &aggs)?.passes();
@@ -907,7 +913,7 @@ fn finish_pipeline(
             .collect::<SqlResult<Vec<_>>>()?;
         // Keys borrow the output or source value they name; only computed
         // keys are owned.
-        let keys: Vec<Vec<Cow<'_, Value>>> = (pairs.iter().enumerate())
+        let keys: Vec<Vec<Evaluated<'_>>> = (pairs.iter().enumerate())
             .map(|(row_idx, (src, out))| {
                 let aggs: &dyn AggSource = match &agg_sources {
                     Some(sources) => &sources[row_idx],
@@ -915,8 +921,8 @@ fn finish_pipeline(
                 };
                 (sort_keys.iter())
                     .map(|key| match key {
-                        SortKey::Output(pos) => Ok(Cow::Borrowed(&out[*pos])),
-                        SortKey::Expr(e) => eval_ref(e, src, params, aggs),
+                        SortKey::Output(pos) => Ok(Evaluated::Borrowed(out[*pos].view())),
+                        SortKey::Expr(e) => eval_ref(e, *src, params, aggs),
                     })
                     .collect::<SqlResult<Vec<_>>>()
             })
@@ -1216,8 +1222,8 @@ mod tests {
             (10300, "bikes", 119.0),
         ];
         for (c, p, pr) in data {
-            let row = vec![Value::Int(*c), Value::Text((*p).into()), Value::Double(*pr)];
-            st.insert_row("orders", row).unwrap();
+            let row = Record::new(&[Value::Int(*c), Value::Text((*p).into()), Value::Double(*pr)]);
+            st.insert_row("orders", row.row()).unwrap();
         }
         st
     }
@@ -1394,7 +1400,7 @@ mod tests {
             .unwrap()
             .heap
             .iter()
-            .map(|(id, r)| (id, r[1].clone()))
+            .map(|(id, r)| (id, r.get(1).to_value()))
             .collect::<Vec<_>>()
             .into_iter()
             .map(|(id, v)| {
@@ -1418,8 +1424,8 @@ mod tests {
     #[test]
     fn where_with_unknown_filters_out() {
         let mut st = shop_state();
-        st.insert_row("orders", vec![Value::Int(10400), Value::Null, Value::Null])
-            .unwrap();
+        let row = Record::new(&[Value::Int(10400), Value::Null, Value::Null]);
+        st.insert_row("orders", row.row()).unwrap();
         // NULL product_name: LIKE is unknown, row filtered.
         let r = q(&st, "SELECT custid FROM orders WHERE product_name LIKE '%'");
         assert_eq!(r.rows.len(), 5);

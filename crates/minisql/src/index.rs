@@ -16,12 +16,13 @@
 //! statement finds those nodes unshared and copies nothing more, and every
 //! other node stays shared with the snapshots that pin it. Removal drops
 //! nodes that become empty but never merges underfull ones. Probes compare
-//! stored keys against the caller's borrowed `&Value`; searching clones
-//! nothing.
+//! stored keys against the caller's borrowed [`ValueRef`] — a stored row's
+//! cell or a literal — through [`ValueRef::order_key`]; searching clones
+//! nothing, and only a new key is copied into the tree.
 
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::storage::RowId;
-use crate::types::Value;
+use crate::types::{Value, ValueRef};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -45,8 +46,8 @@ struct Leaf {
 }
 
 impl Leaf {
-    fn find(&self, key: &Value) -> Result<usize, usize> {
-        self.keys.binary_search_by(|k| k.order_key(key))
+    fn find(&self, key: ValueRef<'_>) -> Result<usize, usize> {
+        self.keys.binary_search_by(|k| k.view().order_key(key))
     }
 
     fn start(&self, i: usize) -> usize {
@@ -63,11 +64,11 @@ impl Leaf {
     }
 
     /// Add `row` under `key`; returns whether `key` is new.
-    fn insert(&mut self, key: &Value, row: RowId) -> bool {
+    fn insert(&mut self, key: ValueRef<'_>, row: RowId) -> bool {
         let (i, added) = match self.find(key) {
             Ok(i) => (i, false),
             Err(i) => {
-                self.keys.insert(i, key.clone());
+                self.keys.insert(i, key.canonical().to_value());
                 self.ends.insert(i, self.start(i));
                 (i, true)
             }
@@ -78,7 +79,7 @@ impl Leaf {
     }
 
     /// Remove one `(key, row)` pair; returns whether `key` went away.
-    fn remove(&mut self, key: &Value, row: RowId) -> bool {
+    fn remove(&mut self, key: ValueRef<'_>, row: RowId) -> bool {
         let Ok(i) = self.find(key) else {
             return false;
         };
@@ -163,8 +164,8 @@ impl Node {
 }
 
 /// The child of a branch with separators `keys` whose range holds `key`.
-fn child_for(keys: &[Value], key: &Value) -> usize {
-    keys.partition_point(|k| k.order_key(key).is_le())
+fn child_for(keys: &[Value], key: ValueRef<'_>) -> usize {
+    keys.partition_point(|k| k.view().order_key(key).is_le())
 }
 
 /// Whether `key` satisfies the lower bound `lo`.
@@ -190,7 +191,7 @@ fn below(key: &Value, hi: Bound<&Value>) -> bool {
 /// overflowed.
 fn insert_into(
     node: &mut Arc<Node>,
-    key: &Value,
+    key: ValueRef<'_>,
     row: RowId,
 ) -> (bool, Option<(Value, Arc<Node>)>) {
     let node = Arc::make_mut(node);
@@ -211,7 +212,7 @@ fn insert_into(
 
 /// Remove one `(key, row)` pair below `node`, path-copying on the way down
 /// and dropping nodes left empty. Returns whether the key went away.
-fn remove_from(node: &mut Arc<Node>, key: &Value, row: RowId) -> bool {
+fn remove_from(node: &mut Arc<Node>, key: ValueRef<'_>, row: RowId) -> bool {
     match Arc::make_mut(node) {
         Node::Leaf(leaf) => leaf.remove(key, row),
         Node::Branch { keys, children } => {
@@ -245,11 +246,11 @@ fn walk<'a>(
         }
         Node::Branch { keys, children } => {
             let first = match lo {
-                Bound::Included(v) | Bound::Excluded(v) => child_for(keys, v),
+                Bound::Included(v) | Bound::Excluded(v) => child_for(keys, v.view()),
                 Bound::Unbounded => 0,
             };
             let last = match hi {
-                Bound::Included(v) | Bound::Excluded(v) => child_for(keys, v),
+                Bound::Included(v) | Bound::Excluded(v) => child_for(keys, v.view()),
                 Bound::Unbounded => children.len() - 1,
             };
             (first..=last).all(|i| walk(&children[i], lo, hi, visit))
@@ -296,10 +297,11 @@ impl Index {
         table: &str,
         column: usize,
         unique: bool,
-        entries: impl Iterator<Item = (&'a Value, RowId)>,
+        entries: impl Iterator<Item = (impl Into<ValueRef<'a>>, RowId)>,
     ) -> SqlResult<Index> {
         let mut index = Index::new(name, table, column, unique);
-        let mut entries: Vec<(&Value, RowId)> = entries.collect();
+        let mut entries: Vec<(ValueRef<'a>, RowId)> =
+            entries.map(|(key, row)| (key.into(), row)).collect();
         entries.sort_by(|a, b| a.0.order_key(b.0));
         let mut level: Vec<(Value, Arc<Node>)> = Vec::new();
         let mut leaf = Leaf::default();
@@ -314,7 +316,7 @@ impl Index {
                 let full = std::mem::take(&mut leaf);
                 level.push((full.keys[0].clone(), Arc::new(Node::Leaf(full))));
             }
-            leaf.keys.push(key.clone());
+            leaf.keys.push(key.canonical().to_value());
             leaf.ids.extend(run.iter().map(|&(_, row)| row));
             leaf.ends.push(leaf.ids.len());
             index.keys += 1;
@@ -344,7 +346,7 @@ impl Index {
         self.keys
     }
 
-    fn duplicate(&self, key: &Value) -> SqlError {
+    fn duplicate(&self, key: ValueRef<'_>) -> SqlError {
         SqlError::new(
             SqlCode::DUPLICATE_KEY,
             format!("duplicate key {key} in unique index {}", self.name),
@@ -352,8 +354,10 @@ impl Index {
     }
 
     /// Insert a `(key, row)` pair, enforcing uniqueness for non-NULL keys.
-    /// A rejected pair copies and changes nothing.
-    pub fn insert(&mut self, key: &Value, row: RowId) -> SqlResult<()> {
+    /// A rejected pair copies and changes nothing. The index stores `-0.0`
+    /// as `0.0`, the key it equals.
+    pub fn insert<'k>(&mut self, key: impl Into<ValueRef<'k>>, row: RowId) -> SqlResult<()> {
+        let key = key.into();
         if self.unique && !key.is_null() && !self.lookup_ref(key).is_empty() {
             return Err(self.duplicate(key));
         }
@@ -369,7 +373,8 @@ impl Index {
     }
 
     /// Remove one `(key, row)` pair (no-op, copying nothing, if absent).
-    pub fn remove(&mut self, key: &Value, row: RowId) {
+    pub fn remove<'k>(&mut self, key: impl Into<ValueRef<'k>>, row: RowId) {
+        let key = key.into();
         if !self.lookup_ref(key).contains(&row) {
             return;
         }
@@ -384,13 +389,14 @@ impl Index {
     }
 
     /// Row ids with exactly this key.
-    pub fn lookup(&self, key: &Value) -> Vec<RowId> {
+    pub fn lookup<'k>(&self, key: impl Into<ValueRef<'k>>) -> Vec<RowId> {
         self.lookup_ref(key).to_vec()
     }
 
     /// Row ids with exactly this key, borrowed — no allocation on the probe
     /// path (the executor copies only when it must own the ids).
-    pub fn lookup_ref(&self, key: &Value) -> &[RowId] {
+    pub fn lookup_ref<'k>(&self, key: impl Into<ValueRef<'k>>) -> &[RowId] {
+        let key = key.into();
         let mut node = &*self.root;
         loop {
             match node {

@@ -108,7 +108,7 @@ fn replay_op(state: &mut DbState, op: &WalOp) -> SqlResult<()> {
             let t = (state.table_mut(table)).map_err(|_| {
                 corrupt(format!("wal: row op for {table}, which no record created"))
             })?;
-            if !t.heap.put_at(*id, row.clone()) {
+            if !t.heap.put_at(*id, row.row()) {
                 return Err(corrupt(format!(
                     "wal: row {} of {table} is past its next row {}",
                     id.0,
@@ -188,7 +188,7 @@ pub fn recover(path: &Path) -> SqlResult<DbState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::RowId;
+    use crate::storage::{Record, RowId, RowRef};
     use crate::types::Value;
     use crate::wal::encode_record;
 
@@ -209,23 +209,23 @@ mod tests {
                 WalOp::Insert {
                     table: "t".into(),
                     id: RowId(0),
-                    row: vec![Value::Int(1), Value::Text("a".into())],
+                    row: Record::new(&[Value::Int(1), Value::Text("a".into())]),
                 },
                 WalOp::Insert {
                     table: "t".into(),
                     id: RowId(1),
-                    row: vec![Value::Int(2), Value::Text("b".into())],
+                    row: Record::new(&[Value::Int(2), Value::Text("b".into())]),
                 },
             ],
             vec![WalOp::Update {
                 table: "t".into(),
                 id: RowId(0),
-                row: vec![Value::Int(1), Value::Text("a2".into())],
+                row: Record::new(&[Value::Int(1), Value::Text("a2".into())]),
             }],
             vec![WalOp::Update {
                 table: "t".into(),
                 id: RowId(1),
-                row: vec![Value::Int(2), Value::Text("b2".into())],
+                row: Record::new(&[Value::Int(2), Value::Text("b2".into())]),
             }],
         ]
     }
@@ -297,12 +297,12 @@ mod tests {
         let t = state.table("t").unwrap();
         assert_eq!(t.heap.len(), 2);
         assert_eq!(
-            t.heap.get(RowId(0)),
-            Some(&vec![Value::Int(1), Value::Text("a2".into())])
+            t.heap.get(RowId(0)).map(RowRef::to_vec),
+            Some(vec![Value::Int(1), Value::Text("a2".into())])
         );
         assert_eq!(
-            t.heap.get(RowId(1)),
-            Some(&vec![Value::Int(2), Value::Text("b2".into())])
+            t.heap.get(RowId(1)).map(RowRef::to_vec),
+            Some(vec![Value::Int(2), Value::Text("b2".into())])
         );
         // The PK's system unique index was rebuilt and is queryable.
         let idx = state.index_on("t", 0).expect("pk index");
@@ -319,7 +319,7 @@ mod tests {
         let rows = |state: &DbState| {
             let heap = &state.table("t").unwrap().heap;
             heap.iter()
-                .map(|(id, row)| (id, row.clone()))
+                .map(|(id, row)| (id, row.to_vec()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(rows(&once).len(), 2);
@@ -332,7 +332,7 @@ mod tests {
         let insert = |table: &str, id| WalOp::Insert {
             table: table.into(),
             id: RowId(id),
-            row: vec![Value::Int(9), Value::Null],
+            row: Record::new(&[Value::Int(9), Value::Null]),
         };
         // A table no record created, and an id past the table's next one.
         for op in [insert("missing", 0), insert("t", 1)] {

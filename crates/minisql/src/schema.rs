@@ -34,6 +34,10 @@ impl TableSchema {
         if defs.is_empty() {
             return Err(SqlError::syntax("a table needs at least one column"));
         }
+        // A stored record counts its cells in a u16.
+        if defs.len() > usize::from(u16::MAX) {
+            return Err(SqlError::syntax("a table has at most 65 535 columns"));
+        }
         let mut primary_key = None;
         let mut columns = Vec::with_capacity(defs.len());
         for (i, def) in defs.iter().enumerate() {
@@ -94,18 +98,22 @@ impl TableSchema {
                 row.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (value, col) in row.into_iter().zip(&self.columns) {
-            let value = value.coerce_to(col.ty)?;
-            if value.is_null() && col.not_null {
-                return Err(SqlError::new(
-                    SqlCode::NOT_NULL_VIOLATION,
-                    format!("column {} does not allow NULL", col.name),
-                ));
-            }
-            out.push(value);
+        (row.into_iter().enumerate())
+            .map(|(ordinal, value)| self.check_value(ordinal, value))
+            .collect()
+    }
+
+    /// Coerce `value` to the type of column `ordinal`, enforcing NOT NULL.
+    pub fn check_value(&self, ordinal: usize, value: Value) -> SqlResult<Value> {
+        let col = &self.columns[ordinal];
+        let value = value.coerce_to(col.ty)?;
+        if value.is_null() && col.not_null {
+            return Err(SqlError::new(
+                SqlCode::NOT_NULL_VIOLATION,
+                format!("column {} does not allow NULL", col.name),
+            ));
         }
-        Ok(out)
+        Ok(value)
     }
 }
 

@@ -20,8 +20,7 @@ use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::index::Index;
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
-use crate::storage::{Heap, Row, RowId};
-use crate::types::Value;
+use crate::storage::{Heap, RowId, RowRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -48,21 +47,6 @@ pub struct TableData {
 }
 
 impl TableData {
-    /// Fold one successful row mutation into the table's statistics: update
-    /// incrementally while fresh, rebuild from the heap once the write
-    /// threshold has passed (the mutated row is already in the heap when
-    /// this runs, so a rebuild sees it). `removed` is the image an UPDATE
-    /// replaced; `None` notes the row the heap now holds at `id`.
-    fn stats_note(&mut self, id: RowId, removed: Option<&Row>) {
-        match self.stats.as_mut() {
-            Some(s) if !s.stale() => match removed {
-                Some(row) => s.note_delete(row),
-                None => s.note_insert(self.heap.get(id).expect("row just stored")),
-            },
-            _ => self.rebuild_stats(),
-        }
-    }
-
     /// Rebuild this table's statistics from its heap in one pass.
     pub fn rebuild_stats(&mut self) {
         self.stats = Some(TableStats::build(&self.schema, &self.heap));
@@ -130,51 +114,65 @@ impl DbState {
     /// On an error (a uniqueness violation) the working copy is left
     /// unspecified: every caller abandons it, and the statement's private
     /// copy of the published state is what makes statements atomic.
-    pub fn insert_row(&mut self, table: &str, row: Row) -> SqlResult<RowId> {
+    pub fn insert_row(&mut self, table: &str, row: RowRef<'_>) -> SqlResult<RowId> {
         let t = self
             .tables
             .get_mut(&table.to_ascii_lowercase())
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
         let id = t.heap.insert(row);
-        let row = t.heap.get(id).expect("just inserted");
         for name in &t.index_names {
             let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
-            idx.insert(value_at(row, idx.column), id)?;
+            idx.insert(row.get(idx.column), id)?;
         }
-        t.stats_note(id, None);
+        // Statistics fold a write in while fresh, and are rebuilt from the
+        // heap once the write threshold has passed (or before the first
+        // build).
+        match t.stats.as_mut().filter(|s| !s.stale()) {
+            Some(s) => s.note_insert(row),
+            None => t.rebuild_stats(),
+        }
         t.version += 1;
         Ok(id)
     }
 
-    /// Replace a row in place, maintaining indexes. Returns the old image.
+    /// Replace a row, maintaining indexes and statistics.
     ///
     /// Only the indexes whose key changed are written (and so copied). On
     /// an error the working copy is left unspecified, as for
     /// [`DbState::insert_row`].
-    pub fn update_row(&mut self, table: &str, id: RowId, new: Row) -> SqlResult<Row> {
+    pub fn update_row(&mut self, table: &str, id: RowId, new: RowRef<'_>) -> SqlResult<()> {
         let t = self
             .tables
             .get_mut(&table.to_ascii_lowercase())
             .map(Arc::make_mut)
             .ok_or_else(|| SqlError::no_such_table(table))?;
-        let old = t.heap.update(id, new).ok_or_else(|| {
-            SqlError::new(SqlCode::UNDEFINED_OBJECT, "row vanished during update")
-        })?;
-        let new = t.heap.get(id).expect("row just stored");
+        // The old image is read where it lies, before the heap moves on.
+        let vanished = || SqlError::new(SqlCode::UNDEFINED_OBJECT, "row vanished during update");
+        let old = t.heap.get(id).ok_or_else(vanished)?;
         for name in &t.index_names {
             let column = self.indexes[name].column;
-            let (was, now) = (value_at(&old, column), value_at(new, column));
+            let (was, now) = (old.get(column), new.get(column));
             if was != now {
                 let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
                 idx.remove(was, id);
                 idx.insert(now, id)?;
             }
         }
-        t.stats_note(id, Some(&old));
-        t.stats_note(id, None);
+        let fresh = match t.stats.as_mut().filter(|s| !s.stale()) {
+            Some(s) => {
+                s.note_delete(old);
+                s.note_insert(new);
+                true
+            }
+            None => false,
+        };
+        t.heap.update(id, new);
+        if !fresh {
+            t.rebuild_stats();
+        }
         t.version += 1;
-        Ok(old)
+        Ok(())
     }
 
     /// Rebuild every index from its table's heap.
@@ -198,7 +196,7 @@ impl DbState {
                 .get(table)
                 .into_iter()
                 .flat_map(|t| t.heap.iter());
-            let entries = rows.map(|(id, row)| (value_at(row, *column), id));
+            let entries = rows.map(|(id, row)| (row.get(*column), id));
             let fresh = Index::build(name, table, *column, *unique, entries)?;
             *index = Arc::new(fresh);
         }
@@ -218,16 +216,11 @@ impl DbState {
     }
 }
 
-/// The value of column `column` in `row`, NULL past its end (short rows
-/// never occur in practice; this keeps index maintenance total).
-pub(crate) fn value_at(row: &Row, column: usize) -> &Value {
-    row.get(column).unwrap_or(&Value::Null)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::ColumnDef;
+    use crate::storage::Record;
     use crate::types::{SqlType, Value};
 
     fn state_with_table() -> DbState {
@@ -267,8 +260,8 @@ mod tests {
         st
     }
 
-    fn row(id: i64, name: &str) -> Row {
-        vec![Value::Int(id), Value::Text(name.into())]
+    fn row(id: i64, name: &str) -> Record {
+        Record::new(&[Value::Int(id), Value::Text(name.into())])
     }
 
     /// How many of `after`'s allocations are not among `before`'s.
@@ -286,18 +279,19 @@ mod tests {
         let by_name = Index::new("t_name", "t", 1, false);
         st.indexes.insert("t_name".into(), Arc::new(by_name));
         for i in 0..20_000 {
-            st.insert_row("t", row(i, &format!("n{}", i % 1_000)))
+            st.insert_row("t", row(i, &format!("n{}", i % 1_000)).row())
                 .unwrap();
         }
         let base = st.clone();
         let (id, next) = (RowId(12_345), RowId(12_346));
         assert_eq!(
             base.table("t").unwrap().heap.get(id),
-            Some(&row(12_345, "n345"))
+            Some(row(12_345, "n345").row())
         );
         // Change the name only: the primary-key index is not written at all.
         let mut work = base.clone();
-        work.update_row("t", id, row(12_345, "renamed")).unwrap();
+        work.update_row("t", id, row(12_345, "renamed").row())
+            .unwrap();
         let (heap, base_heap) = (
             &work.table("t").unwrap().heap,
             &base.table("t").unwrap().heap,
@@ -316,11 +310,12 @@ mod tests {
         // A second write to the same page in the same working copy copies
         // no further page.
         let pages = work.table("t").unwrap().heap.page_ptrs();
-        work.update_row("t", next, row(12_346, "n346")).unwrap();
+        work.update_row("t", next, row(12_346, "n346").row())
+            .unwrap();
         assert_eq!(work.table("t").unwrap().heap.page_ptrs(), pages);
         // And the snapshot reads exactly as before.
         let base_t = base.table("t").unwrap();
-        assert_eq!(base_t.heap.get(id), Some(&row(12_345, "n345")));
+        assert_eq!(base_t.heap.get(id), Some(row(12_345, "n345").row()));
         assert_eq!(base_t.heap.len(), 20_000);
         assert!(base_names.lookup(&Value::Text("renamed".into())).is_empty());
         assert!(base_names.lookup(&Value::Text("n345".into())).contains(&id));
@@ -333,8 +328,8 @@ mod tests {
         // what WAL replay does before its final rebuild pass.
         {
             let t = st.tables.get_mut("t").map(Arc::make_mut).unwrap();
-            t.heap.put_at(RowId(0), row(1, "a"));
-            t.heap.put_at(RowId(1), row(2, "b"));
+            t.heap.put_at(RowId(0), row(1, "a").row());
+            t.heap.put_at(RowId(1), row(2, "b").row());
         }
         assert!(st
             .index_on("t", 0)
@@ -349,9 +344,23 @@ mod tests {
         // A uniqueness violation in the heap itself means a corrupt log.
         {
             let t = st.tables.get_mut("t").map(Arc::make_mut).unwrap();
-            t.heap.put_at(RowId(2), row(1, "dup"));
+            t.heap.put_at(RowId(2), row(1, "dup").row());
         }
         assert!(st.rebuild_indexes().is_err());
+    }
+
+    #[test]
+    fn an_update_on_stale_statistics_counts_its_row_once() {
+        let mut st = state_with_table();
+        // The first insert builds the statistics and the next
+        // REFRESH_THRESHOLD leave them stale.
+        for i in 0..=crate::stats::REFRESH_THRESHOLD as i64 {
+            st.insert_row("t", row(i, "x").row()).unwrap();
+        }
+        assert!(st.table("t").unwrap().stats.as_ref().unwrap().stale());
+        st.update_row("t", RowId(0), row(0, "y").row()).unwrap();
+        let t = st.table("t").unwrap();
+        assert_eq!(t.stats.as_ref().unwrap().rows, t.heap.len() as u64);
     }
 
     #[test]
@@ -369,10 +378,10 @@ mod tests {
         // shares table allocations; mutating one table in the clone leaves
         // every other entry pointer-identical to the original.
         let mut st = state_with_table();
-        st.insert_row("t", row(1, "a")).unwrap();
+        st.insert_row("t", row(1, "a").row()).unwrap();
         let base = st.clone();
         let mut work = base.clone();
-        work.insert_row("t", row(2, "b")).unwrap();
+        work.insert_row("t", row(2, "b").row()).unwrap();
         // Touched table diverged...
         assert!(!Arc::ptr_eq(&base.tables["t"], &work.tables["t"]));
         // ...and the original snapshot still sees one row.

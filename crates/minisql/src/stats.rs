@@ -26,8 +26,8 @@
 //! choice, which compares an estimate against a fixed ceiling.
 
 use crate::schema::TableSchema;
-use crate::storage::Heap;
-use crate::types::Value;
+use crate::storage::{Heap, RowRef};
+use crate::types::{Value, ValueRef};
 
 /// Bits in the per-column distinct estimator (must be a power of two).
 const ESTIMATOR_BITS: usize = 2048;
@@ -124,7 +124,7 @@ pub struct ColumnStats {
 /// A value's bit in the distinct estimator. Numeric values that compare
 /// SQL-equal across types (`1` vs `1.0`) hash identically, so they count as
 /// one distinct value, as `=` treats them.
-fn estimator_bit(v: &Value) -> Option<usize> {
+fn estimator_bit(v: ValueRef<'_>) -> Option<usize> {
     const FNV_OFFSET: u64 = 0xcbf29ce484222325;
     const FNV_PRIME: u64 = 0x100000001b3;
     let mut h = FNV_OFFSET;
@@ -135,20 +135,20 @@ fn estimator_bit(v: &Value) -> Option<usize> {
         }
     };
     match v {
-        Value::Null => return None,
-        Value::Int(i) => {
+        ValueRef::Null => return None,
+        ValueRef::Int(i) => {
             feed(&[1]);
-            feed(&(*i as f64).to_bits().to_le_bytes());
+            feed(&(i as f64).to_bits().to_le_bytes());
         }
-        Value::Double(d) => {
+        ValueRef::Double(d) => {
             feed(&[1]);
             feed(&d.to_bits().to_le_bytes());
         }
-        Value::Text(t) => {
+        ValueRef::Text(t) => {
             feed(&[2]);
             feed(t.as_bytes());
         }
-        Value::Date(d) => {
+        ValueRef::Date(d) => {
             feed(&[3]);
             feed(&d.to_le_bytes());
         }
@@ -157,12 +157,12 @@ fn estimator_bit(v: &Value) -> Option<usize> {
 }
 
 /// A value as a histogram coordinate (numeric and date columns only).
-pub(crate) fn numeric(v: &Value) -> Option<f64> {
+pub(crate) fn numeric(v: ValueRef<'_>) -> Option<f64> {
     match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Double(d) => Some(*d),
-        Value::Date(d) => Some(*d as f64),
-        Value::Null | Value::Text(_) => None,
+        ValueRef::Int(i) => Some(i as f64),
+        ValueRef::Double(d) => Some(d),
+        ValueRef::Date(d) => Some(d as f64),
+        ValueRef::Null | ValueRef::Text(_) => None,
     }
 }
 
@@ -178,7 +178,7 @@ impl ColumnStats {
         }
     }
 
-    fn note_value(&mut self, v: &Value) {
+    fn note_value(&mut self, v: ValueRef<'_>) {
         if v.is_null() {
             self.nulls += 1;
             return;
@@ -190,23 +190,23 @@ impl ColumnStats {
         let widen_min = self
             .min
             .as_ref()
-            .is_none_or(|m| v.compare(m).is_some_and(|o| o.is_lt()));
+            .is_none_or(|m| v.compare(m.view()).is_some_and(|o| o.is_lt()));
         if widen_min {
-            self.min = Some(v.clone());
+            self.min = Some(v.to_value());
         }
         let widen_max = self
             .max
             .as_ref()
-            .is_none_or(|m| v.compare(m).is_some_and(|o| o.is_gt()));
+            .is_none_or(|m| v.compare(m.view()).is_some_and(|o| o.is_gt()));
         if widen_max {
-            self.max = Some(v.clone());
+            self.max = Some(v.to_value());
         }
         if let (Some(h), Some(n)) = (self.histogram.as_mut(), numeric(v)) {
             h.add(n);
         }
     }
 
-    fn forget_value(&mut self, v: &Value) {
+    fn forget_value(&mut self, v: ValueRef<'_>) {
         // Deletes can only decrement counters; min/max and estimator bits
         // stay conservative until the next rebuild.
         if v.is_null() {
@@ -257,15 +257,15 @@ impl TableStats {
         for (_, row) in heap.iter() {
             rows += 1;
             for (i, col) in columns.iter_mut().enumerate() {
-                col.note_value(row.get(i).unwrap_or(&Value::Null));
+                col.note_value(row.get(i));
             }
         }
         // Second pass fills equi-width histograms, now that the numeric
         // range of each column is known.
         for col in columns.iter_mut() {
             let (Some(lo), Some(hi)) = (
-                col.min.as_ref().and_then(numeric),
-                col.max.as_ref().and_then(numeric),
+                col.min.as_ref().and_then(|v| numeric(v.view())),
+                col.max.as_ref().and_then(|v| numeric(v.view())),
             ) else {
                 continue;
             };
@@ -278,9 +278,7 @@ impl TableStats {
         if columns.iter().any(|c| c.histogram.is_some()) {
             for (_, row) in heap.iter() {
                 for (i, col) in columns.iter_mut().enumerate() {
-                    if let (Some(h), Some(n)) =
-                        (col.histogram.as_mut(), row.get(i).and_then(numeric))
-                    {
+                    if let (Some(h), Some(n)) = (col.histogram.as_mut(), numeric(row.get(i))) {
                         h.add(n);
                     }
                 }
@@ -294,20 +292,20 @@ impl TableStats {
     }
 
     /// Fold one inserted row in.
-    pub fn note_insert(&mut self, row: &[Value]) {
+    pub fn note_insert(&mut self, row: RowRef<'_>) {
         self.rows += 1;
         self.writes_since_build += 1;
         for (i, col) in self.columns.iter_mut().enumerate() {
-            col.note_value(row.get(i).unwrap_or(&Value::Null));
+            col.note_value(row.get(i));
         }
     }
 
     /// Fold one deleted row out.
-    pub fn note_delete(&mut self, row: &[Value]) {
+    pub fn note_delete(&mut self, row: RowRef<'_>) {
         self.rows = self.rows.saturating_sub(1);
         self.writes_since_build += 1;
         for (i, col) in self.columns.iter_mut().enumerate() {
-            col.forget_value(row.get(i).unwrap_or(&Value::Null));
+            col.forget_value(row.get(i));
         }
     }
 
@@ -321,6 +319,7 @@ impl TableStats {
 mod tests {
     use super::*;
     use crate::ast::ColumnDef;
+    use crate::storage::Record;
     use crate::types::SqlType;
 
     fn schema() -> TableSchema {
@@ -349,7 +348,7 @@ mod tests {
     fn heap_with(rows: &[(i64, &str)]) -> Heap {
         let mut heap = Heap::new();
         for (k, label) in rows {
-            heap.insert(vec![Value::Int(*k), Value::Text((*label).into())]);
+            heap.insert(Record::new(&[Value::Int(*k), Value::Text((*label).into())]).row());
         }
         heap
     }
@@ -357,7 +356,7 @@ mod tests {
     #[test]
     fn build_counts_rows_nulls_and_range() {
         let mut heap = heap_with(&[(1, "a"), (5, "b"), (9, "c")]);
-        heap.insert(vec![Value::Null, Value::Text("d".into())]);
+        heap.insert(Record::new(&[Value::Null, Value::Text("d".into())]).row());
         let stats = TableStats::build(&schema(), &heap);
         assert_eq!(stats.rows, 4);
         assert_eq!(stats.columns[0].nulls, 1);
@@ -375,7 +374,7 @@ mod tests {
     fn distinct_estimate_tracks_duplicates() {
         let mut heap = Heap::new();
         for i in 0..300 {
-            heap.insert(vec![Value::Int(i % 10), Value::Text(format!("v{i}"))]);
+            heap.insert(Record::new(&[Value::Int(i % 10), Value::Text(format!("v{i}"))]).row());
         }
         let stats = TableStats::build(&schema(), &heap);
         assert_eq!(stats.columns[0].distinct(), 10);
@@ -387,8 +386,8 @@ mod tests {
     #[test]
     fn cross_type_numeric_values_share_distinct_bits() {
         let mut c = ColumnStats::new();
-        c.note_value(&Value::Int(7));
-        c.note_value(&Value::Double(7.0));
+        c.note_value(ValueRef::Int(7));
+        c.note_value(ValueRef::Double(7.0));
         assert_eq!(c.distinct(), 1);
     }
 
@@ -396,12 +395,12 @@ mod tests {
     fn incremental_insert_delete_round_trips_counters() {
         let heap = heap_with(&[(1, "a"), (2, "b")]);
         let mut stats = TableStats::build(&schema(), &heap);
-        let row = vec![Value::Int(3), Value::Text("c".into())];
-        stats.note_insert(&row);
+        let row = Record::new(&[Value::Int(3), Value::Text("c".into())]);
+        stats.note_insert(row.row());
         assert_eq!(stats.rows, 3);
         assert_eq!(stats.columns[0].non_null, 3);
         assert_eq!(stats.columns[0].max, Some(Value::Int(3)));
-        stats.note_delete(&row);
+        stats.note_delete(row.row());
         assert_eq!(stats.rows, 2);
         assert_eq!(stats.columns[0].non_null, 2);
         // Min/max stay conservative after the delete (rebuild fixes them).
@@ -413,7 +412,7 @@ mod tests {
     fn histogram_fraction_below_interpolates() {
         let mut heap = Heap::new();
         for i in 0..100 {
-            heap.insert(vec![Value::Int(i), Value::Null]);
+            heap.insert(Record::new(&[Value::Int(i), Value::Null]).row());
         }
         let stats = TableStats::build(&schema(), &heap);
         let h = stats.columns[0].histogram.as_ref().unwrap();
@@ -430,7 +429,7 @@ mod tests {
         let mut stats = TableStats::build(&schema(), &heap);
         assert!(!stats.stale());
         for i in 0..REFRESH_THRESHOLD {
-            stats.note_insert(&[Value::Int(i as i64), Value::Null]);
+            stats.note_insert(Record::new(&[Value::Int(i as i64), Value::Null]).row());
         }
         assert!(stats.stale());
     }

@@ -6,8 +6,10 @@
 //! `str::cmp`).
 
 use crate::error::{SqlError, SqlResult};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::Hash;
 
 /// Declared type of a table column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,51 +148,30 @@ impl Value {
         }
     }
 
+    /// The borrowed form every comparison, hash and stored cell works on.
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Double(d) => ValueRef::Double(*d),
+            Value::Text(t) => ValueRef::Text(t),
+            Value::Date(d) => ValueRef::Date(*d),
+        }
+    }
+
     /// SQL equality (`=`): NULL yields unknown.
     pub fn sql_eq(&self, rhs: &Value) -> Truth {
-        match self.compare(rhs) {
-            None => Truth::Unknown,
-            Some(ord) => Truth::from_bool(ord == Ordering::Equal),
-        }
+        self.view().sql_eq(rhs.view())
     }
 
-    /// Compare two values, `None` if either is NULL or types are incomparable.
-    ///
-    /// Numeric types compare cross-type; text compares byte-wise. A number
-    /// never compares to text (DB2 would raise -401; for ordering purposes we
-    /// treat it as incomparable and let the caller decide).
+    /// [`ValueRef::compare`].
     pub fn compare(&self, rhs: &Value) -> Option<Ordering> {
-        match (self, rhs) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Double(b)) => (*a as f64).partial_cmp(b),
-            (Value::Double(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
-            (Value::Double(a), Value::Double(b)) => a.partial_cmp(b),
-            (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
-            (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
+        self.view().compare(rhs.view())
     }
 
-    /// Total ordering used by ORDER BY and B-tree indexes: NULLs sort first
-    /// (DB2 sorts NULL high; ANSI leaves it implementation-defined — we pick
-    /// NULLs-first and document it), numbers before text.
+    /// [`ValueRef::order_key`].
     pub fn order_key(&self, rhs: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Int(_) | Value::Double(_) => 1,
-                Value::Date(_) => 2,
-                Value::Text(_) => 3,
-            }
-        }
-        match (self, rhs) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            _ => match self.compare(rhs) {
-                Some(ord) => ord,
-                None => rank(self).cmp(&rank(rhs)),
-            },
-        }
+        self.view().order_key(rhs.view())
     }
 
     /// Render the value the way the gateway prints it into reports: NULL
@@ -205,22 +186,12 @@ impl Value {
     /// Append [`Value::to_display_string`]'s text to `out`; allocates only
     /// when `out` has to grow.
     pub fn write_display(&self, out: &mut String) {
-        use fmt::Write;
-        let _ = match self {
-            Value::Null => Ok(()),
-            Value::Int(i) => write!(out, "{i}"),
-            Value::Double(d) => write_double(*d, out),
-            Value::Text(t) => out.write_str(t),
-            Value::Date(d) => out.write_str(&crate::date::format_date(*d)),
-        };
+        self.view().write_display(out)
     }
 
     /// [`Value::to_display_string`], borrowed when the value is already text.
-    pub fn as_text(&self) -> std::borrow::Cow<'_, str> {
-        match self {
-            Value::Text(t) => std::borrow::Cow::Borrowed(t),
-            other => std::borrow::Cow::Owned(other.to_display_string()),
-        }
+    pub fn as_text(&self) -> Cow<'_, str> {
+        self.view().as_text()
     }
 }
 
@@ -235,22 +206,10 @@ fn write_double(d: f64, out: &mut impl fmt::Write) -> fmt::Result {
 }
 
 impl PartialEq for Value {
-    /// Structural equality used by tests and hash-index keys. Unlike
-    /// [`Value::sql_eq`], NULL equals NULL here.
+    /// [`ValueRef`]'s equality: NULL equals NULL here, unlike
+    /// [`Value::sql_eq`].
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
-            // Bitwise, like Double against Double, so `Int(0)` does not
-            // equal `Double(-0.0)`, which hashes differently.
-            (Value::Int(a), Value::Double(b)) | (Value::Double(b), Value::Int(a)) => {
-                b.to_bits() == (*a as f64).to_bits()
-            }
-            (Value::Text(a), Value::Text(b)) => a == b,
-            (Value::Date(a), Value::Date(b)) => a == b,
-            _ => false,
-        }
+        self.view() == other.view()
     }
 }
 
@@ -258,22 +217,210 @@ impl Eq for Value {}
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.view().hash(state)
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// A value borrowed from where it lives — a stored row's cell, a literal,
+/// a parameter — with text as a `&str`. It is `Copy`, so a scan reads a
+/// column without allocating, and it carries the one comparison, equality
+/// and hash that [`Value`] delegates to.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Integer value.
+    Int(i64),
+    /// Double-precision value.
+    Double(f64),
+    /// Character string.
+    Text(&'a str),
+    /// Calendar date, days since 1970-01-01.
+    Date(i64),
+}
+
+/// 2^63 as a double: the doubles at or above it exceed every `i64`, and
+/// those below its negation fall under every `i64`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// The one numeric comparison across types: `a` against `b` exactly, with no
+/// rounding of `a` through `f64`; `None` when `b` is NaN.
+fn compare_int_double(a: i64, b: f64) -> Option<Ordering> {
+    if b.is_nan() {
+        return None;
+    }
+    if b >= TWO_POW_63 {
+        return Some(Ordering::Less);
+    }
+    if b < -TWO_POW_63 {
+        return Some(Ordering::Greater);
+    }
+    // |b| < 2^63, so its integral part converts exactly; ties go to the
+    // fraction, whose sign is b's.
+    let whole = b.trunc();
+    Some(a.cmp(&(whole as i64)).then_with(|| {
+        0.0_f64
+            .partial_cmp(&(b - whole))
+            .expect("a finite fraction")
+    }))
+}
+
+impl<'a> ValueRef<'a> {
+    /// Whether this value is NULL.
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
         match self {
-            Value::Null => 0u8.hash(state),
-            // Int and integral Double must hash alike because they are equal.
-            Value::Int(i) => {
-                1u8.hash(state);
-                (*i as f64).to_bits().hash(state);
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Double(d) => Value::Double(d),
+            ValueRef::Text(t) => Value::Text(t.to_owned()),
+            ValueRef::Date(d) => Value::Date(d),
+        }
+    }
+
+    /// SQL equality (`=`): NULL yields unknown.
+    pub fn sql_eq(self, rhs: ValueRef<'_>) -> Truth {
+        match self.compare(rhs) {
+            None => Truth::Unknown,
+            Some(ord) => Truth::from_bool(ord == Ordering::Equal),
+        }
+    }
+
+    /// Compare two values, `None` if either is NULL or types are incomparable.
+    ///
+    /// Numbers compare exactly across types — an `Int` is never rounded
+    /// through `f64`, so `9007199254740993` is greater than
+    /// `9007199254740992.0` — and `-0.0` equals `0.0`; text compares
+    /// byte-wise. A number never compares to text (DB2 would raise -401; for
+    /// ordering purposes we treat it as incomparable and let the caller
+    /// decide).
+    pub fn compare(self, rhs: ValueRef<'_>) -> Option<Ordering> {
+        match (self, rhs) {
+            (ValueRef::Null, _) | (_, ValueRef::Null) => None,
+            (ValueRef::Int(a), ValueRef::Int(b)) => Some(a.cmp(&b)),
+            (ValueRef::Int(a), ValueRef::Double(b)) => compare_int_double(a, b),
+            (ValueRef::Double(a), ValueRef::Int(b)) => {
+                compare_int_double(b, a).map(Ordering::reverse)
             }
-            Value::Double(d) => {
+            (ValueRef::Double(a), ValueRef::Double(b)) => a.partial_cmp(&b),
+            (ValueRef::Text(a), ValueRef::Text(b)) => Some(a.cmp(b)),
+            (ValueRef::Date(a), ValueRef::Date(b)) => Some(a.cmp(&b)),
+            _ => None,
+        }
+    }
+
+    /// Total ordering used by ORDER BY and B-tree indexes: NULLs sort first
+    /// (DB2 sorts NULL high; ANSI leaves it implementation-defined — we pick
+    /// NULLs-first and document it), numbers before text.
+    pub fn order_key(self, rhs: ValueRef<'_>) -> Ordering {
+        fn rank(v: ValueRef<'_>) -> u8 {
+            match v {
+                ValueRef::Null => 0,
+                ValueRef::Int(_) | ValueRef::Double(_) => 1,
+                ValueRef::Date(_) => 2,
+                ValueRef::Text(_) => 3,
+            }
+        }
+        match (self, rhs) {
+            (ValueRef::Null, ValueRef::Null) => Ordering::Equal,
+            _ => match self.compare(rhs) {
+                Some(ord) => ord,
+                None => rank(self).cmp(&rank(rhs)),
+            },
+        }
+    }
+
+    /// The representative an index stores for this key: `-0.0` becomes
+    /// `0.0`, the zero it equals.
+    pub(crate) fn canonical(self) -> ValueRef<'a> {
+        match self {
+            ValueRef::Double(0.0) => ValueRef::Double(0.0),
+            other => other,
+        }
+    }
+
+    /// Append the value's report text (see [`Value::to_display_string`]) to
+    /// `out`; allocates only when `out` has to grow.
+    pub fn write_display(self, out: &mut String) {
+        use fmt::Write;
+        let _ = match self {
+            ValueRef::Null => Ok(()),
+            ValueRef::Int(i) => write!(out, "{i}"),
+            ValueRef::Double(d) => write_double(d, out),
+            ValueRef::Text(t) => out.write_str(t),
+            ValueRef::Date(d) => out.write_str(&crate::date::format_date(d)),
+        };
+    }
+
+    /// The value's report text, borrowed when it is already text.
+    pub fn as_text(self) -> Cow<'a, str> {
+        match self {
+            ValueRef::Text(t) => Cow::Borrowed(t),
+            other => {
+                let mut out = String::new();
+                other.write_display(&mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        v.view()
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    /// Structural equality used by DISTINCT, GROUP BY, set operations and
+    /// index maintenance: [`ValueRef::compare`]'s `Equal`, except that NULL
+    /// equals NULL and NaN equals NaN, so that this is an equivalence.
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (ValueRef::Null, ValueRef::Null) => true,
+            (ValueRef::Double(a), ValueRef::Double(b)) if a.is_nan() && b.is_nan() => true,
+            (a, b) => a.compare(b).is_some_and(Ordering::is_eq),
+        }
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl std::hash::Hash for ValueRef<'_> {
+    /// Agrees with `==`: a double with an integral value in `i64`'s range
+    /// (`-0.0` among them) hashes as that integer, because it equals it, and
+    /// every NaN hashes alike.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match *self {
+            ValueRef::Null => 0u8.hash(state),
+            ValueRef::Int(i) => {
                 1u8.hash(state);
+                i.hash(state);
+            }
+            ValueRef::Double(d) if d.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&d) => {
+                1u8.hash(state);
+                (d as i64).hash(state);
+            }
+            ValueRef::Double(d) => {
+                4u8.hash(state);
+                let d = if d.is_nan() { f64::NAN } else { d };
                 d.to_bits().hash(state);
             }
-            Value::Text(t) => {
+            ValueRef::Text(t) => {
                 2u8.hash(state);
                 t.hash(state);
             }
-            Value::Date(d) => {
+            ValueRef::Date(d) => {
                 3u8.hash(state);
                 d.hash(state);
             }
@@ -281,14 +428,14 @@ impl std::hash::Hash for Value {
     }
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Double(d) => write_double(*d, f),
-            Value::Text(t) => write!(f, "'{t}'"),
-            Value::Date(d) => write!(f, "DATE '{}'", crate::date::format_date(*d)),
+        match *self {
+            ValueRef::Null => write!(f, "NULL"),
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Double(d) => write_double(d, f),
+            ValueRef::Text(t) => write!(f, "'{t}'"),
+            ValueRef::Date(d) => write!(f, "DATE '{}'", crate::date::format_date(d)),
         }
     }
 }
@@ -397,6 +544,64 @@ mod tests {
         assert_eq!(Value::Double(2.0).to_display_string(), "2.0");
         assert_eq!(Value::Double(2.25).to_display_string(), "2.25");
         assert_eq!(Value::Text("x".into()).to_display_string(), "x");
+    }
+
+    #[test]
+    fn numbers_compare_exactly_across_types() {
+        let two_53 = 9_007_199_254_740_992_i64;
+        let (i, d) = (ValueRef::Int(two_53 + 1), ValueRef::Double(two_53 as f64));
+        assert_eq!(i.compare(d), Some(Ordering::Greater));
+        assert_eq!(d.compare(i), Some(Ordering::Less));
+        assert_ne!(i, d);
+        assert_eq!(ValueRef::Int(two_53), d);
+        let (max, edge) = (ValueRef::Int(i64::MAX), ValueRef::Double(TWO_POW_63));
+        assert_eq!(max.compare(edge), Some(Ordering::Less));
+        let min = ValueRef::Int(i64::MIN);
+        assert_eq!(
+            min.compare(ValueRef::Double(-TWO_POW_63)),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(
+            min.compare(ValueRef::Double(f64::NEG_INFINITY)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            ValueRef::Int(-3).compare(ValueRef::Double(-2.5)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            ValueRef::Int(2).compare(ValueRef::Double(2.5)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(ValueRef::Int(1).compare(ValueRef::Double(f64::NAN)), None);
+    }
+
+    #[test]
+    fn equal_numbers_hash_alike_and_zeros_are_one_value() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::Hasher;
+        let h = |v: ValueRef<'_>| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        let zeros = [
+            ValueRef::Int(0),
+            ValueRef::Double(0.0),
+            ValueRef::Double(-0.0),
+        ];
+        for z in zeros {
+            assert_eq!(z, zeros[0]);
+            assert_eq!(h(z), h(zeros[0]));
+        }
+        let nan = ValueRef::Double(f64::NAN);
+        assert_eq!(nan, ValueRef::Double(-f64::NAN));
+        assert_eq!(h(nan), h(ValueRef::Double(-f64::NAN)));
+        assert_eq!(
+            ValueRef::Double(-0.0).canonical().to_value().to_string(),
+            "0.0"
+        );
+        assert_eq!(Value::Double(-0.0), Value::Int(0));
     }
 
     #[test]

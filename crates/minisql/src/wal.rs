@@ -52,8 +52,8 @@
 //! reopen the file and assert on what recovery finds.
 
 use crate::error::{SqlCode, SqlError, SqlResult};
-use crate::storage::{Row, RowId};
-use crate::types::Value;
+use crate::storage::{Record, RowId, RowRef};
+use crate::types::ValueRef;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -96,7 +96,7 @@ pub enum WalOp {
         /// The row's id: its insertion ordinal.
         id: RowId,
         /// Full row image.
-        row: Row,
+        row: Record,
     },
     /// Replace the row at `id` with the full new image.
     Update {
@@ -105,7 +105,7 @@ pub enum WalOp {
         /// The row's id: its insertion ordinal.
         id: RowId,
         /// Full post-statement row image.
-        row: Row,
+        row: Record,
     },
     /// One DDL statement, stored as its canonical SQL text (the same
     /// rendering a checkpoint writes), replayed through the ordinary DDL path.
@@ -125,31 +125,31 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: ValueRef<'_>) {
     match v {
-        Value::Null => buf.push(0),
-        Value::Int(i) => {
+        ValueRef::Null => buf.push(0),
+        ValueRef::Int(i) => {
             buf.push(1);
             buf.extend_from_slice(&i.to_le_bytes());
         }
-        Value::Double(d) => {
+        ValueRef::Double(d) => {
             buf.push(2);
             buf.extend_from_slice(&d.to_bits().to_le_bytes());
         }
-        Value::Text(s) => {
+        ValueRef::Text(s) => {
             buf.push(3);
             put_str(buf, s);
         }
-        Value::Date(d) => {
+        ValueRef::Date(d) => {
             buf.push(4);
             buf.extend_from_slice(&d.to_le_bytes());
         }
     }
 }
 
-fn put_row(buf: &mut Vec<u8>, row: &Row) {
+fn put_row(buf: &mut Vec<u8>, row: RowRef<'_>) {
     put_u32(buf, row.len() as u32);
-    for v in row {
+    for v in row.iter() {
         put_value(buf, v);
     }
 }
@@ -160,13 +160,13 @@ fn put_op(buf: &mut Vec<u8>, op: &WalOp) {
             buf.push(1);
             put_str(buf, table);
             put_u32(buf, id.0);
-            put_row(buf, row);
+            put_row(buf, row.row());
         }
         WalOp::Update { table, id, row } => {
             buf.push(2);
             put_str(buf, table);
             put_u32(buf, id.0);
-            put_row(buf, row);
+            put_row(buf, row.row());
         }
         WalOp::Ddl { sql } => {
             buf.push(4);
@@ -219,29 +219,30 @@ impl<'a> Cursor<'a> {
         Some(self.u64()? as i64)
     }
 
-    fn str(&mut self) -> Option<String> {
+    fn str(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+        std::str::from_utf8(self.take(len)?).ok()
     }
 
-    fn value(&mut self) -> Option<Value> {
+    fn value(&mut self) -> Option<ValueRef<'a>> {
         Some(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Double(f64::from_bits(self.u64()?)),
-            3 => Value::Text(self.str()?),
-            4 => Value::Date(self.i64()?),
+            0 => ValueRef::Null,
+            1 => ValueRef::Int(self.i64()?),
+            2 => ValueRef::Double(f64::from_bits(self.u64()?)),
+            3 => ValueRef::Text(self.str()?),
+            4 => ValueRef::Date(self.i64()?),
             _ => return None,
         })
     }
 
-    fn row(&mut self) -> Option<Row> {
+    /// A row image, decoded straight into its record.
+    fn row(&mut self) -> Option<Record> {
         let len = self.u32()? as usize;
-        let mut row = Vec::with_capacity(len.min(1024));
+        let mut values = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
-            row.push(self.value()?);
+            values.push(self.value()?);
         }
-        Some(row)
+        Some(Record::from_cells(values.into_iter()))
     }
 }
 
@@ -258,16 +259,18 @@ pub fn decode_payload(payload: &[u8]) -> Option<Vec<WalOp>> {
     for _ in 0..count {
         let op = match c.u8()? {
             1 => WalOp::Insert {
-                table: c.str()?,
+                table: c.str()?.to_owned(),
                 id: RowId(c.u32()?),
                 row: c.row()?,
             },
             2 => WalOp::Update {
-                table: c.str()?,
+                table: c.str()?.to_owned(),
                 id: RowId(c.u32()?),
                 row: c.row()?,
             },
-            4 => WalOp::Ddl { sql: c.str()? },
+            4 => WalOp::Ddl {
+                sql: c.str()?.to_owned(),
+            },
             _ => return None,
         };
         ops.push(op);
@@ -534,24 +537,25 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Value;
 
     fn sample_ops() -> Vec<WalOp> {
         vec![
             WalOp::Insert {
                 table: "t".into(),
                 id: RowId(3),
-                row: vec![
+                row: Record::new(&[
                     Value::Null,
                     Value::Int(-7),
                     Value::Double(1.5),
                     Value::Text("quote ' and \u{1F980}".into()),
                     Value::Date(9_131),
-                ],
+                ]),
             },
             WalOp::Update {
                 table: "t".into(),
                 id: RowId(0),
-                row: vec![Value::Int(1)],
+                row: Record::new(&[Value::Int(1)]),
             },
             WalOp::Ddl {
                 sql: "CREATE TABLE t (a INTEGER)".into(),

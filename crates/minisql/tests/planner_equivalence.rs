@@ -210,6 +210,83 @@ fn pinned_signed_zeros_are_equal_with_and_without_an_index() {
     }
 }
 
+/// The `x DOUBLE` table of the signed-zero probes: {0.0, −0.0, 1.0, 2.0},
+/// with or without an index on `x`.
+fn signed_zeros(index: &str) -> Database {
+    let db = Database::new();
+    db.run_script(&format!(
+        "CREATE TABLE t (x DOUBLE); {index}
+         INSERT INTO t VALUES (0.0), (-0.0), (1.0), (2.0);"
+    ))
+    .unwrap();
+    db
+}
+
+const INDEXES: [&str; 2] = ["", "CREATE INDEX t_x ON t (x);"];
+
+#[test]
+fn signed_zeros_count_once_in_count_distinct() {
+    for index in INDEXES {
+        let db = signed_zeros(index);
+        let got = query(&db, "SELECT COUNT(DISTINCT x) FROM t");
+        assert_eq!(got, [[Value::Int(3)]], "{index}");
+    }
+}
+
+#[test]
+fn signed_zeros_are_one_group_and_one_distinct_value() {
+    for index in INDEXES {
+        let db = signed_zeros(index);
+        for sql in [
+            "SELECT x FROM t GROUP BY x",
+            "SELECT x, COUNT(*) FROM t GROUP BY x",
+            "SELECT DISTINCT x FROM t",
+        ] {
+            let rows = query(&db, sql);
+            assert_eq!(rows.len(), 3, "{sql} {index}: {rows:?}");
+        }
+        let counts = query(&db, "SELECT COUNT(*) FROM t GROUP BY x ORDER BY 1 DESC");
+        assert_eq!(counts[0], [Value::Int(2)], "{index}");
+    }
+}
+
+#[test]
+fn signed_zeros_union_to_one_row() {
+    for index in INDEXES {
+        let db = signed_zeros(index);
+        let sql = "SELECT x FROM t WHERE x = 0 UNION SELECT x FROM t WHERE x = 0";
+        assert_eq!(query(&db, sql).len(), 1, "{index}");
+    }
+}
+
+#[test]
+fn integers_compare_with_doubles_exactly_past_2_pow_53() {
+    // 2^53 + 1 has no double; rounding it through f64 made it equal 2^53.
+    for index in ["", "CREATE INDEX t_i ON t (i);"] {
+        let db = Database::new();
+        db.run_script(&format!(
+            "CREATE TABLE t (i INTEGER, d DOUBLE); {index}
+             INSERT INTO t VALUES (9007199254740993, 9007199254740992.0);"
+        ))
+        .unwrap();
+        for (predicate, count) in [
+            ("i = d", 0),
+            ("i < d", 0),
+            ("i > d", 1),
+            ("i >= d", 1),
+            ("i = 9007199254740992.0", 0),
+            ("i > 9007199254740992.0", 1),
+            ("d < i", 1),
+            ("i = 9007199254740993", 1),
+        ] {
+            let sql = format!("SELECT COUNT(*) FROM t WHERE {predicate}");
+            assert_eq!(query(&db, &sql), [[Value::Int(count)]], "{sql} {index}");
+        }
+        let sql = "SELECT i FROM t UNION SELECT d FROM t";
+        assert_eq!(query(&db, sql).len(), 2, "{index}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence under concurrent writers
 // ---------------------------------------------------------------------------
@@ -700,7 +777,7 @@ fn nullable_twins(rows: &[(Option<i64>, String)]) -> (Database, Database) {
 fn rows_by_id(db: &Database) -> Vec<(u32, Vec<Value>)> {
     let snapshot = db.snapshot();
     let heap = &snapshot.table("t").unwrap().heap;
-    heap.iter().map(|(id, row)| (id.0, row.clone())).collect()
+    heap.iter().map(|(id, row)| (id.0, row.to_vec())).collect()
 }
 
 props! {

@@ -21,5 +21,5 @@ pub mod urldb;
 pub mod zipf;
 
 pub use seed::rng;
-pub use urldb::UrlDirectory;
+pub use urldb::{ScanFixture, UrlDirectory};
 pub use zipf::Zipf;

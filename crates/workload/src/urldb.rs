@@ -116,9 +116,115 @@ impl UrlDirectory {
     }
 }
 
+/// The `urldb` of a `scan_report`-shaped load: its schema (no index), the
+/// literal `INSERT … VALUES` batches that load it the way a `DTW_DB_SCRIPT`
+/// does, and distinct three-letter search strings for the Appendix A query.
+#[derive(Debug, Clone)]
+pub struct ScanFixture {
+    /// One `INSERT INTO urldb VALUES …` statement per batch of rows.
+    pub inserts: Vec<String>,
+    /// Distinct three-letter substrings of the vocabulary, in random order.
+    pub searches: Vec<String>,
+    /// Bytes of text (url, title and description) over every row.
+    pub text_bytes: usize,
+}
+
+impl ScanFixture {
+    /// The table the fixture loads.
+    pub const SCHEMA: &'static str = "CREATE TABLE urldb (url VARCHAR(255) NOT NULL, \
+         title VARCHAR(120), description VARCHAR(400))";
+
+    /// `rows` rows in batches of `batch`, and `searches` search strings.
+    /// The text is drawn from a vocabulary of 600 made-up words of two to
+    /// four syllables: a ~40-byte url per row, a title of 2–4 words, and on
+    /// 85% of rows a description of 5–12 words — about 114 bytes a row.
+    pub fn generate(rows: usize, batch: usize, searches: usize, seed: u64) -> ScanFixture {
+        const ONSETS: [&str; 12] = ["b", "d", "g", "k", "l", "m", "n", "p", "r", "s", "t", "st"];
+        const VOWELS: [&str; 5] = ["a", "e", "i", "o", "u"];
+        let mut rng = crate::seed::rng(seed);
+        let vocab: Vec<String> = (0..600)
+            .map(|_| {
+                let syllables = rng.gen_range(2..=4usize);
+                (0..syllables)
+                    .map(|_| format!("{}{}", rng.choose(&ONSETS), rng.choose(&VOWELS)))
+                    .collect()
+            })
+            .collect();
+        let phrase = |rng: &mut dbgw_testkit::rng::Rng, words: usize| {
+            let words: Vec<&str> = (0..words).map(|_| rng.choose(&vocab).as_str()).collect();
+            words.join(" ")
+        };
+        let mut text_bytes = 0;
+        let values: Vec<String> = (0..rows)
+            .map(|serial| {
+                let (host, page) = (phrase(&mut rng, 1), phrase(&mut rng, 1));
+                let url = format!("http://www.{host}{serial}.example/{page}.html");
+                let title_words = rng.gen_range(2..=4usize);
+                let title = phrase(&mut rng, title_words);
+                text_bytes += url.len() + title.len();
+                if rng.gen_bool(0.85) {
+                    let words = rng.gen_range(5..=12usize);
+                    let description = phrase(&mut rng, words);
+                    text_bytes += description.len();
+                    format!("('{url}', '{title}', '{description}')")
+                } else {
+                    format!("('{url}', '{title}', NULL)")
+                }
+            })
+            .collect();
+        let inserts = (values.chunks(batch.max(1)))
+            .map(|chunk| format!("INSERT INTO urldb VALUES {}", chunk.join(", ")))
+            .collect();
+        let mut trigrams: Vec<String> = (vocab.iter())
+            .flat_map(|w| (0..w.len() - 2).map(move |i| w[i..i + 3].to_owned()))
+            .collect();
+        trigrams.sort();
+        trigrams.dedup();
+        for i in (1..trigrams.len()).rev() {
+            trigrams.swap(i, rng.gen_range(0..i + 1));
+        }
+        trigrams.truncate(searches);
+        assert_eq!(trigrams.len(), searches, "vocabulary too small");
+        ScanFixture {
+            inserts,
+            searches: trigrams,
+            text_bytes,
+        }
+    }
+
+    /// The paper's Appendix A search for `s` over title and description,
+    /// as the example application sends it.
+    pub fn search_sql(s: &str) -> String {
+        format!(
+            "SELECT url, title FROM urldb WHERE urldb.title LIKE '%{s}%' OR \
+             urldb.description LIKE '%{s}%' ORDER BY title"
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scan_fixture_has_its_shape() {
+        let f = ScanFixture::generate(1_000, 500, 50, 3);
+        assert_eq!(f.inserts.len(), 2);
+        assert_eq!(f.searches.len(), 50);
+        let per_row = f.text_bytes / 1_000;
+        assert!(
+            (95..=135).contains(&per_row),
+            "{per_row} bytes of text a row"
+        );
+        let db = Database::new();
+        db.run_script(ScanFixture::SCHEMA).unwrap();
+        for sql in &f.inserts {
+            db.run_script(sql).unwrap();
+        }
+        assert_eq!(db.table_len("urldb").unwrap(), 1_000);
+        db.run_script(&ScanFixture::search_sql(&f.searches[0]))
+            .unwrap();
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -87,15 +87,17 @@ echo "== overload smoke (worker pool + load shedding) =="
 # Retry-After, and a clean drained shutdown (the example asserts all of it).
 cargo run --release --offline --example overload
 
-echo "== executor plan bench (quick run, no floor) =="
+echo "== executor plan bench (quick run, asserted urlquery layout ratio) =="
 # E11: top-k vs full sort at ORDER BY ... LIMIT 10 and set-operation
 # throughput on single-table queries; a SELECT reads one table, so the join
-# rows and their floors are retired. The JSON lands in the tempdir; the
-# committed BENCH_exec.json is regenerated from a full (non-quick) run when
-# the numbers change.
+# rows and their floors are retired. The urlquery row times the Appendix A
+# search over an INSERT-loaded and a checkpoint-reopened urldb, and the bench
+# asserts the loaded layout costs at most 1.15x the reopened one. The JSON
+# lands in the tempdir; the committed BENCH_exec.json is regenerated from a
+# full (non-quick) run when the numbers change.
 BENCH_QUICK=1 BENCH_JSON="$OBS_TMP/bench_exec.json" \
     cargo bench --offline -p dbgw-bench --bench exec_plan
-test -s "$OBS_TMP/bench_exec.json"
+grep -q 'exec_urlquery_layout_ratio' "$OBS_TMP/bench_exec.json"
 
 echo "== snapshot-read scaling bench (quick run, asserted scaling floor) =="
 # E12: mixed Zipf read/write throughput against the snapshot engine at

@@ -337,7 +337,7 @@ fn pinned_snapshot_never_moves() {
             let t = p.table("pairs").map_err(|e| e.to_string())?;
             prop_assert_eq!(t.heap.len(), 32);
             for (_, row) in t.heap.iter() {
-                prop_assert_eq!(int(&row[1]), 7, "pinned snapshot mutated");
+                prop_assert_eq!(int(&row.get(1).to_value()), 7, "pinned snapshot mutated");
             }
             Ok(())
         },

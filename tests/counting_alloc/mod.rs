@@ -65,3 +65,9 @@ pub fn reset_peak() -> u64 {
 pub fn peak_above(base: u64) -> u64 {
     PEAK.load(Ordering::Relaxed).saturating_sub(base)
 }
+
+/// Bytes live now.
+#[allow(dead_code)]
+pub fn live() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
