@@ -1076,7 +1076,6 @@ pub(crate) fn apply_mutation(
                     schema,
                     heap: Heap::new(),
                     index_names,
-                    stats: None,
                     version: 1,
                 }),
             );

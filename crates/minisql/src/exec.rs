@@ -1082,15 +1082,8 @@ fn explain_into(
     let bindings = scope(state, sel)?;
     let sel_plan = plan::plan_select(state, sel, &bindings, params, opts);
     match (&sel.from, &sel_plan.scan) {
-        (Some(table), Some(scan)) => {
-            // The cost model's row estimate (`est rows`), which EXPLAIN
-            // ANALYZE pairs with the measured `actual rows`.
-            let est = match crate::cost::estimate_rows(state, table, &scan.filters, params) {
-                Some(rows) => format!(" (est rows={})", rows.round() as u64),
-                None => String::new(),
-            };
-            let line = format!("{pad}{}{est}", scan.access);
-            push_plan_line(lines, line, actuals, OpId::Base);
+        (Some(_), Some(scan)) => {
+            push_plan_line(lines, format!("{pad}{}", scan.access), actuals, OpId::Base);
         }
         _ => lines.push(format!("{pad}VALUES (table-less SELECT)")),
     }
@@ -1206,7 +1199,6 @@ mod tests {
                 schema,
                 heap: Heap::new(),
                 index_names: vec!["orders_cust".into()],
-                stats: None,
                 version: 0,
             }),
         );

@@ -40,7 +40,6 @@ pub mod analyze;
 pub mod ast;
 pub mod cache;
 pub mod checkpoint;
-pub mod cost;
 pub mod date;
 pub mod db;
 pub mod error;
@@ -53,7 +52,6 @@ pub mod plan;
 pub mod recovery;
 pub mod schema;
 pub mod state;
-pub mod stats;
 pub mod storage;
 pub mod token;
 pub mod types;

@@ -1,14 +1,15 @@
-//! Cost-aware SELECT planning: where each WHERE conjunct runs, how the one
-//! FROM table is read, and top-k sort selection. A SELECT reads one table or
-//! none, so the plan is one scan and a tail.
+//! SELECT planning: where each WHERE conjunct runs, how the one FROM table
+//! is read, and top-k sort selection. A SELECT reads one table or none, so
+//! the plan is one scan and a tail.
 //!
 //! * **Access paths** — `ScanPlan::new` decides once, per scan, how the
 //!   table's rows are found: a full scan, an index probe with its keys, or
 //!   nothing at all when a conjunct can keep no row (a comparison with NULL,
-//!   say). `sargable` is the one reader of "column op constant" behind that
-//!   choice and behind the cost model's selectivity estimates. The executor,
-//!   EXPLAIN, the trace plan note and UPDATE target collection all read the
-//!   stored `AccessPath`.
+//!   say). The rule needs no statistics: the first conjunct that keeps no
+//!   row, or that an index serves and is not negated, picks the path.
+//!   `sargable` is the one reader of "column op constant" behind that
+//!   choice. The executor, EXPLAIN, the trace plan note and UPDATE target
+//!   collection all read the stored `AccessPath`.
 //! * **Scan filters** — a WHERE conjunct that names a column filters the
 //!   scan, where an index may serve it; one naming no column, or one the
 //!   planner cannot classify (an unknown column, an aggregate), runs on the
@@ -123,8 +124,7 @@ pub(crate) struct Sargable<'a> {
     /// inverted BETWEEN).
     pub keys: Option<Keys>,
     /// `<>`, `NOT IN`, `NOT BETWEEN`, `NOT LIKE`: the conjunct keeps the rows
-    /// `keys` does not (when there are keys). The cost model estimates
-    /// these; no index serves them.
+    /// `keys` does not (when there are keys); no index serves them.
     pub negated: bool,
 }
 
@@ -143,8 +143,7 @@ pub(crate) fn column_of<'a>(expr: &'a Expr, effective: &str) -> Option<&'a Colum
 }
 
 /// Read `conj` as "column op constant" over the table `effective` names:
-/// the one normalizer behind both the access-path choice and the cost
-/// model's selectivity estimates. Constant operands are folded with
+/// the one normalizer behind the access-path choice. Constant operands are folded with
 /// [`crate::exec::const_value`], so `b = 'k' || '1'` reads as `b = 'k1'`.
 /// `None` when the conjunct is not such a comparison.
 pub(crate) fn sargable<'a>(
@@ -318,9 +317,9 @@ pub(crate) struct ScanPlan<'a> {
 
 impl<'a> ScanPlan<'a> {
     /// Decide how `table`'s rows are found for `filters`. The first conjunct
-    /// that keeps no row, or that an index serves and the cost model thinks
-    /// selective enough to probe, picks the path; otherwise the heap is
-    /// walked. With `index_paths` off every scan is the reference full scan.
+    /// that keeps no row, or that an index serves and is not negated, picks
+    /// the path; otherwise the heap is walked. With `index_paths` off every
+    /// scan is the reference full scan.
     pub(crate) fn new(
         state: &'a DbState,
         table: &'a TableRef,
@@ -339,12 +338,11 @@ impl<'a> ScanPlan<'a> {
                     column: s.column,
                 });
             }
-            let index = state.index_on(&table.name, s.ordinal)?;
-            if s.negated || !crate::cost::probe_worthwhile(data, &s) {
+            if s.negated {
                 return None;
             }
             Some(AccessPath::Probe {
-                index,
+                index: state.index_on(&table.name, s.ordinal)?,
                 column: s.column,
                 keys: s.keys?,
             })

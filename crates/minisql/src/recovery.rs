@@ -159,7 +159,6 @@ pub fn replay(records: &[Vec<WalOp>]) -> SqlResult<DbState> {
         }
     }
     state.rebuild_indexes()?;
-    state.rebuild_stats();
     Ok(state)
 }
 

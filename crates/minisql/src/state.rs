@@ -7,8 +7,8 @@
 //! Writers clone the state shallowly (tables and indexes sit behind their own
 //! `Arc`s, so the clone is a map of pointers), mutate their working copy via
 //! [`std::sync::Arc::make_mut`] and publish the result atomically. Copying
-//! stops at what a write changes: `make_mut` on a table copies its schema,
-//! statistics and the heap's directory pointers, and the heap and each
+//! stops at what a write changes: `make_mut` on a table copies its schema
+//! and the heap's directory pointers, and the heap and each
 //! index are themselves persistent structures ([`crate::storage`],
 //! [`crate::index`]) that path-copy one page or one root-to-leaf path. An
 //! UPDATE writes (and so copies) only the indexes whose key it changed.
@@ -19,13 +19,12 @@
 use crate::error::{SqlCode, SqlError, SqlResult};
 use crate::index::Index;
 use crate::schema::TableSchema;
-use crate::stats::TableStats;
 use crate::storage::{Heap, RowId, RowRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A table: schema, heap, the names of its indexes, planner statistics and
-/// its modification counter.
+/// A table: schema, heap, the names of its indexes and its modification
+/// counter.
 #[derive(Debug, Clone)]
 pub struct TableData {
     /// The table schema.
@@ -34,9 +33,6 @@ pub struct TableData {
     pub heap: Heap,
     /// Names (lowercased) of indexes over this table.
     pub index_names: Vec<String>,
-    /// Planner statistics (see [`crate::stats`]); `None` until the first
-    /// write builds them.
-    pub stats: Option<TableStats>,
     /// Modification counter: 1 at CREATE TABLE, bumped by every row
     /// mutation. The result cache records the versions of every table a
     /// SELECT read (from the same pinned snapshot) and revalidates them at
@@ -44,14 +40,6 @@ pub struct TableData {
     /// never depends on TTL. A table is never dropped, so once published
     /// its counter only rises.
     pub version: u64,
-}
-
-impl TableData {
-    /// Rebuild this table's statistics from its heap in one pass.
-    pub fn rebuild_stats(&mut self) {
-        self.stats = Some(TableStats::build(&self.schema, &self.heap));
-        dbgw_obs::metrics().stats_refreshes.inc();
-    }
 }
 
 /// Every table and index in the database.
@@ -125,18 +113,11 @@ impl DbState {
             let idx = Arc::make_mut(self.indexes.get_mut(name).expect("catalog consistency"));
             idx.insert(row.get(idx.column), id)?;
         }
-        // Statistics fold a write in while fresh, and are rebuilt from the
-        // heap once the write threshold has passed (or before the first
-        // build).
-        match t.stats.as_mut().filter(|s| !s.stale()) {
-            Some(s) => s.note_insert(row),
-            None => t.rebuild_stats(),
-        }
         t.version += 1;
         Ok(id)
     }
 
-    /// Replace a row, maintaining indexes and statistics.
+    /// Replace a row, maintaining its indexes.
     ///
     /// Only the indexes whose key changed are written (and so copied). On
     /// an error the working copy is left unspecified, as for
@@ -159,18 +140,7 @@ impl DbState {
                 idx.insert(now, id)?;
             }
         }
-        let fresh = match t.stats.as_mut().filter(|s| !s.stale()) {
-            Some(s) => {
-                s.note_delete(old);
-                s.note_insert(new);
-                true
-            }
-            None => false,
-        };
         t.heap.update(id, new);
-        if !fresh {
-            t.rebuild_stats();
-        }
         t.version += 1;
         Ok(())
     }
@@ -201,18 +171,6 @@ impl DbState {
             *index = Arc::new(fresh);
         }
         Ok(())
-    }
-
-    /// Rebuild every table's planner statistics from its heap.
-    ///
-    /// WAL replay applies row records straight to the heaps, bypassing the
-    /// incremental maintenance in [`DbState::insert_row`] et al.; recovery
-    /// calls this next to [`DbState::rebuild_indexes`] so a reopened
-    /// database plans with the same statistics a live one would.
-    pub fn rebuild_stats(&mut self) {
-        for table in self.tables.values_mut() {
-            Arc::make_mut(table).rebuild_stats();
-        }
     }
 }
 
@@ -251,7 +209,6 @@ mod tests {
                 schema,
                 heap: Heap::new(),
                 index_names: vec!["t_pk".into()],
-                stats: None,
                 version: 0,
             }),
         );
@@ -347,20 +304,6 @@ mod tests {
             t.heap.put_at(RowId(2), row(1, "dup").row());
         }
         assert!(st.rebuild_indexes().is_err());
-    }
-
-    #[test]
-    fn an_update_on_stale_statistics_counts_its_row_once() {
-        let mut st = state_with_table();
-        // The first insert builds the statistics and the next
-        // REFRESH_THRESHOLD leave them stale.
-        for i in 0..=crate::stats::REFRESH_THRESHOLD as i64 {
-            st.insert_row("t", row(i, "x").row()).unwrap();
-        }
-        assert!(st.table("t").unwrap().stats.as_ref().unwrap().stale());
-        st.update_row("t", RowId(0), row(0, "y").row()).unwrap();
-        let t = st.table("t").unwrap();
-        assert_eq!(t.stats.as_ref().unwrap().rows, t.heap.len() as u64);
     }
 
     #[test]

@@ -386,7 +386,7 @@ fn folded_constant_gets_the_literal_estimate() {
     let folded = texts(&db, "EXPLAIN SELECT * FROM t WHERE b = 'k' || '1'");
     let literal = texts(&db, "EXPLAIN SELECT * FROM t WHERE b = 'k1'");
     assert_eq!(folded[0], literal[0]);
-    assert!(literal[0].contains("(est rows=4)"), "{literal:?}");
+    assert_eq!(literal[0], "INDEX equality PROBE t_b (b)", "{literal:?}");
 }
 
 #[test]
@@ -768,7 +768,7 @@ fn prepared_like_patterns_are_invisible() {
              WHERE name LIKE 'A!%%' ESCAPE '!' AND region LIKE '%st' ORDER BY name"
         ),
         [
-            "INDEX prefix PROBE cust_name (name LIKE 'A%%…') (est rows=1)",
+            "INDEX prefix PROBE cust_name (name LIKE 'A%%…')",
             "FILTER <where>",
             "SORT (1 keys)",
         ]
@@ -779,7 +779,7 @@ fn prepared_like_patterns_are_invisible() {
             "EXPLAIN SELECT name FROM customers WHERE name LIKE 'B!_b' ESCAPE '!'"
         ),
         [
-            "INDEX equality PROBE cust_name (name) (est rows=1)",
+            "INDEX equality PROBE cust_name (name)",
             "FILTER <where>",
         ]
     );

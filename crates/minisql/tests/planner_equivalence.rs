@@ -673,20 +673,6 @@ fn new_operators_agree_on_churning_snapshots() {
                     return Err(format!("plan-sensitive on snapshot: {sql}"));
                 }
             }
-            // Statistics on a pinned snapshot stay internally consistent:
-            // a table's row count never exceeds stats rows + staleness window.
-            for t in ["a", "b", "c"] {
-                if let Some(stats) = &pinned.tables[t].stats {
-                    let heap = pinned.tables[t].heap.len() as i64;
-                    let drift = (stats.rows as i64 - heap).abs();
-                    if drift != 0 {
-                        return Err(format!(
-                            "stats incoherent on pinned snapshot for {t}: stats={} heap={heap}",
-                            stats.rows
-                        ));
-                    }
-                }
-            }
             Ok(())
         },
     );
@@ -781,8 +767,8 @@ fn rows_by_id(db: &Database) -> Vec<(u32, Vec<Value>)> {
 }
 
 props! {
-    // Most generated conjuncts plan as full scans; enough cases for every
-    // probe shape to be drawn on data whose statistics let it run.
+    // Enough cases for every conjunct shape to be drawn with and without a
+    // NULL constant.
     config(cases = 256);
 
     fn dml_on_indexes_matches_an_unindexed_copy(

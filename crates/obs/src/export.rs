@@ -138,7 +138,7 @@ pub type Family<'m, M> = (&'static str, &'static str, &'static str, &'m M);
 
 /// The gateway's counters — the single vocabulary shared by
 /// [`render_prometheus`], [`metrics_json`] and the HTML `/stats` page.
-pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 28] {
+pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 27] {
     [
         (
             "dbgw_requests_total",
@@ -247,12 +247,6 @@ pub fn counters(m: &Metrics) -> [Family<'_, Counter>; 28] {
             "digest evictions",
             "Query digests evicted from the bounded digest store.",
             &m.digest_evictions,
-        ),
-        (
-            "dbgw_stats_refreshes_total",
-            "stats refreshes",
-            "Full table-statistics rebuilds (initial builds and refreshes).",
-            &m.stats_refreshes,
         ),
         (
             "dbgw_snapshots_published_total",

@@ -283,9 +283,6 @@ pub struct Metrics {
     /// Query digests evicted from the bounded digest store (cold shapes
     /// pushed out by the per-shard capacity).
     pub digest_evictions: Counter,
-    /// Full table-statistics rebuilds (initial builds plus refreshes
-    /// triggered by the write-staleness threshold or recovery).
-    pub stats_refreshes: Counter,
     /// Database snapshots published (one per applied write statement or
     /// rollback).
     pub snapshots_published: Counter,
@@ -377,7 +374,6 @@ impl Metrics {
             rows_scanned: Counter::new(),
             latch_waits: Counter::new(),
             digest_evictions: Counter::new(),
-            stats_refreshes: Counter::new(),
             snapshots_published: Counter::new(),
             wal_records: Counter::new(),
             wal_fsyncs: Counter::new(),

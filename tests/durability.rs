@@ -75,9 +75,17 @@ fn committed_statements_survive_close_and_reopen() {
              UPDATE t SET id = 4 WHERE id = 3;",
         )
         .unwrap();
+        // The third row violates the primary key: the whole statement fails,
+        // logs nothing, and the table keeps taking writes.
+        let mut conn = db.connect();
+        let err = conn.execute("INSERT INTO t VALUES (50, 'x'), (51, 'y'), (1, 'dup')");
+        assert!(err.is_err(), "duplicate key must fail the statement");
+        assert_eq!(count(&db, "t"), 3);
+        conn.execute("INSERT INTO t VALUES (5, 'five')").unwrap();
         db.close();
     }
     let db = open(&tmp.0);
+    assert_eq!(count(&db, "t"), 4, "the failed statement's rows stayed out");
     let mut conn = db.connect();
     let r = conn.execute("SELECT id, name FROM t ORDER BY id").unwrap();
     assert_eq!(
@@ -86,6 +94,7 @@ fn committed_statements_survive_close_and_reopen() {
             vec![Value::Int(1), Value::Text("one".into())],
             vec![Value::Int(2), Value::Text("TWO".into())],
             vec![Value::Int(4), Value::Text("three".into())],
+            vec![Value::Int(5), Value::Text("five".into())],
         ]
     );
     // The secondary index came back too (recovery rebuilds indexes).
@@ -340,8 +349,15 @@ fn simulated_crash_loses_only_unlogged_tail_and_stays_consistent() {
         (0..20).contains(&survivors),
         "a strict prefix survives, got {survivors}"
     );
-    // Whatever survived is well-formed and writable.
     let mut conn = db.connect();
+    let prefix = format!("SELECT COUNT(*) FROM t WHERE n < {survivors}");
+    let r = conn.execute(&prefix).unwrap();
+    assert_eq!(
+        r.rows().unwrap().rows,
+        [[Value::Int(survivors)]],
+        "the survivors are the first {survivors} inserts"
+    );
+    // Whatever survived is well-formed and writable.
     conn.execute("INSERT INTO t VALUES (100)").unwrap();
     assert_eq!(count(&db, "t"), survivors + 1);
 }
@@ -455,169 +471,6 @@ fn fsync_off_still_recovers_cleanly_on_orderly_close() {
     }
     let db = open(&tmp.0);
     assert_eq!(count(&db, "t"), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Planner statistics across the durability boundary
-// ---------------------------------------------------------------------------
-//
-// Table statistics live inside `TableData`, so they ride the same snapshot
-// publication and recovery machinery as rows and indexes. These tests pin
-// the lifecycle: statistics are rebuilt by recovery (both from a checkpoint
-// image and from a raw WAL replay), reflect exactly the rows that survived,
-// and are never corrupted by statements that fail or writers that die.
-
-/// The published statistics for `table` (`None` until its first write).
-fn table_stats(db: &Database, table: &str) -> Option<minisql::stats::TableStats> {
-    db.pin().tables[table].stats.clone()
-}
-
-#[test]
-fn stats_survive_checkpoint_and_recovery() {
-    let _guard = serial();
-    let tmp = temp_dir("statsckpt");
-    {
-        let db = open(&tmp.0);
-        db.run_script("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-            .unwrap();
-        let mut conn = db.connect();
-        for i in 0..40i64 {
-            conn.execute_with_params(
-                "INSERT INTO t VALUES (?, ?)",
-                &[Value::Int(i), Value::Int(i * 3)],
-            )
-            .unwrap();
-        }
-        conn.execute("UPDATE t SET id = id + 100 WHERE id >= 30")
-            .unwrap();
-        if let Some(stats) = table_stats(&db, "t") {
-            assert_eq!(stats.rows, 40, "live stats track inserts and updates");
-        }
-        db.checkpoint_now().unwrap();
-        db.close();
-    }
-    // Reopen from the checkpoint image: recovery must rebuild statistics so
-    // the cost model never plans against a blank slate after a restart.
-    let db = open(&tmp.0);
-    assert_eq!(count(&db, "t"), 40);
-    if let Some(stats) = table_stats(&db, "t") {
-        assert_eq!(stats.rows, 40, "recovered stats match the rows");
-        let id = &stats.columns[0];
-        assert_eq!(id.min, Some(Value::Int(0)));
-        assert_eq!(id.max, Some(Value::Int(139)));
-        assert_eq!(id.nulls, 0);
-        assert!(id.histogram.is_some(), "numeric column regains a histogram");
-    }
-}
-
-#[test]
-fn stats_match_survivors_after_simulated_crash() {
-    let _guard = serial();
-    let tmp = temp_dir("statscrash");
-    dbgw_testkit::crash::disarm_all();
-    {
-        let db = open(&tmp.0);
-        db.run_script("CREATE TABLE t (n INTEGER)").unwrap();
-        let mut conn = db.connect();
-        // Lose everything after the third batch: acked but never durable.
-        dbgw_testkit::crash::arm("wal.append", 3);
-        for n in 0..25 {
-            conn.execute(&format!("INSERT INTO t VALUES ({n})"))
-                .unwrap();
-        }
-        db.close();
-    }
-    dbgw_testkit::crash::disarm_all();
-    let db = open(&tmp.0);
-    let survivors = count(&db, "t");
-    if let Some(stats) = table_stats(&db, "t") {
-        assert_eq!(
-            stats.rows, survivors as u64,
-            "stats describe the recovered world, not the pre-crash one"
-        );
-        if survivors > 0 {
-            assert_eq!(
-                stats.columns[0].max,
-                Some(Value::Int(survivors - 1)),
-                "max reflects the surviving prefix"
-            );
-        }
-    }
-}
-
-#[test]
-fn failed_statements_leave_stats_coherent() {
-    let _guard = serial();
-    let tmp = temp_dir("statsfail");
-    let db = open(&tmp.0);
-    db.run_script(
-        "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER);
-         INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)",
-    )
-    .unwrap();
-    let before = table_stats(&db, "t");
-    let mut conn = db.connect();
-    // The third row violates the primary key: the whole statement fails and
-    // its working copy — including any stats updates for rows 50/51 — must
-    // be discarded, exactly like the rows themselves.
-    let err = conn.execute("INSERT INTO t VALUES (50, 1), (51, 2), (1, 3)");
-    assert!(err.is_err(), "duplicate key must fail the statement");
-    assert_eq!(count(&db, "t"), 3);
-    let after = table_stats(&db, "t");
-    match (&before, &after) {
-        (Some(b), Some(a)) => {
-            assert_eq!(a.rows, b.rows, "failed insert leaked into stats");
-            assert_eq!(
-                a.columns[0].max, b.columns[0].max,
-                "phantom max from a rolled-back row"
-            );
-        }
-        (None, None) => {}
-        other => panic!("stats flipped presence across a failed statement: {other:?}"),
-    }
-    // The table keeps working and stats keep tracking after the failure.
-    conn.execute("INSERT INTO t VALUES (4, 40)").unwrap();
-    if let Some(stats) = table_stats(&db, "t") {
-        assert_eq!(stats.rows, 4);
-        assert_eq!(stats.columns[0].max, Some(Value::Int(4)));
-    }
-}
-
-#[test]
-fn stats_refresh_past_threshold_widens_histograms() {
-    let _guard = serial();
-    let tmp = temp_dir("statsrefresh");
-    let db = open(&tmp.0);
-    db.run_script("CREATE TABLE t (n INTEGER)").unwrap();
-    let refreshes_before = dbgw_obs::metrics().stats_refreshes.get();
-    let mut conn = db.connect();
-    conn.execute("BEGIN").unwrap();
-    // Far past the refresh threshold (default 256 writes): incremental
-    // maintenance must hand off to full rebuilds along the way, so the
-    // histogram covers the late, larger values too.
-    for n in 0..600i64 {
-        conn.execute_with_params("INSERT INTO t VALUES (?)", &[Value::Int(n * 10)])
-            .unwrap();
-    }
-    conn.execute("COMMIT").unwrap();
-    let stats = table_stats(&db, "t").expect("stats enabled");
-    assert_eq!(stats.rows, 600);
-    let col = &stats.columns[0];
-    assert_eq!(col.max, Some(Value::Int(5990)));
-    let hist = col.histogram.as_ref().expect("numeric histogram");
-    // fraction_below(hi) ≈ 1 only if rebuilds widened the histogram past the
-    // values that arrived after the initial build.
-    assert!(
-        hist.fraction_below(6000.0) > 0.99,
-        "histogram never refreshed past the initial build"
-    );
-    assert!(
-        dbgw_obs::metrics().stats_refreshes.get() > refreshes_before,
-        "no refresh counted past the threshold"
-    );
-    // Distinct estimate is sane for 600 distinct values (linear counting
-    // saturates gracefully; it must not report a tiny NDV).
-    assert!(col.distinct() > 150, "NDV collapsed: {}", col.distinct());
 }
 
 // ---------------------------------------------------------------------------
