@@ -5,11 +5,9 @@
 //! sorts), running `exec::run_select_with_options` directly against a state
 //! snapshot so the result cache cannot serve either side.
 //!
-//! Reported (no floor): top-k vs full sort at `ORDER BY … LIMIT 10`, and
-//! set-operation throughput — UNION ALL and EXCEPT ALL ride the same release
-//! gate so a quadratic regression in either shows up in the committed JSON.
-//! A SELECT reads one table or none, so the join rows and their floors are
-//! gone.
+//! Reported (no floor): top-k vs full sort at `ORDER BY … LIMIT 10`. A
+//! SELECT reads one table or none and set operations are refused, so the
+//! join rows, their floors and the UNION ALL / EXCEPT ALL rows are gone.
 //!
 //! The `urlquery` row runs the paper's Appendix A search — 500 distinct
 //! `title LIKE '%s%' OR description LIKE '%s%'` SELECTs over a 10 000-row
@@ -40,26 +38,13 @@ const INSERT_BATCH: usize = 500;
 /// The layout-independence gate on the `urlquery` ratio.
 const MAX_LAYOUT_RATIO: f64 = 1.15;
 
-/// `cust` (id, region) and `ords` (cust_id, amount), `n` rows each.
+/// `ords` (cust_id, amount), `n` rows.
 fn shop_db(n: usize) -> DbState {
     let db = Database::new();
-    db.run_script(
-        "CREATE TABLE cust (id INTEGER, region INTEGER);
-         CREATE TABLE ords (cust_id INTEGER, amount INTEGER)",
-    )
-    .unwrap();
+    db.run_script("CREATE TABLE ords (cust_id INTEGER, amount INTEGER)")
+        .unwrap();
     let mut rng = Rng::new(0x1996_0206);
     let mut conn = db.connect();
-    for i in 0..n {
-        conn.execute_with_params(
-            "INSERT INTO cust VALUES (?, ?)",
-            &[
-                Value::Int(i as i64),
-                Value::Int((rng.next_u64() % 8) as i64),
-            ],
-        )
-        .unwrap();
-    }
     for _ in 0..n {
         conn.execute_with_params(
             "INSERT INTO ords VALUES (?, ?)",
@@ -157,23 +142,7 @@ fn main() {
     suite.record_metric("exec_full_sort_ns", topk_off);
     suite.record_metric("exec_topk_speedup", topk_off / topk_on);
 
-    // 2. Set-operation throughput (no floor): UNION ALL and EXCEPT ALL over
-    //    the two n-row tables.
-    for (metric, sql) in [
-        (
-            "exec_union_all_ns",
-            "SELECT cust_id, amount FROM ords UNION ALL SELECT id, region FROM cust",
-        ),
-        (
-            "exec_except_all_ns",
-            "SELECT cust_id FROM ords EXCEPT ALL SELECT id FROM cust",
-        ),
-    ] {
-        let ns = time_per_exec(&st, sql, &all, if quick { 10 } else { 30 });
-        suite.record_metric(metric, ns);
-    }
-
-    // 3. The Appendix A search over both layouts of one urldb, in
+    // 2. The Appendix A search over both layouts of one urldb, in
     //    alternating sets.
     let fixture = ScanFixture::generate(URL_ROWS, INSERT_BATCH, SEARCHES, 0x1996_0604);
     let mut script = vec![

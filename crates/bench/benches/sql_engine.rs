@@ -106,22 +106,6 @@ fn main() {
     }
 
     {
-        let mut group = suite.group("E4_group_by");
-        group.sample_size(20);
-        for rows in [1_000usize, 10_000, 100_000] {
-            let db = shop_db(rows);
-            let mut conn = db.connect();
-            group.throughput(Throughput::Elements(rows as u64));
-            group.bench(&rows.to_string(), || {
-                black_box(
-                    conn.execute("SELECT grp, COUNT(*), MAX(id) FROM items GROUP BY grp")
-                        .unwrap(),
-                )
-            });
-        }
-    }
-
-    {
         let mut group = suite.group("E4_insert_1k");
         group.sample_size(10);
         group.throughput(Throughput::Elements(1000));

@@ -49,7 +49,7 @@ const SETTINGS: [(&str, Show); 14] = [
 ];
 
 /// Names that used to be read from the environment, and what replaced them.
-const REMOVED: [(&[&str], &str); 8] = [
+const REMOVED: [(&[&str], &str); 9] = [
     (
         &["HASH_JOIN", "PUSHDOWN", "REORDER"],
         "joins are not supported: a statement reads one table, so there is nothing to switch",
@@ -59,9 +59,10 @@ const REMOVED: [(&[&str], &str); 8] = [
         "planner switches are `minisql::PlanOptions` fields, set in a bench or test",
     ),
     (
-        &["STATS", "STATS_REFRESH", "STATS_BUCKETS", "DIGEST_MAX"],
-        "statistics are always maintained, and their sizes are constants",
+        &["STATS", "STATS_REFRESH", "STATS_BUCKETS"],
+        "planner statistics are deleted: an index serves every conjunct it can",
     ),
+    (&["DIGEST_MAX"], "the digest store's capacity is a constant"),
     (&["DIGESTS"], "call `dbgw_obs::digests().set_enabled`"),
     (
         &["SAMPLE_MS", "SAMPLE_CAP"],
@@ -308,7 +309,8 @@ mod tests {
             ("DBGW_HASH_JOIN", "0", "joins are not supported"),
             ("DBGW_REORDER", "0", "joins are not supported"),
             ("DBGW_TOPK", "0", "PlanOptions"),
-            ("DBGW_STATS", "0", "always maintained"),
+            ("DBGW_STATS", "0", "statistics are deleted"),
+            ("DBGW_DIGEST_MAX", "10", "capacity is a constant"),
             ("DBGW_STREAM_WATERMARK", "1", "ServerConfig"),
             ("DBGW_GROUP_COMMIT_US", "200", "no window"),
             ("DBGW_CACHE", "0", "always on"),

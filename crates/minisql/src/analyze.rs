@@ -12,10 +12,10 @@
 //! `TestClock` at the HTTP edge sees fully deterministic operator timings.
 //!
 //! Operators are keyed by [`OpId`], whose variants correspond one-to-one with
-//! the line positions `exec::explain_into` renders — which is what lets the
+//! the lines `exec::explain_lines` renders — which is what lets the
 //! renderer annotate the *estimated* plan tree with the *actual* numbers.
-//! Only the outermost SELECT block records: set-operation branches run at
-//! collector depth ≥ 2 and are ignored, because their operator ids would
+//! Only the outermost SELECT block records: a block entered inside it runs
+//! at collector depth ≥ 2 and is ignored, because its operator ids would
 //! collide with the outer block's.
 
 use dbgw_obs::Clock;
@@ -31,12 +31,8 @@ pub enum OpId {
     Base,
     /// Residual WHERE filter (conjuncts naming no column of the table).
     WhereFilter,
-    /// Grouping and aggregate computation.
+    /// The fold of a query that aggregates into one row.
     Aggregate,
-    /// HAVING filter, evaluated once per group.
-    Having,
-    /// DISTINCT over output rows.
-    Distinct,
     /// ORDER BY (full or top-k sort).
     Sort,
     /// LIMIT / OFFSET.
@@ -50,8 +46,6 @@ impl OpId {
             OpId::Base => "scan",
             OpId::WhereFilter => "where",
             OpId::Aggregate => "agg",
-            OpId::Having => "having",
-            OpId::Distinct => "distinct",
             OpId::Sort => "sort",
             OpId::Limit => "limit",
         }
@@ -74,7 +68,7 @@ pub struct OpActuals {
 struct Collector {
     clock: Arc<dyn Clock>,
     /// SELECT-block nesting depth: 1 = the outer block (recorded); deeper
-    /// blocks (set-operation branches) are ignored.
+    /// blocks are ignored.
     depth: usize,
     ops: Vec<(OpId, OpActuals)>,
 }
@@ -136,8 +130,9 @@ pub fn collect<R>(clock: Arc<dyn Clock>, f: impl FnOnce() -> R) -> (R, Vec<(OpId
     (result, ops)
 }
 
-/// RAII marker for one SELECT block; created at the top of `run_single` and
-/// `run_compound` so nested blocks land at depth ≥ 2 and stay unrecorded.
+/// RAII marker for one SELECT block; created at the top of
+/// `exec::run_select_with_options`, so a nested block lands at depth ≥ 2 and
+/// stays unrecorded.
 pub(crate) struct BlockGuard {
     active: bool,
 }
@@ -255,7 +250,7 @@ mod tests {
             c2.advance_micros(5);
             record(OpId::Base, t, 10, 3);
             {
-                // A nested block (a set-operation branch): must not record.
+                // A nested block: must not record.
                 let _inner = enter_block();
                 let t = start();
                 assert!(t.is_none(), "nested block must not time");

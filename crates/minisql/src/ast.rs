@@ -41,14 +41,6 @@ pub enum BinOp {
     Add,
     /// `-`
     Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%` (modulo; DB2 spelled it MOD())
-    Mod,
-    /// `||`
-    Concat,
     /// `=`
     Eq,
     /// `<>`
@@ -70,16 +62,10 @@ pub enum BinOp {
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
-    /// `COUNT(*)` or `COUNT(expr)`
+    /// `COUNT(*)`
     Count,
     /// `SUM(expr)`
     Sum,
-    /// `AVG(expr)`
-    Avg,
-    /// `MIN(expr)`
-    Min,
-    /// `MAX(expr)`
-    Max,
 }
 
 impl AggFunc {
@@ -88,15 +74,12 @@ impl AggFunc {
         match self {
             AggFunc::Count => "COUNT",
             AggFunc::Sum => "SUM",
-            AggFunc::Avg => "AVG",
-            AggFunc::Min => "MIN",
-            AggFunc::Max => "MAX",
         }
     }
 }
 
 /// Scalar expression: no subquery and no scalar function call (the parser
-/// refuses both with SQLCODE −104); an aggregate call is the only call.
+/// refuses both with SQLCODE −104); `COUNT(*)` and `SUM` are the only calls.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Literal value.
@@ -105,8 +88,6 @@ pub enum Expr {
     Column(ColumnRef),
     /// `?` positional parameter (1-based index assigned during parse).
     Param(usize),
-    /// Unary minus.
-    Neg(Box<Expr>),
     /// Logical NOT.
     Not(Box<Expr>),
     /// Binary operation.
@@ -147,25 +128,12 @@ pub enum Expr {
         /// Whether NOT was present.
         negated: bool,
     },
-    /// `expr [NOT] BETWEEN lo AND hi`.
-    Between {
-        /// Tested expression.
-        expr: Box<Expr>,
-        /// Lower bound (inclusive).
-        lo: Box<Expr>,
-        /// Upper bound (inclusive).
-        hi: Box<Expr>,
-        /// Whether NOT was present.
-        negated: bool,
-    },
-    /// Aggregate call; only legal in SELECT/HAVING/ORDER BY.
+    /// Aggregate call; only legal in the SELECT list and ORDER BY.
     Agg {
         /// Which aggregate.
         func: AggFunc,
         /// Argument; `None` for `COUNT(*)`.
         arg: Option<Box<Expr>>,
-        /// Whether DISTINCT was present (`COUNT(DISTINCT x)`).
-        distinct: bool,
     },
     /// `CASE [operand] WHEN ... THEN ... [ELSE ...] END`.
     Case {
@@ -176,13 +144,6 @@ pub enum Expr {
         /// ELSE result; NULL when absent.
         otherwise: Option<Box<Expr>>,
     },
-    /// `CAST(expr AS type)`.
-    Cast {
-        /// The value.
-        expr: Box<Expr>,
-        /// Target type.
-        ty: SqlType,
-    },
 }
 
 /// The one list of an `Expr`'s children, expanded into both child visitors:
@@ -191,8 +152,7 @@ macro_rules! visit_children {
     ($expr:expr, $f:ident, $iter:ident) => {
         match $expr {
             Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => Ok(()),
-            Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => $f(e),
-            Expr::Cast { expr: e, .. } => $f(e),
+            Expr::Not(e) | Expr::IsNull { expr: e, .. } => $f(e),
             Expr::Binary { lhs: a, rhs: b, .. }
             | Expr::Like {
                 expr: a,
@@ -205,11 +165,6 @@ macro_rules! visit_children {
             Expr::InList { expr, list, .. } => {
                 $f(expr)?;
                 list.$iter().try_for_each($f)
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                $f(expr)?;
-                $f(lo)?;
-                $f(hi)
             }
             Expr::Agg { arg, .. } => arg.$iter().try_for_each(|a| $f(a)),
             Expr::Case {
@@ -281,31 +236,9 @@ impl Expr {
 pub enum SelectItem {
     /// `*`
     Wildcard,
-    /// `table.*`
-    QualifiedWildcard(String),
-    /// An expression with an optional `AS alias`.
-    Expr {
-        /// The expression.
-        expr: Expr,
-        /// Output column alias.
-        alias: Option<String>,
-    },
-}
-
-/// A table in the FROM clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableRef {
-    /// Table name.
-    pub name: String,
-    /// Optional alias.
-    pub alias: Option<String>,
-}
-
-impl TableRef {
-    /// The name this table is referred to by in the query.
-    pub fn effective_name(&self) -> &str {
-        self.alias.as_deref().unwrap_or(&self.name)
-    }
+    /// An expression; its output column is labelled by
+    /// `exec::default_label`.
+    Expr(Expr),
 }
 
 /// Sort direction.
@@ -328,80 +261,44 @@ pub struct OrderKey {
     pub dir: SortDir,
 }
 
-/// A set operation combining SELECT branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetOp {
-    /// `UNION` (duplicate-eliminating) or `UNION ALL`.
-    Union {
-        /// Whether ALL was present (keep duplicates).
-        all: bool,
-    },
-    /// `EXCEPT [ALL]` — rows of the left not in the right.
-    Except {
-        /// Whether ALL was present (bag difference: `max(l - r, 0)` copies).
-        all: bool,
-    },
-    /// `INTERSECT [ALL]` — rows in both.
-    Intersect {
-        /// Whether ALL was present (bag intersection: `min(l, r)` copies).
-        all: bool,
-    },
-}
-
-/// A full SELECT statement.
+/// A full SELECT statement: one table or none, filtered, then folded into
+/// one row or sorted, then cut by OFFSET and LIMIT.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Select {
-    /// Whether DISTINCT was present.
-    pub distinct: bool,
     /// Output columns.
     pub items: Vec<SelectItem>,
-    /// The one FROM table; `None` for table-less `SELECT 1+1`.
-    pub from: Option<TableRef>,
+    /// The one FROM table's name; `None` for table-less `SELECT 1+1`.
+    pub from: Option<String>,
     /// WHERE predicate.
     pub where_clause: Option<Expr>,
-    /// GROUP BY keys.
-    pub group_by: Vec<Expr>,
-    /// HAVING predicate.
-    pub having: Option<Expr>,
     /// ORDER BY keys.
     pub order_by: Vec<OrderKey>,
     /// LIMIT row count (`FETCH FIRST n ROWS ONLY` also accepted).
     pub limit: Option<usize>,
     /// OFFSET row count.
     pub offset: Option<usize>,
-    /// Further branches combined with set operations. ORDER BY/LIMIT on the
-    /// *first* branch apply to the combined result (and later branches may
-    /// not carry their own).
-    pub set_ops: Vec<(SetOp, Select)>,
 }
 
 impl Select {
-    /// Call `f` on each expression slot of this branch: the SELECT items,
-    /// WHERE, GROUP BY, HAVING and ORDER BY.
-    /// Set-operation branches are not entered.
+    /// Call `f` on each expression slot: the SELECT items, WHERE and
+    /// ORDER BY.
     pub fn for_each_expr(&self, mut f: impl FnMut(&Expr)) {
-        for item in &self.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                f(expr);
-            }
-        }
+        self.output_exprs().for_each(&mut f);
         self.where_clause.iter().for_each(&mut f);
-        self.group_by.iter().for_each(&mut f);
-        self.having.iter().for_each(&mut f);
         self.order_by.iter().for_each(|k| f(&k.expr))
     }
 
-    /// The expressions evaluated once per group when the query is grouped:
-    /// the SELECT items, HAVING and ORDER BY. An aggregate in any of them
-    /// makes the query grouped.
-    pub fn group_exprs(&self) -> impl Iterator<Item = &Expr> {
-        (self.items.iter())
-            .filter_map(|i| match i {
-                SelectItem::Expr { expr, .. } => Some(expr),
-                _ => None,
-            })
-            .chain(&self.having)
-            .chain(self.order_by.iter().map(|k| &k.expr))
+    /// The expressions that may hold an aggregate: the SELECT items and
+    /// ORDER BY. An aggregate in any of them folds the query into one row.
+    pub fn aggregate_exprs(&self) -> impl Iterator<Item = &Expr> {
+        (self.output_exprs()).chain(self.order_by.iter().map(|k| &k.expr))
+    }
+
+    fn output_exprs(&self) -> impl Iterator<Item = &Expr> {
+        self.items.iter().filter_map(|i| match i {
+            SelectItem::Expr(expr) => Some(expr),
+            SelectItem::Wildcard => None,
+        })
     }
 }
 
@@ -499,7 +396,6 @@ fn fmt_literal(f: &mut std::fmt::Formatter<'_>, v: &Value) -> std::fmt::Result {
         Value::Int(i) => write!(f, "{i}"),
         Value::Double(d) => write!(f, "{d:?}"),
         Value::Text(s) => write!(f, "'{}'", s.replace('\'', "''")),
-        Value::Date(d) => write!(f, "DATE '{}'", crate::date::format_date(*d)),
     }
 }
 
@@ -508,10 +404,6 @@ impl std::fmt::Display for BinOp {
         f.write_str(match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Mod => "%",
-            BinOp::Concat => "||",
             BinOp::Eq => "=",
             BinOp::Ne => "<>",
             BinOp::Lt => "<",
@@ -530,7 +422,6 @@ impl std::fmt::Display for Expr {
             Expr::Literal(v) => fmt_literal(f, v),
             Expr::Column(c) => write!(f, "{c}"),
             Expr::Param(_) => write!(f, "?"),
-            Expr::Neg(e) => write!(f, "(-{e})"),
             Expr::Not(e) => write!(f, "(NOT {e})"),
             Expr::Binary { op, lhs, rhs } => write!(f, "({lhs} {op} {rhs})"),
             Expr::Like {
@@ -570,27 +461,8 @@ impl std::fmt::Display for Expr {
                 fmt_comma_sep(f, list)?;
                 write!(f, "))")
             }
-            Expr::Between {
-                expr,
-                lo,
-                hi,
-                negated,
-            } => write!(
-                f,
-                "({expr} {}BETWEEN {lo} AND {hi})",
-                if *negated { "NOT " } else { "" }
-            ),
-            Expr::Agg {
-                func,
-                arg,
-                distinct,
-            } => match arg {
-                Some(a) => write!(
-                    f,
-                    "{}({}{a})",
-                    func.name(),
-                    if *distinct { "DISTINCT " } else { "" }
-                ),
+            Expr::Agg { func, arg } => match arg {
+                Some(a) => write!(f, "{}({a})", func.name()),
                 None => write!(f, "{}(*)", func.name()),
             },
             Expr::Case {
@@ -610,7 +482,6 @@ impl std::fmt::Display for Expr {
                 }
                 write!(f, " END")
             }
-            Expr::Cast { expr, ty } => write!(f, "CAST({expr} AS {ty})"),
         }
     }
 }
@@ -642,46 +513,14 @@ impl std::fmt::Display for SelectItem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SelectItem::Wildcard => write!(f, "*"),
-            SelectItem::QualifiedWildcard(t) => write!(f, "{t}.*"),
-            SelectItem::Expr { expr, alias } => match alias {
-                Some(a) => write!(f, "{expr} AS {a}"),
-                None => write!(f, "{expr}"),
-            },
+            SelectItem::Expr(expr) => write!(f, "{expr}"),
         }
     }
 }
 
-impl std::fmt::Display for TableRef {
+impl std::fmt::Display for Select {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.alias {
-            Some(a) => write!(f, "{} AS {a}", self.name),
-            None => write!(f, "{}", self.name),
-        }
-    }
-}
-
-impl std::fmt::Display for SetOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SetOp::Union { all: false } => write!(f, "UNION"),
-            SetOp::Union { all: true } => write!(f, "UNION ALL"),
-            SetOp::Except { all: false } => write!(f, "EXCEPT"),
-            SetOp::Except { all: true } => write!(f, "EXCEPT ALL"),
-            SetOp::Intersect { all: false } => write!(f, "INTERSECT"),
-            SetOp::Intersect { all: true } => write!(f, "INTERSECT ALL"),
-        }
-    }
-}
-
-impl Select {
-    /// Print one branch: everything except set operations and the hoisted
-    /// compound-level ORDER BY / LIMIT / OFFSET (the parser attaches those to
-    /// the root, so the printer emits them after the last branch).
-    fn fmt_branch(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SELECT ")?;
-        if self.distinct {
-            write!(f, "DISTINCT ")?;
-        }
         fmt_comma_sep(f, &self.items)?;
         if let Some(from) = &self.from {
             write!(f, " FROM {from}")?;
@@ -689,17 +528,6 @@ impl Select {
         if let Some(w) = &self.where_clause {
             write!(f, " WHERE {w}")?;
         }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY ")?;
-            fmt_comma_sep(f, &self.group_by)?;
-        }
-        if let Some(h) = &self.having {
-            write!(f, " HAVING {h}")?;
-        }
-        Ok(())
-    }
-
-    fn fmt_tail(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if !self.order_by.is_empty() {
             write!(f, " ORDER BY ")?;
             fmt_comma_sep(f, &self.order_by)?;
@@ -711,17 +539,6 @@ impl Select {
             write!(f, " OFFSET {n}")?;
         }
         Ok(())
-    }
-}
-
-impl std::fmt::Display for Select {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.fmt_branch(f)?;
-        for (op, branch) in &self.set_ops {
-            write!(f, " {op} ")?;
-            branch.fmt_branch(f)?;
-        }
-        self.fmt_tail(f)
     }
 }
 
@@ -827,7 +644,6 @@ mod tests {
         let agg = Expr::Agg {
             func: AggFunc::Count,
             arg: None,
-            distinct: false,
         };
         let nested = Expr::binary(BinOp::Add, Expr::Literal(Value::Int(1)), agg);
         assert!(nested.contains_aggregate());
@@ -857,26 +673,23 @@ mod tests {
             ("1", &[]),
             ("c", &[]),
             ("?", &[]),
-            ("-?", &[1]),
             ("NOT ?", &[1]),
             ("? + ?", &[1, 2]),
             ("? NOT LIKE ? ESCAPE '!'", &[1, 2]),
             ("? IS NOT NULL", &[1]),
             ("? IN (?, ?)", &[1, 2, 3]),
-            ("? NOT BETWEEN ? AND ?", &[1, 2, 3]),
-            ("SUM(DISTINCT ?)", &[1]),
+            ("SUM(?)", &[1]),
             ("COUNT(*)", &[]),
             (
                 "CASE ? WHEN ? THEN ? WHEN ? THEN ? ELSE ? END",
                 &[1, 2, 3, 4, 5, 6],
             ),
             ("CASE WHEN ? THEN ? END", &[1, 2]),
-            ("CAST(? AS INTEGER)", &[1]),
         ];
         let mut variants = std::collections::HashSet::new();
         for &(text, want) in cases {
             let mut sel = select(&format!("SELECT {text}"));
-            let SelectItem::Expr { expr, .. } = &mut sel.items[0] else {
+            let SelectItem::Expr(expr) = &mut sel.items[0] else {
                 unreachable!()
             };
             variants.insert(std::mem::discriminant(expr));
@@ -898,27 +711,17 @@ mod tests {
             });
             assert_eq!((found, asked), (!want.is_empty(), want.len().min(1)));
         }
-        assert_eq!(variants.len(), 13, "every Expr variant is covered");
+        assert_eq!(variants.len(), 10, "every Expr variant is covered");
     }
 
     #[test]
     fn select_slots_cover_every_clause_but_not_set_branches() {
-        let sel = select(
-            "SELECT *, ? FROM t WHERE ? GROUP BY ? HAVING ? \
-             UNION SELECT ? FROM v ORDER BY ?",
-        );
+        // A SELECT has no set-operation branches left: its slots are the
+        // items, WHERE and ORDER BY.
+        let sel = select("SELECT *, ? FROM t WHERE ? ORDER BY ?");
         let mut seen = Vec::new();
         sel.for_each_expr(|e| seen.push(marker(e)));
-        assert_eq!(seen, [1, 2, 3, 4, 6]);
-    }
-
-    #[test]
-    fn table_ref_effective_name() {
-        let t = TableRef {
-            name: "urldb".into(),
-            alias: Some("u".into()),
-        };
-        assert_eq!(t.effective_name(), "u");
+        assert_eq!(seen, [1, 2, 3]);
     }
 
     #[test]

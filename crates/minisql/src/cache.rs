@@ -94,7 +94,6 @@ pub(crate) fn result_key(sql: &str, params: &[Value]) -> String {
             Value::Int(i) => write!(key, "i{i};"),
             Value::Double(f) => write!(key, "f{:016x};", f.to_bits()),
             Value::Text(s) => write!(key, "t{}:{s};", s.len()),
-            Value::Date(d) => write!(key, "d{d};"),
         };
     }
     key
@@ -118,14 +117,9 @@ pub(crate) fn result_cost(rs: &ResultSet) -> usize {
     cost
 }
 
-/// Every table a SELECT reads (FROM and set operations), lowercased,
-/// sorted, deduped.
+/// The table a SELECT reads, lowercased; none for a table-less SELECT.
 pub(crate) fn referenced_tables(sel: &Select) -> Vec<String> {
-    let mut out = Vec::new();
-    collect_select(sel, &mut out);
-    out.sort_unstable();
-    out.dedup();
-    out
+    sel.from.iter().map(|t| t.to_ascii_lowercase()).collect()
 }
 
 /// Capture `(table, version)` dependencies for `sel` against `state`.
@@ -145,13 +139,6 @@ pub(crate) fn deps_valid(state: &DbState, deps: &[(String, u64)]) -> bool {
     deps.iter().all(|(t, v)| state.version(t) == *v)
 }
 
-fn collect_select(sel: &Select, out: &mut Vec<String>) {
-    out.extend(sel.from.iter().map(|t| t.name.to_ascii_lowercase()));
-    for (_, s) in &sel.set_ops {
-        collect_select(s, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +150,6 @@ mod tests {
             Statement::Select(sel) => referenced_tables(&sel),
             other => panic!("expected SELECT, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn set_ops_collected_and_deduped() {
-        assert_eq!(
-            tables_of("SELECT x FROM a UNION SELECT x FROM b UNION ALL SELECT x FROM a"),
-            vec!["a", "b"]
-        );
     }
 
     #[test]
@@ -192,7 +171,6 @@ mod tests {
             result_key("select ?", &[Double(1.0)]),
             result_key("select ?", &[Null]),
             result_key("select ?", &[Text("NULL".into())]),
-            result_key("select ?", &[Date(1)]),
             result_key("select ?, ?", &[Text("ab".into()), Text("c".into())]),
             result_key("select ?, ?", &[Text("a".into()), Text("bc".into())]),
             result_key("select ?, ?", &[Text("a;b".into()), Text("c".into())]),

@@ -33,11 +33,8 @@ impl SqlCode {
     pub const TYPE_MISMATCH: SqlCode = SqlCode(-401);
     /// Arithmetic exception, e.g. division by zero (DB2 -802).
     pub const ARITHMETIC: SqlCode = SqlCode(-802);
-    /// Date arithmetic whose result lies outside 0001-01-01..9999-12-31
-    /// (DB2 -183).
-    pub const DATETIME_RANGE: SqlCode = SqlCode(-183);
-    /// A grouped query reads a column that is neither a GROUP BY key nor
-    /// inside an aggregate (DB2 -122).
+    /// A query that aggregates reads a column outside an aggregate
+    /// (DB2 -122).
     pub const GROUPING: SqlCode = SqlCode(-122);
     /// Object already exists (DB2 -601).
     pub const DUPLICATE_OBJECT: SqlCode = SqlCode(-601);

@@ -102,10 +102,9 @@ thread_local! {
     pub(crate) static RESOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Provider of pre-computed aggregate values during HAVING / aggregate-SELECT
-/// evaluation.
+/// Provider of the folded aggregate values of a query that aggregates.
 pub trait AggSource {
-    /// The value of aggregate expression `expr` for the current group, if the
+    /// The value of aggregate expression `expr` over the query's rows, if the
     /// source knows it.
     fn agg_value(&self, expr: &Expr) -> Option<Value>;
 }
@@ -181,12 +180,6 @@ pub fn eval_ref<'a>(
                     SqlError::syntax(format!("no value bound for parameter marker ?{i}"))
                 })
         }
-        Expr::Neg(inner) => match eval_ref(inner, row, params, aggs)?.view() {
-            ValueRef::Null => Ok(Value::Null),
-            ValueRef::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(overflow),
-            ValueRef::Double(d) => Ok(Value::Double(-d)),
-            other => Err(SqlError::type_mismatch(format!("cannot negate {other}"))),
-        },
         Expr::Not(inner) => {
             let t = eval_truth(inner, row, params, aggs)?;
             Ok(truth_to_value(t.not()))
@@ -200,23 +193,13 @@ pub fn eval_ref<'a>(
                 let t = eval_truth(expr, row, params, aggs)?;
                 Ok(truth_to_value(t))
             }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+            BinOp::Add | BinOp::Sub => {
                 let l = eval_ref(lhs, row, params, aggs)?;
                 let r = eval_ref(rhs, row, params, aggs)?;
                 arithmetic(*op, l.view(), r.view())
             }
-            BinOp::Concat => {
-                let l = eval_ref(lhs, row, params, aggs)?;
-                let r = eval_ref(rhs, row, params, aggs)?;
-                let (l, r) = (l.view(), r.view());
-                if l.is_null() || r.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Text(format!("{}{}", l.as_text(), r.as_text())))
-                }
-            }
         },
-        Expr::Like { .. } | Expr::IsNull { .. } | Expr::InList { .. } | Expr::Between { .. } => {
+        Expr::Like { .. } | Expr::IsNull { .. } | Expr::InList { .. } => {
             let t = eval_truth(expr, row, params, aggs)?;
             Ok(truth_to_value(t))
         }
@@ -248,53 +231,8 @@ pub fn eval_ref<'a>(
                 None => Ok(Value::Null),
             }
         }
-        Expr::Cast { expr, ty } => {
-            let v = eval(expr, row, params, aggs)?;
-            cast_value(v, *ty)
-        }
     };
     computed.map(Evaluated::Owned)
-}
-
-/// CAST semantics: numeric↔numeric truncates toward zero; text parses to
-/// numbers (error when unparsable, like DB2's -420); anything renders to text.
-fn cast_value(v: Value, ty: crate::types::SqlType) -> SqlResult<Value> {
-    use crate::types::SqlType;
-    if v.is_null() {
-        return Ok(Value::Null);
-    }
-    Ok(match (v, ty) {
-        (v @ Value::Int(_), SqlType::Integer) => v,
-        (Value::Double(d), SqlType::Integer) => Value::Int(d.trunc() as i64),
-        (Value::Text(t), SqlType::Integer) => Value::Int(
-            t.trim()
-                .parse::<i64>()
-                .or_else(|_| t.trim().parse::<f64>().map(|d| d.trunc() as i64))
-                .map_err(|_| SqlError::type_mismatch(format!("cannot cast '{t}' to INTEGER")))?,
-        ),
-        (Value::Int(i), SqlType::Double) => Value::Double(i as f64),
-        (v @ Value::Double(_), SqlType::Double) => v,
-        (Value::Text(t), SqlType::Double) => Value::Double(
-            t.trim()
-                .parse::<f64>()
-                .map_err(|_| SqlError::type_mismatch(format!("cannot cast '{t}' to DOUBLE")))?,
-        ),
-        (v, SqlType::Varchar) => Value::Text(v.to_display_string()),
-        (v @ Value::Date(_), SqlType::Date) => v,
-        (Value::Text(t), SqlType::Date) => Value::Date(
-            crate::date::parse_date(&t)
-                .ok_or_else(|| SqlError::type_mismatch(format!("cannot cast '{t}' to DATE")))?,
-        ),
-        (v, SqlType::Date) => {
-            return Err(SqlError::type_mismatch(format!("cannot cast {v} to DATE")))
-        }
-        (Value::Date(_), SqlType::Integer | SqlType::Double) => {
-            return Err(SqlError::type_mismatch(
-                "cannot cast DATE to a number (subtract dates instead)",
-            ))
-        }
-        (Value::Null, _) => Value::Null,
-    })
 }
 
 /// Evaluate `expr` as a predicate under three-valued logic.
@@ -409,26 +347,6 @@ pub fn eval_truth(
                 Ok(Truth::from_bool(*negated))
             }
         }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            let v = eval_ref(expr, row, params, aggs)?;
-            let l = eval_ref(lo, row, params, aggs)?;
-            let h = eval_ref(hi, row, params, aggs)?;
-            let (v, l, h) = (v.view(), l.view(), h.view());
-            if v.is_null() || l.is_null() || h.is_null() {
-                return Ok(Truth::Unknown);
-            }
-            let ge_lo = v.compare(l).map(|o| o.is_ge());
-            let le_hi = v.compare(h).map(|o| o.is_le());
-            match (ge_lo, le_hi) {
-                (Some(a), Some(b)) => Ok(Truth::from_bool((a && b) != *negated)),
-                _ => Err(SqlError::type_mismatch("BETWEEN operands incomparable")),
-            }
-        }
         // Everything else: evaluate as a value, nonzero/non-null-true.
         other => {
             let v = eval_ref(other, row, params, aggs)?;
@@ -436,9 +354,9 @@ pub fn eval_truth(
                 ValueRef::Null => Truth::Unknown,
                 ValueRef::Int(i) => Truth::from_bool(i != 0),
                 ValueRef::Double(d) => Truth::from_bool(d != 0.0),
-                ValueRef::Text(_) | ValueRef::Date(_) => {
+                ValueRef::Text(_) => {
                     return Err(SqlError::type_mismatch(
-                        "string or date used where a condition is required",
+                        "string used where a condition is required",
                     ))
                 }
             })
@@ -454,92 +372,29 @@ fn truth_to_value(t: Truth) -> Value {
     }
 }
 
-/// An integer result outside `i64` (DB2 −802): integer arithmetic, SUM and
-/// date arithmetic never wrap.
+/// An integer result outside `i64` (DB2 −802): integer arithmetic and SUM
+/// never wrap.
 pub(crate) fn overflow() -> SqlError {
     SqlError::new(SqlCode::ARITHMETIC, "arithmetic overflow")
 }
 
+/// `l + r` or `l - r`: exact over two integers, in doubles otherwise.
 fn arithmetic(op: BinOp, l: ValueRef<'_>, r: ValueRef<'_>) -> SqlResult<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    // Date arithmetic: date ± days, date - date = days.
-    let in_range = |d: i64| {
-        if crate::date::RANGE.contains(&d) {
-            Ok(Value::Date(d))
-        } else {
-            let msg = "date outside 0001-01-01..9999-12-31";
-            Err(SqlError::new(SqlCode::DATETIME_RANGE, msg))
-        }
-    };
-    match (l, r, op) {
-        (ValueRef::Date(d), ValueRef::Int(n), BinOp::Add)
-        | (ValueRef::Int(n), ValueRef::Date(d), BinOp::Add) => {
-            return d.checked_add(n).ok_or_else(overflow).and_then(in_range)
-        }
-        (ValueRef::Date(d), ValueRef::Int(n), BinOp::Sub) => {
-            return d.checked_sub(n).ok_or_else(overflow).and_then(in_range)
-        }
-        (ValueRef::Date(a), ValueRef::Date(b), BinOp::Sub) => {
-            return a.checked_sub(b).map(Value::Int).ok_or_else(overflow)
-        }
-        (ValueRef::Date(_), _, _) | (_, ValueRef::Date(_), _) => {
-            return Err(SqlError::type_mismatch(format!(
-                "unsupported date arithmetic: {l} {op:?} {r}"
-            )))
-        }
-        _ => {}
+    if let (ValueRef::Int(a), ValueRef::Int(b)) = (l, r) {
+        let exact = match op {
+            BinOp::Add => a.checked_add(b),
+            _ => a.checked_sub(b),
+        };
+        return exact.map(Value::Int).ok_or_else(overflow);
     }
-    match (l, r) {
-        (ValueRef::Int(a), ValueRef::Int(b)) => {
-            match op {
-                BinOp::Add => a.checked_add(b).map(Value::Int).ok_or_else(overflow),
-                BinOp::Sub => a.checked_sub(b).map(Value::Int).ok_or_else(overflow),
-                BinOp::Mul => a.checked_mul(b).map(Value::Int).ok_or_else(overflow),
-                BinOp::Div => {
-                    if b == 0 {
-                        Err(SqlError::new(SqlCode::ARITHMETIC, "division by zero"))
-                    } else {
-                        // i64::MIN / -1 is the one quotient outside i64.
-                        a.checked_div(b).map(Value::Int).ok_or_else(overflow)
-                    }
-                }
-                BinOp::Mod => {
-                    if b == 0 {
-                        Err(SqlError::new(SqlCode::ARITHMETIC, "division by zero"))
-                    } else {
-                        Ok(Value::Int(a.wrapping_rem(b)))
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        _ => {
-            let a = to_f64(l)?;
-            let b = to_f64(r)?;
-            match op {
-                BinOp::Add => Ok(Value::Double(a + b)),
-                BinOp::Sub => Ok(Value::Double(a - b)),
-                BinOp::Mul => Ok(Value::Double(a * b)),
-                BinOp::Div => {
-                    if b == 0.0 {
-                        Err(SqlError::new(SqlCode::ARITHMETIC, "division by zero"))
-                    } else {
-                        Ok(Value::Double(a / b))
-                    }
-                }
-                BinOp::Mod => {
-                    if b == 0.0 {
-                        Err(SqlError::new(SqlCode::ARITHMETIC, "division by zero"))
-                    } else {
-                        Ok(Value::Double(a % b))
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
+    let (a, b) = (to_f64(l)?, to_f64(r)?);
+    Ok(Value::Double(match op {
+        BinOp::Add => a + b,
+        _ => a - b,
+    }))
 }
 
 fn to_f64(v: ValueRef<'_>) -> SqlResult<f64> {
@@ -560,7 +415,7 @@ mod tests {
     fn eval_str(expr_sql: &str) -> SqlResult<Value> {
         let stmt = parse(&format!("SELECT {expr_sql}")).unwrap();
         let Statement::Select(s) = stmt else { panic!() };
-        let SelectItem::Expr { expr, .. } = &s.items[0] else {
+        let SelectItem::Expr(expr) = &s.items[0] else {
             panic!()
         };
         eval(expr, RowRef::EMPTY, &[], &NoAggregates)
@@ -568,34 +423,19 @@ mod tests {
 
     #[test]
     fn arithmetic_and_precedence() {
-        assert_eq!(eval_str("2 + 3 * 4").unwrap(), Value::Int(14));
-        assert_eq!(eval_str("(2 + 3) * 4").unwrap(), Value::Int(20));
-        assert_eq!(eval_str("7 / 2").unwrap(), Value::Int(3));
-        assert_eq!(eval_str("7.0 / 2").unwrap(), Value::Double(3.5));
-        assert_eq!(eval_str("7 % 3").unwrap(), Value::Int(1));
+        assert_eq!(eval_str("2 + 3 - 4").unwrap(), Value::Int(1));
+        assert_eq!(eval_str("2 - (3 + 4)").unwrap(), Value::Int(-5));
+        assert_eq!(eval_str("7.5 - 2").unwrap(), Value::Double(5.5));
         assert_eq!(eval_str("-5").unwrap(), Value::Int(-5));
-    }
-
-    #[test]
-    fn division_by_zero_is_sqlcode_802() {
-        let err = eval_str("1 / 0").unwrap_err();
+        assert_eq!(eval_str("1 + 1 = 2").unwrap(), Value::Int(1));
+        let err = eval_str("9223372036854775807 + 1").unwrap_err();
         assert_eq!(err.code, SqlCode::ARITHMETIC);
-        assert!(eval_str("1.5 / 0").is_err());
     }
 
     #[test]
     fn null_propagation() {
         assert_eq!(eval_str("NULL + 1").unwrap(), Value::Null);
-        assert_eq!(eval_str("NULL || 'x'").unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn concat() {
-        assert_eq!(
-            eval_str("'foo' || 'bar'").unwrap(),
-            Value::Text("foobar".into())
-        );
-        assert_eq!(eval_str("'n=' || 42").unwrap(), Value::Text("n=42".into()));
+        assert_eq!(eval_str("1 - NULL").unwrap(), Value::Null);
     }
 
     #[test]
@@ -613,7 +453,6 @@ mod tests {
         assert_eq!(eval_str("1 IS NOT NULL").unwrap(), Value::Int(1));
         assert_eq!(eval_str("2 IN (1, 2, 3)").unwrap(), Value::Int(1));
         assert_eq!(eval_str("5 NOT IN (1, 2, 3)").unwrap(), Value::Int(1));
-        assert_eq!(eval_str("2 BETWEEN 1 AND 3").unwrap(), Value::Int(1));
     }
 
     #[test]
@@ -661,7 +500,7 @@ mod tests {
     fn params_bound_positionally() {
         let stmt = parse("SELECT ? + ?").unwrap();
         let Statement::Select(s) = stmt else { panic!() };
-        let SelectItem::Expr { expr, .. } = &s.items[0] else {
+        let SelectItem::Expr(expr) = &s.items[0] else {
             panic!()
         };
         let v = eval(

@@ -6,10 +6,12 @@
 //! engine with the same observable surface exercises the identical gateway
 //! code paths. MiniSQL provides:
 //!
-//! * a SQL-92 subset: single-table `SELECT` (`WHERE` with 3-valued logic, `LIKE`,
-//!   `GROUP BY`/`HAVING`, aggregates, `ORDER BY`, `LIMIT`/`FETCH FIRST`),
-//!   `INSERT … VALUES`, `UPDATE`, `CREATE TABLE`, `CREATE`/`DROP INDEX`,
-//!   `BEGIN`/`COMMIT`/`ROLLBACK`;
+//! * the SQL the gateway's macros send, and little more: single-table
+//!   `SELECT` (`WHERE` with 3-valued logic, `LIKE`, `IN`, `CASE`, `+`/`-`,
+//!   ungrouped `COUNT(*)` and `SUM`, `ORDER BY`, `LIMIT`/`OFFSET`/`FETCH
+//!   FIRST`), `INSERT … VALUES`, `UPDATE`, `CREATE TABLE`, `CREATE`/`DROP
+//!   INDEX`, `BEGIN`/`COMMIT`/`ROLLBACK`; every other form it knows is
+//!   refused at parse time with `-104`;
 //! * typed, append-only storage with NULLs, PRIMARY KEY / UNIQUE / NOT NULL
 //!   constraints;
 //! * B-tree-ordered secondary indexes used automatically for equality, range,
@@ -40,7 +42,6 @@ pub mod analyze;
 pub mod ast;
 pub mod cache;
 pub mod checkpoint;
-pub mod date;
 pub mod db;
 pub mod error;
 pub mod eval;

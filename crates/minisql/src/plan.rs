@@ -14,6 +14,8 @@
 //!   scan, where an index may serve it; one naming no column, or one the
 //!   planner cannot classify (an unknown column, an aggregate), runs on the
 //!   scanned rows as the residual filter.
+//! * **Fold** — an aggregate in the SELECT list or ORDER BY folds the
+//!   filtered rows into one row.
 //! * **Top-k ORDER BY** — `ORDER BY … LIMIT k [OFFSET o]` keeps a bounded
 //!   heap of `k + o` rows instead of sorting the full result.
 //!
@@ -21,7 +23,7 @@
 //! it, so plan choices can change performance but never results — the
 //! property suite in `tests/planner_equivalence.rs` exercises this.
 
-use crate::ast::{BinOp, ColumnRef, Expr, Select, TableRef};
+use crate::ast::{BinOp, ColumnRef, Expr, Select};
 use crate::eval::Bindings;
 use crate::index::Index;
 use crate::like::Pattern;
@@ -72,8 +74,7 @@ impl PlanOptions {
 /// Tests and benches call [`reset_thread_stats`] before a query and
 /// [`thread_stats`] after to assert plan behavior (e.g. that an index probe
 /// does not scan the whole heap). The executor only ever
-/// adds; it never resets, so a compound SELECT's branches accumulate into
-/// the same counters.
+/// adds; it never resets.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStats {
     /// Rows fetched from heaps (probe candidates + full-scan rows).
@@ -104,7 +105,7 @@ pub(crate) fn record(f: impl FnOnce(&mut PlanStats)) {
 pub(crate) enum Keys {
     /// `col = v`, or `col LIKE 'v'` with no wildcard in the pattern.
     Eq(Value),
-    /// `col <, <=, >, >= v`, or `col BETWEEN lo AND hi`.
+    /// `col <, <=, >, >= v`.
     Range(Bound<Value>, Bound<Value>),
     /// `col LIKE 'p%…'`: text keys starting with the literal prefix `p`.
     Prefix(String),
@@ -120,21 +121,20 @@ pub(crate) struct Sargable<'a> {
     /// Its ordinal in the table's schema.
     pub ordinal: usize,
     /// The rows the comparison keeps, as index keys; `None` when it keeps
-    /// no row (a comparison with NULL, an IN list with no non-NULL item, an
-    /// inverted BETWEEN).
+    /// no row (a comparison with NULL, an IN list with no non-NULL item).
     pub keys: Option<Keys>,
-    /// `<>`, `NOT IN`, `NOT BETWEEN`, `NOT LIKE`: the conjunct keeps the rows
+    /// `<>`, `NOT IN`, `NOT LIKE`: the conjunct keeps the rows
     /// `keys` does not (when there are keys); no index serves them.
     pub negated: bool,
 }
 
-/// The column `expr` names if it is a bare reference to the table `effective`.
-pub(crate) fn column_of<'a>(expr: &'a Expr, effective: &str) -> Option<&'a ColumnRef> {
+/// The column `expr` names if it is a bare reference to the table `table`.
+fn column_of<'a>(expr: &'a Expr, table: &str) -> Option<&'a ColumnRef> {
     match expr {
         Expr::Column(c)
             if c.table
                 .as_ref()
-                .is_none_or(|t| t.eq_ignore_ascii_case(effective)) =>
+                .is_none_or(|t| t.eq_ignore_ascii_case(table)) =>
         {
             Some(c)
         }
@@ -142,18 +142,18 @@ pub(crate) fn column_of<'a>(expr: &'a Expr, effective: &str) -> Option<&'a Colum
     }
 }
 
-/// Read `conj` as "column op constant" over the table `effective` names:
-/// the one normalizer behind the access-path choice. Constant operands are folded with
-/// [`crate::exec::const_value`], so `b = 'k' || '1'` reads as `b = 'k1'`.
-/// `None` when the conjunct is not such a comparison.
+/// Read `conj` as "column op constant" over `table`: the one normalizer
+/// behind the access-path choice. Constant operands are folded with
+/// [`crate::exec::const_value`], so `b = 2 - 1` reads as `b = 1`. `None`
+/// when the conjunct is not such a comparison.
 pub(crate) fn sargable<'a>(
     conj: &'a Expr,
-    effective: &str,
+    table: &str,
     schema: &TableSchema,
     params: &[Value],
 ) -> Option<Sargable<'a>> {
     let column = |e: &'a Expr| {
-        let c = column_of(e, effective)?;
+        let c = column_of(e, table)?;
         Some((c, schema.column_index(&c.column)?))
     };
     let konst = |e: &Expr| crate::exec::const_value(e, params);
@@ -211,22 +211,6 @@ pub(crate) fn sargable<'a>(
                 _ => return None,
             };
             (col, keys, *negated)
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            let col = column(expr)?;
-            let (lo, hi) = (konst(lo)?, konst(hi)?);
-            // NULL or inverted bounds keep no row; negated, they keep some.
-            let empty = lo.is_null() || hi.is_null() || lo.order_key(&hi).is_gt();
-            if empty && *negated {
-                return None;
-            }
-            let range = Keys::Range(Bound::Included(lo), Bound::Included(hi));
-            (col, (!empty).then_some(range), *negated)
         }
         Expr::InList {
             expr,
@@ -322,19 +306,19 @@ impl<'a> ScanPlan<'a> {
     /// scan is the reference full scan.
     pub(crate) fn new(
         state: &'a DbState,
-        table: &'a TableRef,
+        table: &'a str,
         filters: Vec<&'a Expr>,
         params: &[Value],
         opts: &PlanOptions,
     ) -> ScanPlan<'a> {
         // Unknown tables error in the FROM-clause scope, before planning.
-        let data = state.table(&table.name).ok();
+        let data = state.table(table).ok();
         let choose = |conj: &&'a Expr| {
             let data = data?;
-            let s = sargable(conj, table.effective_name(), &data.schema, params)?;
+            let s = sargable(conj, table, &data.schema, params)?;
             if s.keys.is_none() {
                 return Some(AccessPath::Empty {
-                    table: &table.name,
+                    table,
                     column: s.column,
                 });
             }
@@ -342,7 +326,7 @@ impl<'a> ScanPlan<'a> {
                 return None;
             }
             Some(AccessPath::Probe {
-                index: state.index_on(&table.name, s.ordinal)?,
+                index: state.index_on(table, s.ordinal)?,
                 column: s.column,
                 keys: s.keys?,
             })
@@ -353,7 +337,7 @@ impl<'a> ScanPlan<'a> {
             None
         };
         let access = chosen.unwrap_or(AccessPath::FullScan {
-            table: &table.name,
+            table,
             rows: data.map_or(0, |d| d.heap.len()),
         });
         ScanPlan { filters, access }
@@ -371,9 +355,9 @@ pub(crate) struct SelectPlan<'a> {
     pub residual: Vec<&'a Expr>,
     /// `ORDER BY` bound: keep only the best `offset + limit` rows.
     pub topk: Option<usize>,
-    /// The query runs through grouping: GROUP BY, or an aggregate in the
-    /// SELECT list, HAVING or ORDER BY.
-    pub grouped: bool,
+    /// An aggregate in the SELECT list or ORDER BY folds the filtered rows
+    /// into one row.
+    pub aggregate: bool,
 }
 
 /// Split a conjunction into its AND-ed parts.
@@ -428,7 +412,7 @@ pub(crate) fn plan_select<'a>(
     }
     let mut plan = SelectPlan {
         topk: topk_bound(sel, opts),
-        grouped: !sel.group_by.is_empty() || sel.group_exprs().any(Expr::contains_aggregate),
+        aggregate: sel.aggregate_exprs().any(Expr::contains_aggregate),
         ..SelectPlan::default()
     };
     let Some(table) = &sel.from else {
@@ -442,9 +426,8 @@ pub(crate) fn plan_select<'a>(
     plan
 }
 
-/// The ORDER BY bound of `sel` (a single SELECT or a compound's hoisted
-/// tail): keep only the best `offset + limit` rows.
-pub(crate) fn topk_bound(sel: &Select, opts: &PlanOptions) -> Option<usize> {
+/// The ORDER BY bound of `sel`: keep only the best `offset + limit` rows.
+fn topk_bound(sel: &Select, opts: &PlanOptions) -> Option<usize> {
     if opts.topk && !sel.order_by.is_empty() {
         sel.limit.map(|l| l.saturating_add(sel.offset.unwrap_or(0)))
     } else {

@@ -26,7 +26,9 @@
 //!
 //! Row replay bypasses index maintenance entirely; one
 //! [`DbState::rebuild_indexes`] pass at the end re-derives every index from
-//! its heap. An error in that pass, a DDL record that fails to apply, or a
+//! its heap. An error in that pass, a DDL record that does not parse (such
+//! as a `CREATE TABLE` with a DATE column, a type earlier versions had) or
+//! fails to apply, or a
 //! row op for a table no CREATE made or at an id past the table's next one
 //! means the log is corrupt beyond a torn tail, and recovery refuses to
 //! open the database rather than serve from a half-replayed state.
@@ -118,7 +120,14 @@ fn replay_op(state: &mut DbState, op: &WalOp) -> SqlResult<()> {
             t.version += 1;
         }
         WalOp::Ddl { sql } => {
-            let stmt = parse(sql)?;
+            // A DDL record this version cannot parse (a DATE column, say)
+            // was written whole: the log is not one this version can open.
+            let stmt = parse(sql).map_err(|e| {
+                corrupt(format!(
+                    "wal: DDL record {sql:?} does not parse: {}",
+                    e.message
+                ))
+            })?;
             let already_applied = match &stmt {
                 Statement::CreateTable { name, .. } => {
                     state.tables.contains_key(&name.to_ascii_lowercase())

@@ -56,7 +56,6 @@ const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
 const TAG_DOUBLE: u8 = 2;
 const TAG_TEXT: u8 = 3;
-const TAG_DATE: u8 = 4;
 
 /// A row's insertion ordinal within one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,7 +97,6 @@ impl<'a> RowRef<'a> {
         match self.cells[at] {
             TAG_INT => ValueRef::Int(i64::from_le_bytes(payload)),
             TAG_DOUBLE => ValueRef::Double(f64::from_bits(u64::from_le_bytes(payload))),
-            TAG_DATE => ValueRef::Date(i64::from_le_bytes(payload)),
             TAG_TEXT => {
                 let (start, len) = text_span(payload);
                 ValueRef::Text(&self.text[start..start + len])
@@ -155,7 +153,6 @@ fn encode<'v>(
             ValueRef::Null => (TAG_NULL, 0u64),
             ValueRef::Int(i) => (TAG_INT, i as u64),
             ValueRef::Double(d) => (TAG_DOUBLE, d.to_bits()),
-            ValueRef::Date(d) => (TAG_DATE, d as u64),
             ValueRef::Text(t) => {
                 let start = u32::try_from(text.len() - text_start).expect("a row under 4 GiB");
                 let len = u32::try_from(t.len()).expect("a text under 4 GiB");
@@ -529,7 +526,6 @@ mod tests {
             Value::Double(-0.5),
             Value::Text("héllo".into()),
             Value::Text(String::new()),
-            Value::Date(19_000),
             Value::Text("x".into()),
         ];
         let record = Record::new(&values);

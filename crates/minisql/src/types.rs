@@ -20,8 +20,6 @@ pub enum SqlType {
     Double,
     /// Variable-length character data (`VARCHAR(n)`, `CHAR(n)`, `TEXT`).
     Varchar,
-    /// Calendar date (`DATE`), stored as days since 1970-01-01.
-    Date,
 }
 
 impl fmt::Display for SqlType {
@@ -30,7 +28,6 @@ impl fmt::Display for SqlType {
             SqlType::Integer => write!(f, "INTEGER"),
             SqlType::Double => write!(f, "DOUBLE"),
             SqlType::Varchar => write!(f, "VARCHAR"),
-            SqlType::Date => write!(f, "DATE"),
         }
     }
 }
@@ -46,8 +43,6 @@ pub enum Value {
     Double(f64),
     /// Character string.
     Text(String),
-    /// Calendar date, days since 1970-01-01.
-    Date(i64),
 }
 
 /// Result of a three-valued-logic predicate.
@@ -118,7 +113,6 @@ impl Value {
             Value::Int(_) => Some(SqlType::Integer),
             Value::Double(_) => Some(SqlType::Double),
             Value::Text(_) => Some(SqlType::Varchar),
-            Value::Date(_) => Some(SqlType::Date),
         }
     }
 
@@ -135,13 +129,6 @@ impl Value {
             (v @ Value::Text(_), SqlType::Varchar) => Ok(v),
             (Value::Int(i), SqlType::Double) => Ok(Value::Double(i as f64)),
             (Value::Double(d), SqlType::Integer) if d.fract() == 0.0 => Ok(Value::Int(d as i64)),
-            (v @ Value::Date(_), SqlType::Date) => Ok(v),
-            // DB2 accepted string literals for DATE columns.
-            (Value::Text(t), SqlType::Date) => {
-                crate::date::parse_date(&t).map(Value::Date).ok_or_else(|| {
-                    SqlError::type_mismatch(format!("'{t}' is not a DATE (want YYYY-MM-DD)"))
-                })
-            }
             (other, ty) => Err(SqlError::type_mismatch(format!(
                 "cannot store {other} into {ty} column"
             ))),
@@ -155,7 +142,6 @@ impl Value {
             Value::Int(i) => ValueRef::Int(*i),
             Value::Double(d) => ValueRef::Double(*d),
             Value::Text(t) => ValueRef::Text(t),
-            Value::Date(d) => ValueRef::Date(*d),
         }
     }
 
@@ -241,8 +227,6 @@ pub enum ValueRef<'a> {
     Double(f64),
     /// Character string.
     Text(&'a str),
-    /// Calendar date, days since 1970-01-01.
-    Date(i64),
 }
 
 /// 2^63 as a double: the doubles at or above it exceed every `i64`, and
@@ -284,7 +268,6 @@ impl<'a> ValueRef<'a> {
             ValueRef::Int(i) => Value::Int(i),
             ValueRef::Double(d) => Value::Double(d),
             ValueRef::Text(t) => Value::Text(t.to_owned()),
-            ValueRef::Date(d) => Value::Date(d),
         }
     }
 
@@ -314,7 +297,6 @@ impl<'a> ValueRef<'a> {
             }
             (ValueRef::Double(a), ValueRef::Double(b)) => a.partial_cmp(&b),
             (ValueRef::Text(a), ValueRef::Text(b)) => Some(a.cmp(b)),
-            (ValueRef::Date(a), ValueRef::Date(b)) => Some(a.cmp(&b)),
             _ => None,
         }
     }
@@ -327,8 +309,7 @@ impl<'a> ValueRef<'a> {
             match v {
                 ValueRef::Null => 0,
                 ValueRef::Int(_) | ValueRef::Double(_) => 1,
-                ValueRef::Date(_) => 2,
-                ValueRef::Text(_) => 3,
+                ValueRef::Text(_) => 2,
             }
         }
         match (self, rhs) {
@@ -358,7 +339,6 @@ impl<'a> ValueRef<'a> {
             ValueRef::Int(i) => write!(out, "{i}"),
             ValueRef::Double(d) => write_double(d, out),
             ValueRef::Text(t) => out.write_str(t),
-            ValueRef::Date(d) => out.write_str(&crate::date::format_date(d)),
         };
     }
 
@@ -382,9 +362,9 @@ impl<'a> From<&'a Value> for ValueRef<'a> {
 }
 
 impl PartialEq for ValueRef<'_> {
-    /// Structural equality used by DISTINCT, GROUP BY, set operations and
-    /// index maintenance: [`ValueRef::compare`]'s `Equal`, except that NULL
-    /// equals NULL and NaN equals NaN, so that this is an equivalence.
+    /// Structural equality used by index maintenance and result
+    /// comparisons: [`ValueRef::compare`]'s `Equal`, except that NULL equals
+    /// NULL and NaN equals NaN, so that this is an equivalence.
     fn eq(&self, other: &Self) -> bool {
         match (*self, *other) {
             (ValueRef::Null, ValueRef::Null) => true,
@@ -420,10 +400,6 @@ impl std::hash::Hash for ValueRef<'_> {
                 2u8.hash(state);
                 t.hash(state);
             }
-            ValueRef::Date(d) => {
-                3u8.hash(state);
-                d.hash(state);
-            }
         }
     }
 }
@@ -435,7 +411,6 @@ impl fmt::Display for ValueRef<'_> {
             ValueRef::Int(i) => write!(f, "{i}"),
             ValueRef::Double(d) => write_double(d, f),
             ValueRef::Text(t) => write!(f, "'{t}'"),
-            ValueRef::Date(d) => write!(f, "DATE '{}'", crate::date::format_date(d)),
         }
     }
 }

@@ -21,6 +21,9 @@
 //! ```
 //!
 //! Tag 3 was a Delete; rows are no longer removed, so no tag-3 op decodes.
+//! A row's values carry tags 0 (NULL), 1 (integer), 2 (double) and 3
+//! (text); tag 4 was a DATE, which no longer exists, so a row holding one
+//! does not decode either.
 //! The checksum (FNV-1a over the payload) makes torn tails detectable:
 //! recovery truncates at the first record whose frame is short or whose
 //! checksum mismatches, which is exactly the prefix the log had made durable.
@@ -140,10 +143,6 @@ fn put_value(buf: &mut Vec<u8>, v: ValueRef<'_>) {
             buf.push(3);
             put_str(buf, s);
         }
-        ValueRef::Date(d) => {
-            buf.push(4);
-            buf.extend_from_slice(&d.to_le_bytes());
-        }
     }
 }
 
@@ -230,7 +229,7 @@ impl<'a> Cursor<'a> {
             1 => ValueRef::Int(self.i64()?),
             2 => ValueRef::Double(f64::from_bits(self.u64()?)),
             3 => ValueRef::Text(self.str()?),
-            4 => ValueRef::Date(self.i64()?),
+            // 4 was a DATE value, which no longer exists.
             _ => return None,
         })
     }
@@ -549,7 +548,6 @@ mod tests {
                     Value::Int(-7),
                     Value::Double(1.5),
                     Value::Text("quote ' and \u{1F980}".into()),
-                    Value::Date(9_131),
                 ]),
             },
             WalOp::Update {

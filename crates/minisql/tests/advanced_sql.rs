@@ -1,9 +1,9 @@
-//! Integration tests for the richer SQL surface: set operations, EXPLAIN,
-//! expression positions, the refusal of the forms minisql does not support
-//! (joins, subqueries, scalar functions, window functions, and every
-//! statement that would remove a row or a table) and DB2's
-//! SQLCODEs for overflow, grouping and the DATE range — everything exercised
-//! through the full text → parse → plan → execute path.
+//! Integration tests for EXPLAIN, access paths, aggregates, the refusal of
+//! the forms minisql does not support (joins, subqueries, scalar and window
+//! functions, every statement that would remove a row or a table, and the
+//! grouping, set operations, aliases and operators the system never sends)
+//! and DB2's SQLCODEs for overflow and ungrouped columns — everything
+//! exercised through the full text → parse → plan → execute path.
 
 use minisql::{Database, ExecResult, SqlCode, Value};
 
@@ -38,53 +38,26 @@ fn texts(db: &Database, sql: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Set operations
+// Set operations: refused at parse time
 // ---------------------------------------------------------------------------
-
-#[test]
-fn union_dedups_union_all_does_not() {
-    let db = db();
-    let distinct = texts(
-        &db,
-        "SELECT region FROM customers UNION SELECT region FROM customers ORDER BY 1",
-    );
-    assert_eq!(distinct, vec!["east", "north", "west"]);
-    let all = texts(
-        &db,
-        "SELECT region FROM customers UNION ALL SELECT region FROM customers",
-    );
-    assert_eq!(all.len(), 8);
-}
 
 #[test]
 fn except_and_intersect() {
     let db = db();
-    assert_eq!(
-        texts(
-            &db,
-            "SELECT custid FROM customers EXCEPT SELECT custid FROM orders ORDER BY 1"
+    let mut conn = db.connect();
+    for (sql, message) in [
+        (
+            "SELECT custid FROM customers EXCEPT SELECT custid FROM orders ORDER BY 1",
+            "EXCEPT is not supported",
         ),
-        vec!["4"]
-    );
-    assert_eq!(
-        texts(
-            &db,
-            "SELECT custid FROM customers INTERSECT SELECT custid FROM orders ORDER BY 1"
+        (
+            "SELECT custid FROM customers INTERSECT SELECT custid FROM orders ORDER BY 1",
+            "INTERSECT is not supported",
         ),
-        vec!["1", "2", "3"]
-    );
-}
-
-#[test]
-fn union_order_by_applies_to_whole() {
-    let db = db();
-    let got = texts(
-        &db,
-        "SELECT name FROM customers WHERE region = 'west' \
-         UNION SELECT name FROM customers WHERE region = 'east' \
-         ORDER BY name DESC LIMIT 2",
-    );
-    assert_eq!(got, vec!["Cyn", "Bob"]);
+    ] {
+        let err = conn.execute(sql).unwrap_err();
+        assert_eq!((err.code, err.message.as_str()), (SqlCode::SYNTAX, message));
+    }
 }
 
 #[test]
@@ -103,107 +76,6 @@ fn interior_order_by_rejected() {
     assert!(conn
         .execute("SELECT name FROM customers ORDER BY 1 UNION SELECT name FROM customers")
         .is_err());
-}
-
-/// Two one-column tables for the compound tail: `t` holds 5, 1, 4 and `u`
-/// holds 3, 2.
-fn compound_db() -> Database {
-    let db = Database::new();
-    db.run_script(
-        "CREATE TABLE t (a INTEGER); CREATE TABLE u (a INTEGER);
-         INSERT INTO t VALUES (5), (1), (4);
-         INSERT INTO u VALUES (3), (2);",
-    )
-    .unwrap();
-    db
-}
-
-#[test]
-fn compound_tail_runs_and_explains_once_after_the_branches() {
-    let db = compound_db();
-    for (sql, want) in [
-        (
-            "SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a LIMIT 2",
-            vec!["1", "2"],
-        ),
-        (
-            "SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY 1 DESC LIMIT 2 OFFSET 1",
-            vec!["4", "3"],
-        ),
-        (
-            "SELECT a AS x FROM t UNION SELECT a FROM u ORDER BY x LIMIT 5 OFFSET 3",
-            vec!["4", "5"],
-        ),
-    ] {
-        assert_eq!(texts(&db, sql), want, "{sql}");
-    }
-    let plan = texts(
-        &db,
-        "EXPLAIN SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a LIMIT 2",
-    );
-    // The branches are indented under the SET OPERATION line; the tail runs
-    // once, over the combined rows, and prints at the compound's level.
-    let n = plan.len();
-    assert_eq!(plan[0], "SET OPERATION (2 branches)", "{plan:?}");
-    assert_eq!(plan[n - 2], "TOP-K SORT (1 keys, k=2)", "{plan:?}");
-    assert_eq!(plan[n - 1], "LIMIT 2", "{plan:?}");
-    assert!(
-        plan[1..n - 2].iter().all(|l| l.starts_with("  ")),
-        "{plan:?}"
-    );
-    assert!(
-        !plan[1..n - 2]
-            .iter()
-            .any(|l| l.contains("SORT") || l.contains("LIMIT")),
-        "{plan:?}"
-    );
-    // Without LIMIT the sort is a full sort; EXPLAIN ANALYZE attributes the
-    // tail's actuals to it.
-    let plan = texts(
-        &db,
-        "EXPLAIN ANALYZE SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a DESC",
-    );
-    let sort = plan.iter().find(|l| l.starts_with("SORT (1 keys)"));
-    assert!(
-        sort.is_some_and(|l| l.contains("(actual rows=5 in=5")),
-        "{plan:?}"
-    );
-}
-
-#[test]
-fn compound_order_by_keys_resolve_as_a_single_selects_do() {
-    let db = compound_db();
-    let mut conn = db.connect();
-    let message =
-        |conn: &mut minisql::Connection, sql: &str| conn.execute(sql).unwrap_err().to_string();
-    // Out of range: the message a single SELECT gives.
-    let single = message(&mut conn, "SELECT a FROM t ORDER BY 3");
-    let compound = message(
-        &mut conn,
-        "SELECT a FROM t UNION SELECT a FROM u ORDER BY 3",
-    );
-    assert!(
-        compound.contains("ORDER BY position 3 is out of range"),
-        "{compound}"
-    );
-    assert_eq!(compound, single);
-    // Also over no rows at all.
-    let empty = "SELECT a FROM t WHERE a > 9 UNION SELECT a FROM u WHERE a > 9 ORDER BY 3";
-    assert_eq!(message(&mut conn, empty), single);
-    // A name that labels no output column is unknown.
-    let err = conn
-        .execute("SELECT a FROM t UNION SELECT a FROM u ORDER BY b")
-        .unwrap_err();
-    assert_eq!(err.code, SqlCode::UNDEFINED_COLUMN, "{err}");
-    // An expression key still has no source row to read.
-    let err = message(
-        &mut conn,
-        "SELECT a FROM t UNION SELECT a FROM u ORDER BY a + 1",
-    );
-    assert!(
-        err.contains("must use output column names or positions"),
-        "{err}"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -242,15 +114,30 @@ fn explain_describes_operators() {
     let db = db();
     let plan = texts(
         &db,
-        "EXPLAIN SELECT custid, COUNT(*) FROM orders \
-         WHERE amount > 1 GROUP BY custid HAVING COUNT(*) > 0 ORDER BY 2 LIMIT 3",
+        "EXPLAIN SELECT COUNT(*), SUM(amount) FROM orders WHERE amount > 1 ORDER BY 2 LIMIT 3",
     );
-    let joined = plan.join("\n");
-    assert!(joined.contains("FILTER <where>"), "{joined}");
-    assert!(joined.contains("AGGREGATE (group keys: 1)"), "{joined}");
-    assert!(joined.contains("FILTER <having>"), "{joined}");
-    assert!(joined.contains("TOP-K SORT (1 keys, k=3)"), "{joined}");
-    assert!(joined.contains("LIMIT 3"), "{joined}");
+    assert_eq!(
+        plan,
+        [
+            "FULL SCAN orders (4 rows)",
+            "FILTER <where>",
+            "AGGREGATE",
+            "TOP-K SORT (1 keys, k=3)",
+            "LIMIT 3",
+        ]
+    );
+    let plan = texts(
+        &db,
+        "EXPLAIN SELECT custid FROM orders ORDER BY 1 LIMIT 2 OFFSET 1",
+    );
+    assert_eq!(
+        plan,
+        [
+            "FULL SCAN orders (4 rows)",
+            "TOP-K SORT (1 keys, k=3)",
+            "LIMIT 2 OFFSET 1"
+        ]
+    );
 }
 
 #[test]
@@ -265,11 +152,12 @@ fn explain_does_not_execute_dml() {
 #[test]
 fn explain_set_operation() {
     let db = db();
-    let plan = texts(
-        &db,
-        "EXPLAIN SELECT custid FROM customers UNION SELECT custid FROM orders",
-    );
-    assert!(plan[0].contains("SET OPERATION (2 branches)"), "{plan:?}");
+    let err = db
+        .connect()
+        .execute("EXPLAIN SELECT custid FROM customers UNION SELECT custid FROM orders")
+        .unwrap_err();
+    assert_eq!(err.code, SqlCode::SYNTAX, "{err:?}");
+    assert_eq!(err.message, "UNION is not supported");
 }
 
 // ---------------------------------------------------------------------------
@@ -310,20 +198,26 @@ fn explain_analyze_aggregate_having_and_limit() {
     let db = db();
     let plan = texts(
         &db,
-        "EXPLAIN ANALYZE SELECT region, COUNT(*) FROM customers \
-         GROUP BY region HAVING COUNT(*) > 1 LIMIT 5",
+        "EXPLAIN ANALYZE SELECT COUNT(*) FROM customers WHERE region = 'west' LIMIT 5",
     );
     let joined = plan.join("\n");
-    // 4 customers collapse into 3 regions; only 'west' has more than one.
+    // Two of the 4 customers are in 'west'; the fold leaves one row.
     assert!(
-        joined.contains("AGGREGATE (group keys: 1) (actual rows=3 in=4"),
+        joined.contains("FULL SCAN customers (4 rows) (actual rows=2 in=4"),
         "{joined}"
     );
     assert!(
-        joined.contains("FILTER <having> (actual rows=1 in=3 loops=3"),
+        joined.contains("AGGREGATE (actual rows=1 in=2 loops=1"),
         "{joined}"
     );
     assert!(joined.contains("LIMIT 5 (actual rows=1 in=1"), "{joined}");
+    // HAVING is refused, EXPLAIN ANALYZE of it too.
+    let err = db
+        .connect()
+        .execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM customers HAVING COUNT(*) > 1")
+        .unwrap_err();
+    assert_eq!(err.code, SqlCode::SYNTAX, "{err:?}");
+    assert_eq!(err.message, "HAVING is not supported");
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +239,7 @@ fn access_db() -> Database {
 #[test]
 fn null_comparisons_scan_nothing_and_explain_says_so() {
     let db = access_db();
-    for pred in ["a = NULL", "a BETWEEN NULL AND 5"] {
+    for pred in ["a = NULL", "a >= NULL", "a IN (NULL)"] {
         let plan = texts(
             &db,
             &format!("EXPLAIN ANALYZE SELECT * FROM t WHERE {pred}"),
@@ -380,23 +274,18 @@ fn exact_like_pattern_prints_an_equality_probe() {
     assert_eq!(rows(&db, "SELECT a FROM t WHERE b LIKE 'k1'").len(), 4);
 }
 
+/// A constant operand is folded before the access path is chosen, so it
+/// plans as its literal does.
 #[test]
 fn folded_constant_gets_the_literal_estimate() {
     let db = access_db();
-    let folded = texts(&db, "EXPLAIN SELECT * FROM t WHERE b = 'k' || '1'");
+    let folded = texts(
+        &db,
+        "EXPLAIN SELECT * FROM t WHERE b = CASE WHEN 1 = 1 THEN 'k1' ELSE 'k2' END",
+    );
     let literal = texts(&db, "EXPLAIN SELECT * FROM t WHERE b = 'k1'");
     assert_eq!(folded[0], literal[0]);
     assert_eq!(literal[0], "INDEX equality PROBE t_b (b)", "{literal:?}");
-}
-
-#[test]
-fn having_only_aggregate_explains_its_aggregate() {
-    let plan = texts(&access_db(), "EXPLAIN SELECT 1 FROM t HAVING COUNT(*) > 0");
-    assert!(
-        plan.iter()
-            .any(|l| l.starts_with("AGGREGATE (group keys: 0)")),
-        "{plan:?}"
-    );
 }
 
 #[test]
@@ -427,41 +316,6 @@ fn primary_key_update_probes_the_index() {
     assert_eq!(
         rows(&db, "SELECT quantity FROM orders WHERE orderid = 7"),
         vec![vec![Value::Int(5)]]
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Expression positions: aggregates wherever an expression can stand
-// ---------------------------------------------------------------------------
-
-#[test]
-fn distinct_grouped_order_by_reads_each_rows_own_aggregates() {
-    let db = Database::new();
-    db.run_script(
-        "CREATE TABLE t (g INTEGER, g2 INTEGER, x INTEGER);
-         INSERT INTO t VALUES (1, 7, 5), (2, 7, 5), (3, 8, 1), (4, 9, 100);",
-    )
-    .unwrap();
-    // DISTINCT folds the two (7, 5) groups into one row; the sort key of
-    // every later row must still come from that row's own group.
-    let ints = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {
-        (pairs.iter())
-            .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
-            .collect()
-    };
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT DISTINCT g2, SUM(x) FROM t GROUP BY g, g2 ORDER BY SUM(x) + 0"
-        ),
-        ints(&[(8, 1), (7, 5), (9, 100)])
-    );
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT DISTINCT g2, SUM(x) FROM t GROUP BY g, g2 ORDER BY SUM(x) + 0 DESC"
-        ),
-        ints(&[(9, 100), (7, 5), (8, 1)])
     );
 }
 
@@ -632,20 +486,18 @@ fn integer_overflow_raises_802_and_changes_nothing() {
         rows(&db, "SELECT balance FROM acct ORDER BY id"),
         [[Value::Int(100)], [Value::Int(100)]]
     );
-    // SUM of integers that leaves i64; AVG of the same rows is a DOUBLE.
+    // SUM of integers that leaves i64; with a DOUBLE among them it is one.
     conn.execute("INSERT INTO acct VALUES (3, 9223372036854775807)")
         .unwrap();
     overflows(&mut conn, "SELECT SUM(balance) FROM acct");
     assert_eq!(
-        rows(&db, "SELECT AVG(balance) FROM acct"),
-        [[Value::Double((9223372036854775807.0 + 200.0) / 3.0)]]
+        rows(&db, "SELECT SUM(balance + 0.5) FROM acct"),
+        [[Value::Double(9223372036854775807.0 + 201.5)]]
     );
     for sql in [
-        "SELECT -(-9223372036854775807 - 1)",
-        "SELECT DATE '2020-01-01' + 9223372036854775807",
-        "SELECT 9223372036854775807 * 2",
-        "SELECT (-9223372036854775807 - 1) / -1",
-        "SELECT DATE '2020-01-01' - (-9223372036854775807 - 1)",
+        "SELECT -9223372036854775807 - 2",
+        "SELECT 9223372036854775807 + 1",
+        "SELECT 1 - (-9223372036854775807 - 1)",
     ] {
         overflows(&mut conn, sql);
     }
@@ -668,39 +520,37 @@ fn ungrouped_column_raises_122() {
     )
     .unwrap();
     let mut conn = db.connect();
+    // An aggregate folds the rows into one: a column read outside an
+    // aggregate, in the SELECT list or in ORDER BY, would read any of them.
     for sql in [
         "SELECT k, COUNT(*) FROM t",
-        "SELECT k, v FROM t GROUP BY k",
-        "SELECT k + v, COUNT(*) FROM t GROUP BY k",
-        "SELECT * FROM t GROUP BY k",
-        "SELECT k FROM t GROUP BY k HAVING v > 1",
-        "SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY v",
-        "SELECT k + 1 FROM t GROUP BY k + 2",
+        "SELECT k + v, COUNT(*) FROM t",
+        "SELECT *, COUNT(*) FROM t",
+        "SELECT COUNT(*) FROM t ORDER BY v",
+        "SELECT k FROM t ORDER BY SUM(v)",
+        "SELECT SUM(v) + k FROM t WHERE k = 1",
     ] {
         let err = conn.execute(sql).unwrap_err();
         assert_eq!(err.code, SqlCode::GROUPING, "{sql}: {err:?}");
+        assert_eq!(err.code.0, -122, "{sql}");
     }
     let ints = |r: &[&[i64]]| -> Vec<Vec<Value>> {
         (r.iter())
             .map(|row| row.iter().map(|&i| Value::Int(i)).collect())
             .collect()
     };
-    // Keys match by bound slot, expressions by equality; aggregates, output
-    // names and positions read no ungrouped column.
+    // Aggregates, output names and positions read no column outside one.
     for (sql, want) in [
         (
-            "SELECT t.k, COUNT(*) AS n FROM t GROUP BY k ORDER BY n DESC, 1",
-            ints(&[&[1, 2], &[2, 1], &[3, 1]]),
+            "SELECT COUNT(*), SUM(v) FROM t WHERE t.k = 1 ORDER BY 2 DESC, COUNT(*)",
+            ints(&[&[2, 30]]),
         ),
+        ("SELECT SUM(v) - COUNT(*) FROM t", ints(&[&[96]])),
         (
-            "SELECT k + 1, SUM(v) FROM t GROUP BY k + 1 HAVING SUM(v) >= 30 ORDER BY 1",
-            ints(&[&[2, 30], &[3, 30], &[4, 40]]),
+            "SELECT SUM(k) FROM t WHERE v > 100",
+            vec![vec![Value::Null]],
         ),
-        (
-            "SELECT * FROM t GROUP BY k, v HAVING k = 1 ORDER BY v",
-            ints(&[&[1, 10], &[1, 20]]),
-        ),
-        ("SELECT MAX(v) - MIN(v) FROM t", ints(&[&[30]])),
+        ("SELECT COUNT(*) FROM t WHERE v > 100", ints(&[&[0]])),
     ] {
         assert_eq!(rows(&db, sql), want, "{sql}");
     }
@@ -710,40 +560,30 @@ fn ungrouped_column_raises_122() {
 // Prepared LIKE patterns are derived data
 // ---------------------------------------------------------------------------
 
-/// A literal LIKE pattern is prepared when its expression binds. HAVING and
-/// ORDER BY find their aggregate by comparing expressions, so the prepared
-/// copy must compare equal to the unprepared one; EXPLAIN, labels and
-/// results read as before.
+/// A literal LIKE pattern is prepared when its expression binds. ORDER BY
+/// finds its aggregate by comparing expressions, so the prepared copy must
+/// compare equal to the unprepared one; EXPLAIN, labels and results read as
+/// before.
 #[test]
 fn prepared_like_patterns_are_invisible() {
     let db = db();
-    let text = |v: &str| Value::Text(v.into());
     assert_eq!(
         rows(
             &db,
-            "SELECT region, SUM(CASE WHEN name LIKE '%d%' OR name LIKE 'B%' THEN 1 ELSE 0 END) \
-             FROM customers GROUP BY region \
-             HAVING SUM(CASE WHEN name LIKE '%d%' OR name LIKE 'B%' THEN 1 ELSE 0 END) > 0 \
-             ORDER BY region"
+            "SELECT SUM(CASE WHEN name LIKE '%d%' OR name LIKE 'B%' THEN 1 ELSE 0 END) \
+             FROM customers WHERE region = 'west' \
+             ORDER BY SUM(CASE WHEN name LIKE '%d%' OR name LIKE 'B%' THEN 1 ELSE 0 END) DESC"
         ),
-        vec![
-            vec![text("east"), Value::Int(1)],
-            vec![text("west"), Value::Int(1)],
-        ]
+        vec![vec![Value::Int(1)]]
     );
     assert_eq!(
         rows(
             &db,
-            "SELECT region, SUM(CASE WHEN name LIKE '_y%' OR name LIKE 'A%' THEN 1 ELSE 0 END) \
-             FROM customers GROUP BY region \
-             ORDER BY SUM(CASE WHEN name LIKE '_y%' OR name LIKE 'A%' THEN 1 ELSE 0 END) DESC, \
-             region"
+            "SELECT SUM(CASE WHEN name LIKE '_y%' OR name LIKE 'A%' THEN 1 ELSE 0 END) \
+             FROM customers \
+             ORDER BY SUM(CASE WHEN name LIKE '_y%' OR name LIKE 'A%' THEN 1 ELSE 0 END)"
         ),
-        vec![
-            vec![text("west"), Value::Int(2)],
-            vec![text("east"), Value::Int(0)],
-            vec![text("north"), Value::Int(0)],
-        ]
+        vec![vec![Value::Int(2)]]
     );
     let mut conn = db.connect();
     let r = conn
@@ -778,53 +618,161 @@ fn prepared_like_patterns_are_invisible() {
             &db,
             "EXPLAIN SELECT name FROM customers WHERE name LIKE 'B!_b' ESCAPE '!'"
         ),
-        [
-            "INDEX equality PROBE cust_name (name)",
-            "FILTER <where>",
-        ]
+        ["INDEX equality PROBE cust_name (name)", "FILTER <where>",]
     );
 }
 
+/// Every form the system never sends, each refused at parse time with −104
+/// and a message naming it: the same answer over a database holding the
+/// tables and over an empty one, and nothing runs.
 #[test]
-fn date_arithmetic_outside_0001_to_9999_raises_183() {
-    let db = Database::new();
-    let mut conn = db.connect();
-    for sql in [
-        "SELECT CAST(DATE '2000-01-01' + 3000000 AS VARCHAR(30))",
-        "SELECT CAST(DATE '2000-01-01' + 9223372036854000000 AS VARCHAR(30))",
-        "SELECT CAST(DATE '9999-12-31' + 1 AS VARCHAR(30))",
-        "SELECT CAST(DATE '0001-01-01' - 1 AS VARCHAR(30))",
-        "SELECT CAST(1 + DATE '9999-12-31' AS VARCHAR(30))",
-    ] {
-        let err = conn.execute(sql).unwrap_err();
-        assert_eq!(err.code, SqlCode::DATETIME_RANGE, "{sql}: {err:?}");
-    }
-    // Text outside the range is no date: a literal, a CAST and a DATE
-    // column refuse it as they refuse any bad date.
-    for sql in [
-        "SELECT DATE '0000-01-01'",
-        "SELECT DATE '10000-01-01'",
-        "SELECT CAST('0000-12-31' AS DATE)",
-    ] {
-        assert!(conn.execute(sql).is_err(), "{sql}");
-    }
-    conn.execute("CREATE TABLE d (day DATE)").unwrap();
-    assert!(conn
-        .execute("INSERT INTO d VALUES ('10000-01-01')")
-        .is_err());
-    // The edges themselves are in range, and date - date is unchanged.
-    let text = |v: &str| Value::Text(v.into());
-    assert_eq!(
-        rows(
-            &db,
-            "SELECT CAST(DATE '9999-12-31' - 1 AS VARCHAR(30)), \
-             CAST(DATE '0001-01-02' - 1 AS VARCHAR(30)), \
-             DATE '9999-12-31' - DATE '0001-01-01'"
+fn deleted_forms_are_refused_on_empty_and_loaded_databases() {
+    let loaded = db();
+    let empty = Database::new();
+    let cases: &[(&str, &str)] = &[
+        (
+            "SELECT region, COUNT(*) FROM customers GROUP BY region",
+            "GROUP BY is not supported",
         ),
-        [[
-            text("9999-12-30"),
-            text("0001-01-01"),
-            Value::Int(3_652_058)
-        ]]
+        (
+            "SELECT COUNT(*) FROM customers HAVING COUNT(*) > 1",
+            "HAVING is not supported",
+        ),
+        (
+            "SELECT DISTINCT region FROM customers",
+            "DISTINCT is not supported",
+        ),
+        (
+            "SELECT COUNT(name) FROM customers",
+            "COUNT(expression) is not supported",
+        ),
+        (
+            "SELECT COUNT(DISTINCT region) FROM customers",
+            "COUNT(DISTINCT …) is not supported",
+        ),
+        (
+            "SELECT AVG(amount) FROM orders",
+            "aggregate function AVG is not supported",
+        ),
+        (
+            "SELECT MIN(amount) FROM orders",
+            "aggregate function MIN is not supported",
+        ),
+        (
+            "SELECT MAX(amount) FROM orders",
+            "aggregate function MAX is not supported",
+        ),
+        (
+            "SELECT custid FROM customers UNION SELECT custid FROM orders",
+            "UNION is not supported",
+        ),
+        (
+            "SELECT custid FROM customers UNION ALL SELECT custid FROM orders",
+            "UNION ALL is not supported",
+        ),
+        (
+            "SELECT custid FROM customers EXCEPT SELECT custid FROM orders",
+            "EXCEPT is not supported",
+        ),
+        (
+            "SELECT custid FROM customers EXCEPT ALL SELECT custid FROM orders",
+            "EXCEPT ALL is not supported",
+        ),
+        (
+            "SELECT custid FROM customers INTERSECT SELECT custid FROM orders",
+            "INTERSECT is not supported",
+        ),
+        (
+            "SELECT custid FROM customers INTERSECT ALL SELECT custid FROM orders ORDER BY 1",
+            "INTERSECT ALL is not supported",
+        ),
+        (
+            "SELECT customers.* FROM customers",
+            "table.* is not supported",
+        ),
+        (
+            "SELECT name AS n FROM customers",
+            "column aliases are not supported",
+        ),
+        (
+            "SELECT name n FROM customers ORDER BY n",
+            "column aliases are not supported",
+        ),
+        (
+            "SELECT c.name FROM customers c",
+            "table aliases are not supported",
+        ),
+        (
+            "SELECT name FROM customers AS c WHERE custid = 1",
+            "table aliases are not supported",
+        ),
+        (
+            "SELECT name FROM customers WHERE custid BETWEEN 1 AND 2",
+            "BETWEEN is not supported",
+        ),
+        (
+            "SELECT name FROM customers WHERE custid NOT BETWEEN 1 AND 2",
+            "BETWEEN is not supported",
+        ),
+        (
+            "SELECT CAST(custid AS VARCHAR(10)) FROM customers",
+            "CAST is not supported",
+        ),
+        (
+            "SELECT amount * 2 FROM orders",
+            "operator * is not supported",
+        ),
+        (
+            "SELECT amount / 2 FROM orders",
+            "operator / is not supported",
+        ),
+        (
+            "SELECT orderid % 2 FROM orders",
+            "operator % is not supported",
+        ),
+        (
+            "SELECT name || region FROM customers",
+            "operator || is not supported",
+        ),
+        (
+            "UPDATE orders SET amount = amount * 2 WHERE orderid = 100",
+            "operator * is not supported",
+        ),
+        (
+            "SELECT -amount FROM orders",
+            "unary minus on an expression is not supported",
+        ),
+        (
+            "SELECT orderid FROM orders WHERE amount > -(custid + 1)",
+            "unary minus on an expression is not supported",
+        ),
+        ("SELECT DATE '2020-01-01'", "DATE is not supported"),
+        ("CREATE TABLE d (day DATE)", "DATE is not supported"),
+        (
+            "EXPLAIN SELECT DISTINCT region FROM customers",
+            "DISTINCT is not supported",
+        ),
+        (
+            "EXPLAIN ANALYZE SELECT custid FROM orders UNION SELECT custid FROM orders",
+            "UNION is not supported",
+        ),
+    ];
+    for &(sql, message) in cases {
+        let mut errs = vec![minisql::parse(sql).unwrap_err()];
+        for db in [&loaded, &empty] {
+            errs.push(db.connect().execute(sql).unwrap_err());
+            errs.push(db.run_script(sql).unwrap_err());
+        }
+        for err in errs {
+            assert_eq!(err.code, SqlCode::SYNTAX, "{sql}: {err:?}");
+            assert_eq!(err.message, message, "{sql}");
+        }
+    }
+    // Nothing ran: no amount doubled, and no table was created.
+    assert_eq!(
+        rows(&loaded, "SELECT SUM(amount) FROM orders"),
+        [[Value::Double(410.0)]]
     );
+    assert!(empty.pin().tables.is_empty());
+    assert!(loaded.pin().table("d").is_err());
 }

@@ -70,7 +70,7 @@ props! {
             format!("SELECT k, s FROM t WHERE k = {probe_k} ORDER BY 1, 2"),
             format!("SELECT k, s FROM t WHERE k < {probe_k} ORDER BY 1, 2"),
             format!("SELECT k, s FROM t WHERE k >= {probe_k} AND s LIKE '{prefix}%' ORDER BY 1, 2"),
-            format!("SELECT k, s FROM t WHERE k BETWEEN {lo} AND {hi} ORDER BY 1, 2"),
+            format!("SELECT k, s FROM t WHERE k >= {lo} AND k <= {hi} ORDER BY 1, 2"),
             format!("SELECT k, s FROM t WHERE k IN ({lo}, {hi}, {probe_k}) ORDER BY 1, 2"),
             format!("SELECT k, s FROM t WHERE s LIKE '{prefix}%' ORDER BY 1, 2"),
             format!("SELECT k, s FROM t WHERE s = '{prefix}' ORDER BY 1, 2"),
@@ -89,7 +89,7 @@ props! {
         for db in [&indexed, &plain] {
             let mut conn = db.connect();
             conn.execute(&format!("UPDATE t SET k = k + 100 WHERE k = {target}")).unwrap();
-            conn.execute(&format!("UPDATE t SET s = s || 'x' WHERE k = {}", target + 1)).unwrap();
+            conn.execute(&format!("UPDATE t SET s = 'x' WHERE k = {}", target + 1)).unwrap();
         }
         let q = "SELECT k, s FROM t ORDER BY 1, 2";
         prop_assert_eq!(query(&indexed, q), query(&plain, q));
@@ -130,34 +130,14 @@ fn run_opts(state: &DbState, sql: &str, opts: &PlanOptions) -> Vec<Vec<Value>> {
         .rows
 }
 
-/// Canonicalize a result to a sorted multiset (for queries whose output
-/// order is unspecified, e.g. GROUP BY without a total ORDER BY).
-fn canon(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b.iter()) {
-            match x.order_key(y) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        a.len().cmp(&b.len())
-    });
-    rows
-}
-
-/// Assert optimized ≡ baseline for one query. `exact` additionally demands
-/// identical row order: top-k keeps full-sort order, and an index probe
-/// yields a key's rows in the order they entered the index — row-id order
-/// unless an UPDATE moved a row to that key — so a query compared exactly
-/// over rows whose keys change carries an ORDER BY.
-fn assert_plans_agree(state: &DbState, sql: &str, exact: bool) -> Result<(), String> {
+/// Assert optimized ≡ baseline for one query, row order included: top-k
+/// keeps full-sort order, and an index probe yields a key's rows in the
+/// order they entered the index — row-id order unless an UPDATE moved a row
+/// to that key — so a query compared over rows whose keys change carries
+/// an ORDER BY.
+fn assert_plans_agree(state: &DbState, sql: &str) -> Result<(), String> {
     let fast = run_opts(state, sql, &PlanOptions::default());
     let slow = run_opts(state, sql, &PlanOptions::baseline());
-    let (fast, slow) = if exact {
-        (fast, slow)
-    } else {
-        (canon(fast), canon(slow))
-    };
     if fast != slow {
         return Err(format!(
             "plans diverge for {sql}:\n  optimized: {fast:?}\n  baseline:  {slow:?}"
@@ -180,7 +160,7 @@ props! {
             format!("SELECT k, v FROM a ORDER BY k LIMIT {k} OFFSET {off}"),
             format!("SELECT v FROM a ORDER BY 1 LIMIT {k}"),
         ] {
-            if let Err(msg) = assert_plans_agree(&st, &q, true) {
+            if let Err(msg) = assert_plans_agree(&st, &q) {
                 prop_assert_eq!(true, false, "{msg}");
             }
         }
@@ -210,52 +190,30 @@ fn pinned_signed_zeros_are_equal_with_and_without_an_index() {
     }
 }
 
-/// The `x DOUBLE` table of the signed-zero probes: {0.0, −0.0, 1.0, 2.0},
-/// with or without an index on `x`.
-fn signed_zeros(index: &str) -> Database {
-    let db = Database::new();
-    db.run_script(&format!(
-        "CREATE TABLE t (x DOUBLE); {index}
-         INSERT INTO t VALUES (0.0), (-0.0), (1.0), (2.0);"
-    ))
-    .unwrap();
-    db
-}
-
-const INDEXES: [&str; 2] = ["", "CREATE INDEX t_x ON t (x);"];
-
+/// The signed-zero probes that ran inside deleted forms — `COUNT(DISTINCT`,
+/// `GROUP BY`, `DISTINCT` and `UNION` over {0.0, −0.0, 1.0, 2.0} — are each
+/// refused with −104, with and without an index on `x`.
 #[test]
-fn signed_zeros_count_once_in_count_distinct() {
-    for index in INDEXES {
-        let db = signed_zeros(index);
-        let got = query(&db, "SELECT COUNT(DISTINCT x) FROM t");
-        assert_eq!(got, [[Value::Int(3)]], "{index}");
-    }
-}
-
-#[test]
-fn signed_zeros_are_one_group_and_one_distinct_value() {
-    for index in INDEXES {
-        let db = signed_zeros(index);
+fn signed_zero_probes_of_deleted_forms_are_refused() {
+    for index in ["", "CREATE INDEX t_x ON t (x);"] {
+        let db = Database::new();
+        db.run_script(&format!(
+            "CREATE TABLE t (x DOUBLE); {index}
+             INSERT INTO t VALUES (0.0), (-0.0), (1.0), (2.0);"
+        ))
+        .unwrap();
         for sql in [
+            "SELECT COUNT(DISTINCT x) FROM t",
             "SELECT x FROM t GROUP BY x",
             "SELECT x, COUNT(*) FROM t GROUP BY x",
             "SELECT DISTINCT x FROM t",
+            "SELECT COUNT(*) FROM t GROUP BY x ORDER BY 1 DESC",
+            "SELECT x FROM t WHERE x = 0 UNION SELECT x FROM t WHERE x = 0",
         ] {
-            let rows = query(&db, sql);
-            assert_eq!(rows.len(), 3, "{sql} {index}: {rows:?}");
+            let err = db.connect().execute(sql).unwrap_err();
+            assert_eq!(err.code, minisql::SqlCode::SYNTAX, "{sql} {index}: {err:?}");
+            assert_eq!(err.code.0, -104, "{sql} {index}");
         }
-        let counts = query(&db, "SELECT COUNT(*) FROM t GROUP BY x ORDER BY 1 DESC");
-        assert_eq!(counts[0], [Value::Int(2)], "{index}");
-    }
-}
-
-#[test]
-fn signed_zeros_union_to_one_row() {
-    for index in INDEXES {
-        let db = signed_zeros(index);
-        let sql = "SELECT x FROM t WHERE x = 0 UNION SELECT x FROM t WHERE x = 0";
-        assert_eq!(query(&db, sql).len(), 1, "{index}");
     }
 }
 
@@ -282,8 +240,6 @@ fn integers_compare_with_doubles_exactly_past_2_pow_53() {
             let sql = format!("SELECT COUNT(*) FROM t WHERE {predicate}");
             assert_eq!(query(&db, &sql), [[Value::Int(count)]], "{sql} {index}");
         }
-        let sql = "SELECT i FROM t UNION SELECT d FROM t";
-        assert_eq!(query(&db, sql).len(), 2, "{index}");
     }
 }
 
@@ -360,9 +316,11 @@ fn plans_agree_on_snapshots_pinned_under_row_churn() {
                 "SELECT b.k, b.w FROM b WHERE b.k = 2 AND b.w > 40 ORDER BY b.w",
                 "SELECT a.k, a.v FROM a WHERE a.k = 3 ORDER BY a.v LIMIT 4",
             ] {
-                assert_plans_agree(&pinned, sql, true)?;
+                assert_plans_agree(&pinned, sql)?;
             }
-            assert_plans_agree(&pinned, "SELECT k, COUNT(*) FROM b GROUP BY k", false)?;
+            for k in 0..6 {
+                assert_plans_agree(&pinned, &format!("SELECT COUNT(*) FROM b WHERE k = {k}"))?;
+            }
             Ok(())
         },
     );
@@ -421,187 +379,11 @@ fn plans_agree_while_indexes_flip_on_and_off() {
                 "SELECT a.k, a.v FROM a WHERE a.k = 2",
                 "SELECT k, w FROM b WHERE k = 3 AND w >= 21 ORDER BY w LIMIT 6",
             ] {
-                assert_plans_agree(&pinned, sql, true)?;
+                assert_plans_agree(&pinned, sql)?;
             }
             Ok(())
         },
     );
-}
-
-// ---------------------------------------------------------------------------
-// Set operations ≡ brute-force bag/set algebra
-// ---------------------------------------------------------------------------
-
-fn ref_distinct(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    for r in rows {
-        if !out.contains(r) {
-            out.push(r.clone());
-        }
-    }
-    out
-}
-
-/// Reference semantics for one set operation over materialized branches,
-/// written directly from the SQL definition (distinct = set algebra,
-/// ALL = bag algebra with `min`/`max(l - r, 0)` copy counts).
-fn ref_set_op(op: &str, all: bool, l: &[Vec<Value>], r: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut left = l.to_vec();
-    match (op, all) {
-        ("UNION", true) => {
-            left.extend(r.iter().cloned());
-            left
-        }
-        ("UNION", false) => {
-            left.extend(r.iter().cloned());
-            ref_distinct(&left)
-        }
-        ("EXCEPT", false) => ref_distinct(&left)
-            .into_iter()
-            .filter(|row| !r.contains(row))
-            .collect(),
-        ("EXCEPT", true) => {
-            let mut remaining = r.to_vec();
-            left.retain(|row| match remaining.iter().position(|x| x == row) {
-                Some(i) => {
-                    remaining.swap_remove(i);
-                    false
-                }
-                None => true,
-            });
-            left
-        }
-        ("INTERSECT", false) => ref_distinct(&left)
-            .into_iter()
-            .filter(|row| r.contains(row))
-            .collect(),
-        ("INTERSECT", true) => {
-            let mut remaining = r.to_vec();
-            left.retain(|row| match remaining.iter().position(|x| x == row) {
-                Some(i) => {
-                    remaining.swap_remove(i);
-                    true
-                }
-                None => false,
-            });
-            left
-        }
-        other => panic!("unknown op {other:?}"),
-    }
-}
-
-/// Two tables whose full contents are the set-operation branches.
-fn set_op_state(l: &[(i64, i64)], r: &[(i64, i64)]) -> DbState {
-    let db = Database::new();
-    db.run_script("CREATE TABLE l (k INTEGER, v INTEGER); CREATE TABLE r (k INTEGER, v INTEGER)")
-        .unwrap();
-    let mut conn = db.connect();
-    for (table, rows) in [("l", l), ("r", r)] {
-        for (k, v) in rows {
-            conn.execute_with_params(
-                &format!("INSERT INTO {table} VALUES (?, ?)"),
-                &[Value::Int(*k), Value::Int(*v)],
-            )
-            .unwrap();
-        }
-    }
-    db.snapshot()
-}
-
-fn int_rows(rows: &[(i64, i64)]) -> Vec<Vec<Value>> {
-    rows.iter()
-        .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
-        .collect()
-}
-
-props! {
-    config(cases = 48);
-
-    fn set_ops_match_bag_algebra(
-        l in vec_of((ints(0..3), ints(0..3)), 0..=12),
-        r in vec_of((ints(0..3), ints(0..3)), 0..=12),
-        limit in usizes(0..8),
-        offset in usizes(0..4),
-    ) {
-        let st = set_op_state(&l, &r);
-        let lv = int_rows(&l);
-        let rv = int_rows(&r);
-        for op in ["UNION", "EXCEPT", "INTERSECT"] {
-            for all in [false, true] {
-                let kw = if all { format!("{op} ALL") } else { op.to_string() };
-                let sql = format!("SELECT k, v FROM l {kw} SELECT k, v FROM r");
-                let got = canon(run_opts(&st, &sql, &PlanOptions::default()));
-                let want = canon(ref_set_op(op, all, &lv, &rv));
-                prop_assert_eq!(got, want, "{kw} diverged from reference");
-                // And plan options must not matter for set operations.
-                let base = canon(run_opts(&st, &sql, &PlanOptions::baseline()));
-                let fast = canon(run_opts(&st, &sql, &PlanOptions::default()));
-                prop_assert_eq!(fast, base, "{kw} plan-sensitive");
-                // The hoisted tail, in order: (v, k) orders every distinct
-                // row, so the reference sorted and cut is the one answer,
-                // under top-k (default) and full sort (baseline) alike.
-                let sql = format!("{sql} ORDER BY 2, 1 LIMIT {limit} OFFSET {offset}");
-                let mut want = ref_set_op(op, all, &lv, &rv);
-                want.sort_by(|a, b| a[1].order_key(&b[1]).then(a[0].order_key(&b[0])));
-                let want: Vec<_> = want.into_iter().skip(offset).take(limit).collect();
-                for opts in [PlanOptions::default(), PlanOptions::baseline()] {
-                    prop_assert_eq!(run_opts(&st, &sql, &opts), want.clone(), "{sql}");
-                }
-            }
-        }
-    }
-
-    fn chained_set_ops_fold_left(
-        l in vec_of((ints(0..3), ints(0..2)), 0..=8),
-        r in vec_of((ints(0..3), ints(0..2)), 0..=8),
-        s in vec_of((ints(0..3), ints(0..2)), 0..=8),
-    ) {
-        // (l UNION ALL r) EXCEPT s — set operations associate left.
-        let db = Database::new();
-        db.run_script(
-            "CREATE TABLE l (k INTEGER, v INTEGER);
-             CREATE TABLE r (k INTEGER, v INTEGER);
-             CREATE TABLE s (k INTEGER, v INTEGER)",
-        )
-        .unwrap();
-        let mut conn = db.connect();
-        for (table, rows) in [("l", &l), ("r", &r), ("s", &s)] {
-            for (k, v) in rows {
-                conn.execute_with_params(
-                    &format!("INSERT INTO {table} VALUES (?, ?)"),
-                    &[Value::Int(*k), Value::Int(*v)],
-                )
-                .unwrap();
-            }
-        }
-        let st = db.snapshot();
-        let sql = "SELECT k, v FROM l UNION ALL SELECT k, v FROM r EXCEPT SELECT k, v FROM s";
-        let got = canon(run_opts(&st, sql, &PlanOptions::default()));
-        let mut union_all = int_rows(&l);
-        union_all.extend(int_rows(&r));
-        let want = canon(ref_set_op("EXCEPT", false, &union_all, &int_rows(&s)));
-        prop_assert_eq!(got, want);
-    }
-}
-
-#[test]
-fn pinned_set_op_empty_branches() {
-    let st = set_op_state(&[(1, 1), (1, 1)], &[]);
-    for (sql, expect_rows) in [
-        ("SELECT k, v FROM l UNION SELECT k, v FROM r", 1),
-        ("SELECT k, v FROM l UNION ALL SELECT k, v FROM r", 2),
-        ("SELECT k, v FROM l EXCEPT SELECT k, v FROM r", 1),
-        ("SELECT k, v FROM l EXCEPT ALL SELECT k, v FROM r", 2),
-        ("SELECT k, v FROM l INTERSECT SELECT k, v FROM r", 0),
-        ("SELECT k, v FROM l INTERSECT ALL SELECT k, v FROM r", 0),
-        ("SELECT k, v FROM r EXCEPT ALL SELECT k, v FROM l", 0),
-    ] {
-        assert_eq!(
-            run_opts(&st, sql, &PlanOptions::default()).len(),
-            expect_rows,
-            "{sql}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -662,16 +444,13 @@ fn new_operators_agree_on_churning_snapshots() {
         },
         move || {
             let pinned = reader_db.pin();
-            // New operators: set ops are plan-independent.
+            // The fold, IN lists and top-k are plan-independent.
             for sql in [
-                "SELECT k, v FROM a EXCEPT ALL SELECT k, v FROM b",
-                "SELECT k, v FROM a INTERSECT SELECT k, v FROM c",
+                "SELECT COUNT(*), SUM(v) FROM a WHERE k = 2",
+                "SELECT COUNT(*), SUM(v) FROM c WHERE k >= 1 AND k <= 3",
+                "SELECT k, v FROM b WHERE k IN (1, 3) ORDER BY v DESC, k LIMIT 5",
             ] {
-                let fast = canon(run_opts(&pinned, sql, &PlanOptions::default()));
-                let slow = canon(run_opts(&pinned, sql, &PlanOptions::baseline()));
-                if fast != slow {
-                    return Err(format!("plan-sensitive on snapshot: {sql}"));
-                }
+                assert_plans_agree(&pinned, sql)?;
             }
             Ok(())
         },
@@ -683,9 +462,9 @@ fn new_operators_agree_on_churning_snapshots() {
 // ---------------------------------------------------------------------------
 
 /// One single-table conjunct over `t (k INTEGER, s VARCHAR(16))`, drawn by
-/// `shape` from comparisons (either way round), `<>`, BETWEEN, IN and LIKE,
-/// with NULL constants (`a` = `None`), inverted BETWEEN bounds, exact and
-/// empty LIKE patterns, and constants the planner has to fold.
+/// `shape` from comparisons (either way round), `<>`, IN and LIKE, with
+/// NULL constants (`a` = `None`), exact and empty LIKE patterns, and
+/// constants the planner has to fold.
 fn conjunct(shape: usize, a: Option<i64>, b: i64, text: &str) -> String {
     let a = a.map_or("NULL".to_string(), |v| v.to_string());
     match shape {
@@ -695,12 +474,12 @@ fn conjunct(shape: usize, a: Option<i64>, b: i64, text: &str) -> String {
         3 => format!("k > {b} - 1"),
         4 => format!("k >= {a}"),
         5 => format!("k <> {a}"),
-        6 => format!("k BETWEEN {a} AND {b}"),
-        7 => format!("k NOT BETWEEN {a} AND {b}"),
+        6 => format!("{b} >= k"),
+        7 => format!("NOT k = {a}"),
         8 => format!("k IN ({a}, {b})"),
         9 => format!("k NOT IN ({b}, {a})"),
         10 => format!("s = '{text}'"),
-        11 => format!("s = 'a' || '{text}'"),
+        11 => format!("s = CASE WHEN {b} > 3 THEN 'a{text}' ELSE 'b' END"),
         12 => format!("s LIKE '{text}'"),
         13 => format!("s NOT LIKE '{text}'"),
         14 => format!("s LIKE {a}"),
@@ -726,10 +505,11 @@ fn probe_candidates(
         (1, Some(a)) => on_k(&|k| k.is_none_or(|k| k < a)),
         (2 | 4, Some(a)) => on_k(&|k| k.is_some_and(|k| k >= a)),
         (3, _) => on_k(&|k| k.is_some_and(|k| k > b - 1)),
-        (6, Some(a)) => on_k(&|k| k.is_some_and(|k| a <= k && k <= b)),
+        (6, _) => on_k(&|k| k.is_none_or(|k| k <= b)),
         (8, a) => on_k(&|k| k.is_some() && (k == a || k == Some(b))),
         (10, _) => on_s(&|s| s == text),
-        (11, _) => on_s(&|s| s == format!("a{text}")),
+        (11, _) if b > 3 => on_s(&|s| s == format!("a{text}")),
+        (11, _) => on_s(&|s| s == "b"),
         (12, _) if prefix.len() == text.len() => on_s(&|s| s == text),
         (12, _) => on_s(&|s| s.starts_with(&prefix)),
         (15, _) => on_s(&|s| s == text || s == "b"),
@@ -787,7 +567,7 @@ props! {
             let mut conn = db.connect();
             // The second UPDATE meets the first one's rows under their new
             // keys, through indexes the first one rewrote.
-            let update = format!("UPDATE t SET k = k + 10, s = s || 'u' WHERE {predicate}");
+            let update = format!("UPDATE t SET k = k + 10, s = 'u' WHERE {predicate}");
             let again = format!("UPDATE t SET k = k - 3 WHERE {predicate}");
             counts.push((conn.execute(&update).unwrap(), conn.execute(&again).unwrap()));
         }
@@ -824,13 +604,18 @@ props! {
 
 #[test]
 fn pinned_inverted_between_on_an_index_matches_nothing() {
-    // A B-tree range whose start is past its end panics; the predicate keeps
-    // no row, so the plan must read nothing rather than probe.
+    // BETWEEN is refused; its inverted range spelled as two comparisons
+    // probes one bound and filters by the other, and keeps no row.
     let (indexed, plain) = nullable_twins(&[(Some(1), "a".into()), (Some(5), "b".into())]);
-    let sql = "SELECT k FROM t WHERE k BETWEEN 5 AND 1";
+    let between = "SELECT k FROM t WHERE k BETWEEN 5 AND 1";
+    assert_eq!(
+        minisql::parse(between).unwrap_err().message,
+        "BETWEEN is not supported"
+    );
+    let sql = "SELECT k FROM t WHERE k >= 5 AND k <= 1";
     assert!(query(&indexed, sql).is_empty());
     assert!(query(&plain, sql).is_empty());
-    let negated = "SELECT k FROM t WHERE k NOT BETWEEN 5 AND 1 ORDER BY 1";
+    let negated = "SELECT k FROM t WHERE NOT (k >= 5 AND k <= 1) ORDER BY 1";
     assert_eq!(query(&indexed, negated), query(&plain, negated));
     assert_eq!(query(&indexed, negated).len(), 2);
 }

@@ -322,6 +322,62 @@ fn a_whole_record_that_does_not_decode_fails_open_and_keeps_the_log() {
     assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log was rewritten");
 }
 
+/// A data directory written by a version that had the DATE type: a DATE
+/// column in a DDL record, or a DATE value (tag 4) in a row image. Either
+/// makes the log one this version cannot replay, so it fails to open with
+/// −904 and the file is left as it was.
+#[test]
+fn a_date_column_or_value_in_an_old_log_fails_open_with_904() {
+    let _guard = serial();
+    let frame = |payload: &[u8]| {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&dbgw_cache::fnv1a_64(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
+    let put_str = |buf: &mut Vec<u8>, s: &str| {
+        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
+    };
+    // One Ddl op (tag 4) creating a DATE column.
+    let mut ddl = 1u32.to_le_bytes().to_vec();
+    ddl.push(4);
+    put_str(&mut ddl, "CREATE TABLE d (day DATE)");
+    // One Insert op (tag 1) of row 1 of `t`, whose one value is a DATE.
+    let mut insert = 1u32.to_le_bytes().to_vec();
+    insert.push(1);
+    put_str(&mut insert, "t");
+    insert.extend_from_slice(&1u32.to_le_bytes());
+    insert.extend_from_slice(&1u32.to_le_bytes());
+    insert.push(4);
+    insert.extend_from_slice(&9_131i64.to_le_bytes());
+    for (tag, payload) in [("datecol", ddl), ("dateval", insert)] {
+        let tmp = temp_dir(tag);
+        {
+            let db = open(&tmp.0);
+            db.run_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1)")
+                .unwrap();
+            db.close();
+        }
+        let log = tmp.0.join(LOG_FILE);
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes.extend_from_slice(&frame(&payload));
+        std::fs::write(&log, &bytes).unwrap();
+        let config = DurabilityConfig { fsync: true };
+        let cache = dbgw_cache::CacheConfig::default();
+        let err = Database::open_with_config(&tmp.0, &config, &cache)
+            .err()
+            .unwrap_or_else(|| panic!("{tag}: a log holding a DATE must not open"));
+        assert_eq!(err.code, SqlCode::RESOURCE, "{tag}: {err:?}");
+        assert_eq!(err.code.0, -904, "{tag}");
+        assert_eq!(
+            std::fs::read(&log).unwrap(),
+            bytes,
+            "{tag}: the log was rewritten"
+        );
+    }
+}
+
 #[test]
 fn simulated_crash_loses_only_unlogged_tail_and_stays_consistent() {
     let _guard = serial();
