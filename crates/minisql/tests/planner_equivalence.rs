@@ -193,8 +193,7 @@ fn pinned_signed_zeros_are_equal_with_and_without_an_index() {
 /// The signed-zero probes that ran inside deleted forms — `COUNT(DISTINCT`,
 /// `GROUP BY`, `DISTINCT` and `UNION` over {0.0, −0.0, 1.0, 2.0} — are each
 /// refused with −104, with and without an index on `x`.
-#[test]
-fn signed_zero_probes_of_deleted_forms_are_refused() {
+fn assert_signed_zero_probes_refused(statements: &[&str]) {
     for index in ["", "CREATE INDEX t_x ON t (x);"] {
         let db = Database::new();
         db.run_script(&format!(
@@ -202,19 +201,34 @@ fn signed_zero_probes_of_deleted_forms_are_refused() {
              INSERT INTO t VALUES (0.0), (-0.0), (1.0), (2.0);"
         ))
         .unwrap();
-        for sql in [
-            "SELECT COUNT(DISTINCT x) FROM t",
-            "SELECT x FROM t GROUP BY x",
-            "SELECT x, COUNT(*) FROM t GROUP BY x",
-            "SELECT DISTINCT x FROM t",
-            "SELECT COUNT(*) FROM t GROUP BY x ORDER BY 1 DESC",
-            "SELECT x FROM t WHERE x = 0 UNION SELECT x FROM t WHERE x = 0",
-        ] {
+        for sql in statements {
             let err = db.connect().execute(sql).unwrap_err();
             assert_eq!(err.code, minisql::SqlCode::SYNTAX, "{sql} {index}: {err:?}");
             assert_eq!(err.code.0, -104, "{sql} {index}");
         }
     }
+}
+
+#[test]
+fn signed_zeros_count_once_in_count_distinct() {
+    assert_signed_zero_probes_refused(&["SELECT COUNT(DISTINCT x) FROM t"]);
+}
+
+#[test]
+fn signed_zeros_are_one_group_and_one_distinct_value() {
+    assert_signed_zero_probes_refused(&[
+        "SELECT x FROM t GROUP BY x",
+        "SELECT x, COUNT(*) FROM t GROUP BY x",
+        "SELECT DISTINCT x FROM t",
+        "SELECT COUNT(*) FROM t GROUP BY x ORDER BY 1 DESC",
+    ]);
+}
+
+#[test]
+fn signed_zeros_union_to_one_row() {
+    assert_signed_zero_probes_refused(&[
+        "SELECT x FROM t WHERE x = 0 UNION SELECT x FROM t WHERE x = 0",
+    ]);
 }
 
 #[test]
