@@ -14,9 +14,8 @@
 //! Operators are keyed by [`OpId`], whose variants correspond one-to-one with
 //! the lines `exec::explain_lines` renders — which is what lets the
 //! renderer annotate the *estimated* plan tree with the *actual* numbers.
-//! Only the outermost SELECT block records: a block entered inside it runs
-//! at collector depth ≥ 2 and is ignored, because its operator ids would
-//! collide with the outer block's.
+//! Operators record only inside the SELECT block: the scan behind an
+//! UPDATE runs outside any block and records nothing.
 
 use dbgw_obs::Clock;
 use std::cell::RefCell;
@@ -67,9 +66,8 @@ pub struct OpActuals {
 
 struct Collector {
     clock: Arc<dyn Clock>,
-    /// SELECT-block nesting depth: 1 = the outer block (recorded); deeper
-    /// blocks are ignored.
-    depth: usize,
+    /// Whether a SELECT block is running; operators record only then.
+    in_block: bool,
     ops: Vec<(OpId, OpActuals)>,
 }
 
@@ -103,8 +101,8 @@ pub(crate) fn capture_wanted() -> bool {
 }
 
 /// Run `f` with a fresh collector installed on this thread, returning its
-/// result plus the per-operator actuals recorded by the outermost SELECT
-/// block. Re-entrant calls (a collector is already installed) run `f`
+/// result plus the per-operator actuals recorded by its SELECT block.
+/// Re-entrant calls (a collector is already installed) run `f`
 /// without a new collector and return no actuals.
 pub fn collect<R>(clock: Arc<dyn Clock>, f: impl FnOnce() -> R) -> (R, Vec<(OpId, OpActuals)>) {
     let installed = COLLECTOR.with(|c| {
@@ -114,7 +112,7 @@ pub fn collect<R>(clock: Arc<dyn Clock>, f: impl FnOnce() -> R) -> (R, Vec<(OpId
         }
         *slot = Some(Collector {
             clock,
-            depth: 0,
+            in_block: false,
             ops: Vec::new(),
         });
         true
@@ -130,37 +128,30 @@ pub fn collect<R>(clock: Arc<dyn Clock>, f: impl FnOnce() -> R) -> (R, Vec<(OpId
     (result, ops)
 }
 
-/// RAII marker for one SELECT block; created at the top of
-/// `exec::run_select_with_options`, so a nested block lands at depth ≥ 2 and
-/// stays unrecorded.
-pub(crate) struct BlockGuard {
-    active: bool,
-}
+/// RAII marker for the SELECT block; created at the top of
+/// `exec::run_select_with_options`, which nothing re-enters.
+pub(crate) struct BlockGuard;
 
 pub(crate) fn enter_block() -> BlockGuard {
-    let active = COLLECTOR.with(|c| match c.borrow_mut().as_mut() {
-        Some(col) => {
-            col.depth += 1;
-            true
+    set_in_block(true);
+    BlockGuard
+}
+
+fn set_in_block(on: bool) {
+    COLLECTOR.with(|c| {
+        if let Some(col) = c.borrow_mut().as_mut() {
+            col.in_block = on;
         }
-        None => false,
     });
-    BlockGuard { active }
 }
 
 impl Drop for BlockGuard {
     fn drop(&mut self) {
-        if self.active {
-            COLLECTOR.with(|c| {
-                if let Some(col) = c.borrow_mut().as_mut() {
-                    col.depth = col.depth.saturating_sub(1);
-                }
-            });
-        }
+        set_in_block(false);
     }
 }
 
-/// A clock reading, if the outermost block is being recorded — the start of
+/// A clock reading, if a SELECT block is being recorded — the start of
 /// one operator execution. `None` (collection off) makes the matching
 /// [`record`] a no-op, so instrumented sites cost one thread-local read when
 /// ANALYZE is inactive.
@@ -168,7 +159,7 @@ pub(crate) fn start() -> Option<u64> {
     COLLECTOR.with(|c| {
         c.borrow()
             .as_ref()
-            .filter(|col| col.depth == 1)
+            .filter(|col| col.in_block)
             .map(|col| col.clock.now_ns())
     })
 }
@@ -180,7 +171,7 @@ pub(crate) fn record(op: OpId, started: Option<u64>, rows_in: u64, rows_out: u64
     COLLECTOR.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(col) = slot.as_mut() else { return };
-        if col.depth != 1 {
+        if !col.in_block {
             return;
         }
         let elapsed = col.clock.now_ns().saturating_sub(t0);
@@ -245,21 +236,22 @@ mod tests {
         let clock = Arc::new(TestClock::new());
         let c2 = Arc::clone(&clock);
         let ((), ops) = collect(clock, move || {
-            let _outer = enter_block();
+            // An UPDATE's scan runs outside any SELECT block: no record.
             let t = start();
-            c2.advance_micros(5);
-            record(OpId::Base, t, 10, 3);
+            assert!(t.is_none(), "a scan outside the block must not time");
+            record(OpId::Base, t, 99, 99);
             {
-                // A nested block: must not record.
-                let _inner = enter_block();
+                let _block = enter_block();
                 let t = start();
-                assert!(t.is_none(), "nested block must not time");
-                record(OpId::Base, t, 99, 99);
+                c2.advance_micros(5);
+                record(OpId::Base, t, 10, 3);
+                // Same op again accumulates (loops).
+                let t = start();
+                c2.advance_micros(3);
+                record(OpId::Base, t, 10, 2);
             }
-            // Same op again accumulates (loops).
-            let t = start();
-            c2.advance_micros(3);
-            record(OpId::Base, t, 10, 2);
+            // After the block ends, nothing records again.
+            assert!(start().is_none());
         });
         let base = lookup(&ops, OpId::Base).unwrap();
         assert_eq!(base.rows_in, 20);

@@ -9,7 +9,6 @@ use crate::error::{SqlError, SqlResult};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::Hash;
 
 /// Declared type of a table column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,7 +134,7 @@ impl Value {
         }
     }
 
-    /// The borrowed form every comparison, hash and stored cell works on.
+    /// The borrowed form every comparison and stored cell works on.
     pub fn view(&self) -> ValueRef<'_> {
         match self {
             Value::Null => ValueRef::Null,
@@ -181,14 +180,96 @@ impl Value {
     }
 }
 
-/// Format a double the way DB2's CHAR() did, without trailing `.0` noise for
-/// integral values that arrived through floating arithmetic.
-fn write_double(d: f64, out: &mut impl fmt::Write) -> fmt::Result {
-    if d.fract() == 0.0 && d.abs() < 1e15 {
-        write!(out, "{d:.1}")
-    } else {
-        write!(out, "{d}")
+// The number-to-text kernel. Every INTEGER and DOUBLE that a report, a LIKE
+// or a `Display` shows becomes text here, byte for byte what `{i}`, `{d}`
+// and `{d:.1}` print, without going through `core::fmt` on the common path.
+
+/// Room for the digits of any `u64`.
+const NUM_BUF: usize = 20;
+
+/// 2^32: the DOUBLE fast path takes magnitudes below it, where an ulp is at
+/// most 2^-20, far below the 10^-4 spacing of the decimals it prints.
+const TWO_POW_32: f64 = 4_294_967_296.0;
+
+/// Write `n`'s decimal digits so that they end just before `buf[end]`, zero
+/// padded to at least `width` digits; returns the index of the first.
+fn put_digits(buf: &mut [u8; NUM_BUF], mut end: usize, mut n: u64, width: usize) -> usize {
+    let stop = end - width;
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 && end <= stop {
+            return end;
+        }
     }
+}
+
+/// Hand `digits` to `out`, after a `-` when `negative`. They are ASCII, so
+/// each byte is one `char`; writing them one by one costs less than
+/// checking them as UTF-8 for a single `write_str`.
+fn emit(digits: &[u8], negative: bool, out: &mut impl fmt::Write) -> fmt::Result {
+    if negative {
+        out.write_char('-')?;
+    }
+    digits
+        .iter()
+        .try_for_each(|&b| out.write_char(char::from(b)))
+}
+
+/// An INTEGER's text, as `{i}` prints it.
+fn write_int(i: i64, out: &mut impl fmt::Write) -> fmt::Result {
+    let mut buf = [0; NUM_BUF];
+    let start = put_digits(&mut buf, NUM_BUF, i.unsigned_abs(), 1);
+    emit(&buf[start..], i < 0, out)
+}
+
+/// `|d|·10^4` as a whole number `m`, when `|d| < 2^32` and `m / 10^4`
+/// reads back as `|d|` exactly: `|d|` has at most four fractional digits.
+/// `None` for everything else, NaN and the infinities included.
+///
+/// `m` and `10^4` are exact and division is correctly rounded, so the `==`
+/// is the parser's round trip. Decimals with at most four fractional
+/// digits are `10^-4` or more apart, and every decimal that reads back as
+/// `|d|` lies within one ulp (at most `2^-20` here) of it, so `m / 10^4` is
+/// the one such decimal that does: with its trailing zeros dropped it is
+/// `m' / 10^k` for the smallest `k` that reads back, the shortest digits
+/// that `{d}` prints.
+fn scaled_decimal(d: f64) -> Option<u64> {
+    let abs = d.abs();
+    // NaN passes this test but then reads back as nothing.
+    if abs >= TWO_POW_32 {
+        return None;
+    }
+    // Rounds to nearest without a libm call. `|d|·10^4` lies within a hair
+    // of a whole `m` that reads back, so this finds it; any other `m` fails
+    // the check. It is below 2^46, so `i64` holds it exactly.
+    let m = (abs * 10_000.0 + 0.5) as i64;
+    (m as f64 / 10_000.0 == abs).then_some(m as u64)
+}
+
+/// A DOUBLE's text, the way DB2's CHAR() did it: the shortest digits that
+/// read back as `d`, with `.0` after an integral value below 10^15.
+fn write_double(d: f64, out: &mut impl fmt::Write) -> fmt::Result {
+    let Some(m) = scaled_decimal(d) else {
+        return if d.fract() == 0.0 && d.abs() < 1e15 {
+            write!(out, "{d:.1}")
+        } else {
+            write!(out, "{d}")
+        };
+    };
+    // Drop trailing zeros, keeping one fractional digit: an integral value
+    // prints `.0`.
+    let (whole, mut frac, mut width) = (m / 10_000, m % 10_000, 4);
+    while width > 1 && frac % 10 == 0 {
+        frac /= 10;
+        width -= 1;
+    }
+    let mut buf = [0; NUM_BUF];
+    let point = put_digits(&mut buf, NUM_BUF, frac, width) - 1;
+    buf[point] = b'.';
+    let start = put_digits(&mut buf, point, whole, 1);
+    emit(&buf[start..], d.is_sign_negative(), out)
 }
 
 impl PartialEq for Value {
@@ -201,12 +282,6 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.view().hash(state)
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.view().fmt(f)
@@ -215,8 +290,8 @@ impl fmt::Display for Value {
 
 /// A value borrowed from where it lives — a stored row's cell, a literal,
 /// a parameter — with text as a `&str`. It is `Copy`, so a scan reads a
-/// column without allocating, and it carries the one comparison, equality
-/// and hash that [`Value`] delegates to.
+/// column without allocating, and it carries the one comparison and
+/// equality that [`Value`] delegates to.
 #[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {
     /// SQL NULL.
@@ -336,7 +411,7 @@ impl<'a> ValueRef<'a> {
         use fmt::Write;
         let _ = match self {
             ValueRef::Null => Ok(()),
-            ValueRef::Int(i) => write!(out, "{i}"),
+            ValueRef::Int(i) => write_int(i, out),
             ValueRef::Double(d) => write_double(d, out),
             ValueRef::Text(t) => out.write_str(t),
         };
@@ -376,39 +451,11 @@ impl PartialEq for ValueRef<'_> {
 
 impl Eq for ValueRef<'_> {}
 
-impl std::hash::Hash for ValueRef<'_> {
-    /// Agrees with `==`: a double with an integral value in `i64`'s range
-    /// (`-0.0` among them) hashes as that integer, because it equals it, and
-    /// every NaN hashes alike.
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match *self {
-            ValueRef::Null => 0u8.hash(state),
-            ValueRef::Int(i) => {
-                1u8.hash(state);
-                i.hash(state);
-            }
-            ValueRef::Double(d) if d.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&d) => {
-                1u8.hash(state);
-                (d as i64).hash(state);
-            }
-            ValueRef::Double(d) => {
-                4u8.hash(state);
-                let d = if d.is_nan() { f64::NAN } else { d };
-                d.to_bits().hash(state);
-            }
-            ValueRef::Text(t) => {
-                2u8.hash(state);
-                t.hash(state);
-            }
-        }
-    }
-}
-
 impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             ValueRef::Null => write!(f, "NULL"),
-            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Int(i) => write_int(i, f),
             ValueRef::Double(d) => write_double(d, f),
             ValueRef::Text(t) => write!(f, "'{t}'"),
         }
@@ -442,6 +489,8 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbgw_testkit::gen::{any_i64, ints, usizes};
+    use dbgw_testkit::{prop_assert_eq, props};
 
     #[test]
     fn three_valued_logic_tables() {
@@ -552,14 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_numbers_hash_alike_and_zeros_are_one_value() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::Hasher;
-        let h = |v: ValueRef<'_>| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
+    fn zeros_are_one_value_and_nan_equals_nan() {
         let zeros = [
             ValueRef::Int(0),
             ValueRef::Double(0.0),
@@ -567,11 +609,8 @@ mod tests {
         ];
         for z in zeros {
             assert_eq!(z, zeros[0]);
-            assert_eq!(h(z), h(zeros[0]));
         }
-        let nan = ValueRef::Double(f64::NAN);
-        assert_eq!(nan, ValueRef::Double(-f64::NAN));
-        assert_eq!(h(nan), h(ValueRef::Double(-f64::NAN)));
+        assert_eq!(ValueRef::Double(f64::NAN), ValueRef::Double(-f64::NAN));
         assert_eq!(
             ValueRef::Double(-0.0).canonical().to_value().to_string(),
             "0.0"
@@ -580,15 +619,123 @@ mod tests {
     }
 
     #[test]
-    fn int_and_integral_double_hash_alike() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let h = |v: &Value| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
+    fn int_equals_integral_double() {
         assert_eq!(Value::Int(7), Value::Double(7.0));
-        assert_eq!(h(&Value::Int(7)), h(&Value::Double(7.0)));
+    }
+
+    /// The formatting the kernel replaced, through `core::fmt`: the oracle
+    /// that [`ValueRef::write_display`] and `Display` must match byte for
+    /// byte.
+    fn fmt_number(v: ValueRef<'_>) -> String {
+        match v {
+            ValueRef::Int(i) => format!("{i}"),
+            ValueRef::Double(d) if d.fract() == 0.0 && d.abs() < 1e15 => format!("{d:.1}"),
+            ValueRef::Double(d) => format!("{d}"),
+            other => unreachable!("{other:?} is not a number"),
+        }
+    }
+
+    /// Both of a number's texts agree with [`fmt_number`].
+    fn display_agrees(v: ValueRef<'_>) -> Result<(), String> {
+        let want = fmt_number(v);
+        let mut report = String::from("<td>");
+        v.write_display(&mut report);
+        prop_assert_eq!(report, format!("<td>{want}"), "write_display of {v:?}");
+        prop_assert_eq!(v.to_string(), want, "Display of {v:?}");
+        Ok(())
+    }
+
+    /// `d` and up to `ulps` of its neighbours on each side, both signs.
+    fn neighbours_agree(d: f64, ulps: usize) -> Result<(), String> {
+        for start in [d, -d] {
+            let (mut up, mut down) = (start, start);
+            display_agrees(ValueRef::Double(start))?;
+            for _ in 0..ulps {
+                (up, down) = (up.next_up(), down.next_down());
+                display_agrees(ValueRef::Double(up))?;
+                display_agrees(ValueRef::Double(down))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `m / 10^k`, the way a parsed literal arrives.
+    fn decimal(m: i64, k: usize) -> f64 {
+        m as f64 / 10f64.powi(k as i32)
+    }
+
+    #[test]
+    fn display_of_signed_zeros() {
+        assert_eq!(Value::Double(0.0).to_display_string(), "0.0");
+        assert_eq!(Value::Double(-0.0).to_display_string(), "-0.0");
+        neighbours_agree(0.0, 3).unwrap();
+    }
+
+    #[test]
+    fn display_of_subnormals() {
+        for d in [
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+        ] {
+            neighbours_agree(d, 2).unwrap();
+        }
+    }
+
+    #[test]
+    fn display_of_nan_and_infinities() {
+        assert_eq!(Value::Double(f64::NAN).to_display_string(), "NaN");
+        assert_eq!(Value::Double(f64::INFINITY).to_display_string(), "inf");
+        assert_eq!(Value::Double(f64::NEG_INFINITY).to_string(), "-inf");
+        for d in [f64::NAN, -f64::NAN, f64::INFINITY, f64::MAX] {
+            neighbours_agree(d, 2).unwrap();
+        }
+    }
+
+    #[test]
+    fn display_of_integer_extremes() {
+        assert_eq!(Value::Int(i64::MIN).to_string(), "-9223372036854775808");
+        for i in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX] {
+            display_agrees(ValueRef::Int(i)).unwrap();
+        }
+    }
+
+    #[test]
+    fn display_next_to_the_fast_domain_edges() {
+        assert_eq!(
+            Value::Double(4294967295.5).to_display_string(),
+            "4294967295.5"
+        );
+        assert_eq!(Value::Double(0.0001).to_display_string(), "0.0001");
+        neighbours_agree(TWO_POW_32, 3).unwrap();
+        neighbours_agree(1e15, 3).unwrap();
+        for k in 0..=8 {
+            neighbours_agree(0.5 * 10f64.powi(-k), 3).unwrap();
+        }
+    }
+
+    props! {
+        config(cases = 256);
+
+        /// Any bit pattern, read as a DOUBLE and as an INTEGER.
+        fn display_matches_fmt_on_random_bits(bits in any_i64()) {
+            display_agrees(ValueRef::Double(f64::from_bits(bits as u64)))?;
+            display_agrees(ValueRef::Int(bits))?;
+        }
+
+        /// Short decimals `m / 10^k`, `m` shifted below and above 2^53, and
+        /// their nearest neighbours.
+        fn display_matches_fmt_on_short_decimals(
+            m in any_i64(),
+            shift in usizes(0..64),
+            k in usizes(0..9),
+        ) {
+            neighbours_agree(decimal(m >> shift, k), 1)?;
+        }
+
+        /// Cents, the shape of a `price` column.
+        fn display_matches_fmt_on_cents(cents in ints(-100_000_000..100_000_000)) {
+            neighbours_agree(decimal(cents, 2), 1)?;
+        }
     }
 }

@@ -40,10 +40,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== minisql property suites, deeper (TESTKIT_CASES=1500) =="
 # Tier-1 runs each property at its own seeded count (32-256 cases). Here
-# every minisql property — the planner-equivalence, heap, index and dedup
-# suites among them — runs 1500 cases; TESTKIT_CASES outranks a props!
-# block's config(cases = ...). About 85 s on a 2-core host, build included.
+# every minisql property — the planner-equivalence, heap, index and
+# number-text oracle suites among them — runs 1500 cases; TESTKIT_CASES
+# outranks a props! block's config(cases = ...). About 85 s on a 2-core
+# host, build included.
 TESTKIT_CASES=1500 cargo test -q --release --offline -p minisql
+
+echo "== number-to-text kernel against core::fmt (TESTKIT_CASES=200000) =="
+# Report numbers become text without core::fmt; the oracle properties in
+# minisql's types.rs check the kernel against the write!-based formatting
+# byte for byte, here over 200 000 cases each. About 4 s on a 2-core host
+# once the step above has built the release tests.
+TESTKIT_CASES=200000 cargo test -q --release --offline -p minisql --lib types::tests::display
 
 echo "== result-cache transparency, deeper (TESTKIT_CASES=1500) =="
 # The root tests/properties.rs is not part of the minisql step above: the
